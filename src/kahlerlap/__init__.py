@@ -20,7 +20,6 @@ from .fit import (
     ViolationWitness,
     check_delta_property,
     fit_pk,
-    monomial_test_set,
     rescaled_value,
 )
 from .radial import (
@@ -61,7 +60,6 @@ __all__ = [
     "laplcube_expansion",
     "log1p",
     "metric_from_potential",
-    "monomial_test_set",
     "named_profile",
     "normalize",
     "profile_from_coeffs",

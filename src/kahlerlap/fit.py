@@ -2,13 +2,16 @@
 
 Both sides are linear in the derivatives of phi at the origin of total
 degree <= 2k, so checking all monomials z^P zb^Q with |P|+|Q| <= 2k decides
-the identity for every smooth phi.  The fit works on values rescaled to unit
+the identity for every smooth phi.  p_k(lap_c) reads only diagonal monomials
+z^P zb^P, so the fit walks just the off-diagonal keys of the lap^k table
+(which stores no zeros) and the diagonal with 1 <= |P| <= k: every other
+monomial reads zero on both sides.  The fit works on values rescaled to unit
 gauge (multiplying by prod d_i^{(P_i+Q_i)/2}), which keeps the arithmetic
 rational without changing coordinates.
 
-Outcomes are witness-first: the first monomial (in graded lexicographic
-order) whose value is inconsistent is returned with the discrepancy, which
-makes every failure reproducible.
+Outcomes are witness-first: the first monomial (in the graded lexicographic
+order of the complete test set) whose value is inconsistent is returned with
+the discrepancy, which makes every failure reproducible.
 """
 
 from __future__ import annotations
@@ -88,32 +91,29 @@ class FitResult:
         return self.witness is None
 
 
-def monomial_test_set(n, k):
-    """All pairs (P, Q) with |P| + |Q| <= 2k in graded lexicographic order.
+def _require_depth(m: MetricJet, k, needed_for=None):
+    """TruncationError unless the potential is valid to degree 2k."""
+    valid = m.potential.valid_degree
+    if valid < 2 * k:
+        suffix = f" needed for {needed_for}" if needed_for else ""
+        raise TruncationError(
+            f"potential valid_degree {valid} < {2 * k}{suffix}", required=2 * k
+        )
 
-    Sufficient: lap^k(.)(0) and p_k(lap_c)(.)(0) are both linear functionals
-    reading only derivatives of order <= 2k at the origin.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    by_degree = [list(multiindices(n, t)) for t in range(2 * k + 1)]
-    pairs = []
-    for dp in range(2 * k + 1):
-        for dq in range(2 * k + 1 - dp):
-            for P in by_degree[dp]:
-                for Q_ in by_degree[dq]:
-                    pairs.append((P, Q_))
+
+def _support_pairs(n, k, table):
+    """Off-diagonal keys of the lap^k table and every (P, P) with
+    1 <= |P| <= k, in graded lexicographic order (|P|+|Q|, P, Q)."""
+    pairs = [key for key in table if key[0] != key[1]]
+    for p in range(1, k + 1):
+        pairs.extend((P, P) for P in multiindices(n, p))
     pairs.sort(key=lambda pq: (weight(pq[0]) + weight(pq[1]), pq[0], pq[1]))
     return pairs
 
 
 def _raw_value(m: MetricJet, P, Q_, k):
     """lap^k(z^P zb^Q)(0) via the cached functional table."""
-    if m.potential.valid_degree < 2 * k:
-        raise TruncationError(
-            f"potential valid_degree {m.potential.valid_degree} < {2 * k}",
-            required=2 * k,
-        )
+    _require_depth(m, k)
     return _laplacian_functional(m, k).get((tuple(P), tuple(Q_)), ZERO)
 
 
@@ -144,33 +144,25 @@ def rescaled_value(m: MetricJet, P, Q_, k):
 
 def fit_pk(m: MetricJet, k) -> FitResult:
     """Fit the monic order-k polynomial over the degree <= 2k monomial set,
-    or return the first violation in enumeration order."""
+    or return the first violation in enumeration order.  Only the monomials
+    that can matter are visited, in the same order, so the witness is the
+    one the complete set gives."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if m.potential.valid_degree < 2 * k:
-        raise TruncationError(
-            f"potential valid_degree {m.potential.valid_degree} < {2 * k} "
-            f"needed for the order-{k} fit",
-            required=2 * k,
-        )
+    _require_depth(m, k, f"the order-{k} fit")
     table = _laplacian_functional(m, k)
     candidates = {}
-    for P, Q_ in monomial_test_set(m.n, k):
+    for P, Q_ in _support_pairs(m.n, k, table):
         if P != Q_:
-            v = table.get((P, Q_), ZERO)
-            if v != 0:
-                return FitResult(
-                    k=k,
-                    witness=ViolationWitness(
-                        P=P, Q=Q_, kind="off_diagonal_nonzero", lhs=v,
-                        expected=ZERO,
-                    ),
-                )
-            continue
+            # the table stores no zeros, so every off-diagonal key violates
+            return FitResult(
+                k=k,
+                witness=ViolationWitness(
+                    P=P, Q=Q_, kind="off_diagonal_nonzero", lhs=table[(P, Q_)],
+                    expected=ZERO,
+                ),
+            )
         p = weight(P)
-        if p == 0:
-            # lap^k annihilates constants, so the fitted constant term is zero
-            continue
         v = rescaled_value(m, P, Q_, k)
         norm = Q(factorial(p) * mi_factorial(P))
         ratio = v / norm
@@ -199,12 +191,7 @@ def check_delta_property(m: MetricJet, k_max):
     """FitResults for k = 1..k_max, stopping after the first violation."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if m.potential.valid_degree < 2 * k_max:
-        raise TruncationError(
-            f"potential valid_degree {m.potential.valid_degree} < "
-            f"{2 * k_max} needed for k_max={k_max}",
-            required=2 * k_max,
-        )
+    _require_depth(m, k_max, f"k_max={k_max}")
     results = []
     for k in range(1, k_max + 1):
         r = fit_pk(m, k)

@@ -351,23 +351,25 @@ def fifth_order_check(m: MetricJet):
         lo, hi = (g, e) if g <= e else (e, g)
         return dg3[a][b].get((lo, d, hi), ZERO)
 
+    # The six-term sum is symmetric in (i, h, l) and in (j, k), so any tuple
+    # with a nonzero term can be reordered to make that term the first one,
+    # term(h, k, l, i, j) = dg3[i][j][(h, k, l)]; a tuple without one sums to
+    # zero.  Evaluating the sum once per stored entry therefore gives the max
+    # over all n^5 tuples.
     best = ZERO
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for h in rng:
-                for k in rng:
-                    for l in rng:
-                        s = (
-                            term(h, k, l, i, j)
-                            + term(i, k, l, h, j)
-                            + term(i, k, h, l, j)
-                            + term(h, j, l, i, k)
-                            + term(i, j, l, h, k)
-                            + term(i, j, h, l, k)
-                        )
-                        if abs(s) > best:
-                            best = abs(s)
+    for i in range(n):
+        for j in range(n):
+            for h, k, l in dg3[i][j]:
+                s = (
+                    term(h, k, l, i, j)
+                    + term(i, k, l, h, j)
+                    + term(i, k, h, l, j)
+                    + term(h, j, l, i, k)
+                    + term(i, j, l, h, k)
+                    + term(i, j, h, l, k)
+                )
+                if abs(s) > best:
+                    best = abs(s)
     return best
 
 

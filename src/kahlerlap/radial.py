@@ -179,6 +179,8 @@ def radial_pk(profile: RadialProfile, n, k_max):
     """p_1..p_kmax by iterating the recursion from p_1 = x."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got {n}")
     profile = normalize(profile)
     polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
     while len(polys) < k_max:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -119,6 +121,16 @@ class TestRadialCommand:
     def test_requires_exactly_one_source(self):
         r = run_cli("radial", "--n", "1")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args", [("--name", "flat", "--n", "0"),
+                 ("--name", "fubini-study", "--n", "-1")],
+    )
+    def test_nonpositive_dimension_is_usage_error(self, args):
+        r = run_cli("radial", *args)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "n >= 1" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestDualCommand:

@@ -8,7 +8,6 @@ from kahlerlap.fit import (
     RescaleError,
     check_delta_property,
     fit_pk,
-    monomial_test_set,
     rescaled_value,
     verify_witness,
 )
@@ -22,6 +21,8 @@ from kahlerlap.metric import (
 from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
+
+from dense_oracles import monomial_test_set
 
 
 def radial_metric(name, n, D):

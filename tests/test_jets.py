@@ -183,6 +183,12 @@ class TestSubstituteRadial:
             substitute_radial(TSeries([0, 1]), 1, 4)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_multiindices_rejects_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        list(multiindices(n, 2))
+
+
 # -- property tests ----------------------------------------------------------
 
 small_q = st.fractions(

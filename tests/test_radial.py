@@ -140,6 +140,11 @@ class TestRecursion:
         with pytest.raises(ValidityError):
             radial_pk(profile_from_coeffs([0, 1], order=2), 1, 4)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            radial_pk(named_profile("fubini-study", 6), n, 3)
+
 
 CORPUS = [
     ("fubini-study", None),
