@@ -7,7 +7,8 @@ radial (recursion vs direct fit), dual (compact/noncompact order-3 table).
 Reports are deterministic: rationals serialize as strings like "3/4",
 multi-indices as integer lists, and two runs with identical flags produce
 byte-identical output.  Exit codes: 0 all requested checks pass, 1 a check
-found a violation, 2 usage error.
+found a violation, 2 usage error, 3 internal engine fault (a JetError:
+exhausted validity, dimension mismatch or a singular inverse).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 from . import __version__, catalog
 from .dsl import ElaborationError, PotentialSyntaxError, elaborate, parse_potential_file
 from .fit import check_delta_property
+from .jets import JetError
 from .metric import (
     GaugeError,
     TruncationError,
@@ -307,6 +309,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except JetError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     except (
         UsageError,
         catalog.CatalogError,

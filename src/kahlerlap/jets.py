@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import add
 
 from .rationals import Q, ZERO, as_q
 from .series import TSeries
@@ -33,7 +34,7 @@ class DimensionMismatch(JetError):
 
 
 class NonInvertibleError(JetError):
-    """Reciprocal or matrix inverse with a non-invertible constant term."""
+    """Matrix inverse with a singular constant term."""
 
 
 def weight(exponents) -> int:
@@ -302,21 +303,6 @@ class Jet:
         }
         return Jet(self.n, out, valid_degree)
 
-    def reciprocal(self):
-        """Jet r with self*r = 1 through valid_degree (nonzero constant term)."""
-        c0 = self.eval0()
-        if c0 == 0:
-            raise NonInvertibleError("reciprocal of a jet with zero constant term")
-        u = Jet.constant(self.n, 1, self.valid_degree) - self / c0
-        acc = Jet.constant(self.n, 1, self.valid_degree)
-        power = Jet.constant(self.n, 1, self.valid_degree)
-        for _ in range(self.valid_degree):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc / c0
-
 
 def log1p(s: Jet) -> Jet:
     """log(1 + s) for a jet s with zero constant term."""
@@ -448,25 +434,8 @@ class JetMatrix:
             out.append(row)
         return JetMatrix(out)
 
-    def transpose(self):
-        return JetMatrix(
-            [
-                [self.entries[i][j] for i in range(self.rows)]
-                for j in range(self.cols)
-            ]
-        )
-
     def conj(self):
         return JetMatrix([[e.conj() for e in row] for row in self.entries])
-
-    def scale_rows(self, factors):
-        """Left-multiply by a constant diagonal matrix of rationals."""
-        return JetMatrix(
-            [
-                [self.entries[i][j].scale(factors[i]) for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
 
     def det(self):
         """Determinant over the jet ring, exact at the shared validity.
@@ -505,25 +474,71 @@ class JetMatrix:
     def inverse(self):
         """Matrix inverse over the jet ring: self @ inverse() == identity.
 
-        Splits off the constant part G0 (inverted exactly over the
-        rationals) and sums the Neumann series of the degree >= 1 remainder;
-        the series terminates at the validity.
+        A graded solve, the multivariate form of Brent & Kung, "Fast
+        algorithms for manipulating formal power series" (JACM 1978).  With
+        G = G_0 + G_1 + ... split into homogeneous parts, the inverse X has
+        X_0 = G_0^{-1} (exact over the rationals) and, degree by degree,
+
+            X_d = -G_0^{-1} sum_{e=1..d} G_e X_{d-e}
+                = sum_{e=1..d} B_e X_{d-e},   B_e = -G_0^{-1} G_e,
+
+        for d = 1..valid_degree.  Each product pairs homogeneous pieces whose
+        degrees sum to d, so nothing past the validity is computed.
         """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        m = self.rows
-        g0 = [[self.entries[i][j].eval0() for j in range(m)] for i in range(m)]
-        g0_inv = _invert_rational(g0)
-        b = _const_times(g0_inv, self)
-        r = JetMatrix.identity(self.n, m, self.valid_degree) - b  # -N, min deg >= 1
-        acc = JetMatrix.identity(self.n, m, self.valid_degree)
-        power = acc
-        for _ in range(self.valid_degree):
-            power = power @ r
-            if all(e.is_zero() for row in power.entries for e in row):
-                break
-            acc = acc + power
-        return _times_const(acc, g0_inv)
+        m, D = self.rows, self.valid_degree
+        g0_inv = _invert_rational([[e.eval0() for e in row] for row in self.entries])
+        # bs[e][i][k]: the terms of B_e[i][k], as (P, Q, c)
+        bs = [[[{} for _ in range(m)] for _ in range(m)] for _ in range(D + 1)]
+        for l, row in enumerate(self.entries):
+            for k, entry in enumerate(row):
+                for (P, Q_), c in entry.coeffs.items():
+                    d = weight(P) + weight(Q_)
+                    if d == 0:
+                        continue
+                    for i in range(m):
+                        if g0_inv[i][l]:
+                            part = bs[d][i][k]
+                            part[P, Q_] = part.get((P, Q_), ZERO) - g0_inv[i][l] * c
+        bs = [
+            [[[(P, Q_, c) for (P, Q_), c in part.items() if c] for part in row]
+             for row in b]
+            for b in bs
+        ]
+        zero_mi = (0,) * self.n
+        # xs[d][k][j]: the degree-d part of X[k][j], as a dict
+        xs = [[[{(zero_mi, zero_mi): c} if c else {} for c in row] for row in g0_inv]]
+        for d in range(1, D + 1):
+            xd = [[{} for _ in range(m)] for _ in range(m)]
+            for e in range(1, d + 1):
+                x = xs[d - e]
+                for i in range(m):
+                    for k in range(m):
+                        terms = bs[e][i][k]
+                        if not terms:
+                            continue
+                        for j in range(m):
+                            acc = xd[i][j]
+                            for (P2, Q2), b in x[k][j].items():
+                                for P, Q_, a in terms:
+                                    key = (
+                                        tuple(map(add, P, P2)),
+                                        tuple(map(add, Q_, Q2)),
+                                    )
+                                    old = acc.get(key)
+                                    acc[key] = a * b if old is None else old + a * b
+            xs.append(
+                [[{key: c for key, c in part.items() if c} for part in row]
+                 for row in xd]
+            )
+        return JetMatrix(
+            [
+                [Jet(self.n, {key: c for x in xs for key, c in x[i][j].items()}, D)
+                 for j in range(m)]
+                for i in range(m)
+            ]
+        )
 
 
 def _invert_rational(mat):
@@ -546,38 +561,6 @@ def _invert_rational(mat):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def _const_times(const, mat):
-    """Rational matrix times JetMatrix."""
-    m = len(const)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(mat.cols):
-            acc = Jet.zero(mat.n, mat.valid_degree)
-            for k in range(m):
-                if const[i][k] != 0:
-                    acc = acc + mat.entries[k][j].scale(const[i][k])
-            row.append(acc)
-        out.append(row)
-    return JetMatrix(out)
-
-
-def _times_const(mat, const):
-    """JetMatrix times rational matrix."""
-    m = len(const)
-    out = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(m):
-            acc = Jet.zero(mat.n, mat.valid_degree)
-            for k in range(m):
-                if const[k][j] != 0:
-                    acc = acc + mat.entries[i][k].scale(const[k][j])
-            row.append(acc)
-        out.append(row)
-    return JetMatrix(out)
 
 
 def divisor_pairs(P, Q_):

@@ -1,10 +1,11 @@
-"""Dense reference walks used only as test oracles.
+"""Dense reference computations used only as test oracles.
 
-These enumerate the whole index space instead of the nonzero support that
-the library walks: the complete monomial test set for the polynomial fit
-and every (i, j, h, k, l) tuple for the fifth-order check.  They are slow
-on large spaces and exist so that the support-only walks can be compared
-against the definition.
+The walks enumerate the whole index space instead of the nonzero support
+that the library walks: the complete monomial test set for the polynomial
+fit and every (i, j, h, k, l) tuple for the fifth-order check.  The inverse
+and the reciprocal sum geometric (Neumann) series with full jet products
+instead of solving degree by degree.  They are slow on large inputs and
+exist so that the library can be compared against the definitions.
 """
 
 from math import factorial
@@ -15,7 +16,15 @@ from kahlerlap.fit import (
     ViolationWitness,
     rescaled_value,
 )
-from kahlerlap.jets import mi_factorial, multiindices, weight
+from kahlerlap.jets import (
+    Jet,
+    JetMatrix,
+    NonInvertibleError,
+    _invert_rational,
+    mi_factorial,
+    multiindices,
+    weight,
+)
 from kahlerlap.metric import TruncationError, _laplacian_functional
 from kahlerlap.rationals import Q, ZERO
 
@@ -129,3 +138,73 @@ def dense_fifth_order_check(m):
                         if abs(s) > best:
                             best = abs(s)
     return best
+
+
+def neumann_inverse(g):
+    """JetMatrix inverse as the Neumann series of G_0^{-1} (G - G_0).
+
+    Splits off the constant part G0 (inverted exactly over the rationals)
+    and sums the series of the degree >= 1 remainder with full matrix
+    products; the series terminates at the validity.
+    """
+    m = g.rows
+    g0 = [[g.entries[i][j].eval0() for j in range(m)] for i in range(m)]
+    g0_inv = _invert_rational(g0)
+    b = _const_times(g0_inv, g)
+    r = JetMatrix.identity(g.n, m, g.valid_degree) - b  # -N, min deg >= 1
+    acc = JetMatrix.identity(g.n, m, g.valid_degree)
+    power = acc
+    for _ in range(g.valid_degree):
+        power = power @ r
+        if all(e.is_zero() for row in power.entries for e in row):
+            break
+        acc = acc + power
+    return _times_const(acc, g0_inv)
+
+
+def _const_times(const, mat):
+    """Rational matrix times JetMatrix."""
+    m = len(const)
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(mat.cols):
+            acc = Jet.zero(mat.n, mat.valid_degree)
+            for k in range(m):
+                if const[i][k] != 0:
+                    acc = acc + mat.entries[k][j].scale(const[i][k])
+            row.append(acc)
+        out.append(row)
+    return JetMatrix(out)
+
+
+def _times_const(mat, const):
+    """JetMatrix times rational matrix."""
+    m = len(const)
+    out = []
+    for i in range(mat.rows):
+        row = []
+        for j in range(m):
+            acc = Jet.zero(mat.n, mat.valid_degree)
+            for k in range(m):
+                if const[k][j] != 0:
+                    acc = acc + mat.entries[i][k].scale(const[k][j])
+            row.append(acc)
+        out.append(row)
+    return JetMatrix(out)
+
+
+def reciprocal(j):
+    """Jet r with j*r = 1 through valid_degree, as a geometric series."""
+    c0 = j.eval0()
+    if c0 == 0:
+        raise NonInvertibleError("reciprocal of a jet with zero constant term")
+    u = Jet.constant(j.n, 1, j.valid_degree) - j / c0
+    acc = Jet.constant(j.n, 1, j.valid_degree)
+    power = Jet.constant(j.n, 1, j.valid_degree)
+    for _ in range(j.valid_degree):
+        power = power * u
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc / c0

@@ -117,6 +117,44 @@ class TestBuild:
             catalog.build_space(catalog.cp(1), 1)
 
 
+def ginv_top_degree(m):
+    return max(
+        sum(P) + sum(Q_)
+        for row in m.g_inv.entries
+        for e in row
+        for P, Q_ in e.coeffs
+    )
+
+
+class TestBergmanInverse:
+    """For the Hermitian symmetric families in Harish-Chandra coordinates,
+    g_inv is the Bergman operator of the Jordan triple: a polynomial of
+    degree 4, whatever the truncation."""
+
+    @pytest.mark.parametrize(
+        "label, degree",
+        [
+            ("cp:n=3", 10),
+            ("ch:n=2", 10),
+            ("grassmannian:k=2,N=4", 10),
+            ("sp:N=2", 10),
+            ("product(cp:n=1;cp:n=1)", 10),
+            ("dual(grassmannian:k=2,N=4)", 10),
+            ("so2n:N=4", 8),
+        ],
+    )
+    def test_inverse_metric_is_quartic(self, spaces, label, degree):
+        m = spaces(label, degree).metric
+        assert m.g_inv.valid_degree == degree - 2
+        assert ginv_top_degree(m) == 4
+
+    def test_quadric_coordinates_are_not_bergman(self, spaces):
+        # the catalog's quadric chart is not Harish-Chandra: g_inv has terms
+        # up to its validity
+        m = spaces("quadric-even:N=4", 8).metric
+        assert ginv_top_degree(m) > 4
+
+
 class TestEinsteinGoldens:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_lambda(self, spaces, label):

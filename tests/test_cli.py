@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from kahlerlap import catalog, cli
+from kahlerlap.jets import NonInvertibleError
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -94,6 +97,16 @@ class TestCheckCommand:
         pot.write_text("dim 1\nlog(\n")
         r = run_cli("check", str(pot))
         assert r.returncode == 2
+
+    def test_engine_fault_exit_code(self, monkeypatch, capsys):
+        def singular(potential):
+            raise NonInvertibleError("singular constant term")
+
+        monkeypatch.setattr(catalog, "metric_from_potential", singular)
+        assert cli.main(["check", "cp:n=1", "--json"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: internal: singular constant term\n"
 
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"

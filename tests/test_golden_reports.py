@@ -5,6 +5,9 @@ golden_check_reports.json.  Regenerate them (only when a report is meant to
 change) with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+The two degree-8 reports are compared with the benchmark's own goldens in
+perfbench/golden.json, which this module only reads.
 """
 
 import contextlib
@@ -21,14 +24,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 from test_acceptance import ALL_LABELS  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_check_reports.json")
+BENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden.json"
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
+DEGREE8_ARGV = [
+    ["check", "sp:N=3", "--degree", "8", "--kmax", "3", "--json"],
+    ["check", "cp:n=4", "--kmax", "4", "--json"],
+]
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
 
 
 def run_check(label):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["check", label, "--degree", "6", "--json"])
-    return {"exit": code, "stdout": out.getvalue()}
+    return run_cli(["check", label, "--degree", "6", "--json"])
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +55,12 @@ def test_golden_covers_every_label(golden):
 @pytest.mark.parametrize("label", LABELS)
 def test_check_report_byte_identical(golden, label):
     assert run_check(label) == golden[label]
+
+
+@pytest.mark.parametrize("argv", DEGREE8_ARGV, ids=" ".join)
+def test_degree8_report_matches_benchmark_golden(argv):
+    golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
+    assert run_cli(argv) == golden[" ".join(argv)]
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from kahlerlap.jets import (
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
+from dense_oracles import reciprocal
+
 
 def mono(n, P, Q_, c=1, D=4):
     return Jet.monomial(n, P, Q_, c, D)
@@ -100,17 +102,17 @@ class TestReciprocalLog:
             + mono(1, (1,), (1,), -1, 4)
             + mono(1, (2,), (2,), 1, 4)
         )
-        assert j.reciprocal() == expected
+        assert reciprocal(j) == expected
 
     def test_reciprocal_contract(self):
         j = Jet.constant(2, 2, 5) + mono(2, (1, 1), (0, 0), 3, 5) + mono(
             2, (1, 0), (0, 1), Q(1, 3), 5
         )
-        assert (j * j.reciprocal() - 1).is_zero()
+        assert (j * reciprocal(j) - 1).is_zero()
 
     def test_reciprocal_zero_constant(self):
         with pytest.raises(NonInvertibleError):
-            mono(1, (1,), (1,), 1, 4).reciprocal()
+            reciprocal(mono(1, (1,), (1,), 1, 4))
 
     def test_log1p_series(self):
         s = mono(1, (1,), (1,), 1, 4)
@@ -231,7 +233,8 @@ def test_derivative_commutation(j, i, k):
 def test_reciprocal_round_trip(j):
     one = Jet.constant(j.n, 1, j.valid_degree)
     shifted = j + one - Jet.constant(j.n, j.eval0(), j.valid_degree)
-    assert (shifted * shifted.reciprocal() - 1).is_zero()
+    assert (shifted * reciprocal(shifted) - 1).is_zero()
+    assert reciprocal(shifted) == JetMatrix([[shifted]]).inverse()[0][0]
 
 
 @settings(max_examples=40, derandomize=True)
