@@ -74,10 +74,6 @@ class SpaceDescriptor:
     def rank(self):
         return _FAMILIES[self.family]["rank"](self)
 
-    @property
-    def expected_rank1(self):
-        return self.rank <= 1
-
     def param(self, name):
         return dict(self.params)[name]
 
@@ -294,6 +290,13 @@ class CatalogSpace:
     truncation: int
 
 
+def _upper_index(N, strict):
+    """Row-major free-coordinate index of each upper slot (i, j) of an N x N
+    matrix: i <= j for sp (symmetric W), i < j for so2n (skew W)."""
+    slots = [(i, j) for i in range(N) for j in range(i + strict, N)]
+    return {ij: count for count, ij in enumerate(slots)}
+
+
 def _matrix_potential(entries_w, rows, cols, n, D) -> Jet:
     """log det(I + W^dagger W) for W given as a rows x cols array of jets."""
     size = cols
@@ -341,12 +344,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     if fam == "so2n":
         N = desc.param("N")
         n = N * (N - 1) // 2
-        idx = {}
-        count = 0
-        for i in range(N):
-            for j in range(i + 1, N):
-                idx[(i, j)] = count
-                count += 1
+        idx = _upper_index(N, strict=True)
         w = [[None] * N for _ in range(N)]
         for i in range(N):
             for j in range(N):
@@ -358,12 +356,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     if fam == "sp":
         N = desc.param("N")
         n = N * (N + 1) // 2
-        idx = {}
-        count = 0
-        for i in range(N):
-            for j in range(i, N):
-                idx[(i, j)] = count
-                count += 1
+        idx = _upper_index(N, strict=False)
         w = [
             [Jet.variable(n, idx[(min(i, j), max(i, j))], D) for j in range(N)]
             for i in range(N)
@@ -431,24 +424,14 @@ def _frame(desc: SpaceDescriptor):
         )
     if fam == "sp":
         N = desc.param("N")
-        idx = {}
-        count = 0
-        for i in range(N):
-            for j in range(i, N):
-                idx[(i, j)] = count
-                count += 1
+        idx = _upper_index(N, strict=False)
         return tuple(
             FrameDirection(((idx[(i, i)], 1),), Q(1), f"w{i + 1}{i + 1} axis")
             for i in range(N)
         )
     if fam == "so2n":
         N = desc.param("N")
-        idx = {}
-        count = 0
-        for i in range(N):
-            for j in range(i + 1, N):
-                idx[(i, j)] = count
-                count += 1
+        idx = _upper_index(N, strict=True)
         return tuple(
             FrameDirection(
                 ((idx[(2 * m, 2 * m + 1)], 1),),
@@ -493,21 +476,6 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     return CatalogSpace(
         descriptor=desc, metric=metric, frame=_frame(desc), truncation=D
     )
-
-
-def product_space(a: MetricJet, b: MetricJet) -> MetricJet:
-    """Metric of the product: potentials added on disjoint variable sets."""
-    n = a.n + b.n
-    D = min(a.potential.valid_degree, b.potential.valid_degree)
-    coeffs = {}
-    for (P, Q_), c in a.potential.coeffs.items():
-        if weight(P) + weight(Q_) <= D:
-            coeffs[(P + (0,) * b.n, Q_ + (0,) * b.n)] = c
-    for (P, Q_), c in b.potential.coeffs.items():
-        if weight(P) + weight(Q_) <= D:
-            key = ((0,) * a.n + P, (0,) * a.n + Q_)
-            coeffs[key] = coeffs.get(key, ZERO) + c
-    return metric_from_potential(Jet(n, coeffs, D))
 
 
 def _modsq_of_form(form, n, D) -> Jet:
@@ -663,22 +631,12 @@ def dsl_text(desc: SpaceDescriptor) -> str:
         elif fam == "sp":
             N = desc.param("N")
             rows = cols = N
-            idx = {}
-            count = 0
-            for i in range(N):
-                for j in range(i, N):
-                    idx[(i, j)] = count
-                    count += 1
+            idx = _upper_index(N, strict=False)
             term = lambda r, c: f"z({idx[(min(r, c), max(r, c))] + 1})"
         else:
             N = desc.param("N")
             rows = cols = N
-            idx = {}
-            count = 0
-            for i in range(N):
-                for j in range(i + 1, N):
-                    idx[(i, j)] = count
-                    count += 1
+            idx = _upper_index(N, strict=True)
 
             def term(r, c):
                 if r == c:

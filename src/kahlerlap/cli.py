@@ -312,12 +312,14 @@ def main(argv=None):
     except JetError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
+    except TruncationError as exc:
+        print(f"error: {exc} (rerun with --degree {exc.required})", file=sys.stderr)
+        return 2
     except (
         UsageError,
         catalog.CatalogError,
         PotentialSyntaxError,
         ElaborationError,
-        TruncationError,
         GaugeError,
         ValueError,
     ) as exc:

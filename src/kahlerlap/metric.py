@@ -50,7 +50,10 @@ class MetricJet:
     origin_diag holds d_i = g[i][i](0).  normal_gauge means g(0) is the
     identity and the potential has no monomial of total degree 3; cubic_free
     is the degree-3 half of that condition alone (it makes all first
-    derivatives of g vanish at the origin).
+    derivatives of g vanish at the origin).  The underscored fields are
+    caches filled on first use: lap^k tables by k, order-3 expansion tables
+    by lam, the index of g_inv coefficients by monomial, and the Einstein
+    report.
     """
 
     n: int
@@ -62,6 +65,8 @@ class MetricJet:
     cubic_free: bool
     _functionals: dict = field(default_factory=dict, repr=False)
     _laplcube: dict = field(default_factory=dict, repr=False)
+    _ginv_index: dict = field(default=None, repr=False)
+    _einstein: EinsteinReport = field(default=None, repr=False)
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
@@ -74,9 +79,8 @@ def metric_from_potential(potential: Jet) -> MetricJet:
             "potential must be valid at least to degree 2", required=2
         )
     n = potential.n
-    g = JetMatrix(
-        [[potential.dz(i).dzbar(j) for j in range(n)] for i in range(n)]
-    )
+    d = [potential.dz(i) for i in range(n)]
+    g = JetMatrix([[d[i].dzbar(j) for j in range(n)] for i in range(n)])
     diag = []
     for i in range(n):
         for j in range(n):
@@ -138,14 +142,14 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
         return table
     prev = _laplacian_functional(m, k - 1)
     # monomial -> list of inverse-metric positions carrying it
-    by_mono = m._functionals.get("_ginv_index")
+    by_mono = m._ginv_index
     if by_mono is None:
         by_mono = {}
         for i in range(m.n):
             for j in range(m.n):
                 for key, c in m.g_inv[i][j].coeffs.items():
                     by_mono.setdefault(key, []).append((i, j, c))
-        m._functionals["_ginv_index"] = by_mono
+        m._ginv_index = by_mono
     out = {}
     for (A, B), c in prev.items():
         for U, V in divisor_pairs(A, B):
@@ -247,9 +251,8 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
     coordinates.  Requires a cubic-free potential so first derivatives of g
     vanish at the origin.
     """
-    cached = m._functionals.get("_einstein")
-    if cached is not None:
-        return cached
+    if m._einstein is not None:
+        return m._einstein
     if not m.cubic_free:
         raise GaugeError(
             "potential has degree-3 monomials; first metric derivatives do "
@@ -283,7 +286,7 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
         if residual != 0
         else EinsteinReport(lam=lam, residual=ZERO)
     )
-    m._functionals["_einstein"] = report
+    m._einstein = report
     return report
 
 

@@ -8,9 +8,21 @@ so applying the Laplacian to |z^P|^2 only involves the two radial series
 
     psi1 = 1/Phi'        psi2 = Phi'' / (Phi' (Phi' + t Phi'')).
 
-With C^psi_{p,l} defined by (lap_c)^l (|z^P|^2 psi(t))(0) = C^psi_{p,l} p! P!
-(depending on psi, p = |P|, l, and the dimension only), the monic polynomials
-p_k satisfy, for a profile normalized to Phi'(0) = 1:
+With C^psi_{p,l} defined by (lap_c)^l (|z^P|^2 psi(t))(0) = C^psi_{p,l} p! P!,
+where lap_c = sum_i d^2/dz_i dzb_i and p = |P|, the closed form is
+
+    C^psi_{p,l} = psi_{l-p} (l-p)! l!/p! binom(l+n-1, l-p),   0 for p > l.
+
+Derivation: (lap_c)^l |z^K|^2 (0) = l! K! when |K| = l, and 0 otherwise.
+Expanding t^m = sum_{|A|=m} m!/A! |z^A|^2 by the multinomial theorem, only
+m = l - p reaches the origin, so the value is psi_m m! l! sum_{|A|=m}
+(P+A)!/A!.  That sum is P! times the coefficient of x^m in
+prod_i (1-x)^{-(P_i+1)} = (1-x)^{-(p+n)}, i.e. P! binom(l+n-1, m); for
+P = (p, 0, .., 0) this is Vandermonde's identity
+sum_a binom(p+a, a) binom(m-a+n-2, n-2) = binom(l+n-1, m).  Dividing by
+p! P! gives the form above, which depends on P only through p.
+
+The monic polynomials p_k satisfy, for a profile normalized to Phi'(0) = 1:
 
     a_{k+1,p} = a_{k,p-1} + sum_{l=p}^{k} a_{k,l} (C^psi1_{p-1,l}
                                                    - p^2 C^psi2_{p,l}),
@@ -23,10 +35,10 @@ independent of the direct fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .fit import LaplacePolynomial
-from .jets import Jet, ValidityError, mi_factorial, multiindices, substitute_radial
+from .jets import Jet, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
 from .series import TSeries
 
@@ -99,15 +111,12 @@ def psi_functions(profile: RadialProfile):
     return psi1, psi2
 
 
-_C_CACHE: dict = {}
-
-
 def c_constant(psi: TSeries, p, l, n):
-    """C^psi_{p,l} from the jet engine: build |z^P|^2 psi(t) for
-    P = (p, 0, .., 0), apply lap_c l times, evaluate at 0, divide by p! P!.
+    """C^psi_{p,l} = psi_{l-p} (l-p)! l!/p! binom(l+n-1, l-p), zero for p > l.
 
-    The result depends on the representative P only through |P| (a tested
-    property, not an assumption here).
+    This is (lap_c)^l (|z^P|^2 psi(t))(0) / (p! P!) for any P with |P| = p:
+    only the t^(l-p) term of psi reaches the origin, and summing its
+    multinomial expansion gives binom(l+n-1, l-p) (module docstring).
     """
     if p < 0 or l < 0:
         raise ValueError("p and l must be >= 0")
@@ -115,41 +124,12 @@ def c_constant(psi: TSeries, p, l, n):
         raise ValidityError(
             f"psi trusted to t^{psi.order}, need t^{l} for l={l}"
         )
-    key = (psi.coeffs[: l + 1], p, l, n)
-    got = _C_CACHE.get(key)
-    if got is not None:
-        return got
-    P = (p,) + (0,) * (n - 1)
-    value = c_constant_at(psi, P, l, n)
-    _C_CACHE[key] = value
-    return value
-
-
-def c_constant_at(psi: TSeries, P, l, n):
-    """(lap_c)^l (|z^P|^2 psi)(0) / (p! P!) for an explicit representative P.
-
-    The jet of |z^P|^2 psi(t) is built directly, truncated at degree 2l
-    (higher terms cannot reach the origin value), so representatives with
-    p > l give an empty jet and the value 0.
-    """
-    P = tuple(P)
-    p = sum(P)
-    coeffs = {}
-    for m in range(0, min(psi.order, l - p) + 1):
-        a = psi.coeffs[m]
-        if a == 0:
-            continue
-        fm = factorial(m)
-        for A in multiindices(n, m):
-            key = tuple(x + y for x, y in zip(A, P))
-            coeffs[(key, key)] = a * Q(fm, mi_factorial(A))
-    jet = Jet(n, coeffs, 2 * l)
-    for _ in range(l):
-        nxt = Jet.zero(n, jet.valid_degree - 2)
-        for i in range(n):
-            nxt = nxt + jet.dz(i).dzbar(i)
-        jet = nxt
-    return jet.eval0() / Q(factorial(p) * mi_factorial(P))
+    if p > l:
+        return ZERO
+    m = l - p
+    return psi.coeffs[m] * (
+        factorial(m) * (factorial(l) // factorial(p)) * comb(l + n - 1, m)
+    )
 
 
 def recursion_step(

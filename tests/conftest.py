@@ -2,9 +2,6 @@ import pytest
 
 from kahlerlap import catalog
 
-# every named space the acceptance suite touches, built once per session
-_BUILD_DEGREES = {"default": 6}
-
 
 @pytest.fixture(scope="session")
 def spaces():

@@ -4,8 +4,10 @@ The walks enumerate the whole index space instead of the nonzero support
 that the library walks: the complete monomial test set for the polynomial
 fit and every (i, j, h, k, l) tuple for the fifth-order check.  The inverse
 and the reciprocal sum geometric (Neumann) series with full jet products
-instead of solving degree by degree.  They are slow on large inputs and
-exist so that the library can be compared against the definitions.
+instead of solving degree by degree.  The radial C constants are evaluated
+from their definition, by applying the Euclidean Laplacian to a jet, instead
+of from their closed form.  They are slow on large inputs and exist so that
+the library can be compared against the definitions.
 """
 
 from math import factorial
@@ -208,3 +210,30 @@ def reciprocal(j):
             break
         acc = acc + power
     return acc / c0
+
+
+def c_constant_at(psi, P, l, n):
+    """(lap_c)^l (|z^P|^2 psi)(0) / (p! P!) for an explicit representative P.
+
+    The jet of |z^P|^2 psi(t) is built directly, truncated at degree 2l
+    (higher terms cannot reach the origin value), so representatives with
+    p > l give an empty jet and the value 0.
+    """
+    P = tuple(P)
+    p = sum(P)
+    coeffs = {}
+    for m in range(0, min(psi.order, l - p) + 1):
+        a = psi.coeffs[m]
+        if a == 0:
+            continue
+        fm = factorial(m)
+        for A in multiindices(n, m):
+            key = tuple(x + y for x, y in zip(A, P))
+            coeffs[(key, key)] = a * Q(fm, mi_factorial(A))
+    jet = Jet(n, coeffs, 2 * l)
+    for _ in range(l):
+        nxt = Jet.zero(n, jet.valid_degree - 2)
+        for i in range(n):
+            nxt = nxt + jet.dz(i).dzbar(i)
+        jet = nxt
+    return jet.eval0() / Q(factorial(p) * mi_factorial(P))

@@ -8,6 +8,7 @@ ordinary pytest failure for that criterion.
 import random
 
 import pytest
+from dense_oracles import c_constant_at
 
 from kahlerlap import catalog
 from kahlerlap.fit import LaplacePolynomial, check_delta_property, verify_witness
@@ -22,7 +23,6 @@ from kahlerlap.metric import (
 )
 from kahlerlap.radial import (
     c_constant,
-    c_constant_at,
     named_profile,
     potential_jet,
     psi_functions,

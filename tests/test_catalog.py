@@ -208,8 +208,7 @@ class TestDualPotential:
 
 class TestProducts:
     def test_flat_times_flat_is_flat(self, spaces):
-        a = spaces("flat:n=1").metric
-        m = catalog.product_space(a, a)
+        m = spaces("product(flat:n=1;flat:n=1)").metric
         assert m.potential == spaces("flat:n=2").metric.potential
 
     def test_cp1_squared_einstein(self, spaces):

@@ -108,6 +108,17 @@ class TestCheckCommand:
         assert out.out == ""
         assert out.err == "error: internal: singular constant term\n"
 
+    def test_truncation_error_suggests_degree(self, capsys):
+        argv = ["check", "grassmannian:k=2,N=4", "--kmax", "2"]
+        assert cli.main(argv + ["--degree", "5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: potential valid_degree 5 < 6 needed for k=3 "
+            "(rerun with --degree 6)\n"
+        )
+        assert cli.main(argv + ["--degree", "6"]) == 0
+
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
         r = run_cli("check", "cp:n=1", "--json", "--out", str(out))

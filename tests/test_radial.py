@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from dense_oracles import c_constant_at
 
 from kahlerlap.fit import LaplacePolynomial, check_delta_property
 from kahlerlap.jets import ValidityError
 from kahlerlap.metric import metric_from_potential
 from kahlerlap.radial import (
     c_constant,
-    c_constant_at,
     named_profile,
     normalize,
     potential_jet,
@@ -110,6 +110,32 @@ class TestCConstants:
     def test_insufficient_order(self):
         with pytest.raises(ValidityError):
             c_constant(TSeries([1, 1]), 1, 3, 1)
+
+    def test_negative_indices_rejected(self):
+        psi = TSeries([1, 1, 1])
+        for p, l in ((-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match=">= 0"):
+                c_constant(psi, p, l, 2)
+
+    def test_closed_form_matches_jet_oracle(self):
+        # psi1 and psi2 of the three space forms and of the seed-0 benchmark
+        # profile, plus four seeded random series; p = 0 and p > l included
+        rng = random.Random(4)
+        profiles = [named_profile(name, 8) for name in ("fubini-study", "hyperbolic", "flat")]
+        profiles.append(
+            profile_from_coeffs([0, 1, Q(1, 2), Q(1, 3), Q(1, 5), Q(1, 7)], order=8)
+        )
+        corpus = [psi for prof in profiles for psi in psi_functions(prof)]
+        corpus += [
+            TSeries([Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(7)])
+            for _ in range(4)
+        ]
+        for psi in corpus:
+            for n in range(1, 5):
+                for l in range(0, 7):
+                    for p in range(0, 8):
+                        P = (p,) + (0,) * (n - 1)
+                        assert c_constant(psi, p, l, n) == c_constant_at(psi, P, l, n)
 
 
 class TestRecursion:
