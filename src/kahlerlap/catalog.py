@@ -1,5 +1,10 @@
 """Catalog of concrete spaces as potential jets.
 
+The radial families flat, cp and ch are built by substituting their profile
+series in t = |z|^2 (radial.named_profile).  Every other classical family is
+a surface expression (dsl_text) that dsl.elaborate turns into its jet, the
+same path a .pot file takes; product and dual are built from their factors.
+
 Families and their potentials in construction coordinates:
 
   flat:n            sum |z_i|^2
@@ -41,7 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .jets import Jet, JetMatrix, log1p, substitute_radial, weight
+from . import dsl
+from .jets import Jet, substitute_radial, weight
 from .metric import MetricJet, einstein_constant, metric_from_potential
 from .metric import _laplacian_functional
 from .radial import named_profile
@@ -182,38 +188,6 @@ _register(
 )
 
 
-def flat(n):
-    return SpaceDescriptor("flat", (("n", n),))
-
-
-def cp(n):
-    return SpaceDescriptor("cp", (("n", n),))
-
-
-def ch(n):
-    return SpaceDescriptor("ch", (("n", n),))
-
-
-def grassmannian(k, N):
-    return SpaceDescriptor("grassmannian", (("k", k), ("N", N)))
-
-
-def so2n(N):
-    return SpaceDescriptor("so2n", (("N", N),))
-
-
-def sp(N):
-    return SpaceDescriptor("sp", (("N", N),))
-
-
-def quadric_even(N):
-    return SpaceDescriptor("quadric-even", (("N", N),))
-
-
-def quadric_odd(N):
-    return SpaceDescriptor("quadric-odd", (("N", N),))
-
-
 def product(*factors):
     if len(factors) < 2:
         raise CatalogError("product needs at least two factors")
@@ -297,89 +271,15 @@ def _upper_index(N, strict):
     return {ij: count for count, ij in enumerate(slots)}
 
 
-def _matrix_potential(entries_w, rows, cols, n, D) -> Jet:
-    """log det(I + W^dagger W) for W given as a rows x cols array of jets."""
-    size = cols
-    s = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            acc = Jet.zero(n, D)
-            for r in range(rows):
-                w_ra = entries_w[r][a]
-                w_rb = entries_w[r][b]
-                if w_ra is not None and w_rb is not None:
-                    acc = acc + w_ra.conj() * w_rb
-            row.append(acc)
-        s.append(row)
-    gram = JetMatrix(s)
-    det = (JetMatrix.identity(n, size, D) + gram).det()
-    return log1p(det - Jet.constant(n, 1, D))
+_RADIAL_PROFILES = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}
 
 
 def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     """The potential of the space, truncated at total degree D."""
     fam = desc.family
-    if fam == "flat":
-        n = desc.param("n")
-        return substitute_radial(named_profile("flat", max(1, (D + 1) // 2)).series, n, D)
-    if fam == "cp":
-        n = desc.param("n")
-        return substitute_radial(
-            named_profile("fubini-study", max(1, (D + 1) // 2)).series, n, D
-        )
-    if fam == "ch":
-        n = desc.param("n")
-        return substitute_radial(
-            named_profile("hyperbolic", max(1, (D + 1) // 2)).series, n, D
-        )
-    if fam == "grassmannian":
-        k, N = desc.param("k"), desc.param("N")
-        n = k * (N - k)
-        w = [
-            [Jet.variable(n, r * k + c, D) for c in range(k)]
-            for r in range(N - k)
-        ]
-        return _matrix_potential(w, N - k, k, n, D)
-    if fam == "so2n":
-        N = desc.param("N")
-        n = N * (N - 1) // 2
-        idx = _upper_index(N, strict=True)
-        w = [[None] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(N):
-                if i < j:
-                    w[i][j] = Jet.variable(n, idx[(i, j)], D)
-                elif i > j:
-                    w[i][j] = -Jet.variable(n, idx[(j, i)], D)
-        return _matrix_potential(w, N, N, n, D).scale(Q(1, 2))
-    if fam == "sp":
-        N = desc.param("N")
-        n = N * (N + 1) // 2
-        idx = _upper_index(N, strict=False)
-        w = [
-            [Jet.variable(n, idx[(min(i, j), max(i, j))], D) for j in range(N)]
-            for i in range(N)
-        ]
-        return _matrix_potential(w, N, N, n, D)
-    if fam in ("quadric-even", "quadric-odd"):
-        N = desc.param("N")
-        nv = N - 1
-        n = 2 * nv + (1 if fam == "quadric-odd" else 0)
-        v = [Jet.variable(n, i, D) for i in range(nv)]
-        vp = [Jet.variable(n, nv + i, D) for i in range(nv)]
-        inner = Jet.zero(n, D)
-        for jet in v + vp:
-            inner = inner + jet * jet.conj()
-        cross = Jet.zero(n, D)
-        for a, b in zip(v, vp):
-            cross = cross + a * b
-        if fam == "quadric-odd":
-            u = Jet.variable(n, 2 * nv, D)
-            inner = inner + u * u.conj()
-            cross = cross - (u * u).scale(Q(1, 2))
-        inner = inner + (cross * cross.conj()).scale(4)
-        return log1p(inner)
+    if fam in _RADIAL_PROFILES:
+        profile = named_profile(_RADIAL_PROFILES[fam], max(1, (D + 1) // 2))
+        return substitute_radial(profile.series, desc.param("n"), D)
     if fam == "product":
         jets = [potential_jet(f, D) for f in desc.inner]
         n = sum(j.n for j in jets)
@@ -394,7 +294,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
         return Jet(n, coeffs, min(j.valid_degree for j in jets))
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
-    raise CatalogError(f"unknown family {fam!r}")
+    return dsl.elaborate(dsl.parse(dsl_text(desc)), desc.complex_dim, D)
 
 
 def dual_potential(phi: Jet) -> Jet:
@@ -556,7 +456,7 @@ def obstruction_report(space: CatalogSpace) -> ObstructionReport:
     )
 
 
-def dual_compare(desc: SpaceDescriptor, D=6, monomials=None):
+def dual_compare(desc: SpaceDescriptor, D=6):
     """Rows (P, compact value, noncompact value) of lap^3(z^P zb^P)(0) for
     f = |z_i z_j|^2, on the space and on its noncompact dual."""
     space = build_space(desc, D)
@@ -569,15 +469,14 @@ def dual_compare(desc: SpaceDescriptor, D=6, monomials=None):
                 f"duality table needs Einstein metrics; residual {rep.residual}"
             )
     n = m_compact.n
-    if monomials is None:
-        monomials = []
-        for i in range(n):
-            for j in range(i, n):
-                P = tuple(
-                    (2 if a == i else 0) if i == j else (1 if a in (i, j) else 0)
-                    for a in range(n)
-                )
-                monomials.append(P)
+    monomials = []
+    for i in range(n):
+        for j in range(i, n):
+            P = tuple(
+                (2 if a == i else 0) if i == j else (1 if a in (i, j) else 0)
+                for a in range(n)
+            )
+            monomials.append(P)
     t_compact = _laplacian_functional(m_compact, 3)
     t_dual = _laplacian_functional(m_dual, 3)
     rows = []
@@ -608,21 +507,8 @@ def family_summary(name):
 
 
 def dsl_text(desc: SpaceDescriptor) -> str:
-    """The potential as a parseable expression in the surface language."""
+    """The potential of a non-radial classical family in the surface language."""
     fam = desc.family
-
-    def msq(i):
-        return f"modsq(z({i + 1}))"
-
-    if fam == "flat":
-        n = desc.param("n")
-        return " + ".join(msq(i) for i in range(n))
-    if fam == "cp":
-        n = desc.param("n")
-        return "log(1 + " + " + ".join(msq(i) for i in range(n)) + ")"
-    if fam == "ch":
-        n = desc.param("n")
-        return "0 - log(1 - " + " - ".join(msq(i) for i in range(n)) + ")"
     if fam in ("grassmannian", "sp", "so2n"):
         if fam == "grassmannian":
             k, N = desc.param("k"), desc.param("N")
@@ -665,24 +551,15 @@ def dsl_text(desc: SpaceDescriptor) -> str:
     if fam in ("quadric-even", "quadric-odd"):
         N = desc.param("N")
         nv = N - 1
-        parts = [msq(i) for i in range(2 * nv)]
+        parts = [f"modsq(z({i + 1}))" for i in range(2 * nv)]
         cross = " + ".join(f"z({i + 1})*z({nv + i + 1})" for i in range(nv))
         if fam == "quadric-odd":
             u = 2 * nv
-            parts.append(msq(u))
+            parts.append(f"modsq(z({u + 1}))")
             cross = f"{cross} - 1/2*z({u + 1})*z({u + 1})"
         return (
             "log(1 + "
             + " + ".join(parts)
             + f" + 4*modsq({cross}))"
         )
-    if fam == "product":
-        texts = []
-        offset = 0
-        for f in desc.inner:
-            t = dsl_text(f)
-            t = re.sub(r"z\((\d+)\)", lambda mo: f"z({int(mo.group(1)) + offset})", t)
-            texts.append("(" + t + ")" if " - " in t or t.startswith("0 -") else t)
-            offset += f.complex_dim
-        return " + ".join(texts)
     raise CatalogError(f"no closed surface form for family {fam!r}")

@@ -133,22 +133,6 @@ class Jet:
     def is_zero(self):
         return not self.coeffs
 
-    def agrees_with(self, other, through_degree):
-        """Coefficientwise equality of all monomials of total degree <= bound."""
-        if self.n != other.n:
-            return False
-        if min(self.valid_degree, other.valid_degree) < through_degree:
-            raise ValidityError("comparison beyond the validity of an operand")
-        for key, c in self.coeffs.items():
-            if weight(key[0]) + weight(key[1]) <= through_degree:
-                if other.coeffs.get(key, ZERO) != c:
-                    return False
-        for key, c in other.coeffs.items():
-            if weight(key[0]) + weight(key[1]) <= through_degree:
-                if key not in self.coeffs:
-                    return False
-        return True
-
     def __repr__(self):
         if not self.coeffs:
             body = "0"
@@ -305,17 +289,40 @@ class Jet:
 
 
 def log1p(s: Jet) -> Jet:
-    """log(1 + s) for a jet s with zero constant term."""
+    """log(1 + s) for a jet s with zero constant term.
+
+    A graded solve, as in JetMatrix.inverse.  With s and L = log(1 + s)
+    split into homogeneous parts, the Euler operator E (degree d part times
+    d) gives (1 + s) E L = E s, so degree by degree
+
+        L_d = s_d - (1/d) sum_{e=1..d-1} (d-e) s_e L_{d-e}.
+    """
     if s.eval0() != 0:
         raise JetError("log1p needs a zero constant term")
-    acc = Jet.zero(s.n, s.valid_degree)
-    power = Jet.constant(s.n, 1, s.valid_degree)
-    for m in range(1, s.valid_degree + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Q(-1 if m % 2 == 0 else 1, m))
-    return acc
+    D = s.valid_degree
+    # parts[e]: the terms of s_e, as (P, Q, c)
+    parts = [[] for _ in range(D + 1)]
+    for (P, Q_), c in s.coeffs.items():
+        parts[weight(P) + weight(Q_)].append((P, Q_, c))
+    # logs[d]: the degree-d part of L, as a dict
+    logs = [{}]
+    for d in range(1, D + 1):
+        acc = {}
+        for e in range(1, d):
+            terms = parts[e]
+            if not terms:
+                continue
+            for (P2, Q2), b in logs[d - e].items():
+                b *= d - e
+                for P, Q_, a in terms:
+                    key = (tuple(map(add, P, P2)), tuple(map(add, Q_, Q2)))
+                    old = acc.get(key)
+                    acc[key] = a * b if old is None else old + a * b
+        part = {(P, Q_): c for P, Q_, c in parts[d]}
+        for key, c in acc.items():
+            part[key] = part.get(key, ZERO) - c / d
+        logs.append({key: c for key, c in part.items() if c})
+    return Jet(s.n, {key: c for part in logs for key, c in part.items()}, D)
 
 
 def substitute_radial(f: TSeries, n, valid_degree) -> Jet:

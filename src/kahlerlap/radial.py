@@ -133,15 +133,15 @@ def c_constant(psi: TSeries, p, l, n):
 
 
 def recursion_step(
-    a_k: LaplacePolynomial, profile: RadialProfile, n
+    a_k: LaplacePolynomial, psi1: TSeries, psi2: TSeries, n
 ) -> LaplacePolynomial:
-    """One step k -> k+1 of the recursion in the module docstring."""
-    profile = normalize(profile)
-    psi1, psi2 = psi_functions(profile)
+    """One step k -> k+1 of the recursion in the module docstring, from the
+    psi series of the normalized profile (psi_functions)."""
     k = a_k.k
     if psi1.order < k or psi2.order < k:
         raise ValidityError(
-            f"profile order {profile.order} insufficient for step to k={k + 1}"
+            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
+            f"for the step to k={k + 1}"
         )
     new = []
     for p in range(1, k + 2):
@@ -161,10 +161,11 @@ def radial_pk(profile: RadialProfile, n, k_max):
         raise ValueError("k_max must be >= 1")
     if n < 1:
         raise ValueError(f"need n >= 1 variables, got {n}")
-    profile = normalize(profile)
     polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
-    while len(polys) < k_max:
-        polys.append(recursion_step(polys[-1], profile, n))
+    if k_max > 1:
+        psi1, psi2 = psi_functions(normalize(profile))
+        while len(polys) < k_max:
+            polys.append(recursion_step(polys[-1], psi1, psi2, n))
     return polys
 
 

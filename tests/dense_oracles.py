@@ -6,12 +6,16 @@ fit and every (i, j, h, k, l) tuple for the fifth-order check.  The inverse
 and the reciprocal sum geometric (Neumann) series with full jet products
 instead of solving degree by degree.  The radial C constants are evaluated
 from their definition, by applying the Euclidean Laplacian to a jet, instead
-of from their closed form.  They are slow on large inputs and exist so that
-the library can be compared against the definitions.
+of from their closed form.  log(1 + s) sums its power series with full jet
+products instead of solving degree by degree, and direct_potential_jet
+builds the catalog potentials by hand-written log det jet algebra instead
+of elaborating their surface expressions.  They are slow on large inputs and
+exist so that the library can be compared against the definitions.
 """
 
 from math import factorial
 
+from kahlerlap.catalog import SpaceDescriptor, _upper_index, dual_potential
 from kahlerlap.fit import (
     FitResult,
     LaplacePolynomial,
@@ -20,14 +24,17 @@ from kahlerlap.fit import (
 )
 from kahlerlap.jets import (
     Jet,
+    JetError,
     JetMatrix,
     NonInvertibleError,
     _invert_rational,
     mi_factorial,
     multiindices,
+    substitute_radial,
     weight,
 )
 from kahlerlap.metric import TruncationError, _laplacian_functional
+from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q, ZERO
 
 
@@ -237,3 +244,120 @@ def c_constant_at(psi, P, l, n):
             nxt = nxt + jet.dz(i).dzbar(i)
         jet = nxt
     return jet.eval0() / Q(factorial(p) * mi_factorial(P))
+
+
+def series_log1p(s):
+    """log(1 + s) as the power series sum (-1)^(m+1) s^m / m, full products."""
+    if s.eval0() != 0:
+        raise JetError("log1p needs a zero constant term")
+    acc = Jet.zero(s.n, s.valid_degree)
+    power = Jet.constant(s.n, 1, s.valid_degree)
+    for m in range(1, s.valid_degree + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Q(-1 if m % 2 == 0 else 1, m))
+    return acc
+
+
+def _matrix_potential(entries_w, rows, cols, n, D):
+    """log det(I + W^dagger W) for W given as a rows x cols array of jets."""
+    size = cols
+    s = []
+    for a in range(size):
+        row = []
+        for b in range(size):
+            acc = Jet.zero(n, D)
+            for r in range(rows):
+                w_ra = entries_w[r][a]
+                w_rb = entries_w[r][b]
+                if w_ra is not None and w_rb is not None:
+                    acc = acc + w_ra.conj() * w_rb
+            row.append(acc)
+        s.append(row)
+    gram = JetMatrix(s)
+    det = (JetMatrix.identity(n, size, D) + gram).det()
+    return series_log1p(det - Jet.constant(n, 1, D))
+
+
+def direct_potential_jet(desc: SpaceDescriptor, D):
+    """The catalog potential built family by family with jet arithmetic:
+    radial substitution, log det(I + W^dagger W) from explicit matrices of
+    coordinate jets, the quadric log(1 + ...) term by term, and products by
+    offsetting the factor exponents."""
+    fam = desc.family
+    if fam == "flat":
+        n = desc.param("n")
+        return substitute_radial(named_profile("flat", max(1, (D + 1) // 2)).series, n, D)
+    if fam == "cp":
+        n = desc.param("n")
+        return substitute_radial(
+            named_profile("fubini-study", max(1, (D + 1) // 2)).series, n, D
+        )
+    if fam == "ch":
+        n = desc.param("n")
+        return substitute_radial(
+            named_profile("hyperbolic", max(1, (D + 1) // 2)).series, n, D
+        )
+    if fam == "grassmannian":
+        k, N = desc.param("k"), desc.param("N")
+        n = k * (N - k)
+        w = [
+            [Jet.variable(n, r * k + c, D) for c in range(k)]
+            for r in range(N - k)
+        ]
+        return _matrix_potential(w, N - k, k, n, D)
+    if fam == "so2n":
+        N = desc.param("N")
+        n = N * (N - 1) // 2
+        idx = _upper_index(N, strict=True)
+        w = [[None] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(N):
+                if i < j:
+                    w[i][j] = Jet.variable(n, idx[(i, j)], D)
+                elif i > j:
+                    w[i][j] = -Jet.variable(n, idx[(j, i)], D)
+        return _matrix_potential(w, N, N, n, D).scale(Q(1, 2))
+    if fam == "sp":
+        N = desc.param("N")
+        n = N * (N + 1) // 2
+        idx = _upper_index(N, strict=False)
+        w = [
+            [Jet.variable(n, idx[(min(i, j), max(i, j))], D) for j in range(N)]
+            for i in range(N)
+        ]
+        return _matrix_potential(w, N, N, n, D)
+    if fam in ("quadric-even", "quadric-odd"):
+        N = desc.param("N")
+        nv = N - 1
+        n = 2 * nv + (1 if fam == "quadric-odd" else 0)
+        v = [Jet.variable(n, i, D) for i in range(nv)]
+        vp = [Jet.variable(n, nv + i, D) for i in range(nv)]
+        inner = Jet.zero(n, D)
+        for jet in v + vp:
+            inner = inner + jet * jet.conj()
+        cross = Jet.zero(n, D)
+        for a, b in zip(v, vp):
+            cross = cross + a * b
+        if fam == "quadric-odd":
+            u = Jet.variable(n, 2 * nv, D)
+            inner = inner + u * u.conj()
+            cross = cross - (u * u).scale(Q(1, 2))
+        inner = inner + (cross * cross.conj()).scale(4)
+        return series_log1p(inner)
+    if fam == "product":
+        jets = [direct_potential_jet(f, D) for f in desc.inner]
+        n = sum(j.n for j in jets)
+        coeffs = {}
+        offset = 0
+        for jet in jets:
+            for (P, Q_), c in jet.coeffs.items():
+                P2 = (0,) * offset + P + (0,) * (n - offset - jet.n)
+                Q2 = (0,) * offset + Q_ + (0,) * (n - offset - jet.n)
+                coeffs[(P2, Q2)] = coeffs.get((P2, Q2), ZERO) + c
+            offset += jet.n
+        return Jet(n, coeffs, min(j.valid_degree for j in jets))
+    if fam == "dual":
+        return dual_potential(direct_potential_jet(desc.inner[0], D))
+    raise ValueError(f"unknown family {fam!r}")

@@ -124,8 +124,8 @@ def test_criterion_05_other_rank_two_spaces(spaces, label):
 
 
 def test_criterion_06_duality():
-    for desc in (catalog.cp(1), catalog.cp(2), catalog.grassmannian(2, 4)):
-        rows = catalog.dual_compare(desc, 6)
+    for label in ("cp:n=1", "cp:n=2", "grassmannian:k=2,N=4"):
+        rows = catalog.dual_compare(catalog.parse_space(label), 6)
         assert rows
         for _, compact, noncompact in rows:
             assert compact + noncompact == 0

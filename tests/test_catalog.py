@@ -1,4 +1,5 @@
 import pytest
+from dense_oracles import direct_potential_jet
 
 from kahlerlap import catalog, dsl
 from kahlerlap.fit import check_delta_property
@@ -52,14 +53,15 @@ RANK2_LABELS = [
 
 class TestDescriptors:
     def test_dimensions_and_ranks(self):
-        d = catalog.grassmannian(2, 5)
+        space = catalog.parse_space
+        d = space("grassmannian:k=2,N=5")
         assert d.complex_dim == 6 and d.rank == 2
-        assert catalog.so2n(4).complex_dim == 6 and catalog.so2n(4).rank == 2
-        assert catalog.sp(2).complex_dim == 3 and catalog.sp(2).rank == 2
-        assert catalog.quadric_even(4).complex_dim == 6
-        assert catalog.quadric_odd(4).complex_dim == 7
-        assert catalog.product(catalog.cp(1), catalog.cp(2)).complex_dim == 3
-        assert catalog.dual(catalog.grassmannian(2, 4)).rank == 2
+        assert space("so2n:N=4").complex_dim == 6 and space("so2n:N=4").rank == 2
+        assert space("sp:N=2").complex_dim == 3 and space("sp:N=2").rank == 2
+        assert space("quadric-even:N=4").complex_dim == 6
+        assert space("quadric-odd:N=4").complex_dim == 7
+        assert catalog.product(space("cp:n=1"), space("cp:n=2")).complex_dim == 3
+        assert catalog.dual(space("grassmannian:k=2,N=4")).rank == 2
 
     def test_parse_round_trip(self):
         for label in ALL_LABELS + [
@@ -114,7 +116,7 @@ class TestBuild:
 
     def test_degree_guard(self):
         with pytest.raises(catalog.CatalogError):
-            catalog.build_space(catalog.cp(1), 1)
+            catalog.build_space(catalog.parse_space("cp:n=1"), 1)
 
 
 def ginv_top_degree(m):
@@ -278,11 +280,11 @@ class TestDualCompare:
             assert compact + noncompact == 0
 
     def test_cp1_values(self):
-        rows = catalog.dual_compare(catalog.cp(1), 6)
+        rows = catalog.dual_compare(catalog.parse_space("cp:n=1"), 6)
         assert rows == [((2,), 40, -40)]
 
     def test_flat_all_zero(self):
-        rows = catalog.dual_compare(catalog.flat(2), 6)
+        rows = catalog.dual_compare(catalog.parse_space("flat:n=2"), 6)
         for _, compact, noncompact in rows:
             assert compact == 0 and noncompact == 0
 
@@ -299,7 +301,23 @@ class TestFailureAtOrderThree:
         assert all(r.fitted for r in res)
 
 
+# Surface expressions for the families that the catalog builds by radial
+# substitution and by offsetting factors, so they reach their jets through
+# the elaborator instead.
+SURFACE_TEXT = {
+    "flat:n=2": "modsq(z(1)) + modsq(z(2))",
+    "cp:n=2": "log(1 + modsq(z(1)) + modsq(z(2)))",
+    "ch:n=2": "0 - log(1 - modsq(z(1)) - modsq(z(2)))",
+    "product(cp:n=1;ch:n=1)": "log(1 + modsq(z(1))) - log(1 - modsq(z(2)))",
+}
+
+
 class TestDslCrossPath:
+    """Each catalog potential equals a jet built on a path that shares no
+    code with the catalog's: the elaborated surface expression above for
+    radial families and products, and the hand-built log det jets of
+    direct_potential_jet for the families the catalog elaborates."""
+
     @pytest.mark.parametrize(
         "label",
         [
@@ -316,10 +334,31 @@ class TestDslCrossPath:
     )
     def test_surface_expression_elaborates_to_same_jet(self, spaces, label):
         space = spaces(label)
-        text = catalog.dsl_text(space.descriptor)
-        expr = dsl.parse(text)
-        jet = dsl.elaborate(expr, space.metric.n, space.truncation)
-        assert jet == space.metric.potential
+        if label in SURFACE_TEXT:
+            expr = dsl.parse(SURFACE_TEXT[label])
+            other = dsl.elaborate(expr, space.metric.n, space.truncation)
+        else:
+            other = direct_potential_jet(space.descriptor, space.truncation)
+        assert other == space.metric.potential
+
+    @pytest.mark.parametrize(
+        "label, degree",
+        [(label, 6) for label in ALL_LABELS]
+        + [
+            ("product(cp:n=1;cp:n=1)", 6),
+            ("dual(grassmannian:k=2,N=4)", 6),
+            ("sp:N=3", 8),
+            ("cp:n=10", 8),
+        ],
+    )
+    def test_potential_matches_direct_jets(self, label, degree):
+        desc = catalog.parse_space(label)
+        assert catalog.potential_jet(desc, degree) == direct_potential_jet(desc, degree)
+
+    @pytest.mark.parametrize("label", ["cp:n=2", "product(cp:n=1;cp:n=1)"])
+    def test_no_surface_text_for_built_families(self, label):
+        with pytest.raises(catalog.CatalogError):
+            catalog.dsl_text(catalog.parse_space(label))
 
 
 class TestTruncationStability:
@@ -329,7 +368,7 @@ class TestTruncationStability:
     def test_deeper_build_agrees(self, spaces, label):
         shallow = spaces(label)
         deep = spaces(label, 8)
-        assert deep.metric.potential.agrees_with(shallow.metric.potential, 6)
+        assert deep.metric.potential.truncated(6) == shallow.metric.potential
         assert einstein_constant(shallow.metric) == einstein_constant(deep.metric)
         res6 = check_delta_property(shallow.metric, 3)
         res8 = check_delta_property(deep.metric, 3)

@@ -1,6 +1,8 @@
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlerlap.fit import (
     FitResult,
@@ -11,11 +13,18 @@ from kahlerlap.fit import (
     rescaled_value,
     verify_witness,
 )
-from kahlerlap.jets import Jet, multiindices_upto, substitute_radial
+from kahlerlap.jets import (
+    Jet,
+    mi_factorial,
+    multiindices,
+    multiindices_upto,
+    substitute_radial,
+)
 from kahlerlap.metric import (
     TruncationError,
     delta_power_at0,
     euclidean_power_at0,
+    laplacian_apply,
     metric_from_potential,
 )
 from kahlerlap.radial import named_profile
@@ -223,3 +232,61 @@ class TestRandomPolynomialIdentity:
                     for l in range(1, k + 1)
                 )
                 assert lhs == rhs
+
+
+# -- a third path for lap^k: iterated laplacian_apply, no functional table --
+
+small_q = st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+).map(lambda f: Q(f.numerator, f.denominator))
+
+
+@st.composite
+def unit_gauge_potentials(draw):
+    """sum |z_i|^2 plus up to four real terms of degree 4..6: cubic-free,
+    with g(0) = I; no extra term gives flat space, which fits every k."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    D = 6
+    coeffs = {}
+    for i in range(n):
+        e = tuple(1 if a == i else 0 for a in range(n))
+        coeffs[(e, e)] = Q(1)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        degree = draw(st.integers(min_value=4, max_value=D))
+        P, Q_ = draw(st.sampled_from([
+            (P, Q_)
+            for p in range(1, degree)
+            for P in multiindices(n, p)
+            for Q_ in multiindices(n, degree - p)
+        ]))
+        c = draw(small_q)
+        coeffs[(P, Q_)] = coeffs.get((P, Q_), Q(0)) + c
+        if P != Q_:
+            coeffs[(Q_, P)] = coeffs.get((Q_, P), Q(0)) + c
+    return Jet(n, coeffs, D)
+
+
+def iterated_value(m, P, Q_, k):
+    """lap^k(z^P zb^Q)(0) by applying the Laplacian k times to the jet."""
+    phi = Jet.monomial(m.n, P, Q_, 1, 2 * k)
+    for _ in range(k):
+        phi = laplacian_apply(m, phi)
+    return phi.eval0()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(unit_gauge_potentials())
+def test_fit_matches_iterated_laplacian(phi):
+    m = metric_from_potential(phi)
+    assert m.normal_gauge
+    for k in (1, 2, 3):
+        result = fit_pk(m, k)
+        if not result.fitted:
+            w = result.witness
+            assert iterated_value(m, w.P, w.Q, k) == w.lhs
+            continue
+        poly = result.polynomial
+        for p in range(1, k + 1):
+            for P in multiindices(m.n, p):
+                expected = poly.coefficient(p) * factorial(p) * mi_factorial(P)
+                assert iterated_value(m, P, P, k) == expected

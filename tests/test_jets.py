@@ -9,12 +9,13 @@ from kahlerlap.jets import (
     ValidityError,
     log1p,
     multiindices,
+    multiindices_upto,
     substitute_radial,
 )
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
-from dense_oracles import reciprocal
+from dense_oracles import reciprocal, series_log1p
 
 
 def mono(n, P, Q_, c=1, D=4):
@@ -244,4 +245,29 @@ def test_product_truncation_stability(a, b):
     D = min(a.valid_degree, b.valid_degree)
     a2 = Jet(a.n, a.coeffs, a.valid_degree + 2)
     b2 = Jet(b.n, b.coeffs, b.valid_degree + 2)
-    assert (a2 * b2).agrees_with(a * b, D)
+    assert (a2 * b2).truncated(D) == a * b
+
+
+@st.composite
+def log_arguments(draw):
+    """Jets with zero constant term, n <= 3 and valid_degree <= 7, including
+    degree-1 terms and terms that are not Hermitian (P != Q, no conjugate)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    D = draw(st.integers(min_value=0, max_value=7))
+    keys = [
+        (P, Q_)
+        for P in multiindices_upto(n, min(D, 4))
+        for Q_ in multiindices_upto(n, min(D, 4))
+        if 1 <= sum(P) + sum(Q_) <= D
+    ]
+    coeffs = {}
+    if keys:
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            coeffs[draw(st.sampled_from(keys))] = draw(small_q)
+    return Jet(n, coeffs, D)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(log_arguments())
+def test_log1p_matches_power_series(s):
+    assert log1p(s) == series_log1p(s)

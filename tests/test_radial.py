@@ -140,13 +140,13 @@ class TestCConstants:
 
 class TestRecursion:
     def test_flat_shifts(self):
-        prof = named_profile("flat", 6)
-        p2 = recursion_step(LaplacePolynomial(1, (Q(1),)), prof, 2)
+        psi1, psi2 = psi_functions(named_profile("flat", 6))
+        p2 = recursion_step(LaplacePolynomial(1, (Q(1),)), psi1, psi2, 2)
         assert p2 == LaplacePolynomial(2, (Q(0), Q(1)))
 
     def test_fs_quadratic_step(self):
-        prof = named_profile("fubini-study", 6)
-        p2 = recursion_step(LaplacePolynomial(1, (Q(1),)), prof, 1)
+        psi1, psi2 = psi_functions(named_profile("fubini-study", 6))
+        p2 = recursion_step(LaplacePolynomial(1, (Q(1),)), psi1, psi2, 1)
         assert p2 == LaplacePolynomial(2, (Q(2), Q(1)))
 
     def test_fs_cubic(self):
