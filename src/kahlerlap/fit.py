@@ -199,13 +199,3 @@ def check_delta_property(m: MetricJet, k_max):
         if not r.fitted:
             break
     return results
-
-
-def verify_witness(m: MetricJet, k, w: ViolationWitness) -> bool:
-    """Re-evaluate a witness: the stated lhs must reproduce and still differ
-    from the stated expectation."""
-    if w.kind == "off_diagonal_nonzero":
-        lhs = _raw_value(m, w.P, w.Q, k)
-    else:
-        lhs = rescaled_value(m, w.P, w.Q, k)
-    return lhs == w.lhs and lhs != w.expected

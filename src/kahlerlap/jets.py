@@ -9,13 +9,18 @@ one per derivative), and using a jet past its validity raises.
 Coefficients are exact rationals.  Zero coefficients are never stored, so
 jet equality is map equality.  Jets are immutable values: no operation
 mutates its operands, which makes everything safe to evaluate concurrently.
+
+Rationals are what a Jet holds and what every function takes and returns.
+The graded kernels (JetMatrix.inverse, log1p, and the lap^k pullback in
+metric) compute inside on packed exponent keys, one int per monomial (see
+_Packing; Monagan & Pearce, CASC 2007), and on integer numerators over one
+shared denominator per degree, fraction-free as in Bareiss (Math. Comp.
+1968).  Each output coefficient becomes a rational once, at the end.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import factorial
-from operator import add
+from math import factorial, lcm
 
 from .rationals import Q, ZERO, as_q
 from .series import TSeries
@@ -60,9 +65,66 @@ def multiindices(n, total):
             yield (first,) + rest
 
 
-def multiindices_upto(n, max_total):
-    for total in range(max_total + 1):
-        yield from multiindices(n, total)
+class _Packing:
+    """Exponent pairs (P, Q) of n variables packed into one int.
+
+    Slot s, bits wide with slot 0 lowest, holds P[s] for s < n and Q[s - n]
+    for s >= n.  The width is the least with 2**bits > max_exponent, so
+    every exponent up to max_exponent fits in its slot.  The product of two
+    monomials is then the sum of their keys, and a quotient by a divisor
+    their difference, exact as long as every exponent formed stays at most
+    max_exponent: no carry or borrow crosses a slot.  Each kernel passes a
+    bound on every exponent it can form.
+    """
+
+    __slots__ = ("n", "bits", "mask", "_packed", "_unpacked")
+
+    def __init__(self, n, max_exponent):
+        self.n = n
+        self.bits = max(1, max_exponent.bit_length())
+        self.mask = (1 << self.bits) - 1
+        # the halves P and Q recur across keys: memos tuple -> int -> tuple
+        self._packed = {}
+        self._unpacked = {}
+
+    def pack(self, P, Q_):
+        return self._pack_half(P) | self._pack_half(Q_) << self.n * self.bits
+
+    def unpack(self, key):
+        shift = self.n * self.bits
+        low = key & ((1 << shift) - 1)
+        return self._unpack_half(low), self._unpack_half(key >> shift)
+
+    def _pack_half(self, exps):
+        key = self._packed.get(exps)
+        if key is None:
+            key = 0
+            for e in reversed(exps):
+                key = key << self.bits | e
+            self._packed[exps] = key
+        return key
+
+    def _unpack_half(self, key):
+        exps = self._unpacked.get(key)
+        if exps is None:
+            out, rest = [], key
+            for _ in range(self.n):
+                out.append(rest & self.mask)
+                rest >>= self.bits
+            exps = self._unpacked[key] = tuple(out)
+        return exps
+
+    def divisors(self, key):
+        """Packed keys of every (U, V) <= (P, Q), built slot by slot."""
+        out = [0]
+        unit = 1
+        while key:
+            e = key & self.mask
+            if e:
+                out = [u + t * unit for t in range(e + 1) for u in out]
+            key >>= self.bits
+            unit <<= self.bits
+        return out
 
 
 class Jet:
@@ -296,33 +358,51 @@ def log1p(s: Jet) -> Jet:
     d) gives (1 + s) E L = E s, so degree by degree
 
         L_d = s_d - (1/d) sum_{e=1..d-1} (d-e) s_e L_{d-e}.
+
+    The solve runs on integers.  With Ls the lcm of the denominators of s
+    and s' = Ls s, the numerators N_d = d! Ls^d L_d are integral, since
+    multiplying the recursion by d! Ls^d gives
+
+        N_d = d! Ls^(d-1) s'_d
+              - sum_{e=1..d-1} (d-e) (d-1)!/(d-e)! Ls^(e-1) s'_e N_{d-e}.
+
+    Exponent pairs are packed (_Packing) with slots for exponents up to
+    valid_degree, which bounds every exponent of every part.  Each
+    coefficient of L becomes a rational once, as N_d / (d! Ls^d).
     """
     if s.eval0() != 0:
         raise JetError("log1p needs a zero constant term")
     D = s.valid_degree
-    # parts[e]: the terms of s_e, as (P, Q, c)
+    pk = _Packing(s.n, D)
+    ls = lcm(*(c.denominator for c in s.coeffs.values()))
+    # parts[e]: the terms of s'_e, as (packed key, integer)
     parts = [[] for _ in range(D + 1)]
     for (P, Q_), c in s.coeffs.items():
-        parts[weight(P) + weight(Q_)].append((P, Q_, c))
-    # logs[d]: the degree-d part of L, as a dict
-    logs = [{}]
+        parts[weight(P) + weight(Q_)].append(
+            (pk.pack(P, Q_), c.numerator * (ls // c.denominator))
+        )
+    # nums[d]: N_d, as packed key -> integer
+    nums = [{}]
+    out = {}
     for d in range(1, D + 1):
-        acc = {}
+        lead = factorial(d) * ls ** (d - 1)
+        acc = {K: lead * a for K, a in parts[d]}
+        get = acc.get
         for e in range(1, d):
             terms = parts[e]
             if not terms:
                 continue
-            for (P2, Q2), b in logs[d - e].items():
-                b *= d - e
-                for P, Q_, a in terms:
-                    key = (tuple(map(add, P, P2)), tuple(map(add, Q_, Q2)))
-                    old = acc.get(key)
-                    acc[key] = a * b if old is None else old + a * b
-        part = {(P, Q_): c for P, Q_, c in parts[d]}
-        for key, c in acc.items():
-            part[key] = part.get(key, ZERO) - c / d
-        logs.append({key: c for key, c in part.items() if c})
-    return Jet(s.n, {key: c for part in logs for key, c in part.items()}, D)
+            w = (d - e) * (factorial(d - 1) // factorial(d - e)) * ls ** (e - 1)
+            for K2, b in nums[d - e].items():
+                b *= w
+                for K, a in terms:
+                    key = K + K2
+                    acc[key] = get(key, 0) - a * b
+        nums.append({K: c for K, c in acc.items() if c})
+        den = factorial(d) * ls**d
+        for K, c in nums[d].items():
+            out[pk.unpack(K)] = Q(c, den)
+    return Jet(s.n, out, D)
 
 
 def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
@@ -379,18 +459,6 @@ class JetMatrix:
         self.valid_degree = D
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n, size, valid_degree):
-        return cls(
-            [
-                [
-                    Jet.constant(n, 1 if i == j else 0, valid_degree)
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-        )
-
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -403,46 +471,6 @@ class JetMatrix:
         )
 
     __hash__ = None
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix sum")
-        return JetMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix difference")
-        return JetMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return JetMatrix([[-e for e in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise DimensionMismatch("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return JetMatrix(out)
-
-    def conj(self):
-        return JetMatrix([[e.conj() for e in row] for row in self.entries])
 
     def det(self):
         """Determinant over the jet ring, exact at the shared validity.
@@ -479,7 +507,7 @@ class JetMatrix:
         return rec(0, (1 << m) - 1)
 
     def inverse(self):
-        """Matrix inverse over the jet ring: self @ inverse() == identity.
+        """Matrix inverse over the jet ring: G X = X G = I.
 
         A graded solve, the multivariate form of Brent & Kung, "Fast
         algorithms for manipulating formal power series" (JACM 1978).  With
@@ -491,12 +519,31 @@ class JetMatrix:
 
         for d = 1..valid_degree.  Each product pairs homogeneous pieces whose
         degrees sum to d, so nothing past the validity is computed.
+
+        The solve runs on integers.  With L the lcm of the denominators of G
+        and of G_0^{-1}, B'_e = L^2 B_e is an integer matrix.  Substituting
+        X_{d-e} = X'_{d-e} / L^(1+2(d-e)) into the recursion gives
+
+            X'_0 = L G_0^{-1},   X'_d = sum_{e=1..d} B'_e X'_{d-e} L^(2e-2),
+            X_d = X'_d / L^(1+2d),
+
+        all integral; the kernel stores L^(2e-2) B'_e = L^(2e) B_e once per
+        e.  Exponent pairs are packed (_Packing) with slots for exponents up
+        to valid_degree, which bounds every exponent of a degree-d part.
+        Each coefficient of X becomes a rational once, as X'_d / L^(1+2d).
         """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         m, D = self.rows, self.valid_degree
         g0_inv = _invert_rational([[e.eval0() for e in row] for row in self.entries])
-        # bs[e][i][k]: the terms of B_e[i][k], as (P, Q, c)
+        L = lcm(
+            *(c.denominator for row in self.entries for e in row
+              for c in e.coeffs.values()),
+            *(c.denominator for row in g0_inv for c in row),
+        )
+        pk = _Packing(self.n, D)
+        h0 = [[c.numerator * (L // c.denominator) for c in row] for row in g0_inv]
+        # bs[e][i][k]: the terms of L^(2e) B_e[i][k], as packed key -> integer
         bs = [[[{} for _ in range(m)] for _ in range(m)] for _ in range(D + 1)]
         for l, row in enumerate(self.entries):
             for k, entry in enumerate(row):
@@ -504,18 +551,18 @@ class JetMatrix:
                     d = weight(P) + weight(Q_)
                     if d == 0:
                         continue
+                    key = pk.pack(P, Q_)
+                    c = c.numerator * (L // c.denominator) * L ** (2 * d - 2)
                     for i in range(m):
-                        if g0_inv[i][l]:
+                        if h0[i][l]:
                             part = bs[d][i][k]
-                            part[P, Q_] = part.get((P, Q_), ZERO) - g0_inv[i][l] * c
+                            part[key] = part.get(key, 0) - h0[i][l] * c
         bs = [
-            [[[(P, Q_, c) for (P, Q_), c in part.items() if c] for part in row]
-             for row in b]
+            [[[t for t in part.items() if t[1]] for part in row] for row in b]
             for b in bs
         ]
-        zero_mi = (0,) * self.n
-        # xs[d][k][j]: the degree-d part of X[k][j], as a dict
-        xs = [[[{(zero_mi, zero_mi): c} if c else {} for c in row] for row in g0_inv]]
+        # xs[d][k][j]: X'_d[k][j], as packed key -> integer
+        xs = [[[{0: c} if c else {} for c in row] for row in h0]]
         for d in range(1, D + 1):
             xd = [[{} for _ in range(m)] for _ in range(m)]
             for e in range(1, d + 1):
@@ -527,22 +574,27 @@ class JetMatrix:
                             continue
                         for j in range(m):
                             acc = xd[i][j]
-                            for (P2, Q2), b in x[k][j].items():
-                                for P, Q_, a in terms:
-                                    key = (
-                                        tuple(map(add, P, P2)),
-                                        tuple(map(add, Q_, Q2)),
-                                    )
-                                    old = acc.get(key)
-                                    acc[key] = a * b if old is None else old + a * b
+                            get = acc.get
+                            for K2, b in x[k][j].items():
+                                for K, a in terms:
+                                    key = K + K2
+                                    acc[key] = get(key, 0) + a * b
             xs.append(
-                [[{key: c for key, c in part.items() if c} for part in row]
-                 for row in xd]
+                [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
             )
+        dens = [L ** (1 + 2 * d) for d in range(D + 1)]
+        unpack = pk.unpack
         return JetMatrix(
             [
-                [Jet(self.n, {key: c for x in xs for key, c in x[i][j].items()}, D)
-                 for j in range(m)]
+                [
+                    Jet(
+                        self.n,
+                        {unpack(K): Q(c, dens[d])
+                         for d, x in enumerate(xs) for K, c in x[i][j].items()},
+                        D,
+                    )
+                    for j in range(m)
+                ]
                 for i in range(m)
             ]
         )
@@ -568,11 +620,3 @@ def _invert_rational(mat):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def divisor_pairs(P, Q_):
-    """All componentwise-dominated pairs (U, V) <= (P, Q)."""
-    return itertools.product(
-        itertools.product(*(range(p + 1) for p in P)),
-        itertools.product(*(range(q + 1) for q in Q_)),
-    )

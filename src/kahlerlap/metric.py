@@ -17,17 +17,9 @@ square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import lcm
 
-from .jets import (
-    Jet,
-    JetMatrix,
-    ValidityError,
-    divisor_pairs,
-    mi_factorial,
-    multiindices,
-    weight,
-)
+from .jets import Jet, JetMatrix, ValidityError, _Packing, weight
 from .rationals import Q, ZERO
 
 
@@ -51,9 +43,8 @@ class MetricJet:
     identity and the potential has no monomial of total degree 3; cubic_free
     is the degree-3 half of that condition alone (it makes all first
     derivatives of g vanish at the origin).  The underscored fields are
-    caches filled on first use: lap^k tables by k, order-3 expansion tables
-    by lam, the index of g_inv coefficients by monomial, and the Einstein
-    report.
+    caches filled on first use: lap^k tables by k, the packed pullback state
+    (see _pullback_state), and the Einstein report.
     """
 
     n: int
@@ -64,8 +55,7 @@ class MetricJet:
     normal_gauge: bool
     cubic_free: bool
     _functionals: dict = field(default_factory=dict, repr=False)
-    _laplcube: dict = field(default_factory=dict, repr=False)
-    _ginv_index: dict = field(default=None, repr=False)
+    _ginv_index: tuple = field(default=None, repr=False)
     _einstein: EinsteinReport = field(default=None, repr=False)
 
 
@@ -130,8 +120,20 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
 
     Table maps (P, Q) -> c with lap^k(phi)(0) = sum c * phi_{P,Q}; support
     lies within total degree 2k.  Built by pulling the origin-evaluation
-    functional back through the Laplacian k times; each step convolves with
-    the inverse-metric coefficients via divisor enumeration and hash lookup.
+    functional back through the Laplacian k times: table k - 1 entry c at
+    (A, B) and g_inv[i][j] coefficient g at a divisor (U, V) <= (A, B) add
+    c * g * S_j * T_i at (S, T) = (A - U + e_j, B - V + e_i).
+
+    The pullback runs on integers.  With Lg the lcm of the denominators of
+    g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k with N_0 = 1 at
+    the origin and N_k built from N_{k-1} by the step above with g' for g.
+    Keys are packed (_Packing), so (S, T) is the int sum A - U + e_j + e_i.
+    The slots must hold every exponent packed: those of the g_inv monomials
+    in the index, and those of tables 0..k, which are at most k because each
+    step adds one to |P| and one to |Q| and removes a divisor, so table k
+    has |P| <= k and |Q| <= k.  The packed index and tables live in
+    m._ginv_index and are rebuilt wider when a larger k needs it.  Each
+    entry of table k becomes a rational once, as N_k / Lg^k.
     """
     if k in m._functionals:
         return m._functionals[k]
@@ -141,35 +143,69 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
         m._functionals[0] = table
         return table
     prev = _laplacian_functional(m, k - 1)
-    # monomial -> list of inverse-metric positions carrying it
-    by_mono = m._ginv_index
-    if by_mono is None:
-        by_mono = {}
-        for i in range(m.n):
-            for j in range(m.n):
-                for key, c in m.g_inv[i][j].coeffs.items():
-                    by_mono.setdefault(key, []).append((i, j, c))
-        m._ginv_index = by_mono
+    pk, lg, index, nums = _pullback_state(m, k)
+    prev_nums = nums.get(k - 1)
+    if prev_nums is None:
+        scale = lg ** (k - 1)
+        prev_nums = {
+            pk.pack(*key): c.numerator * (scale // c.denominator)
+            for key, c in prev.items()
+        }
+    mask = pk.mask
     out = {}
-    for (A, B), c in prev.items():
-        for U, V in divisor_pairs(A, B):
-            hits = by_mono.get((U, V))
-            if not hits:
+    get = out.get
+    for KA, c in prev_nums.items():
+        for KU in pk.divisors(KA):
+            hits = index.get(KU)
+            if hits is None:
                 continue
-            S_base = tuple(a - u for a, u in zip(A, U))
-            T_base = tuple(b - v for b, v in zip(B, V))
-            for i, j, gcoef in hits:
-                S = S_base[:j] + (S_base[j] + 1,) + S_base[j + 1 :]
-                T = T_base[:i] + (T_base[i] + 1,) + T_base[i + 1 :]
-                key = (S, T)
-                add = c * gcoef * S[j] * T[i]
-                s = out.get(key, ZERO) + add
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    m._functionals[k] = out
-    return out
+            base = KA - KU
+            for g, shift_j, shift_i, step in hits:
+                key = base + step
+                out[key] = get(key, 0) + (
+                    c * g * ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
+                )
+    nums[k] = {key: c for key, c in out.items() if c}
+    den = lg**k
+    table = {pk.unpack(key): Q(c, den) for key, c in nums[k].items()}
+    m._functionals[k] = table
+    return table
+
+
+def _pullback_state(m: MetricJet, k: int):
+    """(packing, Lg, index, packed tables) for the pullback to table k.
+
+    index maps the packed key of each g_inv monomial (U, V) to the
+    positions carrying it, as (Lg * coefficient, shift of slot j, shift of
+    slot n + i, packed e_j + e_i); packed tables map k to N_k.  Rebuilt,
+    with no tables, when a slot cannot hold k.
+    """
+    state = m._ginv_index
+    if state is not None and k <= state[0].mask:
+        return state
+    n = m.n
+    terms = [
+        (i, j, key, c)
+        for i in range(n)
+        for j in range(n)
+        for key, c in m.g_inv[i][j].coeffs.items()
+    ]
+    lg = lcm(*(c.denominator for *_, c in terms))
+    top = max([k] + [max(P + Q_) for _, _, (P, Q_), _ in terms])
+    pk = _Packing(n, top)
+    index = {}
+    for i, j, key, c in terms:
+        shift_j, shift_i = pk.bits * j, pk.bits * (n + i)
+        index.setdefault(pk.pack(*key), []).append(
+            (
+                c.numerator * (lg // c.denominator),
+                shift_j,
+                shift_i,
+                (1 << shift_j) + (1 << shift_i),
+            )
+        )
+    m._ginv_index = (pk, lg, index, {})
+    return m._ginv_index
 
 
 def delta_power_at0(m: MetricJet, phi: Jet, k: int):
@@ -198,40 +234,6 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
         t = table.get(key)
         if t is not None:
             acc += t * c
-    return acc
-
-
-def euclidean_power_at0(phi, l: int):
-    """(lap_c)^l phi at the origin, lap_c = sum_i d^2/dz_i dzb_i.
-
-    phi may be a jet or a multi-index pair (P, Q); for the pair the value is
-    l! * P! when P == Q and |P| == l, else 0.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if isinstance(phi, tuple):
-        P, Q_ = phi
-        if tuple(P) != tuple(Q_) or weight(P) != l:
-            return ZERO
-        return Q(factorial(l) * mi_factorial(P))
-    return _weighted_euclidean_at0(phi, l, None)
-
-
-def _weighted_euclidean_at0(phi: Jet, l: int, diag):
-    """(sum_i (1/d_i) d^2/dz_i dzb_i)^l phi at 0; diag None means d = 1."""
-    if l == 0:
-        return phi.eval0()
-    fl = factorial(l)
-    acc = ZERO
-    for (P, Q_), c in phi.coeffs.items():
-        if P != Q_ or weight(P) != l:
-            continue
-        term = c * fl * mi_factorial(P)
-        if diag is not None:
-            for i, e in enumerate(P):
-                if e:
-                    term /= diag[i] ** e
-        acc += term
     return acc
 
 
@@ -288,21 +290,6 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
     )
     m._einstein = report
     return report
-
-
-def check_k2_identity(m: MetricJet, phi: Jet):
-    """Whether lap^2 phi(0) equals (lap_d^2 + lam lap_d) phi(0).
-
-    lap_d is the d-weighted Euclidean Laplacian; returns (ok, discrepancy).
-    """
-    rep = einstein_constant(m)
-    if rep.lam is None:
-        raise GaugeError("metric is not Einstein at the origin")
-    lhs = delta_power_at0(m, phi, 2)
-    rhs = _weighted_euclidean_at0(phi, 2, m.origin_diag) + rep.lam * (
-        _weighted_euclidean_at0(phi, 1, m.origin_diag)
-    )
-    return lhs == rhs, lhs - rhs
 
 
 def third_deriv_obstruction(m: MetricJet):
@@ -374,116 +361,3 @@ def fifth_order_check(m: MetricJet):
                 if abs(s) > best:
                     best = abs(s)
     return best
-
-
-def _laplcube_functional(m: MetricJet, lam) -> dict:
-    """Coefficient table of the order-3 expansion of lap^3 phi(0):
-
-        (lap_d^3 + 3 lam lap_d^2 + lam^2 lap_d) phi(0)
-        + 2 sum w_lh d_{l hb} ginv[i][j] d^4 phi/dz_j dz_h dzb_l dzb_i
-        +   sum w_lh d_{l h}  ginv[i][j] d^4 phi/dz_j dzb_h dzb_l dzb_i
-        +   sum w_lh d_{lb hb} ginv[i][j] d^4 phi/dz_j dz_h dz_l dzb_i
-        +   sum w_lh d_{l h lb hb} ginv[i][j] d^2 phi/dz_j dzb_i
-
-    with w_lh = 1/(d_l d_h); all derivatives at the origin.
-    """
-    key = ("laplcube", lam)
-    if key in m._laplcube:
-        return m._laplcube[key]
-    n = m.n
-    d = m.origin_diag
-    table = {}
-
-    def put(mono, value):
-        if value == 0:
-            return
-        s = table.get(mono, ZERO) + value
-        if s == 0:
-            table.pop(mono, None)
-        else:
-            table[mono] = s
-
-    # polynomial part in the weighted Euclidean Laplacian
-    for l, coef in ((1, lam * lam), (2, 3 * lam), (3, Q(1))):
-        if coef == 0:
-            continue
-        for A in multiindices(n, l):
-            wgt = Q(factorial(l) * mi_factorial(A))
-            for i, e in enumerate(A):
-                if e:
-                    wgt /= d[i] ** e
-            put((A, A), coef * wgt)
-
-    def e_vec(*idxs):
-        v = [0] * n
-        for i in idxs:
-            v[i] += 1
-        return tuple(v)
-
-    for i in range(n):
-        for j in range(n):
-            entry = m.g_inv[i][j].coeffs
-            for l in range(n):
-                for h in range(n):
-                    w = Q(1) / (d[l] * d[h])
-                    # mixed second derivative of ginv
-                    c = entry.get((e_vec(l), e_vec(h)))
-                    if c is not None:
-                        P, Q_ = e_vec(j, h), e_vec(l, i)
-                        put(
-                            (P, Q_),
-                            2 * w * c * mi_factorial(P) * mi_factorial(Q_),
-                        )
-                    # holomorphic-holomorphic
-                    c = entry.get((e_vec(l, h), e_vec()))
-                    if c is not None:
-                        P, Q_ = e_vec(j), e_vec(h, l, i)
-                        put(
-                            (P, Q_),
-                            w
-                            * c
-                            * mi_factorial(e_vec(l, h))
-                            * mi_factorial(Q_),
-                        )
-                    # antiholomorphic-antiholomorphic
-                    c = entry.get((e_vec(), e_vec(l, h)))
-                    if c is not None:
-                        P, Q_ = e_vec(j, h, l), e_vec(i)
-                        put(
-                            (P, Q_),
-                            w
-                            * c
-                            * mi_factorial(e_vec(l, h))
-                            * mi_factorial(P),
-                        )
-                    # fourth derivative of ginv
-                    c = entry.get((e_vec(l, h), e_vec(l, h)))
-                    if c is not None:
-                        fac = mi_factorial(e_vec(l, h))
-                        put((e_vec(j), e_vec(i)), w * c * fac * fac)
-    m._laplcube[key] = table
-    return table
-
-
-def laplcube_expansion(m: MetricJet, phi: Jet):
-    """Evaluate the order-3 origin expansion term by term from the stored jets.
-
-    For an Einstein metric in a cubic-free diagonal gauge this must equal
-    delta_power_at0(m, phi, 3).
-    """
-    rep = einstein_constant(m)
-    if rep.lam is None:
-        raise GaugeError("metric is not Einstein at the origin")
-    if m.potential.valid_degree < 6:
-        raise TruncationError(
-            "potential valid_degree must be >= 6", required=6
-        )
-    if phi.valid_degree < 6:
-        raise ValidityError("phi must be valid to degree 6")
-    table = _laplcube_functional(m, rep.lam)
-    acc = ZERO
-    for key, c in phi.coeffs.items():
-        t = table.get(key)
-        if t is not None:
-            acc += t * c
-    return acc

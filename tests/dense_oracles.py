@@ -11,8 +11,15 @@ products instead of solving degree by degree, and direct_potential_jet
 builds the catalog potentials by hand-written log det jet algebra instead
 of elaborating their surface expressions.  They are slow on large inputs and
 exist so that the library can be compared against the definitions.
+
+The lap^k pullback is the tuple-key, rational form of the library's packed
+integer kernel.  The matrix ring operations, the Euclidean powers, the
+order-3 expansion of lap^3 and verify_witness are code that only the tests
+use.
 """
 
+import itertools
+from functools import lru_cache
 from math import factorial
 
 from kahlerlap.catalog import SpaceDescriptor, _upper_index, dual_potential
@@ -20,22 +27,36 @@ from kahlerlap.fit import (
     FitResult,
     LaplacePolynomial,
     ViolationWitness,
+    _raw_value,
     rescaled_value,
 )
 from kahlerlap.jets import (
+    DimensionMismatch,
     Jet,
     JetError,
     JetMatrix,
     NonInvertibleError,
+    ValidityError,
     _invert_rational,
     mi_factorial,
     multiindices,
     substitute_radial,
     weight,
 )
-from kahlerlap.metric import TruncationError, _laplacian_functional
+from kahlerlap.metric import (
+    GaugeError,
+    TruncationError,
+    _laplacian_functional,
+    delta_power_at0,
+    einstein_constant,
+)
 from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q, ZERO
+
+
+def multiindices_upto(n, max_total):
+    for total in range(max_total + 1):
+        yield from multiindices(n, total)
 
 
 def monomial_test_set(n, k):
@@ -160,15 +181,59 @@ def neumann_inverse(g):
     g0 = [[g.entries[i][j].eval0() for j in range(m)] for i in range(m)]
     g0_inv = _invert_rational(g0)
     b = _const_times(g0_inv, g)
-    r = JetMatrix.identity(g.n, m, g.valid_degree) - b  # -N, min deg >= 1
-    acc = JetMatrix.identity(g.n, m, g.valid_degree)
+    r = mat_sub(mat_identity(g.n, m, g.valid_degree), b)  # -N, min deg >= 1
+    acc = mat_identity(g.n, m, g.valid_degree)
     power = acc
     for _ in range(g.valid_degree):
-        power = power @ r
+        power = mat_mul(power, r)
         if all(e.is_zero() for row in power.entries for e in row):
             break
-        acc = acc + power
+        acc = mat_add(acc, power)
     return _times_const(acc, g0_inv)
+
+
+def mat_identity(n, size, valid_degree):
+    return JetMatrix(
+        [
+            [Jet.constant(n, 1 if i == j else 0, valid_degree) for j in range(size)]
+            for i in range(size)
+        ]
+    )
+
+
+def mat_add(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise DimensionMismatch("shape mismatch in matrix sum")
+    return JetMatrix(
+        [[a[i][j] + b[i][j] for j in range(a.cols)] for i in range(a.rows)]
+    )
+
+
+def mat_sub(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise DimensionMismatch("shape mismatch in matrix difference")
+    return JetMatrix(
+        [[a[i][j] - b[i][j] for j in range(a.cols)] for i in range(a.rows)]
+    )
+
+
+def mat_mul(a, b):
+    if a.cols != b.rows:
+        raise DimensionMismatch("shape mismatch in matrix product")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, a.cols):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return JetMatrix(out)
+
+
+def mat_conj(a):
+    return JetMatrix([[e.conj() for e in row] for row in a.entries])
 
 
 def _const_times(const, mat):
@@ -276,7 +341,7 @@ def _matrix_potential(entries_w, rows, cols, n, D):
             row.append(acc)
         s.append(row)
     gram = JetMatrix(s)
-    det = (JetMatrix.identity(n, size, D) + gram).det()
+    det = mat_add(mat_identity(n, size, D), gram).det()
     return series_log1p(det - Jet.constant(n, 1, D))
 
 
@@ -361,3 +426,214 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
     if fam == "dual":
         return dual_potential(direct_potential_jet(desc.inner[0], D))
     raise ValueError(f"unknown family {fam!r}")
+
+
+def divisor_pairs(P, Q_):
+    """All componentwise-dominated pairs (U, V) <= (P, Q)."""
+    return itertools.product(
+        itertools.product(*(range(p + 1) for p in P)),
+        itertools.product(*(range(q + 1) for q in Q_)),
+    )
+
+
+def fraction_laplacian_functional(m, k):
+    """The lap^k table pulled back on tuple keys with rational values, from
+    k = 0 and with no cache: each step convolves with the inverse-metric
+    coefficients via divisor enumeration and hash lookup."""
+    zero_mi = (0,) * m.n
+    table = {(zero_mi, zero_mi): Q(1)}
+    by_mono = {}
+    for i in range(m.n):
+        for j in range(m.n):
+            for key, c in m.g_inv[i][j].coeffs.items():
+                by_mono.setdefault(key, []).append((i, j, c))
+    for _ in range(k):
+        out = {}
+        for (A, B), c in table.items():
+            for U, V in divisor_pairs(A, B):
+                hits = by_mono.get((U, V))
+                if not hits:
+                    continue
+                S_base = tuple(a - u for a, u in zip(A, U))
+                T_base = tuple(b - v for b, v in zip(B, V))
+                for i, j, gcoef in hits:
+                    S = S_base[:j] + (S_base[j] + 1,) + S_base[j + 1 :]
+                    T = T_base[:i] + (T_base[i] + 1,) + T_base[i + 1 :]
+                    key = (S, T)
+                    s = out.get(key, ZERO) + c * gcoef * S[j] * T[i]
+                    if s == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = s
+        table = out
+    return table
+
+
+def verify_witness(m, k, w: ViolationWitness) -> bool:
+    """Re-evaluate a witness: the stated lhs must reproduce and still differ
+    from the stated expectation."""
+    if w.kind == "off_diagonal_nonzero":
+        lhs = _raw_value(m, w.P, w.Q, k)
+    else:
+        lhs = rescaled_value(m, w.P, w.Q, k)
+    return lhs == w.lhs and lhs != w.expected
+
+
+def euclidean_power_at0(phi, l: int):
+    """(lap_c)^l phi at the origin, lap_c = sum_i d^2/dz_i dzb_i.
+
+    phi may be a jet or a multi-index pair (P, Q); for the pair the value is
+    l! * P! when P == Q and |P| == l, else 0.
+    """
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if isinstance(phi, tuple):
+        P, Q_ = phi
+        if tuple(P) != tuple(Q_) or weight(P) != l:
+            return ZERO
+        return Q(factorial(l) * mi_factorial(P))
+    return _weighted_euclidean_at0(phi, l, None)
+
+
+def _weighted_euclidean_at0(phi, l: int, diag):
+    """(sum_i (1/d_i) d^2/dz_i dzb_i)^l phi at 0; diag None means d = 1."""
+    if l == 0:
+        return phi.eval0()
+    fl = factorial(l)
+    acc = ZERO
+    for (P, Q_), c in phi.coeffs.items():
+        if P != Q_ or weight(P) != l:
+            continue
+        term = c * fl * mi_factorial(P)
+        if diag is not None:
+            for i, e in enumerate(P):
+                if e:
+                    term /= diag[i] ** e
+        acc += term
+    return acc
+
+
+def check_k2_identity(m, phi):
+    """Whether lap^2 phi(0) equals (lap_d^2 + lam lap_d) phi(0).
+
+    lap_d is the d-weighted Euclidean Laplacian; returns (ok, discrepancy).
+    """
+    rep = einstein_constant(m)
+    if rep.lam is None:
+        raise GaugeError("metric is not Einstein at the origin")
+    lhs = delta_power_at0(m, phi, 2)
+    rhs = _weighted_euclidean_at0(phi, 2, m.origin_diag) + rep.lam * (
+        _weighted_euclidean_at0(phi, 1, m.origin_diag)
+    )
+    return lhs == rhs, lhs - rhs
+
+
+@lru_cache(maxsize=4)
+def _laplcube_functional(m, lam) -> dict:
+    """Coefficient table of the order-3 expansion of lap^3 phi(0):
+
+        (lap_d^3 + 3 lam lap_d^2 + lam^2 lap_d) phi(0)
+        + 2 sum w_lh d_{l hb} ginv[i][j] d^4 phi/dz_j dz_h dzb_l dzb_i
+        +   sum w_lh d_{l h}  ginv[i][j] d^4 phi/dz_j dzb_h dzb_l dzb_i
+        +   sum w_lh d_{lb hb} ginv[i][j] d^4 phi/dz_j dz_h dz_l dzb_i
+        +   sum w_lh d_{l h lb hb} ginv[i][j] d^2 phi/dz_j dzb_i
+
+    with w_lh = 1/(d_l d_h); all derivatives at the origin.  Cached for the
+    few metrics a test loops over.
+    """
+    n = m.n
+    d = m.origin_diag
+    table = {}
+
+    def put(mono, value):
+        if value == 0:
+            return
+        s = table.get(mono, ZERO) + value
+        if s == 0:
+            table.pop(mono, None)
+        else:
+            table[mono] = s
+
+    # polynomial part in the weighted Euclidean Laplacian
+    for l, coef in ((1, lam * lam), (2, 3 * lam), (3, Q(1))):
+        if coef == 0:
+            continue
+        for A in multiindices(n, l):
+            wgt = Q(factorial(l) * mi_factorial(A))
+            for i, e in enumerate(A):
+                if e:
+                    wgt /= d[i] ** e
+            put((A, A), coef * wgt)
+
+    def e_vec(*idxs):
+        v = [0] * n
+        for i in idxs:
+            v[i] += 1
+        return tuple(v)
+
+    for i in range(n):
+        for j in range(n):
+            entry = m.g_inv[i][j].coeffs
+            for l in range(n):
+                for h in range(n):
+                    w = Q(1) / (d[l] * d[h])
+                    # mixed second derivative of ginv
+                    c = entry.get((e_vec(l), e_vec(h)))
+                    if c is not None:
+                        P, Q_ = e_vec(j, h), e_vec(l, i)
+                        put(
+                            (P, Q_),
+                            2 * w * c * mi_factorial(P) * mi_factorial(Q_),
+                        )
+                    # holomorphic-holomorphic
+                    c = entry.get((e_vec(l, h), e_vec()))
+                    if c is not None:
+                        P, Q_ = e_vec(j), e_vec(h, l, i)
+                        put(
+                            (P, Q_),
+                            w
+                            * c
+                            * mi_factorial(e_vec(l, h))
+                            * mi_factorial(Q_),
+                        )
+                    # antiholomorphic-antiholomorphic
+                    c = entry.get((e_vec(), e_vec(l, h)))
+                    if c is not None:
+                        P, Q_ = e_vec(j, h, l), e_vec(i)
+                        put(
+                            (P, Q_),
+                            w
+                            * c
+                            * mi_factorial(e_vec(l, h))
+                            * mi_factorial(P),
+                        )
+                    # fourth derivative of ginv
+                    c = entry.get((e_vec(l, h), e_vec(l, h)))
+                    if c is not None:
+                        fac = mi_factorial(e_vec(l, h))
+                        put((e_vec(j), e_vec(i)), w * c * fac * fac)
+    return table
+
+
+def laplcube_expansion(m, phi):
+    """Evaluate the order-3 origin expansion term by term from the stored jets.
+
+    For an Einstein metric in a cubic-free diagonal gauge this must equal
+    delta_power_at0(m, phi, 3).
+    """
+    rep = einstein_constant(m)
+    if rep.lam is None:
+        raise GaugeError("metric is not Einstein at the origin")
+    if m.potential.valid_degree < 6:
+        raise TruncationError(
+            "potential valid_degree must be >= 6", required=6
+        )
+    if phi.valid_degree < 6:
+        raise ValidityError("phi must be valid to degree 6")
+    table = _laplcube_functional(m, rep.lam)
+    acc = ZERO
+    for key, c in phi.coeffs.items():
+        t = table.get(key)
+        if t is not None:
+            acc += t * c
+    return acc

@@ -1,5 +1,5 @@
 import pytest
-from dense_oracles import direct_potential_jet
+from dense_oracles import direct_potential_jet, mat_identity, mat_sub
 
 from kahlerlap import catalog, dsl
 from kahlerlap.fit import check_delta_property
@@ -202,7 +202,7 @@ class TestDualPotential:
             for a in range(2)
         ]
         gram = JetMatrix(s)
-        det = (JetMatrix.identity(n, 2, D) - gram).det()
+        det = mat_sub(mat_identity(n, 2, D), gram).det()
         direct = -log1p(det - Jet.constant(n, 1, D))
         pot = spaces("grassmannian:k=2,N=4").metric.potential
         assert catalog.dual_potential(pot) == direct

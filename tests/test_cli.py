@@ -138,6 +138,13 @@ class TestRadialCommand:
         assert r.returncode == 0
         assert "verdict: equal" in r.stdout
 
+    def test_one_variable_to_kmax_8(self):
+        # lap^8 reaches z^8 zb^8: the pullback widens its exponent slots twice
+        args = ("--name", "fubini-study", "--n", "1", "--kmax", "8", "--json")
+        r = run_cli("radial", *args)
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["radial"]["equal"] is True
+
     def test_negative_slope_rejected(self):
         r = run_cli("radial", "--coeffs", "0,-1", "--n", "1")
         assert r.returncode == 2

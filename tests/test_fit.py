@@ -11,19 +11,16 @@ from kahlerlap.fit import (
     check_delta_property,
     fit_pk,
     rescaled_value,
-    verify_witness,
 )
 from kahlerlap.jets import (
     Jet,
     mi_factorial,
     multiindices,
-    multiindices_upto,
     substitute_radial,
 )
 from kahlerlap.metric import (
     TruncationError,
     delta_power_at0,
-    euclidean_power_at0,
     laplacian_apply,
     metric_from_potential,
 )
@@ -31,7 +28,13 @@ from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
-from dense_oracles import monomial_test_set
+from dense_oracles import (
+    _weighted_euclidean_at0,
+    euclidean_power_at0,
+    monomial_test_set,
+    multiindices_upto,
+    verify_witness,
+)
 
 
 def radial_metric(name, n, D):
@@ -217,8 +220,6 @@ class TestRandomPolynomialIdentity:
     def test_weighted_identity_on_rescaled_gauge(self, spaces):
         # mixed origin diagonal: the identity holds with 1/d-weighted
         # Euclidean powers
-        from kahlerlap.metric import _weighted_euclidean_at0
-
         rng = random.Random(4)
         m = spaces("sp:N=2").metric
         fits = {r.k: r.polynomial for r in check_delta_property(m, 2)}

@@ -1,0 +1,37 @@
+"""Byte-for-byte regression of the two large `check --json` reports.
+
+`check cp:n=10 --degree 10 --kmax 5` stresses the graded inverse at D=10
+and the k=5 pullback; `check sp:N=4 --degree 8` stresses the inverse and
+`log1p` on a 10-variable potential and stops at its k=3 witness.  The
+expected stdout and exit code are stored in golden_large_reports.json.
+Regenerate them (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden_large_reports.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from test_golden_reports import run_cli
+
+GOLDEN = Path(__file__).with_name("golden_large_reports.json")
+LARGE_ARGV = [
+    ["check", "cp:n=10", "--degree", "10", "--kmax", "5", "--json"],
+    ["check", "sp:N=4", "--degree", "8", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_ARGV, ids=" ".join)
+def test_large_report_byte_identical(argv):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_cli(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    reports = {" ".join(argv): run_cli(argv) for argv in LARGE_ARGV}
+    GOLDEN.write_text(
+        json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {len(reports)} reports to {GOLDEN}")

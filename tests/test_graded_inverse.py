@@ -4,10 +4,10 @@ tests/dense_oracles.py, coefficient for coefficient and in valid_degree."""
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kahlerlap.jets import Jet, JetMatrix, multiindices_upto
+from kahlerlap.jets import Jet, JetMatrix
 from kahlerlap.rationals import Q
 
-from dense_oracles import neumann_inverse
+from dense_oracles import mat_identity, mat_mul, multiindices_upto, neumann_inverse
 from test_acceptance import ALL_LABELS
 
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
@@ -29,10 +29,12 @@ nonzero_q = small_q.filter(lambda c: c != 0)
 @st.composite
 def invertible_matrices(draw):
     """Square jet matrices whose constant part is invertible and, from size
-    2 on, neither diagonal nor symmetric, so G_0^{-1} mixes rows."""
+    2 on, neither diagonal nor symmetric, so G_0^{-1} mixes rows.  With one
+    variable D goes up to 8, and pure z^D and zb^D terms put exponents at
+    the top of a packed slot (7 in 3 bits, 8 in 4)."""
     size = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=2))
-    D = draw(st.integers(min_value=0, max_value=5))
+    D = draw(st.integers(min_value=0, max_value=8 if n == 1 else 5))
     g0 = [[draw(small_q) for _ in range(size)] for _ in range(size)]
     if size >= 2:
         g0[0][1] = draw(nonzero_q)
@@ -52,6 +54,9 @@ def invertible_matrices(draw):
             if keys:
                 for _ in range(draw(st.integers(min_value=0, max_value=3))):
                     coeffs[draw(st.sampled_from(keys))] = draw(small_q)
+            if n == 1 and D and draw(st.booleans()):
+                coeffs[(D,), (0,)] = draw(nonzero_q)
+                coeffs[(0,), (D,)] = draw(nonzero_q)
             row.append(Jet(n, coeffs, D))
         rows.append(row)
     return JetMatrix(rows)
@@ -63,6 +68,6 @@ def test_random_matrices_match_neumann_series(g):
     assume(g.det().eval0() != 0)
     inv = g.inverse()
     assert inv == neumann_inverse(g)
-    ident = JetMatrix.identity(g.n, g.rows, g.valid_degree)
-    assert g @ inv == ident
-    assert inv @ g == ident
+    ident = mat_identity(g.n, g.rows, g.valid_degree)
+    assert mat_mul(g, inv) == ident
+    assert mat_mul(inv, g) == ident

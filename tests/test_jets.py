@@ -7,15 +7,23 @@ from kahlerlap.jets import (
     JetMatrix,
     NonInvertibleError,
     ValidityError,
+    _Packing,
     log1p,
     multiindices,
-    multiindices_upto,
     substitute_radial,
 )
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
-from dense_oracles import reciprocal, series_log1p
+from dense_oracles import (
+    divisor_pairs,
+    mat_conj,
+    mat_identity,
+    mat_mul,
+    multiindices_upto,
+    reciprocal,
+    series_log1p,
+)
 
 
 def mono(n, P, Q_, c=1, D=4):
@@ -138,7 +146,7 @@ class TestMatrix:
     def test_conj_moves_entry(self):
         z = Jet.variable(2, 0, 3)
         m = JetMatrix([[Jet.zero(2, 3), z], [Jet.zero(2, 3), Jet.zero(2, 3)]])
-        assert m.conj()[0][1] == z.conj()
+        assert mat_conj(m)[0][1] == z.conj()
 
     def test_inverse_contract_offdiagonal(self):
         one = Jet.constant(2, 1, 4)
@@ -147,8 +155,8 @@ class TestMatrix:
             [[one + z1 * z1.conj(), z1 * z2.conj()],
              [z2 * z1.conj(), one + z2 * z2.conj()]]
         )
-        prod = g @ g.inverse()
-        ident = JetMatrix.identity(2, 2, 4)
+        prod = mat_mul(g, g.inverse())
+        ident = mat_identity(2, 2, 4)
         assert prod == ident
 
     def test_singular_constant_term(self):
@@ -271,3 +279,34 @@ def log_arguments(draw):
 @given(log_arguments())
 def test_log1p_matches_power_series(s):
     assert log1p(s) == series_log1p(s)
+
+
+@st.composite
+def packed_operands(draw):
+    """A slot bound and three exponent pairs within it, for n <= 4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    top = draw(st.integers(min_value=0, max_value=17))
+    exps = st.lists(st.integers(0, top), min_size=n, max_size=n).map(tuple)
+    return n, top, [(draw(exps), draw(exps)) for _ in range(3)]
+
+
+@settings(max_examples=80, derandomize=True)
+@given(packed_operands())
+def test_packing_round_trip(case):
+    n, top, pairs = case
+    pk = _Packing(n, top)
+    # the least width that holds top
+    assert 2 ** pk.bits > top and (top == 0 or 2 ** (pk.bits - 1) <= top)
+    for P, Q_ in pairs:
+        assert pk.unpack(pk.pack(P, Q_)) == (P, Q_)
+    (P, Q_), (U, V), _ = pairs
+    S = tuple(map(min, zip(P, U)))
+    T = tuple(map(min, zip(Q_, V)))
+    if all(a + b <= top for a, b in zip(S + T, P + Q_)):
+        assert pk.pack(P, Q_) + pk.pack(S, T) == pk.pack(
+            tuple(a + b for a, b in zip(P, S)), tuple(a + b for a, b in zip(Q_, T))
+        )
+    if sum(P) + sum(Q_) <= 6:
+        assert sorted(pk.divisors(pk.pack(P, Q_))) == sorted(
+            pk.pack(A, B) for A, B in divisor_pairs(P, Q_)
+        )

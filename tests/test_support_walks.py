@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlap.fit import fit_pk
-from kahlerlap.jets import Jet, multiindices, multiindices_upto
+from kahlerlap.jets import Jet, multiindices
 from kahlerlap.metric import fifth_order_check, metric_from_potential
 from kahlerlap.rationals import Q
 
-from dense_oracles import dense_fifth_order_check, dense_fit_pk
+from dense_oracles import (
+    dense_fifth_order_check,
+    dense_fit_pk,
+    multiindices_upto,
+)
 from test_acceptance import ALL_LABELS
 
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
