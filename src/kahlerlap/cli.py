@@ -77,6 +77,8 @@ def _emit(args, report, human_lines):
 
 
 def _resolve_degree(args, kmax):
+    if kmax < 1:
+        raise UsageError("k_max must be >= 1")
     if args.degree is None:
         degree = max(6, 2 * kmax)
         if 2 * kmax > 6:

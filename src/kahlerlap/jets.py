@@ -11,8 +11,9 @@ jet equality is map equality.  Jets are immutable values: no operation
 mutates its operands, which makes everything safe to evaluate concurrently.
 
 Rationals are what a Jet holds and what every function takes and returns.
-The graded kernels (JetMatrix.inverse, log1p, and the lap^k pullback in
-metric) compute inside on packed exponent keys, one int per monomial (see
+The graded kernels (_graded_inverse, behind JetMatrix.inverse and
+metric.metric_from_potential, log1p, and the lap^k pullback in metric)
+compute inside on packed exponent keys, one int per monomial (see
 _Packing; Monagan & Pearce, CASC 2007), and on integer numerators over one
 shared denominator per degree, fraction-free as in Bareiss (Math. Comp.
 1968).  Each output coefficient becomes a rational once, at the end.
@@ -509,95 +510,118 @@ class JetMatrix:
     def inverse(self):
         """Matrix inverse over the jet ring: G X = X G = I.
 
-        A graded solve, the multivariate form of Brent & Kung, "Fast
-        algorithms for manipulating formal power series" (JACM 1978).  With
-        G = G_0 + G_1 + ... split into homogeneous parts, the inverse X has
-        X_0 = G_0^{-1} (exact over the rationals) and, degree by degree,
-
-            X_d = -G_0^{-1} sum_{e=1..d} G_e X_{d-e}
-                = sum_{e=1..d} B_e X_{d-e},   B_e = -G_0^{-1} G_e,
-
-        for d = 1..valid_degree.  Each product pairs homogeneous pieces whose
-        degrees sum to d, so nothing past the validity is computed.
-
-        The solve runs on integers.  With L the lcm of the denominators of G
-        and of G_0^{-1}, B'_e = L^2 B_e is an integer matrix.  Substituting
-        X_{d-e} = X'_{d-e} / L^(1+2(d-e)) into the recursion gives
-
-            X'_0 = L G_0^{-1},   X'_d = sum_{e=1..d} B'_e X'_{d-e} L^(2e-2),
-            X_d = X'_d / L^(1+2d),
-
-        all integral; the kernel stores L^(2e-2) B'_e = L^(2e) B_e once per
-        e.  Exponent pairs are packed (_Packing) with slots for exponents up
-        to valid_degree, which bounds every exponent of a degree-d part.
-        Each coefficient of X becomes a rational once, as X'_d / L^(1+2d).
+        A front end to _graded_inverse, the one inverse kernel, which
+        metric.metric_from_potential also calls on the metric it builds.
+        The entries are packed once, as integer parts over the lcm of their
+        denominators.
         """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        m, D = self.rows, self.valid_degree
-        g0_inv = _invert_rational([[e.eval0() for e in row] for row in self.entries])
-        L = lcm(
-            *(c.denominator for row in self.entries for e in row
-              for c in e.coeffs.values()),
-            *(c.denominator for row in g0_inv for c in row),
-        )
+        D = self.valid_degree
         pk = _Packing(self.n, D)
-        h0 = [[c.numerator * (L // c.denominator) for c in row] for row in g0_inv]
-        # bs[e][i][k]: the terms of L^(2e) B_e[i][k], as packed key -> integer
-        bs = [[[{} for _ in range(m)] for _ in range(m)] for _ in range(D + 1)]
+        den = lcm(
+            *(c.denominator for row in self.entries for e in row
+              for c in e.coeffs.values())
+        )
+        parts = [[[{} for _ in row] for row in self.entries] for _ in range(D + 1)]
         for l, row in enumerate(self.entries):
             for k, entry in enumerate(row):
                 for (P, Q_), c in entry.coeffs.items():
-                    d = weight(P) + weight(Q_)
-                    if d == 0:
-                        continue
-                    key = pk.pack(P, Q_)
-                    c = c.numerator * (L // c.denominator) * L ** (2 * d - 2)
-                    for i in range(m):
-                        if h0[i][l]:
-                            part = bs[d][i][k]
-                            part[key] = part.get(key, 0) - h0[i][l] * c
-        bs = [
-            [[[t for t in part.items() if t[1]] for part in row] for row in b]
-            for b in bs
-        ]
-        # xs[d][k][j]: X'_d[k][j], as packed key -> integer
-        xs = [[[{0: c} if c else {} for c in row] for row in h0]]
-        for d in range(1, D + 1):
-            xd = [[{} for _ in range(m)] for _ in range(m)]
-            for e in range(1, d + 1):
-                x = xs[d - e]
-                for i in range(m):
-                    for k in range(m):
-                        terms = bs[e][i][k]
-                        if not terms:
-                            continue
-                        for j in range(m):
-                            acc = xd[i][j]
-                            get = acc.get
-                            for K2, b in x[k][j].items():
-                                for K, a in terms:
-                                    key = K + K2
-                                    acc[key] = get(key, 0) + a * b
-            xs.append(
-                [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
-            )
-        dens = [L ** (1 + 2 * d) for d in range(D + 1)]
-        unpack = pk.unpack
-        return JetMatrix(
-            [
-                [
-                    Jet(
-                        self.n,
-                        {unpack(K): Q(c, dens[d])
-                         for d, x in enumerate(xs) for K, c in x[i][j].items()},
-                        D,
+                    parts[weight(P) + weight(Q_)][l][k][pk.pack(P, Q_)] = (
+                        c.numerator * (den // c.denominator)
                     )
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
+        return _graded_inverse(pk, parts, den)
+
+
+def _graded_inverse(pk, parts, den):
+    """The inverse over the jet ring of G = A / den, valid to degree D.
+
+    parts[d][l][k] maps the packed keys (pk) of the degree-d part of the
+    integer matrix A, entry (l, k), to their integers, for d = 0..D; the
+    slots of pk must hold every exponent up to D.
+
+    A graded solve, the multivariate form of Brent & Kung, "Fast algorithms
+    for manipulating formal power series" (JACM 1978).  G^{-1} = den A^{-1},
+    and with A = A_0 + A_1 + ... split into homogeneous parts, X = A^{-1}
+    has X_0 = A_0^{-1} (exact over the rationals) and, degree by degree,
+
+        X_d = -A_0^{-1} sum_{e=1..d} A_e X_{d-e}
+            = sum_{e=1..d} B_e X_{d-e},   B_e = -A_0^{-1} A_e,
+
+    for d = 1..D.  Each product pairs homogeneous pieces whose degrees sum
+    to d, so nothing past the validity is computed.
+
+    The solve runs on integers, fraction-free as in Bareiss (Math. Comp.
+    1968).  With L the lcm of the denominators of A_0^{-1}, H = L A_0^{-1}
+    and L B_e = -H A_e are integer matrices.  Substituting
+    X_{d-e} = X'_{d-e} / L^(1+d-e) into the recursion gives
+
+        X'_0 = H,   X'_d = sum_{e=1..d} L^(e-1) (L B_e) X'_{d-e},
+        X_d = X'_d / L^(1+d),
+
+    all integral; the kernel stores L^(e-1) (L B_e) = L^e B_e once per e,
+    built from the nonzero entries of each column of H only.  Each
+    coefficient of G^{-1} becomes a rational once, as den X'_d / L^(1+d).
+    """
+    n, m, D = pk.n, len(parts[0]), len(parts) - 1
+    a0_inv = _invert_rational([[part.get(0, 0) for part in row] for row in parts[0]])
+    L = lcm(*(c.denominator for row in a0_inv for c in row))
+    h0 = [[c.numerator * (L // c.denominator) for c in row] for row in a0_inv]
+    # cols[l]: the nonzero entries (i, H[i][l]) of column l of H
+    cols = [[(i, row[l]) for i, row in enumerate(h0) if row[l]] for l in range(m)]
+    # bs[e][i][k]: the terms of L^e B_e[i][k], as (packed key, integer)
+    bs = [None]
+    for e in range(1, D + 1):
+        b = [[{} for _ in range(m)] for _ in range(m)]
+        scale = -(L ** (e - 1))
+        for l, row in enumerate(parts[e]):
+            for k, part in enumerate(row):
+                if not part:
+                    continue
+                for i, h in cols[l]:
+                    acc = b[i][k]
+                    get = acc.get
+                    w = scale * h
+                    for K, a in part.items():
+                        acc[K] = get(K, 0) + w * a
+        bs.append([[[t for t in acc.items() if t[1]] for acc in row] for row in b])
+    # xs[d][k][j]: X'_d[k][j], as packed key -> integer
+    xs = [[[{0: c} if c else {} for c in row] for row in h0]]
+    for d in range(1, D + 1):
+        xd = [[{} for _ in range(m)] for _ in range(m)]
+        for e in range(1, d + 1):
+            x = xs[d - e]
+            for i in range(m):
+                for k in range(m):
+                    terms = bs[e][i][k]
+                    if not terms:
+                        continue
+                    for j in range(m):
+                        acc = xd[i][j]
+                        get = acc.get
+                        for K2, b in x[k][j].items():
+                            for K, a in terms:
+                                key = K + K2
+                                acc[key] = get(key, 0) + a * b
+        xs.append(
+            [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
         )
+    dens = [L ** (1 + d) for d in range(D + 1)]
+    unpack = pk.unpack
+    return JetMatrix(
+        [
+            [
+                Jet(
+                    n,
+                    {unpack(K): Q(den * c, dens[d])
+                     for d, x in enumerate(xs) for K, c in x[i][j].items()},
+                    D,
+                )
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+    )
 
 
 def _invert_rational(mat):

@@ -5,6 +5,11 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
 
     lap(phi) = sum_{i,j} g_inv[i][j] * d^2 phi / dz_j dzb_i.
 
+g itself is never held as jets: metric_from_potential builds its integer
+parts straight from the packed potential and inverts them, and the one
+reading of g's derivatives (third_deriv_obstruction) takes them from the
+potential's coefficients.
+
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
 states at the center of normal coordinates (g(0) = I) are implemented in the
@@ -19,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .jets import Jet, JetMatrix, ValidityError, _Packing, weight
+from .jets import (
+    Jet,
+    JetMatrix,
+    ValidityError,
+    _graded_inverse,
+    _Packing,
+    mi_factorial,
+    weight,
+)
 from .rationals import Q, ZERO
 
 
@@ -37,19 +50,19 @@ class TruncationError(ValueError):
 
 @dataclass(eq=False)
 class MetricJet:
-    """Potential, metric and inverse-metric jets, plus origin normalization.
+    """Potential and inverse-metric jets, plus origin normalization.
 
-    origin_diag holds d_i = g[i][i](0).  normal_gauge means g(0) is the
-    identity and the potential has no monomial of total degree 3; cubic_free
-    is the degree-3 half of that condition alone (it makes all first
-    derivatives of g vanish at the origin).  The underscored fields are
+    There is no g field (see metric_from_potential).  origin_diag holds
+    d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
+    potential has no monomial of total degree 3; cubic_free is the degree-3
+    half of that condition alone (it makes all first derivatives of g vanish
+    at the origin).  The underscored fields are
     caches filled on first use: lap^k tables by k, the packed pullback state
     (see _pullback_state), and the Einstein report.
     """
 
     n: int
     potential: Jet
-    g: JetMatrix
     g_inv: JetMatrix
     origin_diag: tuple
     normal_gauge: bool
@@ -63,18 +76,43 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     """Build MetricJet from a potential jet valid to degree >= 2.
 
     Fails with GaugeError unless g(0) is diagonal with positive entries.
+
+    g is never formed as a matrix of rational jets.  Only the terms with
+    both a z and a zb factor reach g; they are packed once (_Packing, slots
+    for exponents up to valid_degree - 1, the most such a term carries).
+    With Lp the lcm of their denominators, a term c z^P zb^Q gives
+    Lp c P_i Q_j at the packed key K - e_i - e_{n+j} of Lp g[i][j], in its
+    degree |P| + |Q| - 2 part; no two terms meet there, since the shift is
+    the same for every term of one entry.  The integer parts go to the
+    inverse kernel as g = parts / Lp.
     """
     if potential.valid_degree < 2:
         raise TruncationError(
             "potential must be valid at least to degree 2", required=2
         )
-    n = potential.n
-    d = [potential.dz(i) for i in range(n)]
-    g = JetMatrix([[d[i].dzbar(j) for j in range(n)] for i in range(n)])
+    n, D = potential.n, potential.valid_degree - 2
+    pk = _Packing(n, D + 1)
+    terms = [
+        (P, Q_, c) for (P, Q_), c in potential.coeffs.items() if any(P) and any(Q_)
+    ]
+    lp = lcm(*(c.denominator for *_, c in terms))
+    units = [1 << pk.bits * s for s in range(2 * n)]
+    # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
+    parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
+    for P, Q_, c in terms:
+        key = pk.pack(P, Q_)
+        c = c.numerator * (lp // c.denominator)
+        rows = parts[weight(P) + weight(Q_) - 2]
+        bars = [(j, b, units[n + j]) for j, b in enumerate(Q_) if b]
+        for i, a in enumerate(P):
+            if a:
+                row, ca, ki = rows[i], c * a, key - units[i]
+                for j, b, u in bars:
+                    row[j][ki - u] = ca * b
     diag = []
     for i in range(n):
         for j in range(n):
-            c = g[i][j].eval0()
+            c = Q(parts[0][i][j].get(0, 0), lp)
             if i == j:
                 if c <= 0:
                     raise GaugeError(
@@ -85,7 +123,7 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                 raise GaugeError(
                     f"g(0) is not diagonal: entry ({i},{j}) = {c}"
                 )
-    g_inv = g.inverse()
+    g_inv = _graded_inverse(pk, parts, lp)
     cubic_free = not any(
         weight(P) + weight(Q_) == 3 for (P, Q_) in potential.coeffs
     )
@@ -93,7 +131,6 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     return MetricJet(
         n=n,
         potential=potential,
-        g=g,
         g_inv=g_inv,
         origin_diag=tuple(diag),
         normal_gauge=normal,
@@ -296,6 +333,10 @@ def third_deriv_obstruction(m: MetricJet):
     """max |d^3 g[a][b] / dz_g dzb_d dz_e (0)| over all index tuples.
 
     Zero exactly when the curvature-derivative proxy vanishes at the origin.
+    The derivative is the fifth derivative of the potential along
+    z^P zb^Q with P = e_a + e_g + e_e and Q = e_b + e_d, which is c P! Q!
+    for its term c z^P zb^Q, the same for every split of the indices; so the
+    max runs over the potential's terms of bidegree (3, 2).
     """
     if not m.cubic_free:
         raise GaugeError("potential has degree-3 monomials")
@@ -304,13 +345,11 @@ def third_deriv_obstruction(m: MetricJet):
             "potential valid_degree must be >= 5", required=5
         )
     best = ZERO
-    for i in range(m.n):
-        for j in range(m.n):
-            for (P, Q_), c in m.g[i][j].coeffs.items():
-                if weight(P) == 2 and weight(Q_) == 1:
-                    v = abs(c) * (2 if max(P) == 2 else 1)
-                    if v > best:
-                        best = v
+    for (P, Q_), c in m.potential.coeffs.items():
+        if weight(P) == 3 and weight(Q_) == 2:
+            v = abs(c) * mi_factorial(P) * mi_factorial(Q_)
+            if v > best:
+                best = v
     return best
 
 

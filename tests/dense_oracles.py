@@ -13,9 +13,12 @@ of elaborating their surface expressions.  They are slow on large inputs and
 exist so that the library can be compared against the definitions.
 
 The lap^k pullback is the tuple-key, rational form of the library's packed
-integer kernel.  The matrix ring operations, the Euclidean powers, the
-order-3 expansion of lap^3 and verify_witness are code that only the tests
-use.
+integer kernel.  metric_matrix builds g by differentiating the potential
+jet entry by entry, where the library packs the potential and never forms
+g, and third_deriv_obstruction_from_g reads the obstruction from that g,
+where the library reads it from the potential's degree-(3,2) terms.  The
+matrix ring operations, the Euclidean powers, the order-3 expansion of
+lap^3 and verify_witness are code that only the tests use.
 """
 
 import itertools
@@ -167,6 +170,35 @@ def dense_fifth_order_check(m):
                         )
                         if abs(s) > best:
                             best = abs(s)
+    return best
+
+
+def metric_matrix(potential):
+    """g[i][j] = d^2 potential / dz_i dzb_j, a derivative per entry."""
+    d = [potential.dz(i) for i in range(potential.n)]
+    return JetMatrix(
+        [[d[i].dzbar(j) for j in range(potential.n)] for i in range(potential.n)]
+    )
+
+
+def third_deriv_obstruction_from_g(m):
+    """max |d^3 g[a][b] / dz_g dzb_d dz_e (0)|, read from the bidegree-(2,1)
+    coefficients of every entry of metric_matrix(m.potential)."""
+    if not m.cubic_free:
+        raise GaugeError("potential has degree-3 monomials")
+    if m.potential.valid_degree < 5:
+        raise TruncationError(
+            "potential valid_degree must be >= 5", required=5
+        )
+    g = metric_matrix(m.potential)
+    best = ZERO
+    for i in range(m.n):
+        for j in range(m.n):
+            for (P, Q_), c in g[i][j].coeffs.items():
+                if weight(P) == 2 and weight(Q_) == 1:
+                    v = abs(c) * (2 if max(P) == 2 else 1)
+                    if v > best:
+                        best = v
     return best
 
 

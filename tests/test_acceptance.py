@@ -13,6 +13,7 @@ from dense_oracles import (
     laplcube_expansion,
     mat_identity,
     mat_mul,
+    metric_matrix,
     multiindices_upto,
     verify_witness,
 )
@@ -208,7 +209,8 @@ def test_criterion_09_property_suites(spaces):
     # inverse-metric contract on every catalog space
     for label in ALL_LABELS:
         m = spaces(label).metric
-        assert mat_mul(m.g, m.g_inv) == mat_identity(m.n, m.n, m.g.valid_degree)
+        g = metric_matrix(m.potential)
+        assert mat_mul(g, m.g_inv) == mat_identity(m.n, m.n, g.valid_degree)
 
     # truncation stability: identical pipeline outputs at D = 6 and D = 8
     for label in ("cp:n=2", "ch:n=1", "grassmannian:k=2,N=4", "sp:N=2"):

@@ -1,18 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kahlerlap import catalog, cli
 from kahlerlap.jets import NonInvertibleError
 
+# the directory the tests import kahlerlap from, so the child runs the same code
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "kahlerlap.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -162,6 +169,26 @@ class TestRadialCommand:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ") and "n >= 1" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "sp:N=4", "--degree", "8", "--kmax", "0"],
+     ["check", "cp:n=1", "--kmax", "-1", "--json"],
+     ["radial", "--name", "fubini-study", "--n", "2", "--kmax", "0"]],
+)
+def test_nonpositive_kmax_refused_before_any_build(monkeypatch, capsys, argv):
+    def build(*args):
+        raise AssertionError("built a potential or a metric")
+
+    monkeypatch.setattr(catalog, "build_space", build)
+    for name in ("metric_from_potential", "named_profile", "potential_jet",
+                 "radial_pk"):
+        monkeypatch.setattr(cli, name, build)
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: k_max must be >= 1\n"
 
 
 class TestDualCommand:

@@ -1,5 +1,8 @@
-"""The graded JetMatrix.inverse agrees with the Neumann series of
-tests/dense_oracles.py, coefficient for coefficient and in valid_degree."""
+"""The graded inverse agrees with the Neumann series of
+tests/dense_oracles.py, coefficient for coefficient and in valid_degree:
+the g_inv that metric_from_potential builds from the packed potential
+against the series of g differentiated entry by entry (metric_matrix), and
+JetMatrix.inverse on random matrices."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from kahlerlap.jets import Jet, JetMatrix
 from kahlerlap.rationals import Q
 
-from dense_oracles import mat_identity, mat_mul, multiindices_upto, neumann_inverse
+from dense_oracles import (
+    mat_identity,
+    mat_mul,
+    metric_matrix,
+    multiindices_upto,
+    neumann_inverse,
+)
 from test_acceptance import ALL_LABELS
 
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
@@ -17,7 +26,7 @@ LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
 def test_catalog_matches_neumann_series(spaces, label):
     m = spaces(label, 8).metric
     assert m.g_inv.valid_degree == 6
-    assert m.g_inv == neumann_inverse(m.g)
+    assert m.g_inv == neumann_inverse(metric_matrix(m.potential))
 
 
 small_q = st.fractions(

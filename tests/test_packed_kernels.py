@@ -1,4 +1,15 @@
-"""The packed integer lap^k pullback against its tuple-key, rational form.
+"""The packed metric build and the packed integer lap^k pullback against
+their tuple-key, rational forms.
+
+metric_from_potential packs the potential and builds the integer parts of
+Lp g without forming g.  Its g_inv is compared with the Neumann series of
+tests/dense_oracles.py::metric_matrix, g built by differentiating the
+potential entry by entry, on .pot potentials with g(0) != I and mixed
+denominators, on one-variable potentials whose exponents fill a packed slot,
+and on a potential with constant, linear and pluriharmonic terms; its
+GaugeError messages are compared with the ones that g gives.
+third_deriv_obstruction, read from the potential, is compared with the same
+value read from that g.
 
 metric._laplacian_functional computes on packed exponent keys
 (jets._Packing) and integer numerators over Lg^k.  Its tables are compared
@@ -13,12 +24,26 @@ from dataclasses import replace
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
 
 from kahlerlap.dsl import elaborate, parse_potential_file
-from kahlerlap.metric import _laplacian_functional, metric_from_potential
+from kahlerlap.jets import Jet
+from kahlerlap.metric import (
+    GaugeError,
+    _laplacian_functional,
+    metric_from_potential,
+    third_deriv_obstruction,
+)
+from kahlerlap.rationals import Q
 
-from dense_oracles import fraction_laplacian_functional
+from dense_oracles import (
+    fraction_laplacian_functional,
+    metric_matrix,
+    neumann_inverse,
+    third_deriv_obstruction_from_g,
+)
 from test_acceptance import ALL_LABELS
+from test_support_walks import diagonal_gauge_potentials
 
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
 POT_WITH_DENOMINATORS = """dim 2
@@ -55,3 +80,113 @@ def test_pot_with_denominators_matches_fraction_pullback():
     ]
     assert lcm(*denominators) > 1
     assert_tables_match(m, (1, 2, 3))
+
+
+def pot_metric(text, degree):
+    n, node = parse_potential_file(text)
+    return metric_from_potential(elaborate(node, n, degree))
+
+
+def assert_inverse_matches_neumann(m):
+    assert m.g_inv == neumann_inverse(metric_matrix(m.potential))
+
+
+SCALED_POTS = [
+    POT_WITH_DENOMINATORS,
+    """dim 3
+2*modsq(z(1)) + 3/2*modsq(z(2)) + 5/7*modsq(z(3))
+  + 1/6*modsq(z(1))*modsq(z(2)) + 4/9*modsq(z(1)*z(3) + 1/2*z(2)*z(2))
+  + 2/5*z(1)*z(2)*conj(z(3)) + 2/5*z(3)*conj(z(1)*z(2))
+  + log(1 + 3/4*modsq(z(1)*z(3) + 2/3*z(2)*z(2)) + 1/8*modsq(z(2))*modsq(z(3)))
+""",
+]
+
+
+@pytest.mark.parametrize("text", SCALED_POTS)
+def test_scaled_origin_and_mixed_denominators(text):
+    m = pot_metric(text, 7)
+    assert any(d != 1 for d in m.origin_diag)
+    assert_inverse_matches_neumann(m)
+
+
+def one_variable_pot(degree):
+    """|z|^2 plus terms z^a zb^b with a + b = degree and a or b = 1, so a
+    packed exponent reaches degree - 1, the most that can reach g."""
+    top = "*".join(["z(1)"] * (degree - 1))
+    return f"""dim 1
+modsq(z(1)) + 1/3*{top}*conj(z(1)) + 2/5*z(1)*conj({top})
+  + log(1 + 1/2*modsq(z(1)) + 1/7*z(1)*z(1)*conj(z(1)))
+"""
+
+
+@pytest.mark.parametrize("degree", [7, 8, 9])
+def test_one_variable_exponents_at_the_top_of_a_slot(degree):
+    # degree 9 packs exponent 8, one bit wider than g's own exponents need
+    m = pot_metric(one_variable_pot(degree), degree)
+    assert m.g_inv.valid_degree == degree - 2
+    assert_inverse_matches_neumann(m)
+
+
+def test_constant_linear_and_pluriharmonic_terms_do_not_reach_g():
+    body = """modsq(z(1)) + 2*modsq(z(2)) + 1/3*modsq(z(1))*modsq(z(2))
+  + log(1 + modsq(z(1)*z(2) + z(2)*z(2)))"""
+    harmonic = """ + 5 + z(1) + conj(z(2)) + z(1)*z(1) + conj(z(1)*z(1))
+  + 1/3*z(1)*z(2)*z(2)*z(2)*z(2)*z(2) + conj(z(2)*z(2)*z(2)*z(2)*z(2)*z(2))"""
+    plain = pot_metric("dim 2\n" + body, 6)
+    m = pot_metric("dim 2\n" + body + harmonic, 6)
+    assert len(m.potential.coeffs) > len(plain.potential.coeffs)
+    assert m.g_inv == plain.g_inv
+    assert_inverse_matches_neumann(m)
+
+
+def oracle_gauge_message(phi):
+    """The GaugeError message that metric_matrix(phi)'s origin values give."""
+    g = metric_matrix(phi)
+    for i in range(phi.n):
+        for j in range(phi.n):
+            c = g[i][j].eval0()
+            if i == j and c <= 0:
+                return f"g({i},{i})(0) = {c} is not positive"
+            if i != j and c != 0:
+                return f"g(0) is not diagonal: entry ({i},{j}) = {c}"
+    return None
+
+
+E1, E2 = (1, 0), (0, 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(E1, E1): Q(1), (E2, E2): Q(-1)},
+        {(E1, E1): Q(1), (E2, E2): Q(-3, 2)},
+        {(E1, E1): Q(2), (E1, E2): Q(3, 4), (E2, E1): Q(3, 4)},
+        {(E1, E1): Q(1), ((2, 0), (1, 1)): Q(1)},
+    ],
+)
+def test_gauge_errors_match_the_oracle(coeffs):
+    phi = Jet(2, coeffs, 4)
+    with pytest.raises(GaugeError) as exc:
+        metric_from_potential(phi)
+    assert str(exc.value) == oracle_gauge_message(phi)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_third_deriv_obstruction_matches_g(spaces, label):
+    m = spaces(label).metric
+    assert third_deriv_obstruction(m) == third_deriv_obstruction_from_g(m)
+
+
+def without_cubic_terms(phi):
+    return Jet(
+        phi.n,
+        {key: c for key, c in phi.coeffs.items() if sum(key[0]) + sum(key[1]) != 3},
+        phi.valid_degree,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_gauge_potentials().map(without_cubic_terms))
+def test_random_third_deriv_obstruction_matches_g(phi):
+    m = metric_from_potential(phi)
+    assert third_deriv_obstruction(m) == third_deriv_obstruction_from_g(m)
