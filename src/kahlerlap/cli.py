@@ -324,6 +324,7 @@ def main(argv=None):
         ElaborationError,
         GaugeError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

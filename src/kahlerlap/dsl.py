@@ -371,9 +371,13 @@ def parse_potential_file(text):
                 "first line must be 'dim n'", i + 1, 1
             )
         n = int(parts[1])
+        if n < 1:
+            raise PotentialSyntaxError(
+                f"dimension must be at least 1, got 'dim {n}'", i + 1, 1
+            )
         body_start = i + 1
         break
-    if n is None or n < 1:
+    if n is None:
         raise PotentialSyntaxError("missing 'dim n' header", 1, 1)
     body = "\n".join(lines[body_start:])
     if not body.split("#", 1)[0].strip():

@@ -10,6 +10,13 @@ parts straight from the packed potential and inverts them, and the one
 reading of g's derivatives (third_deriv_obstruction) takes them from the
 potential's coefficients.
 
+One packing (jets._Packing) serves each metric: the slots fixed for the
+potential at build hold every exponent up to valid_degree - 1, and the
+lap^k pullback reuses them.  That is enough for every k a caller may ask
+for: g_inv's exponents are at most valid_degree - 2, table k's at most k,
+and every caller needs 2k <= valid_degree (the duality table asks for k = 3
+only once einstein_constant has required valid_degree >= 4).
+
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
 states at the center of normal coordinates (g(0) = I) are implemented in the
@@ -56,9 +63,10 @@ class MetricJet:
     d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
     potential has no monomial of total degree 3; cubic_free is the degree-3
     half of that condition alone (it makes all first derivatives of g vanish
-    at the origin).  The underscored fields are
-    caches filled on first use: lap^k tables by k, the packed pullback state
-    (see _pullback_state), and the Einstein report.
+    at the origin).  _pullback is (packing, Lg, index), fixed at build (see
+    _laplacian_functional); _functionals maps k to the lap^k table and its
+    packed numerators N_k, with table 0 there from the start and the rest
+    filled on first use; _einstein caches the Einstein report.
     """
 
     n: int
@@ -67,8 +75,8 @@ class MetricJet:
     origin_diag: tuple
     normal_gauge: bool
     cubic_free: bool
-    _functionals: dict = field(default_factory=dict, repr=False)
-    _ginv_index: tuple = field(default=None, repr=False)
+    _pullback: tuple = field(repr=False)
+    _functionals: dict = field(repr=False)
     _einstein: EinsteinReport = field(default=None, repr=False)
 
 
@@ -85,6 +93,11 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     degree |P| + |Q| - 2 part; no two terms meet there, since the shift is
     the same for every term of one entry.  The integer parts go to the
     inverse kernel as g = parts / Lp.
+
+    The pullback index is built here too, on the same packing: with Lg the
+    lcm of the reduced denominators of g_inv, it maps the packed key of each
+    g_inv monomial (U, V) to the positions carrying it, as (Lg * coefficient,
+    shift of slot j, shift of slot n + i, packed e_j + e_i).
     """
     if potential.valid_degree < 2:
         raise TruncationError(
@@ -124,6 +137,24 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                     f"g(0) is not diagonal: entry ({i},{j}) = {c}"
                 )
     g_inv = _graded_inverse(pk, parts, lp)
+    ginv_terms = [
+        (i, j, key, c)
+        for i in range(n)
+        for j in range(n)
+        for key, c in g_inv[i][j].coeffs.items()
+    ]
+    lg = lcm(*(c.denominator for *_, c in ginv_terms))
+    index = {}
+    for i, j, key, c in ginv_terms:
+        shift_j, shift_i = pk.bits * j, pk.bits * (n + i)
+        index.setdefault(pk.pack(*key), []).append(
+            (
+                c.numerator * (lg // c.denominator),
+                shift_j,
+                shift_i,
+                (1 << shift_j) + (1 << shift_i),
+            )
+        )
     cubic_free = not any(
         weight(P) + weight(Q_) == 3 for (P, Q_) in potential.coeffs
     )
@@ -135,6 +166,8 @@ def metric_from_potential(potential: Jet) -> MetricJet:
         origin_diag=tuple(diag),
         normal_gauge=normal,
         cubic_free=cubic_free,
+        _pullback=(pk, lg, index),
+        _functionals={0: ({pk.unpack(0): Q(1)}, {0: 1})},
     )
 
 
@@ -161,37 +194,30 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     (A, B) and g_inv[i][j] coefficient g at a divisor (U, V) <= (A, B) add
     c * g * S_j * T_i at (S, T) = (A - U + e_j, B - V + e_i).
 
-    The pullback runs on integers.  With Lg the lcm of the denominators of
-    g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k with N_0 = 1 at
-    the origin and N_k built from N_{k-1} by the step above with g' for g.
-    Keys are packed (_Packing), so (S, T) is the int sum A - U + e_j + e_i.
-    The slots must hold every exponent packed: those of the g_inv monomials
-    in the index, and those of tables 0..k, which are at most k because each
-    step adds one to |P| and one to |Q| and removes a divisor, so table k
-    has |P| <= k and |Q| <= k.  The packed index and tables live in
-    m._ginv_index and are rebuilt wider when a larger k needs it.  Each
+    The pullback runs on integers, with the packing and index that
+    metric_from_potential fixed (m._pullback).  With Lg the lcm of the
+    denominators of g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k
+    with N_0 = 1 at the origin and N_k built from N_{k-1} by the step above
+    with g' for g.  Keys are packed, so (S, T) is the int sum
+    A - U + e_j + e_i.  Table k has |P| <= k and |Q| <= k, since each step
+    adds one to |P| and one to |Q| and removes a divisor; so every k up to
+    the slot mask is exact, and a larger k raises ValidityError.  Each
     entry of table k becomes a rational once, as N_k / Lg^k.
     """
-    if k in m._functionals:
-        return m._functionals[k]
-    if k == 0:
-        zero_mi = (0,) * m.n
-        table = {(zero_mi, zero_mi): Q(1)}
-        m._functionals[0] = table
-        return table
-    prev = _laplacian_functional(m, k - 1)
-    pk, lg, index, nums = _pullback_state(m, k)
-    prev_nums = nums.get(k - 1)
-    if prev_nums is None:
-        scale = lg ** (k - 1)
-        prev_nums = {
-            pk.pack(*key): c.numerator * (scale // c.denominator)
-            for key, c in prev.items()
-        }
+    done = m._functionals.get(k)
+    if done is not None:
+        return done[0]
+    pk, lg, index = m._pullback
     mask = pk.mask
+    if k > mask:
+        raise ValidityError(
+            f"lap^{k} needs exponent slots above {mask}; the metric's "
+            f"potential is valid only to degree {m.potential.valid_degree}"
+        )
+    _laplacian_functional(m, k - 1)
     out = {}
     get = out.get
-    for KA, c in prev_nums.items():
+    for KA, c in m._functionals[k - 1][1].items():
         for KU in pk.divisors(KA):
             hits = index.get(KU)
             if hits is None:
@@ -202,47 +228,11 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
                 out[key] = get(key, 0) + (
                     c * g * ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
                 )
-    nums[k] = {key: c for key, c in out.items() if c}
+    nums = {key: c for key, c in out.items() if c}
     den = lg**k
-    table = {pk.unpack(key): Q(c, den) for key, c in nums[k].items()}
-    m._functionals[k] = table
+    table = {pk.unpack(key): Q(c, den) for key, c in nums.items()}
+    m._functionals[k] = (table, nums)
     return table
-
-
-def _pullback_state(m: MetricJet, k: int):
-    """(packing, Lg, index, packed tables) for the pullback to table k.
-
-    index maps the packed key of each g_inv monomial (U, V) to the
-    positions carrying it, as (Lg * coefficient, shift of slot j, shift of
-    slot n + i, packed e_j + e_i); packed tables map k to N_k.  Rebuilt,
-    with no tables, when a slot cannot hold k.
-    """
-    state = m._ginv_index
-    if state is not None and k <= state[0].mask:
-        return state
-    n = m.n
-    terms = [
-        (i, j, key, c)
-        for i in range(n)
-        for j in range(n)
-        for key, c in m.g_inv[i][j].coeffs.items()
-    ]
-    lg = lcm(*(c.denominator for *_, c in terms))
-    top = max([k] + [max(P + Q_) for _, _, (P, Q_), _ in terms])
-    pk = _Packing(n, top)
-    index = {}
-    for i, j, key, c in terms:
-        shift_j, shift_i = pk.bits * j, pk.bits * (n + i)
-        index.setdefault(pk.pack(*key), []).append(
-            (
-                c.numerator * (lg // c.denominator),
-                shift_j,
-                shift_i,
-                (1 << shift_j) + (1 << shift_i),
-            )
-        )
-    m._ginv_index = (pk, lg, index, {})
-    return m._ginv_index
 
 
 def delta_power_at0(m: MetricJet, phi: Jet, k: int):

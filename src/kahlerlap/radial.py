@@ -107,7 +107,7 @@ def psi_functions(profile: RadialProfile):
     if denom.constant_term() == 0:
         raise ValueError("Phi' + t Phi'' vanishes at t = 0")
     psi1 = d1.reciprocal()
-    psi2 = d2 * d1.reciprocal().truncate(d2.order) * denom.reciprocal()
+    psi2 = d2 * psi1.truncate(d2.order) * denom.reciprocal()
     return psi1, psi2
 
 

@@ -1,30 +1,18 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Everything in this package computes over the rationals; results are exact
-identities, never floating point.  gmpy2's mpq is used when it is installed
-(it is substantially faster on the larger symmetric-space runs), with
-fractions.Fraction as a drop-in fallback.  Set KAHLERLAP_PURE_FRACTIONS=1 to
-force the stdlib backend.
+identities, never floating point.  Q is fractions.Fraction.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("KAHLERLAP_PURE_FRACTIONS"):
-    from fractions import Fraction as Q
-else:
-    try:
-        from gmpy2 import mpq as Q  # type: ignore[import-untyped]
-    except ImportError:  # pragma: no cover - exercised via env override
-        from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 def as_q(value) -> "Q":
-    """Coerce an int, string like '3/4', or rational to the backend type."""
+    """Coerce an int, string like '3/4', or rational to Q."""
     if isinstance(value, (int, str)):
         return Q(value)
     return Q(value.numerator, value.denominator)

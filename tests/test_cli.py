@@ -132,6 +132,19 @@ class TestCheckCommand:
         assert r.returncode == 0 and r.stdout == ""
         assert json.loads(out.read_text())["space"] == "cp:n=1"
 
+    def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "report.json"
+        assert cli.main(["check", "cp:n=1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_directory_as_pot_file_is_usage_error(self, tmp_path, capsys):
+        pot = tmp_path / "some_dir.pot"
+        pot.mkdir()
+        assert cli.main(["check", str(pot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
 
 class TestRadialCommand:
     def test_named_profile(self):
@@ -146,7 +159,7 @@ class TestRadialCommand:
         assert "verdict: equal" in r.stdout
 
     def test_one_variable_to_kmax_8(self):
-        # lap^8 reaches z^8 zb^8: the pullback widens its exponent slots twice
+        # lap^8 reaches z^8 zb^8, within the 4-bit slots of the degree-16 metric
         args = ("--name", "fubini-study", "--n", "1", "--kmax", "8", "--json")
         r = run_cli("radial", *args)
         assert r.returncode == 0
@@ -207,6 +220,16 @@ class TestDualCommand:
             from fractions import Fraction
 
             assert Fraction(row["compact"]) + Fraction(row["noncompact"]) == 0
+
+    @pytest.mark.parametrize("label", ["cp:n=2", "grassmannian:k=2,N=4"])
+    def test_rows_at_degree_4_and_5_match_degree_6(self, label, capsys):
+        # lap^3 at valid_degree 4 or 5 is the one table with k > valid/2:
+        # its exponents reach 3, the top of a 2-bit slot at degree 4
+        rows = {}
+        for degree in (4, 5, 6):
+            assert cli.main(["dual", label, "--degree", str(degree), "--json"]) == 0
+            rows[degree] = json.loads(capsys.readouterr().out)["dual"]
+        assert rows[4] == rows[6] and rows[5] == rows[6]
 
     def test_flat_zeros(self):
         r = run_cli("dual", "flat:n=2", "--json")

@@ -165,6 +165,13 @@ class TestPotFiles:
         with pytest.raises(PotentialSyntaxError):
             parse_potential_file("log(1 + modsq(z(1)))\n")
 
+    def test_zero_dimension_reported_at_the_header(self):
+        with pytest.raises(PotentialSyntaxError) as info:
+            parse_potential_file("# empty space\ndim 0\nmodsq(z(1))\n")
+        assert str(info.value) == (
+            "dimension must be at least 1, got 'dim 0' (line 2, column 1)"
+        )
+
     def test_missing_body(self):
         with pytest.raises(PotentialSyntaxError):
             parse_potential_file("dim 2\n# nothing\n")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from kahlerlap.jets import (
     multiindices,
     substitute_radial,
 )
+from kahlerlap import rationals
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
@@ -310,3 +313,7 @@ def test_packing_round_trip(case):
         assert sorted(pk.divisors(pk.pack(P, Q_))) == sorted(
             pk.pack(A, B) for A, B in divisor_pairs(P, Q_)
         )
+
+
+def test_rationals_are_stdlib_fractions():
+    assert rationals.Q is Fraction

@@ -14,8 +14,9 @@ value read from that g.
 metric._laplacian_functional computes on packed exponent keys
 (jets._Packing) and integer numerators over Lg^k.  Its tables are compared
 with tests/dense_oracles.py::fraction_laplacian_functional on fresh metrics
-(empty caches), on every catalog label, on cp:n=10 at k=4, and on a .pot
-potential whose g_inv has non-unit denominators, so Lg > 1.  The inverse and
+(no table cached beyond table 0), on every catalog label, on cp:n=10 at k=4,
+on a .pot potential whose g_inv has non-unit denominators, so Lg > 1, and at
+the largest k the metric's slots hold; one k more raises ValidityError.  The inverse and
 log1p kernels are compared with their oracles in test_graded_inverse.py and
 test_jets.py.
 """
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 from kahlerlap.dsl import elaborate, parse_potential_file
-from kahlerlap.jets import Jet
+from kahlerlap.jets import Jet, ValidityError
 from kahlerlap.metric import (
     GaugeError,
     _laplacian_functional,
@@ -53,8 +54,8 @@ POT_WITH_DENOMINATORS = """dim 2
 
 
 def fresh(m):
-    """The same metric with empty lap^k and pullback caches."""
-    return replace(m, _functionals={}, _ginv_index=None, _einstein=None)
+    """The same metric with no lap^k table cached beyond table 0."""
+    return replace(m, _functionals={0: m._functionals[0]}, _einstein=None)
 
 
 def assert_tables_match(m, ks):
@@ -70,6 +71,16 @@ def test_catalog_tables_match_fraction_pullback(spaces, label):
 
 def test_cp10_k4_matches_fraction_pullback(spaces):
     assert_tables_match(spaces("cp:n=10", 8).metric, (4,))
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_k_up_to_the_slot_mask_and_no_further(spaces, degree):
+    m = fresh(spaces("cp:n=1", degree).metric)
+    top = m._pullback[0].mask
+    assert top == degree - 1  # the slots are sized for valid_degree - 1
+    assert _laplacian_functional(m, top) == fraction_laplacian_functional(m, top)
+    with pytest.raises(ValidityError):
+        _laplacian_functional(m, top + 1)
 
 
 def test_pot_with_denominators_matches_fraction_pullback():
