@@ -47,9 +47,9 @@ import re
 from dataclasses import dataclass
 
 from . import dsl
-from .jets import Jet, substitute_radial, weight
+from .jets import Jet, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
-from .metric import _laplacian_functional
+from .metric import _table_value
 from .radial import named_profile
 from .rationals import Q, ZERO
 
@@ -74,11 +74,11 @@ class SpaceDescriptor:
 
     @property
     def complex_dim(self):
-        return _FAMILIES[self.family]["dim"](self)
+        return _FAMILIES[self.family]["dim"][1](self)
 
     @property
     def rank(self):
-        return _FAMILIES[self.family]["rank"](self)
+        return _FAMILIES[self.family]["rank"][1](self)
 
     def param(self, name):
         return dict(self.params)[name]
@@ -107,19 +107,10 @@ def _need(desc, names):
 _FAMILIES = {}
 
 
-def _register(name, validate, dim, rank):
-    _FAMILIES[name] = {"validate": validate, "dim": dim, "rank": rank}
-
-
-_register(
-    "flat",
-    lambda d: _need(d, ["n"]),
-    lambda d: d.param("n"),
-    # no embedded projective line, so the rank-based obstruction never applies
-    lambda d: 1,
-)
-_register("cp", lambda d: _need(d, ["n"]), lambda d: d.param("n"), lambda d: 1)
-_register("ch", lambda d: _need(d, ["n"]), lambda d: d.param("n"), lambda d: 1)
+def _register(name, validate, params=None, dim=None, rank=None):
+    """A family: its validator, and for the listing its parameter range,
+    with dim and rank each as (text, function of the descriptor)."""
+    _FAMILIES[name] = {"validate": validate, "params": params, "dim": dim, "rank": rank}
 
 
 def _val_grass(d):
@@ -128,32 +119,10 @@ def _val_grass(d):
         raise CatalogError("grassmannian needs 1 <= k < N")
 
 
-_register(
-    "grassmannian",
-    _val_grass,
-    lambda d: d.param("k") * (d.param("N") - d.param("k")),
-    lambda d: min(d.param("k"), d.param("N") - d.param("k")),
-)
-
-
 def _val_so2n(d):
     _need(d, ["N"])
     if d.param("N") < 2:
         raise CatalogError("so2n needs N >= 2")
-
-
-_register(
-    "so2n",
-    _val_so2n,
-    lambda d: d.param("N") * (d.param("N") - 1) // 2,
-    lambda d: d.param("N") // 2,
-)
-_register(
-    "sp",
-    lambda d: _need(d, ["N"]),
-    lambda d: d.param("N") * (d.param("N") + 1) // 2,
-    lambda d: d.param("N"),
-)
 
 
 def _val_quadric(d):
@@ -162,29 +131,45 @@ def _val_quadric(d):
         raise CatalogError("quadrics need N >= 4")
 
 
+# flat has no embedded projective line, so the rank-based obstruction
+# never applies to it
+for _name in ("flat", "cp", "ch"):
+    _register(
+        _name, lambda d: _need(d, ["n"]), "n>=1",
+        ("n", lambda d: d.param("n")), ("1", lambda d: 1),
+    )
 _register(
-    "quadric-even",
-    _val_quadric,
-    lambda d: 2 * d.param("N") - 2,
-    lambda d: 2,
+    "grassmannian", _val_grass, "1<=k<N",
+    ("k(N-k)", lambda d: d.param("k") * (d.param("N") - d.param("k"))),
+    ("min(k,N-k)", lambda d: min(d.param("k"), d.param("N") - d.param("k"))),
 )
 _register(
-    "quadric-odd",
-    _val_quadric,
-    lambda d: 2 * d.param("N") - 1,
-    lambda d: 2,
+    "so2n", _val_so2n, "N>=2",
+    ("N(N-1)/2", lambda d: d.param("N") * (d.param("N") - 1) // 2),
+    ("floor(N/2)", lambda d: d.param("N") // 2),
 )
 _register(
-    "product",
-    lambda d: None,
-    lambda d: sum(f.complex_dim for f in d.inner),
-    lambda d: sum(f.rank for f in d.inner),
+    "sp", lambda d: _need(d, ["N"]), "N>=1",
+    ("N(N+1)/2", lambda d: d.param("N") * (d.param("N") + 1) // 2),
+    ("N", lambda d: d.param("N")),
 )
 _register(
-    "dual",
-    lambda d: None,
-    lambda d: d.inner[0].complex_dim,
-    lambda d: d.inner[0].rank,
+    "quadric-even", _val_quadric, "N>=4",
+    ("2N-2", lambda d: 2 * d.param("N") - 2), ("2", lambda d: 2),
+)
+_register(
+    "quadric-odd", _val_quadric, "N>=4",
+    ("2N-1", lambda d: 2 * d.param("N") - 1), ("2", lambda d: 2),
+)
+_register(
+    "product", lambda d: None,
+    dim=(None, lambda d: sum(f.complex_dim for f in d.inner)),
+    rank=(None, lambda d: sum(f.rank for f in d.inner)),
+)
+_register(
+    "dual", lambda d: None,
+    dim=(None, lambda d: d.inner[0].complex_dim),
+    rank=(None, lambda d: d.inner[0].rank),
 )
 
 
@@ -302,7 +287,7 @@ def dual_potential(phi: Jet) -> Jet:
     return Jet(
         phi.n,
         {
-            (P, Q_): (c if weight(Q_) % 2 else -c)
+            (P, Q_): (c if sum(Q_) % 2 else -c)
             for (P, Q_), c in phi.coeffs.items()
         },
         phi.valid_degree,
@@ -477,14 +462,10 @@ def dual_compare(desc: SpaceDescriptor, D=6):
                 for a in range(n)
             )
             monomials.append(P)
-    t_compact = _laplacian_functional(m_compact, 3)
-    t_dual = _laplacian_functional(m_dual, 3)
-    rows = []
-    for P in monomials:
-        rows.append(
-            (P, t_compact.get((P, P), ZERO), t_dual.get((P, P), ZERO))
-        )
-    return rows
+    return [
+        (P, _table_value(m_compact, 3, P, P), _table_value(m_dual, 3, P, P))
+        for P in monomials
+    ]
 
 
 def all_family_names():
@@ -492,18 +473,9 @@ def all_family_names():
 
 
 def family_summary(name):
-    """Human-readable parameter/dimension/rank description for the listing."""
-    info = {
-        "flat": ("n>=1", "n", "1"),
-        "cp": ("n>=1", "n", "1"),
-        "ch": ("n>=1", "n", "1"),
-        "grassmannian": ("1<=k<N", "k(N-k)", "min(k,N-k)"),
-        "so2n": ("N>=2", "N(N-1)/2", "floor(N/2)"),
-        "sp": ("N>=1", "N(N+1)/2", "N"),
-        "quadric-even": ("N>=4", "2N-2", "2"),
-        "quadric-odd": ("N>=4", "2N-1", "2"),
-    }
-    return info[name]
+    """Parameter range, dimension and rank texts of a family, for the listing."""
+    info = _FAMILIES[name]
+    return info["params"], info["dim"][0], info["rank"][0]
 
 
 def dsl_text(desc: SpaceDescriptor) -> str:

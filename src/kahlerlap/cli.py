@@ -203,7 +203,7 @@ def cmd_radial(args):
         label = f"coeffs {args.coeffs}"
         try:
             coeffs = [Q(part.strip()) for part in args.coeffs.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --coeffs: {exc}")
         profile = profile_from_coeffs(coeffs, order=order)
     n = args.n

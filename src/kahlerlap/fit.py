@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .jets import mi_factorial, multiindices, weight
-from .metric import MetricJet, TruncationError, _laplacian_functional
+from .jets import mi_factorial, multiindices
+from .metric import MetricJet, TruncationError, _laplacian_functional, _table_value
 from .rationals import Q, ZERO
 
 
@@ -101,20 +101,21 @@ def _require_depth(m: MetricJet, k, needed_for=None):
         )
 
 
-def _support_pairs(n, k, table):
+def _support_pairs(m: MetricJet, k):
     """Off-diagonal keys of the lap^k table and every (P, P) with
-    1 <= |P| <= k, in graded lexicographic order (|P|+|Q|, P, Q)."""
-    pairs = [key for key in table if key[0] != key[1]]
+    1 <= |P| <= k, as (P, Q), in graded lexicographic order (|P|+|Q|, P, Q)."""
+    unpack = m.potential.pk.unpack
+    pairs = [PQ for PQ in map(unpack, _laplacian_functional(m, k)) if PQ[0] != PQ[1]]
     for p in range(1, k + 1):
-        pairs.extend((P, P) for P in multiindices(n, p))
-    pairs.sort(key=lambda pq: (weight(pq[0]) + weight(pq[1]), pq[0], pq[1]))
+        pairs.extend((P, P) for P in multiindices(m.n, p))
+    pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
     return pairs
 
 
 def _raw_value(m: MetricJet, P, Q_, k):
     """lap^k(z^P zb^Q)(0) via the cached functional table."""
     _require_depth(m, k)
-    return _laplacian_functional(m, k).get((tuple(P), tuple(Q_)), ZERO)
+    return _table_value(m, k, P, Q_)
 
 
 def rescaled_value(m: MetricJet, P, Q_, k):
@@ -150,19 +151,18 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_depth(m, k, f"the order-{k} fit")
-    table = _laplacian_functional(m, k)
     candidates = {}
-    for P, Q_ in _support_pairs(m.n, k, table):
+    for P, Q_ in _support_pairs(m, k):
         if P != Q_:
             # the table stores no zeros, so every off-diagonal key violates
             return FitResult(
                 k=k,
                 witness=ViolationWitness(
-                    P=P, Q=Q_, kind="off_diagonal_nonzero", lhs=table[(P, Q_)],
-                    expected=ZERO,
+                    P=P, Q=Q_, kind="off_diagonal_nonzero",
+                    lhs=_table_value(m, k, P, Q_), expected=ZERO,
                 ),
             )
-        p = weight(P)
+        p = sum(P)
         v = rescaled_value(m, P, Q_, k)
         norm = Q(factorial(p) * mi_factorial(P))
         ratio = v / norm

@@ -1,27 +1,41 @@
 """Exact truncated power series in paired variables z_1..z_n, zb_1..zb_n.
 
-A Jet is a finite sparse map (P, Q) -> rational coefficient for monomials
-z^P * zb^Q, together with valid_degree: the total degree |P|+|Q| through
+A Jet is a finite sparse map from monomials z^P * zb^Q to rational
+coefficients, together with valid_degree: the total degree |P|+|Q| through
 which the coefficients are trusted.  Validity is data, not convention; every
 operation computes the validity of its result (min rule for products, minus
 one per derivative), and using a jet past its validity raises.
 
 Coefficients are exact rationals.  Zero coefficients are never stored, so
 jet equality is map equality.  Jets are immutable values: no operation
-mutates its operands, which makes everything safe to evaluate concurrently.
+mutates its operands or their parts, which makes everything safe to
+evaluate concurrently and lets jets share parts.
 
-Rationals are what a Jet holds and what every function takes and returns.
-The graded kernels (_graded_inverse, behind JetMatrix.inverse and
-metric.metric_from_potential, log1p, and the lap^k pullback in metric)
-compute inside on packed exponent keys, one int per monomial (see
-_Packing; Monagan & Pearce, CASC 2007), and on integer numerators over one
-shared denominator per degree, fraction-free as in Bareiss (Math. Comp.
-1968).  Each output coefficient becomes a rational once, at the end.
+One representation.  A jet holds its terms graded by total degree:
+parts[d], for d = 0..valid_degree, maps the packed key of each monomial of
+degree d to its coefficient.  A packed key is one int per monomial (see
+_Packing; Monagan & Pearce, CASC 2007), so the product of two monomials is
+the sum of their keys.  Packings are shared, one per (n, slot width)
+(packing()), and a jet's slots hold every exponent up to its validity.
+Every operation works on packed keys.  When two operands sit on different
+packings (a truncated jet keeps the wider slots of its source), the
+operation repacks one of them onto the narrower packing, once.
+
+Tuple keys appear only at the boundary: the constructor Jet(n, {(P, Q): c},
+D) and Jet.monomial/constant/variable/zero validate and pack, and the
+read-only view .coeffs gives the tuple-keyed map back.  The kernels
+(log1p, _graded_inverse behind JetMatrix.inverse and
+metric.metric_from_potential, and the lap^k pullback in metric) read and
+write parts directly, computing on integer numerators over one shared
+denominator per degree, fraction-free as in Bareiss (Math. Comp. 1968).
+Each output coefficient becomes a rational once, at the end.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial, lcm
+from types import MappingProxyType
 
 from .rationals import Q, ZERO, as_q
 from .series import TSeries
@@ -41,10 +55,6 @@ class DimensionMismatch(JetError):
 
 class NonInvertibleError(JetError):
     """Matrix inverse with a singular constant term."""
-
-
-def weight(exponents) -> int:
-    return sum(exponents)
 
 
 def mi_factorial(exponents):
@@ -70,50 +80,34 @@ class _Packing:
     """Exponent pairs (P, Q) of n variables packed into one int.
 
     Slot s, bits wide with slot 0 lowest, holds P[s] for s < n and Q[s - n]
-    for s >= n.  The width is the least with 2**bits > max_exponent, so
-    every exponent up to max_exponent fits in its slot.  The product of two
-    monomials is then the sum of their keys, and a quotient by a divisor
-    their difference, exact as long as every exponent formed stays at most
-    max_exponent: no carry or borrow crosses a slot.  Each kernel passes a
-    bound on every exponent it can form.
+    for s >= n; units[s] is the key of the unit exponent in slot s, and the
+    Q half starts at bit `half`.  mask is the largest exponent a slot holds.
+    The product of two monomials is the sum of their keys, and a quotient
+    by a divisor their difference, exact as long as every exponent formed
+    stays at most mask: no carry or borrow crosses a slot.
     """
 
-    __slots__ = ("n", "bits", "mask", "_packed", "_unpacked")
+    __slots__ = ("n", "bits", "mask", "half", "units")
 
-    def __init__(self, n, max_exponent):
+    def __init__(self, n, bits):
         self.n = n
-        self.bits = max(1, max_exponent.bit_length())
-        self.mask = (1 << self.bits) - 1
-        # the halves P and Q recur across keys: memos tuple -> int -> tuple
-        self._packed = {}
-        self._unpacked = {}
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.half = n * bits
+        self.units = tuple(1 << bits * s for s in range(2 * n))
 
     def pack(self, P, Q_):
-        return self._pack_half(P) | self._pack_half(Q_) << self.n * self.bits
-
-    def unpack(self, key):
-        shift = self.n * self.bits
-        low = key & ((1 << shift) - 1)
-        return self._unpack_half(low), self._unpack_half(key >> shift)
-
-    def _pack_half(self, exps):
-        key = self._packed.get(exps)
-        if key is None:
-            key = 0
-            for e in reversed(exps):
-                key = key << self.bits | e
-            self._packed[exps] = key
+        key = 0
+        for e in reversed((*P, *Q_)):
+            key = key << self.bits | e
         return key
 
-    def _unpack_half(self, key):
-        exps = self._unpacked.get(key)
-        if exps is None:
-            out, rest = [], key
-            for _ in range(self.n):
-                out.append(rest & self.mask)
-                rest >>= self.bits
-            exps = self._unpacked[key] = tuple(out)
-        return exps
+    def unpack(self, key):
+        out = []
+        for _ in range(2 * self.n):
+            out.append(key & self.mask)
+            key >>= self.bits
+        return tuple(out[: self.n]), tuple(out[self.n :])
 
     def divisors(self, key):
         """Packed keys of every (U, V) <= (P, Q), built slot by slot."""
@@ -128,31 +122,55 @@ class _Packing:
         return out
 
 
+def packing(n, valid_degree):
+    """The shared packing of n variables whose slots hold valid_degree."""
+    return _shared_packing(n, max(1, valid_degree.bit_length()))
+
+
+@cache
+def _shared_packing(n, bits):
+    return _Packing(n, bits)
+
+
 class Jet:
-    __slots__ = ("n", "coeffs", "valid_degree")
+    __slots__ = ("n", "valid_degree", "pk", "parts")
 
     def __init__(self, n, coeffs, valid_degree):
+        """Validate and pack a tuple-keyed map {(P, Q): c}."""
         if n < 1:
             raise DimensionMismatch("need at least one variable")
         if valid_degree < 0:
             raise ValidityError("valid_degree must be >= 0")
-        clean = {}
+        pk = packing(n, valid_degree)
+        parts = [{} for _ in range(valid_degree + 1)]
         for (P, Q_), c in coeffs.items():
-            if c == 0:
-                continue
             if len(P) != n or len(Q_) != n:
                 raise DimensionMismatch("exponent vector length != n")
             if min(P) < 0 or min(Q_) < 0:
                 raise JetError("negative exponent")
-            if weight(P) + weight(Q_) > valid_degree:
+            d = sum(P) + sum(Q_)
+            if d > valid_degree:
                 raise ValidityError(
-                    f"monomial of degree {weight(P) + weight(Q_)} exceeds "
-                    f"valid_degree {valid_degree}"
+                    f"monomial of degree {d} exceeds valid_degree {valid_degree}"
                 )
-            clean[(P, Q_)] = c
+            if c != 0:
+                parts[d][pk.pack(P, Q_)] = c
         self.n = n
-        self.coeffs = clean
         self.valid_degree = valid_degree
+        self.pk = pk
+        self.parts = parts
+
+    @classmethod
+    def _of(cls, n, pk, parts):
+        """The jet with these graded parts on packing pk, valid through
+        len(parts) - 1.  Trusted: the caller guarantees that every key of
+        parts[d] is a degree-d monomial within pk's slots, and no zeros."""
+        jet = object.__new__(cls)
+        jet.n = n
+        jet.valid_degree = len(parts) - 1
+        jet.pk = pk
+        jet.parts = parts
+        return jet
 
     # -- constructors ------------------------------------------------------
 
@@ -167,13 +185,7 @@ class Jet:
 
     @classmethod
     def monomial(cls, n, P, Q_, c, valid_degree):
-        P, Q_ = tuple(P), tuple(Q_)
-        if weight(P) + weight(Q_) > valid_degree:
-            raise ValidityError(
-                f"monomial degree {weight(P) + weight(Q_)} exceeds "
-                f"valid_degree {valid_degree}"
-            )
-        return cls(n, {(P, Q_): as_q(c)}, valid_degree)
+        return cls(n, {(tuple(P), tuple(Q_)): as_q(c)}, valid_degree)
 
     @classmethod
     def variable(cls, n, i, valid_degree):
@@ -183,72 +195,89 @@ class Jet:
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only view of the terms as {(P, Q): coefficient}."""
+        unpack = self.pk.unpack
+        return MappingProxyType(
+            {unpack(K): c for part in self.parts for K, c in part.items()}
+        )
+
+    def _parts_on(self, pk, D):
+        """The parts of degree <= D on packing pk, repacked if self has
+        another; pk must hold D."""
+        parts = self.parts[: D + 1]
+        if self.pk is pk:
+            return parts
+        unpack, pack = self.pk.unpack, pk.pack
+        return [{pack(*unpack(K)): c for K, c in part.items()} for part in parts]
+
     def __eq__(self, other):
         return (
             isinstance(other, Jet)
             and self.n == other.n
             and self.valid_degree == other.valid_degree
-            and self.coeffs == other.coeffs
+            and self.parts == other._parts_on(self.pk, self.valid_degree)
         )
 
     __hash__ = None
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.parts)
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for (P, Q_), c in sorted(
-                self.coeffs.items(),
-                key=lambda kv: (weight(kv[0][0]) + weight(kv[0][1]), kv[0]),
-            ):
-                factors = []
-                for i, e in enumerate(P):
-                    if e:
-                        factors.append(f"z{i + 1}" + (f"^{e}" if e > 1 else ""))
-                for i, e in enumerate(Q_):
-                    if e:
-                        factors.append(f"zb{i + 1}" + (f"^{e}" if e > 1 else ""))
-                mono = "*".join(factors)
-                parts.append(f"{c}*{mono}" if mono else f"{c}")
-            body = " + ".join(parts)
+        terms = []
+        for (P, Q_), c in sorted(
+            self.coeffs.items(), key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0])
+        ):
+            factors = [
+                f"{v}{i + 1}" + (f"^{e}" if e > 1 else "")
+                for v, exps in (("z", P), ("zb", Q_))
+                for i, e in enumerate(exps)
+                if e
+            ]
+            mono = "*".join(factors)
+            terms.append(f"{c}*{mono}" if mono else f"{c}")
+        body = " + ".join(terms) if terms else "0"
         return f"Jet({body}; D={self.valid_degree})"
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same_space(self, other):
+    def _align(self, other):
+        """(packing, parts of self, parts of other) through the smaller
+        validity, both on the narrower of the two packings."""
         if self.n != other.n:
             raise DimensionMismatch(
                 f"variable counts differ: {self.n} vs {other.n}"
             )
+        D = min(self.valid_degree, other.valid_degree)
+        pk = self.pk if self.pk.bits <= other.pk.bits else other.pk
+        return pk, self._parts_on(pk, D), other._parts_on(pk, D)
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = Jet.constant(self.n, other, self.valid_degree)
-        self._check_same_space(other)
-        D = min(self.valid_degree, other.valid_degree)
-        out = {}
-        for key, c in self.coeffs.items():
-            if weight(key[0]) + weight(key[1]) <= D:
-                out[key] = c
-        for key, c in other.coeffs.items():
-            if weight(key[0]) + weight(key[1]) > D:
+        pk, a, b = self._align(other)
+        out = []
+        for pa, pb in zip(a, b):
+            if not pa or not pb:
+                out.append(pa or pb)
                 continue
-            s = out.get(key, ZERO) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Jet(self.n, out, D)
+            acc = dict(pa)
+            for K, c in pb.items():
+                s = acc.get(K, ZERO) + c
+                if s:
+                    acc[K] = s
+                else:
+                    del acc[K]
+            out.append(acc)
+        return Jet._of(self.n, pk, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.n, {k: -c for k, c in self.coeffs.items()}, self.valid_degree
+        return Jet._of(
+            self.n, self.pk, [{K: -c for K, c in part.items()} for part in self.parts]
         )
 
     def __sub__(self, other):
@@ -262,38 +291,34 @@ class Jet:
     def scale(self, c):
         c = as_q(c)
         if c == 0:
-            return Jet.zero(self.n, self.valid_degree)
-        return Jet(
-            self.n, {k: c * v for k, v in self.coeffs.items()}, self.valid_degree
+            return Jet._of(self.n, self.pk, [{} for _ in self.parts])
+        return Jet._of(
+            self.n, self.pk, [{K: c * v for K, v in part.items()} for part in self.parts]
         )
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
-        self._check_same_space(other)
-        D = min(self.valid_degree, other.valid_degree)
-        # bucket the right factor by total degree so high-degree pairs are
-        # skipped instead of computed and discarded
-        buckets = {}
-        for key, c in other.coeffs.items():
-            buckets.setdefault(weight(key[0]) + weight(key[1]), []).append((key, c))
-        out = {}
-        for (P, Q_), a in self.coeffs.items():
-            da = weight(P) + weight(Q_)
-            if da > D:
+        pk, a, b = self._align(other)
+        D = len(a) - 1
+        out = [{} for _ in range(D + 1)]
+        # pair parts by degree, so nothing past the validity is computed
+        for da, pa in enumerate(a):
+            if not pa:
                 continue
-            for db in range(0, D - da + 1):
-                for (P2, Q2), b in buckets.get(db, ()):
-                    key = (
-                        tuple(x + y for x, y in zip(P, P2)),
-                        tuple(x + y for x, y in zip(Q_, Q2)),
-                    )
-                    s = out.get(key, ZERO) + a * b
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return Jet(self.n, out, D)
+            for db in range(D - da + 1):
+                pb = b[db]
+                if not pb:
+                    continue
+                acc = out[da + db]
+                get = acc.get
+                for Ka, ca in pa.items():
+                    for Kb, cb in pb.items():
+                        K = Ka + Kb
+                        acc[K] = get(K, ZERO) + ca * cb
+        return Jet._of(
+            self.n, pk, [{K: c for K, c in acc.items() if c} for acc in out]
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -305,50 +330,52 @@ class Jet:
 
     def dz(self, i):
         """Formal partial derivative with respect to z_i (0-based)."""
-        if self.valid_degree == 0:
-            raise ValidityError("validity exhausted: cannot differentiate")
-        out = {}
-        for (P, Q_), c in self.coeffs.items():
-            e = P[i]
-            if e:
-                P2 = P[:i] + (e - 1,) + P[i + 1 :]
-                out[(P2, Q_)] = c * e
-        return Jet(self.n, out, self.valid_degree - 1)
+        return self._derivative(i, i)
 
     def dzbar(self, i):
         """Formal partial derivative with respect to conj(z_i) (0-based)."""
+        return self._derivative(i, self.n + i)
+
+    def _derivative(self, i, slot):
+        if not 0 <= i < self.n:
+            raise DimensionMismatch(f"no variable {i} among {self.n}")
         if self.valid_degree == 0:
             raise ValidityError("validity exhausted: cannot differentiate")
-        out = {}
-        for (P, Q_), c in self.coeffs.items():
-            e = Q_[i]
-            if e:
-                Q2 = Q_[:i] + (e - 1,) + Q_[i + 1 :]
-                out[(P, Q2)] = c * e
-        return Jet(self.n, out, self.valid_degree - 1)
+        pk = self.pk
+        shift, mask, unit = pk.bits * slot, pk.mask, pk.units[slot]
+        out = []
+        for part in self.parts[1:]:
+            acc = {}
+            for K, c in part.items():
+                e = K >> shift & mask
+                if e:
+                    acc[K - unit] = c * e
+            out.append(acc)
+        return Jet._of(self.n, pk, out)
 
     def eval0(self):
         """The constant-term coefficient (value at the origin)."""
-        zero_mi = (0,) * self.n
-        return self.coeffs.get((zero_mi, zero_mi), ZERO)
+        return self.parts[0].get(0, ZERO)
 
     def conj(self):
         """Complex conjugate: rational coefficients stay, exponent roles swap."""
-        return Jet(
+        half = self.pk.half
+        low = (1 << half) - 1
+        return Jet._of(
             self.n,
-            {(Q_, P): c for (P, Q_), c in self.coeffs.items()},
-            self.valid_degree,
+            self.pk,
+            [
+                {K >> half | (K & low) << half: c for K, c in part.items()}
+                for part in self.parts
+            ],
         )
 
     def truncated(self, valid_degree):
         if valid_degree > self.valid_degree:
             raise ValidityError("cannot raise validity by truncation")
-        out = {
-            k: c
-            for k, c in self.coeffs.items()
-            if weight(k[0]) + weight(k[1]) <= valid_degree
-        }
-        return Jet(self.n, out, valid_degree)
+        if valid_degree < 0:
+            raise ValidityError("valid_degree must be >= 0")
+        return Jet._of(self.n, self.pk, self.parts[: valid_degree + 1])
 
 
 def log1p(s: Jet) -> Jet:
@@ -367,43 +394,39 @@ def log1p(s: Jet) -> Jet:
         N_d = d! Ls^(d-1) s'_d
               - sum_{e=1..d-1} (d-e) (d-1)!/(d-e)! Ls^(e-1) s'_e N_{d-e}.
 
-    Exponent pairs are packed (_Packing) with slots for exponents up to
+    L sits on the packing of s, whose slots hold every exponent up to
     valid_degree, which bounds every exponent of every part.  Each
     coefficient of L becomes a rational once, as N_d / (d! Ls^d).
     """
     if s.eval0() != 0:
         raise JetError("log1p needs a zero constant term")
     D = s.valid_degree
-    pk = _Packing(s.n, D)
-    ls = lcm(*(c.denominator for c in s.coeffs.values()))
-    # parts[e]: the terms of s'_e, as (packed key, integer)
-    parts = [[] for _ in range(D + 1)]
-    for (P, Q_), c in s.coeffs.items():
-        parts[weight(P) + weight(Q_)].append(
-            (pk.pack(P, Q_), c.numerator * (ls // c.denominator))
-        )
+    ls = lcm(*(c.denominator for part in s.parts for c in part.values()))
+    # terms[e]: the terms of s'_e, as (packed key, integer)
+    terms = [
+        [(K, c.numerator * (ls // c.denominator)) for K, c in part.items()]
+        for part in s.parts
+    ]
     # nums[d]: N_d, as packed key -> integer
     nums = [{}]
-    out = {}
+    out = [{}]
     for d in range(1, D + 1):
         lead = factorial(d) * ls ** (d - 1)
-        acc = {K: lead * a for K, a in parts[d]}
+        acc = {K: lead * a for K, a in terms[d]}
         get = acc.get
         for e in range(1, d):
-            terms = parts[e]
-            if not terms:
+            if not terms[e]:
                 continue
             w = (d - e) * (factorial(d - 1) // factorial(d - e)) * ls ** (e - 1)
             for K2, b in nums[d - e].items():
                 b *= w
-                for K, a in terms:
+                for K, a in terms[e]:
                     key = K + K2
                     acc[key] = get(key, 0) - a * b
         nums.append({K: c for K, c in acc.items() if c})
         den = factorial(d) * ls**d
-        for K, c in nums[d].items():
-            out[pk.unpack(K)] = Q(c, den)
-    return Jet(s.n, out, D)
+        out.append({K: Q(c, den) for K, c in nums[d].items()})
+    return Jet._of(s.n, s.pk, out)
 
 
 def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
@@ -430,10 +453,12 @@ def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
 
 
 class JetMatrix:
-    """Rectangular matrix of jets sharing n and a common valid_degree.
+    """Rectangular matrix of jets sharing n, a common valid_degree and one
+    packing.
 
-    Construction truncates all entries to the minimum validity present, so
-    the uniform-validity invariant holds by normalization.
+    Construction truncates all entries to the minimum validity present and,
+    unless they already share one, puts them on the packing of that
+    validity, so the invariant holds by normalization.
     """
 
     __slots__ = ("rows", "cols", "n", "valid_degree", "entries")
@@ -450,8 +475,15 @@ class JetMatrix:
         if any(e.n != n for row in entries for e in row):
             raise DimensionMismatch("entries live in different variable spaces")
         D = min(e.valid_degree for row in entries for e in row)
+        pk = entries[0][0].pk
+        if any(e.pk is not pk for row in entries for e in row):
+            pk = packing(n, D)
         entries = tuple(
-            tuple(e if e.valid_degree == D else e.truncated(D) for e in row)
+            tuple(
+                e if e.valid_degree == D and e.pk is pk
+                else Jet._of(n, pk, e._parts_on(pk, D))
+                for e in row
+            )
             for row in entries
         )
         self.rows = rows
@@ -482,15 +514,17 @@ class JetMatrix:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
         m = self.rows
+        n, pk, D = self.n, self.entries[0][0].pk, self.valid_degree
+        one = Jet._of(n, pk, [{0: Q(1)}] + [{} for _ in range(D)])
         memo = {}
 
         def rec(row, mask):
             if row == m:
-                return Jet.constant(self.n, 1, self.valid_degree)
+                return one
             got = memo.get(mask)
             if got is not None:
                 return got
-            acc = Jet.zero(self.n, self.valid_degree)
+            acc = Jet._of(n, pk, [{} for _ in range(D + 1)])
             sign = 1
             for col in range(m):
                 bit = 1 << col
@@ -512,29 +546,29 @@ class JetMatrix:
 
         A front end to _graded_inverse, the one inverse kernel, which
         metric.metric_from_potential also calls on the metric it builds.
-        The entries are packed once, as integer parts over the lcm of their
-        denominators.
+        The entries' parts become integer parts over the lcm of their
+        denominators, on the entries' packing.
         """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        D = self.valid_degree
-        pk = _Packing(self.n, D)
         den = lcm(
             *(c.denominator for row in self.entries for e in row
-              for c in e.coeffs.values())
+              for part in e.parts for c in part.values())
         )
-        parts = [[[{} for _ in row] for row in self.entries] for _ in range(D + 1)]
-        for l, row in enumerate(self.entries):
-            for k, entry in enumerate(row):
-                for (P, Q_), c in entry.coeffs.items():
-                    parts[weight(P) + weight(Q_)][l][k][pk.pack(P, Q_)] = (
-                        c.numerator * (den // c.denominator)
-                    )
-        return _graded_inverse(pk, parts, den)
+        parts = [
+            [
+                [{K: c.numerator * (den // c.denominator) for K, c in e.parts[d].items()}
+                 for e in row]
+                for row in self.entries
+            ]
+            for d in range(self.valid_degree + 1)
+        ]
+        return _graded_inverse(self.entries[0][0].pk, parts, den)
 
 
 def _graded_inverse(pk, parts, den):
-    """The inverse over the jet ring of G = A / den, valid to degree D.
+    """The inverse over the jet ring of G = A / den, valid to degree D, as
+    jets on packing pk.
 
     parts[d][l][k] maps the packed keys (pk) of the degree-d part of the
     integer matrix A, entry (l, k), to their integers, for d = 0..D; the
@@ -607,15 +641,14 @@ def _graded_inverse(pk, parts, den):
             [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
         )
     dens = [L ** (1 + d) for d in range(D + 1)]
-    unpack = pk.unpack
     return JetMatrix(
         [
             [
-                Jet(
+                Jet._of(
                     n,
-                    {unpack(K): Q(den * c, dens[d])
-                     for d, x in enumerate(xs) for K, c in x[i][j].items()},
-                    D,
+                    pk,
+                    [{K: Q(den * c, dens[d]) for K, c in x[i][j].items()}
+                     for d, x in enumerate(xs)],
                 )
                 for j in range(m)
             ]

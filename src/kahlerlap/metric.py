@@ -6,16 +6,17 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
     lap(phi) = sum_{i,j} g_inv[i][j] * d^2 phi / dz_j dzb_i.
 
 g itself is never held as jets: metric_from_potential builds its integer
-parts straight from the packed potential and inverts them, and the one
-reading of g's derivatives (third_deriv_obstruction) takes them from the
-potential's coefficients.
+parts straight from the potential's packed parts and inverts them, and the
+one reading of g's derivatives (third_deriv_obstruction) takes them from
+the potential's coefficients.
 
-One packing (jets._Packing) serves each metric: the slots fixed for the
-potential at build hold every exponent up to valid_degree - 1, and the
-lap^k pullback reuses them.  That is enough for every k a caller may ask
-for: g_inv's exponents are at most valid_degree - 2, table k's at most k,
-and every caller needs 2k <= valid_degree (the duality table asks for k = 3
-only once einstein_constant has required valid_degree >= 4).
+One packing (jets._Packing) serves each metric: the potential's own.  g_inv
+is built on it, and the lap^k pullback reads g_inv's keys as they are.  Its
+slots hold every exponent up to the potential's valid_degree, so up to the
+slot mask, which is at least that: g_inv's exponents are at most
+valid_degree - 2, table k's at most k, and every caller needs
+2k <= valid_degree (the duality table asks for k = 3 only once
+einstein_constant has required valid_degree >= 4).
 
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
@@ -31,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .jets import (
-    Jet,
-    JetMatrix,
-    ValidityError,
-    _graded_inverse,
-    _Packing,
-    mi_factorial,
-    weight,
-)
+from .jets import Jet, JetMatrix, ValidityError, _graded_inverse, mi_factorial
 from .rationals import Q, ZERO
 
 
@@ -63,10 +56,10 @@ class MetricJet:
     d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
     potential has no monomial of total degree 3; cubic_free is the degree-3
     half of that condition alone (it makes all first derivatives of g vanish
-    at the origin).  _pullback is (packing, Lg, index), fixed at build (see
-    _laplacian_functional); _functionals maps k to the lap^k table and its
-    packed numerators N_k, with table 0 there from the start and the rest
-    filled on first use; _einstein caches the Einstein report.
+    at the origin).  _pullback is (Lg, index), fixed at build (see
+    _laplacian_functional); _functionals maps k to the numerators N_k of the
+    lap^k table, the one stored form of it, with N_0 there from the start
+    and the rest filled on first use; _einstein caches the Einstein report.
     """
 
     n: int
@@ -86,40 +79,46 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     Fails with GaugeError unless g(0) is diagonal with positive entries.
 
     g is never formed as a matrix of rational jets.  Only the terms with
-    both a z and a zb factor reach g; they are packed once (_Packing, slots
-    for exponents up to valid_degree - 1, the most such a term carries).
-    With Lp the lcm of their denominators, a term c z^P zb^Q gives
-    Lp c P_i Q_j at the packed key K - e_i - e_{n+j} of Lp g[i][j], in its
-    degree |P| + |Q| - 2 part; no two terms meet there, since the shift is
-    the same for every term of one entry.  The integer parts go to the
-    inverse kernel as g = parts / Lp.
+    both a z and a zb factor reach g; they are read from the potential's
+    parts, on its packing.  With Lp the lcm of their denominators, a
+    degree-d term c z^P zb^Q gives Lp c P_i Q_j at the packed key
+    K - e_i - e_{n+j} of Lp g[i][j], in its degree d - 2 part; no two terms
+    meet there, since the shift is the same for every term of one entry.
+    The integer parts go to the inverse kernel as g = parts / Lp, and g_inv
+    comes back on the same packing.
 
-    The pullback index is built here too, on the same packing: with Lg the
-    lcm of the reduced denominators of g_inv, it maps the packed key of each
-    g_inv monomial (U, V) to the positions carrying it, as (Lg * coefficient,
-    shift of slot j, shift of slot n + i, packed e_j + e_i).
+    The pullback index is built here too, from g_inv's keys as they are:
+    with Lg the lcm of the reduced denominators of g_inv, it maps the packed
+    key of each g_inv monomial (U, V) to the positions carrying it, as
+    (Lg * coefficient, shift of slot j, shift of slot n + i, packed e_j + e_i).
     """
     if potential.valid_degree < 2:
         raise TruncationError(
             "potential must be valid at least to degree 2", required=2
         )
-    n, D = potential.n, potential.valid_degree - 2
-    pk = _Packing(n, D + 1)
+    n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
+    bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
     terms = [
-        (P, Q_, c) for (P, Q_), c in potential.coeffs.items() if any(P) and any(Q_)
+        (d, K, c)
+        for d, part in enumerate(potential.parts)
+        for K, c in part.items()
+        if K & units[n] - 1 and K >> half
     ]
     lp = lcm(*(c.denominator for *_, c in terms))
-    units = [1 << pk.bits * s for s in range(2 * n)]
     # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
     parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
-    for P, Q_, c in terms:
-        key = pk.pack(P, Q_)
+    for d, K, c in terms:
         c = c.numerator * (lp // c.denominator)
-        rows = parts[weight(P) + weight(Q_) - 2]
-        bars = [(j, b, units[n + j]) for j, b in enumerate(Q_) if b]
-        for i, a in enumerate(P):
+        rows = parts[d - 2]
+        bars = [
+            (j, b, units[n + j])
+            for j in range(n)
+            if (b := K >> bits * (n + j) & mask)
+        ]
+        for i in range(n):
+            a = K >> bits * i & mask
             if a:
-                row, ca, ki = rows[i], c * a, key - units[i]
+                row, ca, ki = rows[i], c * a, K - units[i]
                 for j, b, u in bars:
                     row[j][ki - u] = ca * b
     diag = []
@@ -137,27 +136,21 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                     f"g(0) is not diagonal: entry ({i},{j}) = {c}"
                 )
     g_inv = _graded_inverse(pk, parts, lp)
-    ginv_terms = [
-        (i, j, key, c)
-        for i in range(n)
-        for j in range(n)
-        for key, c in g_inv[i][j].coeffs.items()
-    ]
-    lg = lcm(*(c.denominator for *_, c in ginv_terms))
-    index = {}
-    for i, j, key, c in ginv_terms:
-        shift_j, shift_i = pk.bits * j, pk.bits * (n + i)
-        index.setdefault(pk.pack(*key), []).append(
-            (
-                c.numerator * (lg // c.denominator),
-                shift_j,
-                shift_i,
-                (1 << shift_j) + (1 << shift_i),
-            )
-        )
-    cubic_free = not any(
-        weight(P) + weight(Q_) == 3 for (P, Q_) in potential.coeffs
+    lg = lcm(
+        *(c.denominator for row in g_inv.entries for e in row
+          for part in e.parts for c in part.values())
     )
+    index = {}
+    for i, row in enumerate(g_inv.entries):
+        for j, entry in enumerate(row):
+            shift_j, shift_i = bits * j, bits * (n + i)
+            step = units[j] + units[n + i]
+            for part in entry.parts:
+                for K, c in part.items():
+                    index.setdefault(K, []).append(
+                        (c.numerator * (lg // c.denominator), shift_j, shift_i, step)
+                    )
+    cubic_free = D < 1 or not potential.parts[3]
     normal = cubic_free and all(d == 1 for d in diag)
     return MetricJet(
         n=n,
@@ -166,8 +159,8 @@ def metric_from_potential(potential: Jet) -> MetricJet:
         origin_diag=tuple(diag),
         normal_gauge=normal,
         cubic_free=cubic_free,
-        _pullback=(pk, lg, index),
-        _functionals={0: ({pk.unpack(0): Q(1)}, {0: 1})},
+        _pullback=(lg, index),
+        _functionals={0: {0: 1}},
     )
 
 
@@ -177,47 +170,49 @@ def laplacian_apply(m: MetricJet, phi: Jet) -> Jet:
         raise ValidityError("phi must be valid at least to degree 2")
     if phi.n != m.n:
         raise ValueError("phi lives in a different variable space")
-    acc = Jet.zero(m.n, min(m.g_inv.valid_degree, phi.valid_degree - 2))
-    for j in range(m.n):
-        dj = phi.dz(j)
-        for i in range(m.n):
-            acc = acc + m.g_inv[i][j] * dj.dzbar(i)
-    return acc
+    # phi joins g_inv's packing once, through the degree the result reads
+    pk = m.potential.pk
+    D = min(m.g_inv.valid_degree, phi.valid_degree - 2)
+    phi = Jet._of(m.n, pk, phi._parts_on(pk, D + 2))
+    dz = [phi.dz(j) for j in range(m.n)]
+    terms = [m.g_inv[i][j] * dz[j].dzbar(i) for j in range(m.n) for i in range(m.n)]
+    return sum(terms[1:], terms[0])
 
 
 def _laplacian_functional(m: MetricJet, k: int) -> dict:
-    """The linear functional phi -> lap^k(phi)(0) as a coefficient table.
+    """The linear functional phi -> lap^k(phi)(0) as integer numerators.
 
-    Table maps (P, Q) -> c with lap^k(phi)(0) = sum c * phi_{P,Q}; support
+    Table k maps (P, Q) -> c with lap^k(phi)(0) = sum c * phi_{P,Q}; support
     lies within total degree 2k.  Built by pulling the origin-evaluation
     functional back through the Laplacian k times: table k - 1 entry c at
     (A, B) and g_inv[i][j] coefficient g at a divisor (U, V) <= (A, B) add
     c * g * S_j * T_i at (S, T) = (A - U + e_j, B - V + e_i).
 
-    The pullback runs on integers, with the packing and index that
-    metric_from_potential fixed (m._pullback).  With Lg the lcm of the
+    The pullback runs on integers, with the index that metric_from_potential
+    fixed (m._pullback), on the potential's packing.  With Lg the lcm of the
     denominators of g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k
     with N_0 = 1 at the origin and N_k built from N_{k-1} by the step above
     with g' for g.  Keys are packed, so (S, T) is the int sum
     A - U + e_j + e_i.  Table k has |P| <= k and |Q| <= k, since each step
     adds one to |P| and one to |Q| and removes a divisor; so every k up to
-    the slot mask is exact, and a larger k raises ValidityError.  Each
-    entry of table k becomes a rational once, as N_k / Lg^k.
+    the slot mask is exact, and a larger k raises ValidityError.  N_k is
+    what is stored and returned, packed key -> integer; _table_value and
+    delta_power_at0 divide by Lg^k as they read it.
     """
     done = m._functionals.get(k)
     if done is not None:
-        return done[0]
-    pk, lg, index = m._pullback
+        return done
+    pk = m.potential.pk
+    lg, index = m._pullback
     mask = pk.mask
     if k > mask:
         raise ValidityError(
             f"lap^{k} needs exponent slots above {mask}; the metric's "
             f"potential is valid only to degree {m.potential.valid_degree}"
         )
-    _laplacian_functional(m, k - 1)
     out = {}
     get = out.get
-    for KA, c in m._functionals[k - 1][1].items():
+    for KA, c in _laplacian_functional(m, k - 1).items():
         for KU in pk.divisors(KA):
             hits = index.get(KU)
             if hits is None:
@@ -228,11 +223,17 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
                 out[key] = get(key, 0) + (
                     c * g * ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
                 )
-    nums = {key: c for key, c in out.items() if c}
-    den = lg**k
-    table = {pk.unpack(key): Q(c, den) for key, c in nums.items()}
-    m._functionals[k] = (table, nums)
-    return table
+    nums = m._functionals[k] = {key: c for key, c in out.items() if c}
+    return nums
+
+
+def _table_value(m: MetricJet, k, P, Q_):
+    """lap^k(z^P zb^Q)(0), the entry of table k at (P, Q)."""
+    nums = _laplacian_functional(m, k)
+    if sum(P) > k or sum(Q_) > k:
+        return ZERO  # beyond the table's support, and maybe beyond the slots
+    c = nums.get(m.potential.pk.pack(P, Q_))
+    return ZERO if c is None else Q(c, m._pullback[0] ** k)
 
 
 def delta_power_at0(m: MetricJet, phi: Jet, k: int):
@@ -255,13 +256,15 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
         raise ValidityError(
             f"phi valid_degree {phi.valid_degree} < {2 * k} needed for k={k}"
         )
-    table = _laplacian_functional(m, k)
+    nums = _laplacian_functional(m, k)
     acc = ZERO
-    for key, c in phi.coeffs.items():
-        t = table.get(key)
-        if t is not None:
-            acc += t * c
-    return acc
+    # phi joins the metric's packing, which holds 2k, at the boundary
+    for part in phi._parts_on(m.potential.pk, 2 * k):
+        for key, c in part.items():
+            t = nums.get(key)
+            if t is not None:
+                acc += t * c
+    return acc / m._pullback[0] ** k
 
 
 @dataclass(frozen=True)
@@ -293,13 +296,14 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
         )
     n = m.n
     d = m.origin_diag
-    basis = [tuple(1 if a == h else 0 for a in range(n)) for h in range(n)]
+    units = m.potential.pk.units
     s = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = ZERO
+            quadratic = m.g_inv[i][j].parts[2]
             for h in range(n):
-                c = m.g_inv[i][j].coeffs.get((basis[h], basis[h]))
+                c = quadratic.get(units[h] + units[n + h])
                 if c is not None:
                     acc += c / d[h]
             s[i][j] = acc
@@ -335,8 +339,10 @@ def third_deriv_obstruction(m: MetricJet):
             "potential valid_degree must be >= 5", required=5
         )
     best = ZERO
-    for (P, Q_), c in m.potential.coeffs.items():
-        if weight(P) == 3 and weight(Q_) == 2:
+    unpack = m.potential.pk.unpack
+    for key, c in m.potential.parts[5].items():
+        P, Q_ = unpack(key)
+        if sum(P) == 3:
             v = abs(c) * mi_factorial(P) * mi_factorial(Q_)
             if v > best:
                 best = v
@@ -357,10 +363,12 @@ def fifth_order_check(m: MetricJet):
     n = m.n
     # dg3[a][b] maps (g, d, e) with g <= e to d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
     dg3 = [[{} for _ in range(n)] for _ in range(n)]
+    unpack = m.potential.pk.unpack
     for a in range(n):
         for b in range(n):
-            for (P, Q_), c in m.g_inv[a][b].coeffs.items():
-                if weight(P) == 2 and weight(Q_) == 1:
+            for key, c in m.g_inv[a][b].parts[3].items():
+                P, Q_ = unpack(key)
+                if sum(P) == 2:
                     hol = [idx for idx, e in enumerate(P) for _ in range(e)]
                     dd = Q_.index(1)
                     val = c * (2 if hol[0] == hol[1] else 1)

@@ -12,7 +12,11 @@ builds the catalog potentials by hand-written log det jet algebra instead
 of elaborating their surface expressions.  They are slow on large inputs and
 exist so that the library can be compared against the definitions.
 
-The lap^k pullback is the tuple-key, rational form of the library's packed
+The jet ring operations (ref_add, ref_mul, ref_conj, ref_dz, ref_dzbar,
+ref_truncated) are the tuple-keyed forms of the library's packed, graded
+ones: they read .coeffs, build (P, Q) keys exponent by exponent and go back
+through the validating constructor.  series_log1p uses them alone.  The
+lap^k pullback is the tuple-key, rational form of the library's packed
 integer kernel.  metric_matrix builds g by differentiating the potential
 jet entry by entry, where the library packs the potential and never forms
 g, and third_deriv_obstruction_from_g reads the obstruction from that g,
@@ -44,12 +48,11 @@ from kahlerlap.jets import (
     mi_factorial,
     multiindices,
     substitute_radial,
-    weight,
 )
 from kahlerlap.metric import (
     GaugeError,
     TruncationError,
-    _laplacian_functional,
+    _table_value,
     delta_power_at0,
     einstein_constant,
 )
@@ -77,7 +80,7 @@ def monomial_test_set(n, k):
             for P in by_degree[dp]:
                 for Q_ in by_degree[dq]:
                     pairs.append((P, Q_))
-    pairs.sort(key=lambda pq: (weight(pq[0]) + weight(pq[1]), pq[0], pq[1]))
+    pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
     return pairs
 
 
@@ -91,11 +94,10 @@ def dense_fit_pk(m, k) -> FitResult:
             f"needed for the order-{k} fit",
             required=2 * k,
         )
-    table = _laplacian_functional(m, k)
     candidates = {}
     for P, Q_ in monomial_test_set(m.n, k):
         if P != Q_:
-            v = table.get((P, Q_), ZERO)
+            v = _table_value(m, k, P, Q_)
             if v != 0:
                 return FitResult(
                     k=k,
@@ -105,7 +107,7 @@ def dense_fit_pk(m, k) -> FitResult:
                     ),
                 )
             continue
-        p = weight(P)
+        p = sum(P)
         if p == 0:
             continue
         v = rescaled_value(m, P, Q_, k)
@@ -143,7 +145,7 @@ def dense_fifth_order_check(m):
     for a in range(n):
         for b in range(n):
             for (P, Q_), c in m.g_inv[a][b].coeffs.items():
-                if weight(P) == 2 and weight(Q_) == 1:
+                if sum(P) == 2 and sum(Q_) == 1:
                     hol = [idx for idx, e in enumerate(P) for _ in range(e)]
                     dd = Q_.index(1)
                     val = c * (2 if hol[0] == hol[1] else 1)
@@ -195,7 +197,7 @@ def third_deriv_obstruction_from_g(m):
     for i in range(m.n):
         for j in range(m.n):
             for (P, Q_), c in g[i][j].coeffs.items():
-                if weight(P) == 2 and weight(Q_) == 1:
+                if sum(P) == 2 and sum(Q_) == 1:
                     v = abs(c) * (2 if max(P) == 2 else 1)
                     if v > best:
                         best = v
@@ -344,17 +346,96 @@ def c_constant_at(psi, P, l, n):
 
 
 def series_log1p(s):
-    """log(1 + s) as the power series sum (-1)^(m+1) s^m / m, full products."""
+    """log(1 + s) as the power series sum (-1)^(m+1) s^m / m, full products
+    by the tuple-keyed reference operations."""
     if s.eval0() != 0:
         raise JetError("log1p needs a zero constant term")
     acc = Jet.zero(s.n, s.valid_degree)
     power = Jet.constant(s.n, 1, s.valid_degree)
     for m in range(1, s.valid_degree + 1):
-        power = power * s
+        power = ref_mul(power, s)
         if power.is_zero():
             break
-        acc = acc + power.scale(Q(-1 if m % 2 == 0 else 1, m))
+        w = Q(-1 if m % 2 == 0 else 1, m)
+        term = {key: w * c for key, c in power.coeffs.items()}
+        acc = ref_add(acc, Jet(s.n, term, power.valid_degree))
     return acc
+
+
+# -- tuple-keyed reference ring operations -----------------------------------
+
+
+def _check_same_space(a, b):
+    if a.n != b.n:
+        raise DimensionMismatch(f"variable counts differ: {a.n} vs {b.n}")
+
+
+def _degree(key):
+    return sum(key[0]) + sum(key[1])
+
+
+def ref_add(a, b):
+    """a + b, truncated to the smaller validity."""
+    _check_same_space(a, b)
+    D = min(a.valid_degree, b.valid_degree)
+    out = {key: c for key, c in a.coeffs.items() if _degree(key) <= D}
+    for key, c in b.coeffs.items():
+        if _degree(key) > D:
+            continue
+        s = out.get(key, ZERO) + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return Jet(a.n, out, D)
+
+
+def ref_mul(a, b):
+    """a * b, exponent vectors added entry by entry, at the smaller validity."""
+    _check_same_space(a, b)
+    D = min(a.valid_degree, b.valid_degree)
+    out = {}
+    for (P, Q_), x in a.coeffs.items():
+        for (P2, Q2), y in b.coeffs.items():
+            key = (
+                tuple(u + v for u, v in zip(P, P2)),
+                tuple(u + v for u, v in zip(Q_, Q2)),
+            )
+            if _degree(key) <= D:
+                out[key] = out.get(key, ZERO) + x * y
+    return Jet(a.n, out, D)
+
+
+def ref_conj(a):
+    return Jet(a.n, {(Q_, P): c for (P, Q_), c in a.coeffs.items()}, a.valid_degree)
+
+
+def _ref_derivative(a, i, holomorphic):
+    if a.valid_degree == 0:
+        raise ValidityError("validity exhausted: cannot differentiate")
+    out = {}
+    for (P, Q_), c in a.coeffs.items():
+        exps = P if holomorphic else Q_
+        e = exps[i]
+        if e:
+            lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+            out[(lowered, Q_) if holomorphic else (P, lowered)] = c * e
+    return Jet(a.n, out, a.valid_degree - 1)
+
+
+def ref_dz(a, i):
+    return _ref_derivative(a, i, True)
+
+
+def ref_dzbar(a, i):
+    return _ref_derivative(a, i, False)
+
+
+def ref_truncated(a, valid_degree):
+    if valid_degree > a.valid_degree:
+        raise ValidityError("cannot raise validity by truncation")
+    out = {key: c for key, c in a.coeffs.items() if _degree(key) <= valid_degree}
+    return Jet(a.n, out, valid_degree)
 
 
 def _matrix_potential(entries_w, rows, cols, n, D):
@@ -521,7 +602,7 @@ def euclidean_power_at0(phi, l: int):
         raise ValueError("l must be >= 0")
     if isinstance(phi, tuple):
         P, Q_ = phi
-        if tuple(P) != tuple(Q_) or weight(P) != l:
+        if tuple(P) != tuple(Q_) or sum(P) != l:
             return ZERO
         return Q(factorial(l) * mi_factorial(P))
     return _weighted_euclidean_at0(phi, l, None)
@@ -534,7 +615,7 @@ def _weighted_euclidean_at0(phi, l: int, diag):
     fl = factorial(l)
     acc = ZERO
     for (P, Q_), c in phi.coeffs.items():
-        if P != Q_ or weight(P) != l:
+        if P != Q_ or sum(P) != l:
             continue
         term = c * fl * mi_factorial(P)
         if diag is not None:

@@ -2,19 +2,30 @@
 
 perfbench/tracing.py wraps every name in its TRACED table with getattr and
 setattr, and perfbench/child.py calls the radial recursion directly, so a
-rename or deletion in src/kahlerlap breaks traced benchmark runs.  These
-tests read the harness's tables without installing the tracer.
+rename or deletion in src/kahlerlap breaks traced benchmark runs.  The name
+tests read the harness's tables without installing the tracer.  The smoke
+test runs the harness for real in a child process: it installs the tracer,
+runs a catalog check and a seeded .pot case the way perfbench/child.py does,
+and judges both with perfbench/checks.py, so the values the harness reads
+(g_inv entries, .coeffs, Jet.monomial on lists, laplacian_apply) are guarded
+as well as the names.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import kahlerlap.cli  # noqa: F401  (loads every kahlerlap module, as the tracer does)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+PACKAGE_ROOT = str(Path(kahlerlap.cli.__file__).resolve().parents[1])
 
 
 def _traced_table():
@@ -42,3 +53,43 @@ def test_harness_name_resolves(layer, name):
     for part in name.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+SMOKE = """
+import json, sys
+from pathlib import Path
+
+import checks, child, tracing, workloads
+
+tracer = tracing.Tracer()
+tracer.install()
+root = Path.cwd()
+pot = next(c for c in workloads.cases("catalog-sweep", 1, root, root) if "pot" in c)
+cases = [workloads.cli_case(["check", "cp:n=2", "--degree", "6", "--json"]), pot]
+checker = checks.Checker(checks.load_golden())
+failures = []
+for case in cases:
+    code, text = child.run_case(case)
+    reason = checker.check(case, {"id": case["id"], "exit": code, "stdout": text})
+    if reason is not None:
+        failures.append(case["id"] + ": " + reason)
+print(json.dumps({"failures": failures, "counts": tracer.report(0.0)["counts"]}))
+"""
+
+
+def test_traced_harness_checks_pass(tmp_path):
+    path = os.pathsep.join(
+        filter(None, [str(PERFBENCH), PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", SMOKE],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout)
+    assert result["failures"] == []
+    assert result["counts"]["metric.ginv_terms"] > 0
+    assert result["counts"]["catalog.potential_terms"] > 0

@@ -159,11 +159,17 @@ class TestRadialCommand:
         assert "verdict: equal" in r.stdout
 
     def test_one_variable_to_kmax_8(self):
-        # lap^8 reaches z^8 zb^8, within the 4-bit slots of the degree-16 metric
+        # lap^8 reaches z^8 zb^8, within the 5-bit slots of the degree-16 metric
         args = ("--name", "fubini-study", "--n", "1", "--kmax", "8", "--json")
         r = run_cli("radial", *args)
         assert r.returncode == 0
         assert json.loads(r.stdout)["radial"]["equal"] is True
+
+    def test_zero_denominator_in_coeffs_is_usage_error(self):
+        r = run_cli("radial", "--coeffs", "0,1/0", "--n", "2")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bad --coeffs")
+        assert "Traceback" not in r.stderr
 
     def test_negative_slope_rejected(self):
         r = run_cli("radial", "--coeffs", "0,-1", "--n", "1")
@@ -224,7 +230,7 @@ class TestDualCommand:
     @pytest.mark.parametrize("label", ["cp:n=2", "grassmannian:k=2,N=4"])
     def test_rows_at_degree_4_and_5_match_degree_6(self, label, capsys):
         # lap^3 at valid_degree 4 or 5 is the one table with k > valid/2:
-        # its exponents reach 3, the top of a 2-bit slot at degree 4
+        # its exponents reach 3, within the 3-bit slots of the degree-4 metric
         rows = {}
         for degree in (4, 5, 6):
             assert cli.main(["dual", label, "--degree", str(degree), "--json"]) == 0

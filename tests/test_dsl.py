@@ -18,10 +18,46 @@ from kahlerlap.dsl import (
     elaborate,
     parse,
     parse_potential_file,
-    pretty,
 )
 from kahlerlap.jets import Jet
 from kahlerlap.rationals import Q
+
+
+def pretty(node) -> str:
+    """Render a tree back to surface syntax; parse(pretty(e)) == e."""
+    return _pretty(node, 0)
+
+
+def _pretty(node, context):
+    # precedence levels: 0 sum, 1 product, 2 atom
+    if isinstance(node, Lit):
+        text = str(node.value)
+        return f"({text})" if "/" in text and context >= 1 else text
+    if isinstance(node, Coord):
+        return f"z({node.index})"
+    if isinstance(node, Conj):
+        return f"conj({_pretty(node.arg, 0)})"
+    if isinstance(node, ModSq):
+        return f"modsq({_pretty(node.arg, 0)})"
+    if isinstance(node, Log):
+        return f"log({_pretty(node.arg, 0)})"
+    if isinstance(node, Det):
+        rows = "; ".join(
+            ", ".join(_pretty(e, 0) for e in row) for row in node.rows
+        )
+        return f"det([{rows}])"
+    if isinstance(node, Radial):
+        return "radial(" + ", ".join(str(c) for c in node.coeffs) + ")"
+    if isinstance(node, Add):
+        text = f"{_pretty(node.left, 0)} + {_pretty(node.right, 1)}"
+        return f"({text})" if context >= 1 else text
+    if isinstance(node, Sub):
+        text = f"{_pretty(node.left, 0)} - {_pretty(node.right, 1)}"
+        return f"({text})" if context >= 1 else text
+    if isinstance(node, Mul):
+        text = f"{_pretty(node.left, 1)} * {_pretty(node.right, 2)}"
+        return f"({text})" if context >= 2 else text
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 class TestParse:

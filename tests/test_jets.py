@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from kahlerlap.jets import (
     DimensionMismatch,
     Jet,
+    JetError,
     JetMatrix,
     NonInvertibleError,
     ValidityError,
-    _Packing,
     log1p,
     multiindices,
+    packing,
     substitute_radial,
 )
 from kahlerlap import rationals
@@ -25,6 +26,12 @@ from dense_oracles import (
     mat_mul,
     multiindices_upto,
     reciprocal,
+    ref_add,
+    ref_conj,
+    ref_dz,
+    ref_dzbar,
+    ref_mul,
+    ref_truncated,
     series_log1p,
 )
 
@@ -46,10 +53,33 @@ class TestConstruction:
     def test_degree_overflow(self):
         with pytest.raises(ValidityError):
             mono(1, (3,), (0,), 1, 2)
+        with pytest.raises(ValidityError):
+            mono(1, (3,), (0,), 0, 2)
 
     def test_zero_pruning(self):
         j = Jet(1, {((1,), (1,)): Q(0)}, 4)
         assert j.is_zero()
+
+    def test_monomial_takes_lists(self):
+        assert mono(2, [1, 0], [0, 2], 3, 4) == mono(2, (1, 0), (0, 2), 3, 4)
+
+    def test_constructor_rejects_wrong_key_length(self):
+        with pytest.raises(DimensionMismatch):
+            Jet(2, {((1,), (0, 1)): Q(1)}, 4)
+
+    def test_constructor_rejects_negative_exponent(self):
+        with pytest.raises(JetError, match="negative exponent"):
+            Jet(2, {((1, -1), (0, 1)): Q(1)}, 4)
+
+    def test_constructor_rejects_degree_above_validity(self):
+        with pytest.raises(ValidityError):
+            Jet(1, {((2,), (1,)): Q(1)}, 2)
+
+    def test_coeffs_is_a_read_only_view(self):
+        j = mono(1, (1,), (1,), 1, 4)
+        with pytest.raises(TypeError):
+            j.coeffs[((0,), (0,))] = Q(1)
+        assert j == mono(1, (1,), (1,), 1, 4)
 
 
 class TestArithmetic:
@@ -285,6 +315,54 @@ def test_log1p_matches_power_series(s):
 
 
 @st.composite
+def reference_operands(draw):
+    """Two jets in n <= 3 variables and a variable index.  Their validities
+    differ and cross slot widths (1 bit at D = 1, 2 at 2..3, 3 at 4..7, 4 at
+    8..9), and each may be truncated from a deeper jet, which keeps the
+    wider packing of its source, so operations have to repack."""
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def jet():
+        D = draw(st.integers(min_value=0, max_value=9 if n == 1 else 6))
+        top = draw(st.integers(min_value=D, max_value=D + 5))
+        keys = [
+            (P, Q_)
+            for P in multiindices_upto(n, min(top, 4))
+            for Q_ in multiindices_upto(n, min(top, 4))
+            if sum(P) + sum(Q_) <= top
+        ]
+        coeffs = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            coeffs[draw(st.sampled_from(keys))] = draw(small_q)
+        return Jet(n, coeffs, top).truncated(D)
+
+    return jet(), jet(), draw(st.integers(min_value=0, max_value=n - 1))
+
+
+def assert_same(jet, reference):
+    assert jet.valid_degree == reference.valid_degree
+    assert jet.coeffs == reference.coeffs
+    assert jet == reference and reference == jet
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(reference_operands())
+def test_packed_operations_match_the_tuple_reference(case):
+    a, b, i = case
+    assert_same(a + b, ref_add(a, b))
+    assert_same(a * b, ref_mul(a, b))
+    assert_same(a.conj(), ref_conj(a))
+    D = min(a.valid_degree, b.valid_degree)
+    assert_same(a.truncated(D), ref_truncated(a, D))
+    if a.valid_degree:
+        assert_same(a.dz(i), ref_dz(a, i))
+        assert_same(a.dzbar(i), ref_dzbar(a, i))
+    s = a - a.eval0()
+    if s.valid_degree <= 6:
+        assert_same(log1p(s), series_log1p(s))
+
+
+@st.composite
 def packed_operands(draw):
     """A slot bound and three exponent pairs within it, for n <= 4."""
     n = draw(st.integers(min_value=1, max_value=4))
@@ -297,7 +375,8 @@ def packed_operands(draw):
 @given(packed_operands())
 def test_packing_round_trip(case):
     n, top, pairs = case
-    pk = _Packing(n, top)
+    pk = packing(n, top)
+    assert packing(n, top) is pk  # one shared packing per (n, width)
     # the least width that holds top
     assert 2 ** pk.bits > top and (top == 0 or 2 ** (pk.bits - 1) <= top)
     for P, Q_ in pairs:

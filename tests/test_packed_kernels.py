@@ -58,10 +58,18 @@ def fresh(m):
     return replace(m, _functionals={0: m._functionals[0]}, _einstein=None)
 
 
+def table(m, k):
+    """Table k as the library stores it, numerators N_k on packed keys, read
+    back as (P, Q) -> N_k / Lg^k."""
+    den = m._pullback[0] ** k
+    unpack = m.potential.pk.unpack
+    return {unpack(K): Q(c, den) for K, c in _laplacian_functional(m, k).items()}
+
+
 def assert_tables_match(m, ks):
     m = fresh(m)
     for k in ks:
-        assert _laplacian_functional(m, k) == fraction_laplacian_functional(m, k)
+        assert table(m, k) == fraction_laplacian_functional(m, k)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -76,9 +84,10 @@ def test_cp10_k4_matches_fraction_pullback(spaces):
 @pytest.mark.parametrize("degree", [4, 8])
 def test_k_up_to_the_slot_mask_and_no_further(spaces, degree):
     m = fresh(spaces("cp:n=1", degree).metric)
-    top = m._pullback[0].mask
-    assert top == degree - 1  # the slots are sized for valid_degree - 1
-    assert _laplacian_functional(m, top) == fraction_laplacian_functional(m, top)
+    top = m.potential.pk.mask
+    # the slots are the potential's own, the narrowest that hold valid_degree
+    assert top == 2 ** degree.bit_length() - 1
+    assert table(m, top) == fraction_laplacian_functional(m, top)
     with pytest.raises(ValidityError):
         _laplacian_functional(m, top + 1)
 
@@ -121,19 +130,25 @@ def test_scaled_origin_and_mixed_denominators(text):
 
 
 def one_variable_pot(degree):
-    """|z|^2 plus terms z^a zb^b with a + b = degree and a or b = 1, so a
-    packed exponent reaches degree - 1, the most that can reach g."""
+    """|z|^2 plus terms z^a zb^b with a + b = degree and a or b = 1, so an
+    exponent reaches degree - 1, the most that can reach g, and the
+    pluriharmonic z^degree and zb^degree, whose exponent is the potential's
+    validity, the most its packing must hold."""
     top = "*".join(["z(1)"] * (degree - 1))
     return f"""dim 1
 modsq(z(1)) + 1/3*{top}*conj(z(1)) + 2/5*z(1)*conj({top})
+  + 1/4*{top}*z(1) + 1/6*conj({top}*z(1))
   + log(1 + 1/2*modsq(z(1)) + 1/7*z(1)*z(1)*conj(z(1)))
 """
 
 
 @pytest.mark.parametrize("degree", [7, 8, 9])
 def test_one_variable_exponents_at_the_top_of_a_slot(degree):
-    # degree 9 packs exponent 8, one bit wider than g's own exponents need
+    # the potential's packing holds its validity: at degree 7 the pure
+    # powers reach 7, the top of its 3-bit slots; at 8 and 9 g's own
+    # exponents reach 7 and 8, either side of that width, on 4-bit slots
     m = pot_metric(one_variable_pot(degree), degree)
+    assert m.potential.pk.mask == 2 ** degree.bit_length() - 1
     assert m.g_inv.valid_degree == degree - 2
     assert_inverse_matches_neumann(m)
 
