@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from . import dsl
 from .jets import Jet, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
-from .metric import _table_value
-from .radial import named_profile
+from .metric import _table_value, metric_with_inverse
+from .radial import inverse_metric, named_profile
 from .rationals import Q, ZERO
 
 
@@ -94,6 +94,10 @@ class SpaceDescriptor:
 
 
 def _need(desc, names):
+    keys = [key for key, _ in desc.params]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise CatalogError(f"{desc.family} parameter {key!r} is repeated")
     have = dict(desc.params)
     if sorted(have) != sorted(names):
         raise CatalogError(
@@ -357,7 +361,13 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     if D < 2:
         raise CatalogError("truncation must be >= 2")
     phi = potential_jet(desc, D)
-    metric = metric_from_potential(phi)
+    name = _RADIAL_PROFILES.get(desc.family)
+    if name is None:
+        metric = metric_from_potential(phi)
+    else:
+        # g_inv in closed form; psi_functions needs the profile to t^2 at D = 2
+        profile = named_profile(name, max(2, (D + 1) // 2))
+        metric = metric_with_inverse(phi, lambda: inverse_metric(profile, phi))
     return CatalogSpace(
         descriptor=desc, metric=metric, frame=_frame(desc), truncation=D
     )

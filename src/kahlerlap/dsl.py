@@ -106,9 +106,9 @@ class Radial:
 _SYMBOLS = set("+-*/(),;[]")
 
 
-def _tokenize(text):
+def _tokenize(text, line):
     tokens = []
-    line, col = 1, 1
+    col = 1
     i = 0
     while i < len(text):
         ch = text[i]
@@ -254,9 +254,10 @@ class _Parser:
         return tuple(items)
 
 
-def parse(text) -> object:
-    """Parse an expression, or raise PotentialSyntaxError with position."""
-    parser = _Parser(_tokenize(text))
+def parse(text, first_line=1) -> object:
+    """Parse an expression, or raise PotentialSyntaxError with position,
+    counting the lines of text from first_line."""
+    parser = _Parser(_tokenize(text, first_line))
     node = parser.expr()
     tok = parser.peek()
     if tok[0] != "end":
@@ -342,7 +343,7 @@ def parse_potential_file(text):
         break
     if n is None:
         raise PotentialSyntaxError("missing 'dim n' header", 1, 1)
-    body = "\n".join(lines[body_start:])
-    if not body.split("#", 1)[0].strip():
+    body = lines[body_start:]
+    if not any(raw.split("#", 1)[0].strip() for raw in body):
         raise PotentialSyntaxError("missing potential expression", body_start + 1, 1)
-    return n, parse(body)
+    return n, parse("\n".join(body), body_start + 1)

@@ -6,8 +6,8 @@ the identity for every smooth phi.  p_k(lap_c) reads only diagonal monomials
 z^P zb^P, so the fit walks just the off-diagonal keys of the lap^k table
 (which stores no zeros) and the diagonal with 1 <= |P| <= k: every other
 monomial reads zero on both sides.  The fit works on values rescaled to unit
-gauge (multiplying by prod d_i^{(P_i+Q_i)/2}), which keeps the arithmetic
-rational without changing coordinates.
+gauge (multiplying by prod d_i^{(P_i+Q_i)/2}, which is prod d_i^{P_i} on the
+diagonal), which keeps the arithmetic rational without changing coordinates.
 
 Outcomes are witness-first: the first monomial (in the graded lexicographic
 order of the complete test set) whose value is inconsistent is returned with
@@ -19,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .jets import mi_factorial, multiindices
-from .metric import MetricJet, TruncationError, _laplacian_functional, _table_value
+from .metric import MetricJet, TruncationError, _laplacian_functional
 from .rationals import Q, ZERO
-
-
-class RescaleError(ValueError):
-    """Value-level rescaling would be irrational and the value is nonzero."""
 
 
 @dataclass(frozen=True)
@@ -101,90 +96,92 @@ def _require_depth(m: MetricJet, k, needed_for=None):
         )
 
 
-def _support_pairs(m: MetricJet, k):
-    """Off-diagonal keys of the lap^k table and every (P, P) with
-    1 <= |P| <= k, as (P, Q), in graded lexicographic order (|P|+|Q|, P, Q)."""
-    unpack = m.potential.pk.unpack
-    pairs = [PQ for PQ in map(unpack, _laplacian_functional(m, k)) if PQ[0] != PQ[1]]
-    for p in range(1, k + 1):
-        pairs.extend((P, P) for P in multiindices(m.n, p))
-    pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
-    return pairs
+def _before(A, B, pk):
+    """Whether packed key A comes before B != A in graded lexicographic
+    order (|P|+|Q|, P, Q).  The total degree is A % mask: slot s weighs
+    2^(bits s) = 1 mod mask, and the fit's keys have degree <= 2k < mask
+    (2k <= valid_degree <= mask, and mask is odd).  The first slot where
+    A and B differ holds the lowest set bit of A ^ B."""
+    da, db = A % pk.mask, B % pk.mask
+    if da != db:
+        return da < db
+    low = A ^ B
+    shift = ((low & -low).bit_length() - 1) // pk.bits * pk.bits
+    return A >> shift & pk.mask < B >> shift & pk.mask
 
 
-def _raw_value(m: MetricJet, P, Q_, k):
-    """lap^k(z^P zb^Q)(0) via the cached functional table."""
-    _require_depth(m, k)
-    return _table_value(m, k, P, Q_)
-
-
-def rescaled_value(m: MetricJet, P, Q_, k):
-    """lap^k value on the monomial, rescaled to unit gauge.
-
-    Multiplies by prod d_i^{(P_i+Q_i)/2}.  Zero values need no rescaling;
-    a nonzero value whose rescale exponents are half-integral over a d_i != 1
-    has no rational rescaled form and raises.
-    """
-    v = _raw_value(m, P, Q_, k)
-    if v == 0:
-        return ZERO
-    factor = Q(1)
-    for i in range(m.n):
-        e = P[i] + Q_[i]
-        d = m.origin_diag[i]
-        if d == 1:
-            continue
-        if e % 2:
-            raise RescaleError(
-                f"monomial P={P}, Q={Q_} rescales by an irrational factor "
-                f"and has nonzero value {v}"
-            )
-        factor *= d ** (e // 2)
-    return v * factor
+def _diagonal(m: MetricJet, k):
+    """(p, packed key, p! P!, numerator and denominator of prod d_i^{P_i})
+    of each diagonal z^P zb^P with 1 <= |P| = p <= k, in graded
+    lexicographic order: its norm and its unit-gauge rescale."""
+    pk, d = m.potential.pk, m.origin_diag
+    # tails[t]: the exponents of slots s..n-1 with sum t, in lex order
+    tails = [[(0, 1, 1, 1)]] + [[] for _ in range(k)]
+    for s in reversed(range(m.n)):
+        u, a, b = pk.units[s], d[s].numerator, d[s].denominator
+        tails = [
+            [
+                (e * u + K, factorial(e) * f, a**e * dn, b**e * dd)
+                for e in range(t + 1)
+                for K, f, dn, dd in tails[t - e]
+            ]
+            for t in range(k + 1)
+        ]
+    return [
+        (p, K + (K << pk.half), factorial(p) * f, dn, dd)
+        for p in range(1, k + 1)
+        for K, f, dn, dd in tails[p]
+    ]
 
 
 def fit_pk(m: MetricJet, k) -> FitResult:
     """Fit the monic order-k polynomial over the degree <= 2k monomial set,
-    or return the first violation in enumeration order.  Only the monomials
-    that can matter are visited, in the same order, so the witness is the
-    one the complete set gives."""
+    or return the first violation in enumeration order.
+
+    Only the monomials that can matter are visited, in the same order, so
+    the witness is the one the complete set gives.  The walk reads the
+    packed numerators N_k of the lap^k table (metric._laplacian_functional)
+    directly.  An off-diagonal key is one whose two halves differ, and only
+    the first of them in graded lexicographic order can be the witness.  The
+    diagonal z^P zb^P has the rescaled value v = N_k prod d_i^{P_i} / Lg^k
+    and the ratio v / (p! P!), kept as a Fraction once per degree p and
+    compared with it in integers.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_depth(m, k, f"the order-{k} fit")
-    candidates = {}
-    for P, Q_ in _support_pairs(m, k):
-        if P != Q_:
-            # the table stores no zeros, so every off-diagonal key violates
-            return FitResult(
-                k=k,
-                witness=ViolationWitness(
-                    P=P, Q=Q_, kind="off_diagonal_nonzero",
-                    lhs=_table_value(m, k, P, Q_), expected=ZERO,
-                ),
+    nums = _laplacian_functional(m, k)
+    pk = m.potential.pk
+    lgk = m._pullback[0] ** k
+    half, low = pk.half, (1 << pk.half) - 1
+    first = None
+    for K in nums:
+        if K & low != K >> half and (first is None or _before(K, first, pk)):
+            first = K
+
+    def witness(K, kind, lhs, expected):
+        P, Q_ = pk.unpack(K)
+        return FitResult(
+            k=k,
+            witness=ViolationWitness(P=P, Q=Q_, kind=kind, lhs=lhs, expected=expected),
+        )
+
+    candidates = []
+    for p, K, norm, dn, dd in _diagonal(m, k):
+        if first is not None and _before(first, K, pk):
+            break
+        c, den = nums.get(K, 0) * dn, lgk * norm * dd
+        if len(candidates) < p:
+            if p == k and c != den:
+                return witness(K, "non_monic", Q(c, lgk * dd), Q(norm))
+            candidates.append(Q(c, den))
+        elif c * candidates[-1].denominator != candidates[-1].numerator * den:
+            return witness(
+                K, "diagonal_inconsistent", Q(c, lgk * dd), candidates[-1] * norm
             )
-        p = sum(P)
-        v = rescaled_value(m, P, Q_, k)
-        norm = Q(factorial(p) * mi_factorial(P))
-        ratio = v / norm
-        if p not in candidates:
-            if p == k and ratio != 1:
-                return FitResult(
-                    k=k,
-                    witness=ViolationWitness(
-                        P=P, Q=Q_, kind="non_monic", lhs=v, expected=norm,
-                    ),
-                )
-            candidates[p] = ratio
-        elif ratio != candidates[p]:
-            return FitResult(
-                k=k,
-                witness=ViolationWitness(
-                    P=P, Q=Q_, kind="diagonal_inconsistent", lhs=v,
-                    expected=candidates[p] * norm,
-                ),
-            )
-    coeffs = tuple(candidates[p] for p in range(1, k + 1))
-    return FitResult(k=k, polynomial=LaplacePolynomial(k=k, coeffs=coeffs))
+    if first is not None:
+        return witness(first, "off_diagonal_nonzero", Q(nums[first], lgk), ZERO)
+    return FitResult(k=k, polynomial=LaplacePolynomial(k=k, coeffs=tuple(candidates)))
 
 
 def check_delta_property(m: MetricJet, k_max):

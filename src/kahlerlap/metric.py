@@ -8,7 +8,9 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
 g itself is never held as jets: metric_from_potential builds its integer
 parts straight from the potential's packed parts and inverts them, and the
 one reading of g's derivatives (third_deriv_obstruction) takes them from
-the potential's coefficients.
+the potential's coefficients.  The radial catalog families take g_inv in
+closed form instead (radial.inverse_metric); both builders end in
+metric_with_inverse, which checks the gauge and indexes g_inv.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  Its
@@ -86,16 +88,7 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     meet there, since the shift is the same for every term of one entry.
     The integer parts go to the inverse kernel as g = parts / Lp, and g_inv
     comes back on the same packing.
-
-    The pullback index is built here too, from g_inv's keys as they are:
-    with Lg the lcm of the reduced denominators of g_inv, it maps the packed
-    key of each g_inv monomial (U, V) to the positions carrying it, as
-    (Lg * coefficient, shift of slot j, shift of slot n + i, packed e_j + e_i).
     """
-    if potential.valid_degree < 2:
-        raise TruncationError(
-            "potential must be valid at least to degree 2", required=2
-        )
     n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
     bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
     terms = [
@@ -121,21 +114,43 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                 row, ca, ki = rows[i], c * a, K - units[i]
                 for j, b, u in bars:
                     row[j][ki - u] = ca * b
+    return metric_with_inverse(potential, lambda: _graded_inverse(pk, parts, lp))
+
+
+def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
+    """MetricJet of a potential valid to degree >= 2, whose g_inv is
+    inverse(), a JetMatrix on the potential's packing valid to its
+    valid_degree - 2.
+
+    The gauge is checked first, from the potential's degree-2 terms: its
+    term c z_i zb_j is g[i][j](0) = c.  Then inverse runs, and the pullback
+    index is built from g_inv's keys as they are: with Lg the lcm of the
+    reduced denominators of g_inv, it maps the packed key of each g_inv
+    monomial (U, V) to the positions carrying it, as (Lg * coefficient,
+    shift of slot j, shift of slot n + i, packed e_j + e_i).
+    """
+    if potential.valid_degree < 2:
+        raise TruncationError(
+            "potential must be valid at least to degree 2", required=2
+        )
+    n, pk = potential.n, potential.pk
+    bits, units = pk.bits, pk.units
+    origin = potential.parts[2]
     diag = []
     for i in range(n):
         for j in range(n):
-            c = Q(parts[0][i][j].get(0, 0), lp)
+            c = origin.get(units[i] + units[n + j], ZERO)
             if i == j:
                 if c <= 0:
                     raise GaugeError(
                         f"g({i},{i})(0) = {c} is not positive"
                     )
-                diag.append(c)
+                diag.append(Q(c))
             elif c != 0:
                 raise GaugeError(
                     f"g(0) is not diagonal: entry ({i},{j}) = {c}"
                 )
-    g_inv = _graded_inverse(pk, parts, lp)
+    g_inv = inverse()
     lg = lcm(
         *(c.denominator for row in g_inv.entries for e in row
           for part in e.parts for c in part.values())
@@ -150,7 +165,7 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                     index.setdefault(K, []).append(
                         (c.numerator * (lg // c.denominator), shift_j, shift_i, step)
                     )
-    cubic_free = D < 1 or not potential.parts[3]
+    cubic_free = potential.valid_degree < 3 or not potential.parts[3]
     normal = cubic_free and all(d == 1 for d in diag)
     return MetricJet(
         n=n,

@@ -30,10 +30,6 @@ class TSeries:
         self.coeffs = tuple(coeffs[: order + 1])
         self.order = order
 
-    @classmethod
-    def zero(cls, order):
-        return cls([], order)
-
     def __eq__(self, other):
         return (
             isinstance(other, TSeries)

@@ -22,7 +22,11 @@ jet entry by entry, where the library packs the potential and never forms
 g, and third_deriv_obstruction_from_g reads the obstruction from that g,
 where the library reads it from the potential's degree-(3,2) terms.  The
 matrix ring operations, the Euclidean powers, the order-3 expansion of
-lap^3 and verify_witness are code that only the tests use.
+lap^3 and verify_witness are code that only the tests use, as are the
+tuple-keyed reads of the lap^k table (_support_pairs, _raw_value,
+rescaled_value, which raises RescaleError), which fit_pk replaced by a walk
+over the packed keys.  verify_witness recomputes the value of a witness by
+applying laplacian_apply k times for n <= 4, so it does not trust the table.
 """
 
 import itertools
@@ -30,13 +34,7 @@ from functools import lru_cache
 from math import factorial
 
 from kahlerlap.catalog import SpaceDescriptor, _upper_index, dual_potential
-from kahlerlap.fit import (
-    FitResult,
-    LaplacePolynomial,
-    ViolationWitness,
-    _raw_value,
-    rescaled_value,
-)
+from kahlerlap.fit import FitResult, LaplacePolynomial, ViolationWitness, _require_depth
 from kahlerlap.jets import (
     DimensionMismatch,
     Jet,
@@ -52,9 +50,11 @@ from kahlerlap.jets import (
 from kahlerlap.metric import (
     GaugeError,
     TruncationError,
+    _laplacian_functional,
     _table_value,
     delta_power_at0,
     einstein_constant,
+    laplacian_apply,
 )
 from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q, ZERO
@@ -82,6 +82,53 @@ def monomial_test_set(n, k):
                     pairs.append((P, Q_))
     pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
     return pairs
+
+
+class RescaleError(ValueError):
+    """Value-level rescaling would be irrational and the value is nonzero."""
+
+
+def _support_pairs(m, k):
+    """Off-diagonal keys of the lap^k table and every (P, P) with
+    1 <= |P| <= k, as (P, Q), in graded lexicographic order (|P|+|Q|, P, Q):
+    the monomials that fit_pk visits, unpacked and sorted."""
+    unpack = m.potential.pk.unpack
+    pairs = [PQ for PQ in map(unpack, _laplacian_functional(m, k)) if PQ[0] != PQ[1]]
+    for p in range(1, k + 1):
+        pairs.extend((P, P) for P in multiindices(m.n, p))
+    pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
+    return pairs
+
+
+def _raw_value(m, P, Q_, k):
+    """lap^k(z^P zb^Q)(0) via the cached functional table."""
+    _require_depth(m, k)
+    return _table_value(m, k, P, Q_)
+
+
+def _rescale(m, P, Q_, v):
+    """v times prod d_i^{(P_i+Q_i)/2}; zero needs no rescaling, and a nonzero
+    v whose exponents are half-integral over a d_i != 1 raises."""
+    if v == 0:
+        return ZERO
+    factor = Q(1)
+    for i in range(m.n):
+        e = P[i] + Q_[i]
+        d = m.origin_diag[i]
+        if d == 1:
+            continue
+        if e % 2:
+            raise RescaleError(
+                f"monomial P={P}, Q={Q_} rescales by an irrational factor "
+                f"and has nonzero value {v}"
+            )
+        factor *= d ** (e // 2)
+    return v * factor
+
+
+def rescaled_value(m, P, Q_, k):
+    """lap^k value on the monomial, rescaled to unit gauge (_rescale)."""
+    return _rescale(m, P, Q_, _raw_value(m, P, Q_, k))
 
 
 def dense_fit_pk(m, k) -> FitResult:
@@ -584,11 +631,19 @@ def fraction_laplacian_functional(m, k):
 
 def verify_witness(m, k, w: ViolationWitness) -> bool:
     """Re-evaluate a witness: the stated lhs must reproduce and still differ
-    from the stated expectation."""
-    if w.kind == "off_diagonal_nonzero":
-        lhs = _raw_value(m, w.P, w.Q, k)
+    from the stated expectation.  For n <= 4 the value comes from applying
+    laplacian_apply k times to the witness monomial, so the check does not
+    trust the lap^k table that produced the witness; for larger n it is
+    read from the table."""
+    if m.n <= 4:
+        phi = Jet.monomial(m.n, w.P, w.Q, 1, 2 * k)
+        for _ in range(k):
+            phi = laplacian_apply(m, phi)
+        lhs = phi.eval0()
     else:
-        lhs = rescaled_value(m, w.P, w.Q, k)
+        lhs = _raw_value(m, w.P, w.Q, k)
+    if w.kind != "off_diagonal_nonzero":
+        lhs = _rescale(m, w.P, w.Q, lhs)
     return lhs == w.lhs and lhs != w.expected
 
 

@@ -60,6 +60,15 @@ class TestCheckCommand:
         assert r.returncode == 2
         assert "error" in r.stderr
 
+    @pytest.mark.parametrize(
+        "label,key", [("cp:n=1,n=2", "n"), ("grassmannian:k=1,N=3,k=2", "k")]
+    )
+    def test_repeated_parameter_usage_error(self, label, key):
+        r = run_cli("check", label, "--kmax", "1", "--json")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"parameter {key!r} is repeated" in r.stderr
+
     def test_low_degree_usage_error(self):
         r = run_cli("check", "cp:n=1", "--kmax", "3", "--degree", "4")
         assert r.returncode == 2
@@ -99,6 +108,18 @@ class TestCheckCommand:
         assert r.returncode == 0
         assert "p_2 = x^2 + 2*x" in r.stdout
 
+    @pytest.mark.parametrize(
+        "body,where",
+        [("1/0 * modsq(z(1))", "zero denominator (line 3, column 3)"),
+         ("modsq(z(1)) 5", "trailing input starting at '5' (line 3, column 13)")],
+    )
+    def test_pot_syntax_error_reports_the_file_line(self, tmp_path, body, where):
+        pot = tmp_path / "broken.pot"
+        pot.write_text(f"# a comment line\ndim 1\n{body}\n")
+        r = run_cli("check", str(pot))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {where}\n"
+
     def test_bad_pot_file(self, tmp_path):
         pot = tmp_path / "broken.pot"
         pot.write_text("dim 1\nlog(\n")
@@ -109,8 +130,10 @@ class TestCheckCommand:
         def singular(potential):
             raise NonInvertibleError("singular constant term")
 
+        # grassmannian:k=1,N=2 is cp:n=1 built by elaboration, so its g_inv
+        # comes from metric_from_potential (cp:n=1 takes the closed form)
         monkeypatch.setattr(catalog, "metric_from_potential", singular)
-        assert cli.main(["check", "cp:n=1", "--json"]) == 3
+        assert cli.main(["check", "grassmannian:k=1,N=2", "--json"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: internal: singular constant term\n"

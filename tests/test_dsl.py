@@ -208,6 +208,26 @@ class TestPotFiles:
             "dimension must be at least 1, got 'dim 0' (line 2, column 1)"
         )
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 1\n1/0 * modsq(z(1))\n", "zero denominator (line 2, column 3)"),
+            ("dim 1\nmodsq(z(1)) 5\n", "trailing input starting at '5' (line 2, column 13)"),
+            ("# header comment\ndim 1\n1/0 * modsq(z(1))\n",
+             "zero denominator (line 3, column 3)"),
+            ("# header comment\ndim 1\n# body comment\nlog(1 +\n  modsq(z(1)) 5)\n",
+             "expected ')', found '5' (line 5, column 15)"),
+        ],
+    )
+    def test_body_errors_report_file_lines(self, text, message):
+        with pytest.raises(PotentialSyntaxError) as info:
+            parse_potential_file(text)
+        assert str(info.value) == message
+
+    def test_comment_line_before_the_body(self):
+        n, expr = parse_potential_file("dim 1\n# the Fubini-Study line\nlog(1 + modsq(z(1)))\n")
+        assert n == 1 and expr == parse("log(1 + modsq(z(1)))")
+
     def test_missing_body(self):
         with pytest.raises(PotentialSyntaxError):
             parse_potential_file("dim 2\n# nothing\n")

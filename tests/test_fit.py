@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kahlerlap.fit import (
     FitResult,
     LaplacePolynomial,
-    RescaleError,
     check_delta_property,
     fit_pk,
-    rescaled_value,
 )
 from kahlerlap.jets import (
     Jet,
@@ -29,10 +27,13 @@ from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
 from dense_oracles import (
+    RescaleError,
+    _raw_value,
     _weighted_euclidean_at0,
     euclidean_power_at0,
     monomial_test_set,
     multiindices_upto,
+    rescaled_value,
     verify_witness,
 )
 
@@ -94,8 +95,6 @@ class TestRescaledValue:
         ) + Jet.monomial(1, (1,), (2,), 1, 6)
         m = metric_from_potential(phi)
         assert rescaled_value(m, (1,), (0,), 1) == 0
-        from kahlerlap.fit import _raw_value
-
         assert _raw_value(m, (2,), (1,), 2) == Q(-1, 2)
         with pytest.raises(RescaleError):
             rescaled_value(m, (2,), (1,), 2)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from dense_oracles import c_constant_at
+from dense_oracles import _raw_value, c_constant_at
 
 from kahlerlap.fit import LaplacePolynomial, check_delta_property
 from kahlerlap.jets import ValidityError
@@ -201,8 +201,6 @@ class TestOracleEquivalence:
             assert fit.polynomial == poly
 
     def test_off_diagonal_annihilation(self):
-        from kahlerlap.fit import _raw_value
-
         prof = profile_from_coeffs([0, 1, Q(1, 2)], order=4)
         m = metric_from_potential(potential_jet(prof, 2, 8))
         for P, Q_ in [((1, 0), (0, 1)), ((2, 0), (1, 1)), ((2, 1), (1, 0)),
