@@ -5,6 +5,11 @@ series in t = |z|^2 (radial.named_profile).  Every other classical family is
 a surface expression (dsl_text) that dsl.elaborate turns into its jet, the
 same path a .pot file takes; product and dual are built from their factors.
 
+Every family but the quadrics, and its dual, is in Harish-Chandra
+coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
+matrix W that dsl_text writes the potential from (_matrix_slots).  The
+quadrics and products take the graded inverse of g, as .pot files do.
+
 Families and their potentials in construction coordinates:
 
   flat:n            sum |z_i|^2
@@ -45,12 +50,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from . import dsl
-from .jets import Jet, substitute_radial
+from .jets import Jet, JetMatrix, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
-from .radial import inverse_metric, named_profile
+from .radial import named_profile
 from .rationals import Q, ZERO
 
 
@@ -260,7 +266,30 @@ def _upper_index(N, strict):
     return {ij: count for count, ij in enumerate(slots)}
 
 
+def _matrix_slots(desc):
+    """W of a Bergman family as (rows, cols, W, scale): W maps each nonzero
+    slot (r, c) to (free coordinate, sign), and the potential is
+    scale * log det(I + W^dagger W).  flat, cp and ch take the column W = z
+    of the k = 1 Grassmannian."""
+    fam = desc.family
+    if fam in _RADIAL_PROFILES:
+        n = desc.param("n")
+        return n, 1, {(r, 0): (r, 1) for r in range(n)}, 1
+    if fam == "grassmannian":
+        k, N = desc.param("k"), desc.param("N")
+        return N - k, k, {(r, c): (r * k + c, 1) for r in range(N - k) for c in range(k)}, 1
+    # sp: W symmetric; so2n: W skew, with the strictly upper entries free
+    N, sp = desc.param("N"), fam == "sp"
+    idx = _upper_index(N, strict=not sp)
+    W = {
+        (r, c): (idx[(min(r, c), max(r, c))], 1 if sp or r < c else -1)
+        for r in range(N) for c in range(N) if sp or r != c
+    }
+    return N, N, W, 1 if sp else Q(1, 2)
+
+
 _RADIAL_PROFILES = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}
+_BERGMAN = {"flat", "cp", "ch", "grassmannian", "sp", "so2n"}
 
 
 def potential_jet(desc: SpaceDescriptor, D) -> Jet:
@@ -302,32 +331,16 @@ def _frame(desc: SpaceDescriptor):
     fam = desc.family
     if fam == "flat":
         return ()
-    if fam in ("cp", "ch"):
-        return (FrameDirection(((0, 1),), Q(1), "z1 axis"),)
-    if fam == "grassmannian":
-        k, N = desc.param("k"), desc.param("N")
-        m = min(k, N - k)
-        return tuple(
-            FrameDirection(((i * k + i, 1),), Q(1), f"w{i + 1}{i + 1} axis")
-            for i in range(m)
-        )
-    if fam == "sp":
-        N = desc.param("N")
-        idx = _upper_index(N, strict=False)
-        return tuple(
-            FrameDirection(((idx[(i, i)], 1),), Q(1), f"w{i + 1}{i + 1} axis")
-            for i in range(N)
-        )
-    if fam == "so2n":
-        N = desc.param("N")
-        idx = _upper_index(N, strict=True)
+    if fam in _BERGMAN:
+        # unit axes at diagonal slots of W (so2n: the 2 x 2 blocks)
+        W = _matrix_slots(desc)[2]
+        cells = [(2 * m, 2 * m + 1) if fam == "so2n" else (m, m) for m in range(desc.rank)]
         return tuple(
             FrameDirection(
-                ((idx[(2 * m, 2 * m + 1)], 1),),
-                Q(1),
-                f"w{2 * m + 1}{2 * m + 2} axis",
+                ((W[r, c][0], 1),), Q(1),
+                "z1 axis" if fam in ("cp", "ch") else f"w{r + 1}{c + 1} axis",
             )
-            for m in range(N // 2)
+            for r, c in cells
         )
     if fam in ("quadric-even", "quadric-odd"):
         N = desc.param("N")
@@ -360,17 +373,77 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     """Construct the metric jet and embedding metadata at truncation D."""
     if D < 2:
         raise CatalogError("truncation must be >= 2")
-    phi = potential_jet(desc, D)
-    name = _RADIAL_PROFILES.get(desc.family)
-    if name is None:
-        metric = metric_from_potential(phi)
-    else:
-        # g_inv in closed form; psi_functions needs the profile to t^2 at D = 2
-        profile = named_profile(name, max(2, (D + 1) // 2))
-        metric = metric_with_inverse(phi, lambda: inverse_metric(profile, phi))
     return CatalogSpace(
-        descriptor=desc, metric=metric, frame=_frame(desc), truncation=D
+        descriptor=desc,
+        metric=_metric(desc, potential_jet(desc, D)),
+        frame=_frame(desc),
+        truncation=D,
     )
+
+
+def _metric(desc: SpaceDescriptor, phi: Jet) -> MetricJet:
+    """The metric of phi, the potential of desc: g_inv in closed form if any."""
+    inner = desc
+    while inner.family == "dual":
+        inner = inner.inner[0]
+    if inner.family in _BERGMAN:
+        return metric_with_inverse(phi, lambda: bergman_inverse(desc, phi))
+    return metric_from_potential(phi)
+
+
+def bergman_inverse(desc: SpaceDescriptor, potential: Jet) -> JetMatrix:
+    """g_inv of a Bergman family or its dual on the potential's packing,
+    valid to its valid_degree - 2: the Bergman operator X -> B X A of the
+    Jordan triple (Loos 1977), A = I + W^dagger W, B = I + W W^dagger (both I
+    for flat).  With S_a the slots (i, j, sign) of coordinate a and (k, l)
+    the first slot of b,
+
+        g_inv[a][b] = sum_{(i, j, sign) in S_a} sign B[k][i] A[j][l] / (scale |S_a|).
+
+    Its degree-d terms have |Q| = d/2, so a dual (c -> (-1)^|Q| c) negates
+    the degree-2 part; ch is dual(cp).
+    """
+    flip = False
+    while desc.family == "dual":
+        desc, flip = desc.inner[0], not flip
+    flip ^= desc.family == "ch"
+    rows, cols, W, scale = _matrix_slots(desc)
+    n, pk, D = potential.n, potential.pk, potential.valid_degree - 2
+    units = pk.units
+    slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
+    # A and B as (degree, packed key) -> integer
+    A = [[{(0, 0): 1} if a == b else {} for b in range(cols)] for a in range(cols)]
+    B = [[{(0, 0): 1} if a == b else {} for b in range(rows)] for a in range(rows)]
+    quadratic = {} if desc.family == "flat" else W
+    for (r, a), (u, su) in quadratic.items():
+        for (r2, b), (v, sv) in W.items():
+            if r2 == r:  # conj(W[r][a]) W[r][b] in A[a][b]
+                key = (2, units[v] + units[n + u])
+                A[a][b][key] = A[a][b].get(key, 0) + su * sv
+            if b == a:  # W[r][a] conj(W[r2][a]) in B[r][r2]
+                key = (2, units[u] + units[n + v])
+                B[r][r2][key] = B[r][r2].get(key, 0) + su * sv
+    q = cache(Q)  # the coefficients take few values: share each Fraction
+    entries = []
+    for a in range(n):
+        mul, den = scale.denominator, scale.numerator * len(slots[a])
+        row = []
+        for b in range(n):
+            k, l, _ = slots[b][0]
+            acc = {}
+            for i, j, sign in slots[a]:
+                for (d1, key1), c1 in B[k][i].items():
+                    for (d2, key2), c2 in A[j][l].items():
+                        if d1 + d2 <= D:
+                            key = d1 + d2, key1 + key2
+                            acc[key] = acc.get(key, 0) + sign * c1 * c2
+            parts = [{} for _ in range(D + 1)]
+            for (d, key), c in acc.items():
+                if c:
+                    parts[d][key] = q(c * mul * (-1) ** (flip * d // 2), den)
+            row.append(Jet._of(n, pk, parts))
+        entries.append(row)
+    return JetMatrix(entries)
 
 
 def _modsq_of_form(form, n, D) -> Jet:
@@ -456,7 +529,7 @@ def dual_compare(desc: SpaceDescriptor, D=6):
     f = |z_i z_j|^2, on the space and on its noncompact dual."""
     space = build_space(desc, D)
     m_compact = space.metric
-    m_dual = metric_from_potential(dual_potential(m_compact.potential))
+    m_dual = _metric(dual(desc), dual_potential(m_compact.potential))
     for m in (m_compact, m_dual):
         rep = einstein_constant(m)
         if rep.lam is None:
@@ -464,14 +537,9 @@ def dual_compare(desc: SpaceDescriptor, D=6):
                 f"duality table needs Einstein metrics; residual {rep.residual}"
             )
     n = m_compact.n
-    monomials = []
-    for i in range(n):
-        for j in range(i, n):
-            P = tuple(
-                (2 if a == i else 0) if i == j else (1 if a in (i, j) else 0)
-                for a in range(n)
-            )
-            monomials.append(P)
+    monomials = [
+        tuple((a == i) + (a == j) for a in range(n)) for i in range(n) for j in range(i, n)
+    ]
     return [
         (P, _table_value(m_compact, 3, P, P), _table_value(m_dual, 3, P, P))
         for P in monomials
@@ -492,44 +560,22 @@ def dsl_text(desc: SpaceDescriptor) -> str:
     """The potential of a non-radial classical family in the surface language."""
     fam = desc.family
     if fam in ("grassmannian", "sp", "so2n"):
-        if fam == "grassmannian":
-            k, N = desc.param("k"), desc.param("N")
-            rows, cols = N - k, k
-            term = lambda r, c: f"z({r * cols + c + 1})"
-        elif fam == "sp":
-            N = desc.param("N")
-            rows = cols = N
-            idx = _upper_index(N, strict=False)
-            term = lambda r, c: f"z({idx[(min(r, c), max(r, c))] + 1})"
-        else:
-            N = desc.param("N")
-            rows = cols = N
-            idx = _upper_index(N, strict=True)
+        rows, cols, W, scale = _matrix_slots(desc)
+        z = {rc: f"z({v + 1})" if sign > 0 else f"(0 - z({v + 1}))"
+             for rc, (v, sign) in W.items()}
 
-            def term(r, c):
-                if r == c:
-                    return None
-                if r < c:
-                    return f"z({idx[(r, c)] + 1})"
-                return f"(0 - z({idx[(c, r)] + 1}))"
+        def entry(a, b):  # of I + W^dagger W
+            base = " + ".join(
+                f"conj({z[r, a]})*{z[r, b]}"
+                for r in range(rows) if (r, a) in z and (r, b) in z
+            ) or "0"
+            return "1 + " + base if a == b else base
 
-        entries = []
-        for a in range(cols):
-            row_terms = []
-            for b in range(cols):
-                prods = []
-                for r in range(rows):
-                    ta, tb = term(r, a), term(r, b)
-                    if ta is None or tb is None:
-                        continue
-                    prods.append(f"conj({ta})*{tb}")
-                base = " + ".join(prods) if prods else "0"
-                if a == b:
-                    base = "1 + " + base
-                row_terms.append(base)
-            entries.append(", ".join(row_terms))
-        text = "log(det([" + "; ".join(entries) + "]))"
-        return "1/2 * " + text if fam == "so2n" else text
+        matrix = "; ".join(
+            ", ".join(entry(a, b) for b in range(cols)) for a in range(cols)
+        )
+        text = f"log(det([{matrix}]))"
+        return text if scale == 1 else f"{scale} * {text}"
     if fam in ("quadric-even", "quadric-odd"):
         N = desc.param("N")
         nv = N - 1

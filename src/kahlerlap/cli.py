@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__, catalog
@@ -28,6 +29,7 @@ from .metric import (
     einstein_constant,
     fifth_order_check,
     metric_from_potential,
+    require_bochner_form,
     third_deriv_obstruction,
 )
 from .radial import named_profile, potential_jet, profile_from_coeffs, radial_pk
@@ -118,6 +120,7 @@ def _load_check_target(target, degree):
             raise UsageError(f"no such potential file: {target}")
         n, expr = parse_potential_file(path.read_text(encoding="utf-8"))
         phi = elaborate(expr, n, degree)
+        require_bochner_form(phi)
         return target, n, metric_from_potential(phi), None
     desc = catalog.parse_space(target)
     space = catalog.build_space(desc, degree)
@@ -306,9 +309,11 @@ def _common_flags(p):
     p.add_argument("--out", help="write the report to a file")
 
 
+_parser = cache(build_parser)  # built once, when main first runs
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except JetError as exc:

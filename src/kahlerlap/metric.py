@@ -8,8 +8,8 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
 g itself is never held as jets: metric_from_potential builds its integer
 parts straight from the potential's packed parts and inverts them, and the
 one reading of g's derivatives (third_deriv_obstruction) takes them from
-the potential's coefficients.  The radial catalog families take g_inv in
-closed form instead (radial.inverse_metric); both builders end in
+the potential's coefficients.  The Bergman catalog families take g_inv in
+closed form instead (catalog.bergman_inverse); both builders end in
 metric_with_inverse, which checks the gauge and indexes g_inv.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
@@ -177,6 +177,20 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
         _pullback=(lg, index),
         _functionals={0: {0: 1}},
     )
+
+
+def require_bochner_form(potential: Jet):
+    """GaugeError at the first term z^P zb^Q (by degree, then key) with one
+    of |P|, |Q| equal to 1 and the other at least 2: the origin checks read
+    Bochner coordinates (Bochner 1947), and would report any other chart."""
+    for part in potential.parts[3:]:
+        for key in sorted(part):
+            P, Q_ = potential.pk.unpack(key)
+            if min(sum(P), sum(Q_)) == 1:  # degree >= 3: the other is >= 2
+                raise GaugeError(
+                    f"potential is not in Bochner form: term z^{list(P)} "
+                    f"zb^{list(Q_)} has bidegree ({sum(P)}, {sum(Q_)})"
+                )
 
 
 def laplacian_apply(m: MetricJet, phi: Jet) -> Jet:

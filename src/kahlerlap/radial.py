@@ -10,10 +10,8 @@ to |z^P|^2 only involves the two radial series
 
     psi1 = 1/Phi'        psi2 = Phi'' / (Phi' (Phi' + t Phi'')).
 
-inverse_metric spreads psi1 and psi2 over monomials by substitute_radial;
-the catalog builds g_inv of flat, cp and ch with it.  The radial command
-keeps the graded inverse, so its recursion-vs-fit check stays independent
-of psi_functions.
+The radial command fits p_k on the graded inverse of g, so its
+recursion-vs-fit check stays independent of psi_functions.
 
 With C^psi_{p,l} defined by (lap_c)^l (|z^P|^2 psi(t))(0) = C^psi_{p,l} p! P!,
 where lap_c = sum_i d^2/dz_i dzb_i and p = |P|, the closed form is
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .fit import LaplacePolynomial
-from .jets import Jet, JetMatrix, ValidityError, substitute_radial
+from .jets import Jet, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
 from .series import TSeries
 
@@ -116,30 +114,6 @@ def psi_functions(profile: RadialProfile):
     psi1 = d1.reciprocal()
     psi2 = d2 * psi1.truncate(d2.order) * denom.reciprocal()
     return psi1, psi2
-
-
-def inverse_metric(profile: RadialProfile, potential: Jet) -> JetMatrix:
-    """g_inv[i][j] = psi1(t) delta_ij - psi2(t) z_j zb_i (module docstring)
-    in closed form, for the potential Phi(t) as a jet (potential_jet).
-
-    profile is normalized and trusted to t^max(2, ceil(valid_degree / 2));
-    g_inv sits on the potential's packing, valid to its valid_degree - 2.
-    """
-    n, pk, D = potential.n, potential.pk, potential.valid_degree - 2
-    psi1, psi2 = psi_functions(profile)
-    diagonal = Jet._of(n, pk, substitute_radial(psi1, n, D)._parts_on(pk, D))
-    low = []  # the parts of -psi2(t), which z_j zb_i lifts by two degrees
-    if D >= 2:
-        low = substitute_radial(psi2.scale(-1), n, D - 2)._parts_on(pk, D - 2)
-    units = pk.units
-
-    def entry(i, j):
-        step = units[j] + units[n + i]
-        parts = [{}, {}] + [{K + step: c for K, c in part.items()} for part in low]
-        lifted = Jet._of(n, pk, parts[: D + 1])
-        return lifted + diagonal if i == j else lifted
-
-    return JetMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
 def c_constant(psi: TSeries, p, l, n):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from dense_oracles import direct_potential_jet, mat_identity, mat_sub, metric_matrix
 
@@ -7,6 +10,7 @@ from kahlerlap.jets import Jet, JetMatrix, log1p
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
+    laplacian_apply,
     metric_from_potential,
     third_deriv_obstruction,
 )
@@ -40,6 +44,12 @@ LAMBDA_GOLDEN = {
     "quadric-even:N=4": 3,
     "quadric-odd:N=4": 4,
 }
+
+GOLDEN_LABELS = list(
+    json.loads(
+        (Path(__file__).parent / "golden_check_reports.json").read_text(encoding="utf-8")
+    )
+)
 
 RANK2_LABELS = [
     "grassmannian:k=2,N=4",
@@ -260,6 +270,30 @@ class TestObstruction:
         assert ob.val1 == ob.val1_expected == 12 * ob.lam + 16
         assert ob.val2 == ob.val2_expected == 6 * ob.lam
         assert ob.delta_requirement == 16
+
+    @pytest.mark.parametrize(
+        "label",
+        [label for label in GOLDEN_LABELS if catalog.parse_space(label).rank >= 2],
+    )
+    def test_values_by_iterated_laplacian(self, spaces, label):
+        """val1 and val2 again, from lap applied three times to f1 and f2
+        (laplacian_apply) instead of the lap^3 functional table."""
+        space = spaces(label)
+        pair = catalog.embedded_test_polys(space)
+
+        def lap3_at0(f):
+            for _ in range(3):
+                f = laplacian_apply(space.metric, f)
+            return f.parts[0].get(0, 0)
+
+        d = space.metric.origin_diag
+        mu1, mu2 = (
+            sum(c * c * d[var] for var, c in fd.form) / fd.nu for fd in space.frame[:2]
+        )
+        ob = catalog.obstruction_report(space)
+        assert (ob.val1, ob.val2) == (
+            lap3_at0(pair.f1) * mu1 * mu1, lap3_at0(pair.f2) * mu1 * mu2
+        )
 
     def test_cp1_squared_obstruction(self, spaces):
         ob = catalog.obstruction_report(spaces("product(cp:n=1;cp:n=1)"))

@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kahlerlap import catalog, cli
+from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.jets import NonInvertibleError
 
 # the directory the tests import kahlerlap from, so the child runs the same code
@@ -130,9 +134,19 @@ class TestCheckCommand:
         def singular(potential):
             raise NonInvertibleError("singular constant term")
 
-        # grassmannian:k=1,N=2 is cp:n=1 built by elaboration, so its g_inv
-        # comes from metric_from_potential (cp:n=1 takes the closed form)
+        # the quadrics are not Bergman families: their g_inv comes from
+        # metric_from_potential
         monkeypatch.setattr(catalog, "metric_from_potential", singular)
+        assert cli.main(["check", "quadric-even:N=4", "--json"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: internal: singular constant term\n"
+
+    def test_engine_fault_in_the_closed_form_exit_code(self, monkeypatch, capsys):
+        def singular(desc, potential):
+            raise NonInvertibleError("singular constant term")
+
+        monkeypatch.setattr(catalog, "bergman_inverse", singular)
         assert cli.main(["check", "grassmannian:k=1,N=2", "--json"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
@@ -167,6 +181,79 @@ class TestCheckCommand:
         assert cli.main(["check", str(pot)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+
+    def test_pot_file_outside_bochner_form_is_refused(self, monkeypatch, tmp_path, capsys):
+        # CP^1 in a shifted chart: its (2, 1) and (1, 2) terms once read as
+        # a k=2 violation at z^[1] zb^[2]
+        pot = tmp_path / "shifted.pot"
+        pot.write_text("dim 1\nlog(1 + modsq(1/2 + z(1)))\n")
+
+        def build(*args):
+            raise AssertionError("built a metric or ran a fit")
+
+        for name in ("metric_from_potential", "check_delta_property"):
+            monkeypatch.setattr(cli, name, build)
+        assert cli.main(["check", str(pot), "--kmax", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: potential is not in Bochner form: term z^[2] zb^[1] has "
+            "bidegree (2, 1)\n"
+        )
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_catalog_and_seeded_potentials_are_balanced():
+    """Every term has |P| = |Q|, so the Bochner-form refusal leaves the
+    reports of the golden labels and of the benchmark's seeded .pot files
+    as they were."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden_check_reports.json").read_text(encoding="utf-8")
+    )
+    jets_ = [catalog.potential_jet(catalog.parse_space(label), 6) for label in golden]
+    workloads = _load_workloads()
+    for seed in range(8):
+        for text in workloads.pot_texts(seed):
+            n, expr = parse_potential_file(text)
+            jets_.append(elaborate(expr, n, workloads.POT_DEGREE))
+    for phi in jets_:
+        assert all(sum(P) == sum(Q_) for P, Q_ in phi.coeffs)
+
+
+def test_consecutive_main_calls_print_what_fresh_processes_print(monkeypatch):
+    # argparse wraps its usage text to the terminal width, here and in the child
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    runs = [
+        ["catalog"],
+        ["check", "cp:n=1", "--kmax", "2"],
+        ["check"],
+        ["nosuch"],
+        ["check", "missing:x=1"],
+        ["check", "sp:N=2", "--json"],
+        ["dual", "cp:n=1", "--degree", "7"],
+        ["radial", "--name", "flat", "--n", "1", "--kmax", "2", "--json"],
+    ]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = run_cli(*argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+    assert cli._parser.cache_info().misses == 1  # one parser for every call
 
 
 class TestRadialCommand:

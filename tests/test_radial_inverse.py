@@ -1,10 +1,11 @@
-"""The closed-form g_inv of the radial catalog families.
+"""The closed-form g_inv of the Bergman catalog families.
 
-catalog.build_space builds g_inv for flat, cp and ch as
-psi1(t) delta_ij - psi2(t) z_j zb_i (radial.inverse_metric); every other
-potential keeps the graded inverse of g.  The closed form must equal the
-graded inverse term for term, and the guard below shows which path each
-entry point takes by making the graded inverse fail.
+catalog.build_space builds g_inv of flat, cp, ch, grassmannian, sp, so2n and
+of the dual of each as the Bergman operator of the Jordan triple
+(catalog.bergman_inverse), a polynomial of degree 4; the quadrics, products,
+.pot files and the radial command keep the graded inverse of g.  The closed
+form must equal the graded inverse term for term, and the guard below shows
+which path each entry point takes by making the graded inverse fail.
 """
 
 import contextlib
@@ -16,40 +17,60 @@ from pathlib import Path
 import pytest
 
 from kahlerlap import catalog, cli, jets
-from kahlerlap.jets import NonInvertibleError, ValidityError
+from kahlerlap.jets import NonInvertibleError
 from kahlerlap.metric import metric_from_potential
-from kahlerlap.radial import inverse_metric, named_profile
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8")
 )
+BENCH_GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def assert_closed_form_is_the_graded_inverse(label, D):
+    m = catalog.build_space(catalog.parse_space(label), D).metric
+    ref = metric_from_potential(m.potential)
+    assert m.g_inv.valid_degree == ref.g_inv.valid_degree == D - 2
+    assert m.g_inv == ref.g_inv
+    pk = m.potential.pk
+    for row in m.g_inv.entries:
+        for e in row:
+            assert e.pk is pk
+            # each term sits in the part of its degree, read from its exponents
+            for d, part in enumerate(e.parts):
+                assert all(sum(map(sum, pk.unpack(K))) == d for K in part)
+    assert m._pullback == ref._pullback
+    assert (m.origin_diag, m.normal_gauge, m.cubic_free) == (
+        ref.origin_diag, ref.normal_gauge, ref.cubic_free
+    )
 
 
 @pytest.mark.parametrize("family", ["flat", "cp", "ch"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
 def test_closed_form_equals_the_graded_inverse(family, n):
-    desc = catalog.parse_space(f"{family}:n={n}")
     for D in range(2, 13):
-        m = catalog.build_space(desc, D).metric
-        ref = metric_from_potential(m.potential)
-        assert m.g_inv.valid_degree == ref.g_inv.valid_degree == D - 2
-        assert m.g_inv == ref.g_inv
-        assert all(e.pk is m.potential.pk for row in m.g_inv.entries for e in row)
-        assert m._pullback == ref._pullback
-        assert (m.origin_diag, m.normal_gauge, m.cubic_free) == (
-            ref.origin_diag, ref.normal_gauge, ref.cubic_free
-        )
+        assert_closed_form_is_the_graded_inverse(f"{family}:n={n}", D)
 
 
-def test_closed_form_needs_the_profile_deep_enough():
-    phi = catalog.potential_jet(catalog.parse_space("cp:n=2"), 6)
-    with pytest.raises(ValueError):  # psi2 needs Phi''
-        inverse_metric(named_profile("fubini-study", 1), phi.truncated(2))
-    with pytest.raises(ValidityError):  # psi1 to t^2 needs Phi to t^3
-        inverse_metric(named_profile("fubini-study", 2), phi)
-    assert inverse_metric(named_profile("fubini-study", 3), phi) == (
-        metric_from_potential(phi).g_inv
-    )
+SMALL = [
+    "grassmannian:k=1,N=3", "grassmannian:k=2,N=4", "sp:N=1", "sp:N=2",
+    "so2n:N=2", "so2n:N=3", "dual(flat:n=2)", "dual(cp:n=3)", "dual(ch:n=2)",
+    "dual(grassmannian:k=2,N=4)", "dual(sp:N=2)", "dual(so2n:N=3)",
+    "dual(dual(sp:N=1))",
+]
+LARGE = [
+    "grassmannian:k=2,N=5", "sp:N=3", "so2n:N=4", "dual(sp:N=3)",
+    "dual(so2n:N=4)",
+]
+
+
+@pytest.mark.parametrize("label", SMALL + LARGE)
+def test_matrix_closed_form_equals_the_graded_inverse(label):
+    for D in (2, 3, 6, 8) if label in LARGE else range(2, 11):
+        assert_closed_form_is_the_graded_inverse(label, D)
 
 
 @pytest.fixture
@@ -78,6 +99,22 @@ def test_radial_catalog_spaces_skip_the_graded_inverse(graded_inverse_fails, lab
     assert {"exit": code, "stdout": out} == GOLDEN[label]
 
 
+@pytest.mark.parametrize(
+    "label",
+    ["grassmannian:k=2,N=4", "grassmannian:k=2,N=5", "sp:N=2", "so2n:N=4",
+     "dual(grassmannian:k=2,N=4)"],
+)
+def test_matrix_catalog_spaces_skip_the_graded_inverse(graded_inverse_fails, label):
+    code, out, _ = run(["check", label, "--degree", "6", "--json"])
+    assert {"exit": code, "stdout": out} == GOLDEN[label]
+
+
+def test_dual_command_skips_the_graded_inverse(graded_inverse_fails):
+    argv = ["dual", "grassmannian:k=2,N=4", "--json"]
+    code, out, _ = run(argv)
+    assert {"exit": code, "stdout": out} == BENCH_GOLDEN[" ".join(argv)]
+
+
 def test_radial_command_and_pot_files_keep_the_graded_inverse(graded_inverse_fails, tmp_path):
     code, out, err = run(["radial", "--name", "fubini-study", "--n", "2"])
     assert (code, out, err) == (3, "", "error: internal: graded inverse called\n")
@@ -85,3 +122,31 @@ def test_radial_command_and_pot_files_keep_the_graded_inverse(graded_inverse_fai
     pot.write_text("dim 2\nradial(0, 1, 1/2)\n")
     code, out, err = run(["check", str(pot)])
     assert (code, out, err) == (3, "", "error: internal: graded inverse called\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "quadric-even:N=4"], ["check", "quadric-odd:N=4"],
+     ["check", "product(cp:n=1;cp:n=1)"], ["dual", "quadric-even:N=4"]],
+)
+def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, argv):
+    assert run(argv) == (3, "", "error: internal: graded inverse called\n")
+
+
+def _graded(desc, potential):
+    return metric_from_potential(potential).g_inv
+
+
+@pytest.mark.parametrize(
+    "label", sorted(GOLDEN) + ["dual(sp:N=2)", "dual(so2n:N=4)", "dual(cp:n=2)"]
+)
+def test_reports_do_not_depend_on_the_inverse_path(monkeypatch, label):
+    """check --json prints the same with the closed form as with the graded
+    inverse of the same potential, at every degree 2..8 and its largest kmax."""
+    argvs = [
+        ["check", label, "--degree", str(D), "--kmax", str(D // 2), "--json"]
+        for D in range(2, 9)
+    ]
+    shipped = [run(argv) for argv in argvs]
+    monkeypatch.setattr(catalog, "bergman_inverse", _graded)
+    assert [run(argv) for argv in argvs] == shipped
