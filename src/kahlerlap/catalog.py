@@ -19,10 +19,7 @@ Families and their potentials in construction coordinates:
                     entries flattened row-major
   so2n:N            (1/2) log det(I_N + W^dagger W), W skew-symmetric N x N;
                     free coordinates are the strictly upper entries w_ij
-                    (i < j), with w_ji = -w_ij substituted.  det(I + W^dagger W)
-                    is a perfect square for skew W; the half normalizes the
-                    embedded projective lines to the unit Fubini-Study metric,
-                    which the plain log det would double-count.
+                    (i < j), with w_ji = -w_ij substituted
   sp:N              log det(I_N + W^dagger W), W symmetric N x N; free
                     coordinates are the upper entries w_ij (i <= j), row-major
   quadric-even:N    log(1 + sum |v_j|^2 + sum |v'_j|^2 + 4 |sum v_j v'_j|^2),
@@ -34,6 +31,13 @@ Families and their potentials in construction coordinates:
                     directions for |a sum v v' + b u^2|, so b = a/2.
   product(a;b;...)  sum of the factor potentials on disjoint variables
   dual(space)       coefficientwise c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}
+
+dsl_text writes no det.  By Cauchy-Binet, det(I + W^dagger W) = 1 + sum
+|det W_{R,C}|^2 over the square minors of W, each expanded by Leibniz (for
+symmetric W, det W_{C,R} = det W_{R,C}: one term of weight 2).  For skew W
+it is the square of 1 + sum_{|I| even} |Pf W_I|^2, whose log is the so2n
+potential, each Pfaffian expanded over the perfect matchings of I.  A minor
+of size m has degree 2m and |Pf W_I|^2 degree |I|: those past D are dropped.
 
 Constrained matrix coordinates (sp, so2n) repeat a free variable in two
 matrix slots, which makes g(0) a non-unit diagonal; that is recorded in
@@ -51,9 +55,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations, permutations
+from math import prod
 
 from . import dsl
-from .jets import Jet, JetMatrix, substitute_radial
+from .jets import Jet, JetMatrix, packing, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
@@ -301,30 +307,27 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     if fam == "product":
         jets = [potential_jet(f, D) for f in desc.inner]
         n = sum(j.n for j in jets)
-        coeffs = {}
-        offset = 0
-        for jet in jets:
-            for (P, Q_), c in jet.coeffs.items():
-                P2 = (0,) * offset + P + (0,) * (n - offset - jet.n)
-                Q2 = (0,) * offset + Q_ + (0,) * (n - offset - jet.n)
-                coeffs[(P2, Q2)] = coeffs.get((P2, Q2), ZERO) + c
-            offset += jet.n
-        return Jet(n, coeffs, min(j.valid_degree for j in jets))
+        total, offset = Jet.zero(n, D), 0
+        for jet in jets:  # its P slots move to offset.., its Q slots to n + offset..
+            low, high, half = total.pk.bits * offset, total.pk.bits * (n + offset), jet.pk.half
+            parts = [
+                {(K & (1 << half) - 1) << low | K >> half << high: c for K, c in part.items()}
+                for part in jet._parts_on(packing(jet.n, D), D)
+            ]
+            total, offset = total + Jet._of(n, total.pk, parts), offset + jet.n
+        return total
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
-    return dsl.elaborate(dsl.parse(dsl_text(desc)), desc.complex_dim, D)
+    return dsl.elaborate(dsl.parse(dsl_text(desc, D)), desc.complex_dim, D)
 
 
 def dual_potential(phi: Jet) -> Jet:
-    """Compact/noncompact duality on potentials: c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}."""
-    return Jet(
-        phi.n,
-        {
-            (P, Q_): (c if sum(Q_) % 2 else -c)
-            for (P, Q_), c in phi.coeffs.items()
-        },
-        phi.valid_degree,
-    )
+    """Duality on potentials: c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}, |Q| summed slot by slot."""
+    pk, q_slots = phi.pk, range(phi.pk.half, 2 * phi.pk.half, phi.pk.bits)
+    return Jet._of(phi.n, pk, [
+        {K: c if sum(K >> s & pk.mask for s in q_slots) % 2 else -c for K, c in part.items()}
+        for part in phi.parts
+    ])
 
 
 def _frame(desc: SpaceDescriptor):
@@ -556,26 +559,25 @@ def family_summary(name):
     return info["params"], info["dim"][0], info["rank"][0]
 
 
-def dsl_text(desc: SpaceDescriptor) -> str:
-    """The potential of a non-radial classical family in the surface language."""
+def dsl_text(desc: SpaceDescriptor, D) -> str:
+    """The potential of a non-radial classical family in the surface
+    language, less the terms of degree above D, which cannot reach its jet."""
     fam = desc.family
     if fam in ("grassmannian", "sp", "so2n"):
-        rows, cols, W, scale = _matrix_slots(desc)
-        z = {rc: f"z({v + 1})" if sign > 0 else f"(0 - z({v + 1}))"
-             for rc, (v, sign) in W.items()}
-
-        def entry(a, b):  # of I + W^dagger W
-            base = " + ".join(
-                f"conj({z[r, a]})*{z[r, b]}"
-                for r in range(rows) if (r, a) in z and (r, b) in z
-            ) or "0"
-            return "1 + " + base if a == b else base
-
-        matrix = "; ".join(
-            ", ".join(entry(a, b) for b in range(cols)) for a in range(cols)
-        )
-        text = f"log(det([{matrix}]))"
-        return text if scale == 1 else f"{scale} * {text}"
+        rows, cols, W, _ = _matrix_slots(desc)
+        if fam == "so2n":
+            sizes = range(2, D + 1, 2)
+            terms = [("", _matchings(I)) for t in sizes for I in combinations(range(cols), t)]
+        else:  # for sp, det W_{C,R} = det W_{R,C}: R <= C stands for both
+            terms = [
+                ("2*" if fam == "sp" and R != C else "", _leibniz(R, C))
+                for m in range(1, D // 2 + 1)
+                for R in combinations(range(rows), m)
+                for C in combinations(range(cols), m)
+                if fam != "sp" or R <= C
+            ]
+        sums = " + ".join(f"{w}modsq({_expansion(W, t)})" for w, t in terms)
+        return f"log(1 + {sums or 0})"
     if fam in ("quadric-even", "quadric-odd"):
         N = desc.param("N")
         nv = N - 1
@@ -585,9 +587,30 @@ def dsl_text(desc: SpaceDescriptor) -> str:
             u = 2 * nv
             parts.append(f"modsq(z({u + 1}))")
             cross = f"{cross} - 1/2*z({u + 1})*z({u + 1})"
-        return (
-            "log(1 + "
-            + " + ".join(parts)
-            + f" + 4*modsq({cross}))"
-        )
+        return f"log(1 + {' + '.join(parts)} + 4*modsq({cross}))"
     raise CatalogError(f"no closed surface form for family {fam!r}")
+
+
+def _leibniz(R, C):
+    """The terms (sign, slots) of det W_{R,C}."""
+    for perm in permutations(C):
+        yield (-1) ** sum(a > b for a, b in combinations(perm, 2)), list(zip(R, perm))
+
+
+def _matchings(I):
+    """The terms (sign, slots) of Pf W_I, W skew: one per perfect matching."""
+    if not I:
+        yield 1, []
+    for p in range(1, len(I)):
+        for sign, slots in _matchings(I[1:p] + I[p + 1 :]):
+            yield (-1) ** (p + 1) * sign, [(I[0], I[p])] + slots
+
+
+def _expansion(W, terms):
+    """Surface text of the sum of sign * prod W[slot] over terms."""
+    text = ""
+    for sign, slots in terms:
+        sign *= prod(W[slot][1] for slot in slots)
+        factors = "*".join(f"z({W[slot][0] + 1})" for slot in slots)
+        text += f" {'+' if sign > 0 else '-'} {factors}"
+    return text[3:] if text[1] == "+" else "0" + text

@@ -20,7 +20,7 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__, catalog
-from .dsl import ElaborationError, PotentialSyntaxError, elaborate, parse_potential_file
+from .dsl import elaborate, parse_potential_file
 from .fit import check_delta_property
 from .jets import JetError
 from .metric import (
@@ -322,15 +322,8 @@ def main(argv=None):
     except TruncationError as exc:
         print(f"error: {exc} (rerun with --degree {exc.required})", file=sys.stderr)
         return 2
-    except (
-        UsageError,
-        catalog.CatalogError,
-        PotentialSyntaxError,
-        ElaborationError,
-        GaugeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # ValueError covers CatalogError, GaugeError and the .pot file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jets import Jet, log1p, substitute_radial
+from .jets import Jet, JetMatrix, log1p, substitute_radial
 from .rationals import Q
 from .series import TSeries
 
@@ -282,14 +282,16 @@ def elaborate(node, n, valid_degree) -> Jet:
     if isinstance(node, ModSq):
         inner = elaborate(node.arg, n, valid_degree)
         return inner * inner.conj()
-    if isinstance(node, Add):
-        return elaborate(node.left, n, valid_degree) + elaborate(
-            node.right, n, valid_degree
-        )
-    if isinstance(node, Sub):
-        return elaborate(node.left, n, valid_degree) - elaborate(
-            node.right, n, valid_degree
-        )
+    if isinstance(node, (Add, Sub)):
+        spine = []  # a long sum is a deep left spine: walk it, not recurse
+        while isinstance(node, (Add, Sub)):
+            spine.append(node)
+            node = node.left
+        acc = elaborate(node, n, valid_degree)
+        for op in reversed(spine):
+            term = elaborate(op.right, n, valid_degree)
+            acc = acc + term if isinstance(op, Add) else acc - term
+        return acc
     if isinstance(node, Mul):
         return elaborate(node.left, n, valid_degree) * elaborate(
             node.right, n, valid_degree
@@ -302,10 +304,9 @@ def elaborate(node, n, valid_degree) -> Jet:
                 f"log needs a positive rational constant term, got {c}"
             )
         # log(c + s) = log c + log(1 + s/c); the additive constant is dropped
-        return log1p((inner - Jet.constant(n, c, valid_degree)) / c)
+        s = inner - Jet.constant(n, c, valid_degree)
+        return log1p(s if c == 1 else s / c)
     if isinstance(node, Det):
-        from .jets import JetMatrix
-
         rows = [
             [elaborate(e, n, valid_degree) for e in row] for row in node.rows
         ]

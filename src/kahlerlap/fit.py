@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+from .jets import diagonal_keys
 from .metric import MetricJet, TruncationError, _laplacian_functional
 from .rationals import Q, ZERO
 
@@ -115,23 +116,16 @@ def _diagonal(m: MetricJet, k):
     of each diagonal z^P zb^P with 1 <= |P| = p <= k, in graded
     lexicographic order: its norm and its unit-gauge rescale."""
     pk, d = m.potential.pk, m.origin_diag
-    # tails[t]: the exponents of slots s..n-1 with sum t, in lex order
-    tails = [[(0, 1, 1, 1)]] + [[] for _ in range(k)]
-    for s in reversed(range(m.n)):
-        u, a, b = pk.units[s], d[s].numerator, d[s].denominator
-        tails = [
-            [
-                (e * u + K, factorial(e) * f, a**e * dn, b**e * dd)
-                for e in range(t + 1)
-                for K, f, dn, dd in tails[t - e]
-            ]
-            for t in range(k + 1)
-        ]
-    return [
-        (p, K + (K << pk.half), factorial(p) * f, dn, dd)
-        for p in range(1, k + 1)
-        for K, f, dn, dd in tails[p]
-    ]
+    unit = all(c == 1 for c in d)
+    out = []
+    for p, diagonal in enumerate(diagonal_keys(pk, k)[1:], start=1):
+        for K, f in diagonal:
+            dn = dd = 1
+            if not unit:
+                for c, e in zip(d, pk.unpack(K)[0]):
+                    dn, dd = dn * c.numerator**e, dd * c.denominator**e
+            out.append((p, K, factorial(p) * f, dn, dd))
+    return out
 
 
 def fit_pk(m: MetricJet, k) -> FitResult:

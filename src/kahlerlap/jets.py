@@ -28,7 +28,9 @@ read-only view .coeffs gives the tuple-keyed map back.  The kernels
 metric.metric_from_potential, and the lap^k pullback in metric) read and
 write parts directly, computing on integer numerators over one shared
 denominator per degree, fraction-free as in Bareiss (Math. Comp. 1968).
-Each output coefficient becomes a rational once, at the end.
+Each output coefficient becomes a rational once, at the end.  So does
+substitute_radial, which writes each t^m of a radial profile straight into
+its degree-2m part on the diagonal keys z^P zb^P (diagonal_keys).
 """
 
 from __future__ import annotations
@@ -55,25 +57,6 @@ class DimensionMismatch(JetError):
 
 class NonInvertibleError(JetError):
     """Matrix inverse with a singular constant term."""
-
-
-def mi_factorial(exponents):
-    out = 1
-    for e in exponents:
-        out *= factorial(e)
-    return out
-
-
-def multiindices(n, total):
-    """All exponent vectors of length n with entries summing to total."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 variables, got {n}")
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in multiindices(n - 1, total - first):
-            yield (first,) + rest
 
 
 class _Packing:
@@ -132,6 +115,20 @@ def _shared_packing(n, bits):
     return _Packing(n, bits)
 
 
+def diagonal_keys(pk, top):
+    """The diagonal monomials z^P zb^P with |P| <= top on packing pk: one
+    list per p = |P| of (packed key, P!), in graded lexicographic order
+    (first slot ascending, then the next)."""
+    # tails[t]: (key, factorial) of the exponents of slots s..n-1 with sum t
+    tails = [[(0, 1)]] + [[] for _ in range(top)]
+    for u in reversed(pk.units[: pk.n]):
+        tails = [
+            [(e * u + K, factorial(e) * f) for e in range(t + 1) for K, f in tails[t - e]]
+            for t in range(top + 1)
+        ]
+    return [[(K + (K << pk.half), f) for K, f in tail] for tail in tails]
+
+
 class Jet:
     __slots__ = ("n", "valid_degree", "pk", "parts")
 
@@ -188,6 +185,7 @@ class Jet:
         return cls(n, {(tuple(P), tuple(Q_)): as_q(c)}, valid_degree)
 
     @classmethod
+    @cache  # jets are values: one per coordinate, dimension and degree
     def variable(cls, n, i, valid_degree):
         """The coordinate z_i (0-based)."""
         P = tuple(1 if a == i else 0 for a in range(n))
@@ -432,8 +430,9 @@ def log1p(s: Jet) -> Jet:
 def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
     """The jet f(|z_1|^2 + ... + |z_n|^2) truncated at the given degree.
 
-    f must be trusted through t^ceil(D/2); monomials of t^m are spread over
-    exponent vectors A with |A| = m with multinomial weights.
+    f must be trusted through t^ceil(D/2).  A packed kernel: the term a_m t^m
+    of f is the sum of a_m m!/P! z^P zb^P over |P| = m, written straight into
+    the degree-2m part (diagonal_keys), with one rational per value of P!.
     """
     need = (valid_degree + 1) // 2
     if f.order < need:
@@ -441,15 +440,17 @@ def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
             f"series order {f.order} insufficient: need t^{need} for degree "
             f"{valid_degree}"
         )
-    coeffs = {}
-    for m in range(0, min(f.order, valid_degree // 2) + 1):
-        a = f.coeffs[m]
-        if a == 0:
-            continue
-        fm = factorial(m)
-        for A in multiindices(n, m):
-            coeffs[(A, A)] = a * Q(fm, mi_factorial(A))
-    return Jet(n, coeffs, valid_degree)
+    terms = range(min(f.order, valid_degree // 2) + 1)
+    top = max((m for m in terms if f.coeffs[m]), default=-1)
+    if n < 1 and top >= 0:
+        raise ValueError(f"need n >= 1 variables, got {n}")
+    jet = Jet.zero(n, valid_degree)
+    for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
+        a, fm = f.coeffs[m], factorial(m)
+        if a:
+            weight = {p: a * Q(fm, p) for p in {p for _, p in diagonal}}
+            jet.parts[2 * m] = {K: weight[p] for K, p in diagonal}
+    return jet
 
 
 class JetMatrix:
@@ -506,40 +507,28 @@ class JetMatrix:
     __hash__ = None
 
     def det(self):
-        """Determinant over the jet ring, exact at the shared validity.
-
-        Expansion along rows with memoization on the set of free columns;
-        no division, so it works for any entries.
-        """
+        """Determinant over the jet ring, exact at the shared validity:
+        expansion along rows, memoized on the set of free columns; no
+        division, so it works for any entries."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        m = self.rows
-        n, pk, D = self.n, self.entries[0][0].pk, self.valid_degree
-        one = Jet._of(n, pk, [{0: Q(1)}] + [{} for _ in range(D)])
-        memo = {}
+        m, entries = self.rows, self.entries
+        zero = entries[0][0].scale(0)
+        one = Jet._of(zero.n, zero.pk, [{0: Q(1)}] + zero.parts[1:])
 
-        def rec(row, mask):
+        @cache
+        def minor(row, free):  # free: the bit mask of the free columns
             if row == m:
                 return one
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            acc = Jet._of(n, pk, [{} for _ in range(D + 1)])
-            sign = 1
-            for col in range(m):
-                bit = 1 << col
-                if not (mask & bit):
-                    continue
-                entry = self.entries[row][col]
-                if not entry.is_zero():
-                    sub = rec(row + 1, mask & ~bit)
-                    term = entry * sub
+            acc, sign = zero, 1
+            for col in (col for col in range(m) if free >> col & 1):
+                if not entries[row][col].is_zero():
+                    term = entries[row][col] * minor(row + 1, free & ~(1 << col))
                     acc = acc + (term if sign > 0 else -term)
                 sign = -sign
-            memo[mask] = acc
             return acc
 
-        return rec(0, (1 << m) - 1)
+        return minor(0, (1 << m) - 1)
 
     def inverse(self):
         """Matrix inverse over the jet ring: G X = X G = I.

@@ -32,9 +32,9 @@ square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial, lcm, prod
 
-from .jets import Jet, JetMatrix, ValidityError, _graded_inverse, mi_factorial
+from .jets import Jet, JetMatrix, ValidityError, _graded_inverse
 from .rationals import Q, ZERO
 
 
@@ -372,7 +372,7 @@ def third_deriv_obstruction(m: MetricJet):
     for key, c in m.potential.parts[5].items():
         P, Q_ = unpack(key)
         if sum(P) == 3:
-            v = abs(c) * mi_factorial(P) * mi_factorial(Q_)
+            v = abs(c) * prod(map(factorial, P + Q_))
             if v > best:
                 best = v
     return best

@@ -8,14 +8,19 @@ instead of solving degree by degree.  The radial C constants are evaluated
 from their definition, by applying the Euclidean Laplacian to a jet, instead
 of from their closed form.  log(1 + s) sums its power series with full jet
 products instead of solving degree by degree, and direct_potential_jet
-builds the catalog potentials by hand-written log det jet algebra instead
-of elaborating their surface expressions.  They are slow on large inputs and
-exist so that the library can be compared against the definitions.
+builds the catalog potentials by hand-written log det jet algebra (the
+determinant itself, not the minor and Pfaffian sums the catalog elaborates),
+radial substitution over multiindices and duality on tuple keys.  They are
+slow on large inputs and exist so that the library can be compared against
+the definitions.
 
 The jet ring operations (ref_add, ref_mul, ref_conj, ref_dz, ref_dzbar,
 ref_truncated) are the tuple-keyed forms of the library's packed, graded
 ones: they read .coeffs, build (P, Q) keys exponent by exponent and go back
-through the validating constructor.  series_log1p uses them alone.  The
+through the validating constructor; ref_mul pairs terms by degree, so it
+forms nothing past the validity.  series_log1p uses them alone, and
+ref_substitute_radial and ref_dual_potential are the tuple-keyed forms of
+the packed substitute_radial and catalog.dual_potential.  The
 lap^k pullback is the tuple-key, rational form of the library's packed
 integer kernel.  metric_matrix builds g by differentiating the potential
 jet entry by entry, where the library packs the potential and never forms
@@ -33,7 +38,7 @@ import itertools
 from functools import lru_cache
 from math import factorial
 
-from kahlerlap.catalog import SpaceDescriptor, _upper_index, dual_potential
+from kahlerlap.catalog import SpaceDescriptor, _upper_index
 from kahlerlap.fit import FitResult, LaplacePolynomial, ViolationWitness, _require_depth
 from kahlerlap.jets import (
     DimensionMismatch,
@@ -43,9 +48,6 @@ from kahlerlap.jets import (
     NonInvertibleError,
     ValidityError,
     _invert_rational,
-    mi_factorial,
-    multiindices,
-    substitute_radial,
 )
 from kahlerlap.metric import (
     GaugeError,
@@ -58,6 +60,26 @@ from kahlerlap.metric import (
 )
 from kahlerlap.radial import named_profile
 from kahlerlap.rationals import Q, ZERO
+
+
+def mi_factorial(exponents):
+    """P! = P_1! ... P_n!."""
+    out = 1
+    for e in exponents:
+        out *= factorial(e)
+    return out
+
+
+def multiindices(n, total):
+    """All exponent vectors of length n with entries summing to total."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got {n}")
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in multiindices(n - 1, total - first):
+            yield (first,) + rest
 
 
 def multiindices_upto(n, max_total):
@@ -441,14 +463,20 @@ def ref_mul(a, b):
     """a * b, exponent vectors added entry by entry, at the smaller validity."""
     _check_same_space(a, b)
     D = min(a.valid_degree, b.valid_degree)
+    # b's terms by degree, so that no pair past the validity is formed
+    b_by_degree = [[] for _ in range(D + 1)]
+    for key, y in b.coeffs.items():
+        if _degree(key) <= D:
+            b_by_degree[_degree(key)].append((key, y))
     out = {}
     for (P, Q_), x in a.coeffs.items():
-        for (P2, Q2), y in b.coeffs.items():
-            key = (
-                tuple(u + v for u, v in zip(P, P2)),
-                tuple(u + v for u, v in zip(Q_, Q2)),
-            )
-            if _degree(key) <= D:
+        room = D - _degree((P, Q_))
+        for terms in b_by_degree[: max(room + 1, 0)]:
+            for (P2, Q2), y in terms:
+                key = (
+                    tuple(u + v for u, v in zip(P, P2)),
+                    tuple(u + v for u, v in zip(Q_, Q2)),
+                )
                 out[key] = out.get(key, ZERO) + x * y
     return Jet(a.n, out, D)
 
@@ -505,25 +533,46 @@ def _matrix_potential(entries_w, rows, cols, n, D):
     return series_log1p(det - Jet.constant(n, 1, D))
 
 
+def ref_substitute_radial(f, n, valid_degree):
+    """f(|z_1|^2 + ... + |z_n|^2) truncated at the given degree: each a_m t^m
+    spread over the exponent vectors A with |A| = m with its multinomial
+    weight, through the validating tuple-key constructor."""
+    need = (valid_degree + 1) // 2
+    if f.order < need:
+        raise ValidityError(
+            f"series order {f.order} insufficient: need t^{need} for degree "
+            f"{valid_degree}"
+        )
+    coeffs = {}
+    for m in range(0, min(f.order, valid_degree // 2) + 1):
+        a = f.coeffs[m]
+        if a == 0:
+            continue
+        fm = factorial(m)
+        for A in multiindices(n, m):
+            coeffs[(A, A)] = a * Q(fm, mi_factorial(A))
+    return Jet(n, coeffs, valid_degree)
+
+
+def ref_dual_potential(phi):
+    """c_{P,Q} -> -(-1)^{|Q|} c_{P,Q} on the tuple-keyed terms."""
+    return Jet(
+        phi.n,
+        {(P, Q_): c if sum(Q_) % 2 else -c for (P, Q_), c in phi.coeffs.items()},
+        phi.valid_degree,
+    )
+
+
 def direct_potential_jet(desc: SpaceDescriptor, D):
     """The catalog potential built family by family with jet arithmetic:
     radial substitution, log det(I + W^dagger W) from explicit matrices of
     coordinate jets, the quadric log(1 + ...) term by term, and products by
     offsetting the factor exponents."""
     fam = desc.family
-    if fam == "flat":
-        n = desc.param("n")
-        return substitute_radial(named_profile("flat", max(1, (D + 1) // 2)).series, n, D)
-    if fam == "cp":
-        n = desc.param("n")
-        return substitute_radial(
-            named_profile("fubini-study", max(1, (D + 1) // 2)).series, n, D
-        )
-    if fam == "ch":
-        n = desc.param("n")
-        return substitute_radial(
-            named_profile("hyperbolic", max(1, (D + 1) // 2)).series, n, D
-        )
+    if fam in ("flat", "cp", "ch"):
+        name = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}[fam]
+        profile = named_profile(name, max(1, (D + 1) // 2))
+        return ref_substitute_radial(profile.series, desc.param("n"), D)
     if fam == "grassmannian":
         k, N = desc.param("k"), desc.param("N")
         n = k * (N - k)
@@ -584,7 +633,7 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
             offset += jet.n
         return Jet(n, coeffs, min(j.valid_degree for j in jets))
     if fam == "dual":
-        return dual_potential(direct_potential_jet(desc.inner[0], D))
+        return ref_dual_potential(direct_potential_jet(desc.inner[0], D))
     raise ValueError(f"unknown family {fam!r}")
 
 

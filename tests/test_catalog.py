@@ -2,7 +2,13 @@ import json
 from pathlib import Path
 
 import pytest
-from dense_oracles import direct_potential_jet, mat_identity, mat_sub, metric_matrix
+from dense_oracles import (
+    direct_potential_jet,
+    mat_identity,
+    mat_sub,
+    metric_matrix,
+    ref_dual_potential,
+)
 
 from kahlerlap import catalog, dsl
 from kahlerlap.fit import check_delta_property
@@ -27,6 +33,10 @@ ALL_LABELS = [
     "so2n:N=4",
     "quadric-even:N=4",
     "quadric-odd:N=4",
+]
+
+MATRIX_LABELS = [
+    label for label in ALL_LABELS if label.startswith(("grassmannian", "sp", "so2n"))
 ]
 
 # engine-derived Einstein constants, frozen as regression goldens
@@ -195,6 +205,20 @@ class TestDualPotential:
     def test_involution(self, spaces):
         pot = spaces("quadric-odd:N=4").metric.potential
         assert catalog.dual_potential(catalog.dual_potential(pot)) == pot
+
+    @pytest.mark.parametrize("label", ["sp:N=2", "so2n:N=4", "product(cp:n=1;ch:n=1)"])
+    def test_matches_tuple_reference(self, spaces, label):
+        pot = spaces(label).metric.potential
+        assert catalog.dual_potential(pot) == ref_dual_potential(pot)
+
+    def test_sign_when_q_degree_fills_a_slot(self):
+        # at D = 3 a slot holds 0..3, so |Q| = 3 equals the slot mask, where
+        # a degree read as key % mask would give 0 and the wrong sign
+        odd = Jet.monomial(2, (0, 0), (2, 1), 1, 3)
+        even = Jet.monomial(2, (1, 0), (1, 1), 1, 3)
+        assert odd.pk.mask == 3
+        assert catalog.dual_potential(odd + even) == odd - even
+        assert ref_dual_potential(odd + even) == odd - even
 
     def test_grassmannian_dual_closed_form(self, spaces):
         # dual of log det(I + S) must equal -log det(I - S) coefficientwise
@@ -384,16 +408,31 @@ class TestDslCrossPath:
             ("dual(grassmannian:k=2,N=4)", 6),
             ("sp:N=3", 8),
             ("cp:n=10", 8),
-        ],
+            ("grassmannian:k=3,N=6", 6),
+            ("sp:N=4", 8),
+            ("so2n:N=5", 6),
+        ]
+        # low degrees, where the minors and Pfaffians past D are cut
+        + [(label, degree) for label in MATRIX_LABELS for degree in range(2, 6)],
     )
     def test_potential_matches_direct_jets(self, label, degree):
         desc = catalog.parse_space(label)
         assert catalog.potential_jet(desc, degree) == direct_potential_jet(desc, degree)
 
+    @pytest.mark.parametrize(
+        "label", ALL_LABELS + ["product(cp:n=1;so2n:N=3)", "dual(sp:N=2)"]
+    )
+    def test_catalog_never_takes_a_determinant(self, monkeypatch, label):
+        def refuse(self):
+            raise AssertionError("JetMatrix.det called")
+
+        monkeypatch.setattr(JetMatrix, "det", refuse)
+        catalog.build_space(catalog.parse_space(label), 6)
+
     @pytest.mark.parametrize("label", ["cp:n=2", "product(cp:n=1;cp:n=1)"])
     def test_no_surface_text_for_built_families(self, label):
         with pytest.raises(catalog.CatalogError):
-            catalog.dsl_text(catalog.parse_space(label))
+            catalog.dsl_text(catalog.parse_space(label), 6)
 
 
 class TestTruncationStability:

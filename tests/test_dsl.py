@@ -178,6 +178,12 @@ class TestElaborate:
         with pytest.raises(ElaborationError):
             elaborate(parse("det([1, z(1)])"), 1, 4)
 
+    def test_long_sum_does_not_recurse_on_its_length(self):
+        # far more terms than the interpreter's recursion limit
+        text = " + ".join(["modsq(z(1))"] * 3000) + " - modsq(z(1)) - 1"
+        jet = elaborate(parse(text), 1, 2)
+        assert jet == Jet.monomial(1, (1,), (1,), 2999, 2) - 1
+
     def test_degree_monotone(self):
         text = "log(1 + modsq(z(1)) + 4 * modsq(z(1) * z(2)))"
         deep = elaborate(parse(text), 2, 8)

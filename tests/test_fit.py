@@ -10,12 +10,7 @@ from kahlerlap.fit import (
     check_delta_property,
     fit_pk,
 )
-from kahlerlap.jets import (
-    Jet,
-    mi_factorial,
-    multiindices,
-    substitute_radial,
-)
+from kahlerlap.jets import Jet, substitute_radial
 from kahlerlap.metric import (
     TruncationError,
     delta_power_at0,
@@ -31,7 +26,9 @@ from dense_oracles import (
     _raw_value,
     _weighted_euclidean_at0,
     euclidean_power_at0,
+    mi_factorial,
     monomial_test_set,
+    multiindices,
     multiindices_upto,
     rescaled_value,
     verify_witness,

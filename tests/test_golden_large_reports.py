@@ -2,8 +2,11 @@
 
 `check cp:n=10 --degree 10 --kmax 5` stresses the graded inverse at D=10
 and the k=5 pullback; `check sp:N=4 --degree 8` stresses the inverse and
-`log1p` on a 10-variable potential and stops at its k=3 witness.  The
-expected stdout and exit code are stored in golden_large_reports.json.
+`log1p` on a 10-variable potential and stops at its k=3 witness.
+`check so2n:N=8` (28 variables) and `check sp:N=5 --degree 8` are the
+largest potential builds, where the catalog once took a determinant of
+jets; their entries were written by that determinant path.  The expected
+stdout and exit code are stored in golden_large_reports.json.
 Regenerate them (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_large_reports.py
@@ -20,6 +23,8 @@ GOLDEN = Path(__file__).with_name("golden_large_reports.json")
 LARGE_ARGV = [
     ["check", "cp:n=10", "--degree", "10", "--kmax", "5", "--json"],
     ["check", "sp:N=4", "--degree", "8", "--json"],
+    ["check", "so2n:N=8", "--json"],
+    ["check", "sp:N=5", "--degree", "8", "--json"],
 ]
 
 

@@ -11,7 +11,6 @@ from kahlerlap.jets import (
     NonInvertibleError,
     ValidityError,
     log1p,
-    multiindices,
     packing,
     substitute_radial,
 )
@@ -24,6 +23,7 @@ from dense_oracles import (
     mat_conj,
     mat_identity,
     mat_mul,
+    multiindices,
     multiindices_upto,
     reciprocal,
     ref_add,
@@ -31,6 +31,7 @@ from dense_oracles import (
     ref_dz,
     ref_dzbar,
     ref_mul,
+    ref_substitute_radial,
     ref_truncated,
     series_log1p,
 )
@@ -238,6 +239,33 @@ def test_multiindices_rejects_nonpositive_dimension(n):
 small_q = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 ).map(lambda f: Q(f.numerator, f.denominator))
+
+
+def _outcome(fn, *args):
+    """The jet fn returns, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(
+    st.integers(min_value=-1, max_value=4),
+    st.integers(min_value=0, max_value=10),
+    st.lists(st.one_of(st.just(Q(0)), small_q), min_size=1, max_size=7),
+)
+def test_substitute_radial_matches_reference(n, D, coeffs):
+    """The packed kernel equals the tuple-keyed reference term for term and
+    in each part's key order, and raises the same errors (a short series,
+    n < 1)."""
+    f = TSeries(coeffs)
+    got = _outcome(substitute_radial, f, n, D)
+    expected = _outcome(ref_substitute_radial, f, n, D)
+    assert got == expected
+    if isinstance(got, Jet):
+        assert got.pk is expected.pk
+        assert [list(part) for part in got.parts] == [list(part) for part in expected.parts]
 
 
 @st.composite

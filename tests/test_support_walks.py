@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlap.fit import fit_pk
-from kahlerlap.jets import Jet, multiindices
+from kahlerlap.jets import Jet
 from kahlerlap.metric import fifth_order_check, metric_from_potential
 from kahlerlap.rationals import Q
 
@@ -16,6 +16,7 @@ from dense_oracles import (
     dense_fifth_order_check,
     dense_fit_pk,
     monomial_test_set,
+    multiindices,
     multiindices_upto,
     rescaled_value,
 )
