@@ -1,5 +1,9 @@
 """Catalog of concrete spaces as potential jets.
 
+A classical family is one row of the table _FAMILIES, which labels are
+validated against and the catalog command lists; product and dual have no
+row, and their dimension and rank are sums over their factors.
+
 The radial families flat, cp and ch are built by substituting their profile
 series in t = |z|^2 (radial.named_profile).  Every other classical family is
 a surface expression (dsl_text) that dsl.elaborate turns into its jet, the
@@ -52,7 +56,6 @@ norm nu (so only |u|^2 enters test functions and everything stays rational).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
@@ -70,6 +73,36 @@ class CatalogError(ValueError):
     pass
 
 
+# One row per classical family (Loos 1977): its parameter names, then its
+# range, dimension and rank, each as the listing's text and a function of
+# the parameters.  flat has no embedded projective line, so the rank-based
+# obstruction never applies to it.
+_FAMILIES = {
+    **{
+        name: (("n",), ("n>=1", lambda n: n >= 1), ("n", lambda n: n), ("1", lambda n: 1))
+        for name in ("flat", "cp", "ch")
+    },
+    "grassmannian": (
+        ("k", "N"), ("1<=k<N", lambda k, N: 1 <= k < N),
+        ("k(N-k)", lambda k, N: k * (N - k)), ("min(k,N-k)", lambda k, N: min(k, N - k)),
+    ),
+    "so2n": (
+        ("N",), ("N>=2", lambda N: N >= 2),
+        ("N(N-1)/2", lambda N: N * (N - 1) // 2), ("floor(N/2)", lambda N: N // 2),
+    ),
+    "sp": (
+        ("N",), ("N>=1", lambda N: N >= 1),
+        ("N(N+1)/2", lambda N: N * (N + 1) // 2), ("N", lambda N: N),
+    ),
+    "quadric-even": (
+        ("N",), ("N>=4", lambda N: N >= 4), ("2N-2", lambda N: 2 * N - 2), ("2", lambda N: 2),
+    ),
+    "quadric-odd": (
+        ("N",), ("N>=4", lambda N: N >= 4), ("2N-1", lambda N: 2 * N - 1), ("2", lambda N: 2),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A catalog family with parameters; product/dual nest descriptors."""
@@ -79,18 +112,35 @@ class SpaceDescriptor:
     inner: tuple = ()
 
     def __post_init__(self):
-        info = _FAMILIES.get(self.family)
-        if info is None:
+        if self.family in ("product", "dual"):
+            return
+        if self.family not in _FAMILIES:
             raise CatalogError(f"unknown family {self.family!r}")
-        info["validate"](self)
+        names, (text, in_range), _, _ = _FAMILIES[self.family]
+        keys = [key for key, _ in self.params]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise CatalogError(f"{self.family} parameter {key!r} is repeated")
+        if sorted(keys) != sorted(names):
+            raise CatalogError(
+                f"{self.family} needs parameters {list(names)}, got {sorted(keys)}"
+            )
+        if any(not isinstance(v, int) or v < 1 for _, v in self.params):
+            raise CatalogError(f"{self.family} parameters must be positive integers")
+        if not in_range(**dict(self.params)):
+            raise CatalogError(f"{self.family} needs {text}")
 
     @property
     def complex_dim(self):
-        return _FAMILIES[self.family]["dim"][1](self)
+        if self.inner:
+            return sum(f.complex_dim for f in self.inner)
+        return _FAMILIES[self.family][2][1](**dict(self.params))
 
     @property
     def rank(self):
-        return _FAMILIES[self.family]["rank"][1](self)
+        if self.inner:
+            return sum(f.rank for f in self.inner)
+        return _FAMILIES[self.family][3][1](**dict(self.params))
 
     def param(self, name):
         return dict(self.params)[name]
@@ -105,90 +155,6 @@ class SpaceDescriptor:
         return self.family + ":" + ",".join(f"{k}={v}" for k, v in self.params)
 
 
-def _need(desc, names):
-    keys = [key for key, _ in desc.params]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise CatalogError(f"{desc.family} parameter {key!r} is repeated")
-    have = dict(desc.params)
-    if sorted(have) != sorted(names):
-        raise CatalogError(
-            f"{desc.family} needs parameters {names}, got {sorted(have)}"
-        )
-    for v in have.values():
-        if not isinstance(v, int) or v < 1:
-            raise CatalogError(f"{desc.family} parameters must be positive integers")
-
-
-_FAMILIES = {}
-
-
-def _register(name, validate, params=None, dim=None, rank=None):
-    """A family: its validator, and for the listing its parameter range,
-    with dim and rank each as (text, function of the descriptor)."""
-    _FAMILIES[name] = {"validate": validate, "params": params, "dim": dim, "rank": rank}
-
-
-def _val_grass(d):
-    _need(d, ["k", "N"])
-    if not 1 <= d.param("k") < d.param("N"):
-        raise CatalogError("grassmannian needs 1 <= k < N")
-
-
-def _val_so2n(d):
-    _need(d, ["N"])
-    if d.param("N") < 2:
-        raise CatalogError("so2n needs N >= 2")
-
-
-def _val_quadric(d):
-    _need(d, ["N"])
-    if d.param("N") < 4:
-        raise CatalogError("quadrics need N >= 4")
-
-
-# flat has no embedded projective line, so the rank-based obstruction
-# never applies to it
-for _name in ("flat", "cp", "ch"):
-    _register(
-        _name, lambda d: _need(d, ["n"]), "n>=1",
-        ("n", lambda d: d.param("n")), ("1", lambda d: 1),
-    )
-_register(
-    "grassmannian", _val_grass, "1<=k<N",
-    ("k(N-k)", lambda d: d.param("k") * (d.param("N") - d.param("k"))),
-    ("min(k,N-k)", lambda d: min(d.param("k"), d.param("N") - d.param("k"))),
-)
-_register(
-    "so2n", _val_so2n, "N>=2",
-    ("N(N-1)/2", lambda d: d.param("N") * (d.param("N") - 1) // 2),
-    ("floor(N/2)", lambda d: d.param("N") // 2),
-)
-_register(
-    "sp", lambda d: _need(d, ["N"]), "N>=1",
-    ("N(N+1)/2", lambda d: d.param("N") * (d.param("N") + 1) // 2),
-    ("N", lambda d: d.param("N")),
-)
-_register(
-    "quadric-even", _val_quadric, "N>=4",
-    ("2N-2", lambda d: 2 * d.param("N") - 2), ("2", lambda d: 2),
-)
-_register(
-    "quadric-odd", _val_quadric, "N>=4",
-    ("2N-1", lambda d: 2 * d.param("N") - 1), ("2", lambda d: 2),
-)
-_register(
-    "product", lambda d: None,
-    dim=(None, lambda d: sum(f.complex_dim for f in d.inner)),
-    rank=(None, lambda d: sum(f.rank for f in d.inner)),
-)
-_register(
-    "dual", lambda d: None,
-    dim=(None, lambda d: d.inner[0].complex_dim),
-    rank=(None, lambda d: d.inner[0].rank),
-)
-
-
 def product(*factors):
     if len(factors) < 2:
         raise CatalogError("product needs at least two factors")
@@ -197,9 +163,6 @@ def product(*factors):
 
 def dual(inner):
     return SpaceDescriptor("dual", (), (inner,))
-
-
-_NAME_RE = re.compile(r"^[a-z0-9-]+$")
 
 
 def parse_space(text) -> SpaceDescriptor:
@@ -211,13 +174,14 @@ def parse_space(text) -> SpaceDescriptor:
         inner = _split_top(text[8:-1], ";")
         return product(*(parse_space(part) for part in inner))
     name, _, rest = text.partition(":")
-    if not _NAME_RE.match(name) or name not in _FAMILIES or name in ("product", "dual"):
+    if name not in _FAMILIES:
         raise CatalogError(f"unknown space {text!r}")
     params = []
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
-            if not eq or not val.lstrip("-").isdigit():
+            digits = val.removeprefix("-")
+            if not eq or not (digits.isascii() and digits.isdigit()):
                 raise CatalogError(f"bad parameter {item!r} in {text!r}")
             params.append((key.strip(), int(val)))
     return SpaceDescriptor(name, tuple(params))
@@ -245,7 +209,6 @@ class FrameDirection:
 
     form: tuple  # ((var, coeff), ...)
     nu: object
-    note: str
 
 
 @dataclass(frozen=True)
@@ -254,7 +217,6 @@ class TestFunctionPair:
 
     f1: Jet
     f2: Jet
-    frame_note: str
 
 
 @dataclass(eq=False)
@@ -303,7 +265,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     fam = desc.family
     if fam in _RADIAL_PROFILES:
         profile = named_profile(_RADIAL_PROFILES[fam], max(1, (D + 1) // 2))
-        return substitute_radial(profile.series, desc.param("n"), D)
+        return substitute_radial(profile, desc.param("n"), D)
     if fam == "product":
         jets = [potential_jet(f, D) for f in desc.inner]
         n = sum(j.n for j in jets)
@@ -338,38 +300,25 @@ def _frame(desc: SpaceDescriptor):
         # unit axes at diagonal slots of W (so2n: the 2 x 2 blocks)
         W = _matrix_slots(desc)[2]
         cells = [(2 * m, 2 * m + 1) if fam == "so2n" else (m, m) for m in range(desc.rank)]
-        return tuple(
-            FrameDirection(
-                ((W[r, c][0], 1),), Q(1),
-                "z1 axis" if fam in ("cp", "ch") else f"w{r + 1}{c + 1} axis",
-            )
-            for r, c in cells
-        )
+        return tuple(FrameDirection(((W[r, c][0], 1),), Q(1)) for r, c in cells)
     if fam in ("quadric-even", "quadric-odd"):
         N = desc.param("N")
         nv = N - 1
         # paired directions (v_2 + v'_3)/sqrt(2) and (v_3 + v'_4)/sqrt(2)
         return (
-            FrameDirection(((0, 1), (nv + 1, 1)), Q(2), "(v2 + v'3)/sqrt2"),
-            FrameDirection(((1, 1), (nv + 2, 1)), Q(2), "(v3 + v'4)/sqrt2"),
+            FrameDirection(((0, 1), (nv + 1, 1)), Q(2)),
+            FrameDirection(((1, 1), (nv + 2, 1)), Q(2)),
         )
     if fam == "product":
         out = []
         offset = 0
         for f in desc.inner:
             for fd in _frame(f):
-                out.append(
-                    FrameDirection(
-                        tuple((offset + var, c) for var, c in fd.form),
-                        fd.nu,
-                        f"{fd.note} of {f.label()}",
-                    )
-                )
+                form = tuple((offset + var, c) for var, c in fd.form)
+                out.append(FrameDirection(form, fd.nu))
             offset += f.complex_dim
         return tuple(out)
-    if fam == "dual":
-        return _frame(desc.inner[0])
-    raise CatalogError(f"unknown family {fam!r}")
+    return _frame(desc.inner[0])  # dual
 
 
 def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
@@ -470,9 +419,7 @@ def embedded_test_polys(space: CatalogSpace) -> TestFunctionPair:
     m2 = _modsq_of_form(u2.form, n, D)
     f1 = (m1 * m1) / (u1.nu * u1.nu)
     f2 = (m1 * m2) / (u1.nu * u2.nu)
-    return TestFunctionPair(
-        f1=f1, f2=f2, frame_note=f"{u1.note}; {u2.note}"
-    )
+    return TestFunctionPair(f1=f1, f2=f2)
 
 
 def _frame_mu(space: CatalogSpace, fd: FrameDirection):
@@ -550,13 +497,12 @@ def dual_compare(desc: SpaceDescriptor, D=6):
 
 
 def all_family_names():
-    return [f for f in _FAMILIES if f not in ("product", "dual")]
+    return list(_FAMILIES)
 
 
 def family_summary(name):
     """Parameter range, dimension and rank texts of a family, for the listing."""
-    info = _FAMILIES[name]
-    return info["params"], info["dim"][0], info["rank"][0]
+    return tuple(text for text, _ in _FAMILIES[name][1:])
 
 
 def dsl_text(desc: SpaceDescriptor, D) -> str:

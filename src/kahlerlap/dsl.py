@@ -125,9 +125,9 @@ def _tokenize(text, line):
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() would read other digits too
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("int", text[start:i], line, col))
             col += i - start
@@ -331,7 +331,8 @@ def parse_potential_file(text):
         if not stripped:
             continue
         parts = stripped.split()
-        if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+        ascii_int = len(parts) == 2 and parts[1].isascii() and parts[1].isdigit()
+        if not ascii_int or parts[0] != "dim":
             raise PotentialSyntaxError(
                 "first line must be 'dim n'", i + 1, 1
             )

@@ -1,6 +1,8 @@
 """Radial metrics: psi-series, the C constants, and the polynomial recursion.
 
-For a potential Phi(t), t = |z|^2, the inverse metric is
+A profile is the TSeries of a potential Phi(t), t = |z|^2, with Phi'(0) > 0;
+profile_from_coeffs, named_profile and normalize refuse any other slope.
+For such a potential the inverse metric is
 
     ginv[i][j] = (1/Phi')(delta_ij - Phi''/(Phi' + t Phi'') z_j zb_i)
                = psi1(t) delta_ij - psi2(t) z_j zb_i
@@ -39,7 +41,6 @@ independent of the direct fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 from .fit import LaplacePolynomial
@@ -48,28 +49,16 @@ from .rationals import Q, ZERO, as_q
 from .series import TSeries
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Taylor data of Phi(t); normalized means Phi'(0) = 1."""
-
-    series: TSeries
-
-    def __post_init__(self):
-        if self.series.order < 1:
-            raise ValidityError("profile needs at least the t^1 coefficient")
-        if self.series.coeffs[1] <= 0:
-            raise ValueError(f"Phi'(0) = {self.series.coeffs[1]} must be positive")
-
-    @property
-    def order(self):
-        return self.series.order
-
-    @property
-    def normalized(self):
-        return self.series.coeffs[1] == 1
+def _slope(profile: TSeries):
+    """Phi'(0), which must be positive."""
+    if profile.order < 1:
+        raise ValidityError("profile needs at least the t^1 coefficient")
+    if profile.coeffs[1] <= 0:
+        raise ValueError(f"Phi'(0) = {profile.coeffs[1]} must be positive")
+    return profile.coeffs[1]
 
 
-def profile_from_coeffs(coeffs, order=None) -> RadialProfile:
+def profile_from_coeffs(coeffs, order=None) -> TSeries:
     """Profile from Taylor coefficients of Phi (constant term first).
 
     A finite coefficient list is an exact polynomial; order (default: the
@@ -78,35 +67,34 @@ def profile_from_coeffs(coeffs, order=None) -> RadialProfile:
     coeffs = [as_q(c) for c in coeffs]
     if order is not None and order + 1 > len(coeffs):
         coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
-    return RadialProfile(TSeries(coeffs))
+    profile = TSeries(coeffs)
+    _slope(profile)
+    return profile
 
 
-def named_profile(name, order) -> RadialProfile:
+def named_profile(name, order) -> TSeries:
     """Built-in profiles: flat, fubini-study (log(1+t)), hyperbolic (-log(1-t))."""
     if name == "flat":
         return profile_from_coeffs([0, 1], order=order)
     if name == "fubini-study":
-        coeffs = [ZERO] + [Q((-1) ** (m + 1), m) for m in range(1, order + 1)]
-        return RadialProfile(TSeries(coeffs))
+        coeffs = [Q((-1) ** (m + 1), m) for m in range(1, order + 1)]
+        return profile_from_coeffs([0] + coeffs)
     if name == "hyperbolic":
-        coeffs = [ZERO] + [Q(1, m) for m in range(1, order + 1)]
-        return RadialProfile(TSeries(coeffs))
+        return profile_from_coeffs([0] + [Q(1, m) for m in range(1, order + 1)])
     raise ValueError(f"unknown profile name: {name!r}")
 
 
-def normalize(profile: RadialProfile) -> RadialProfile:
+def normalize(profile: TSeries) -> TSeries:
     """Rescale t so that Phi'(0) = 1 (rational substitution t -> t/Phi'(0))."""
-    c = profile.series.coeffs[1]
-    if c == 1:
-        return profile
-    return RadialProfile(profile.series.rescale_argument(Q(1) / c))
+    c = _slope(profile)
+    return profile if c == 1 else profile.rescale_argument(1 / c)
 
 
-def psi_functions(profile: RadialProfile):
+def psi_functions(profile: TSeries):
     """(psi1, psi2) = (1/Phi', Phi''/(Phi'(Phi' + t Phi''))) as t-series."""
-    if not profile.normalized:
+    if _slope(profile) != 1:
         raise ValueError("profile must be normalized (Phi'(0) = 1)")
-    d1 = profile.series.derivative()
+    d1 = profile.derivative()
     d2 = d1.derivative()
     denom = d1.truncate(d2.order) + d2.multiply_by_t()
     if denom.constant_term() == 0:
@@ -160,7 +148,7 @@ def recursion_step(
     return LaplacePolynomial(k=k + 1, coeffs=tuple(new))
 
 
-def radial_pk(profile: RadialProfile, n, k_max):
+def radial_pk(profile: TSeries, n, k_max):
     """p_1..p_kmax by iterating the recursion from p_1 = x."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -174,6 +162,6 @@ def radial_pk(profile: RadialProfile, n, k_max):
     return polys
 
 
-def potential_jet(profile: RadialProfile, n, valid_degree) -> Jet:
+def potential_jet(profile: TSeries, n, valid_degree) -> Jet:
     """The radial potential as a jet in n variables (no normalization)."""
-    return substitute_radial(profile.series, n, valid_degree)
+    return substitute_radial(profile, n, valid_degree)

@@ -12,10 +12,15 @@ ZERO = Q(0)
 
 
 def as_q(value) -> "Q":
-    """Coerce an int, string like '3/4', or rational to Q."""
+    """Coerce an int, string like '3/4', or rational to Q; refuse a float."""
     if isinstance(value, (int, str)):
         return Q(value)
-    return Q(value.numerator, value.denominator)
+    try:
+        return Q(value.numerator, value.denominator)
+    except AttributeError:
+        raise TypeError(
+            f"only exact rationals are accepted, got {type(value).__name__} {value!r}"
+        ) from None
 
 
 def q_str(value) -> str:

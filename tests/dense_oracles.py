@@ -572,7 +572,7 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
     if fam in ("flat", "cp", "ch"):
         name = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}[fam]
         profile = named_profile(name, max(1, (D + 1) // 2))
-        return ref_substitute_radial(profile.series, desc.param("n"), D)
+        return ref_substitute_radial(profile, desc.param("n"), D)
     if fam == "grassmannian":
         k, N = desc.param("k"), desc.param("N")
         n = k * (N - k)

@@ -44,6 +44,7 @@ HARNESS_NAMES = [
     ("jets", "Jet.__mul__"),
     ("jets", "ValidityError"),
     ("radial", "profile_from_coeffs"),
+    ("rationals", "Q"),
 ]
 
 

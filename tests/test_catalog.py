@@ -71,6 +71,29 @@ RANK2_LABELS = [
 ]
 
 
+# every family at its smallest parameters and at a larger value, and two compounds
+DIMENSION_LABELS = [
+    "flat:n=1",
+    "flat:n=3",
+    "cp:n=1",
+    "cp:n=4",
+    "ch:n=1",
+    "ch:n=3",
+    "grassmannian:k=1,N=2",
+    "grassmannian:k=2,N=5",
+    "so2n:N=2",
+    "so2n:N=5",
+    "sp:N=1",
+    "sp:N=3",
+    "quadric-even:N=4",
+    "quadric-even:N=6",
+    "quadric-odd:N=4",
+    "quadric-odd:N=5",
+    "product(cp:n=2;grassmannian:k=2,N=4)",
+    "dual(so2n:N=4)",
+]
+
+
 class TestDescriptors:
     def test_dimensions_and_ranks(self):
         space = catalog.parse_space
@@ -82,6 +105,20 @@ class TestDescriptors:
         assert space("quadric-odd:N=4").complex_dim == 7
         assert catalog.product(space("cp:n=1"), space("cp:n=2")).complex_dim == 3
         assert catalog.dual(space("grassmannian:k=2,N=4")).rank == 2
+
+    def test_dimension_labels_cover_every_family(self):
+        families = {catalog.parse_space(label).family for label in DIMENSION_LABELS}
+        assert families >= set(catalog.all_family_names())
+
+    @pytest.mark.parametrize("label", DIMENSION_LABELS)
+    def test_dimension_counts_the_modsq_terms_of_the_potential(self, label):
+        """The table's dimension formula against a second path: the |z_i|^2
+        terms of the potential, which is written from _matrix_slots, the
+        quadric text or the radial profile, not from the formula."""
+        desc = catalog.parse_space(label)
+        phi = catalog.potential_jet(desc, 2)
+        modsq = [P for P, Q_ in map(phi.pk.unpack, phi.parts[2]) if P == Q_]
+        assert desc.complex_dim == len(modsq)
 
     def test_parse_round_trip(self):
         for label in ALL_LABELS + [

@@ -73,6 +73,12 @@ class TestCheckCommand:
         assert r.stdout == ""
         assert f"parameter {key!r} is repeated" in r.stderr
 
+    @pytest.mark.parametrize("label", ["cp:n=--2", "cp:n=\u00b2"])
+    def test_malformed_parameter_value_usage_error(self, label):
+        r = run_cli("check", label)
+        assert r.returncode == 2
+        assert r.stderr == f"error: bad parameter {label[3:]!r} in {label!r}\n"
+
     def test_low_degree_usage_error(self):
         r = run_cli("check", "cp:n=1", "--kmax", "3", "--degree", "4")
         assert r.returncode == 2

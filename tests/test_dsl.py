@@ -223,6 +223,10 @@ class TestPotFiles:
              "zero denominator (line 3, column 3)"),
             ("# header comment\ndim 1\n# body comment\nlog(1 +\n  modsq(z(1)) 5)\n",
              "expected ')', found '5' (line 5, column 15)"),
+            # only ASCII digits are numbers: int() would read these too
+            ("dim 1\nlog(1 + modsq(z(\u00b2)))\n", "unexpected character '\u00b2' (line 2, column 17)"),
+            ("dim 1\nmodsq(z(\u0661))\n", "unexpected character '\u0661' (line 2, column 9)"),
+            ("dim \u00b2\nmodsq(z(1))\n", "first line must be 'dim n' (line 1, column 1)"),
         ],
     )
     def test_body_errors_report_file_lines(self, text, message):

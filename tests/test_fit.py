@@ -37,7 +37,7 @@ from dense_oracles import (
 
 def radial_metric(name, n, D):
     prof = named_profile(name, (D + 1) // 2)
-    return metric_from_potential(substitute_radial(prof.series, n, D))
+    return metric_from_potential(substitute_radial(prof, n, D))
 
 
 class TestTestSet:
@@ -72,7 +72,7 @@ class TestRescaledValue:
         # potential 2 log(1+t): origin diagonal 2, rescaled first value is 1
         prof = named_profile("fubini-study", 3)
         m = metric_from_potential(
-            substitute_radial(prof.series.scale(2), 1, 6)
+            substitute_radial(prof.scale(2), 1, 6)
         )
         assert m.origin_diag == (2,)
         assert rescaled_value(m, (1,), (1,), 1) == 1

@@ -15,6 +15,7 @@ from kahlerlap.jets import (
     substitute_radial,
 )
 from kahlerlap import rationals
+from kahlerlap.radial import profile_from_coeffs
 from kahlerlap.rationals import Q
 from kahlerlap.series import TSeries
 
@@ -424,3 +425,18 @@ def test_packing_round_trip(case):
 
 def test_rationals_are_stdlib_fractions():
     assert rationals.Q is Fraction
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rationals.as_q(0.5),
+        lambda: Jet.constant(1, 0.5, 2),
+        lambda: Jet.monomial(1, (1,), (1,), 0.5, 2),
+        lambda: TSeries([0, 0.5]),
+        lambda: profile_from_coeffs([0, 1.0]),
+    ],
+)
+def test_floats_are_refused_with_a_type_error(make):
+    with pytest.raises(TypeError, match="only exact rationals are accepted, got float"):
+        make()

@@ -30,17 +30,17 @@ from dense_oracles import (
 def fs_metric(n, D):
     """Fubini-Study metric from log(1 + |z|^2)."""
     prof = named_profile("fubini-study", (D + 1) // 2)
-    return metric_from_potential(substitute_radial(prof.series, n, D))
+    return metric_from_potential(substitute_radial(prof, n, D))
 
 
 def hyp_metric(n, D):
     prof = named_profile("hyperbolic", (D + 1) // 2)
-    return metric_from_potential(substitute_radial(prof.series, n, D))
+    return metric_from_potential(substitute_radial(prof, n, D))
 
 
 def flat_metric(n, D):
     prof = named_profile("flat", (D + 1) // 2)
-    return metric_from_potential(substitute_radial(prof.series, n, D))
+    return metric_from_potential(substitute_radial(prof, n, D))
 
 
 def perturbed_metric(D=6):

@@ -24,7 +24,7 @@ class TestProfiles:
     def test_normalize_scales_argument(self):
         p = profile_from_coeffs([0, 2], order=4)
         q = normalize(p)
-        assert q.series.coeffs[1] == 1 and q.normalized
+        assert q.coeffs[1] == 1
 
     def test_normalize_fixed_point(self):
         p = named_profile("fubini-study", 4)
@@ -37,7 +37,16 @@ class TestProfiles:
     def test_normalize_keeps_rationality(self):
         p = profile_from_coeffs([0, 3, 1], order=3)
         q = normalize(p)
-        assert q.series.coeffs[2] == Q(1, 9)
+        assert q.coeffs[2] == Q(1, 9)
+
+    @pytest.mark.parametrize("slope", [0, -1])
+    def test_normalize_refuses_a_bare_series_without_positive_slope(self, slope):
+        with pytest.raises(ValueError, match="must be positive"):
+            normalize(TSeries([0, slope, 1]))
+
+    def test_a_profile_is_the_series_of_phi(self):
+        assert named_profile("hyperbolic", 3) == TSeries([0, 1, Q(1, 2), Q(1, 3)])
+        assert profile_from_coeffs([0, 1], order=2) == TSeries([0, 1, 0])
 
 
 class TestPsiFunctions:
