@@ -125,9 +125,10 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     The gauge is checked first, from the potential's degree-2 terms: its
     term c z_i zb_j is g[i][j](0) = c.  Then inverse runs, and the pullback
     index is built from g_inv's keys as they are: with Lg the lcm of the
-    reduced denominators of g_inv, it maps the packed key of each g_inv
-    monomial (U, V) to the positions carrying it, as (Lg * coefficient,
-    shift of slot j, shift of slot n + i, packed e_j + e_i).
+    reduced denominators of g_inv, it maps the packed holomorphic half U of
+    each g_inv monomial (U, V) to a dict from V, packed as a holomorphic
+    half, to the positions carrying the monomial, as (Lg * coefficient,
+    shift of slot j, shift of slot n + i, packed e_j + e_i - V).
     """
     if potential.valid_degree < 2:
         raise TruncationError(
@@ -155,6 +156,7 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
         *(c.denominator for row in g_inv.entries for e in row
           for part in e.parts for c in part.values())
     )
+    low = units[n] - 1
     index = {}
     for i, row in enumerate(g_inv.entries):
         for j, entry in enumerate(row):
@@ -162,8 +164,9 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
             step = units[j] + units[n + i]
             for part in entry.parts:
                 for K, c in part.items():
-                    index.setdefault(K, []).append(
-                        (c.numerator * (lg // c.denominator), shift_j, shift_i, step)
+                    index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
+                        (c.numerator * (lg // c.denominator), shift_j, shift_i,
+                         step - (K & ~low))
                     )
     cubic_free = potential.valid_degree < 3 or not potential.parts[3]
     normal = cubic_free and all(d == 1 for d in diag)
@@ -221,12 +224,16 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     fixed (m._pullback), on the potential's packing.  With Lg the lcm of the
     denominators of g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k
     with N_0 = 1 at the origin and N_k built from N_{k-1} by the step above
-    with g' for g.  Keys are packed, so (S, T) is the int sum
-    A - U + e_j + e_i.  Table k has |P| <= k and |Q| <= k, since each step
-    adds one to |P| and one to |Q| and removes a divisor; so every k up to
-    the slot mask is exact, and a larger k raises ValidityError.  N_k is
-    what is stored and returned, packed key -> integer; _table_value and
-    delta_power_at0 divide by Lg^k as they read it.
+    with g' for g.  The index is keyed on the holomorphic half, so each
+    (A, B) looks up the divisors U of A alone and keeps, of the halves V
+    found under U, those in the divisor set of B: the lookups follow
+    g_inv's support instead of every divisor of (A, B).  Keys are packed,
+    so (S, T) is the int sum of A - U and the index's e_j + e_i - V.
+    Table k has |P| <= k and |Q| <= k, since each step adds one to |P| and
+    one to |Q| and removes a divisor; so every k up to the slot mask is
+    exact, and a larger k raises ValidityError.  N_k is what is stored and returned,
+    packed key -> integer; _table_value and delta_power_at0 divide by Lg^k
+    as they read it.
     """
     done = m._functionals.get(k)
     if done is not None:
@@ -239,19 +246,23 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
             f"lap^{k} needs exponent slots above {mask}; the metric's "
             f"potential is valid only to degree {m.potential.valid_degree}"
         )
+    low = pk.units[m.n] - 1
     out = {}
     get = out.get
     for KA, c in _laplacian_functional(m, k - 1).items():
-        for KU in pk.divisors(KA):
-            hits = index.get(KU)
-            if hits is None:
+        b_divisors = set(pk.divisors(KA >> pk.half))
+        for KU in pk.divisors(KA & low):
+            vs = index.get(KU)
+            if vs is None:
                 continue
             base = KA - KU
-            for g, shift_j, shift_i, step in hits:
-                key = base + step
-                out[key] = get(key, 0) + (
-                    c * g * ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
-                )
+            for KV, hits in vs.items():
+                if KV in b_divisors:
+                    for g, shift_j, shift_i, step in hits:
+                        key = base + step
+                        out[key] = get(key, 0) + c * g * (
+                            ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
+                        )
     nums = m._functionals[k] = {key: c for key, c in out.items() if c}
     return nums
 

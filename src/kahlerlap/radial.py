@@ -12,6 +12,10 @@ to |z^P|^2 only involves the two radial series
 
     psi1 = 1/Phi'        psi2 = Phi'' / (Phi' (Phi' + t Phi'')).
 
+Since 1/Phi' - 1/(Phi' + t Phi'') = t Phi'' / (Phi' (Phi' + t Phi'')) and
+Phi' + t Phi'' = (t Phi')', psi2 = (psi1 - 1/(t Phi')')/t: both series come
+from two reciprocals, which psi_functions takes on integers.
+
 The radial command fits p_k on the graded inverse of g, so its
 recursion-vs-fit check stays independent of psi_functions.
 
@@ -34,19 +38,23 @@ The monic polynomials p_k satisfy, for a profile normalized to Phi'(0) = 1:
     a_{k+1,p} = a_{k,p-1} + sum_{l=p}^{k} a_{k,l} (C^psi1_{p-1,l}
                                                    - p^2 C^psi2_{p,l}),
 
-with a_{k,0} = 0 and a_{k,l} = 0 for l > k.  This produces p_1..p_kmax
-without ever applying the Kahler Laplacian, giving a computation path
-independent of the direct fit.
+with a_{k,0} = 0 and a_{k,l} = 0 for l > k.  The bracket
+M_{p,l} = C^psi1_{p-1,l} - p^2 C^psi2_{p,l} does not depend on k, so with S
+the shift a_{k,p-1} -> a_{k+1,p} one step is p_{k+1} = (S + M) p_k.
+radial_pk builds M once, through l = kmax - 1, as integers L M over the
+lcm L of its denominators, and iterates on integer numerators: p_k is
+N_k / L^(k-1).  This produces p_1..p_kmax without ever applying the Kahler
+Laplacian, giving a computation path independent of the direct fit.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .fit import LaplacePolynomial
 from .jets import Jet, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
-from .series import TSeries
+from .series import SeriesError, TSeries
 
 
 def _slope(profile: TSeries):
@@ -90,17 +98,34 @@ def normalize(profile: TSeries) -> TSeries:
     return profile if c == 1 else profile.rescale_argument(1 / c)
 
 
+def _reciprocal_numerators(f):
+    """R_0..R_top with 1/f = sum_m R_m t^m / f_0^(m+1), for the integer
+    coefficients f_0..f_top of a series with f_0 != 0."""
+    out = [1]
+    for m in range(1, len(f)):
+        out.append(-sum(f[i] * f[0] ** (i - 1) * out[m - i] for i in range(1, m + 1)))
+    return out
+
+
 def psi_functions(profile: TSeries):
-    """(psi1, psi2) = (1/Phi', Phi''/(Phi'(Phi' + t Phi''))) as t-series."""
+    """(psi1, psi2) = (1/Phi', (psi1 - 1/(t Phi')')/t) as t-series.
+
+    With Phi' = F / L1 for integers F (so F_0 = L1), psi1 = L1 / F and
+    1/(t Phi')' = L1 / (t F)', two integer reciprocals whose t^m
+    coefficients are integers over L1^m.  psi1 is trusted through the order
+    of Phi', psi2 through one less.
+    """
     if _slope(profile) != 1:
         raise ValueError("profile must be normalized (Phi'(0) = 1)")
-    d1 = profile.derivative()
-    d2 = d1.derivative()
-    denom = d1.truncate(d2.order) + d2.multiply_by_t()
-    if denom.constant_term() == 0:
-        raise ValueError("Phi' + t Phi'' vanishes at t = 0")
-    psi1 = d1.reciprocal()
-    psi2 = d2 * psi1.truncate(d2.order) * denom.reciprocal()
+    d1 = [m * c for m, c in enumerate(profile.coeffs)][1:]
+    if len(d1) < 2:
+        raise SeriesError("series order exhausted by differentiation")
+    l1 = lcm(*(c.denominator for c in d1))
+    f = [c.numerator * (l1 // c.denominator) for c in d1]
+    r = _reciprocal_numerators(f)
+    s = _reciprocal_numerators([(m + 1) * c for m, c in enumerate(f)])
+    psi1 = TSeries([Q(c, l1**m) for m, c in enumerate(r)])
+    psi2 = TSeries([Q(r[m] - s[m], l1**m) for m in range(1, len(r))])
     return psi1, psi2
 
 
@@ -125,31 +150,54 @@ def c_constant(psi: TSeries, p, l, n):
     )
 
 
+def _require_order(psi1: TSeries, psi2: TSeries, k):
+    """ValidityError unless both psi series reach t^k, as the step k -> k+1 needs."""
+    if psi1.order < k or psi2.order < k:
+        raise ValidityError(
+            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
+            f"for the step to k={k + 1}"
+        )
+
+
+def _recursion_matrix(psi1: TSeries, psi2: TSeries, n, top):
+    """(L, rows): M_{p,l} = C^psi1_{p-1,l} - p^2 C^psi2_{p,l} for
+    1 <= p <= l <= top as integers L M_{p,l}, L the lcm of their
+    denominators; rows[p - 1] holds l = p..top."""
+    rows = [
+        [
+            c_constant(psi1, p - 1, l, n) - p * p * c_constant(psi2, p, l, n)
+            for l in range(p, top + 1)
+        ]
+        for p in range(1, top + 1)
+    ]
+    big = lcm(*(c.denominator for row in rows for c in row))
+    return big, [[c.numerator * (big // c.denominator) for c in row] for row in rows]
+
+
+def _step(nums, big, rows):
+    """(S + M) p_k times L: a_1..a_{k+1} of L p_{k+1} from a_1..a_k of p_k,
+    for (L, rows) from _recursion_matrix with top >= k."""
+    shifted = [0] + [a * big for a in nums]
+    for p, row in enumerate(rows[: len(nums)]):
+        shifted[p] += sum(a * m for a, m in zip(nums[p:], row))
+    return shifted
+
+
 def recursion_step(
     a_k: LaplacePolynomial, psi1: TSeries, psi2: TSeries, n
 ) -> LaplacePolynomial:
     """One step k -> k+1 of the recursion in the module docstring, from the
     psi series of the normalized profile (psi_functions)."""
     k = a_k.k
-    if psi1.order < k or psi2.order < k:
-        raise ValidityError(
-            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
-            f"for the step to k={k + 1}"
-        )
-    new = []
-    for p in range(1, k + 2):
-        val = a_k.coefficient(p - 1)
-        for l in range(p, k + 1):
-            val += a_k.coefficient(l) * (
-                c_constant(psi1, p - 1, l, n)
-                - p * p * c_constant(psi2, p, l, n)
-            )
-        new.append(val)
-    return LaplacePolynomial(k=k + 1, coeffs=tuple(new))
+    _require_order(psi1, psi2, k)
+    big, rows = _recursion_matrix(psi1, psi2, n, k)
+    new = _step(a_k.coeffs, big, rows)
+    return LaplacePolynomial(k=k + 1, coeffs=tuple(Q(a, big) for a in new))
 
 
 def radial_pk(profile: TSeries, n, k_max):
-    """p_1..p_kmax by iterating the recursion from p_1 = x."""
+    """p_1..p_kmax from p_1 = x: one recursion matrix, integer numerators
+    over L^(k-1) for p_k."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if n < 1:
@@ -157,8 +205,14 @@ def radial_pk(profile: TSeries, n, k_max):
     polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
     if k_max > 1:
         psi1, psi2 = psi_functions(normalize(profile))
-        while len(polys) < k_max:
-            polys.append(recursion_step(polys[-1], psi1, psi2, n))
+        for k in range(1, k_max):
+            _require_order(psi1, psi2, k)
+        big, rows = _recursion_matrix(psi1, psi2, n, k_max - 1)
+        nums = [1]
+        for k in range(1, k_max):
+            nums = _step(nums, big, rows)
+            coeffs = tuple(Q(a, big**k) for a in nums)
+            polys.append(LaplacePolynomial(k=k + 1, coeffs=coeffs))
     return polys
 
 

@@ -6,13 +6,16 @@ fit and every (i, j, h, k, l) tuple for the fifth-order check.  The inverse
 and the reciprocal sum geometric (Neumann) series with full jet products
 instead of solving degree by degree.  The radial C constants are evaluated
 from their definition, by applying the Euclidean Laplacian to a jet, instead
-of from their closed form.  log(1 + s) sums its power series with full jet
-products instead of solving degree by degree, and direct_potential_jet
-builds the catalog potentials by hand-written log det jet algebra (the
-determinant itself, not the minor and Pfaffian sums the catalog elaborates),
-radial substitution over multiindices and duality on tuple keys.  They are
-slow on large inputs and exist so that the library can be compared against
-the definitions.
+of from their closed form, and the radial recursion runs in rationals, one
+step at a time, on psi series built by truncated series products and
+reciprocals (series_*), where the library builds one integer recursion
+matrix from two integer reciprocals.  log(1 + s) sums its power series
+with full jet products instead of solving degree by degree, and
+direct_potential_jet builds the catalog potentials by hand-written log det
+jet algebra (the determinant itself, not the minor and Pfaffian sums the
+catalog elaborates), radial substitution over multiindices and duality on
+tuple keys.  They are slow on large inputs and exist so that the library
+can be compared against the definitions.
 
 The jet ring operations (ref_add, ref_mul, ref_conj, ref_dz, ref_dzbar,
 ref_truncated) are the tuple-keyed forms of the library's packed, graded
@@ -58,8 +61,9 @@ from kahlerlap.metric import (
     einstein_constant,
     laplacian_apply,
 )
-from kahlerlap.radial import named_profile
+from kahlerlap.radial import _slope, c_constant, named_profile, normalize
 from kahlerlap.rationals import Q, ZERO
+from kahlerlap.series import SeriesError, TSeries
 
 
 def mi_factorial(exponents):
@@ -412,6 +416,106 @@ def c_constant_at(psi, P, l, n):
             nxt = nxt + jet.dz(i).dzbar(i)
         jet = nxt
     return jet.eval0() / Q(factorial(p) * mi_factorial(P))
+
+
+# -- the Fraction radial path --------------------------------------------------
+
+
+def series_add(a, b):
+    order = min(a.order, b.order)
+    return TSeries([a.coeffs[m] + b.coeffs[m] for m in range(order + 1)], order)
+
+
+def series_scale(a, c):
+    return TSeries([c * x for x in a.coeffs], a.order)
+
+
+def series_mul(a, b):
+    """The Cauchy product through the smaller trusted order."""
+    order = min(a.order, b.order)
+    out = [ZERO] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return TSeries(out, order)
+
+
+def series_derivative(a):
+    """d/dt; the trusted order drops by one."""
+    if a.order == 0:
+        raise SeriesError("series order exhausted by differentiation")
+    return TSeries([m * a.coeffs[m] for m in range(1, a.order + 1)], a.order - 1)
+
+
+def series_times_t(a):
+    """t * a, trusted to the same order as a."""
+    return TSeries([ZERO] + list(a.coeffs[: a.order]), a.order)
+
+
+def series_reciprocal(a):
+    """b with a * b = 1 through t^order, solved coefficient by coefficient."""
+    a0 = a.coeffs[0]
+    if a0 == 0:
+        raise SeriesError("cannot invert a series with zero constant term")
+    out = [Q(1) / a0]
+    for m in range(1, a.order + 1):
+        out.append(-sum(a.coeffs[i] * out[m - i] for i in range(1, m + 1)) / a0)
+    return TSeries(out, a.order)
+
+
+def series_truncate(a, order):
+    if order > a.order:
+        raise SeriesError("cannot raise the trusted order of a series")
+    return TSeries(a.coeffs[: order + 1], order)
+
+
+def ref_psi_functions(profile):
+    """(psi1, psi2) = (1/Phi', Phi''/(Phi'(Phi' + t Phi''))) by rational
+    series products and reciprocals, as the definitions read."""
+    if _slope(profile) != 1:
+        raise ValueError("profile must be normalized (Phi'(0) = 1)")
+    d1 = series_derivative(profile)
+    d2 = series_derivative(d1)
+    denom = series_add(series_truncate(d1, d2.order), series_times_t(d2))
+    psi1 = series_reciprocal(d1)
+    psi2 = series_mul(
+        series_mul(d2, series_truncate(psi1, d2.order)), series_reciprocal(denom)
+    )
+    return psi1, psi2
+
+
+def ref_recursion_step(a_k, psi1, psi2, n):
+    """One step k -> k+1 of the radial recursion, coefficient by coefficient
+    in rationals, with every C constant taken afresh."""
+    k = a_k.k
+    if psi1.order < k or psi2.order < k:
+        raise ValidityError(
+            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
+            f"for the step to k={k + 1}"
+        )
+    new = []
+    for p in range(1, k + 2):
+        val = a_k.coefficient(p - 1)
+        for l in range(p, k + 1):
+            val += a_k.coefficient(l) * (
+                c_constant(psi1, p - 1, l, n) - p * p * c_constant(psi2, p, l, n)
+            )
+        new.append(val)
+    return LaplacePolynomial(k=k + 1, coeffs=tuple(new))
+
+
+def ref_radial_pk(profile, n, k_max):
+    """p_1..p_kmax by ref_recursion_step from p_1 = x."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got {n}")
+    polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
+    if k_max > 1:
+        psi1, psi2 = ref_psi_functions(normalize(profile))
+        while len(polys) < k_max:
+            polys.append(ref_recursion_step(polys[-1], psi1, psi2, n))
+    return polys
 
 
 def series_log1p(s):

@@ -5,10 +5,13 @@ setattr, and perfbench/child.py calls the radial recursion directly, so a
 rename or deletion in src/kahlerlap breaks traced benchmark runs.  The name
 tests read the harness's tables without installing the tracer.  The smoke
 test runs the harness for real in a child process: it installs the tracer,
-runs a catalog check and a seeded .pot case the way perfbench/child.py does,
-and judges both with perfbench/checks.py, so the values the harness reads
-(g_inv entries, .coeffs, Jet.monomial on lists, laplacian_apply) are guarded
-as well as the names.
+runs a catalog check, a seeded .pot case and the seed-0 radial recursion case
+the way perfbench/child.py does, and judges them with perfbench/checks.py
+(the radial one against golden.json and the direct fit), so the values the
+harness reads (g_inv entries, .coeffs, Jet.monomial on lists,
+laplacian_apply) are guarded as well as the names.  It also bounds the
+C constants the radial case takes: radial_pk builds its recursion matrix
+once, with kmax (kmax - 1) of them.
 """
 
 import importlib
@@ -66,7 +69,11 @@ tracer = tracing.Tracer()
 tracer.install()
 root = Path.cwd()
 pot = next(c for c in workloads.cases("catalog-sweep", 1, root, root) if "pot" in c)
-cases = [workloads.cli_case(["check", "cp:n=2", "--degree", "6", "--json"]), pot]
+cases = [
+    workloads.cli_case(["check", "cp:n=2", "--degree", "6", "--json"]),
+    pot,
+    workloads.radial_case(workloads.radial_coeffs(0)),
+]
 checker = checks.Checker(checks.load_golden())
 failures = []
 for case in cases:
@@ -94,3 +101,5 @@ def test_traced_harness_checks_pass(tmp_path):
     assert result["failures"] == []
     assert result["counts"]["metric.ginv_terms"] > 0
     assert result["counts"]["catalog.potential_terms"] > 0
+    # one recursion matrix: kmax (kmax - 1) C constants at kmax = 12
+    assert 0 < result["counts"]["radial.c_constant_calls"] <= 132

@@ -31,6 +31,7 @@ from dense_oracles import (
     multiindices,
     multiindices_upto,
     rescaled_value,
+    series_scale,
     verify_witness,
 )
 
@@ -72,7 +73,7 @@ class TestRescaledValue:
         # potential 2 log(1+t): origin diagonal 2, rescaled first value is 1
         prof = named_profile("fubini-study", 3)
         m = metric_from_potential(
-            substitute_radial(prof.scale(2), 1, 6)
+            substitute_radial(series_scale(prof, 2), 1, 6)
         )
         assert m.origin_diag == (2,)
         assert rescaled_value(m, (1,), (1,), 1) == 1

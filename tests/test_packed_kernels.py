@@ -15,10 +15,13 @@ metric._laplacian_functional computes on packed exponent keys
 (jets._Packing) and integer numerators over Lg^k.  Its tables are compared
 with tests/dense_oracles.py::fraction_laplacian_functional on fresh metrics
 (no table cached beyond table 0), on every catalog label, on cp:n=10 at k=4,
-on a .pot potential whose g_inv has non-unit denominators, so Lg > 1, and at
-the largest k the metric's slots hold; one k more raises ValidityError.  The inverse and
-log1p kernels are compared with their oracles in test_graded_inverse.py and
-test_jets.py.
+on a .pot potential whose g_inv has non-unit denominators, so Lg > 1, on the
+radial command's fubini-study metric (n = 3, degree 16) through k = 8, on a
+Bochner-form .pot potential whose g_inv is not torus-invariant, where the
+pullback index drops some entries found by their holomorphic half for their
+antiholomorphic half, and at the largest k the metric's slots hold; one k
+more raises ValidityError.  The inverse and log1p kernels are compared with
+their oracles in test_graded_inverse.py and test_jets.py.
 """
 
 from dataclasses import replace
@@ -33,8 +36,10 @@ from kahlerlap.metric import (
     GaugeError,
     _laplacian_functional,
     metric_from_potential,
+    require_bochner_form,
     third_deriv_obstruction,
 )
+from kahlerlap.radial import named_profile, potential_jet
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
@@ -72,6 +77,54 @@ def assert_tables_match(m, ks):
         assert table(m, k) == fraction_laplacian_functional(m, k)
 
 
+def pot_metric(text, degree):
+    n, node = parse_potential_file(text)
+    return metric_from_potential(elaborate(node, n, degree))
+
+
+def filtered_pairs(m, k):
+    """How many (key of table k - 1, g_inv monomial) pairs have the monomial's
+    holomorphic half dividing the key's and its antiholomorphic half not: the
+    index entries the pullback finds by U and then drops by V."""
+    monomials = {key for row in m.g_inv.entries for e in row for key in e.coeffs}
+    return sum(
+        all(map(int.__le__, U, A)) and not all(map(int.__le__, V, B))
+        for A, B in table(fresh(m), k - 1)
+        for U, V in monomials
+    )
+
+
+# the radial command's metric for --name fubini-study --n 3 --kmax 8
+RADIAL_FS = metric_from_potential(
+    potential_jet(named_profile("fubini-study", 10), 3, 16)
+)
+# Bochner form, and g_inv not torus-invariant: z1^2 zb2^2 and its relatives
+POT_NOT_TORUS_INVARIANT = """dim 2
+modsq(z(1)) + modsq(z(2)) + 1/2*modsq(z(1)*z(1) + z(2)*z(2)) + 1/3*modsq(z(1)*z(2))
+  + log(1 + 1/4*modsq(z(1)*z(1) + 2*z(1)*z(2)))
+"""
+
+
+def test_radial_command_metric_matches_fraction_pullback():
+    assert_tables_match(RADIAL_FS, range(1, 9))
+    assert filtered_pairs(RADIAL_FS, 8) > 0
+
+
+def test_not_torus_invariant_pot_matches_fraction_pullback():
+    m = pot_metric(POT_NOT_TORUS_INVARIANT, 8)
+    require_bochner_form(m.potential)
+    # on a torus-invariant potential every monomial z^U zb^V of g_inv[i][j]
+    # has U - V = e_j - e_i; this one has others
+    assert any(
+        [u - v for u, v in zip(U, V)] != [(s == j) - (s == i) for s in range(m.n)]
+        for i, row in enumerate(m.g_inv.entries)
+        for j, e in enumerate(row)
+        for U, V in e.coeffs
+    )
+    assert filtered_pairs(m, 4) > 0
+    assert_tables_match(m, range(1, 5))
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_catalog_tables_match_fraction_pullback(spaces, label):
     assert_tables_match(spaces(label, 8).metric, (1, 2, 3))
@@ -100,11 +153,6 @@ def test_pot_with_denominators_matches_fraction_pullback():
     ]
     assert lcm(*denominators) > 1
     assert_tables_match(m, (1, 2, 3))
-
-
-def pot_metric(text, degree):
-    n, node = parse_potential_file(text)
-    return metric_from_potential(elaborate(node, n, degree))
 
 
 def assert_inverse_matches_neumann(m):

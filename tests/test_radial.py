@@ -1,7 +1,15 @@
 import random
 
 import pytest
-from dense_oracles import _raw_value, c_constant_at
+from dense_oracles import (
+    _raw_value,
+    c_constant_at,
+    ref_psi_functions,
+    ref_radial_pk,
+    ref_recursion_step,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerlap.fit import LaplacePolynomial, check_delta_property
 from kahlerlap.jets import ValidityError
@@ -17,7 +25,7 @@ from kahlerlap.radial import (
     recursion_step,
 )
 from kahlerlap.rationals import Q
-from kahlerlap.series import TSeries
+from kahlerlap.series import SeriesError, TSeries
 
 
 class TestProfiles:
@@ -216,3 +224,78 @@ class TestOracleEquivalence:
                       ((3, 1), (2, 0))]:
             for k in range(1, 5):
                 assert _raw_value(m, P, Q_, k) == 0
+
+
+# -- the integer path against the rational one in tests/dense_oracles.py -----
+
+rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+# bare series: any order from 0, any slope, so the refusals are compared too
+bare_series = st.lists(rationals, min_size=1, max_size=10).map(TSeries)
+# series long enough for every step that monic (below) can ask of them
+long_series = st.lists(rationals, min_size=8, max_size=10).map(TSeries)
+# profiles of every order from 1 (too short for psi2) on, Phi'(0) > 0
+profiles = st.builds(
+    lambda c0, c1, tail: TSeries([c0, c1, *tail]),
+    rationals,
+    st.builds(Q, st.integers(1, 6), st.integers(1, 6)),
+    st.lists(rationals, max_size=9),
+)
+monic = st.lists(rationals, max_size=6).map(
+    lambda cs: LaplacePolynomial(k=len(cs) + 1, coeffs=(*cs, Q(1)))
+)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(bare_series, profiles))
+def test_psi_functions_match_the_rational_series(profile):
+    # the same coefficients and trusted orders, or the same refusal
+    assert outcome(psi_functions, profile) == outcome(ref_psi_functions, profile)
+    normal = outcome(normalize, profile)
+    if isinstance(normal, TSeries):
+        assert outcome(psi_functions, normal) == outcome(ref_psi_functions, normal)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    monic,
+    st.one_of(long_series, bare_series),
+    st.one_of(long_series, bare_series),
+    st.integers(1, 4),
+)
+def test_recursion_step_matches_the_rational_step(a_k, psi1, psi2, n):
+    assert outcome(recursion_step, a_k, psi1, psi2, n) == outcome(
+        ref_recursion_step, a_k, psi1, psi2, n
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(profiles, bare_series), st.integers(1, 4), st.integers(1, 8))
+def test_radial_pk_matches_the_stepwise_recursion(profile, n, k_max):
+    assert outcome(radial_pk, profile, n, k_max) == outcome(
+        ref_radial_pk, profile, n, k_max
+    )
+
+
+def test_an_order_one_profile_is_too_short_for_psi2():
+    profile = profile_from_coeffs([0, 1])
+    exhausted = "^series order exhausted by differentiation$"
+    for fn in (psi_functions, ref_psi_functions):
+        with pytest.raises(SeriesError, match=exhausted):
+            fn(profile)
+    with pytest.raises(SeriesError, match=exhausted):
+        radial_pk(profile, 2, 2)
+    assert radial_pk(profile, 2, 1) == [LaplacePolynomial(1, (Q(1),))]
+
+
+def test_psi_orders_follow_the_profile():
+    for order in range(2, 8):
+        psi1, psi2 = psi_functions(named_profile("hyperbolic", order))
+        assert (psi1.order, psi2.order) == (order - 1, order - 2)
