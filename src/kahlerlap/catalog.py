@@ -57,12 +57,11 @@ norm nu (so only |u|^2 enters test functions and everything stays rational).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 
 from . import dsl
-from .jets import Jet, JetMatrix, packing, substitute_radial
+from .jets import Jet, packing, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
@@ -343,12 +342,13 @@ def _metric(desc: SpaceDescriptor, phi: Jet) -> MetricJet:
     return metric_from_potential(phi)
 
 
-def bergman_inverse(desc: SpaceDescriptor, potential: Jet) -> JetMatrix:
+def bergman_inverse(desc: SpaceDescriptor, potential: Jet):
     """g_inv of a Bergman family or its dual on the potential's packing,
-    valid to its valid_degree - 2: the Bergman operator X -> B X A of the
-    Jordan triple (Loos 1977), A = I + W^dagger W, B = I + W W^dagger (both I
-    for flat).  With S_a the slots (i, j, sign) of coordinate a and (k, l)
-    the first slot of b,
+    valid to its valid_degree - 2, as metric.metric_with_inverse takes it:
+    (L, the integer graded parts of L g_inv[a][b]).  It is the Bergman
+    operator X -> B X A of the Jordan triple (Loos 1977), A = I + W^dagger W,
+    B = I + W W^dagger (both I for flat).  With S_a the slots (i, j, sign)
+    of coordinate a and (k, l) the first slot of b,
 
         g_inv[a][b] = sum_{(i, j, sign) in S_a} sign B[k][i] A[j][l] / (scale |S_a|).
 
@@ -375,27 +375,25 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet) -> JetMatrix:
             if b == a:  # W[r][a] conj(W[r2][a]) in B[r][r2]
                 key = (2, units[u] + units[n + v])
                 B[r][r2][key] = B[r][r2].get(key, 0) + su * sv
-    q = cache(Q)  # the coefficients take few values: share each Fraction
+    # row a is over scale |S_a|; all rows over their lcm
+    den = lcm(*(scale.numerator * len(s) for s in slots))
     entries = []
     for a in range(n):
-        mul, den = scale.denominator, scale.numerator * len(slots[a])
+        mul = scale.denominator * den // (scale.numerator * len(slots[a]))
+        ws = [mul * (-1) ** (flip * d // 2) for d in range(D + 1)]
         row = []
         for b in range(n):
             k, l, _ = slots[b][0]
-            acc = {}
+            parts = [{} for _ in range(D + 1)]
             for i, j, sign in slots[a]:
                 for (d1, key1), c1 in B[k][i].items():
                     for (d2, key2), c2 in A[j][l].items():
                         if d1 + d2 <= D:
-                            key = d1 + d2, key1 + key2
-                            acc[key] = acc.get(key, 0) + sign * c1 * c2
-            parts = [{} for _ in range(D + 1)]
-            for (d, key), c in acc.items():
-                if c:
-                    parts[d][key] = q(c * mul * (-1) ** (flip * d // 2), den)
-            row.append(Jet._of(n, pk, parts))
+                            part, key = parts[d1 + d2], key1 + key2
+                            part[key] = part.get(key, 0) + sign * c1 * c2
+            row.append([{K: c * w for K, c in p.items() if c} for p, w in zip(parts, ws)])
         entries.append(row)
-    return JetMatrix(entries)
+    return den, entries
 
 
 def _modsq_of_form(form, n, D) -> Jet:

@@ -20,16 +20,25 @@ rational literals may carry a denominator.  radial(c0, c1, ...) denotes a
 polynomial profile c0 + c1 t + ... evaluated at t = |z_1|^2 + ... + |z_n|^2.
 
 Elaboration maps an expression tree and a dimension/degree to a potential
-jet.  Additive constants inside log are normalized away (potentials are
-defined up to an additive constant): log(c + s) elaborates as log(1 + s/c)
-for a positive rational constant term c.
+jet.  Each subtree evaluates to integer graded parts over one denominator
+on the jet's packing (_evaluate); log hands its argument to the integer
+log1p kernel, and only det, radial and the result are rational jets.
+Additive constants inside log are normalized away (potentials are defined
+up to an additive constant): log(c + s) elaborates as log(1 + s/c) for a
+positive rational constant term c.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
+from math import lcm
 
-from .jets import Jet, JetMatrix, log1p, substitute_radial
+from .jets import (
+    Jet, JetMatrix, ValidityError, _add_into, _conj_parts, _int_parts, _log1p_ints, _mul_parts,
+    _rational_parts, substitute_radial,
+)
 from .rationals import Q
 from .series import TSeries
 
@@ -103,49 +112,37 @@ class Radial:
 
 # -- tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = set("+-*/(),;[]")
+# A line, less its comment, splits into pieces that cover it: ASCII digit
+# runs (int() would read other digits too), words, single blanks, and any
+# other single character.  _KINDS gives the kind of the common pieces ("" for
+# a blank, which is dropped); _kind classifies the rest.
+_PIECE = re.compile(r"[0-9]+|[^\W\d_]\w*|[ \t\r]|.")
+_KINDS = {
+    **{c: c for c in "+-*/(),;[]"}, **{c: "" for c in " \t\r"},
+    **{str(i): "int" for i in range(10)},
+    **{w: "ident" for w in ("z", "conj", "modsq", "log", "det", "radial")},
+}
+
+
+def _kind(piece, line, col):
+    if "0" <= piece[0] <= "9":
+        return "int"
+    if piece[0].isalpha():  # a word may open with a numeric such as "²"
+        return "ident"
+    raise PotentialSyntaxError(f"unexpected character {piece[0]!r}", line, col)
 
 
 def _tokenize(text, line):
     tokens = []
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: int() would read other digits too
-            start = i
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PotentialSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", "", line, col))
+    for line, row in enumerate(text.split("\n"), line):
+        pieces = _PIECE.findall(row.partition("#")[0])
+        cols = accumulate(map(len, pieces), initial=1)
+        tokens += [
+            (kind or _kind(piece, line, col), piece, line, col)
+            for kind, piece, col in zip(map(_KINDS.get, pieces), pieces, cols)
+            if kind != ""
+        ]
+    tokens.append(("end", "", line, sum(map(len, pieces)) + 1))
     return tokens
 
 
@@ -269,55 +266,71 @@ def parse(text, first_line=1) -> object:
 
 def elaborate(node, n, valid_degree) -> Jet:
     """Evaluate an expression tree to a potential jet in n variables."""
+    pk = Jet.zero(n, valid_degree).pk  # refuses n < 1 and valid_degree < 0
+    return Jet._of(n, pk, _rational_parts(*_evaluate(node, pk, valid_degree)))
+
+
+def _evaluate(node, pk, D):
+    """The value of node as (den, parts): integer graded parts over den > 0
+    on packing pk, cut at degree D.  Each result is a new object, which the
+    caller may update in place."""
     if isinstance(node, Lit):
-        return Jet.constant(n, node.value, valid_degree)
+        c = node.value
+        return c.denominator, [{0: c.numerator} if c else {}] + [{} for _ in range(D)]
     if isinstance(node, Coord):
-        if not 1 <= node.index <= n:
+        if not 1 <= node.index <= pk.n:
             raise ElaborationError(
-                f"coordinate z({node.index}) out of range for dimension {n}"
+                f"coordinate z({node.index}) out of range for dimension {pk.n}"
             )
-        return Jet.variable(n, node.index - 1, valid_degree)
+        if D < 1:
+            raise ValidityError(f"monomial of degree 1 exceeds valid_degree {D}")
+        return 1, [{}, {pk.units[node.index - 1]: 1}] + [{} for _ in range(D - 1)]
     if isinstance(node, Conj):
-        return elaborate(node.arg, n, valid_degree).conj()
+        den, parts = _evaluate(node.arg, pk, D)
+        return den, _conj_parts(pk, parts)
     if isinstance(node, ModSq):
-        inner = elaborate(node.arg, n, valid_degree)
-        return inner * inner.conj()
+        den, parts = _evaluate(node.arg, pk, D)
+        return den * den, _mul_parts(parts, _conj_parts(pk, parts))
     if isinstance(node, (Add, Sub)):
         spine = []  # a long sum is a deep left spine: walk it, not recurse
         while isinstance(node, (Add, Sub)):
             spine.append(node)
             node = node.left
-        acc = elaborate(node, n, valid_degree)
+        den, acc = _evaluate(node, pk, D)
         for op in reversed(spine):
-            term = elaborate(op.right, n, valid_degree)
-            acc = acc + term if isinstance(op, Add) else acc - term
-        return acc
+            d, term = _evaluate(op.right, pk, D)
+            common = lcm(den, d)
+            if common != den:
+                acc = [{K: c * (common // den) for K, c in part.items()} for part in acc]
+                den = common
+            w = (1 if isinstance(op, Add) else -1) * (den // d)
+            if w != 1:
+                term = [{K: w * c for K, c in part.items()} for part in term]
+            _add_into(acc, term)
+        return den, acc
     if isinstance(node, Mul):
-        return elaborate(node.left, n, valid_degree) * elaborate(
-            node.right, n, valid_degree
-        )
+        d1, a = _evaluate(node.left, pk, D)
+        d2, b = _evaluate(node.right, pk, D)
+        return d1 * d2, _mul_parts(a, b)
     if isinstance(node, Log):
-        inner = elaborate(node.arg, n, valid_degree)
-        c = inner.eval0()
+        den, parts = _evaluate(node.arg, pk, D)
+        c = parts[0].pop(0, 0)
         if c <= 0:
             raise ElaborationError(
-                f"log needs a positive rational constant term, got {c}"
+                f"log needs a positive rational constant term, got {Q(c, den)}"
             )
-        # log(c + s) = log c + log(1 + s/c); the additive constant is dropped
-        s = inner - Jet.constant(n, c, valid_degree)
-        return log1p(s if c == 1 else s / c)
+        # log(c/den + s) = log(c/den) + log(1 + s'/c), s' = den s; the
+        # additive constant is dropped
+        return _log1p_ints(c, parts)
     if isinstance(node, Det):
-        rows = [
-            [elaborate(e, n, valid_degree) for e in row] for row in node.rows
-        ]
+        rows = [[_evaluate(e, pk, D) for e in row] for row in node.rows]
         if any(len(row) != len(rows) for row in rows):
             raise ElaborationError("det needs a square matrix")
-        return JetMatrix(rows).det()
+        matrix = [[Jet._of(pk.n, pk, _rational_parts(*e)) for e in row] for row in rows]
+        return _int_parts(JetMatrix(matrix).det().parts)
     if isinstance(node, Radial):
-        order = max((valid_degree + 1) // 2, len(node.coeffs) - 1)
-        return substitute_radial(
-            TSeries(list(node.coeffs), order), n, valid_degree
-        )
+        order = max((D + 1) // 2, len(node.coeffs) - 1)
+        return _int_parts(substitute_radial(TSeries(list(node.coeffs), order), pk.n, D).parts)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -111,23 +111,6 @@ def _before(A, B, pk):
     return A >> shift & pk.mask < B >> shift & pk.mask
 
 
-def _diagonal(m: MetricJet, k):
-    """(p, packed key, p! P!, numerator and denominator of prod d_i^{P_i})
-    of each diagonal z^P zb^P with 1 <= |P| = p <= k, in graded
-    lexicographic order: its norm and its unit-gauge rescale."""
-    pk, d = m.potential.pk, m.origin_diag
-    unit = all(c == 1 for c in d)
-    out = []
-    for p, diagonal in enumerate(diagonal_keys(pk, k)[1:], start=1):
-        for K, f in diagonal:
-            dn = dd = 1
-            if not unit:
-                for c, e in zip(d, pk.unpack(K)[0]):
-                    dn, dd = dn * c.numerator**e, dd * c.denominator**e
-            out.append((p, K, factorial(p) * f, dn, dd))
-    return out
-
-
 def fit_pk(m: MetricJet, k) -> FitResult:
     """Fit the monic order-k polynomial over the degree <= 2k monomial set,
     or return the first violation in enumeration order.
@@ -139,7 +122,8 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     the first of them in graded lexicographic order can be the witness.  The
     diagonal z^P zb^P has the rescaled value v = N_k prod d_i^{P_i} / Lg^k
     and the ratio v / (p! P!), kept as a Fraction once per degree p and
-    compared with it in integers.
+    compared with it in integers; diagonal_keys lists them in graded
+    lexicographic order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -160,10 +144,18 @@ def fit_pk(m: MetricJet, k) -> FitResult:
             witness=ViolationWitness(P=P, Q=Q_, kind=kind, lhs=lhs, expected=expected),
         )
 
+    # (shift, numerator, denominator) of the slots whose d_i is not 1
+    slots = [(pk.bits * i, c.numerator, c.denominator)
+             for i, c in enumerate(m.origin_diag) if c != 1]
+    diagonal = diagonal_keys(pk, k)
     candidates = []
-    for p, K, norm, dn, dd in _diagonal(m, k):
+    for p, K, f in ((p, K, f) for p in range(1, k + 1) for K, f in diagonal[p]):
         if first is not None and _before(first, K, pk):
             break
+        norm, dn, dd = factorial(p) * f, 1, 1
+        for shift, a, b in slots:
+            e = K >> shift & pk.mask
+            dn, dd = dn * a**e, dd * b**e
         c, den = nums.get(K, 0) * dn, lgk * norm * dd
         if len(candidates) < p:
             if p == k and c != den:

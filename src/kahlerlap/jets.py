@@ -24,19 +24,19 @@ operation repacks one of them onto the narrower packing, once.
 Tuple keys appear only at the boundary: the constructor Jet(n, {(P, Q): c},
 D) and Jet.monomial/constant/variable/zero validate and pack, and the
 read-only view .coeffs gives the tuple-keyed map back.  The kernels
-(log1p, _graded_inverse behind JetMatrix.inverse and
-metric.metric_from_potential, and the lap^k pullback in metric) read and
-write parts directly, computing on integer numerators over one shared
-denominator per degree, fraction-free as in Bareiss (Math. Comp. 1968).
-Each output coefficient becomes a rational once, at the end.  So does
-substitute_radial, which writes each t^m of a radial profile straight into
-its degree-2m part on the diagonal keys z^P zb^P (diagonal_keys).
+(_log1p_ints, _graded_inverse, the lap^k pullback in metric) take and return
+integer parts, integers over one denominator, fraction-free as in Bareiss
+(Math. Comp. 1968); dsl.elaborate and metric hand them from kernel to
+kernel, and they become rationals once, where a jet is needed (log1p and
+JetMatrix.inverse are such fronts).  substitute_radial writes each t^m of
+a radial profile straight into its degree-2m part on the diagonal keys
+z^P zb^P (diagonal_keys, walked once per packing).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from .rationals import Q, ZERO, as_q
@@ -70,7 +70,7 @@ class _Packing:
     stays at most mask: no carry or borrow crosses a slot.
     """
 
-    __slots__ = ("n", "bits", "mask", "half", "units")
+    __slots__ = ("n", "bits", "mask", "half", "units", "diagonal")
 
     def __init__(self, n, bits):
         self.n = n
@@ -78,6 +78,7 @@ class _Packing:
         self.mask = (1 << bits) - 1
         self.half = n * bits
         self.units = tuple(1 << bits * s for s in range(2 * n))
+        self.diagonal = []  # diagonal_keys, grown on demand
 
     def pack(self, P, Q_):
         key = 0
@@ -118,15 +119,86 @@ def _shared_packing(n, bits):
 def diagonal_keys(pk, top):
     """The diagonal monomials z^P zb^P with |P| <= top on packing pk: one
     list per p = |P| of (packed key, P!), in graded lexicographic order
-    (first slot ascending, then the next)."""
-    # tails[t]: (key, factorial) of the exponents of slots s..n-1 with sum t
-    tails = [[(0, 1)]] + [[] for _ in range(top)]
-    for u in reversed(pk.units[: pk.n]):
-        tails = [
-            [(e * u + K, factorial(e) * f) for e in range(t + 1) for K, f in tails[t - e]]
-            for t in range(top + 1)
-        ]
-    return [[(K + (K << pk.half), f) for K, f in tail] for tail in tails]
+    (first slot ascending, then the next).  One walk per packing, grown
+    when a larger top is asked for and sliced for a smaller one."""
+    if len(pk.diagonal) <= top:
+        # tails[t]: (key, factorial) of the exponents of slots s..n-1 with sum t
+        tails = [[(0, 1)]] + [[] for _ in range(top)]
+        for u in reversed(pk.units[: pk.n]):
+            tails = [
+                [(e * u + K, factorial(e) * f) for e in range(t + 1) for K, f in tails[t - e]]
+                for t in range(top + 1)
+            ]
+        pk.diagonal = [[(K + (K << pk.half), f) for K, f in tail] for tail in tails]
+    return pk.diagonal[: top + 1]
+
+
+def _int_parts(parts):
+    """(L, integer parts) of rational graded parts, L the lcm of their
+    denominators: the parts are the integer parts over L."""
+    den = lcm(*(c.denominator for part in parts for c in part.values()))
+    return den, [{K: c.numerator * (den // c.denominator) for K, c in part.items()}
+                 for part in parts]
+
+
+def _rational_parts(den, parts):
+    """The rational graded parts of integer parts over den; the coefficients
+    take few values, so each value is one shared Fraction."""
+    q = cache(Q)
+    return [{K: q(c, den) for K, c in part.items()} for part in parts]
+
+
+def _reduced(den, entries):
+    """(den, entries) divided through by the gcd of den and every numerator
+    of the integer graded parts entries[i][j]."""
+    g = gcd(den, *(c for row in entries for e in row for part in e for c in part.values()))
+    if g == 1:
+        return den, entries
+    return den // g, [[[{K: c // g for K, c in part.items()} for part in e] for e in row]
+                      for row in entries]
+
+
+def _add_into(acc, parts):
+    """Add graded parts into the graded parts acc on one packing, in place,
+    dropping the zeros; acc's length bounds the degree.  Returns acc."""
+    for out, part in zip(acc, parts):
+        get = out.get
+        for K, c in part.items():
+            c += get(K, 0)
+            if c:
+                out[K] = c
+            else:
+                del out[K]
+    return acc
+
+
+def _mul_parts(a, b):
+    """The product of graded parts a and b on one packing, cut at the degree
+    of a: the parts are paired by degree, so nothing past it is computed.
+    Coefficients may be integers or rationals."""
+    D = len(a) - 1
+    out = [{} for _ in range(D + 1)]
+    bs = [(db, pb) for db, pb in enumerate(b) if pb]
+    for da, pa in enumerate(a):
+        if not pa:
+            continue
+        for db, pb in bs:
+            if da + db > D:
+                break
+            acc = out[da + db]
+            get = acc.get
+            for Ka, ca in pa.items():
+                for Kb, cb in pb.items():
+                    K = Ka + Kb
+                    acc[K] = get(K, 0) + ca * cb
+    return [{K: c for K, c in acc.items() if c} for acc in out]
+
+
+def _conj_parts(pk, parts):
+    """Graded parts with the P and Q halves of every key swapped."""
+    half = pk.half
+    low = (1 << half) - 1
+    return [{K >> half | (K & low) << half: c for K, c in part.items()} for part in parts]
 
 
 class Jet:
@@ -185,7 +257,6 @@ class Jet:
         return cls(n, {(tuple(P), tuple(Q_)): as_q(c)}, valid_degree)
 
     @classmethod
-    @cache  # jets are values: one per coordinate, dimension and degree
     def variable(cls, n, i, valid_degree):
         """The coordinate z_i (0-based)."""
         P = tuple(1 if a == i else 0 for a in range(n))
@@ -256,20 +327,7 @@ class Jet:
         if not isinstance(other, Jet):
             other = Jet.constant(self.n, other, self.valid_degree)
         pk, a, b = self._align(other)
-        out = []
-        for pa, pb in zip(a, b):
-            if not pa or not pb:
-                out.append(pa or pb)
-                continue
-            acc = dict(pa)
-            for K, c in pb.items():
-                s = acc.get(K, ZERO) + c
-                if s:
-                    acc[K] = s
-                else:
-                    del acc[K]
-            out.append(acc)
-        return Jet._of(self.n, pk, out)
+        return Jet._of(self.n, pk, _add_into([dict(part) for part in a], b))
 
     __radd__ = __add__
 
@@ -279,8 +337,6 @@ class Jet:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.constant(self.n, other, self.valid_degree)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -298,25 +354,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         pk, a, b = self._align(other)
-        D = len(a) - 1
-        out = [{} for _ in range(D + 1)]
-        # pair parts by degree, so nothing past the validity is computed
-        for da, pa in enumerate(a):
-            if not pa:
-                continue
-            for db in range(D - da + 1):
-                pb = b[db]
-                if not pb:
-                    continue
-                acc = out[da + db]
-                get = acc.get
-                for Ka, ca in pa.items():
-                    for Kb, cb in pb.items():
-                        K = Ka + Kb
-                        acc[K] = get(K, ZERO) + ca * cb
-        return Jet._of(
-            self.n, pk, [{K: c for K, c in acc.items() if c} for acc in out]
-        )
+        return Jet._of(self.n, pk, _mul_parts(a, b))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -357,16 +395,7 @@ class Jet:
 
     def conj(self):
         """Complex conjugate: rational coefficients stay, exponent roles swap."""
-        half = self.pk.half
-        low = (1 << half) - 1
-        return Jet._of(
-            self.n,
-            self.pk,
-            [
-                {K >> half | (K & low) << half: c for K, c in part.items()}
-                for part in self.parts
-            ],
-        )
+        return Jet._of(self.n, self.pk, _conj_parts(self.pk, self.parts))
 
     def truncated(self, valid_degree):
         if valid_degree > self.valid_degree:
@@ -377,37 +406,33 @@ class Jet:
 
 
 def log1p(s: Jet) -> Jet:
-    """log(1 + s) for a jet s with zero constant term.
-
-    A graded solve, as in JetMatrix.inverse.  With s and L = log(1 + s)
-    split into homogeneous parts, the Euler operator E (degree d part times
-    d) gives (1 + s) E L = E s, so degree by degree
-
-        L_d = s_d - (1/d) sum_{e=1..d-1} (d-e) s_e L_{d-e}.
-
-    The solve runs on integers.  With Ls the lcm of the denominators of s
-    and s' = Ls s, the numerators N_d = d! Ls^d L_d are integral, since
-    multiplying the recursion by d! Ls^d gives
-
-        N_d = d! Ls^(d-1) s'_d
-              - sum_{e=1..d-1} (d-e) (d-1)!/(d-e)! Ls^(e-1) s'_e N_{d-e}.
-
-    L sits on the packing of s, whose slots hold every exponent up to
-    valid_degree, which bounds every exponent of every part.  Each
-    coefficient of L becomes a rational once, as N_d / (d! Ls^d).
-    """
+    """log(1 + s) for a jet s with zero constant term: the rational front of
+    _log1p_ints, on the packing of s."""
     if s.eval0() != 0:
         raise JetError("log1p needs a zero constant term")
-    D = s.valid_degree
-    ls = lcm(*(c.denominator for part in s.parts for c in part.values()))
+    return Jet._of(s.n, s.pk, _rational_parts(*_log1p_ints(*_int_parts(s.parts))))
+
+
+def _log1p_ints(ls, parts):
+    """log(1 + parts / ls) for integer graded parts with no constant term,
+    as (den, integer parts), on the packing of parts and cut at its degree D.
+
+    A graded solve, as in _graded_inverse.  With s = parts / ls and
+    L = log(1 + s) split into homogeneous parts, the Euler operator E
+    (degree d part times d) gives (1 + s) E L = E s, so degree by degree
+    L_d = s_d - (1/d) sum_{e=1..d-1} (d-e) s_e L_{d-e}.  Multiplied by
+    d! ls^d, with s' = ls s = parts, it runs on the integers N_d = d! ls^d L_d:
+
+        N_d = d! ls^(d-1) s'_d
+              - sum_{e=1..d-1} (d-e) (d-1)!/(d-e)! ls^(e-1) s'_e N_{d-e},
+
+    and den = D! ls^D.
+    """
+    D = len(parts) - 1
     # terms[e]: the terms of s'_e, as (packed key, integer)
-    terms = [
-        [(K, c.numerator * (ls // c.denominator)) for K, c in part.items()]
-        for part in s.parts
-    ]
+    terms = [list(part.items()) for part in parts]
     # nums[d]: N_d, as packed key -> integer
     nums = [{}]
-    out = [{}]
     for d in range(1, D + 1):
         lead = factorial(d) * ls ** (d - 1)
         acc = {K: lead * a for K, a in terms[d]}
@@ -422,9 +447,9 @@ def log1p(s: Jet) -> Jet:
                     key = K + K2
                     acc[key] = get(key, 0) - a * b
         nums.append({K: c for K, c in acc.items() if c})
-        den = factorial(d) * ls**d
-        out.append({K: Q(c, den) for K, c in nums[d].items()})
-    return Jet._of(s.n, s.pk, out)
+    den = factorial(D) * ls**D
+    ws = [den // (factorial(d) * ls**d) for d in range(D + 1)]
+    return den, [{K: c * w for K, c in part.items()} for part, w in zip(nums, ws)]
 
 
 def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
@@ -496,13 +521,8 @@ class JetMatrix:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, JetMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+    def __eq__(self, other):  # equal entries have equal shapes
+        return isinstance(other, JetMatrix) and self.entries == other.entries
 
     __hash__ = None
 
@@ -531,33 +551,29 @@ class JetMatrix:
         return minor(0, (1 << m) - 1)
 
     def inverse(self):
-        """Matrix inverse over the jet ring: G X = X G = I.
-
-        A front end to _graded_inverse, the one inverse kernel, which
-        metric.metric_from_potential also calls on the metric it builds.
-        The entries' parts become integer parts over the lcm of their
-        denominators, on the entries' packing.
-        """
+        """Matrix inverse over the jet ring, G X = X G = I: the rational front
+        of _graded_inverse, the kernel metric.metric_from_potential calls."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        den = lcm(
-            *(c.denominator for row in self.entries for e in row
-              for part in e.parts for c in part.values())
-        )
-        parts = [
-            [
-                [{K: c.numerator * (den // c.denominator) for K, c in e.parts[d].items()}
-                 for e in row]
-                for row in self.entries
-            ]
-            for d in range(self.valid_degree + 1)
-        ]
-        return _graded_inverse(self.entries[0][0].pk, parts, den)
+        den, flat = _int_parts([p for row in self.entries for e in row for p in e.parts])
+        m, width = self.rows, self.valid_degree + 1
+        parts = [[[flat[(l * m + k) * width + d] for k in range(m)] for l in range(m)]
+                 for d in range(width)]
+        pk = self.entries[0][0].pk
+        return _jet_matrix(pk, *_graded_inverse(pk, parts, den))
+
+
+def _jet_matrix(pk, den, entries):
+    """The JetMatrix of the integer graded parts entries[i][j] over den, on
+    packing pk."""
+    return JetMatrix(
+        [[Jet._of(pk.n, pk, _rational_parts(den, e)) for e in row] for row in entries]
+    )
 
 
 def _graded_inverse(pk, parts, den):
     """The inverse over the jet ring of G = A / den, valid to degree D, as
-    jets on packing pk.
+    (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk.
 
     parts[d][l][k] maps the packed keys (pk) of the degree-d part of the
     integer matrix A, entry (l, k), to their integers, for d = 0..D; the
@@ -583,10 +599,10 @@ def _graded_inverse(pk, parts, den):
         X_d = X'_d / L^(1+d),
 
     all integral; the kernel stores L^(e-1) (L B_e) = L^e B_e once per e,
-    built from the nonzero entries of each column of H only.  Each
-    coefficient of G^{-1} becomes a rational once, as den X'_d / L^(1+d).
+    built from the nonzero entries of each column of H only.  G^{-1} is
+    den X'_d L^(D-d) over L^(1+D).
     """
-    n, m, D = pk.n, len(parts[0]), len(parts) - 1
+    m, D = len(parts[0]), len(parts) - 1
     a0_inv = _invert_rational([[part.get(0, 0) for part in row] for row in parts[0]])
     L = lcm(*(c.denominator for row in a0_inv for c in row))
     h0 = [[c.numerator * (L // c.denominator) for c in row] for row in a0_inv]
@@ -629,21 +645,11 @@ def _graded_inverse(pk, parts, den):
         xs.append(
             [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
         )
-    dens = [L ** (1 + d) for d in range(D + 1)]
-    return JetMatrix(
-        [
-            [
-                Jet._of(
-                    n,
-                    pk,
-                    [{K: Q(den * c, dens[d]) for K, c in x[i][j].items()}
-                     for d, x in enumerate(xs)],
-                )
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-    )
+    top = L ** (1 + D)
+    ws = [den * top // L ** (1 + d) for d in range(D + 1)]
+    xs = [x if w == 1 else [[{K: c * w for K, c in part.items()} for part in row] for row in x]
+          for x, w in zip(xs, ws)]
+    return top, [[[x[i][j] for x in xs] for j in range(m)] for i in range(m)]
 
 
 def _invert_rational(mat):

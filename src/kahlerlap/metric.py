@@ -9,8 +9,9 @@ g itself is never held as jets: metric_from_potential builds its integer
 parts straight from the potential's packed parts and inverts them, and the
 one reading of g's derivatives (third_deriv_obstruction) takes them from
 the potential's coefficients.  The Bergman catalog families take g_inv in
-closed form instead (catalog.bergman_inverse); both builders end in
-metric_with_inverse, which checks the gauge and indexes g_inv.
+closed form instead (catalog.bergman_inverse); both builders hand g_inv to
+metric_with_inverse as integer parts over one denominator, and only
+laplacian_apply reads it as rational jets (the view MetricJet.g_inv).
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  Its
@@ -32,9 +33,10 @@ square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, lcm, prod
 
-from .jets import Jet, JetMatrix, ValidityError, _graded_inverse
+from .jets import Jet, JetMatrix, ValidityError, _graded_inverse, _jet_matrix, _reduced
 from .rationals import Q, ZERO
 
 
@@ -58,21 +60,29 @@ class MetricJet:
     d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
     potential has no monomial of total degree 3; cubic_free is the degree-3
     half of that condition alone (it makes all first derivatives of g vanish
-    at the origin).  _pullback is (Lg, index), fixed at build (see
-    _laplacian_functional); _functionals maps k to the numerators N_k of the
-    lap^k table, the one stored form of it, with N_0 there from the start
-    and the rest filled on first use; _einstein caches the Einstein report.
+    at the origin).  _ginv[i][j] holds the integer graded parts of
+    Lg g_inv[i][j], and _pullback is (Lg, index), both fixed at build (see
+    _laplacian_functional); g_inv is a JetMatrix view of _ginv, built on
+    first read.  _functionals maps k to the numerators N_k of the lap^k
+    table, the one stored form of it, with N_0 there from the start and the
+    rest filled on first use; _einstein caches the Einstein report.
     """
 
     n: int
     potential: Jet
-    g_inv: JetMatrix
     origin_diag: tuple
     normal_gauge: bool
     cubic_free: bool
+    _ginv: list = field(repr=False)
     _pullback: tuple = field(repr=False)
     _functionals: dict = field(repr=False)
     _einstein: EinsteinReport = field(default=None, repr=False)
+
+    @cached_property
+    def g_inv(self) -> JetMatrix:
+        """g_inv as rational jets on the potential's packing, valid to its
+        valid_degree - 2."""
+        return _jet_matrix(self.potential.pk, self._pullback[0], self._ginv)
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
@@ -87,7 +97,7 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     K - e_i - e_{n+j} of Lp g[i][j], in its degree d - 2 part; no two terms
     meet there, since the shift is the same for every term of one entry.
     The integer parts go to the inverse kernel as g = parts / Lp, and g_inv
-    comes back on the same packing.
+    comes back as integer parts on the same packing.
     """
     n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
     bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
@@ -119,16 +129,17 @@ def metric_from_potential(potential: Jet) -> MetricJet:
 
 def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     """MetricJet of a potential valid to degree >= 2, whose g_inv is
-    inverse(), a JetMatrix on the potential's packing valid to its
-    valid_degree - 2.
+    inverse() = (L, entries): entries[i][j] the integer graded parts of
+    L g_inv[i][j] on the potential's packing, valid to its valid_degree - 2.
+    They are stored reduced (jets._reduced) to Lg, the lcm of the reduced
+    denominators of g_inv.
 
     The gauge is checked first, from the potential's degree-2 terms: its
     term c z_i zb_j is g[i][j](0) = c.  Then inverse runs, and the pullback
-    index is built from g_inv's keys as they are: with Lg the lcm of the
-    reduced denominators of g_inv, it maps the packed holomorphic half U of
-    each g_inv monomial (U, V) to a dict from V, packed as a holomorphic
-    half, to the positions carrying the monomial, as (Lg * coefficient,
-    shift of slot j, shift of slot n + i, packed e_j + e_i - V).
+    index maps the packed holomorphic half U of each g_inv monomial (U, V)
+    to a dict from V, packed as a holomorphic half, to the positions
+    carrying the monomial, as (its integer, shift of slot j, shift of slot
+    n + i, packed e_j + e_i - V).
     """
     if potential.valid_degree < 2:
         raise TruncationError(
@@ -151,32 +162,27 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
                 raise GaugeError(
                     f"g(0) is not diagonal: entry ({i},{j}) = {c}"
                 )
-    g_inv = inverse()
-    lg = lcm(
-        *(c.denominator for row in g_inv.entries for e in row
-          for part in e.parts for c in part.values())
-    )
+    lg, ginv = _reduced(*inverse())
     low = units[n] - 1
     index = {}
-    for i, row in enumerate(g_inv.entries):
+    for i, row in enumerate(ginv):
         for j, entry in enumerate(row):
             shift_j, shift_i = bits * j, bits * (n + i)
             step = units[j] + units[n + i]
-            for part in entry.parts:
+            for part in entry:
                 for K, c in part.items():
                     index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
-                        (c.numerator * (lg // c.denominator), shift_j, shift_i,
-                         step - (K & ~low))
+                        (c, shift_j, shift_i, step - (K & ~low))
                     )
     cubic_free = potential.valid_degree < 3 or not potential.parts[3]
     normal = cubic_free and all(d == 1 for d in diag)
     return MetricJet(
         n=n,
         potential=potential,
-        g_inv=g_inv,
         origin_diag=tuple(diag),
         normal_gauge=normal,
         cubic_free=cubic_free,
+        _ginv=ginv,
         _pullback=(lg, index),
         _functionals={0: {0: 1}},
     )
@@ -330,30 +336,21 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
             "potential has degree-3 monomials; first metric derivatives do "
             "not vanish at the origin"
         )
-    if m.g_inv.valid_degree < 2:
+    if m.potential.valid_degree < 4:
         raise TruncationError(
             "inverse metric valid below degree 2", required=4
         )
-    n = m.n
-    d = m.origin_diag
-    units = m.potential.pk.units
-    s = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ZERO
-            quadratic = m.g_inv[i][j].parts[2]
-            for h in range(n):
-                c = quadratic.get(units[h] + units[n + h])
-                if c is not None:
-                    acc += c / d[h]
-            s[i][j] = acc
+    n, d, units = m.n, m.origin_diag, m.potential.pk.units
+    # the left side from the degree-2 parts of Lg g_inv: 1/d_h at z_h zb_h
+    weight = {units[h] + units[n + h]: d[h] for h in range(n)}
+    s = [
+        [sum((c / weight[K] for K, c in e[2].items() if K in weight), ZERO) / m._pullback[0]
+         for e in row]
+        for row in m._ginv
+    ]
     lam = d[0] * s[0][0]
-    residual = ZERO
-    for i in range(n):
-        for j in range(n):
-            dev = abs(d[i] * s[i][j] - (lam if i == j else ZERO))
-            if dev > residual:
-                residual = dev
+    residual = max(abs(d[i] * s[i][j] - (lam if i == j else 0))
+                   for i in range(n) for j in range(n))
     report = (
         EinsteinReport(lam=None, residual=residual)
         if residual != 0
@@ -401,12 +398,12 @@ def fifth_order_check(m: MetricJet):
             "potential valid_degree must be >= 5", required=5
         )
     n = m.n
-    # dg3[a][b] maps (g, d, e) with g <= e to d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
+    # dg3[a][b] maps (g, d, e) with g <= e to Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
     dg3 = [[{} for _ in range(n)] for _ in range(n)]
     unpack = m.potential.pk.unpack
     for a in range(n):
         for b in range(n):
-            for key, c in m.g_inv[a][b].parts[3].items():
+            for key, c in m._ginv[a][b][3].items():
                 P, Q_ = unpack(key)
                 if sum(P) == 2:
                     hol = [idx for idx, e in enumerate(P) for _ in range(e)]
@@ -416,25 +413,19 @@ def fifth_order_check(m: MetricJet):
 
     def term(g, d, e, a, b):
         lo, hi = (g, e) if g <= e else (e, g)
-        return dg3[a][b].get((lo, d, hi), ZERO)
+        return dg3[a][b].get((lo, d, hi), 0)
 
     # The six-term sum is symmetric in (i, h, l) and in (j, k), so any tuple
     # with a nonzero term can be reordered to make that term the first one,
     # term(h, k, l, i, j) = dg3[i][j][(h, k, l)]; a tuple without one sums to
     # zero.  Evaluating the sum once per stored entry therefore gives the max
     # over all n^5 tuples.
-    best = ZERO
-    for i in range(n):
-        for j in range(n):
-            for h, k, l in dg3[i][j]:
-                s = (
-                    term(h, k, l, i, j)
-                    + term(i, k, l, h, j)
-                    + term(i, k, h, l, j)
-                    + term(h, j, l, i, k)
-                    + term(i, j, l, h, k)
-                    + term(i, j, h, l, k)
-                )
-                if abs(s) > best:
-                    best = abs(s)
-    return best
+    best = max(
+        (
+            abs(term(h, k, l, i, j) + term(i, k, l, h, j) + term(i, k, h, l, j)
+                + term(h, j, l, i, k) + term(i, j, l, h, k) + term(i, j, h, l, k))
+            for i in range(n) for j in range(n) for h, k, l in dg3[i][j]
+        ),
+        default=0,
+    )
+    return Q(best, m._pullback[0])

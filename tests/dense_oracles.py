@@ -17,6 +17,12 @@ catalog elaborates), radial substitution over multiindices and duality on
 tuple keys.  They are slow on large inputs and exist so that the library
 can be compared against the definitions.
 
+ref_elaborate evaluates a potential expression node by node on rational
+jets, where dsl.elaborate evaluates its polynomial subtrees as integer
+parts over one denominator and hands log arguments to the integer log1p
+kernel; ref_tokenize is the character-by-character form of the
+tokenizer's one regex.
+
 The jet ring operations (ref_add, ref_mul, ref_conj, ref_dz, ref_dzbar,
 ref_truncated) are the tuple-keyed forms of the library's packed, graded
 ones: they read .coeffs, build (P, Q) keys exponent by exponent and go back
@@ -42,6 +48,10 @@ from functools import lru_cache
 from math import factorial
 
 from kahlerlap.catalog import SpaceDescriptor, _upper_index
+from kahlerlap.dsl import (
+    Add, Conj, Coord, Det, ElaborationError, Lit, Log, ModSq, Mul, PotentialSyntaxError,
+    Radial, Sub,
+)
 from kahlerlap.fit import FitResult, LaplacePolynomial, ViolationWitness, _require_depth
 from kahlerlap.jets import (
     DimensionMismatch,
@@ -51,6 +61,8 @@ from kahlerlap.jets import (
     NonInvertibleError,
     ValidityError,
     _invert_rational,
+    log1p,
+    substitute_radial,
 )
 from kahlerlap.metric import (
     GaugeError,
@@ -958,3 +970,102 @@ def laplcube_expansion(m, phi):
         if t is not None:
             acc += t * c
     return acc
+
+
+def ref_tokenize(text, line):
+    """The tokens of dsl._tokenize, one character at a time."""
+    tokens = []
+    col = 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if "0" <= ch <= "9":  # ASCII only: int() would read other digits too
+            start = i
+            while i < len(text) and "0" <= text[i] <= "9":
+                i += 1
+            tokens.append(("int", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isalpha():
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("ident", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch in "+-*/(),;[]":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise PotentialSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+def ref_elaborate(node, n, valid_degree) -> Jet:
+    """The potential jet of an expression tree, evaluated node by node on
+    rational jets."""
+    if isinstance(node, Lit):
+        return Jet.constant(n, node.value, valid_degree)
+    if isinstance(node, Coord):
+        if not 1 <= node.index <= n:
+            raise ElaborationError(
+                f"coordinate z({node.index}) out of range for dimension {n}"
+            )
+        return Jet.variable(n, node.index - 1, valid_degree)
+    if isinstance(node, Conj):
+        return ref_elaborate(node.arg, n, valid_degree).conj()
+    if isinstance(node, ModSq):
+        inner = ref_elaborate(node.arg, n, valid_degree)
+        return inner * inner.conj()
+    if isinstance(node, (Add, Sub)):
+        spine = []  # a long sum is a deep left spine: walk it, not recurse
+        while isinstance(node, (Add, Sub)):
+            spine.append(node)
+            node = node.left
+        acc = ref_elaborate(node, n, valid_degree)
+        for op in reversed(spine):
+            term = ref_elaborate(op.right, n, valid_degree)
+            acc = acc + term if isinstance(op, Add) else acc - term
+        return acc
+    if isinstance(node, Mul):
+        return ref_elaborate(node.left, n, valid_degree) * ref_elaborate(
+            node.right, n, valid_degree
+        )
+    if isinstance(node, Log):
+        inner = ref_elaborate(node.arg, n, valid_degree)
+        c = inner.eval0()
+        if c <= 0:
+            raise ElaborationError(
+                f"log needs a positive rational constant term, got {c}"
+            )
+        # log(c + s) = log c + log(1 + s/c); the additive constant is dropped
+        s = inner - Jet.constant(n, c, valid_degree)
+        return log1p(s if c == 1 else s / c)
+    if isinstance(node, Det):
+        rows = [
+            [ref_elaborate(e, n, valid_degree) for e in row] for row in node.rows
+        ]
+        if any(len(row) != len(rows) for row in rows):
+            raise ElaborationError("det needs a square matrix")
+        return JetMatrix(rows).det()
+    if isinstance(node, Radial):
+        order = max((valid_degree + 1) // 2, len(node.coeffs) - 1)
+        return substitute_radial(
+            TSeries(list(node.coeffs), order), n, valid_degree
+        )
+    raise TypeError(f"not an expression node: {node!r}")

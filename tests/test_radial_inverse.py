@@ -134,7 +134,8 @@ def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, arg
 
 
 def _graded(desc, potential):
-    return metric_from_potential(potential).g_inv
+    m = metric_from_potential(potential)
+    return m._pullback[0], m._ginv
 
 
 @pytest.mark.parametrize(
