@@ -56,7 +56,6 @@ norm nu (so only |u|^2 enters test functions and everything stays rational).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import lcm, prod
 
@@ -65,7 +64,7 @@ from .jets import Jet, packing, substitute_radial
 from .metric import MetricJet, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
-from .rationals import Q, ZERO
+from .rationals import Q, ZERO, Record
 
 
 class CatalogError(ValueError):
@@ -102,15 +101,13 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(Record):
     """A catalog family with parameters; product/dual nest descriptors."""
 
-    family: str
-    params: tuple = ()
-    inner: tuple = ()
+    __slots__ = ("family", "params", "inner")
 
-    def __post_init__(self):
+    def __init__(self, family, params=(), inner=()):
+        self.family, self.params, self.inner = family, params, inner
         if self.family in ("product", "dual"):
             return
         if self.family not in _FAMILIES:
@@ -202,28 +199,21 @@ def _split_top(text, sep):
     return parts
 
 
-@dataclass(frozen=True)
-class FrameDirection:
+class FrameDirection(Record):
     """Integer linear form u = sum coeff * z_var with squared norm nu."""
 
-    form: tuple  # ((var, coeff), ...)
-    nu: object
+    __slots__ = ("form", "nu")  # form: ((var, coeff), ...)
 
 
-@dataclass(frozen=True)
-class TestFunctionPair:
+class TestFunctionPair(Record):
     """Degree-4 test polynomials along the first two embedded directions."""
 
-    f1: Jet
-    f2: Jet
+    __slots__ = ("f1", "f2")
 
 
-@dataclass(eq=False)
-class CatalogSpace:
-    descriptor: SpaceDescriptor
-    metric: MetricJet
-    frame: tuple  # FrameDirection per embedded projective line
-    truncation: int
+class CatalogSpace(Record):
+    __slots__ = ("descriptor", "metric", "frame", "truncation")  # frame: a FrameDirection per line
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def _upper_index(N, strict):
@@ -429,8 +419,7 @@ def _frame_mu(space: CatalogSpace, fd: FrameDirection):
     return acc / fd.nu
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Order-3 values along the embedded lines, rescaled to unit gauge.
 
     For an Einstein metric the identity val1 = 2 val2 is necessary for the
@@ -438,13 +427,8 @@ class ObstructionReport:
     expected values for the embedded-line frame are (12 lam + 16, 6 lam).
     """
 
-    lam: object
-    mu: tuple
-    val1: object
-    val2: object
-    delta_requirement: object
-    val1_expected: object
-    val2_expected: object
+    __slots__ = ("lam", "mu", "val1", "val2", "delta_requirement", "val1_expected",
+                 "val2_expected")
 
 
 def obstruction_report(space: CatalogSpace) -> ObstructionReport:

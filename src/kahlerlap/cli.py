@@ -8,7 +8,9 @@ Reports are deterministic: rationals serialize as strings like "3/4",
 multi-indices as integer lists, and two runs with identical flags produce
 byte-identical output.  Exit codes: 0 all requested checks pass, 1 a check
 found a violation, 2 usage error, 3 internal engine fault (a JetError:
-exhausted validity, dimension mismatch or a singular inverse).
+exhausted validity, dimension mismatch or a singular inverse).  On exit 2 or
+3 the error goes to stderr and, under --json, also to stdout as
+{"error": {"kind", "message", "exit"}}.
 """
 
 from __future__ import annotations
@@ -317,15 +319,17 @@ def main(argv=None):
     try:
         return args.func(args)
     except JetError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 3
+        error, code, text = exc, 3, f"internal: {exc}"
     except TruncationError as exc:
-        print(f"error: {exc} (rerun with --degree {exc.required})", file=sys.stderr)
-        return 2
+        error, code, text = exc, 2, f"{exc} (rerun with --degree {exc.required})"
     except (UsageError, ValueError, OSError) as exc:
         # ValueError covers CatalogError, GaugeError and the .pot file errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code, text = exc, 2, str(exc)
+    print(f"error: {text}", file=sys.stderr)
+    if args.json:
+        kind, message = type(error).__name__, str(error)
+        print(json.dumps({"error": {"kind": kind, "message": message, "exit": code}}, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ positive rational constant term c.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
 
@@ -39,7 +38,7 @@ from .jets import (
     Jet, JetMatrix, ValidityError, _add_into, _conj_parts, _int_parts, _log1p_ints, _mul_parts,
     _rational_parts, substitute_radial,
 )
-from .rationals import Q
+from .rationals import Q, Record
 from .series import TSeries
 
 
@@ -57,57 +56,44 @@ class ElaborationError(ValueError):
 # -- expression tree ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object
+class Lit(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int  # 1-based in the surface syntax
+class Coord(Record):
+    __slots__ = ("index",)  # 1-based in the surface syntax
 
 
-@dataclass(frozen=True)
-class Conj:
-    arg: object
+class Conj(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class ModSq:
-    arg: object
+class ModSq(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Log:
-    arg: object
+class Log(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Add(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Sub(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Mul(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Det:
-    rows: tuple  # tuple of tuples of expressions
+class Det(Record):
+    __slots__ = ("rows",)  # tuple of tuples of expressions
 
 
-@dataclass(frozen=True)
-class Radial:
-    coeffs: tuple  # rational Taylor coefficients of the profile, c0 first
+class Radial(Record):
+    __slots__ = ("coeffs",)  # rational Taylor coefficients of the profile, c0 first
 
 
 # -- tokenizer ---------------------------------------------------------------

@@ -16,22 +16,20 @@ the discrepancy, which makes every failure reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .jets import diagonal_keys
 from .metric import MetricJet, TruncationError, _laplacian_functional
-from .rationals import Q, ZERO
+from .rationals import Q, ZERO, Record
 
 
-@dataclass(frozen=True)
-class LaplacePolynomial:
+class LaplacePolynomial(Record):
     """Monic degree-k polynomial sum_{l=1..k} a_l x^l with zero constant term."""
 
-    k: int
-    coeffs: tuple  # a_1 .. a_k
+    __slots__ = ("k", "coeffs")  # coeffs: a_1 .. a_k
 
-    def __post_init__(self):
+    def __init__(self, k, coeffs):
+        self.k, self.coeffs = k, coeffs
         if self.k < 1 or len(self.coeffs) != self.k:
             raise ValueError("need coefficients a_1..a_k")
         if self.coeffs[-1] != 1:
@@ -61,24 +59,18 @@ class LaplacePolynomial:
         return text
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(Record):
     """A concrete monomial whose lap^k value breaks the polynomial identity."""
 
-    P: tuple
-    Q: tuple
-    kind: str  # off_diagonal_nonzero | diagonal_inconsistent | non_monic
-    lhs: object
-    expected: object
+    # kind: off_diagonal_nonzero | diagonal_inconsistent | non_monic
+    __slots__ = ("P", "Q", "kind", "lhs", "expected")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    k: int
-    polynomial: LaplacePolynomial | None = None
-    witness: ViolationWitness | None = None
+class FitResult(Record):
+    __slots__ = ("k", "polynomial", "witness")
 
-    def __post_init__(self):
+    def __init__(self, k, polynomial=None, witness=None):
+        self.k, self.polynomial, self.witness = k, polynomial, witness
         if (self.polynomial is None) == (self.witness is None):
             raise ValueError("exactly one of polynomial/witness must be set")
 

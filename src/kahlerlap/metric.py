@@ -32,12 +32,11 @@ square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, lcm, prod
 
 from .jets import Jet, JetMatrix, ValidityError, _graded_inverse, _jet_matrix, _reduced
-from .rationals import Q, ZERO
+from .rationals import Q, ZERO, Record
 
 
 class GaugeError(ValueError):
@@ -52,8 +51,7 @@ class TruncationError(ValueError):
         self.required = required
 
 
-@dataclass(eq=False)
-class MetricJet:
+class MetricJet(Record):
     """Potential and inverse-metric jets, plus origin normalization.
 
     There is no g field (see metric_from_potential).  origin_diag holds
@@ -65,18 +63,20 @@ class MetricJet:
     _laplacian_functional); g_inv is a JetMatrix view of _ginv, built on
     first read.  _functionals maps k to the numerators N_k of the lap^k
     table, the one stored form of it, with N_0 there from the start and the
-    rest filled on first use; _einstein caches the Einstein report.
+    rest filled on first use; _einstein caches the Einstein report, and
+    __dict__ the view.  A MetricJet equals only itself.
     """
 
-    n: int
-    potential: Jet
-    origin_diag: tuple
-    normal_gauge: bool
-    cubic_free: bool
-    _ginv: list = field(repr=False)
-    _pullback: tuple = field(repr=False)
-    _functionals: dict = field(repr=False)
-    _einstein: EinsteinReport = field(default=None, repr=False)
+    __slots__ = ("n", "potential", "origin_diag", "normal_gauge", "cubic_free",
+                 "_ginv", "_pullback", "_functionals", "_einstein", "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, n, potential, origin_diag, normal_gauge, cubic_free,
+                 _ginv, _pullback, _functionals, _einstein=None):
+        self.n, self.potential, self.origin_diag = n, potential, origin_diag
+        self.normal_gauge, self.cubic_free = normal_gauge, cubic_free
+        self._ginv, self._pullback = _ginv, _pullback
+        self._functionals, self._einstein = _functionals, _einstein
 
     @cached_property
     def g_inv(self) -> JetMatrix:
@@ -313,12 +313,10 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
     return acc / m._pullback[0] ** k
 
 
-@dataclass(frozen=True)
-class EinsteinReport:
+class EinsteinReport(Record):
     """lam is present exactly when the origin Einstein identity holds (residual 0)."""
 
-    lam: object
-    residual: object
+    __slots__ = ("lam", "residual")
 
 
 def einstein_constant(m: MetricJet) -> EinsteinReport:

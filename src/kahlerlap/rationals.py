@@ -26,3 +26,39 @@ def as_q(value) -> "Q":
 def q_str(value) -> str:
     """Canonical text form: 'p/q', or just 'p' for integers."""
     return str(value)
+
+
+class Record:
+    """Base of the value types, whose fields are their __slots__, in order.
+
+    The constructor takes the fields by position or name (a subclass with
+    defaults or checks writes its own).  Equality and hash compare the
+    fields of two instances of one class, and repr skips the fields whose
+    names start with an underscore.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs and kwargs.keys() == set(names[len(args):]):  # the rest, by name
+            args += tuple(map(kwargs.get, names[len(args):]))
+        elif kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"

@@ -17,6 +17,11 @@ from kahlerlap.jets import NonInvertibleError
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
+def error_object(kind, message, code):
+    """The stdout of a --json run that exits 2 or 3, parsed."""
+    return {"error": {"kind": kind, "message": message, "exit": code}}
+
+
 def run_cli(*args):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -70,8 +75,9 @@ class TestCheckCommand:
     def test_repeated_parameter_usage_error(self, label, key):
         r = run_cli("check", label, "--kmax", "1", "--json")
         assert r.returncode == 2
-        assert r.stdout == ""
-        assert f"parameter {key!r} is repeated" in r.stderr
+        message = f"{label.partition(':')[0]} parameter {key!r} is repeated"
+        assert json.loads(r.stdout) == error_object("CatalogError", message, 2)
+        assert r.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("label", ["cp:n=--2", "cp:n=\u00b2"])
     def test_malformed_parameter_value_usage_error(self, label):
@@ -145,7 +151,9 @@ class TestCheckCommand:
         monkeypatch.setattr(catalog, "metric_from_potential", singular)
         assert cli.main(["check", "quadric-even:N=4", "--json"]) == 3
         out = capsys.readouterr()
-        assert out.out == ""
+        assert json.loads(out.out) == error_object(
+            "NonInvertibleError", "singular constant term", 3
+        )
         assert out.err == "error: internal: singular constant term\n"
 
     def test_engine_fault_in_the_closed_form_exit_code(self, monkeypatch, capsys):
@@ -155,7 +163,9 @@ class TestCheckCommand:
         monkeypatch.setattr(catalog, "bergman_inverse", singular)
         assert cli.main(["check", "grassmannian:k=1,N=2", "--json"]) == 3
         out = capsys.readouterr()
-        assert out.out == ""
+        assert json.loads(out.out) == error_object(
+            "NonInvertibleError", "singular constant term", 3
+        )
         assert out.err == "error: internal: singular constant term\n"
 
     def test_truncation_error_suggests_degree(self, capsys):
@@ -207,6 +217,45 @@ class TestCheckCommand:
             "error: potential is not in Bochner form: term z^[2] zb^[1] has "
             "bidegree (2, 1)\n"
         )
+
+
+class TestJsonErrorObject:
+    """Under --json, a run that exits 2 or 3 also prints the error object on
+    stdout; stderr keeps its line, and without --json stdout stays empty."""
+
+    CASES = [
+        (["check", "cp:n=0"], "CatalogError", "cp parameters must be positive integers",
+         "error: cp parameters must be positive integers\n"),
+        (["dual", "cp:n=2", "--degree", "2"], "TruncationError",
+         "inverse metric valid below degree 2",
+         "error: inverse metric valid below degree 2 (rerun with --degree 4)\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,kind,message,err", CASES)
+    def test_error_object(self, capsys, argv, kind, message, err):
+        assert cli.main(argv + ["--json"]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out) == error_object(kind, message, 2)
+        assert out.err == err
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", err)
+
+    def test_pot_syntax_error(self, tmp_path):
+        pot = tmp_path / "broken.pot"
+        pot.write_text("dim 1\nlog(\n")
+        message = "expected a factor, found 'end of input' (line 2, column 5)"
+        r = run_cli("check", str(pot), "--json")
+        assert r.returncode == 2
+        assert json.loads(r.stdout) == error_object("PotentialSyntaxError", message, 2)
+        assert r.stderr == f"error: {message}\n"
+
+    def test_error_object_goes_to_stdout_under_out(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert cli.main(["check", "cp:n=0", "--json", "--out", str(report)]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["error"]["kind"] == "CatalogError"
+        assert not report.exists()
 
 
 def _load_workloads():
@@ -322,7 +371,10 @@ def test_nonpositive_kmax_refused_before_any_build(monkeypatch, capsys, argv):
         monkeypatch.setattr(cli, name, build)
     assert cli.main(argv) == 2
     out = capsys.readouterr()
-    assert out.out == ""
+    if "--json" in argv:
+        assert json.loads(out.out) == error_object("UsageError", "k_max must be >= 1", 2)
+    else:
+        assert out.out == ""
     assert out.err == "error: k_max must be >= 1\n"
 
 

@@ -24,7 +24,7 @@ more raises ValidityError.  The inverse and log1p kernels are compared with
 their oracles in test_graded_inverse.py and test_jets.py.
 """
 
-from dataclasses import replace
+import copy
 from math import lcm
 
 import pytest
@@ -60,7 +60,9 @@ POT_WITH_DENOMINATORS = """dim 2
 
 def fresh(m):
     """The same metric with no lap^k table cached beyond table 0."""
-    return replace(m, _functionals={0: m._functionals[0]}, _einstein=None)
+    c = copy.copy(m)
+    c._functionals, c._einstein = {0: m._functionals[0]}, None
+    return c
 
 
 def table(m, k):

@@ -1,0 +1,49 @@
+"""Start-up guard: importing the CLI loads none of the modules that only the
+dataclasses machinery needs, and no package module imports them.
+
+With no bytecode cache, importing dataclasses (which loads inspect, ast,
+dis and tokenize) and running its decorators was about a quarter of the
+package's start-up.  No timing is asserted: the host's speed varies too much.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kahlerlap
+
+PACKAGE = Path(kahlerlap.__file__).resolve().parent
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+# the imports of perfbench/child.py that load the package
+PROBE = """
+import sys
+before = set(sys.modules)
+import kahlerlap.cli
+from kahlerlap import radial
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
+    r = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(r.stdout.split())
+    assert "kahlerlap.cli" in loaded and "kahlerlap.radial" in loaded
+    assert not loaded & HEAVY
+
+
+def test_no_package_module_imports_a_heavy_module():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module.partition(".")[0]}
+            else:
+                continue
+            assert not names & HEAVY, f"{path.name}:{node.lineno} imports {names & HEAVY}"
