@@ -61,7 +61,7 @@ from math import lcm, prod
 
 from . import dsl
 from .jets import Jet, packing, substitute_radial
-from .metric import MetricJet, einstein_constant, metric_from_potential
+from .metric import MetricJet, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
 from .rationals import Q, ZERO, Record
@@ -441,8 +441,6 @@ def obstruction_report(space: CatalogSpace) -> ObstructionReport:
     pair = embedded_test_polys(space)
     mu1 = _frame_mu(space, space.frame[0])
     mu2 = _frame_mu(space, space.frame[1])
-    from .metric import delta_power_at0
-
     val1 = delta_power_at0(space.metric, pair.f1, 3) * mu1 * mu1
     val2 = delta_power_at0(space.metric, pair.f2, 3) * mu1 * mu2
     return ObstructionReport(

@@ -5,9 +5,11 @@ degree <= 2k, so checking all monomials z^P zb^Q with |P|+|Q| <= 2k decides
 the identity for every smooth phi.  p_k(lap_c) reads only diagonal monomials
 z^P zb^P, so the fit walks just the off-diagonal keys of the lap^k table
 (which stores no zeros) and the diagonal with 1 <= |P| <= k: every other
-monomial reads zero on both sides.  The fit works on values rescaled to unit
-gauge (multiplying by prod d_i^{(P_i+Q_i)/2}, which is prod d_i^{P_i} on the
-diagonal), which keeps the arithmetic rational without changing coordinates.
+monomial reads zero on both sides.  On a table stored one key per
+S_n-orbit, it walks the orbit representatives among them (fit_pk).  The fit
+works on values rescaled to unit gauge (multiplying by
+prod d_i^{(P_i+Q_i)/2}, which is prod d_i^{P_i} on the diagonal), which
+keeps the arithmetic rational without changing coordinates.
 
 Outcomes are witness-first: the first monomial (in the graded lexicographic
 order of the complete test set) whose value is inconsistent is returned with
@@ -103,6 +105,23 @@ def _before(A, B, pk):
     return A >> shift & pk.mask < B >> shift & pk.mask
 
 
+def _sorted_diagonal(pk, top):
+    """diagonal_keys restricted to P non-decreasing, the representatives of
+    the diagonal's S_n-orbits, generated in the same order."""
+    n, units = pk.n, pk.units
+
+    def walk(s, floor, left):  # slots s..n-1, each >= floor, summing to left
+        if s == n - 1:
+            return [(left * units[s], factorial(left))]
+        return [
+            (e * units[s] + K, factorial(e) * f)
+            for e in range(floor, left // (n - s) + 1)
+            for K, f in walk(s + 1, e, left - e)
+        ]
+
+    return [[(K + (K << pk.half), f) for K, f in walk(0, 0, p)] for p in range(top + 1)]
+
+
 def fit_pk(m: MetricJet, k) -> FitResult:
     """Fit the monic order-k polynomial over the degree <= 2k monomial set,
     or return the first violation in enumeration order.
@@ -116,6 +135,17 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     and the ratio v / (p! P!), kept as a Fraction once per degree p and
     compared with it in integers; diagonal_keys lists them in graded
     lexicographic order.
+
+    A table stored one key per S_n-orbit (metric._laplacian_functional)
+    holds only the orbit representatives, so the scan reads only the
+    off-diagonal ones, and the diagonal walk lists only P non-decreasing
+    (_sorted_diagonal).  Every quantity the walk compares is the same on a
+    whole orbit: the value, P!, and the rescaling, since a symmetric
+    potential has all d_i equal; being off-diagonal is too.  The
+    representative is the orbit's least member in the walk's order, and the
+    first diagonal of each degree, z_n^p zb_n^p, is a representative, so the
+    first violation and every fitted coefficient are the ones the full
+    table gives.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -139,7 +169,7 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     # (shift, numerator, denominator) of the slots whose d_i is not 1
     slots = [(pk.bits * i, c.numerator, c.denominator)
              for i, c in enumerate(m.origin_diag) if c != 1]
-    diagonal = diagonal_keys(pk, k)
+    diagonal = _sorted_diagonal(pk, k) if m._orbits else diagonal_keys(pk, k)
     candidates = []
     for p, K, f in ((p, K, f) for p in range(1, k + 1) for K, f in diagonal[p]):
         if first is not None and _before(first, K, pk):

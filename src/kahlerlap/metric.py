@@ -21,6 +21,13 @@ valid_degree - 2, table k's at most k, and every caller needs
 2k <= valid_degree (the duality table asks for k = 3 only once
 einstein_constant has required valid_degree >= 4).
 
+Each lap^k table is stored once, as integer numerators on packed keys.
+When every permutation of the coordinates, applied to z and zb alike, fixes
+the potential (metric_with_inverse proves it on the potential's packed
+parts: _permutation_invariant), a table holds one key per S_n-orbit, the
+orbit's least member in the fit's order; _laplacian_functional says why
+its entries are exact, and fit.fit_pk why the witness is unchanged.
+
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
 states at the center of normal coordinates (g(0) = I) are implemented in the
@@ -35,7 +42,9 @@ from __future__ import annotations
 from functools import cached_property
 from math import factorial, lcm, prod
 
-from .jets import Jet, JetMatrix, ValidityError, _graded_inverse, _jet_matrix, _reduced
+from .jets import (
+    Jet, JetError, JetMatrix, ValidityError, _graded_inverse, _jet_matrix, _reduced,
+)
 from .rationals import Q, ZERO, Record
 
 
@@ -63,20 +72,23 @@ class MetricJet(Record):
     _laplacian_functional); g_inv is a JetMatrix view of _ginv, built on
     first read.  _functionals maps k to the numerators N_k of the lap^k
     table, the one stored form of it, with N_0 there from the start and the
-    rest filled on first use; _einstein caches the Einstein report, and
-    __dict__ the view.  A MetricJet equals only itself.
+    rest filled on first use; _orbits says that they hold one key per
+    S_n-orbit (see _laplacian_functional).  _einstein caches the Einstein
+    report, and __dict__ the view.  A MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "origin_diag", "normal_gauge", "cubic_free",
-                 "_ginv", "_pullback", "_functionals", "_einstein", "__dict__")
+                 "_ginv", "_pullback", "_functionals", "_einstein", "_orbits",
+                 "__dict__")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, n, potential, origin_diag, normal_gauge, cubic_free,
-                 _ginv, _pullback, _functionals, _einstein=None):
+                 _ginv, _pullback, _functionals, _einstein=None, _orbits=False):
         self.n, self.potential, self.origin_diag = n, potential, origin_diag
         self.normal_gauge, self.cubic_free = normal_gauge, cubic_free
         self._ginv, self._pullback = _ginv, _pullback
         self._functionals, self._einstein = _functionals, _einstein
+        self._orbits = _orbits
 
     @cached_property
     def g_inv(self) -> JetMatrix:
@@ -139,7 +151,9 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     index maps the packed holomorphic half U of each g_inv monomial (U, V)
     to a dict from V, packed as a holomorphic half, to the positions
     carrying the monomial, as (its integer, shift of slot j, shift of slot
-    n + i, packed e_j + e_i - V).
+    n + i, packed e_j + e_i - V).  Last, when n > 1 and the d_i are all
+    equal, it tests whether every permutation of the coordinates fixes the
+    potential, which decides how the lap^k tables are stored.
     """
     if potential.valid_degree < 2:
         raise TruncationError(
@@ -185,7 +199,55 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
         _ginv=ginv,
         _pullback=(lg, index),
         _functionals={0: {0: 1}},
+        _orbits=n > 1 and diag.count(diag[0]) == n and _permutation_invariant(potential),
     )
+
+
+def _permutation_invariant(potential: Jet) -> bool:
+    """Whether every permutation of the coordinates, applied to z and zb
+    alike, fixes the potential.  The swap of slots 0 and 1 and the cyclic
+    shift of all n slots generate S_n, and the permutations that fix the
+    potential form a group, so it is enough to test those two on each
+    packed key, both halves at once; the first mismatch ends the test."""
+    n, pk = potential.n, potential.pk
+    bits, units = pk.bits, pk.units
+    first = pk.mask * (units[0] + units[n])  # slots 0 and n
+    rest = (1 << 2 * pk.half) - 1 - first
+    top = bits * (n - 1)
+    for part in potential.parts:
+        get = part.get
+        for K, c in part.items():
+            x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
+            for v in get(K ^ x ^ x << bits), get(K << bits & rest | K >> top & first):
+                if v is not c and v != c:
+                    return False
+    return True
+
+
+def _orbit(pk, key):
+    """(representative, size) of a packed key's S_n-orbit.  The
+    representative has the pairs (P_i, Q_i) sorted ascending: the orbit's
+    least member in graded lexicographic order (P before Q, slot 0 first).
+    Zero pairs sort first, so only the m nonzero ones are read and placed,
+    in the last m slots; the size is n! / prod r!, r running over the
+    multiplicities of the pairs, n - m that of the zero pair."""
+    bits, mask, half = pk.bits, pk.mask, pk.half
+    p, q = key & (1 << half) - 1, key >> half
+    pairs = []  # each pair as the int P_i << bits | Q_i
+    while p | q:
+        if p & mask or q & mask:
+            pairs.append((p & mask) << bits | q & mask)
+        p, q = p >> bits, q >> bits
+    pairs.sort()
+    s = half - bits * len(pairs)
+    rep, size, run, last = 0, factorial(pk.n) // factorial(pk.n - len(pairs)), 1, None
+    for v in pairs:
+        rep |= (v >> bits) << s | (v & mask) << half + s
+        s += bits
+        run = run + 1 if v == last else 1
+        size //= run
+        last = v
+    return rep, size
 
 
 def require_bochner_form(potential: Jet):
@@ -240,6 +302,20 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     exact, and a larger k raises ValidityError.  N_k is what is stored and returned,
     packed key -> integer; _table_value and delta_power_at0 divide by Lg^k
     as they read it.
+
+    Orbits.  When every permutation sigma of the coordinates fixes the
+    potential (m._orbits, tested once at build), g_inv[sigma i][sigma j] at
+    sigma (U, V) is g_inv[i][j] at (U, V), so lap commutes with sigma and
+    N_k(sigma P, sigma Q) = N_k(P, Q).  Each table then holds one key per
+    S_n-orbit, its representative (_orbit): the pairs (P_i, Q_i) sorted
+    ascending.  The step runs from the representatives of N_{k-1} alone,
+    each weighed by its orbit's size n!/prod m!, and sums what it writes
+    over each output orbit O onto O's representative.  Since the step
+    commutes with sigma, a whole orbit of inputs puts the same total on O
+    as |O_in| times its representative does, and that total is
+    |O| N_k(rep O): the division by |O| is exact, and a remainder raises
+    JetError.  Reading a key canonicalizes it first.  Any other metric takes
+    the loop above on every key, with no per-key branch.
     """
     done = m._functionals.get(k)
     if done is not None:
@@ -253,9 +329,12 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
             f"potential is valid only to degree {m.potential.valid_degree}"
         )
     low = pk.units[m.n] - 1
+    prev = _laplacian_functional(m, k - 1).items()
+    if m._orbits:  # one key per orbit: weigh each by the orbit's size
+        prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
     out = {}
     get = out.get
-    for KA, c in _laplacian_functional(m, k - 1).items():
+    for KA, c in prev:
         b_divisors = set(pk.divisors(KA >> pk.half))
         for KU in pk.divisors(KA & low):
             vs = index.get(KU)
@@ -269,7 +348,25 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
                         out[key] = get(key, 0) + c * g * (
                             ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
                         )
+    if m._orbits:
+        out = _orbit_sums(pk, out)
     nums = m._functionals[k] = {key: c for key, c in out.items() if c}
+    return nums
+
+
+def _orbit_sums(pk, out):
+    """out summed over each S_n-orbit onto its representative, and divided
+    by the orbit's size (see _laplacian_functional)."""
+    sums = {}
+    for key, c in out.items():
+        if c:
+            rep, size = _orbit(pk, key)
+            sums.setdefault(rep, [0, size])[0] += c
+    nums = {}
+    for rep, (c, size) in sums.items():
+        nums[rep], rest = divmod(c, size)
+        if rest:
+            raise JetError(f"lap^k orbit sum at {pk.unpack(rep)} is not a multiple of {size}")
     return nums
 
 
@@ -278,7 +375,9 @@ def _table_value(m: MetricJet, k, P, Q_):
     nums = _laplacian_functional(m, k)
     if sum(P) > k or sum(Q_) > k:
         return ZERO  # beyond the table's support, and maybe beyond the slots
-    c = nums.get(m.potential.pk.pack(P, Q_))
+    pk = m.potential.pk
+    key = pk.pack(P, Q_)
+    c = nums.get(_orbit(pk, key)[0] if m._orbits else key)
     return ZERO if c is None else Q(c, m._pullback[0] ** k)
 
 
@@ -303,11 +402,12 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
             f"phi valid_degree {phi.valid_degree} < {2 * k} needed for k={k}"
         )
     nums = _laplacian_functional(m, k)
+    pk = m.potential.pk
     acc = ZERO
     # phi joins the metric's packing, which holds 2k, at the boundary
-    for part in phi._parts_on(m.potential.pk, 2 * k):
+    for part in phi._parts_on(pk, 2 * k):
         for key, c in part.items():
-            t = nums.get(key)
+            t = nums.get(_orbit(pk, key)[0] if m._orbits else key)
             if t is not None:
                 acc += t * c
     return acc / m._pullback[0] ** k

@@ -31,7 +31,10 @@ forms nothing past the validity.  series_log1p uses them alone, and
 ref_substitute_radial and ref_dual_potential are the tuple-keyed forms of
 the packed substitute_radial and catalog.dual_potential.  The
 lap^k pullback is the tuple-key, rational form of the library's packed
-integer kernel.  metric_matrix builds g by differentiating the potential
+integer kernel, from every key of the support; expand_orbits writes a table
+stored one key per S_n-orbit back onto every key, and full_tables gives a
+metric whose tables are built that way by the library's own loop.
+metric_matrix builds g by differentiating the potential
 jet entry by entry, where the library packs the potential and never forms
 g, and third_deriv_obstruction_from_g reads the obstruction from that g,
 where the library reads it from the potential's degree-(3,2) terms.  The
@@ -43,6 +46,7 @@ over the packed keys.  verify_witness recomputes the value of a witness by
 applying laplacian_apply k times for n <= 4, so it does not trust the table.
 """
 
+import copy
 import itertools
 from functools import lru_cache
 from math import factorial
@@ -129,9 +133,10 @@ class RescaleError(ValueError):
 def _support_pairs(m, k):
     """Off-diagonal keys of the lap^k table and every (P, P) with
     1 <= |P| <= k, as (P, Q), in graded lexicographic order (|P|+|Q|, P, Q):
-    the monomials that fit_pk visits, unpacked and sorted."""
+    the monomials that fit_pk visits on a table that holds every key of its
+    support (expand_orbits), unpacked and sorted."""
     unpack = m.potential.pk.unpack
-    pairs = [PQ for PQ in map(unpack, _laplacian_functional(m, k)) if PQ[0] != PQ[1]]
+    pairs = [PQ for PQ in map(unpack, expand_orbits(m, k)) if PQ[0] != PQ[1]]
     for p in range(1, k + 1):
         pairs.extend((P, P) for P in multiindices(m.n, p))
     pairs.sort(key=lambda pq: (sum(pq[0]) + sum(pq[1]), pq[0], pq[1]))
@@ -792,6 +797,46 @@ def fraction_laplacian_functional(m, k):
                         out[key] = s
         table = out
     return table
+
+
+def distinct_orderings(items):
+    """Every distinct ordering of items, once each (the permutations of a
+    multiset), in lexicographic order."""
+    items = sorted(items)
+    if not items:
+        yield ()
+        return
+    for i, x in enumerate(items):
+        if i == 0 or items[i - 1] != x:
+            for rest in distinct_orderings(items[:i] + items[i + 1:]):
+                yield (x,) + rest
+
+
+def expand_orbits(m, k):
+    """Table k as packed key -> numerator N_k on every key of its support.
+
+    A metric whose tables hold one key per S_n-orbit (m._orbits) gets each
+    representative's value written on every distinct ordering of its pairs
+    (P_i, Q_i); any other table is returned as stored, in a new dict."""
+    nums = _laplacian_functional(m, k)
+    if not m._orbits:
+        return dict(nums)
+    pk = m.potential.pk
+    full = {}
+    for rep, c in nums.items():
+        P, Q_ = pk.unpack(rep)
+        for pairs in distinct_orderings(zip(P, Q_)):
+            full[pk.pack(*zip(*pairs))] = c
+    return full
+
+
+def full_tables(m):
+    """The same metric with no table cached beyond table 0 and every table
+    built on every key of its support, by the pullback loop that a metric
+    without the permutation symmetry takes."""
+    full = copy.copy(m)
+    full._functionals, full._einstein, full._orbits = {0: m._functionals[0]}, None, False
+    return full
 
 
 def verify_witness(m, k, w: ViolationWitness) -> bool:

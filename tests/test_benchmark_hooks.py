@@ -9,7 +9,8 @@ runs a catalog check, a seeded .pot case and the seed-0 radial recursion case
 the way perfbench/child.py does, and judges them with perfbench/checks.py
 (the radial one against golden.json and the direct fit), so the values the
 harness reads (g_inv entries, .coeffs, Jet.monomial on lists,
-laplacian_apply) are guarded as well as the names.  It also bounds the
+laplacian_apply) are guarded as well as the names, and that the tracer's
+wrapper of delta_power_at0 replaced catalog's module-level import of it.  It also bounds the
 C constants the radial case takes: radial_pk builds its recursion matrix
 once, with kmax (kmax - 1) of them.
 """
@@ -81,7 +82,12 @@ for case in cases:
     reason = checker.check(case, {"id": case["id"], "exit": code, "stdout": text})
     if reason is not None:
         failures.append(case["id"] + ": " + reason)
-print(json.dumps({"failures": failures, "counts": tracer.report(0.0)["counts"]}))
+from kahlerlap import catalog, metric
+print(json.dumps({
+    "failures": failures,
+    "counts": tracer.report(0.0)["counts"],
+    "obstruction_traced": catalog.delta_power_at0 is metric.delta_power_at0,
+}))
 """
 
 
@@ -99,6 +105,8 @@ def test_traced_harness_checks_pass(tmp_path):
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout)
     assert result["failures"] == []
+    # catalog's module-level import of delta_power_at0 is rebound to the wrapper
+    assert result["obstruction_traced"]
     assert result["counts"]["metric.ginv_terms"] > 0
     assert result["counts"]["catalog.potential_terms"] > 0
     # one recursion matrix: kmax (kmax - 1) C constants at kmax = 12

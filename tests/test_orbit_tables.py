@@ -1,0 +1,244 @@
+"""lap^k tables stored one key per S_n-orbit.
+
+A metric whose potential every permutation of the coordinates fixes stores
+each lap^k table on the orbit representatives alone (metric._orbits).
+metric._orbit is compared with every permutation of random keys (the least
+member and the orbit's size), and an orbit sum that the orbit's size does
+not divide raises JetError.  The tables are written back onto every key
+(dense_oracles.expand_orbits) and compared with the rational tuple-key
+pullback, and the fits and witnesses with those of the same metric built on
+every key (dense_oracles.full_tables): on random symmetric .pot bodies with
+n = 2 and 3, and on potentials whose symmetry one extra term breaks, which
+keep the full tables.  The structural guard pins how many representatives
+cp:n=10 stores and that sp:N=3 keeps its full tables; no timing is
+asserted.  The genus test reads lambda and the x coefficient of the fitted
+p_2 of every irreducible family, which both equal the genus (Loos 1977),
+from orbit tables for cp and ch and from full tables for the matrix
+families; the quadrics fail it until their metric is mended (ROADMAP
+item 1).
+"""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kahlerlap import catalog
+from kahlerlap.dsl import elaborate, parse_potential_file
+from kahlerlap.fit import check_delta_property, fit_pk
+from kahlerlap.jets import JetError, packing
+from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
+from kahlerlap.metric import metric_from_potential
+from kahlerlap.rationals import Q
+
+from dense_oracles import (
+    expand_orbits,
+    fraction_laplacian_functional,
+    full_tables,
+    multiindices,
+)
+
+DEGREE = 6
+KMAX = 3
+
+
+def pot_metric(text, degree=DEGREE):
+    n, node = parse_potential_file(text)
+    return metric_from_potential(elaborate(node, n, degree))
+
+
+def rational(q):
+    return f"{q.numerator}" if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def polynomial(terms, sigma):
+    """The polynomial sum c z^E with its variables renamed by sigma, as text,
+    negated if its first c is negative (the language has no unary minus,
+    and only |p|^2 is read)."""
+    flip = -1 if terms[0][0] < 0 else 1
+    text = ""
+    for c, E in terms:
+        factors = "*".join(f"z({sigma[i] + 1})" for i, e in enumerate(E) for _ in range(e))
+        sign = (" - " if flip * c < 0 else " + ") if text else ""
+        text += f"{sign}{rational(abs(c))}*{factors}"
+    return text
+
+
+def symmetrized(terms, n, weight):
+    """sum over sigma in S_n of weight |p o sigma|^2, as text."""
+    return " + ".join(
+        f"{rational(weight)}*modsq({polynomial(terms, sigma)})" for sigma in permutations(range(n))
+    )
+
+
+def assert_orbit_tables_match(m):
+    assert m._orbits
+    full = full_tables(m)
+    pk = m.potential.pk
+    for k in range(1, KMAX + 1):
+        stored = _laplacian_functional(m, k)
+        assert all(_orbit(pk, key)[0] == key for key in stored)
+        expanded = expand_orbits(m, k)
+        assert sum(_orbit(pk, key)[1] for key in stored) == len(expanded)
+        assert expanded == _laplacian_functional(full, k)
+        den = m._pullback[0] ** k
+        assert {pk.unpack(K): Q(c, den) for K, c in expanded.items()} == (
+            fraction_laplacian_functional(m, k)
+        )
+        assert fit_pk(m, k) == fit_pk(full, k)
+    assert check_delta_property(m, KMAX) == check_delta_property(full_tables(m), KMAX)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=3), min_size=2 * n, max_size=2 * n)
+    ),
+    st.sampled_from([6, 8, 12]),
+)
+def test_orbit_is_the_least_member_and_the_orbit_size(exponents, degree):
+    n = len(exponents) // 2
+    pk = packing(n, degree)
+    pairs = list(zip(exponents[:n], exponents[n:]))
+    # every member has the same degree, so graded lexicographic order is (P, Q)
+    members = {tuple(zip(*sigma)) for sigma in permutations(pairs)}
+    rep, size = _orbit(pk, pk.pack(exponents[:n], exponents[n:]))
+    assert pk.unpack(rep) == min(members)
+    assert size == len(members)
+
+
+def test_an_orbit_sum_off_a_multiple_of_the_orbit_size_is_an_engine_fault():
+    pk = packing(2, 6)
+    key = pk.pack((1, 0), (1, 0))
+    assert _orbit(pk, key) == (pk.pack((0, 1), (0, 1)), 2)
+    assert _orbit_sums(pk, {key: 4, pk.pack((0, 1), (0, 1)): -2}) == {_orbit(pk, key)[0]: 1}
+    message = r"^lap\^k orbit sum at \(\(0, 1\), \(0, 1\)\) is not a multiple of 2$"
+    with pytest.raises(JetError, match=message):
+        _orbit_sums(pk, {key: 3})
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda q: q != 0)
+positive = st.sampled_from([Q(1), Q(1, 2), Q(1, 3), Q(2)])
+
+
+@st.composite
+def symmetric_bodies(draw):
+    """.pot text of d sum |z_i|^2 + sum_sigma a |p o sigma|^2, maybe plus
+    log(1 + sum |z_i|^2 + sum_sigma b |q o sigma|^2), with p and q random
+    polynomials whose monomials have degree 2 or 3; every term has bidegree
+    (a, b) with a, b >= 2 beyond the quadratic ones, so g(0) = d I."""
+    n = draw(st.sampled_from([2, 3]))
+    monomials = [E for degree in (2, 3) for E in multiindices(n, degree)]
+
+    def poly():
+        count = draw(st.integers(min_value=1, max_value=3))
+        return [(Q(draw(small)), draw(st.sampled_from(monomials))) for _ in range(count)]
+
+    d = draw(positive)
+    units = " + ".join(f"{rational(d)}*modsq(z({i + 1}))" for i in range(n))
+    body = f"{units} + {symmetrized(poly(), n, draw(positive))}"
+    if draw(st.booleans()):
+        plain = " + ".join(f"modsq(z({i + 1}))" for i in range(n))
+        body += f" + log(1 + {plain} + {symmetrized(poly(), n, draw(positive))})"
+    return f"dim {n}\n{body}\n"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(symmetric_bodies())
+def test_random_symmetric_potentials(text):
+    assert_orbit_tables_match(pot_metric(text))
+
+
+# n = 3: the sum over S_3 of |z1 z2 + z1 z1 z3|^2 and |z1 z2 z3|^2
+SYMMETRIC = "dim 3\nmodsq(z(1)) + modsq(z(2)) + modsq(z(3)) + " + " + ".join(
+    f"1/2*modsq(z({a})*z({b}) + z({a})*z({a})*z({c}))" for a, b, c in permutations((1, 2, 3))
+) + " + 1/3*modsq(z(1)*z(2)*z(3))"
+
+
+def test_symmetric_potential_with_an_off_diagonal_witness():
+    m = pot_metric(SYMMETRIC)
+    assert_orbit_tables_match(m)
+    kinds = {r.witness.kind for r in check_delta_property(m, KMAX) if not r.fitted}
+    assert kinds == {"off_diagonal_nonzero"}
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "1/5*modsq(z(1))",  # changes d_1 alone
+        "1/5*modsq(z(1)*z(1))",  # one coordinate
+        "1/5*modsq(z(1)*z(2))",  # fixed by the swap of z1 and z2, not by the cycle
+        "1/5*modsq(z(2)*z(3))",  # fixed by the swap of z2 and z3 alone
+        # fixed by the cycle z1 -> z2 -> z3 -> z1, not by the swap of z1 and z2
+        "1/5*modsq(z(1)*z(2)*z(2)) + 1/5*modsq(z(2)*z(3)*z(3)) + 1/5*modsq(z(3)*z(1)*z(1))",
+    ],
+)
+def test_a_broken_symmetry_keeps_the_full_tables(extra):
+    m = pot_metric(f"{SYMMETRIC} + {extra}\n")
+    assert not m._orbits
+    symmetric = pot_metric(SYMMETRIC)
+    for k in range(1, KMAX + 1):
+        nums = _laplacian_functional(m, k)
+        assert len(nums) > len(_laplacian_functional(symmetric, k))
+        assert nums == _laplacian_functional(full_tables(m), k)
+        den = m._pullback[0] ** k
+        assert {m.potential.pk.unpack(K): Q(c, den) for K, c in nums.items()} == (
+            fraction_laplacian_functional(m, k)
+        )
+
+
+def test_cp10_stores_one_key_per_orbit(spaces):
+    m = spaces("cp:n=10", 12).metric
+    assert m._orbits
+    # table k: the diagonal z^P zb^P with 1 <= |P| <= k, one per partition of |P|
+    assert [len(_laplacian_functional(m, k)) for k in range(1, 7)] == [1, 3, 6, 11, 18, 29]
+    assert [len(expand_orbits(m, k)) for k in range(1, 7)] == [10, 65, 285, 1000, 3002, 8007]
+
+
+def test_sp3_keeps_its_full_tables(spaces):
+    m = spaces("sp:N=3", 8).metric
+    assert not m._orbits
+    assert [len(_laplacian_functional(m, k)) for k in range(1, 4)] == [6, 27, 95]
+
+
+# label -> genus p (Loos 1977): lambda = p and p_2 = x^2 + p x; duals give -p
+GENUS = {
+    "cp:n=2": 3, "cp:n=3": 4, "cp:n=4": 5, "cp:n=7": 8,
+    "ch:n=2": -3, "ch:n=3": -4, "dual(cp:n=4)": -5,
+    "grassmannian:k=2,N=4": 4, "grassmannian:k=2,N=5": 5, "grassmannian:k=2,N=6": 6,
+    "grassmannian:k=3,N=6": 6, "dual(grassmannian:k=2,N=5)": -5,
+    "sp:N=2": 3, "sp:N=3": 4, "sp:N=4": 5, "dual(sp:N=3)": -4,
+    "so2n:N=4": 6, "so2n:N=5": 8, "so2n:N=6": 10, "dual(so2n:N=5)": -8,
+}
+ORBIT_FAMILIES = ("cp", "ch")
+
+
+def genus_values(m):
+    fit = fit_pk(m, 2)
+    assert fit.fitted
+    return einstein_constant(m).lam, fit.polynomial.coefficient(1)
+
+
+@pytest.mark.parametrize("label", GENUS)
+def test_lambda_and_p2_read_the_genus(spaces, label):
+    m = spaces(label, 4).metric
+    inner = catalog.parse_space(label)
+    family = (inner.inner[0] if inner.family == "dual" else inner).family
+    assert m._orbits == (family in ORBIT_FAMILIES)
+    assert genus_values(m) == (GENUS[label], GENUS[label])
+    if m._orbits:
+        assert fit_pk(full_tables(m), 2) == fit_pk(m, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the quadric families carry the coefficient-4 metric, "
+    "whose lambda is not the genus",
+)
+@pytest.mark.parametrize(
+    "label", ["quadric-even:N=4", "quadric-odd:N=4", "quadric-even:N=5", "quadric-odd:N=5"]
+)
+def test_quadric_lambda_and_p2_read_the_genus(spaces, label):
+    m = spaces(label, 4).metric
+    # the genus of the quadric Q_m is its dimension m
+    assert genus_values(m) == (m.n, m.n)

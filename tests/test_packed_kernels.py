@@ -14,7 +14,9 @@ value read from that g.
 metric._laplacian_functional computes on packed exponent keys
 (jets._Packing) and integer numerators over Lg^k.  Its tables are compared
 with tests/dense_oracles.py::fraction_laplacian_functional on fresh metrics
-(no table cached beyond table 0), on every catalog label, on cp:n=10 at k=4,
+(no table cached beyond table 0), expanded from their orbit
+representatives on the metrics that store one key per S_n-orbit
+(tests/dense_oracles.py::expand_orbits), on every catalog label, on cp:n=10 at k=4,
 on a .pot potential whose g_inv has non-unit denominators, so Lg > 1, on the
 radial command's fubini-study metric (n = 3, degree 16) through k = 8, on a
 Bochner-form .pot potential whose g_inv is not torus-invariant, where the
@@ -43,6 +45,7 @@ from kahlerlap.radial import named_profile, potential_jet
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
+    expand_orbits,
     fraction_laplacian_functional,
     metric_matrix,
     neumann_inverse,
@@ -66,11 +69,12 @@ def fresh(m):
 
 
 def table(m, k):
-    """Table k as the library stores it, numerators N_k on packed keys, read
-    back as (P, Q) -> N_k / Lg^k."""
+    """Table k as the library stores it, numerators N_k on packed keys,
+    expanded from its orbit representatives when it holds one key per
+    orbit (expand_orbits) and read back as (P, Q) -> N_k / Lg^k."""
     den = m._pullback[0] ** k
     unpack = m.potential.pk.unpack
-    return {unpack(K): Q(c, den) for K, c in _laplacian_functional(m, k).items()}
+    return {unpack(K): Q(c, den) for K, c in expand_orbits(m, k).items()}
 
 
 def assert_tables_match(m, ks):

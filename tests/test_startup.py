@@ -1,5 +1,6 @@
 """Start-up guard: importing the CLI loads none of the modules that only the
-dataclasses machinery needs, and no package module imports them.
+dataclasses machinery needs, no package module imports them, and every
+package module imports at its top level only.
 
 With no bytecode cache, importing dataclasses (which loads inspect, ast,
 dis and tokenize) and running its decorators was about a quarter of the
@@ -47,3 +48,13 @@ def test_no_package_module_imports_a_heavy_module():
             else:
                 continue
             assert not names & HEAVY, f"{path.name}:{node.lineno} imports {names & HEAVY}"
+
+
+def test_every_import_is_at_module_level():
+    # a function-local import runs on every call and hides a dependency
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert id(node) in top, f"{path.name}:{node.lineno} imports inside a block"
