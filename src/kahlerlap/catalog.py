@@ -265,7 +265,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
                 {(K & (1 << half) - 1) << low | K >> half << high: c for K, c in part.items()}
                 for part in jet._parts_on(packing(jet.n, D), D)
             ]
-            total, offset = total + Jet._of(n, total.pk, parts), offset + jet.n
+            total, offset = total + Jet._of(n, total.pk, jet.den, parts), offset + jet.n
         return total
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
@@ -275,7 +275,7 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
 def dual_potential(phi: Jet) -> Jet:
     """Duality on potentials: c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}, |Q| summed slot by slot."""
     pk, q_slots = phi.pk, range(phi.pk.half, 2 * phi.pk.half, phi.pk.bits)
-    return Jet._of(phi.n, pk, [
+    return Jet._of(phi.n, pk, phi.den, [
         {K: c if sum(K >> s & pk.mask for s in q_slots) % 2 else -c for K, c in part.items()}
         for part in phi.parts
     ])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -35,7 +36,12 @@ from .metric import (
     third_deriv_obstruction,
 )
 from .radial import named_profile, potential_jet, profile_from_coeffs, radial_pk
-from .rationals import Q, q_str
+from .rationals import Q
+
+
+# one --coeffs item: an integer or p/q, in ASCII digits (Fraction would also
+# take decimals, exponents, underscores and other scripts' digits)
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class UsageError(Exception):
@@ -43,7 +49,7 @@ class UsageError(Exception):
 
 
 def _poly_dict(poly):
-    return {str(l): q_str(poly.coefficient(l)) for l in range(1, poly.k + 1)}
+    return {str(l): str(poly.coefficient(l)) for l in range(1, poly.k + 1)}
 
 
 def _witness_dict(w):
@@ -51,8 +57,8 @@ def _witness_dict(w):
         "P": list(w.P),
         "Q": list(w.Q),
         "kind": w.kind,
-        "lhs": q_str(w.lhs),
-        "expected": q_str(w.expected),
+        "lhs": str(w.lhs),
+        "expected": str(w.expected),
     }
 
 
@@ -139,13 +145,13 @@ def cmd_check(args):
     try:
         rep = einstein_constant(metric)
         report["einstein"] = {
-            "lambda": q_str(rep.lam) if rep.lam is not None else None,
-            "residual": q_str(rep.residual),
+            "lambda": str(rep.lam) if rep.lam is not None else None,
+            "residual": str(rep.residual),
         }
         lines.append(
-            f"einstein: lambda = {q_str(rep.lam)} (residual 0)"
+            f"einstein: lambda = {rep.lam} (residual 0)"
             if rep.lam is not None
-            else f"einstein: not Einstein at origin (residual {q_str(rep.residual)})"
+            else f"einstein: not Einstein at origin (residual {rep.residual})"
         )
     except GaugeError as exc:
         rep = None
@@ -161,14 +167,14 @@ def cmd_check(args):
             w = r.witness
             lines.append(
                 f"delta k={r.k}: VIOLATED ({w.kind}) at z^{list(w.P)} zb^{list(w.Q)}: "
-                f"value {q_str(w.lhs)}, expected {q_str(w.expected)}"
+                f"value {w.lhs}, expected {w.expected}"
             )
 
     try:
         third = third_deriv_obstruction(metric)
         fifth = fifth_order_check(metric)
-        report["parallel"] = {"third": q_str(third), "fifth": q_str(fifth)}
-        lines.append(f"parallel curvature: third = {q_str(third)}, fifth = {q_str(fifth)}")
+        report["parallel"] = {"third": str(third), "fifth": str(fifth)}
+        lines.append(f"parallel curvature: third = {third}, fifth = {fifth}")
     except (GaugeError, TruncationError) as exc:
         report["parallel"] = {"third": None, "fifth": None}
         lines.append(f"parallel curvature: skipped ({exc})")
@@ -176,16 +182,16 @@ def cmd_check(args):
     if space is not None and len(space.frame) >= 2 and rep is not None and rep.lam is not None:
         ob = catalog.obstruction_report(space)
         report["obstruction"] = {
-            "lambda": q_str(ob.lam),
-            "mu": [q_str(x) for x in ob.mu],
-            "val1": q_str(ob.val1),
-            "val2": q_str(ob.val2),
-            "requirement": q_str(ob.delta_requirement),
+            "lambda": str(ob.lam),
+            "mu": [str(x) for x in ob.mu],
+            "val1": str(ob.val1),
+            "val2": str(ob.val2),
+            "requirement": str(ob.delta_requirement),
         }
         lines.append(
-            f"obstruction: val1 = {q_str(ob.val1)}, val2 = {q_str(ob.val2)}, "
-            f"val1 - 2*val2 = {q_str(ob.delta_requirement)} "
-            f"(embedded-line prediction {q_str(ob.val1_expected)}, {q_str(ob.val2_expected)})"
+            f"obstruction: val1 = {ob.val1}, val2 = {ob.val2}, "
+            f"val1 - 2*val2 = {ob.delta_requirement} "
+            f"(embedded-line prediction {ob.val1_expected}, {ob.val2_expected})"
         )
 
     report["engine"] = {"version": __version__}
@@ -206,9 +212,13 @@ def cmd_radial(args):
         profile = named_profile(args.name, order)
     else:
         label = f"coeffs {args.coeffs}"
+        items = [part.strip() for part in args.coeffs.split(",")]
+        for item in items:  # refused before any Fraction is built
+            if not _COEFF.fullmatch(item):
+                raise UsageError(f"bad --coeffs: {item!r} is not an integer or p/q")
         try:
-            coeffs = [Q(part.strip()) for part in args.coeffs.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+            coeffs = [Q(item) for item in items]
+        except (ValueError, ZeroDivisionError) as exc:  # p/0; past int's digit limit
             raise UsageError(f"bad --coeffs: {exc}")
         profile = profile_from_coeffs(coeffs, order=order)
     n = args.n
@@ -255,14 +265,14 @@ def cmd_dual(args):
         "dim": desc.complex_dim,
         "truncation": degree,
         "dual": [
-            {"monomial": list(P), "compact": q_str(a), "noncompact": q_str(b)}
+            {"monomial": list(P), "compact": str(a), "noncompact": str(b)}
             for P, a, b in rows
         ],
         "engine": {"version": __version__},
     }
     lines = [f"space: {desc.label()} vs its noncompact dual (truncation {degree})"]
     for P, a, b in rows:
-        lines.append(f"|z^{list(P)}|^2: {q_str(a)} / {q_str(b)}")
+        lines.append(f"|z^{list(P)}|^2: {a} / {b}")
     lines.append(
         "verdict: all pairs sum to zero" if all_zero else "verdict: MISMATCH"
     )

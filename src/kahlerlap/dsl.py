@@ -20,9 +20,9 @@ rational literals may carry a denominator.  radial(c0, c1, ...) denotes a
 polynomial profile c0 + c1 t + ... evaluated at t = |z_1|^2 + ... + |z_n|^2.
 
 Elaboration maps an expression tree and a dimension/degree to a potential
-jet.  Each subtree evaluates to integer graded parts over one denominator
-on the jet's packing (_evaluate); log hands its argument to the integer
-log1p kernel, and only det, radial and the result are rational jets.
+jet.  Each subtree evaluates to a jet on the potential's packing, cut at its
+degree (_evaluate), with the jet operations: conj, products, one n-ary sum
+per +/- chain (jets._sum), log1p, JetMatrix.det and substitute_radial.
 Additive constants inside log are normalized away (potentials are defined
 up to an additive constant): log(c + s) elaborates as log(1 + s/c) for a
 positive rational constant term c.
@@ -32,12 +32,8 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
-from math import lcm
 
-from .jets import (
-    Jet, JetMatrix, ValidityError, _add_into, _conj_parts, _int_parts, _log1p_ints, _mul_parts,
-    _rational_parts, substitute_radial,
-)
+from .jets import Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
 from .rationals import Q, Record
 from .series import TSeries
 
@@ -253,70 +249,59 @@ def parse(text, first_line=1) -> object:
 def elaborate(node, n, valid_degree) -> Jet:
     """Evaluate an expression tree to a potential jet in n variables."""
     pk = Jet.zero(n, valid_degree).pk  # refuses n < 1 and valid_degree < 0
-    return Jet._of(n, pk, _rational_parts(*_evaluate(node, pk, valid_degree)))
+    return _evaluate(node, pk, valid_degree)
 
 
 def _evaluate(node, pk, D):
-    """The value of node as (den, parts): integer graded parts over den > 0
-    on packing pk, cut at degree D.  Each result is a new object, which the
-    caller may update in place."""
+    """The value of node as a jet on packing pk, cut at degree D."""
+    n = pk.n
     if isinstance(node, Lit):
         c = node.value
-        return c.denominator, [{0: c.numerator} if c else {}] + [{} for _ in range(D)]
+        parts = [{0: c.numerator} if c else {}] + [{} for _ in range(D)]
+        return Jet._of(n, pk, c.denominator, parts)
     if isinstance(node, Coord):
-        if not 1 <= node.index <= pk.n:
+        if not 1 <= node.index <= n:
             raise ElaborationError(
-                f"coordinate z({node.index}) out of range for dimension {pk.n}"
+                f"coordinate z({node.index}) out of range for dimension {n}"
             )
         if D < 1:
             raise ValidityError(f"monomial of degree 1 exceeds valid_degree {D}")
-        return 1, [{}, {pk.units[node.index - 1]: 1}] + [{} for _ in range(D - 1)]
+        return Jet._of(n, pk, 1, [{}, {pk.units[node.index - 1]: 1}] + [{} for _ in range(D - 1)])
     if isinstance(node, Conj):
-        den, parts = _evaluate(node.arg, pk, D)
-        return den, _conj_parts(pk, parts)
+        return _evaluate(node.arg, pk, D).conj()
     if isinstance(node, ModSq):
-        den, parts = _evaluate(node.arg, pk, D)
-        return den * den, _mul_parts(parts, _conj_parts(pk, parts))
+        x = _evaluate(node.arg, pk, D)
+        return x * x.conj()
     if isinstance(node, (Add, Sub)):
         spine = []  # a long sum is a deep left spine: walk it, not recurse
         while isinstance(node, (Add, Sub)):
             spine.append(node)
             node = node.left
-        den, acc = _evaluate(node, pk, D)
+        terms = [_evaluate(node, pk, D)]
         for op in reversed(spine):
-            d, term = _evaluate(op.right, pk, D)
-            common = lcm(den, d)
-            if common != den:
-                acc = [{K: c * (common // den) for K, c in part.items()} for part in acc]
-                den = common
-            w = (1 if isinstance(op, Add) else -1) * (den // d)
-            if w != 1:
-                term = [{K: w * c for K, c in part.items()} for part in term]
-            _add_into(acc, term)
-        return den, acc
+            term = _evaluate(op.right, pk, D)
+            terms.append(term if isinstance(op, Add) else -term)
+        return _sum(terms)
     if isinstance(node, Mul):
-        d1, a = _evaluate(node.left, pk, D)
-        d2, b = _evaluate(node.right, pk, D)
-        return d1 * d2, _mul_parts(a, b)
+        return _evaluate(node.left, pk, D) * _evaluate(node.right, pk, D)
     if isinstance(node, Log):
-        den, parts = _evaluate(node.arg, pk, D)
-        c = parts[0].pop(0, 0)
+        x = _evaluate(node.arg, pk, D)
+        c = x.parts[0].get(0, 0)
         if c <= 0:
             raise ElaborationError(
-                f"log needs a positive rational constant term, got {Q(c, den)}"
+                f"log needs a positive rational constant term, got {Q(c, x.den)}"
             )
         # log(c/den + s) = log(c/den) + log(1 + s'/c), s' = den s; the
         # additive constant is dropped
-        return _log1p_ints(c, parts)
+        return log1p(Jet._of(n, pk, c, [{}] + x.parts[1:]))
     if isinstance(node, Det):
         rows = [[_evaluate(e, pk, D) for e in row] for row in node.rows]
         if any(len(row) != len(rows) for row in rows):
             raise ElaborationError("det needs a square matrix")
-        matrix = [[Jet._of(pk.n, pk, _rational_parts(*e)) for e in row] for row in rows]
-        return _int_parts(JetMatrix(matrix).det().parts)
+        return JetMatrix(rows).det()
     if isinstance(node, Radial):
         order = max((D + 1) // 2, len(node.coeffs) - 1)
-        return _int_parts(substitute_radial(TSeries(list(node.coeffs), order), pk.n, D).parts)
+        return substitute_radial(TSeries(list(node.coeffs), order), n, D)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -6,31 +6,30 @@ which the coefficients are trusted.  Validity is data, not convention; every
 operation computes the validity of its result (min rule for products, minus
 one per derivative), and using a jet past its validity raises.
 
-Coefficients are exact rationals.  Zero coefficients are never stored, so
-jet equality is map equality.  Jets are immutable values: no operation
-mutates its operands or their parts, which makes everything safe to
-evaluate concurrently and lets jets share parts.
+Jets are immutable values: no operation mutates its operands or their
+parts, which makes everything safe to evaluate concurrently and lets jets
+share parts.
 
-One representation.  A jet holds its terms graded by total degree:
-parts[d], for d = 0..valid_degree, maps the packed key of each monomial of
-degree d to its coefficient.  A packed key is one int per monomial (see
+One representation.  A jet holds integers over one positive denominator
+den, graded by total degree: parts[d], for d = 0..valid_degree, maps the
+packed key of each monomial of degree d to its nonzero numerator.  den is
+not canonical (a product's is the product of its operands'), so equality
+cross-multiplies.  This is the form the kernels (_log1p_ints,
+_graded_inverse, the lap^k pullback in metric) take and return,
+fraction-free as in Bareiss (Math. Comp. 1968).  A packed key is one int per monomial (see
 _Packing; Monagan & Pearce, CASC 2007), so the product of two monomials is
 the sum of their keys.  Packings are shared, one per (n, slot width)
 (packing()), and a jet's slots hold every exponent up to its validity.
-Every operation works on packed keys.  When two operands sit on different
-packings (a truncated jet keeps the wider slots of its source), the
-operation repacks one of them onto the narrower packing, once.
+When operands sit on different packings (a truncated jet keeps the wider
+slots of its source), the operation repacks them onto the narrowest, once.
 
-Tuple keys appear only at the boundary: the constructor Jet(n, {(P, Q): c},
-D) and Jet.monomial/constant/variable/zero validate and pack, and the
-read-only view .coeffs gives the tuple-keyed map back.  The kernels
-(_log1p_ints, _graded_inverse, the lap^k pullback in metric) take and return
-integer parts, integers over one denominator, fraction-free as in Bareiss
-(Math. Comp. 1968); dsl.elaborate and metric hand them from kernel to
-kernel, and they become rationals once, where a jet is needed (log1p and
-JetMatrix.inverse are such fronts).  substitute_radial writes each t^m of
-a radial profile straight into its degree-2m part on the diagonal keys
-z^P zb^P (diagonal_keys, walked once per packing).
+Tuple keys and rationals appear only at the boundary: the constructor
+Jet(n, {(P, Q): c}, D) and Jet.monomial/constant/variable/zero validate,
+pack and put the rationals over their lcm; the read-only view .coeffs gives
+the tuple-keyed map of rationals back, and eval0 the constant term.
+substitute_radial writes each t^m of a radial profile straight into its
+degree-2m part on the diagonal keys z^P zb^P (diagonal_keys, walked once
+per packing).
 """
 
 from __future__ import annotations
@@ -133,19 +132,9 @@ def diagonal_keys(pk, top):
     return pk.diagonal[: top + 1]
 
 
-def _int_parts(parts):
-    """(L, integer parts) of rational graded parts, L the lcm of their
-    denominators: the parts are the integer parts over L."""
-    den = lcm(*(c.denominator for part in parts for c in part.values()))
-    return den, [{K: c.numerator * (den // c.denominator) for K, c in part.items()}
-                 for part in parts]
-
-
-def _rational_parts(den, parts):
-    """The rational graded parts of integer parts over den; the coefficients
-    take few values, so each value is one shared Fraction."""
-    q = cache(Q)
-    return [{K: q(c, den) for K, c in part.items()} for part in parts]
+def _scaled(parts, w):
+    """Graded parts times the integer w; the parts themselves when w is 1."""
+    return parts if w == 1 else [{K: c * w for K, c in part.items()} for part in parts]
 
 
 def _reduced(den, entries):
@@ -174,8 +163,7 @@ def _add_into(acc, parts):
 
 def _mul_parts(a, b):
     """The product of graded parts a and b on one packing, cut at the degree
-    of a: the parts are paired by degree, so nothing past it is computed.
-    Coefficients may be integers or rationals."""
+    of a: the parts are paired by degree, so nothing past it is computed."""
     D = len(a) - 1
     out = [{} for _ in range(D + 1)]
     bs = [(db, pb) for db, pb in enumerate(b) if pb]
@@ -201,11 +189,35 @@ def _conj_parts(pk, parts):
     return [{K >> half | (K & low) << half: c for K, c in part.items()} for part in parts]
 
 
+def _align(jets):
+    """(packing, validity) of an operation on jets of one variable space:
+    the narrowest of their packings and the smallest of their validities."""
+    n, pk, D = jets[0].n, jets[0].pk, jets[0].valid_degree
+    for jet in jets:
+        if jet.n != n:
+            raise DimensionMismatch(f"variable counts differ: {n} vs {jet.n}")
+        if jet.pk.bits < pk.bits:
+            pk = jet.pk
+        D = min(D, jet.valid_degree)
+    return pk, D
+
+
+def _sum(jets):
+    """The sum of one or more jets, over the lcm of their denominators."""
+    pk, D = _align(jets)
+    den = lcm(*(jet.den for jet in jets))
+    acc = [{} for _ in range(D + 1)]
+    for jet in jets:
+        _add_into(acc, _scaled(jet._parts_on(pk, D), den // jet.den))
+    return Jet._of(jets[0].n, pk, den, acc)
+
+
 class Jet:
-    __slots__ = ("n", "valid_degree", "pk", "parts")
+    __slots__ = ("n", "valid_degree", "pk", "den", "parts")
 
     def __init__(self, n, coeffs, valid_degree):
-        """Validate and pack a tuple-keyed map {(P, Q): c}."""
+        """Validate and pack a tuple-keyed map {(P, Q): c} of rationals, put
+        over the lcm of their denominators."""
         if n < 1:
             raise DimensionMismatch("need at least one variable")
         if valid_degree < 0:
@@ -222,23 +234,22 @@ class Jet:
                 raise ValidityError(
                     f"monomial of degree {d} exceeds valid_degree {valid_degree}"
                 )
-            if c != 0:
+            c = as_q(c)
+            if c:
                 parts[d][pk.pack(P, Q_)] = c
-        self.n = n
-        self.valid_degree = valid_degree
-        self.pk = pk
-        self.parts = parts
+        den = lcm(*(c.denominator for part in parts for c in part.values()))
+        self.n, self.valid_degree, self.pk, self.den = n, valid_degree, pk, den
+        self.parts = [{K: c.numerator * (den // c.denominator) for K, c in part.items()}
+                      for part in parts]
 
     @classmethod
-    def _of(cls, n, pk, parts):
-        """The jet with these graded parts on packing pk, valid through
-        len(parts) - 1.  Trusted: the caller guarantees that every key of
-        parts[d] is a degree-d monomial within pk's slots, and no zeros."""
+    def _of(cls, n, pk, den, parts):
+        """The jet with these integer graded parts over den > 0 on packing
+        pk, valid through len(parts) - 1.  Trusted: the caller guarantees
+        that every key of parts[d] is a degree-d monomial within pk's slots,
+        and no zeros."""
         jet = object.__new__(cls)
-        jet.n = n
-        jet.valid_degree = len(parts) - 1
-        jet.pk = pk
-        jet.parts = parts
+        jet.n, jet.valid_degree, jet.pk, jet.den, jet.parts = n, len(parts) - 1, pk, den, parts
         return jet
 
     # -- constructors ------------------------------------------------------
@@ -250,11 +261,11 @@ class Jet:
     @classmethod
     def constant(cls, n, c, valid_degree):
         zero_mi = (0,) * n
-        return cls(n, {(zero_mi, zero_mi): as_q(c)}, valid_degree)
+        return cls(n, {(zero_mi, zero_mi): c}, valid_degree)
 
     @classmethod
     def monomial(cls, n, P, Q_, c, valid_degree):
-        return cls(n, {(tuple(P), tuple(Q_)): as_q(c)}, valid_degree)
+        return cls(n, {(tuple(P), tuple(Q_)): c}, valid_degree)
 
     @classmethod
     def variable(cls, n, i, valid_degree):
@@ -266,10 +277,10 @@ class Jet:
 
     @property
     def coeffs(self):
-        """Read-only view of the terms as {(P, Q): coefficient}."""
-        unpack = self.pk.unpack
+        """Read-only view of the terms as {(P, Q): rational coefficient}."""
+        unpack, den = self.pk.unpack, self.den
         return MappingProxyType(
-            {unpack(K): c for part in self.parts for K, c in part.items()}
+            {unpack(K): Q(c, den) for part in self.parts for K, c in part.items()}
         )
 
     def _parts_on(self, pk, D):
@@ -281,13 +292,9 @@ class Jet:
         unpack, pack = self.pk.unpack, pk.pack
         return [{pack(*unpack(K)): c for K, c in part.items()} for part in parts]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Jet)
-            and self.n == other.n
-            and self.valid_degree == other.valid_degree
-            and self.parts == other._parts_on(self.pk, self.valid_degree)
-        )
+    def __eq__(self, other):  # den is not canonical: the difference cross-multiplies
+        return (isinstance(other, Jet) and self.n == other.n
+                and self.valid_degree == other.valid_degree and (self - other).is_zero())
 
     __hash__ = None
 
@@ -312,29 +319,15 @@ class Jet:
 
     # -- ring operations ---------------------------------------------------
 
-    def _align(self, other):
-        """(packing, parts of self, parts of other) through the smaller
-        validity, both on the narrower of the two packings."""
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"variable counts differ: {self.n} vs {other.n}"
-            )
-        D = min(self.valid_degree, other.valid_degree)
-        pk = self.pk if self.pk.bits <= other.pk.bits else other.pk
-        return pk, self._parts_on(pk, D), other._parts_on(pk, D)
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = Jet.constant(self.n, other, self.valid_degree)
-        pk, a, b = self._align(other)
-        return Jet._of(self.n, pk, _add_into([dict(part) for part in a], b))
+        return _sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._of(
-            self.n, self.pk, [{K: -c for K, c in part.items()} for part in self.parts]
-        )
+        return Jet._of(self.n, self.pk, self.den, _scaled(self.parts, -1))
 
     def __sub__(self, other):
         return self + (-other)
@@ -345,16 +338,19 @@ class Jet:
     def scale(self, c):
         c = as_q(c)
         if c == 0:
-            return Jet._of(self.n, self.pk, [{} for _ in self.parts])
+            return Jet._of(self.n, self.pk, 1, [{} for _ in self.parts])
         return Jet._of(
-            self.n, self.pk, [{K: c * v for K, v in part.items()} for part in self.parts]
+            self.n, self.pk, self.den * c.denominator, _scaled(self.parts, c.numerator)
         )
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
-        pk, a, b = self._align(other)
-        return Jet._of(self.n, pk, _mul_parts(a, b))
+        pk, D = _align((self, other))
+        return Jet._of(
+            self.n, pk, self.den * other.den,
+            _mul_parts(self._parts_on(pk, D), other._parts_on(pk, D)),
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -387,30 +383,30 @@ class Jet:
                 if e:
                     acc[K - unit] = c * e
             out.append(acc)
-        return Jet._of(self.n, pk, out)
+        return Jet._of(self.n, pk, self.den, out)
 
     def eval0(self):
-        """The constant-term coefficient (value at the origin)."""
-        return self.parts[0].get(0, ZERO)
+        """The constant-term coefficient (value at the origin), a rational."""
+        return Q(self.parts[0].get(0, 0), self.den)
 
     def conj(self):
         """Complex conjugate: rational coefficients stay, exponent roles swap."""
-        return Jet._of(self.n, self.pk, _conj_parts(self.pk, self.parts))
+        return Jet._of(self.n, self.pk, self.den, _conj_parts(self.pk, self.parts))
 
     def truncated(self, valid_degree):
         if valid_degree > self.valid_degree:
             raise ValidityError("cannot raise validity by truncation")
         if valid_degree < 0:
             raise ValidityError("valid_degree must be >= 0")
-        return Jet._of(self.n, self.pk, self.parts[: valid_degree + 1])
+        return Jet._of(self.n, self.pk, self.den, self.parts[: valid_degree + 1])
 
 
 def log1p(s: Jet) -> Jet:
-    """log(1 + s) for a jet s with zero constant term: the rational front of
-    _log1p_ints, on the packing of s."""
-    if s.eval0() != 0:
+    """log(1 + s) for a jet s with zero constant term (_log1p_ints), on the
+    packing of s."""
+    if s.parts[0]:
         raise JetError("log1p needs a zero constant term")
-    return Jet._of(s.n, s.pk, _rational_parts(*_log1p_ints(*_int_parts(s.parts))))
+    return Jet._of(s.n, s.pk, *_log1p_ints(s.den, s.parts))
 
 
 def _log1p_ints(ls, parts):
@@ -457,7 +453,8 @@ def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
 
     f must be trusted through t^ceil(D/2).  A packed kernel: the term a_m t^m
     of f is the sum of a_m m!/P! z^P zb^P over |P| = m, written straight into
-    the degree-2m part (diagonal_keys), with one rational per value of P!.
+    the degree-2m part (diagonal_keys), over L, the lcm of the denominators
+    of the a_m: one integer a_m L m!/P! per value of P!.
     """
     need = (valid_degree + 1) // 2
     if f.order < need:
@@ -470,10 +467,12 @@ def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
     if n < 1 and top >= 0:
         raise ValueError(f"need n >= 1 variables, got {n}")
     jet = Jet.zero(n, valid_degree)
+    jet.den = L = lcm(*(f.coeffs[m].denominator for m in range(top + 1)))
     for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
         a, fm = f.coeffs[m], factorial(m)
         if a:
-            weight = {p: a * Q(fm, p) for p in {p for _, p in diagonal}}
+            num = a.numerator * (L // a.denominator)
+            weight = {p: num * (fm // p) for p in {p for _, p in diagonal}}
             jet.parts[2 * m] = {K: weight[p] for K, p in diagonal}
     return jet
 
@@ -507,7 +506,7 @@ class JetMatrix:
         entries = tuple(
             tuple(
                 e if e.valid_degree == D and e.pk is pk
-                else Jet._of(n, pk, e._parts_on(pk, D))
+                else Jet._of(n, pk, e.den, e._parts_on(pk, D))
                 for e in row
             )
             for row in entries
@@ -526,6 +525,9 @@ class JetMatrix:
 
     __hash__ = None
 
+    def __repr__(self):
+        return f"JetMatrix({self.entries!r})"
+
     def det(self):
         """Determinant over the jet ring, exact at the shared validity:
         expansion along rows, memoized on the set of free columns; no
@@ -534,31 +536,30 @@ class JetMatrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         m, entries = self.rows, self.entries
         zero = entries[0][0].scale(0)
-        one = Jet._of(zero.n, zero.pk, [{0: Q(1)}] + zero.parts[1:])
+        one = Jet._of(zero.n, zero.pk, 1, [{0: 1}] + zero.parts[1:])
 
         @cache
         def minor(row, free):  # free: the bit mask of the free columns
             if row == m:
                 return one
-            acc, sign = zero, 1
+            terms, sign = [zero], 1
             for col in (col for col in range(m) if free >> col & 1):
                 if not entries[row][col].is_zero():
                     term = entries[row][col] * minor(row + 1, free & ~(1 << col))
-                    acc = acc + (term if sign > 0 else -term)
+                    terms.append(term if sign > 0 else -term)
                 sign = -sign
-            return acc
+            return _sum(terms)
 
         return minor(0, (1 << m) - 1)
 
     def inverse(self):
-        """Matrix inverse over the jet ring, G X = X G = I: the rational front
-        of _graded_inverse, the kernel metric.metric_from_potential calls."""
+        """Matrix inverse over the jet ring, G X = X G = I: _graded_inverse
+        (the kernel metric_from_potential calls) of the entries over their lcm."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        den, flat = _int_parts([p for row in self.entries for e in row for p in e.parts])
-        m, width = self.rows, self.valid_degree + 1
-        parts = [[[flat[(l * m + k) * width + d] for k in range(m)] for l in range(m)]
-                 for d in range(width)]
+        den = lcm(*(e.den for row in self.entries for e in row))
+        ints = [[_scaled(e.parts, den // e.den) for e in row] for row in self.entries]
+        parts = [[[e[d] for e in row] for row in ints] for d in range(self.valid_degree + 1)]
         pk = self.entries[0][0].pk
         return _jet_matrix(pk, *_graded_inverse(pk, parts, den))
 
@@ -566,9 +567,7 @@ class JetMatrix:
 def _jet_matrix(pk, den, entries):
     """The JetMatrix of the integer graded parts entries[i][j] over den, on
     packing pk."""
-    return JetMatrix(
-        [[Jet._of(pk.n, pk, _rational_parts(den, e)) for e in row] for row in entries]
-    )
+    return JetMatrix([[Jet._of(pk.n, pk, den, e) for e in row] for row in entries])
 
 
 def _graded_inverse(pk, parts, den):

@@ -10,8 +10,9 @@ parts straight from the potential's packed parts and inverts them, and the
 one reading of g's derivatives (third_deriv_obstruction) takes them from
 the potential's coefficients.  The Bergman catalog families take g_inv in
 closed form instead (catalog.bergman_inverse); both builders hand g_inv to
-metric_with_inverse as integer parts over one denominator, and only
-laplacian_apply reads it as rational jets (the view MetricJet.g_inv).
+metric_with_inverse as integer parts over one denominator, which keeps them
+as the jets of MetricJet.g_inv and indexes the same parts for the lap^k
+pullback.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  Its
@@ -39,11 +40,10 @@ square roots.
 
 from __future__ import annotations
 
-from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .jets import (
-    Jet, JetError, JetMatrix, ValidityError, _graded_inverse, _jet_matrix, _reduced,
+    Jet, JetError, ValidityError, _graded_inverse, _jet_matrix, _reduced, _sum,
 )
 from .rationals import Q, ZERO, Record
 
@@ -67,34 +67,27 @@ class MetricJet(Record):
     d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
     potential has no monomial of total degree 3; cubic_free is the degree-3
     half of that condition alone (it makes all first derivatives of g vanish
-    at the origin).  _ginv[i][j] holds the integer graded parts of
-    Lg g_inv[i][j], and _pullback is (Lg, index), both fixed at build (see
-    _laplacian_functional); g_inv is a JetMatrix view of _ginv, built on
-    first read.  _functionals maps k to the numerators N_k of the lap^k
-    table, the one stored form of it, with N_0 there from the start and the
-    rest filled on first use; _orbits says that they hold one key per
-    S_n-orbit (see _laplacian_functional).  _einstein caches the Einstein
-    report, and __dict__ the view.  A MetricJet equals only itself.
+    at the origin).  g_inv is a JetMatrix on the potential's packing, valid
+    to its valid_degree - 2, whose entries are integer parts over one
+    denominator Lg; _pullback is (Lg, index), the index built from those
+    same parts (see _laplacian_functional).  _functionals maps k to the
+    numerators N_k of the lap^k table, the one stored form of it, with N_0
+    there from the start and the rest filled on first use; _orbits says
+    that they hold one key per S_n-orbit (see _laplacian_functional).
+    _einstein caches the Einstein report.  A MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "origin_diag", "normal_gauge", "cubic_free",
-                 "_ginv", "_pullback", "_functionals", "_einstein", "_orbits",
-                 "__dict__")
+                 "g_inv", "_pullback", "_functionals", "_einstein", "_orbits")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, n, potential, origin_diag, normal_gauge, cubic_free,
-                 _ginv, _pullback, _functionals, _einstein=None, _orbits=False):
+                 g_inv, _pullback, _functionals, _einstein=None, _orbits=False):
         self.n, self.potential, self.origin_diag = n, potential, origin_diag
         self.normal_gauge, self.cubic_free = normal_gauge, cubic_free
-        self._ginv, self._pullback = _ginv, _pullback
+        self.g_inv, self._pullback = g_inv, _pullback
         self._functionals, self._einstein = _functionals, _einstein
         self._orbits = _orbits
-
-    @cached_property
-    def g_inv(self) -> JetMatrix:
-        """g_inv as rational jets on the potential's packing, valid to its
-        valid_degree - 2."""
-        return _jet_matrix(self.potential.pk, self._pullback[0], self._ginv)
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
@@ -102,40 +95,37 @@ def metric_from_potential(potential: Jet) -> MetricJet:
 
     Fails with GaugeError unless g(0) is diagonal with positive entries.
 
-    g is never formed as a matrix of rational jets.  Only the terms with
-    both a z and a zb factor reach g; they are read from the potential's
-    parts, on its packing.  With Lp the lcm of their denominators, a
-    degree-d term c z^P zb^Q gives Lp c P_i Q_j at the packed key
+    g is never formed as a matrix of jets.  Only the terms with both a z
+    and a zb factor reach g; they are read from the potential's parts, on
+    its packing.  With Lp the potential's denominator, a degree-d term with
+    numerator c at z^P zb^Q gives c P_i Q_j at the packed key
     K - e_i - e_{n+j} of Lp g[i][j], in its degree d - 2 part; no two terms
     meet there, since the shift is the same for every term of one entry.
-    The integer parts go to the inverse kernel as g = parts / Lp, and g_inv
-    comes back as integer parts on the same packing.
+    The integer parts and Lp, divided through by their gcd (jets._reduced:
+    the potential's den is not canonical, and a smaller Lp keeps the
+    inverse's integers small), go to the inverse kernel as g = parts / Lp,
+    and g_inv comes back as integer parts on the same packing.
     """
     n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
     bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
-    terms = [
-        (d, K, c)
-        for d, part in enumerate(potential.parts)
-        for K, c in part.items()
-        if K & units[n] - 1 and K >> half
-    ]
-    lp = lcm(*(c.denominator for *_, c in terms))
     # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
     parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
-    for d, K, c in terms:
-        c = c.numerator * (lp // c.denominator)
-        rows = parts[d - 2]
-        bars = [
-            (j, b, units[n + j])
-            for j in range(n)
-            if (b := K >> bits * (n + j) & mask)
-        ]
-        for i in range(n):
-            a = K >> bits * i & mask
-            if a:
-                row, ca, ki = rows[i], c * a, K - units[i]
-                for j, b, u in bars:
-                    row[j][ki - u] = ca * b
+    for rows, part in zip(parts, potential.parts[2:]):
+        for K, c in part.items():
+            if not (K & units[n] - 1 and K >> half):
+                continue
+            bars = [
+                (j, b, units[n + j])
+                for j in range(n)
+                if (b := K >> bits * (n + j) & mask)
+            ]
+            for i in range(n):
+                a = K >> bits * i & mask
+                if a:
+                    row, ca, ki = rows[i], c * a, K - units[i]
+                    for j, b, u in bars:
+                        row[j][ki - u] = ca * b
+    lp, parts = _reduced(potential.den, parts)
     return metric_with_inverse(potential, lambda: _graded_inverse(pk, parts, lp))
 
 
@@ -143,8 +133,8 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     """MetricJet of a potential valid to degree >= 2, whose g_inv is
     inverse() = (L, entries): entries[i][j] the integer graded parts of
     L g_inv[i][j] on the potential's packing, valid to its valid_degree - 2.
-    They are stored reduced (jets._reduced) to Lg, the lcm of the reduced
-    denominators of g_inv.
+    They are reduced (jets._reduced) to Lg, the lcm of the reduced
+    denominators of g_inv, and kept as the jets of g_inv, over Lg.
 
     The gauge is checked first, from the potential's degree-2 terms: its
     term c z_i zb_j is g[i][j](0) = c.  Then inverse runs, and the pullback
@@ -161,20 +151,20 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
         )
     n, pk = potential.n, potential.pk
     bits, units = pk.bits, pk.units
-    origin = potential.parts[2]
+    origin, den = potential.parts[2], potential.den
     diag = []
     for i in range(n):
         for j in range(n):
-            c = origin.get(units[i] + units[n + j], ZERO)
+            c = origin.get(units[i] + units[n + j], 0)
             if i == j:
                 if c <= 0:
                     raise GaugeError(
-                        f"g({i},{i})(0) = {c} is not positive"
+                        f"g({i},{i})(0) = {Q(c, den)} is not positive"
                     )
-                diag.append(Q(c))
+                diag.append(Q(c, den))
             elif c != 0:
                 raise GaugeError(
-                    f"g(0) is not diagonal: entry ({i},{j}) = {c}"
+                    f"g(0) is not diagonal: entry ({i},{j}) = {Q(c, den)}"
                 )
     lg, ginv = _reduced(*inverse())
     low = units[n] - 1
@@ -196,7 +186,7 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
         origin_diag=tuple(diag),
         normal_gauge=normal,
         cubic_free=cubic_free,
-        _ginv=ginv,
+        g_inv=_jet_matrix(pk, lg, ginv),
         _pullback=(lg, index),
         _functionals={0: {0: 1}},
         _orbits=n > 1 and diag.count(diag[0]) == n and _permutation_invariant(potential),
@@ -273,10 +263,9 @@ def laplacian_apply(m: MetricJet, phi: Jet) -> Jet:
     # phi joins g_inv's packing once, through the degree the result reads
     pk = m.potential.pk
     D = min(m.g_inv.valid_degree, phi.valid_degree - 2)
-    phi = Jet._of(m.n, pk, phi._parts_on(pk, D + 2))
+    phi = Jet._of(m.n, pk, phi.den, phi._parts_on(pk, D + 2))
     dz = [phi.dz(j) for j in range(m.n)]
-    terms = [m.g_inv[i][j] * dz[j].dzbar(i) for j in range(m.n) for i in range(m.n)]
-    return sum(terms[1:], terms[0])
+    return _sum([m.g_inv[i][j] * dz[j].dzbar(i) for j in range(m.n) for i in range(m.n)])
 
 
 def _laplacian_functional(m: MetricJet, k: int) -> dict:
@@ -403,14 +392,14 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
         )
     nums = _laplacian_functional(m, k)
     pk = m.potential.pk
-    acc = ZERO
+    acc = 0
     # phi joins the metric's packing, which holds 2k, at the boundary
     for part in phi._parts_on(pk, 2 * k):
         for key, c in part.items():
             t = nums.get(_orbit(pk, key)[0] if m._orbits else key)
             if t is not None:
                 acc += t * c
-    return acc / m._pullback[0] ** k
+    return Q(acc, phi.den * m._pullback[0] ** k)
 
 
 class EinsteinReport(Record):
@@ -442,9 +431,9 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
     # the left side from the degree-2 parts of Lg g_inv: 1/d_h at z_h zb_h
     weight = {units[h] + units[n + h]: d[h] for h in range(n)}
     s = [
-        [sum((c / weight[K] for K, c in e[2].items() if K in weight), ZERO) / m._pullback[0]
+        [sum((c / weight[K] for K, c in e.parts[2].items() if K in weight), ZERO) / e.den
          for e in row]
-        for row in m._ginv
+        for row in m.g_inv.entries
     ]
     lam = d[0] * s[0][0]
     residual = max(abs(d[i] * s[i][j] - (lam if i == j else 0))
@@ -473,7 +462,7 @@ def third_deriv_obstruction(m: MetricJet):
         raise TruncationError(
             "potential valid_degree must be >= 5", required=5
         )
-    best = ZERO
+    best = 0
     unpack = m.potential.pk.unpack
     for key, c in m.potential.parts[5].items():
         P, Q_ = unpack(key)
@@ -481,7 +470,7 @@ def third_deriv_obstruction(m: MetricJet):
             v = abs(c) * prod(map(factorial, P + Q_))
             if v > best:
                 best = v
-    return best
+    return Q(best, m.potential.den)
 
 
 def fifth_order_check(m: MetricJet):
@@ -501,7 +490,7 @@ def fifth_order_check(m: MetricJet):
     unpack = m.potential.pk.unpack
     for a in range(n):
         for b in range(n):
-            for key, c in m._ginv[a][b][3].items():
+            for key, c in m.g_inv[a][b].parts[3].items():
                 P, Q_ = unpack(key)
                 if sum(P) == 2:
                     hol = [idx for idx, e in enumerate(P) for _ in range(e)]

@@ -23,11 +23,6 @@ def as_q(value) -> "Q":
         ) from None
 
 
-def q_str(value) -> str:
-    """Canonical text form: 'p/q', or just 'p' for integers."""
-    return str(value)
-
-
 class Record:
     """Base of the value types, whose fields are their __slots__, in order.
 

@@ -345,7 +345,7 @@ class TestObstruction:
         def lap3_at0(f):
             for _ in range(3):
                 f = laplacian_apply(space.metric, f)
-            return f.parts[0].get(0, 0)
+            return f.eval0()
 
         d = space.metric.origin_diag
         mu1, mu2 = (

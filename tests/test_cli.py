@@ -336,6 +336,20 @@ class TestRadialCommand:
         assert r.stderr.startswith("error: bad --coeffs")
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("item", ["1e30000000", "1e2", "0.5", "\u0663", "1_000"])
+    def test_coeffs_outside_the_integer_grammar_are_usage_errors(self, item):
+        # refused before a Fraction is built: Fraction("1e30000000") would
+        # build 10^30000000
+        r = run_cli("radial", "--coeffs", f"0,1,{item}", "--n", "1", "--kmax", "2")
+        assert r.returncode == 2
+        assert r.stderr == f"error: bad --coeffs: {item!r} is not an integer or p/q\n"
+
+    def test_coeffs_past_the_integer_digit_limit_are_usage_errors(self):
+        r = run_cli("radial", "--coeffs", "0,1," + "7" * 5000, "--n", "1", "--kmax", "2")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: bad --coeffs")
+        assert "Traceback" not in r.stderr
+
     def test_negative_slope_rejected(self):
         r = run_cli("radial", "--coeffs", "0,-1", "--n", "1")
         assert r.returncode == 2

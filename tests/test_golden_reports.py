@@ -6,8 +6,9 @@ change) with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-The two degree-8 reports are compared with the benchmark's own goldens in
-perfbench/golden.json, which this module only reads.
+Every CLI case of the benchmark's own goldens in perfbench/golden.json is
+run here too, so a report that would fail the benchmark's correctness gate
+fails these tests first; this module only reads that file.
 """
 
 import contextlib
@@ -26,10 +27,10 @@ from test_acceptance import ALL_LABELS  # noqa: E402
 GOLDEN = Path(__file__).with_name("golden_check_reports.json")
 BENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden.json"
 LABELS = ALL_LABELS + ["product(cp:n=1;cp:n=1)", "dual(grassmannian:k=2,N=4)"]
-DEGREE8_ARGV = [
-    ["check", "sp:N=3", "--degree", "8", "--kmax", "3", "--json"],
-    ["check", "cp:n=4", "--kmax", "4", "--json"],
-]
+BENCH_CASES = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
+# the cases keyed by a command line; the radial_pk case calls the library
+BENCH_ARGV = [key.split(" ") for key in sorted(BENCH_CASES)
+              if key.split(" ")[0] in ("check", "radial", "dual")]
 
 
 def run_cli(argv):
@@ -57,10 +58,9 @@ def test_check_report_byte_identical(golden, label):
     assert run_check(label) == golden[label]
 
 
-@pytest.mark.parametrize("argv", DEGREE8_ARGV, ids=" ".join)
+@pytest.mark.parametrize("argv", BENCH_ARGV, ids=" ".join)
 def test_degree8_report_matches_benchmark_golden(argv):
-    golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
-    assert run_cli(argv) == golden[" ".join(argv)]
+    assert run_cli(argv) == BENCH_CASES[" ".join(argv)]
 
 
 if __name__ == "__main__":

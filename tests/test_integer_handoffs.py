@@ -1,14 +1,14 @@
 """The integer handoffs between the kernels of the check path.
 
-dsl.elaborate evaluates polynomial subtrees as integer parts over one
-denominator and hands log arguments to the integer log1p kernel; it must
-give the jet, or the refusal, of the node-by-node rational evaluation
-(dense_oracles.ref_elaborate).  The tokenizer is one regex; it must give the
-tokens and errors of the character-by-character reference
-(dense_oracles.ref_tokenize).  The metric keeps g_inv as integer parts over
-Lg and builds the rational JetMatrix g_inv only when it is read; the check,
-radial and dual commands must never read it.  The diagonal walk is grown
-once per packing and sliced.
+dsl.elaborate evaluates every subtree with the jet operations, on integer
+parts over one denominator, and hands log arguments to the integer log1p
+kernel; it must give the jet, or the refusal, of the node-by-node rational
+evaluation (dense_oracles.ref_elaborate).  The tokenizer is one regex; it
+must give the tokens and errors of the character-by-character reference
+(dense_oracles.ref_tokenize).  The metric keeps g_inv as jets of integer
+parts over Lg, the parts its pullback index reads; the check, radial and
+dual commands must never build the rational view Jet.coeffs.  The diagonal
+walk is grown once per packing and sliced.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerlap import cli, metric
+from kahlerlap import cli, jets, metric
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, Lit, Log, ModSq, Mul, PotentialSyntaxError, Radial, Sub,
     _tokenize, elaborate, parse,
@@ -156,7 +156,7 @@ def test_refusals_match_the_rational_nodes(body, message):
     assert _outcome(elaborate, tree, 3, 6) == _outcome(ref_elaborate, tree, 3, 6)
 
 
-# -- the g_inv view ----------------------------------------------------------------
+# -- integer parts on the check path ---------------------------------------------------
 
 
 def _run(argv):
@@ -196,9 +196,9 @@ def test_the_check_path_never_builds_the_fraction_view(monkeypatch, check_argvs)
     shipped = [_run(argv) for argv in check_argvs]
 
     def refuse(self):
-        raise AssertionError("g_inv view built")
+        raise AssertionError("Fraction view built")
 
-    monkeypatch.setattr(metric.MetricJet, "g_inv", property(refuse))
+    monkeypatch.setattr(jets.Jet, "coeffs", property(refuse))
     assert [_run(argv) for argv in check_argvs] == shipped
     for argv, (code, out, _) in zip(check_argvs, shipped):
         if argv[0] == "check" and argv[1] in GOLDEN and argv[3] == "6":
@@ -209,14 +209,24 @@ def test_the_view_is_the_integer_parts_over_lg():
     m = metric.metric_from_potential(
         elaborate(parse("log(1 + 2/3*modsq(z(1)) + modsq(z(2)) + 1/5*modsq(z(1)*z(2)))"), 2, 6)
     )
-    lg = m._pullback[0]
+    lg, index = m._pullback
     assert lg > 1
-    assert m.g_inv is m.g_inv  # built once
+    pk = m.potential.pk
+    # what the pullback index holds, as (i, j, packed key) -> integer
+    indexed = {
+        (shift_i // pk.bits - m.n, shift_j // pk.bits, KU + (KV << pk.half)): c
+        for KU, halves in index.items()
+        for KV, hits in halves.items()
+        for c, shift_j, shift_i, _ in hits
+    }
+    entries = {}
     for i, row in enumerate(m.g_inv.entries):
         for j, entry in enumerate(row):
-            assert entry.parts == [
-                {K: Q(c, lg) for K, c in part.items()} for part in m._ginv[i][j]
-            ]
+            assert entry.den == lg and entry.pk is pk
+            for part in entry.parts:
+                entries.update(((i, j, K), c) for K, c in part.items())
+    assert entries == indexed
+    assert all(type(c) is int for c in entries.values())
 
 
 # -- the diagonal walk --------------------------------------------------------------

@@ -108,6 +108,19 @@ class TestArithmetic:
         assert j.scale(Q(1, 2)) == j / 2
         assert 2 * j == j + j
 
+    def test_equal_rationals_over_different_denominators_are_equal(self):
+        # den is not canonical: 1/2 + 3/2 z1 zb1 stored over 2, 4 and 6
+        pk = packing(1, 2)
+        a, b, c = (
+            Jet._of(1, pk, den, [{0: den // 2}, {}, {pk.units[0] + pk.units[1]: 3 * den // 2}])
+            for den in (2, 4, 6)
+        )
+        assert (a.den, b.den, c.den) == (2, 4, 6)
+        assert a == b == c and c == a
+        assert a.coeffs == b.coeffs == {((0,), (0,)): Q(1, 2), ((1,), (1,)): Q(3, 2)}
+        assert a != Jet._of(1, pk, 4, [{0: 1}, {}, {pk.units[0] + pk.units[1]: 3}])
+        assert a * Jet.constant(1, 4, 2) / 2 == a + a  # over 2 * 1 * 2 and over 2
+
 
 class TestCalculus:
     def test_derivative_basic(self):
@@ -242,6 +255,12 @@ small_q = st.fractions(
 ).map(lambda f: Q(f.numerator, f.denominator))
 
 
+def assert_integer_form(jet):
+    """Integer parts over one positive integer denominator."""
+    assert type(jet.den) is int and jet.den > 0
+    assert all(type(c) is int for part in jet.parts for c in part.values())
+
+
 def _outcome(fn, *args):
     """The jet fn returns, or the type and message of the ValueError it raises."""
     try:
@@ -265,6 +284,7 @@ def test_substitute_radial_matches_reference(n, D, coeffs):
     expected = _outcome(ref_substitute_radial, f, n, D)
     assert got == expected
     if isinstance(got, Jet):
+        assert_integer_form(got)
         assert got.pk is expected.pk
         assert [list(part) for part in got.parts] == [list(part) for part in expected.parts]
 
@@ -369,6 +389,7 @@ def reference_operands(draw):
 
 
 def assert_same(jet, reference):
+    assert_integer_form(jet)
     assert jet.valid_degree == reference.valid_degree
     assert jet.coeffs == reference.coeffs
     assert jet == reference and reference == jet
