@@ -64,7 +64,7 @@ from .jets import Jet, packing, substitute_radial
 from .metric import MetricJet, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
-from .rationals import Q, ZERO, Record
+from .rationals import MAX_DIGITS, Q, ZERO, Record
 
 
 class CatalogError(ValueError):
@@ -177,7 +177,7 @@ def parse_space(text) -> SpaceDescriptor:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             digits = val.removeprefix("-")
-            if not eq or not (digits.isascii() and digits.isdigit()):
+            if not (eq and digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
                 raise CatalogError(f"bad parameter {item!r} in {text!r}")
             params.append((key.strip(), int(val)))
     return SpaceDescriptor(name, tuple(params))

@@ -9,18 +9,21 @@ multi-indices as integer lists, and two runs with identical flags produce
 byte-identical output.  Exit codes: 0 all requested checks pass, 1 a check
 found a violation, 2 usage error, 3 internal engine fault (a JetError:
 exhausted validity, dimension mismatch or a singular inverse).  On exit 2 or
-3 the error goes to stderr and, under --json, also to stdout as
-{"error": {"kind", "message", "exit"}}.
+3 the error goes to stderr as one line and, under --json, also to stdout as
+{"error": {"kind", "message", "exit"}}; an argv that does not parse is a
+usage error like any other.
+
+One table, COMMANDS, gives each command's handler and arguments; parse_args
+reads argv by it and usage writes the -h text from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, catalog
 from .dsl import elaborate, parse_potential_file
@@ -36,7 +39,7 @@ from .metric import (
     third_deriv_obstruction,
 )
 from .radial import named_profile, potential_jet, profile_from_coeffs, radial_pk
-from .rationals import Q
+from .rationals import MAX_DIGITS, Q
 
 
 # one --coeffs item: an integer or p/q, in ASCII digits (Fraction would also
@@ -256,7 +259,7 @@ def cmd_radial(args):
 
 
 def cmd_dual(args):
-    degree = args.degree if args.degree is not None else 6
+    degree = args.degree
     desc = catalog.parse_space(args.space)
     rows = catalog.dual_compare(desc, degree)
     all_zero = all(a + b == 0 for _, a, b in rows)
@@ -280,54 +283,104 @@ def cmd_dual(args):
     return 0 if all_zero else 1
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="kahlerlap",
-        description="Exact origin computations of iterated Kahler Laplacians",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="list the built-in space families")
-    p.add_argument("--family", help="restrict to one family")
-    _common_flags(p)
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("check", help="run the polynomial-identity checks")
-    p.add_argument("space", help="catalog label like grassmannian:k=2,N=4, or a .pot file")
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--degree", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("radial", help="radial recursion vs direct fit")
-    p.add_argument("--name", choices=["flat", "fubini-study", "hyperbolic"])
-    p.add_argument("--coeffs", help="Taylor coefficients of Phi(t), constant first")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--degree", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_radial)
-
-    p = sub.add_parser("dual", help="order-3 values on a space and its dual")
-    p.add_argument("space")
-    p.add_argument("--degree", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_dual)
-    return parser
+_REQUIRED = object()  # the default of an argument that must be given
+# command -> (handler, summary, arguments); each argument maps to its kind
+# (int, str, bool or a tuple of choices) and its default.  The argument whose
+# name has no leading dashes is the positional.
+COMMANDS = {
+    "catalog": (cmd_catalog, "list the built-in space families", {"--family": (str, None)}),
+    "check": (cmd_check, "run the polynomial-identity checks on a catalog label or a .pot file",
+              {"space": (str, _REQUIRED), "--kmax": (int, 3), "--degree": (int, None)}),
+    "radial": (cmd_radial, "radial recursion vs direct fit; --coeffs: Phi(t), constant first", {
+        "--name": (("flat", "fubini-study", "hyperbolic"), None), "--coeffs": (str, None),
+        "--n": (int, _REQUIRED), "--kmax": (int, 3), "--degree": (int, None)}),
+    "dual": (cmd_dual, "order-3 values on a space and its dual",
+             {"space": (str, _REQUIRED), "--degree": (int, 6)}),
+}
+for _, _, _spec in COMMANDS.values():
+    _spec.update({"--json": (bool, False), "--out": (str, None), "--help": (bool, False)})
+# an int flag's value: ASCII digits, as in a .pot file (int() would also take
+# blanks, underscores and other scripts' digits)
+_INT = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
 
 
-def _common_flags(p):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", help="write the report to a file")
+def parse_args(argv):
+    """The command of argv and its arguments, as COMMANDS describes them, in
+    a namespace; at -h (--help) the rest of argv is not read.
+
+    A flag is named in full or by a unique prefix (argparse's
+    abbreviations); its value is the next token or follows '=', and the last
+    of a repeated flag wins.  Anything else raises UsageError.
+    """
+    command, *rest = argv or [None]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command=None, help=True)
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)})"
+                         + (f", got {command!r}" if argv else ""))
+    spec = COMMANDS[command][2]
+    args = SimpleNamespace(command=command,
+                           **{name.strip("-"): default for name, (_, default) in spec.items()})
+    positional = [name for name in spec if name[0] != "-"]
+    tokens = iter(rest)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            if not positional:
+                raise UsageError(f"unrecognized argument {token!r}")
+            name, eq, value = positional.pop(), "=", token
+        else:
+            name, eq, value = token.partition("=")
+            name = "--help" if name == "-h" else name
+            hits = [name] if name in spec else [
+                f for f in spec if len(name) > 2 and f.startswith(name)
+            ]
+            if len(hits) != 1:
+                raise UsageError(f"unknown or ambiguous flag {name!r}")
+            name = hits[0]
+        kind = spec[name][0]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"{name} needs a value")
+        elif kind is int and not _INT.fullmatch(value):
+            raise UsageError(f"{name} needs an integer, got {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            raise UsageError(f"{name} needs one of {', '.join(kind)}, got {value!r}")
+        setattr(args, name.strip("-"), int(value) if kind is int else value)
+        if args.help:
+            return args
+    missing = [name for name in spec if getattr(args, name.strip("-")) is _REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
-_parser = cache(build_parser)  # built once, when main first runs
+def usage(commands):
+    """The -h text: the usage line and summary of each of commands."""
+    text = ""
+    for command in commands:
+        _, summary, spec = COMMANDS[command]
+        words = [command]
+        for name, (kind, default) in spec.items():
+            value = ("N" if kind is int else "{%s}" % ",".join(kind) if type(kind) is tuple
+                     else name.strip("-").upper())
+            word = value if name[0] != "-" else name if kind is bool else f"{name} {value}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        text += f"usage: kahlerlap {' '.join(words)}\n  {summary}\n"
+    return text
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = SimpleNamespace(json="--json" in argv)  # until argv is read
     try:
-        return args.func(args)
+        args = parse_args(argv)
+        if args.help:
+            sys.stdout.write(usage([args.command] if args.command else COMMANDS))
+            return 0
+        return COMMANDS[args.command][0](args)
     except JetError as exc:
         error, code, text = exc, 3, f"internal: {exc}"
     except TruncationError as exc:

@@ -34,7 +34,7 @@ import re
 from itertools import accumulate
 
 from .jets import Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
-from .rationals import Q, Record
+from .rationals import MAX_DIGITS, Q, Record
 from .series import TSeries
 
 
@@ -108,6 +108,8 @@ _KINDS = {
 
 def _kind(piece, line, col):
     if "0" <= piece[0] <= "9":
+        if len(piece) > MAX_DIGITS:
+            raise PotentialSyntaxError(f"integer of more than {MAX_DIGITS} digits", line, col)
         return "int"
     if piece[0].isalpha():  # a word may open with a numeric such as "²"
         return "ident"
@@ -320,6 +322,7 @@ def parse_potential_file(text):
             raise PotentialSyntaxError(
                 "first line must be 'dim n'", i + 1, 1
             )
+        _kind(parts[1], i + 1, raw.index(parts[1]) + 1)  # refuses too many digits
         n = int(parts[1])
         if n < 1:
             raise PotentialSyntaxError(

@@ -40,7 +40,7 @@ square roots.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .jets import (
     Jet, JetError, ValidityError, _graded_inverse, _jet_matrix, _reduced, _sum,
@@ -427,22 +427,20 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
         raise TruncationError(
             "inverse metric valid below degree 2", required=4
         )
-    n, d, units = m.n, m.origin_diag, m.potential.pk.units
-    # the left side from the degree-2 parts of Lg g_inv: 1/d_h at z_h zb_h
-    weight = {units[h] + units[n + h]: d[h] for h in range(n)}
-    s = [
-        [sum((c / weight[K] for K, c in e.parts[2].items() if K in weight), ZERO) / e.den
-         for e in row]
-        for row in m.g_inv.entries
-    ]
-    lam = d[0] * s[0][0]
-    residual = max(abs(d[i] * s[i][j] - (lam if i == j else 0))
-                   for i in range(n) for j in range(n))
-    report = (
-        EinsteinReport(lam=None, residual=residual)
-        if residual != 0
-        else EinsteinReport(lam=lam, residual=ZERO)
-    )
+    n, units, lg = m.n, m.potential.pk.units, m._pullback[0]
+    p, q = [x.numerator for x in m.origin_diag], [x.denominator for x in m.origin_diag]
+    # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
+    # S_ij = sum_h q_h (P/p_h) c, c the numerator at z_h zb_h of Lg g_inv[i][j]
+    big_p, big_q = lcm(*p), lcm(*q)
+    weight = [(units[h] + units[n + h], q[h] * (big_p // p[h])) for h in range(n)]
+    s = [[sum(w * e.parts[2].get(K, 0) for K, w in weight) for e in row]
+         for row in m.g_inv.entries]
+    # d_i S_ij / (P Lg) - lam delta_ij (lam = d_0 S_00 / (P Lg)) over q_0 lcm(q_h) P Lg
+    residual = max(abs(p[i] * s[i][j] * q[0] - (p[0] * s[0][0] * q[i] if i == j else 0))
+                   * (big_q // q[i]) for i in range(n) for j in range(n))
+    den = q[0] * big_p * lg
+    report = (EinsteinReport(lam=None, residual=Q(residual, den * big_q)) if residual
+              else EinsteinReport(lam=Q(p[0] * s[0][0], den), residual=ZERO))
     m._einstein = report
     return report
 

@@ -10,6 +10,10 @@ from fractions import Fraction as Q
 
 ZERO = Q(0)
 
+# the most digits an integer in the input may have: int()'s default limit,
+# tested first so that each reader refuses a longer one with its own error
+MAX_DIGITS = 4300
+
 
 def as_q(value) -> "Q":
     """Coerce an int, string like '3/4', or rational to Q; refuse a float."""

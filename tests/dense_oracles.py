@@ -44,6 +44,9 @@ tuple-keyed reads of the lap^k table (_support_pairs, _raw_value,
 rescaled_value, which raises RescaleError), which fit_pk replaced by a walk
 over the packed keys.  verify_witness recomputes the value of a witness by
 applying laplacian_apply k times for n <= 4, so it does not trust the table.
+ref_einstein_constant sums the Einstein test's weighted second derivatives
+of g_inv in rationals, entry by entry, where the library decides it on
+integers and builds a rational only for lam and a nonzero residual.
 """
 
 import copy
@@ -69,6 +72,7 @@ from kahlerlap.jets import (
     substitute_radial,
 )
 from kahlerlap.metric import (
+    EinsteinReport,
     GaugeError,
     TruncationError,
     _laplacian_functional,
@@ -78,7 +82,7 @@ from kahlerlap.metric import (
     laplacian_apply,
 )
 from kahlerlap.radial import _slope, c_constant, named_profile, normalize
-from kahlerlap.rationals import Q, ZERO
+from kahlerlap.rationals import MAX_DIGITS, Q, ZERO
 from kahlerlap.series import SeriesError, TSeries
 
 
@@ -1017,6 +1021,24 @@ def laplcube_expansion(m, phi):
     return acc
 
 
+def ref_einstein_constant(m):
+    """The report of metric.einstein_constant, from the rational sums
+    s_ij = sum_h (1/d_h) c_h / den over the z_h zb_h terms of g_inv[i][j]."""
+    n, d, units = m.n, m.origin_diag, m.potential.pk.units
+    weight = {units[h] + units[n + h]: d[h] for h in range(n)}
+    s = [
+        [sum((c / weight[K] for K, c in e.parts[2].items() if K in weight), ZERO) / e.den
+         for e in row]
+        for row in m.g_inv.entries
+    ]
+    lam = d[0] * s[0][0]
+    residual = max(abs(d[i] * s[i][j] - (lam if i == j else 0))
+                   for i in range(n) for j in range(n))
+    if residual != 0:
+        return EinsteinReport(lam=None, residual=residual)
+    return EinsteinReport(lam=lam, residual=ZERO)
+
+
 def ref_tokenize(text, line):
     """The tokens of dsl._tokenize, one character at a time."""
     tokens = []
@@ -1041,6 +1063,10 @@ def ref_tokenize(text, line):
             start = i
             while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
+            if i - start > MAX_DIGITS:
+                raise PotentialSyntaxError(
+                    f"integer of more than {MAX_DIGITS} digits", line, col
+                )
             tokens.append(("int", text[start:i], line, col))
             col += i - start
             continue

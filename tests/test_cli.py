@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,10 +284,7 @@ def test_catalog_and_seeded_potentials_are_balanced():
         assert all(sum(P) == sum(Q_) for P, Q_ in phi.coeffs)
 
 
-def test_consecutive_main_calls_print_what_fresh_processes_print(monkeypatch):
-    # argparse wraps its usage text to the terminal width, here and in the child
-    monkeypatch.setenv("COLUMNS", "80")
-    cli._parser.cache_clear()
+def test_consecutive_main_calls_print_what_fresh_processes_print():
     runs = [
         ["catalog"],
         ["check", "cp:n=1", "--kmax", "2"],
@@ -296,19 +294,160 @@ def test_consecutive_main_calls_print_what_fresh_processes_print(monkeypatch):
         ["check", "sp:N=2", "--json"],
         ["dual", "cp:n=1", "--degree", "7"],
         ["radial", "--name", "flat", "--n", "1", "--kmax", "2", "--json"],
+        ["check", "-h"],
     ]
     for argv in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main(argv)
         fresh = run_cli(*argv)
         assert (code, out.getvalue(), err.getvalue()) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         )
-    assert cli._parser.cache_info().misses == 1  # one parser for every call
+
+
+DIGITS = "9" * 5000  # past int()'s default limit of 4300 digits
+
+
+def parsed(command, **fields):
+    """The namespace parse_args gives for command with fields set."""
+    defaults = {
+        "catalog": {"family": None},
+        "check": {"space": None, "kmax": 3, "degree": None},
+        "radial": {"name": None, "coeffs": None, "n": None, "kmax": 3, "degree": None},
+        "dual": {"space": None, "degree": 6},
+    }[command]
+    common = {"json": False, "out": None, "help": False}
+    return SimpleNamespace(command=command, **{**defaults, **common, **fields})
+
+
+class TestArgv:
+    """The argv parser: every accepted form, every refused one, and -h."""
+
+    ACCEPTED = [
+        (["catalog"], parsed("catalog")),
+        (["catalog", "--family", "cp", "--json"], parsed("catalog", family="cp", json=True)),
+        (["check", "cp:n=1"], parsed("check", space="cp:n=1")),
+        (["check", "cp:n=1", "--kmax", "4", "--degree", "8"],
+         parsed("check", space="cp:n=1", kmax=4, degree=8)),
+        (["check", "cp:n=1", "--kmax=4", "--degree=8", "--out=r.json"],
+         parsed("check", space="cp:n=1", kmax=4, degree=8, out="r.json")),
+        # unique prefixes
+        (["check", "cp:n=1", "--km", "4", "--deg=8", "--js", "--o", "r"],
+         parsed("check", space="cp:n=1", kmax=4, degree=8, json=True, out="r")),
+        # the last of a repeated flag wins
+        (["check", "cp:n=1", "--kmax", "2", "--kmax", "5", "--json", "--json"],
+         parsed("check", space="cp:n=1", kmax=5, json=True)),
+        # flags before the positional
+        (["check", "--json", "--kmax", "2", "sp:N=2"],
+         parsed("check", space="sp:N=2", kmax=2, json=True)),
+        (["dual", "--degree", "4", "cp:n=2"], parsed("dual", space="cp:n=2", degree=4)),
+        # a value is the next token, whatever it looks like
+        (["check", "cp:n=1", "--kmax", "-1"], parsed("check", space="cp:n=1", kmax=-1)),
+        (["check", "--out", "--json", "cp:n=1"], parsed("check", space="cp:n=1", out="--json")),
+        (["check", "-"], parsed("check", space="-")),
+        (["radial", "--n", "-1", "--name", "flat"], parsed("radial", n=-1, name="flat")),
+        # --n is exact, --na a prefix of --name
+        (["radial", "--na=hyperbolic", "--n=2", "--coeffs", "0,1"],
+         parsed("radial", name="hyperbolic", n=2, coeffs="0,1")),
+        (["radial", "--coeffs", "0,1,-1/2", "--n", "007"],
+         parsed("radial", coeffs="0,1,-1/2", n=7)),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", ACCEPTED)
+    def test_accepted(self, argv, expected):
+        assert cli.parse_args(argv) == expected
+
+    REFUSED = [
+        [],
+        ["nosuch"],
+        ["-x", "check", "cp:n=1"],
+        ["check", "cp:n=1", "--bogus"],
+        ["check", "cp:n=1", "-k", "2"],
+        ["check", "cp:n=1", "--"],
+        ["check", "cp:n=1", "--kmax"],
+        ["check"],
+        ["check", "cp:n=1", "sp:N=2"],
+        ["catalog", "cp"],
+        ["check", "cp:n=1", "--kmax", "1.5"],
+        ["check", "cp:n=1", "--kmax", "\u0663"],
+        ["check", "cp:n=1", "--kmax", " 3"],
+        ["check", "cp:n=1", "--kmax", "3_0"],
+        ["check", "cp:n=1", "--degree", DIGITS],
+        ["check", "cp:n=1", "--json=yes"],
+        ["radial", "--name", "foo", "--n", "1"],
+        ["radial", "--name", "flat"],
+        ["radial", "--name", "flat", "--n", "two"],
+    ]
+
+    @pytest.mark.parametrize("argv", REFUSED)
+    def test_refused(self, capsys, argv):
+        with pytest.raises(cli.UsageError):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        # under --json the same refusal is the error object too
+        assert cli.main(argv + ["--json"]) == 2
+        out = capsys.readouterr()
+        message = out.err.removeprefix("error: ").removesuffix("\n")
+        assert out.err.count("\n") == 1
+        assert json.loads(out.out) == error_object("UsageError", message, 2)
+
+    HELP = {
+        None: ["catalog", "check", "radial", "dual"],
+        "catalog": ["--family", "--json", "--out", "--help"],
+        "check": ["SPACE", "--kmax", "--degree", "--json", "--out", "--help"],
+        "radial": ["--name", "--coeffs", "--n", "--kmax", "--degree", "--json", "--out",
+                   "--help"],
+        "dual": ["SPACE", "--degree", "--json", "--out", "--help"],
+    }
+
+    @pytest.mark.parametrize("command", list(HELP))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, command, flag):
+        argv = [command, flag] if command else [flag]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.startswith("usage: kahlerlap ")
+        for name in self.HELP[command]:
+            assert name in out.out
+        # help ends the reading of argv, before a missing argument is noticed
+        assert cli.main(argv + ["--kmax", "x"]) == 0
+        assert capsys.readouterr().out == out.out
+
+    def test_an_int_flag_past_the_digit_limit_is_refused_before_int(self, capsys):
+        assert cli.main(["check", "cp:n=1", "--kmax", DIGITS, "--json"]) == 2
+        out = capsys.readouterr()
+        message = f"--kmax needs an integer, got {DIGITS!r}"
+        assert json.loads(out.out) == error_object("UsageError", message, 2)
+        assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "body,where",
+    [(f"dim 1\nmodsq(z(1)) + {DIGITS}*modsq(z(1))\n", "line 2, column 15"),
+     (f"dim 1\nmodsq(z({DIGITS}))\n", "line 2, column 9"),
+     (f"# a comment line\n  dim {DIGITS}\nmodsq(z(1))\n", "line 2, column 7")],
+)
+def test_pot_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys, body, where):
+    pot = tmp_path / "long.pot"
+    pot.write_text(body)
+    assert cli.main(["check", str(pot), "--json"]) == 2
+    out = capsys.readouterr()
+    message = f"integer of more than 4300 digits ({where})"
+    assert json.loads(out.out) == error_object("PotentialSyntaxError", message, 2)
+    assert out.err == f"error: {message}\n"
+
+
+def test_label_parameter_past_the_digit_limit_is_a_catalog_error(capsys):
+    label = f"cp:n={DIGITS}"
+    assert cli.main(["check", label, "--json"]) == 2
+    out = capsys.readouterr()
+    message = f"bad parameter {'n=' + DIGITS!r} in {label!r}"
+    assert json.loads(out.out) == error_object("CatalogError", message, 2)
+    assert out.err == f"error: {message}\n"
 
 
 class TestRadialCommand:

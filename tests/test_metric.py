@@ -1,6 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from kahlerlap import catalog
+from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.jets import Jet, ValidityError, substitute_radial
 from kahlerlap.metric import (
     GaugeError,
@@ -23,7 +29,9 @@ from dense_oracles import (
     mat_identity,
     mat_mul,
     metric_matrix,
+    multiindices,
     multiindices_upto,
+    ref_einstein_constant,
 )
 
 
@@ -255,6 +263,65 @@ class TestEinstein:
         m = metric_from_potential(Jet(2, coeffs, 4))
         rep = einstein_constant(m)
         assert rep.lam is None and rep.residual == 8
+
+
+# the golden labels (with non-unit origin_diag: sp, so2n; with negative lam:
+# the duals) and the larger spaces the benchmark checks
+EINSTEIN_SPACES = [
+    (label, 6) for label in (
+        "flat:n=2", "cp:n=1", "cp:n=3", "ch:n=2", "grassmannian:k=2,N=4",
+        "grassmannian:k=2,N=5", "sp:N=2", "so2n:N=4", "quadric-even:N=4",
+        "quadric-odd:N=4", "product(cp:n=1;cp:n=2)", "dual(grassmannian:k=2,N=4)",
+        "dual(sp:N=2)", "dual(so2n:N=4)",
+    )
+] + [("cp:n=10", 8), ("sp:N=3", 8), ("so2n:N=4", 8)]
+
+
+@pytest.mark.parametrize("label,degree", EINSTEIN_SPACES)
+def test_einstein_matches_the_rational_sums_on_the_catalog(spaces, label, degree):
+    m = spaces(label, degree).metric
+    assert einstein_constant(m) == ref_einstein_constant(m)
+
+
+def test_einstein_matches_the_rational_sums_on_the_seeded_pot_files():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(8):
+        for text in workloads.pot_texts(seed):
+            n, expr = parse_potential_file(text)
+            m = metric_from_potential(elaborate(expr, n, workloads.POT_DEGREE))
+            assert einstein_constant(m) == ref_einstein_constant(m)
+
+
+positive_q = st.builds(Q, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def diagonal_gauge_potentials(draw):
+    """g(0) a positive diagonal, plus one to four real terms of bidegree
+    (2, 2) or (3, 2): cubic-free, and Einstein only by accident."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    coeffs = {}
+    for i in range(n):
+        e = tuple(1 if a == i else 0 for a in range(n))
+        coeffs[(e, e)] = draw(positive_q)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        # bidegree (2, 2) reaches the degree-2 part of g_inv; (3, 2) does not
+        P = draw(st.sampled_from(list(multiindices(n, draw(st.integers(2, 3))))))
+        Q_ = draw(st.sampled_from(list(multiindices(n, 2))))
+        c = draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 9)))
+        for key in {(P, Q_), (Q_, P)}:
+            coeffs[key] = coeffs.get(key, Q(0)) + c
+    return Jet(n, coeffs, 6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagonal_gauge_potentials())
+def test_einstein_matches_the_rational_sums_off_the_catalog(phi):
+    m = metric_from_potential(phi)
+    assert einstein_constant(m) == ref_einstein_constant(m)
 
 
 class TestSecondOrderIdentity:

@@ -1,10 +1,12 @@
 """Start-up guard: importing the CLI loads none of the modules that only the
-dataclasses machinery needs, no package module imports them, and every
-package module imports at its top level only.
+dataclasses machinery or argparse needs, no package module imports them,
+and every package module imports at its top level only.
 
 With no bytecode cache, importing dataclasses (which loads inspect, ast,
 dis and tokenize) and running its decorators was about a quarter of the
-package's start-up.  No timing is asserted: the host's speed varies too much.
+package's start-up.  Importing argparse (with gettext) took about 3 ms, and
+building its parser, which loads locale, about a third of a short check.
+No timing is asserted: the host's speed varies too much.
 """
 
 import ast
@@ -17,6 +19,7 @@ import kahlerlap
 
 PACKAGE = Path(kahlerlap.__file__).resolve().parent
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 # the imports of perfbench/child.py that load the package
 PROBE = """
@@ -28,17 +31,26 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_importing_the_cli_loads_no_heavy_module():
+def _probe():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
     r = subprocess.run(
         [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True
     )
     loaded = set(r.stdout.split())
     assert "kahlerlap.cli" in loaded and "kahlerlap.radial" in loaded
-    assert not loaded & HEAVY
+    return loaded
 
 
-def test_no_package_module_imports_a_heavy_module():
+def test_importing_the_cli_loads_no_heavy_module():
+    assert not _probe() & HEAVY
+
+
+def test_importing_the_cli_loads_no_argparse():
+    assert not _probe() & ARGPARSE
+
+
+def _imports():
+    """(file name, line, top-level names) of each import in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -47,7 +59,17 @@ def test_no_package_module_imports_a_heavy_module():
                 names = {node.module.partition(".")[0]}
             else:
                 continue
-            assert not names & HEAVY, f"{path.name}:{node.lineno} imports {names & HEAVY}"
+            yield path.name, node.lineno, names
+
+
+def test_no_package_module_imports_a_heavy_module():
+    for name, line, names in _imports():
+        assert not names & HEAVY, f"{name}:{line} imports {names & HEAVY}"
+
+
+def test_no_package_module_imports_argparse():
+    for name, line, names in _imports():
+        assert "argparse" not in names, f"{name}:{line} imports argparse"
 
 
 def test_every_import_is_at_module_level():
