@@ -43,8 +43,9 @@ from .rationals import MAX_DIGITS, Q
 
 
 # one --coeffs item: an integer or p/q, in ASCII digits (Fraction would also
-# take decimals, exponents, underscores and other scripts' digits)
-_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# take decimals, exponents, underscores and other scripts' digits), each
+# integer at most MAX_DIGITS long
+_COEFF = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
 class UsageError(Exception):
@@ -221,7 +222,7 @@ def cmd_radial(args):
                 raise UsageError(f"bad --coeffs: {item!r} is not an integer or p/q")
         try:
             coeffs = [Q(item) for item in items]
-        except (ValueError, ZeroDivisionError) as exc:  # p/0; past int's digit limit
+        except ZeroDivisionError as exc:  # p/0
             raise UsageError(f"bad --coeffs: {exc}")
         profile = profile_from_coeffs(coeffs, order=order)
     n = args.n
@@ -375,6 +376,10 @@ def usage(commands):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = SimpleNamespace(json="--json" in argv)  # until argv is read
+    # every integer read from input has at most MAX_DIGITS digits, but an
+    # exact result built from them may print longer than int's default limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parse_args(argv)
         if args.help:
@@ -388,6 +393,8 @@ def main(argv=None):
     except (UsageError, ValueError, OSError) as exc:
         # ValueError covers CatalogError, GaugeError and the .pot file errors
         error, code, text = exc, 2, str(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(f"error: {text}", file=sys.stderr)
     if args.json:
         kind, message = type(error).__name__, str(error)

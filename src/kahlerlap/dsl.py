@@ -17,7 +17,9 @@ Grammar (whitespace and # comments ignored):
 
 There is no unary minus (write 0 - e) and no division of expressions;
 rational literals may carry a denominator.  radial(c0, c1, ...) denotes a
-polynomial profile c0 + c1 t + ... evaluated at t = |z_1|^2 + ... + |z_n|^2.
+polynomial profile c0 + c1 t + ... evaluated at t = |z_1|^2 + ... + |z_n|^2;
+its literals, padded with zeros through t^ceil(D/2), are the t-series that
+substitute_radial takes.
 
 Elaboration maps an expression tree and a dimension/degree to a potential
 jet.  Each subtree evaluates to a jet on the potential's packing, cut at its
@@ -34,8 +36,7 @@ import re
 from itertools import accumulate
 
 from .jets import Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
-from .rationals import MAX_DIGITS, Q, Record
-from .series import TSeries
+from .rationals import MAX_DIGITS, Q, ZERO, Record
 
 
 class PotentialSyntaxError(ValueError):
@@ -302,8 +303,8 @@ def _evaluate(node, pk, D):
             raise ElaborationError("det needs a square matrix")
         return JetMatrix(rows).det()
     if isinstance(node, Radial):
-        order = max((D + 1) // 2, len(node.coeffs) - 1)
-        return substitute_radial(TSeries(list(node.coeffs), order), n, D)
+        pad = (ZERO,) * ((D + 1) // 2 + 1 - len(node.coeffs))
+        return substitute_radial(node.coeffs + pad, n, D)
     raise TypeError(f"not an expression node: {node!r}")
 
 

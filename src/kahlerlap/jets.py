@@ -39,7 +39,6 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from .rationals import Q, ZERO, as_q
-from .series import TSeries
 
 
 class JetError(ValueError):
@@ -448,28 +447,28 @@ def _log1p_ints(ls, parts):
     return den, [{K: c * w for K, c in part.items()} for part, w in zip(nums, ws)]
 
 
-def substitute_radial(f: TSeries, n, valid_degree) -> Jet:
+def substitute_radial(f, n, valid_degree) -> Jet:
     """The jet f(|z_1|^2 + ... + |z_n|^2) truncated at the given degree.
 
-    f must be trusted through t^ceil(D/2).  A packed kernel: the term a_m t^m
-    of f is the sum of a_m m!/P! z^P zb^P over |P| = m, written straight into
-    the degree-2m part (diagonal_keys), over L, the lcm of the denominators
-    of the a_m: one integer a_m L m!/P! per value of P!.
+    f is the coefficient tuple (a_0, ..., a_order) of a t-series, trusted
+    through t^order, which must reach t^ceil(D/2).  A packed kernel: the
+    term a_m t^m of f is the sum of a_m m!/P! z^P zb^P over |P| = m, written
+    straight into the degree-2m part (diagonal_keys), over L, the lcm of the
+    denominators of the a_m: one integer a_m L m!/P! per value of P!.
     """
     need = (valid_degree + 1) // 2
-    if f.order < need:
+    if len(f) <= need:
         raise ValidityError(
-            f"series order {f.order} insufficient: need t^{need} for degree "
+            f"series order {len(f) - 1} insufficient: need t^{need} for degree "
             f"{valid_degree}"
         )
-    terms = range(min(f.order, valid_degree // 2) + 1)
-    top = max((m for m in terms if f.coeffs[m]), default=-1)
+    top = max((m for m in range(valid_degree // 2 + 1) if f[m]), default=-1)
     if n < 1 and top >= 0:
         raise ValueError(f"need n >= 1 variables, got {n}")
     jet = Jet.zero(n, valid_degree)
-    jet.den = L = lcm(*(f.coeffs[m].denominator for m in range(top + 1)))
+    jet.den = L = lcm(*(f[m].denominator for m in range(top + 1)))
     for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
-        a, fm = f.coeffs[m], factorial(m)
+        a, fm = f[m], factorial(m)
         if a:
             num = a.numerator * (L // a.denominator)
             weight = {p: num * (fm // p) for p in {p for _, p in diagonal}}

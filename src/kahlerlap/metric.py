@@ -64,10 +64,9 @@ class MetricJet(Record):
     """Potential and inverse-metric jets, plus origin normalization.
 
     There is no g field (see metric_from_potential).  origin_diag holds
-    d_i = g[i][i](0).  normal_gauge means g(0) is the identity and the
-    potential has no monomial of total degree 3; cubic_free is the degree-3
-    half of that condition alone (it makes all first derivatives of g vanish
-    at the origin).  g_inv is a JetMatrix on the potential's packing, valid
+    d_i = g[i][i](0).  cubic_free means the potential has no monomial of
+    total degree 3 (it makes all first derivatives of g vanish at the
+    origin).  g_inv is a JetMatrix on the potential's packing, valid
     to its valid_degree - 2, whose entries are integer parts over one
     denominator Lg; _pullback is (Lg, index), the index built from those
     same parts (see _laplacian_functional).  _functionals maps k to the
@@ -77,15 +76,14 @@ class MetricJet(Record):
     _einstein caches the Einstein report.  A MetricJet equals only itself.
     """
 
-    __slots__ = ("n", "potential", "origin_diag", "normal_gauge", "cubic_free",
-                 "g_inv", "_pullback", "_functionals", "_einstein", "_orbits")
+    __slots__ = ("n", "potential", "origin_diag", "cubic_free", "g_inv",
+                 "_pullback", "_functionals", "_einstein", "_orbits")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, n, potential, origin_diag, normal_gauge, cubic_free,
-                 g_inv, _pullback, _functionals, _einstein=None, _orbits=False):
+    def __init__(self, n, potential, origin_diag, cubic_free, g_inv,
+                 _pullback, _functionals, _einstein=None, _orbits=False):
         self.n, self.potential, self.origin_diag = n, potential, origin_diag
-        self.normal_gauge, self.cubic_free = normal_gauge, cubic_free
-        self.g_inv, self._pullback = g_inv, _pullback
+        self.cubic_free, self.g_inv, self._pullback = cubic_free, g_inv, _pullback
         self._functionals, self._einstein = _functionals, _einstein
         self._orbits = _orbits
 
@@ -178,14 +176,11 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
                     index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
                         (c, shift_j, shift_i, step - (K & ~low))
                     )
-    cubic_free = potential.valid_degree < 3 or not potential.parts[3]
-    normal = cubic_free and all(d == 1 for d in diag)
     return MetricJet(
         n=n,
         potential=potential,
         origin_diag=tuple(diag),
-        normal_gauge=normal,
-        cubic_free=cubic_free,
+        cubic_free=potential.valid_degree < 3 or not potential.parts[3],
         g_inv=_jet_matrix(pk, lg, ginv),
         _pullback=(lg, index),
         _functionals={0: {0: 1}},

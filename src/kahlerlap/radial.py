@@ -1,7 +1,9 @@
 """Radial metrics: psi-series, the C constants, and the polynomial recursion.
 
-A profile is the TSeries of a potential Phi(t), t = |z|^2, with Phi'(0) > 0;
-profile_from_coeffs, named_profile and normalize refuse any other slope.
+A t-series is the tuple (c_0, ..., c_order) of its rational coefficients,
+trusted through t^(len - 1).  A profile is the t-series of a potential
+Phi(t), t = |z|^2, with Phi'(0) > 0; profile_from_coeffs, named_profile and
+normalize refuse any other slope.
 For such a potential the inverse metric is
 
     ginv[i][j] = (1/Phi')(delta_ij - Phi''/(Phi' + t Phi'') z_j zb_i)
@@ -54,33 +56,35 @@ from math import comb, factorial, lcm
 from .fit import LaplacePolynomial
 from .jets import Jet, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
-from .series import SeriesError, TSeries
 
 
-def _slope(profile: TSeries):
+class SeriesError(ValueError):
+    pass
+
+
+def _slope(profile):
     """Phi'(0), which must be positive."""
-    if profile.order < 1:
+    if len(profile) < 2:
         raise ValidityError("profile needs at least the t^1 coefficient")
-    if profile.coeffs[1] <= 0:
-        raise ValueError(f"Phi'(0) = {profile.coeffs[1]} must be positive")
-    return profile.coeffs[1]
+    if profile[1] <= 0:
+        raise ValueError(f"Phi'(0) = {profile[1]} must be positive")
+    return profile[1]
 
 
-def profile_from_coeffs(coeffs, order=None) -> TSeries:
+def profile_from_coeffs(coeffs, order=None):
     """Profile from Taylor coefficients of Phi (constant term first).
 
     A finite coefficient list is an exact polynomial; order (default: the
     list length minus one) may extend it with zeros.
     """
-    coeffs = [as_q(c) for c in coeffs]
-    if order is not None and order + 1 > len(coeffs):
-        coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
-    profile = TSeries(coeffs)
+    profile = tuple(map(as_q, coeffs))
+    if order is not None:
+        profile += (ZERO,) * (order + 1 - len(profile))
     _slope(profile)
     return profile
 
 
-def named_profile(name, order) -> TSeries:
+def named_profile(name, order):
     """Built-in profiles: flat, fubini-study (log(1+t)), hyperbolic (-log(1-t))."""
     if name == "flat":
         return profile_from_coeffs([0, 1], order=order)
@@ -92,10 +96,10 @@ def named_profile(name, order) -> TSeries:
     raise ValueError(f"unknown profile name: {name!r}")
 
 
-def normalize(profile: TSeries) -> TSeries:
+def normalize(profile):
     """Rescale t so that Phi'(0) = 1 (rational substitution t -> t/Phi'(0))."""
     c = _slope(profile)
-    return profile if c == 1 else profile.rescale_argument(1 / c)
+    return profile if c == 1 else tuple(a / c**m for m, a in enumerate(profile))
 
 
 def _reciprocal_numerators(f):
@@ -107,7 +111,7 @@ def _reciprocal_numerators(f):
     return out
 
 
-def psi_functions(profile: TSeries):
+def psi_functions(profile):
     """(psi1, psi2) = (1/Phi', (psi1 - 1/(t Phi')')/t) as t-series.
 
     With Phi' = F / L1 for integers F (so F_0 = L1), psi1 = L1 / F and
@@ -117,19 +121,19 @@ def psi_functions(profile: TSeries):
     """
     if _slope(profile) != 1:
         raise ValueError("profile must be normalized (Phi'(0) = 1)")
-    d1 = [m * c for m, c in enumerate(profile.coeffs)][1:]
+    d1 = [m * c for m, c in enumerate(profile)][1:]
     if len(d1) < 2:
         raise SeriesError("series order exhausted by differentiation")
     l1 = lcm(*(c.denominator for c in d1))
     f = [c.numerator * (l1 // c.denominator) for c in d1]
     r = _reciprocal_numerators(f)
     s = _reciprocal_numerators([(m + 1) * c for m, c in enumerate(f)])
-    psi1 = TSeries([Q(c, l1**m) for m, c in enumerate(r)])
-    psi2 = TSeries([Q(r[m] - s[m], l1**m) for m in range(1, len(r))])
+    psi1 = tuple(Q(c, l1**m) for m, c in enumerate(r))
+    psi2 = tuple(Q(r[m] - s[m], l1**m) for m in range(1, len(r)))
     return psi1, psi2
 
 
-def c_constant(psi: TSeries, p, l, n):
+def c_constant(psi, p, l, n):
     """C^psi_{p,l} = psi_{l-p} (l-p)! l!/p! binom(l+n-1, l-p), zero for p > l.
 
     This is (lap_c)^l (|z^P|^2 psi(t))(0) / (p! P!) for any P with |P| = p:
@@ -138,28 +142,26 @@ def c_constant(psi: TSeries, p, l, n):
     """
     if p < 0 or l < 0:
         raise ValueError("p and l must be >= 0")
-    if psi.order < l:
-        raise ValidityError(
-            f"psi trusted to t^{psi.order}, need t^{l} for l={l}"
-        )
+    if len(psi) <= l:
+        raise ValidityError(f"psi trusted to t^{len(psi) - 1}, need t^{l} for l={l}")
     if p > l:
         return ZERO
     m = l - p
-    return psi.coeffs[m] * (
+    return psi[m] * (
         factorial(m) * (factorial(l) // factorial(p)) * comb(l + n - 1, m)
     )
 
 
-def _require_order(psi1: TSeries, psi2: TSeries, k):
+def _require_order(psi1, psi2, k):
     """ValidityError unless both psi series reach t^k, as the step k -> k+1 needs."""
-    if psi1.order < k or psi2.order < k:
+    if min(len(psi1), len(psi2)) <= k:
         raise ValidityError(
-            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
+            f"psi series trusted to t^{min(len(psi1), len(psi2)) - 1}, need t^{k} "
             f"for the step to k={k + 1}"
         )
 
 
-def _recursion_matrix(psi1: TSeries, psi2: TSeries, n, top):
+def _recursion_matrix(psi1, psi2, n, top):
     """(L, rows): M_{p,l} = C^psi1_{p-1,l} - p^2 C^psi2_{p,l} for
     1 <= p <= l <= top as integers L M_{p,l}, L the lcm of their
     denominators; rows[p - 1] holds l = p..top."""
@@ -183,9 +185,7 @@ def _step(nums, big, rows):
     return shifted
 
 
-def recursion_step(
-    a_k: LaplacePolynomial, psi1: TSeries, psi2: TSeries, n
-) -> LaplacePolynomial:
+def recursion_step(a_k: LaplacePolynomial, psi1, psi2, n) -> LaplacePolynomial:
     """One step k -> k+1 of the recursion in the module docstring, from the
     psi series of the normalized profile (psi_functions)."""
     k = a_k.k
@@ -195,7 +195,7 @@ def recursion_step(
     return LaplacePolynomial(k=k + 1, coeffs=tuple(Q(a, big) for a in new))
 
 
-def radial_pk(profile: TSeries, n, k_max):
+def radial_pk(profile, n, k_max):
     """p_1..p_kmax from p_1 = x: one recursion matrix, integer numerators
     over L^(k-1) for p_k."""
     if k_max < 1:
@@ -216,6 +216,6 @@ def radial_pk(profile: TSeries, n, k_max):
     return polys
 
 
-def potential_jet(profile: TSeries, n, valid_degree) -> Jet:
+def potential_jet(profile, n, valid_degree) -> Jet:
     """The radial potential as a jet in n variables (no normalization)."""
     return substitute_radial(profile, n, valid_degree)

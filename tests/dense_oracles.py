@@ -81,9 +81,8 @@ from kahlerlap.metric import (
     einstein_constant,
     laplacian_apply,
 )
-from kahlerlap.radial import _slope, c_constant, named_profile, normalize
+from kahlerlap.radial import SeriesError, _slope, c_constant, named_profile, normalize
 from kahlerlap.rationals import MAX_DIGITS, Q, ZERO
-from kahlerlap.series import SeriesError, TSeries
 
 
 def mi_factorial(exponents):
@@ -422,8 +421,8 @@ def c_constant_at(psi, P, l, n):
     P = tuple(P)
     p = sum(P)
     coeffs = {}
-    for m in range(0, min(psi.order, l - p) + 1):
-        a = psi.coeffs[m]
+    for m in range(0, min(len(psi) - 1, l - p) + 1):
+        a = psi[m]
         if a == 0:
             continue
         fm = factorial(m)
@@ -440,54 +439,55 @@ def c_constant_at(psi, P, l, n):
 
 
 # -- the Fraction radial path --------------------------------------------------
+# A t-series is its coefficient tuple (c_0, ..., c_order), trusted through
+# t^order = t^(len - 1).
 
 
 def series_add(a, b):
-    order = min(a.order, b.order)
-    return TSeries([a.coeffs[m] + b.coeffs[m] for m in range(order + 1)], order)
+    return tuple(x + y for x, y in zip(a, b))  # through the smaller order
 
 
 def series_scale(a, c):
-    return TSeries([c * x for x in a.coeffs], a.order)
+    return tuple(c * x for x in a)
 
 
 def series_mul(a, b):
     """The Cauchy product through the smaller trusted order."""
-    order = min(a.order, b.order)
+    order = min(len(a), len(b)) - 1
     out = [ZERO] * (order + 1)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return TSeries(out, order)
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
 
 
 def series_derivative(a):
     """d/dt; the trusted order drops by one."""
-    if a.order == 0:
+    if len(a) == 1:
         raise SeriesError("series order exhausted by differentiation")
-    return TSeries([m * a.coeffs[m] for m in range(1, a.order + 1)], a.order - 1)
+    return tuple(m * a[m] for m in range(1, len(a)))
 
 
 def series_times_t(a):
     """t * a, trusted to the same order as a."""
-    return TSeries([ZERO] + list(a.coeffs[: a.order]), a.order)
+    return (ZERO, *a[:-1])
 
 
 def series_reciprocal(a):
     """b with a * b = 1 through t^order, solved coefficient by coefficient."""
-    a0 = a.coeffs[0]
+    a0 = a[0]
     if a0 == 0:
         raise SeriesError("cannot invert a series with zero constant term")
     out = [Q(1) / a0]
-    for m in range(1, a.order + 1):
-        out.append(-sum(a.coeffs[i] * out[m - i] for i in range(1, m + 1)) / a0)
-    return TSeries(out, a.order)
+    for m in range(1, len(a)):
+        out.append(-sum(a[i] * out[m - i] for i in range(1, m + 1)) / a0)
+    return tuple(out)
 
 
 def series_truncate(a, order):
-    if order > a.order:
+    if order >= len(a):
         raise SeriesError("cannot raise the trusted order of a series")
-    return TSeries(a.coeffs[: order + 1], order)
+    return a[: order + 1]
 
 
 def ref_psi_functions(profile):
@@ -497,10 +497,10 @@ def ref_psi_functions(profile):
         raise ValueError("profile must be normalized (Phi'(0) = 1)")
     d1 = series_derivative(profile)
     d2 = series_derivative(d1)
-    denom = series_add(series_truncate(d1, d2.order), series_times_t(d2))
+    denom = series_add(series_truncate(d1, len(d2) - 1), series_times_t(d2))
     psi1 = series_reciprocal(d1)
     psi2 = series_mul(
-        series_mul(d2, series_truncate(psi1, d2.order)), series_reciprocal(denom)
+        series_mul(d2, series_truncate(psi1, len(d2) - 1)), series_reciprocal(denom)
     )
     return psi1, psi2
 
@@ -509,9 +509,9 @@ def ref_recursion_step(a_k, psi1, psi2, n):
     """One step k -> k+1 of the radial recursion, coefficient by coefficient
     in rationals, with every C constant taken afresh."""
     k = a_k.k
-    if psi1.order < k or psi2.order < k:
+    if len(psi1) <= k or len(psi2) <= k:
         raise ValidityError(
-            f"psi series trusted to t^{min(psi1.order, psi2.order)}, need t^{k} "
+            f"psi series trusted to t^{min(len(psi1), len(psi2)) - 1}, need t^{k} "
             f"for the step to k={k + 1}"
         )
     new = []
@@ -663,14 +663,14 @@ def ref_substitute_radial(f, n, valid_degree):
     spread over the exponent vectors A with |A| = m with its multinomial
     weight, through the validating tuple-key constructor."""
     need = (valid_degree + 1) // 2
-    if f.order < need:
+    if len(f) <= need:
         raise ValidityError(
-            f"series order {f.order} insufficient: need t^{need} for degree "
+            f"series order {len(f) - 1} insufficient: need t^{need} for degree "
             f"{valid_degree}"
         )
     coeffs = {}
-    for m in range(0, min(f.order, valid_degree // 2) + 1):
-        a = f.coeffs[m]
+    for m in range(0, min(len(f) - 1, valid_degree // 2) + 1):
+        a = f[m]
         if a == 0:
             continue
         fm = factorial(m)
@@ -1135,8 +1135,6 @@ def ref_elaborate(node, n, valid_degree) -> Jet:
             raise ElaborationError("det needs a square matrix")
         return JetMatrix(rows).det()
     if isinstance(node, Radial):
-        order = max((valid_degree + 1) // 2, len(node.coeffs) - 1)
-        return substitute_radial(
-            TSeries(list(node.coeffs), order), n, valid_degree
-        )
+        pad = (ZERO,) * ((valid_degree + 1) // 2 + 1 - len(node.coeffs))
+        return substitute_radial(node.coeffs + pad, n, valid_degree)
     raise TypeError(f"not an expression node: {node!r}")

@@ -36,7 +36,6 @@ from kahlerlap.radial import (
     radial_pk,
 )
 from kahlerlap.rationals import Q
-from kahlerlap.series import TSeries
 
 ALL_LABELS = [
     "flat:n=2", "cp:n=1", "cp:n=2", "cp:n=3", "ch:n=1", "ch:n=2",
@@ -160,8 +159,8 @@ def test_criterion_08_radial_constants():
         psi_functions(named_profile("fubini-study", 6))[0],
         psi_functions(named_profile("fubini-study", 6))[1],
         psi_functions(named_profile("hyperbolic", 6))[1],
-        TSeries([Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(5)]),
-        TSeries([Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(5)]),
+        tuple(Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(5)),
+        tuple(Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(5)),
     ]
     for psi in psi_corpus:
         for l in range(0, 5):

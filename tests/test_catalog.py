@@ -150,7 +150,7 @@ class TestBuild:
         m = spaces("grassmannian:k=2,N=4").metric
         assert m.n == 4
         assert m.origin_diag == (1, 1, 1, 1)
-        assert m.normal_gauge
+        assert m.cubic_free and set(m.origin_diag) == {1}
 
     def test_grassmannian_quadratic_part_is_flat(self, spaces):
         # log det(I + W^dagger W) = sum |w_ij|^2 + higher order
@@ -165,7 +165,7 @@ class TestBuild:
     def test_sp2_doubled_off_diagonal(self, spaces):
         m = spaces("sp:N=2").metric
         assert m.origin_diag == (1, 2, 1)
-        assert m.cubic_free and not m.normal_gauge
+        assert m.cubic_free and set(m.origin_diag) != {1}
 
     def test_so2n_unit_after_halving(self, spaces):
         m = spaces("so2n:N=4").metric

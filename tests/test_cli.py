@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -450,6 +451,89 @@ def test_label_parameter_past_the_digit_limit_is_a_catalog_error(capsys):
     assert out.err == f"error: {message}\n"
 
 
+SEVENS = "7" * 3000  # a square of it has 6001 digits
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift int's string-conversion limit, to read the long values back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_result_past_the_digit_limit_prints_exactly(capsys, tmp_path):
+    # g = a + 4t for Phi = a t + t^2, so Ric(0) = -4/a = lambda g(0)
+    a, limit = int(SEVENS), sys.get_int_max_str_digits()
+    pot = tmp_path / "long.pot"
+    pot.write_text(f"dim 1\n{SEVENS}*modsq(z(1)) + modsq(z(1)*z(1))\n")
+    assert cli.main(["check", str(pot), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert cli.main(["check", str(pot)]) == 0
+    text = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    with no_digit_limit():
+        assert Fraction(report["einstein"]["lambda"]) == Fraction(-4, a * a)
+        assert f"lambda = {Fraction(-4, a * a)} (residual 0)\n" in text
+
+
+def test_an_error_message_past_the_digit_limit_keeps_its_type(capsys, tmp_path):
+    a, limit = int(SEVENS), sys.get_int_max_str_digits()
+    pot = tmp_path / "long.pot"
+    pot.write_text(f"dim 1\n0 - {SEVENS}*{SEVENS}*modsq(z(1))\n")
+    assert cli.main(["check", str(pot), "--json"]) == 2
+    out = capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
+    error = json.loads(out.out)["error"]
+    assert (error["kind"], error["exit"]) == ("GaugeError", 2)
+    assert out.err == f"error: {error['message']}\n"
+    value = error["message"].removeprefix("g(0,0)(0) = ").removesuffix(" is not positive")
+    with no_digit_limit():
+        assert Fraction(value) == -a * a
+
+
+# each refused input by name: its argv, and the .pot body it reads (written
+# to {pot}) if any
+REFUSED_INPUTS = {
+    "bad-label-value": (["check", "cp:n=0"], None),
+    "repeated-label-parameter": (["check", "cp:n=1,n=2"], None),
+    "unknown-family": (["check", "nope:x=1"], None),
+    "long-label-parameter": (["check", f"cp:n={DIGITS}"], None),
+    "long-kmax": (["check", "cp:n=1", "--kmax", DIGITS], None),
+    "low-degree": (["check", "cp:n=1", "--degree", "2"], None),
+    "truncated-dual": (["dual", "cp:n=2", "--degree", "2"], None),
+    "no-profile": (["radial", "--n", "1"], None),
+    "coeffs-zero-denominator": (["radial", "--coeffs", "0,1/0", "--n", "2"], None),
+    "coeffs-decimal": (["radial", "--coeffs", "0,1,0.5", "--n", "1"], None),
+    "coeffs-long-numerator": (
+        ["radial", "--coeffs", "0,1," + "7" * 5000, "--n", "1", "--kmax", "2"], None),
+    "coeffs-long-denominator": (
+        ["radial", "--coeffs", "0,1,1/" + "7" * 5000, "--n", "1", "--kmax", "2"], None),
+    "pot-syntax": (["check", "{pot}"], "dim 1\nlog(\n"),
+    "pot-long-literal": (["check", "{pot}"], f"dim 1\nmodsq(z(1)) + {DIGITS}*modsq(z(1))\n"),
+    "pot-non-diagonal": (
+        ["check", "{pot}"], "dim 2\nlog(1 + modsq(z(1)) + modsq(z(1) + z(2)))\n"),
+    "pot-long-negative-gauge": (
+        ["check", "{pot}"], f"dim 1\n0 - {SEVENS}*{SEVENS}*modsq(z(1))\n"),
+}
+
+
+@pytest.mark.parametrize("argv,body", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS)
+def test_a_refused_input_is_a_typed_error(capsys, tmp_path, argv, body):
+    if body is not None:
+        pot = tmp_path / "input.pot"
+        pot.write_text(body)
+        argv = [str(pot) if word == "{pot}" else word for word in argv]
+    assert cli.main(argv + ["--json"]) == 2
+    out = capsys.readouterr()
+    error = json.loads(out.out)["error"]
+    assert error["kind"] != "ValueError"
+    assert "set_int_max_str_digits" not in error["message"] + out.err
+
+
 class TestRadialCommand:
     def test_named_profile(self):
         r = run_cli("radial", "--name", "fubini-study", "--n", "2", "--kmax", "3")
@@ -475,19 +559,18 @@ class TestRadialCommand:
         assert r.stderr.startswith("error: bad --coeffs")
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("item", ["1e30000000", "1e2", "0.5", "\u0663", "1_000"])
+    @pytest.mark.parametrize(
+        "item",
+        ["1e30000000", "1e2", "0.5", "\u0663", "1_000",
+         pytest.param("7" * 5000, id="long-numerator"),
+         pytest.param("1/" + "7" * 5000, id="long-denominator")],
+    )
     def test_coeffs_outside_the_integer_grammar_are_usage_errors(self, item):
         # refused before a Fraction is built: Fraction("1e30000000") would
         # build 10^30000000
         r = run_cli("radial", "--coeffs", f"0,1,{item}", "--n", "1", "--kmax", "2")
         assert r.returncode == 2
         assert r.stderr == f"error: bad --coeffs: {item!r} is not an integer or p/q\n"
-
-    def test_coeffs_past_the_integer_digit_limit_are_usage_errors(self):
-        r = run_cli("radial", "--coeffs", "0,1," + "7" * 5000, "--n", "1", "--kmax", "2")
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: bad --coeffs")
-        assert "Traceback" not in r.stderr
 
     def test_negative_slope_rejected(self):
         r = run_cli("radial", "--coeffs", "0,-1", "--n", "1")

@@ -17,7 +17,6 @@ from kahlerlap.jets import (
 from kahlerlap import rationals
 from kahlerlap.radial import profile_from_coeffs
 from kahlerlap.rationals import Q
-from kahlerlap.series import TSeries
 
 from dense_oracles import (
     divisor_pairs,
@@ -219,11 +218,11 @@ class TestMatrix:
 
 class TestSubstituteRadial:
     def test_linear(self):
-        jet = substitute_radial(TSeries([0, 1]), 2, 2)
+        jet = substitute_radial((0, 1), 2, 2)
         assert jet == mono(2, (1, 0), (1, 0), 1, 2) + mono(2, (0, 1), (0, 1), 1, 2)
 
     def test_log_series(self):
-        f = TSeries([0, 1, Q(-1, 2), Q(1, 3)])
+        f = (0, 1, Q(-1, 2), Q(1, 3))
         jet = substitute_radial(f, 1, 6)
         expected = (
             mono(1, (1,), (1,), 1, 6)
@@ -233,13 +232,13 @@ class TestSubstituteRadial:
         assert jet == expected
 
     def test_multinomial_weights(self):
-        jet = substitute_radial(TSeries([0, 0, 1]), 2, 4)  # t^2, two variables
+        jet = substitute_radial((0, 0, 1), 2, 4)  # t^2, two variables
         assert jet.coeffs[((1, 1), (1, 1))] == 2
         assert jet.coeffs[((2, 0), (2, 0))] == 1
 
     def test_insufficient_order(self):
         with pytest.raises(ValidityError):
-            substitute_radial(TSeries([0, 1]), 1, 4)
+            substitute_radial((0, 1), 1, 4)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -279,7 +278,7 @@ def test_substitute_radial_matches_reference(n, D, coeffs):
     """The packed kernel equals the tuple-keyed reference term for term and
     in each part's key order, and raises the same errors (a short series,
     n < 1)."""
-    f = TSeries(coeffs)
+    f = tuple(coeffs)
     got = _outcome(substitute_radial, f, n, D)
     expected = _outcome(ref_substitute_radial, f, n, D)
     assert got == expected
@@ -454,7 +453,6 @@ def test_rationals_are_stdlib_fractions():
         lambda: rationals.as_q(0.5),
         lambda: Jet.constant(1, 0.5, 2),
         lambda: Jet.monomial(1, (1,), (1,), 0.5, 2),
-        lambda: TSeries([0, 0.5]),
         lambda: profile_from_coeffs([0, 1.0]),
     ],
 )

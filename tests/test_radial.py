@@ -15,6 +15,7 @@ from kahlerlap.fit import LaplacePolynomial, check_delta_property
 from kahlerlap.jets import ValidityError
 from kahlerlap.metric import metric_from_potential
 from kahlerlap.radial import (
+    SeriesError,
     c_constant,
     named_profile,
     normalize,
@@ -25,14 +26,13 @@ from kahlerlap.radial import (
     recursion_step,
 )
 from kahlerlap.rationals import Q
-from kahlerlap.series import SeriesError, TSeries
 
 
 class TestProfiles:
     def test_normalize_scales_argument(self):
         p = profile_from_coeffs([0, 2], order=4)
         q = normalize(p)
-        assert q.coeffs[1] == 1
+        assert q[1] == 1
 
     def test_normalize_fixed_point(self):
         p = named_profile("fubini-study", 4)
@@ -45,34 +45,34 @@ class TestProfiles:
     def test_normalize_keeps_rationality(self):
         p = profile_from_coeffs([0, 3, 1], order=3)
         q = normalize(p)
-        assert q.coeffs[2] == Q(1, 9)
+        assert q[2] == Q(1, 9)
 
     @pytest.mark.parametrize("slope", [0, -1])
     def test_normalize_refuses_a_bare_series_without_positive_slope(self, slope):
         with pytest.raises(ValueError, match="must be positive"):
-            normalize(TSeries([0, slope, 1]))
+            normalize((0, slope, 1))
 
     def test_a_profile_is_the_series_of_phi(self):
-        assert named_profile("hyperbolic", 3) == TSeries([0, 1, Q(1, 2), Q(1, 3)])
-        assert profile_from_coeffs([0, 1], order=2) == TSeries([0, 1, 0])
+        assert named_profile("hyperbolic", 3) == (0, 1, Q(1, 2), Q(1, 3))
+        assert profile_from_coeffs([0, 1], order=2) == (0, 1, 0)
 
 
 class TestPsiFunctions:
     def test_fubini_study(self):
         psi1, psi2 = psi_functions(named_profile("fubini-study", 5))
         # 1/Phi' = 1 + t, psi2 = -(1 + t)
-        assert psi1.coeffs[:3] == (1, 1, 0)
-        assert psi2.coeffs[:3] == (-1, -1, 0)
+        assert psi1[:3] == (1, 1, 0)
+        assert psi2[:3] == (-1, -1, 0)
 
     def test_hyperbolic(self):
         psi1, psi2 = psi_functions(named_profile("hyperbolic", 5))
-        assert psi1.coeffs[:3] == (1, -1, 0)
-        assert psi2.coeffs[:3] == (1, -1, 0)
+        assert psi1[:3] == (1, -1, 0)
+        assert psi2[:3] == (1, -1, 0)
 
     def test_flat(self):
         psi1, psi2 = psi_functions(named_profile("flat", 5))
-        assert all(c == 0 for c in psi2.coeffs)
-        assert psi1.coeffs[0] == 1 and all(c == 0 for c in psi1.coeffs[1:])
+        assert all(c == 0 for c in psi2)
+        assert psi1[0] == 1 and all(c == 0 for c in psi1[1:])
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestCConstants:
     def test_vanishing_triangle(self):
         rng = random.Random(11)
         for _ in range(5):
-            psi = TSeries([Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)])
+            psi = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5))
             for l in range(0, 5):
                 for p in range(l + 1, 5):
                     for n in (1, 2):
@@ -102,7 +102,7 @@ class TestCConstants:
                 assert c_constant(psi1, h, h, 3) == 1
 
     def test_depends_on_dimension(self):
-        psi = TSeries([0, 1, 0, 0, 0])  # psi = t
+        psi = (0, 1, 0, 0, 0)  # psi = t
         assert c_constant(psi, 1, 2, 1) != c_constant(psi, 1, 2, 2)
 
     def test_p_independence(self):
@@ -116,7 +116,7 @@ class TestCConstants:
         series = [
             psi_functions(named_profile("fubini-study", 6))[0],
             psi_functions(named_profile("hyperbolic", 6))[1],
-            TSeries([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)]),
+            tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)),
         ]
         for psi in series:
             for p, plist in reps.items():
@@ -126,10 +126,10 @@ class TestCConstants:
 
     def test_insufficient_order(self):
         with pytest.raises(ValidityError):
-            c_constant(TSeries([1, 1]), 1, 3, 1)
+            c_constant((1, 1), 1, 3, 1)
 
     def test_negative_indices_rejected(self):
-        psi = TSeries([1, 1, 1])
+        psi = (1, 1, 1)
         for p, l in ((-1, 1), (1, -1)):
             with pytest.raises(ValueError, match=">= 0"):
                 c_constant(psi, p, l, 2)
@@ -144,7 +144,7 @@ class TestCConstants:
         )
         corpus = [psi for prof in profiles for psi in psi_functions(prof)]
         corpus += [
-            TSeries([Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(7)])
+            tuple(Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(7))
             for _ in range(4)
         ]
         for psi in corpus:
@@ -230,12 +230,12 @@ class TestOracleEquivalence:
 
 rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
 # bare series: any order from 0, any slope, so the refusals are compared too
-bare_series = st.lists(rationals, min_size=1, max_size=10).map(TSeries)
+bare_series = st.lists(rationals, min_size=1, max_size=10).map(tuple)
 # series long enough for every step that monic (below) can ask of them
-long_series = st.lists(rationals, min_size=8, max_size=10).map(TSeries)
+long_series = st.lists(rationals, min_size=8, max_size=10).map(tuple)
 # profiles of every order from 1 (too short for psi2) on, Phi'(0) > 0
 profiles = st.builds(
-    lambda c0, c1, tail: TSeries([c0, c1, *tail]),
+    lambda c0, c1, tail: (c0, c1, *tail),
     rationals,
     st.builds(Q, st.integers(1, 6), st.integers(1, 6)),
     st.lists(rationals, max_size=9),
@@ -258,9 +258,11 @@ def outcome(fn, *args):
 def test_psi_functions_match_the_rational_series(profile):
     # the same coefficients and trusted orders, or the same refusal
     assert outcome(psi_functions, profile) == outcome(ref_psi_functions, profile)
-    normal = outcome(normalize, profile)
-    if isinstance(normal, TSeries):
-        assert outcome(psi_functions, normal) == outcome(ref_psi_functions, normal)
+    try:
+        normal = normalize(profile)
+    except ValueError:
+        return
+    assert outcome(psi_functions, normal) == outcome(ref_psi_functions, normal)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -298,4 +300,4 @@ def test_an_order_one_profile_is_too_short_for_psi2():
 def test_psi_orders_follow_the_profile():
     for order in range(2, 8):
         psi1, psi2 = psi_functions(named_profile("hyperbolic", order))
-        assert (psi1.order, psi2.order) == (order - 1, order - 2)
+        assert (len(psi1) - 1, len(psi2) - 1) == (order - 1, order - 2)
