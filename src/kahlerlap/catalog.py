@@ -13,6 +13,9 @@ Every family but the quadrics, and its dual, is in Harish-Chandra
 coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
 matrix W that dsl_text writes the potential from (_matrix_slots).  The
 quadrics and products take the graded inverse of g, as .pot files do.
+With g_inv closed, the checks read the potential at degrees 2, 3 and 5
+only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
+it to min(D, 5), on the packing of D; potential_jet always builds to D.
 
 Families and their potentials in construction coordinates:
 
@@ -316,25 +319,31 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
         raise CatalogError("truncation must be >= 2")
     return CatalogSpace(
         descriptor=desc,
-        metric=_metric(desc, potential_jet(desc, D)),
+        metric=_metric(desc, D),
         frame=_frame(desc),
         truncation=D,
     )
 
 
-def _metric(desc: SpaceDescriptor, phi: Jet) -> MetricJet:
-    """The metric of phi, the potential of desc: g_inv in closed form if any."""
+def _metric(desc: SpaceDescriptor, D, phi=None) -> MetricJet:
+    """The metric of desc at truncation D from phi, its potential, built
+    here if None: g_inv in closed form if any, and phi built only to
+    min(D, 5), on the packing of D; else phi to D and the graded inverse."""
     inner = desc
     while inner.family == "dual":
         inner = inner.inner[0]
-    if inner.family in _BERGMAN:
-        return metric_with_inverse(phi, lambda: bergman_inverse(desc, phi))
-    return metric_from_potential(phi)
+    if inner.family not in _BERGMAN:
+        return metric_from_potential(potential_jet(desc, D) if phi is None else phi)
+    if phi is None:
+        phi = potential_jet(desc, min(D, 5))
+        pk = packing(phi.n, D)
+        phi = Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
+    return metric_with_inverse(phi, lambda: bergman_inverse(desc, phi, D), D)
 
 
-def bergman_inverse(desc: SpaceDescriptor, potential: Jet):
+def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     """g_inv of a Bergman family or its dual on the potential's packing,
-    valid to its valid_degree - 2, as metric.metric_with_inverse takes it:
+    valid to D - 2, as metric.metric_with_inverse takes it:
     (L, the integer graded parts of L g_inv[a][b]).  It is the Bergman
     operator X -> B X A of the Jordan triple (Loos 1977), A = I + W^dagger W,
     B = I + W W^dagger (both I for flat).  With S_a the slots (i, j, sign)
@@ -350,7 +359,7 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet):
         desc, flip = desc.inner[0], not flip
     flip ^= desc.family == "ch"
     rows, cols, W, scale = _matrix_slots(desc)
-    n, pk, D = potential.n, potential.pk, potential.valid_degree - 2
+    n, pk, D = potential.n, potential.pk, D - 2
     units = pk.units
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     # A and B as (degree, packed key) -> integer
@@ -459,7 +468,7 @@ def dual_compare(desc: SpaceDescriptor, D=6):
     f = |z_i z_j|^2, on the space and on its noncompact dual."""
     space = build_space(desc, D)
     m_compact = space.metric
-    m_dual = _metric(dual(desc), dual_potential(m_compact.potential))
+    m_dual = _metric(dual(desc), D, dual_potential(m_compact.potential))
     for m in (m_compact, m_dual):
         rep = einstein_constant(m)
         if rep.lam is None:

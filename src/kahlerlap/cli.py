@@ -226,6 +226,8 @@ def cmd_radial(args):
             raise UsageError(f"bad --coeffs: {exc}")
         profile = profile_from_coeffs(coeffs, order=order)
     n = args.n
+    if n < 1:
+        raise UsageError(f"need n >= 1 variables, got {n}")
     polys = radial_pk(profile, n, kmax)
     metric = metric_from_potential(potential_jet(profile, n, degree))
     fit_results = check_delta_property(metric, kmax)

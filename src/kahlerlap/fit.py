@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import factorial
 
 from .jets import diagonal_keys
-from .metric import MetricJet, TruncationError, _laplacian_functional
+from .metric import MetricJet, _laplacian_functional, _require
 from .rationals import Q, ZERO, Record
 
 
@@ -82,13 +82,9 @@ class FitResult(Record):
 
 
 def _require_depth(m: MetricJet, k, needed_for=None):
-    """TruncationError unless the potential is valid to degree 2k."""
-    valid = m.potential.valid_degree
-    if valid < 2 * k:
-        suffix = f" needed for {needed_for}" if needed_for else ""
-        raise TruncationError(
-            f"potential valid_degree {valid} < {2 * k}{suffix}", required=2 * k
-        )
+    """TruncationError unless the metric is valid to degree 2k."""
+    suffix = f" needed for {needed_for}" if needed_for else ""
+    _require(m, 2 * k, f"potential valid_degree {m.valid_degree} < {2 * k}{suffix}")
 
 
 def _before(A, B, pk):

@@ -20,8 +20,8 @@ fraction-free as in Bareiss (Math. Comp. 1968).  A packed key is one int per mon
 _Packing; Monagan & Pearce, CASC 2007), so the product of two monomials is
 the sum of their keys.  Packings are shared, one per (n, slot width)
 (packing()), and a jet's slots hold every exponent up to its validity.
-When operands sit on different packings (a truncated jet keeps the wider
-slots of its source), the operation repacks them onto the narrowest, once.
+When operands sit on different packings (a jet's slots may be wider than
+its validity needs), the operation repacks them onto the narrowest, once.
 
 Tuple keys and rationals appear only at the boundary: the constructor
 Jet(n, {(P, Q): c}, D) and Jet.monomial/constant/variable/zero validate,
@@ -391,13 +391,6 @@ class Jet:
     def conj(self):
         """Complex conjugate: rational coefficients stay, exponent roles swap."""
         return Jet._of(self.n, self.pk, self.den, _conj_parts(self.pk, self.parts))
-
-    def truncated(self, valid_degree):
-        if valid_degree > self.valid_degree:
-            raise ValidityError("cannot raise validity by truncation")
-        if valid_degree < 0:
-            raise ValidityError("valid_degree must be >= 0")
-        return Jet._of(self.n, self.pk, self.den, self.parts[: valid_degree + 1])
 
 
 def log1p(s: Jet) -> Jet:

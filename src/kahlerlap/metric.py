@@ -15,19 +15,20 @@ as the jets of MetricJet.g_inv and indexes the same parts for the lap^k
 pullback.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
-is built on it, and the lap^k pullback reads g_inv's keys as they are.  Its
-slots hold every exponent up to the potential's valid_degree, so up to the
-slot mask, which is at least that: g_inv's exponents are at most
-valid_degree - 2, table k's at most k, and every caller needs
-2k <= valid_degree (the duality table asks for k = 3 only once
-einstein_constant has required valid_degree >= 4).
+is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
+metric is valid to its own valid_degree D, and its slots hold every
+exponent up to D, so up to the slot mask, which is at least that: g_inv's
+exponents are at most D - 2, table k's at most k, and every caller needs
+2k <= D (the duality table asks for k = 3 only once einstein_constant has
+required D >= 4).  metric_from_potential takes D from the potential; a
+Bergman family's is built only to min(D, 5) (catalog.build_space).
 
 Each lap^k table is stored once, as integer numerators on packed keys.
 When every permutation of the coordinates, applied to z and zb alike, fixes
-the potential (metric_with_inverse proves it on the potential's packed
-parts: _permutation_invariant), a table holds one key per S_n-orbit, the
-orbit's least member in the fit's order; _laplacian_functional says why
-its entries are exact, and fit.fit_pk why the witness is unchanged.
+g_inv (metric_with_inverse proves it on g_inv's integer parts), a table
+holds one key per S_n-orbit, the orbit's least member in the fit's order;
+_laplacian_functional says why its entries are exact, and fit.fit_pk why
+the witness is unchanged.
 
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
@@ -63,11 +64,13 @@ class TruncationError(ValueError):
 class MetricJet(Record):
     """Potential and inverse-metric jets, plus origin normalization.
 
-    There is no g field (see metric_from_potential).  origin_diag holds
+    There is no g field (see metric_from_potential).  valid_degree is the
+    truncation D, which the potential may fall short of past degree 5 (see
+    the module docstring).  origin_diag holds
     d_i = g[i][i](0).  cubic_free means the potential has no monomial of
     total degree 3 (it makes all first derivatives of g vanish at the
     origin).  g_inv is a JetMatrix on the potential's packing, valid
-    to its valid_degree - 2, whose entries are integer parts over one
+    to D - 2, whose entries are integer parts over one
     denominator Lg; _pullback is (Lg, index), the index built from those
     same parts (see _laplacian_functional).  _functionals maps k to the
     numerators N_k of the lap^k table, the one stored form of it, with N_0
@@ -76,16 +79,16 @@ class MetricJet(Record):
     _einstein caches the Einstein report.  A MetricJet equals only itself.
     """
 
-    __slots__ = ("n", "potential", "origin_diag", "cubic_free", "g_inv",
+    __slots__ = ("n", "potential", "valid_degree", "origin_diag", "cubic_free", "g_inv",
                  "_pullback", "_functionals", "_einstein", "_orbits")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, n, potential, origin_diag, cubic_free, g_inv,
+    def __init__(self, n, potential, valid_degree, origin_diag, cubic_free, g_inv,
                  _pullback, _functionals, _einstein=None, _orbits=False):
-        self.n, self.potential, self.origin_diag = n, potential, origin_diag
-        self.cubic_free, self.g_inv, self._pullback = cubic_free, g_inv, _pullback
-        self._functionals, self._einstein = _functionals, _einstein
-        self._orbits = _orbits
+        self.n, self.potential, self.valid_degree = n, potential, valid_degree
+        self.origin_diag, self.cubic_free, self.g_inv = origin_diag, cubic_free, g_inv
+        self._pullback, self._functionals = _pullback, _functionals
+        self._einstein, self._orbits = _einstein, _orbits
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
@@ -124,13 +127,14 @@ def metric_from_potential(potential: Jet) -> MetricJet:
                     for j, b, u in bars:
                         row[j][ki - u] = ca * b
     lp, parts = _reduced(potential.den, parts)
-    return metric_with_inverse(potential, lambda: _graded_inverse(pk, parts, lp))
+    return metric_with_inverse(potential, lambda: _graded_inverse(pk, parts, lp), D + 2)
 
 
-def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
-    """MetricJet of a potential valid to degree >= 2, whose g_inv is
+def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
+    """MetricJet valid to degree D >= 2, of a potential valid to degree
+    min(D, 5) at least, on a packing that holds D, whose g_inv is
     inverse() = (L, entries): entries[i][j] the integer graded parts of
-    L g_inv[i][j] on the potential's packing, valid to its valid_degree - 2.
+    L g_inv[i][j] on the potential's packing, valid to D - 2.
     They are reduced (jets._reduced) to Lg, the lcm of the reduced
     denominators of g_inv, and kept as the jets of g_inv, over Lg.
 
@@ -140,10 +144,10 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     to a dict from V, packed as a holomorphic half, to the positions
     carrying the monomial, as (its integer, shift of slot j, shift of slot
     n + i, packed e_j + e_i - V).  Last, when n > 1 and the d_i are all
-    equal, it tests whether every permutation of the coordinates fixes the
-    potential, which decides how the lap^k tables are stored.
+    equal, it tests whether every permutation of the coordinates fixes
+    g_inv, which decides how the lap^k tables are stored.
     """
-    if potential.valid_degree < 2:
+    if D < 2:
         raise TruncationError(
             "potential must be valid at least to degree 2", required=2
         )
@@ -179,33 +183,37 @@ def metric_with_inverse(potential: Jet, inverse) -> MetricJet:
     return MetricJet(
         n=n,
         potential=potential,
+        valid_degree=D,
         origin_diag=tuple(diag),
         cubic_free=potential.valid_degree < 3 or not potential.parts[3],
         g_inv=_jet_matrix(pk, lg, ginv),
         _pullback=(lg, index),
         _functionals={0: {0: 1}},
-        _orbits=n > 1 and diag.count(diag[0]) == n and _permutation_invariant(potential),
+        _orbits=n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv),
     )
 
 
-def _permutation_invariant(potential: Jet) -> bool:
-    """Whether every permutation of the coordinates, applied to z and zb
-    alike, fixes the potential.  The swap of slots 0 and 1 and the cyclic
-    shift of all n slots generate S_n, and the permutations that fix the
-    potential form a group, so it is enough to test those two on each
-    packed key, both halves at once; the first mismatch ends the test."""
-    n, pk = potential.n, potential.pk
-    bits, units = pk.bits, pk.units
+def _fixed_by_permutations(pk, ginv):
+    """Whether every permutation sigma of the coordinates fixes the integer
+    parts ginv[i][j]: entry (sigma i, sigma j) at sigma K is entry (i, j)
+    at K.  The swap of slots 0 and 1 and the cyclic shift of all n slots
+    generate S_n, and the permutations that fix g_inv form a group, so it
+    tests those two on each term, both halves of its key at once; sigma
+    maps terms one to one, so an image with the same integer for every term
+    is the whole entry.  The first mismatch ends the test."""
+    n, bits, units = pk.n, pk.bits, pk.units
     first = pk.mask * (units[0] + units[n])  # slots 0 and n
     rest = (1 << 2 * pk.half) - 1 - first
     top = bits * (n - 1)
-    for part in potential.parts:
-        get = part.get
-        for K, c in part.items():
-            x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
-            for v in get(K ^ x ^ x << bits), get(K << bits & rest | K >> top & first):
-                if v is not c and v != c:
-                    return False
+    swap, shift = [1, 0, *range(2, n)], [*range(1, n), 0]
+    for i, row in enumerate(ginv):
+        for j, entry in enumerate(row):
+            for part, a, b in zip(entry, ginv[swap[i]][swap[j]], ginv[shift[i]][shift[j]]):
+                for K, c in part.items():
+                    x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
+                    if (a.get(K ^ x ^ x << bits) != c
+                            or b.get(K << bits & rest | K >> top & first) != c):
+                        return False
     return True
 
 
@@ -287,9 +295,9 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     packed key -> integer; _table_value and delta_power_at0 divide by Lg^k
     as they read it.
 
-    Orbits.  When every permutation sigma of the coordinates fixes the
-    potential (m._orbits, tested once at build), g_inv[sigma i][sigma j] at
-    sigma (U, V) is g_inv[i][j] at (U, V), so lap commutes with sigma and
+    Orbits.  When every permutation sigma of the coordinates fixes g_inv,
+    that is g_inv[sigma i][sigma j] at sigma (U, V) is g_inv[i][j] at
+    (U, V) (m._orbits, proved once at build), lap commutes with sigma and
     N_k(sigma P, sigma Q) = N_k(P, Q).  Each table then holds one key per
     S_n-orbit, its representative (_orbit): the pairs (P_i, Q_i) sorted
     ascending.  The step runs from the representatives of N_{k-1} alone,
@@ -310,7 +318,7 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     if k > mask:
         raise ValidityError(
             f"lap^{k} needs exponent slots above {mask}; the metric's "
-            f"potential is valid only to degree {m.potential.valid_degree}"
+            f"potential is valid only to degree {m.valid_degree}"
         )
     low = pk.units[m.n] - 1
     prev = _laplacian_functional(m, k - 1).items()
@@ -365,6 +373,12 @@ def _table_value(m: MetricJet, k, P, Q_):
     return ZERO if c is None else Q(c, m._pullback[0] ** k)
 
 
+def _require(m: MetricJet, degree, message):
+    """TruncationError(message) unless the metric is valid to degree."""
+    if m.valid_degree < degree:
+        raise TruncationError(message, required=degree)
+
+
 def delta_power_at0(m: MetricJet, phi: Jet, k: int):
     """lap^k(phi)(0), exact.
 
@@ -373,12 +387,7 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if m.potential.valid_degree < 2 * k:
-        raise TruncationError(
-            f"potential valid_degree {m.potential.valid_degree} < {2 * k} "
-            f"needed for k={k}",
-            required=2 * k,
-        )
+    _require(m, 2 * k, f"potential valid_degree {m.valid_degree} < {2 * k} needed for k={k}")
     if phi.n != m.n:
         raise ValueError("phi lives in a different variable space")
     if phi.valid_degree < 2 * k:
@@ -418,10 +427,7 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
             "potential has degree-3 monomials; first metric derivatives do "
             "not vanish at the origin"
         )
-    if m.potential.valid_degree < 4:
-        raise TruncationError(
-            "inverse metric valid below degree 2", required=4
-        )
+    _require(m, 4, "inverse metric valid below degree 2")
     n, units, lg = m.n, m.potential.pk.units, m._pullback[0]
     p, q = [x.numerator for x in m.origin_diag], [x.denominator for x in m.origin_diag]
     # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
@@ -451,10 +457,7 @@ def third_deriv_obstruction(m: MetricJet):
     """
     if not m.cubic_free:
         raise GaugeError("potential has degree-3 monomials")
-    if m.potential.valid_degree < 5:
-        raise TruncationError(
-            "potential valid_degree must be >= 5", required=5
-        )
+    _require(m, 5, "potential valid_degree must be >= 5")
     best = 0
     unpack = m.potential.pk.unpack
     for key, c in m.potential.parts[5].items():
@@ -473,10 +476,7 @@ def fifth_order_check(m: MetricJet):
         d_{h kb l} ginv[i][j] + d_{i kb l} ginv[h][j] + d_{i kb h} ginv[l][j]
       + d_{h jb l} ginv[i][k] + d_{i jb l} ginv[h][k] + d_{i jb h} ginv[l][k]
     """
-    if m.potential.valid_degree < 5:
-        raise TruncationError(
-            "potential valid_degree must be >= 5", required=5
-        )
+    _require(m, 5, "potential valid_degree must be >= 5")
     n = m.n
     # dg3[a][b] maps (g, d, e) with g <= e to Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
     dg3 = [[{} for _ in range(n)] for _ in range(n)]

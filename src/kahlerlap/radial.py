@@ -67,7 +67,7 @@ def _slope(profile):
     if len(profile) < 2:
         raise ValidityError("profile needs at least the t^1 coefficient")
     if profile[1] <= 0:
-        raise ValueError(f"Phi'(0) = {profile[1]} must be positive")
+        raise SeriesError(f"Phi'(0) = {profile[1]} must be positive")
     return profile[1]
 
 

@@ -181,9 +181,9 @@ def dense_fit_pk(m, k) -> FitResult:
     """fit_pk over the complete monomial test set."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if m.potential.valid_degree < 2 * k:
+    if m.valid_degree < 2 * k:
         raise TruncationError(
-            f"potential valid_degree {m.potential.valid_degree} < {2 * k} "
+            f"potential valid_degree {m.valid_degree} < {2 * k} "
             f"needed for the order-{k} fit",
             required=2 * k,
         )
@@ -229,7 +229,7 @@ def dense_fit_pk(m, k) -> FitResult:
 
 def dense_fifth_order_check(m):
     """fifth_order_check as the O(n^5) loop over every index tuple."""
-    if m.potential.valid_degree < 5:
+    if m.valid_degree < 5:
         raise TruncationError(
             "potential valid_degree must be >= 5", required=5
         )
@@ -1006,7 +1006,7 @@ def laplcube_expansion(m, phi):
     rep = einstein_constant(m)
     if rep.lam is None:
         raise GaugeError("metric is not Einstein at the origin")
-    if m.potential.valid_degree < 6:
+    if m.valid_degree < 6:
         raise TruncationError(
             "potential valid_degree must be >= 6", required=6
         )

@@ -208,7 +208,7 @@ def test_criterion_09_property_suites(spaces):
     # inverse-metric contract on every catalog space
     for label in ALL_LABELS:
         m = spaces(label).metric
-        g = metric_matrix(m.potential)
+        g = metric_matrix(catalog.potential_jet(catalog.parse_space(label), 6))
         assert mat_mul(g, m.g_inv) == mat_identity(m.n, m.n, g.valid_degree)
 
     # truncation stability: identical pipeline outputs at D = 6 and D = 8

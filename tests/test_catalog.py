@@ -8,6 +8,7 @@ from dense_oracles import (
     mat_sub,
     metric_matrix,
     ref_dual_potential,
+    ref_truncated,
 )
 
 from kahlerlap import catalog, dsl
@@ -16,6 +17,7 @@ from kahlerlap.jets import Jet, JetMatrix, log1p
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
+    _laplacian_functional,
     laplacian_apply,
     metric_from_potential,
     third_deriv_obstruction,
@@ -37,6 +39,10 @@ ALL_LABELS = [
 
 MATRIX_LABELS = [
     label for label in ALL_LABELS if label.startswith(("grassmannian", "sp", "so2n"))
+]
+# the Bergman families, whose g_inv is in closed form, and a dual of one
+BERGMAN_LABELS = [label for label in ALL_LABELS if not label.startswith("quadric")] + [
+    "dual(grassmannian:k=2,N=4)"
 ]
 
 # engine-derived Einstein constants, frozen as regression goldens
@@ -141,10 +147,8 @@ class TestBuild:
     def test_cp_potential_is_radial(self, spaces):
         from kahlerlap.radial import named_profile, potential_jet
 
-        sp = spaces("cp:n=2")
-        assert sp.metric.potential == potential_jet(
-            named_profile("fubini-study", 3), 2, 6
-        )
+        pot = catalog.potential_jet(catalog.parse_space("cp:n=2"), 6)
+        assert pot == potential_jet(named_profile("fubini-study", 3), 2, 6)
 
     def test_grassmannian_origin_identity(self, spaces):
         m = spaces("grassmannian:k=2,N=4").metric
@@ -234,7 +238,7 @@ class TestDualPotential:
     def test_fubini_study_to_hyperbolic(self, spaces):
         from kahlerlap.radial import named_profile, potential_jet
 
-        pot = spaces("cp:n=2").metric.potential
+        pot = catalog.potential_jet(catalog.parse_space("cp:n=2"), 6)
         assert catalog.dual_potential(pot) == potential_jet(
             named_profile("hyperbolic", 3), 2, 6
         )
@@ -275,14 +279,14 @@ class TestDualPotential:
         gram = JetMatrix(s)
         det = mat_sub(mat_identity(n, 2, D), gram).det()
         direct = -log1p(det - Jet.constant(n, 1, D))
-        pot = spaces("grassmannian:k=2,N=4").metric.potential
+        pot = catalog.potential_jet(catalog.parse_space("grassmannian:k=2,N=4"), D)
         assert catalog.dual_potential(pot) == direct
 
 
 class TestProducts:
     def test_flat_times_flat_is_flat(self, spaces):
         m = spaces("product(flat:n=1;flat:n=1)").metric
-        assert m.potential == spaces("flat:n=2").metric.potential
+        assert m.potential == catalog.potential_jet(catalog.parse_space("flat:n=2"), 6)
 
     def test_cp1_squared_einstein(self, spaces):
         rep = einstein_constant(spaces("product(cp:n=1;cp:n=1)").metric)
@@ -435,7 +439,7 @@ class TestDslCrossPath:
             other = dsl.elaborate(expr, space.metric.n, space.truncation)
         else:
             other = direct_potential_jet(space.descriptor, space.truncation)
-        assert other == space.metric.potential
+        assert other == catalog.potential_jet(space.descriptor, space.truncation)
 
     @pytest.mark.parametrize(
         "label, degree",
@@ -479,7 +483,8 @@ class TestTruncationStability:
     def test_deeper_build_agrees(self, spaces, label):
         shallow = spaces(label)
         deep = spaces(label, 8)
-        assert deep.metric.potential.truncated(6) == shallow.metric.potential
+        desc = shallow.descriptor
+        assert ref_truncated(catalog.potential_jet(desc, 8), 6) == catalog.potential_jet(desc, 6)
         assert einstein_constant(shallow.metric) == einstein_constant(deep.metric)
         res6 = check_delta_property(shallow.metric, 3)
         res8 = check_delta_property(deep.metric, 3)
@@ -488,3 +493,37 @@ class TestTruncationStability:
             ob6 = catalog.obstruction_report(shallow)
             ob8 = catalog.obstruction_report(deep)
             assert (ob6.val1, ob6.val2) == (ob8.val1, ob8.val2)
+
+    @pytest.mark.parametrize("D", [6, 8, 10])
+    @pytest.mark.parametrize("label", BERGMAN_LABELS)
+    def test_potential_to_degree_5_gives_the_full_metric(self, label, D):
+        # build_space reads the potential to degree 5; the route before it
+        # read the whole catalog.potential_jet(desc, D), on the same packing
+        desc = catalog.parse_space(label)
+        m = catalog.build_space(desc, D).metric
+        full = catalog._metric(desc, D, catalog.potential_jet(desc, D))
+        assert (m.potential.valid_degree, full.potential.valid_degree) == (5, D)
+        assert m.potential.pk is full.potential.pk
+        assert m.valid_degree == full.valid_degree == D
+        assert m.g_inv == full.g_inv
+        assert (m.origin_diag, m.cubic_free, m._orbits) == (
+            full.origin_diag, full.cubic_free, full._orbits
+        )
+        for k in range(1, D // 2 + 1):
+            assert _laplacian_functional(m, k) == _laplacian_functional(full, k)
+        assert third_deriv_obstruction(m) == third_deriv_obstruction(full)
+        assert fifth_order_check(m) == fifth_order_check(full)
+
+    def test_bergman_builds_ask_for_the_potential_to_degree_5(self, monkeypatch):
+        asked = []
+        build = catalog.potential_jet
+
+        def record(desc, D):
+            asked.append(D)
+            return build(desc, D)
+
+        monkeypatch.setattr(catalog, "potential_jet", record)
+        for label in BERGMAN_LABELS:
+            for D in (6, 8, 10):
+                catalog.build_space(catalog.parse_space(label), D)
+        assert max(asked) == 5

@@ -159,7 +159,7 @@ class TestCheckCommand:
         assert out.err == "error: internal: singular constant term\n"
 
     def test_engine_fault_in_the_closed_form_exit_code(self, monkeypatch, capsys):
-        def singular(desc, potential):
+        def singular(desc, potential, D):
             raise NonInvertibleError("singular constant term")
 
         monkeypatch.setattr(catalog, "bergman_inverse", singular)
@@ -512,6 +512,10 @@ REFUSED_INPUTS = {
         ["radial", "--coeffs", "0,1," + "7" * 5000, "--n", "1", "--kmax", "2"], None),
     "coeffs-long-denominator": (
         ["radial", "--coeffs", "0,1,1/" + "7" * 5000, "--n", "1", "--kmax", "2"], None),
+    "coeffs-negative-slope": (["radial", "--coeffs", "0,-1", "--n", "2"], None),
+    "coeffs-zero-slope": (["radial", "--coeffs", "0,0,1", "--n", "2"], None),
+    "coeffs-no-slope": (["radial", "--coeffs", "1", "--n", "2"], None),
+    "no-variables": (["radial", "--name", "flat", "--n", "0"], None),
     "pot-syntax": (["check", "{pot}"], "dim 1\nlog(\n"),
     "pot-long-literal": (["check", "{pot}"], f"dim 1\nmodsq(z(1)) + {DIGITS}*modsq(z(1))\n"),
     "pot-non-diagonal": (

@@ -1,7 +1,12 @@
 """lap^k tables stored one key per S_n-orbit.
 
-A metric whose potential every permutation of the coordinates fixes stores
+A metric whose g_inv every permutation of the coordinates fixes stores
 each lap^k table on the orbit representatives alone (metric._orbits).
+The verdict is compared with a direct test of every transposition on the
+rational coefficients of g_inv, on random symmetric and asymmetric .pot
+bodies and on symmetric ones plus an asymmetric pluriharmonic term (which
+leaves g alone), and check reports with the orbit tables forced off must
+be the shipped ones.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
 not divide raises JetError.  The tables are written back onto every key
@@ -18,12 +23,12 @@ families; the quadrics fail it until their metric is mended (ROADMAP
 item 1).
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kahlerlap import catalog
+from kahlerlap import catalog, metric
 from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.fit import check_delta_property, fit_pk
 from kahlerlap.jets import JetError, packing
@@ -37,6 +42,7 @@ from dense_oracles import (
     full_tables,
     multiindices,
 )
+from test_radial_inverse import run
 
 DEGREE = 6
 KMAX = 3
@@ -242,3 +248,98 @@ def test_quadric_lambda_and_p2_read_the_genus(spaces, label):
     m = spaces(label, 4).metric
     # the genus of the quadric Q_m is its dimension m
     assert genus_values(m) == (m.n, m.n)
+
+
+def transposed(t, E):
+    """The multi-index E with the slots that the transposition t swaps swapped."""
+    return tuple(E[s] for s in t)
+
+
+def transpositions(n):
+    for a, b in combinations(range(n), 2):
+        t = list(range(n))
+        t[a], t[b] = b, a
+        yield t
+
+
+def fixes_every_transposition(matrix):
+    """Whether each transposition t moves entry (i, j)'s term at (P, Q) to
+    entry (t i, t j) at (t P, t Q) with the same coefficient, for a square
+    matrix of tuple-keyed coefficient maps."""
+    n = len(matrix)
+    return all(
+        matrix[t[i]][t[j]].get((transposed(t, P), transposed(t, Q_))) == c
+        for t in transpositions(n) for i in range(n) for j in range(n)
+        for (P, Q_), c in matrix[i][j].items()
+    )
+
+
+def assert_verdict_is_the_symmetry_of_g_inv(text, tmp):
+    """_orbits holds exactly when the d_i are equal and every transposition
+    fixes g_inv, and check prints the same with the orbit tables forced off."""
+    m = pot_metric(text)
+    entries = [[e.coeffs for e in row] for row in m.g_inv.entries]
+    assert m._orbits == (len(set(m.origin_diag)) == 1 and fixes_every_transposition(entries))
+    pot = tmp / "case.pot"
+    pot.write_text(text)
+    argv = ["check", str(pot), "--json"]
+    shipped = run(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: False)
+        assert run(argv) == shipped
+    return m
+
+
+@st.composite
+def asymmetric_bodies(draw):
+    """.pot text of sum |z_i|^2 + a |p|^2 + b |q|^2, p and q random
+    polynomials as in symmetric_bodies, not symmetrized."""
+    n = draw(st.sampled_from([2, 3]))
+    monomials = [E for degree in (2, 3) for E in multiindices(n, degree)]
+    units = " + ".join(f"modsq(z({i + 1}))" for i in range(n))
+    body = units
+    for _ in range(2):
+        count = draw(st.integers(min_value=1, max_value=3))
+        terms = [(Q(draw(small)), draw(st.sampled_from(monomials))) for _ in range(count)]
+        body += f" + {rational(draw(positive))}*modsq({polynomial(terms, range(n))})"
+    return f"dim {n}\n{body}\n"
+
+
+@st.composite
+def pluriharmonic_bodies(draw):
+    """A symmetric body plus p + conj(p), p a random holomorphic polynomial
+    whose monomials have degree 2 to 4: the potential loses its symmetry, g
+    and g_inv keep it."""
+    text = draw(symmetric_bodies())
+    n = int(text.split()[1])
+    monomials = [E for degree in (2, 3, 4) for E in multiindices(n, degree)]
+    count = draw(st.integers(min_value=1, max_value=2))
+    p = polynomial([(Q(draw(small)), draw(st.sampled_from(monomials))) for _ in range(count)],
+                   range(n))
+    return f"{text.rstrip()} + {p} + conj({p})\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(symmetric_bodies(), asymmetric_bodies(), pluriharmonic_bodies()))
+def test_the_verdict_is_the_symmetry_of_g_inv(tmp_path_factory, text):
+    assert_verdict_is_the_symmetry_of_g_inv(text, tmp_path_factory.mktemp("pot"))
+
+
+# symmetric potentials plus a pluriharmonic term that no transposition fixes
+PLURIHARMONIC = [
+    "dim 2\nmodsq(z(1)) + modsq(z(2)) + 1/3*modsq(z(1))*modsq(z(2)) + 1/5*modsq(z(1)*z(1))"
+    " + 1/5*modsq(z(2)*z(2)) + z(1)*z(1)*z(1)*z(1) + conj(z(1)*z(1)*z(1)*z(1))\n",
+    "dim 3\nlog(1 + modsq(z(1)) + modsq(z(2)) + modsq(z(3))) + z(1)*z(1)*z(2)"
+    " + conj(z(1)*z(1)*z(2))\n",
+]
+
+
+@pytest.mark.parametrize("text", PLURIHARMONIC)
+def test_a_pluriharmonic_term_keeps_the_orbit_tables(tmp_path, text):
+    m = assert_verdict_is_the_symmetry_of_g_inv(text, tmp_path)
+    assert m._orbits
+    pot = m.potential.coeffs
+    assert not any(
+        all(pot.get((transposed(t, P), transposed(t, Q_))) == c for (P, Q_), c in pot.items())
+        for t in transpositions(m.n)
+    )

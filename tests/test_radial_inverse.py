@@ -31,8 +31,9 @@ BENCH_GOLDEN = json.loads(
 
 
 def assert_closed_form_is_the_graded_inverse(label, D):
-    m = catalog.build_space(catalog.parse_space(label), D).metric
-    ref = metric_from_potential(m.potential)
+    desc = catalog.parse_space(label)
+    m = catalog.build_space(desc, D).metric
+    ref = metric_from_potential(catalog.potential_jet(desc, D))
     assert m.g_inv.valid_degree == ref.g_inv.valid_degree == D - 2
     assert m.g_inv == ref.g_inv
     pk = m.potential.pk
@@ -131,8 +132,8 @@ def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, arg
     assert run(argv) == (3, "", "error: internal: graded inverse called\n")
 
 
-def _graded(desc, potential):
-    m = metric_from_potential(potential)
+def _graded(desc, potential, D):
+    m = metric_from_potential(catalog.potential_jet(desc, D))
     return m._pullback[0], [[e.parts for e in row] for row in m.g_inv.entries]
 
 

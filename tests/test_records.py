@@ -115,7 +115,7 @@ def test_positional_and_keyword_construction_with_defaults():
     assert Det(rows=((Coord(1),),)) == Det(((Coord(1),),))
 
     m = catalog.build_space(catalog.parse_space("cp:n=1"), 4).metric
-    args = (m.n, m.potential, m.origin_diag, m.cubic_free, m.g_inv,
+    args = (m.n, m.potential, m.valid_degree, m.origin_diag, m.cubic_free, m.g_inv,
             m._pullback, {0: {0: 1}})
     fresh = MetricJet(*args)
     assert fresh._einstein is None and fresh.potential is m.potential
@@ -171,7 +171,7 @@ def test_repr_names_the_class_and_its_fields():
     )
     space = catalog.build_space(catalog.parse_space("cp:n=1"), 4)
     assert repr(space.metric) == (  # deterministic: no object address in it
-        "MetricJet(n=1, potential=Jet(1*z1*zb1 + -1/2*z1^2*zb1^2; D=4), "
+        "MetricJet(n=1, potential=Jet(1*z1*zb1 + -1/2*z1^2*zb1^2; D=4), valid_degree=4, "
         "origin_diag=(Fraction(1, 1),), cubic_free=True, "
         "g_inv=JetMatrix(((Jet(1 + 2*z1*zb1; D=2),),)))"
     )
