@@ -16,7 +16,7 @@ to |z^P|^2 only involves the two radial series
 
 Since 1/Phi' - 1/(Phi' + t Phi'') = t Phi'' / (Phi' (Phi' + t Phi'')) and
 Phi' + t Phi'' = (t Phi')', psi2 = (psi1 - 1/(t Phi')')/t: both series come
-from two reciprocals, which psi_functions takes on integers.
+from two integer reciprocals over powers of one lcm l1 (_psi_numerators).
 
 The radial command fits p_k on the graded inverse of g, so its
 recursion-vs-fit check stays independent of psi_functions.
@@ -43,18 +43,19 @@ The monic polynomials p_k satisfy, for a profile normalized to Phi'(0) = 1:
 with a_{k,0} = 0 and a_{k,l} = 0 for l > k.  The bracket
 M_{p,l} = C^psi1_{p-1,l} - p^2 C^psi2_{p,l} does not depend on k, so with S
 the shift a_{k,p-1} -> a_{k+1,p} one step is p_{k+1} = (S + M) p_k.
-radial_pk builds M once, through l = kmax - 1, as integers L M over the
-lcm L of its denominators, and iterates on integer numerators: p_k is
-N_k / L^(k-1).  This produces p_1..p_kmax without ever applying the Kahler
-Laplacian, giving a computation path independent of the direct fit.
+Every M_{p,l} has the denominator l1^(l-p+1), so radial_pk builds M once,
+through l = kmax - 1, as integers L M over L = l1^(kmax-1)/g, g their gcd
+with l1^(kmax-1).  p_k is N_k / L^(k-1) for integers N_k, and no Fraction
+is built until the coefficients of p_k leave: a path to p_1..p_kmax,
+independent of the direct fit, that never applies the Kahler Laplacian.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .fit import LaplacePolynomial
-from .jets import Jet, ValidityError, substitute_radial
+from .jets import Jet, JetError, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
 
 
@@ -93,7 +94,7 @@ def named_profile(name, order):
         return profile_from_coeffs([0] + coeffs)
     if name == "hyperbolic":
         return profile_from_coeffs([0] + [Q(1, m) for m in range(1, order + 1)])
-    raise ValueError(f"unknown profile name: {name!r}")
+    raise SeriesError(f"unknown profile name: {name!r}")
 
 
 def normalize(profile):
@@ -111,16 +112,15 @@ def _reciprocal_numerators(f):
     return out
 
 
-def psi_functions(profile):
-    """(psi1, psi2) = (1/Phi', (psi1 - 1/(t Phi')')/t) as t-series.
+def _psi_numerators(profile):
+    """(l1, R, U) with psi1_m = R_m / l1^m and psi2_m = U_m / l1^(m+1).
 
-    With Phi' = F / L1 for integers F (so F_0 = L1), psi1 = L1 / F and
-    1/(t Phi')' = L1 / (t F)', two integer reciprocals whose t^m
-    coefficients are integers over L1^m.  psi1 is trusted through the order
-    of Phi', psi2 through one less.
+    With Phi' = F / l1 for integers F (so F_0 = l1), psi1 = l1 / F and
+    1/(t Phi')' = l1 / (t F)' have integer t^m coefficients over l1^m.
+    psi1 is trusted through the order of Phi', psi2 through one less.
     """
     if _slope(profile) != 1:
-        raise ValueError("profile must be normalized (Phi'(0) = 1)")
+        raise JetError("profile must be normalized (Phi'(0) = 1)")
     d1 = [m * c for m, c in enumerate(profile)][1:]
     if len(d1) < 2:
         raise SeriesError("series order exhausted by differentiation")
@@ -128,9 +128,15 @@ def psi_functions(profile):
     f = [c.numerator * (l1 // c.denominator) for c in d1]
     r = _reciprocal_numerators(f)
     s = _reciprocal_numerators([(m + 1) * c for m, c in enumerate(f)])
-    psi1 = tuple(Q(c, l1**m) for m, c in enumerate(r))
-    psi2 = tuple(Q(r[m] - s[m], l1**m) for m in range(1, len(r)))
-    return psi1, psi2
+    return l1, r, [a - b for a, b in zip(r[1:], s[1:])]
+
+
+def psi_functions(profile):
+    """(psi1, psi2) = (1/Phi', (psi1 - 1/(t Phi')')/t) as t-series, the
+    rational view of _psi_numerators."""
+    l1, r, u = _psi_numerators(profile)
+    return (tuple(Q(c, l1**m) for m, c in enumerate(r)),
+            tuple(Q(c, l1 ** (m + 1)) for m, c in enumerate(u)))
 
 
 def c_constant(psi, p, l, n):
@@ -138,42 +144,33 @@ def c_constant(psi, p, l, n):
 
     This is (lap_c)^l (|z^P|^2 psi(t))(0) / (p! P!) for any P with |P| = p:
     only the t^(l-p) term of psi reaches the origin, and summing its
-    multinomial expansion gives binom(l+n-1, l-p) (module docstring).
+    multinomial expansion gives binom(l+n-1, l-p) (module docstring).  It
+    is psi_{l-p} times an integer: rational for psi, an int for R or U.
     """
     if p < 0 or l < 0:
-        raise ValueError("p and l must be >= 0")
+        raise JetError("p and l must be >= 0")
     if len(psi) <= l:
         raise ValidityError(f"psi trusted to t^{len(psi) - 1}, need t^{l} for l={l}")
     if p > l:
-        return ZERO
+        return 0
     m = l - p
-    return psi[m] * (
-        factorial(m) * (factorial(l) // factorial(p)) * comb(l + n - 1, m)
-    )
+    return psi[m] * (factorial(m) * (factorial(l) // factorial(p)) * comb(l + n - 1, m))
 
 
 def _require_order(psi1, psi2, k):
     """ValidityError unless both psi series reach t^k, as the step k -> k+1 needs."""
-    if min(len(psi1), len(psi2)) <= k:
-        raise ValidityError(
-            f"psi series trusted to t^{min(len(psi1), len(psi2)) - 1}, need t^{k} "
-            f"for the step to k={k + 1}"
-        )
+    if (got := min(len(psi1), len(psi2)) - 1) < k:
+        raise ValidityError(f"psi series trusted to t^{got}, need t^{k} for the step to k={k + 1}")
 
 
-def _recursion_matrix(psi1, psi2, n, top):
-    """(L, rows): M_{p,l} = C^psi1_{p-1,l} - p^2 C^psi2_{p,l} for
-    1 <= p <= l <= top as integers L M_{p,l}, L the lcm of their
-    denominators; rows[p - 1] holds l = p..top."""
-    rows = [
-        [
-            c_constant(psi1, p - 1, l, n) - p * p * c_constant(psi2, p, l, n)
-            for l in range(p, top + 1)
-        ]
-        for p in range(1, top + 1)
-    ]
-    big = lcm(*(c.denominator for row in rows for c in row))
-    return big, [[c.numerator * (big // c.denominator) for c in row] for row in rows]
+def _recursion_matrix(l1, r, u, n, top):
+    """(L, rows): the integers L M_{p,l}, 1 <= p <= l <= top, with
+    L = l1^top / g (module docstring); rows[p - 1] holds l = p..top."""
+    rows = [[l1 ** (top - l + p - 1)
+             * (c_constant(r, p - 1, l, n) - p * p * c_constant(u, p, l, n))
+             for l in range(p, top + 1)] for p in range(1, top + 1)]
+    g = gcd(l1**top, *(c for row in rows for c in row))
+    return l1**top // g, [[c // g for c in row] for row in rows]
 
 
 def _step(nums, big, rows):
@@ -187,32 +184,34 @@ def _step(nums, big, rows):
 
 def recursion_step(a_k: LaplacePolynomial, psi1, psi2, n) -> LaplacePolynomial:
     """One step k -> k+1 of the recursion in the module docstring, from the
-    psi series of the normalized profile (psi_functions)."""
+    psi series of the normalized profile (psi_functions), put over the
+    common denominator l1 of their coefficients."""
     k = a_k.k
     _require_order(psi1, psi2, k)
-    big, rows = _recursion_matrix(psi1, psi2, n, k)
+    l1 = lcm(*(c.denominator for c in psi1[1 : k + 1] + psi2[: k + 1]))
+    r = [0] + [int(c * l1**m) for m, c in enumerate(psi1[1 : k + 1], 1)]  # R_0 is not read
+    u = [int(c * l1 ** (m + 1)) for m, c in enumerate(psi2[: k + 1])]
+    big, rows = _recursion_matrix(l1, r, u, n, k)
     new = _step(a_k.coeffs, big, rows)
     return LaplacePolynomial(k=k + 1, coeffs=tuple(Q(a, big) for a in new))
 
 
 def radial_pk(profile, n, k_max):
     """p_1..p_kmax from p_1 = x: one recursion matrix, integer numerators
-    over L^(k-1) for p_k."""
+    over L^(k-1) for p_k, made rational only on output."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise SeriesError("k_max must be >= 1")
     if n < 1:
-        raise ValueError(f"need n >= 1 variables, got {n}")
+        raise SeriesError(f"need n >= 1 variables, got {n}")
     polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
     if k_max > 1:
-        psi1, psi2 = psi_functions(normalize(profile))
-        for k in range(1, k_max):
-            _require_order(psi1, psi2, k)
-        big, rows = _recursion_matrix(psi1, psi2, n, k_max - 1)
-        nums = [1]
-        for k in range(1, k_max):
-            nums = _step(nums, big, rows)
-            coeffs = tuple(Q(a, big**k) for a in nums)
-            polys.append(LaplacePolynomial(k=k + 1, coeffs=coeffs))
+        l1, r, u = _psi_numerators(normalize(profile))
+        _require_order(r, u, min(len(u), k_max - 1))  # names the first step out of reach
+        big, rows = _recursion_matrix(l1, r, u, n, k_max - 1)
+        nums, den = [1], 1
+        for k in range(2, k_max + 1):
+            nums, den = _step(nums, big, rows), den * big
+            polys.append(LaplacePolynomial(k=k, coeffs=tuple(Q(a, den) for a in nums)))
     return polys
 
 

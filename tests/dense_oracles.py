@@ -494,7 +494,7 @@ def ref_psi_functions(profile):
     """(psi1, psi2) = (1/Phi', Phi''/(Phi'(Phi' + t Phi''))) by rational
     series products and reciprocals, as the definitions read."""
     if _slope(profile) != 1:
-        raise ValueError("profile must be normalized (Phi'(0) = 1)")
+        raise JetError("profile must be normalized (Phi'(0) = 1)")
     d1 = series_derivative(profile)
     d2 = series_derivative(d1)
     denom = series_add(series_truncate(d1, len(d2) - 1), series_times_t(d2))
@@ -528,9 +528,9 @@ def ref_recursion_step(a_k, psi1, psi2, n):
 def ref_radial_pk(profile, n, k_max):
     """p_1..p_kmax by ref_recursion_step from p_1 = x."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise SeriesError("k_max must be >= 1")
     if n < 1:
-        raise ValueError(f"need n >= 1 variables, got {n}")
+        raise SeriesError(f"need n >= 1 variables, got {n}")
     polys = [LaplacePolynomial(k=1, coeffs=(Q(1),))]
     if k_max > 1:
         psi1, psi2 = ref_psi_functions(normalize(profile))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dense_oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kahlerlap import radial
 from kahlerlap.fit import LaplacePolynomial, check_delta_property
 from kahlerlap.jets import ValidityError
 from kahlerlap.metric import metric_from_potential
@@ -301,3 +303,51 @@ def test_psi_orders_follow_the_profile():
     for order in range(2, 8):
         psi1, psi2 = psi_functions(named_profile("hyperbolic", order))
         assert (len(psi1) - 1, len(psi2) - 1) == (order - 1, order - 2)
+
+
+# -- the benchmark's rung: radial_pk at n = 3, kmax = 12 on 0,1,+-1/2,+-1/3,+-1/5,+-1/7
+
+RUNG_TAIL = (Q(1, 2), Q(1, 3), Q(1, 5), Q(1, 7))
+
+
+def rung_profile(signs):
+    return profile_from_coeffs([0, 1, *(s * c for s, c in zip(signs, RUNG_TAIL))], order=14)
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=4)))
+def test_radial_pk_matches_the_stepwise_recursion_at_the_rung(signs):
+    profile = rung_profile(signs)
+    assert radial_pk(profile, 3, 12) == ref_radial_pk(profile, 3, 12)
+
+
+@pytest.mark.parametrize("name", ["flat", "fubini-study", "hyperbolic", None])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_space_forms_match_the_stepwise_recursion_at_kmax_20(name, n):
+    # the rung's profiles and the space forms all have L = 1; the last
+    # profile has a common denominator L > 1 that grows as L^(k-1)
+    if name:
+        profile = named_profile(name, 22)
+    else:
+        profile = profile_from_coeffs([0, 2, 3, Q(-5, 7), Q(1, 9)], order=22)
+    assert radial_pk(profile, n, 20) == ref_radial_pk(profile, n, 20)
+
+
+def test_radial_pk_builds_a_fraction_only_for_its_output(monkeypatch):
+    # Q once per coefficient of p_1..p_12 (1 + 2 + ... + 12 = 78); the
+    # 12 * 11 C constants of M are taken once each, all on integers
+    q_calls, constants = [], []
+
+    def counting_q(*args):
+        q_calls.append(args)
+        return Q(*args)
+
+    def recording_c_constant(*args):
+        constants.append(c_constant(*args))
+        return constants[-1]
+
+    monkeypatch.setattr(radial, "Q", counting_q)
+    monkeypatch.setattr(radial, "c_constant", recording_c_constant)
+    polys = radial_pk(rung_profile((1, 1, 1, 1)), 3, 12)
+    assert len(q_calls) == sum(len(p.coeffs) for p in polys) == 78
+    assert len(constants) == 132
+    assert all(type(c) is int for c in constants)
