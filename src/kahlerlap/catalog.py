@@ -5,13 +5,13 @@ validated against and the catalog command lists; product and dual have no
 row, and their dimension and rank are sums over their factors.
 
 The radial families flat, cp and ch are built by substituting their profile
-series in t = |z|^2 (radial.named_profile).  Every other classical family is
-a surface expression (dsl_text) that dsl.elaborate turns into its jet, the
-same path a .pot file takes; product and dual are built from their factors.
+series in t = |z|^2 (radial.named_profile), the matrix families as a trace
+series (_trace_series), the quadrics as surface text (dsl_text) elaborated as
+a .pot file is; product and dual are built from their factors.
 
 Every family but the quadrics, and its dual, is in Harish-Chandra
 coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
-matrix W that dsl_text writes the potential from (_matrix_slots).  The
+matrix W that the potential is written from (_matrix_slots).  The
 quadrics and products take the graded inverse of g, as .pot files do.
 With g_inv closed, the checks read the potential at degrees 2, 3 and 5
 only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
@@ -39,12 +39,11 @@ Families and their potentials in construction coordinates:
   product(a;b;...)  sum of the factor potentials on disjoint variables
   dual(space)       coefficientwise c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}
 
-dsl_text writes no det.  By Cauchy-Binet, det(I + W^dagger W) = 1 + sum
-|det W_{R,C}|^2 over the square minors of W, each expanded by Leibniz (for
-symmetric W, det W_{C,R} = det W_{R,C}: one term of weight 2).  For skew W
-it is the square of 1 + sum_{|I| even} |Pf W_I|^2, whose log is the so2n
-potential, each Pfaffian expanded over the perfect matchings of I.  A minor
-of size m has degree 2m and |Pf W_I|^2 degree |I|: those past D are dropped.
+No det is taken.  With M = W^dagger W, whose entries are quadratic,
+scale log det(I + M) = scale sum_{k>=1} (-1)^(k+1) tr(M^k) / k, and tr(M^k)
+is the part of degree 2k: the series stops at k = floor(D/2), and the odd
+parts are empty.  M is Hermitian, and it is the A - I of bergman_inverse
+(_bergman_blocks): the potential and g_inv are read from one matrix.
 
 Constrained matrix coordinates (sp, so2n) repeat a free variable in two
 matrix slots, which makes g(0) a non-unit diagonal; that is recorded in
@@ -59,11 +58,10 @@ norm nu (so only |u|^2 enters test functions and everything stays rational).
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import lcm, prod
+from math import lcm
 
 from . import dsl
-from .jets import Jet, packing, substitute_radial
+from .jets import Jet, _conj_parts, _mul_into, packing, substitute_radial
 from .metric import MetricJet, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
@@ -248,6 +246,24 @@ def _matrix_slots(desc):
     return N, N, W, 1 if sp else Q(1, 2)
 
 
+def _bergman_blocks(desc, pk):
+    """(W, scale, A, B): _matrix_slots's W and scale, and A = I + W^dagger W
+    and B = I + W W^dagger (both I for flat), (degree, packed key) -> integer."""
+    rows, cols, W, scale = _matrix_slots(desc)
+    n, units = pk.n, pk.units
+    A = [[{(0, 0): 1} if a == b else {} for b in range(cols)] for a in range(cols)]
+    B = [[{(0, 0): 1} if a == b else {} for b in range(rows)] for a in range(rows)]
+    for (r, a), (u, su) in ({} if desc.family == "flat" else W).items():
+        for (r2, b), (v, sv) in W.items():
+            if r2 == r:  # conj(W[r][a]) W[r][b] in A[a][b]
+                key = (2, units[v] + units[n + u])
+                A[a][b][key] = A[a][b].get(key, 0) + su * sv
+            if b == a:  # W[r][a] conj(W[r2][a]) in B[r][r2]
+                key = (2, units[u] + units[n + v])
+                B[r][r2][key] = B[r][r2].get(key, 0) + su * sv
+    return W, scale, A, B
+
+
 _RADIAL_PROFILES = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}
 _BERGMAN = {"flat", "cp", "ch", "grassmannian", "sp", "so2n"}
 
@@ -272,7 +288,44 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
         return total
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
-    return dsl.elaborate(dsl.parse(dsl_text(desc, D)), desc.complex_dim, D)
+    if fam in _BERGMAN:  # grassmannian, sp and so2n
+        return _trace_series(desc, D)
+    return dsl.elaborate(dsl.parse(dsl_text(desc)), desc.complex_dim, D)
+
+
+def _trace_series(desc: SpaceDescriptor, D) -> Jet:
+    """The potential to degree D as its trace series (module docstring), over
+    scale.denominator lcm(1..K), K = floor(D/2).  (M^j)_ba is (M^j)_ab with its
+    key halves swapped: only the upper triangle of M^j, j <= ceil(K/2), is
+    multiplied out, and tr(M^k) is sum_a X_aa Y_aa + h + conj(h) with
+    h = sum_{a<b} X_ab Y_ba, X = M^ceil(k/2) and Y = M^floor(k/2)."""
+    pk = packing(desc.complex_dim, D)
+    _, scale, A, _ = _bergman_blocks(desc, pk)
+    M = [[{K: c for (d, K), c in e.items() if d} for e in row] for row in A]
+    K, m = D // 2, len(M)
+    powers = [[[{0: 1} if a == b else {} for b in range(m)] for a in range(m)], M]
+    for _ in range(2, (K + 1) // 2 + 1):
+        power = [[{} for _ in range(m)] for _ in range(m)]
+        for a in range(m):
+            for b in range(a, m):
+                for c in range(m):
+                    _mul_into(power[a][b], powers[-1][a][c], M[c][b])
+                power[b][a] = _conj_parts(pk, [power[a][b]])[0]
+        powers.append(power)
+    L = lcm(*range(1, K + 1))
+    parts = [{} for _ in range(D + 1)]
+    for k in range(1, K + 1):
+        X, Y = powers[(k + 1) // 2], powers[k // 2]
+        trace, h = {}, {}
+        for a in range(m):
+            _mul_into(trace, X[a][a], Y[a][a])
+            for b in range(a + 1, m):
+                _mul_into(h, X[a][b], Y[b][a])
+        for key, c in (*h.items(), *_conj_parts(pk, [h])[0].items()):
+            trace[key] = trace.get(key, 0) + c
+        w = (-1) ** (k + 1) * scale.numerator * (L // k)
+        parts[2 * k] = {key: c * w for key, c in trace.items() if c}
+    return Jet._of(pk.n, pk, scale.denominator * L, parts)
 
 
 def dual_potential(phi: Jet) -> Jet:
@@ -358,22 +411,9 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     while desc.family == "dual":
         desc, flip = desc.inner[0], not flip
     flip ^= desc.family == "ch"
-    rows, cols, W, scale = _matrix_slots(desc)
     n, pk, D = potential.n, potential.pk, D - 2
-    units = pk.units
+    W, scale, A, B = _bergman_blocks(desc, pk)
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
-    # A and B as (degree, packed key) -> integer
-    A = [[{(0, 0): 1} if a == b else {} for b in range(cols)] for a in range(cols)]
-    B = [[{(0, 0): 1} if a == b else {} for b in range(rows)] for a in range(rows)]
-    quadratic = {} if desc.family == "flat" else W
-    for (r, a), (u, su) in quadratic.items():
-        for (r2, b), (v, sv) in W.items():
-            if r2 == r:  # conj(W[r][a]) W[r][b] in A[a][b]
-                key = (2, units[v] + units[n + u])
-                A[a][b][key] = A[a][b].get(key, 0) + su * sv
-            if b == a:  # W[r][a] conj(W[r2][a]) in B[r][r2]
-                key = (2, units[u] + units[n + v])
-                B[r][r2][key] = B[r][r2].get(key, 0) + su * sv
     # row a is over scale |S_a|; all rows over their lcm
     den = lcm(*(scale.numerator * len(s) for s in slots))
     entries = []
@@ -494,58 +534,16 @@ def family_summary(name):
     return tuple(text for text, _ in _FAMILIES[name][1:])
 
 
-def dsl_text(desc: SpaceDescriptor, D) -> str:
-    """The potential of a non-radial classical family in the surface
-    language, less the terms of degree above D, which cannot reach its jet."""
+def dsl_text(desc: SpaceDescriptor) -> str:
+    """The potential of a quadric in the surface language."""
     fam = desc.family
-    if fam in ("grassmannian", "sp", "so2n"):
-        rows, cols, W, _ = _matrix_slots(desc)
-        if fam == "so2n":
-            sizes = range(2, D + 1, 2)
-            terms = [("", _matchings(I)) for t in sizes for I in combinations(range(cols), t)]
-        else:  # for sp, det W_{C,R} = det W_{R,C}: R <= C stands for both
-            terms = [
-                ("2*" if fam == "sp" and R != C else "", _leibniz(R, C))
-                for m in range(1, D // 2 + 1)
-                for R in combinations(range(rows), m)
-                for C in combinations(range(cols), m)
-                if fam != "sp" or R <= C
-            ]
-        sums = " + ".join(f"{w}modsq({_expansion(W, t)})" for w, t in terms)
-        return f"log(1 + {sums or 0})"
-    if fam in ("quadric-even", "quadric-odd"):
-        N = desc.param("N")
-        nv = N - 1
-        parts = [f"modsq(z({i + 1}))" for i in range(2 * nv)]
-        cross = " + ".join(f"z({i + 1})*z({nv + i + 1})" for i in range(nv))
-        if fam == "quadric-odd":
-            u = 2 * nv
-            parts.append(f"modsq(z({u + 1}))")
-            cross = f"{cross} - 1/2*z({u + 1})*z({u + 1})"
-        return f"log(1 + {' + '.join(parts)} + 4*modsq({cross}))"
-    raise CatalogError(f"no closed surface form for family {fam!r}")
-
-
-def _leibniz(R, C):
-    """The terms (sign, slots) of det W_{R,C}."""
-    for perm in permutations(C):
-        yield (-1) ** sum(a > b for a, b in combinations(perm, 2)), list(zip(R, perm))
-
-
-def _matchings(I):
-    """The terms (sign, slots) of Pf W_I, W skew: one per perfect matching."""
-    if not I:
-        yield 1, []
-    for p in range(1, len(I)):
-        for sign, slots in _matchings(I[1:p] + I[p + 1 :]):
-            yield (-1) ** (p + 1) * sign, [(I[0], I[p])] + slots
-
-
-def _expansion(W, terms):
-    """Surface text of the sum of sign * prod W[slot] over terms."""
-    text = ""
-    for sign, slots in terms:
-        sign *= prod(W[slot][1] for slot in slots)
-        factors = "*".join(f"z({W[slot][0] + 1})" for slot in slots)
-        text += f" {'+' if sign > 0 else '-'} {factors}"
-    return text[3:] if text[1] == "+" else "0" + text
+    if fam not in ("quadric-even", "quadric-odd"):
+        raise CatalogError(f"no closed surface form for family {fam!r}")
+    nv = desc.param("N") - 1
+    parts = [f"modsq(z({i + 1}))" for i in range(2 * nv)]
+    cross = " + ".join(f"z({i + 1})*z({nv + i + 1})" for i in range(nv))
+    if fam == "quadric-odd":
+        u = 2 * nv
+        parts.append(f"modsq(z({u + 1}))")
+        cross = f"{cross} - 1/2*z({u + 1})*z({u + 1})"
+    return f"log(1 + {' + '.join(parts)} + 4*modsq({cross}))"

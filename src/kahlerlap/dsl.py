@@ -105,6 +105,9 @@ _KINDS = {
     **{str(i): "int" for i in range(10)},
     **{w: "ident" for w in ("z", "conj", "modsq", "log", "det", "radial")},
 }
+# The most levels of brackets that parse accepts around an expression: parsing
+# and elaboration recurse once per level, and must not exhaust the stack.
+MAX_NESTING = 100
 
 
 def _kind(piece, line, col):
@@ -150,19 +153,21 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self):
-        node = self.term()
+    def expr(self, depth):
+        if depth > MAX_NESTING:  # depth: the levels of brackets around it
+            raise PotentialSyntaxError(f"over {MAX_NESTING} nested brackets", *self.peek()[2:])
+        node = self.term(depth)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
+            rhs = self.term(depth)
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
         return node
 
-    def term(self):
-        node = self.factor()
+    def term(self, depth):
+        node = self.factor(depth)
         while self.peek()[0] == "*":
             self.take()
-            node = Mul(node, self.factor())
+            node = Mul(node, self.factor(depth))
         return node
 
     def rational(self):
@@ -179,13 +184,13 @@ class _Parser:
             return Q(num, den)
         return Q(num)
 
-    def factor(self):
+    def factor(self, depth):
         kind, value, line, col = self.peek()
         if kind == "int":
             return Lit(self.rational())
         if kind == "(":
             self.take()
-            node = self.expr()
+            node = self.expr(depth + 1)
             self.take(")")
             return node
         if kind == "ident":
@@ -202,16 +207,16 @@ class _Parser:
                 return Coord(idx)
             if value in ("conj", "modsq", "log"):
                 self.take("(")
-                node = self.expr()
+                node = self.expr(depth + 1)
                 self.take(")")
                 return {"conj": Conj, "modsq": ModSq, "log": Log}[value](node)
             if value == "det":
                 self.take("(")
                 self.take("[")
-                rows = [self.row()]
+                rows = [self.row(depth + 1)]
                 while self.peek()[0] == ";":
                     self.take()
-                    rows.append(self.row())
+                    rows.append(self.row(depth + 1))
                 self.take("]")
                 self.take(")")
                 return Det(tuple(rows))
@@ -228,11 +233,11 @@ class _Parser:
             f"expected a factor, found {value or 'end of input'!r}", line, col
         )
 
-    def row(self):
-        items = [self.expr()]
+    def row(self, depth):
+        items = [self.expr(depth)]
         while self.peek()[0] == ",":
             self.take()
-            items.append(self.expr())
+            items.append(self.expr(depth))
         return tuple(items)
 
 
@@ -240,7 +245,7 @@ def parse(text, first_line=1) -> object:
     """Parse an expression, or raise PotentialSyntaxError with position,
     counting the lines of text from first_line."""
     parser = _Parser(_tokenize(text, first_line))
-    node = parser.expr()
+    node = parser.expr(0)
     tok = parser.peek()
     if tok[0] != "end":
         raise PotentialSyntaxError(

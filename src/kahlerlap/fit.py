@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .jets import diagonal_keys
+from .jets import JetError, diagonal_keys
 from .metric import MetricJet, _laplacian_functional, _require
 from .rationals import Q, ZERO, Record
 
@@ -33,9 +33,9 @@ class LaplacePolynomial(Record):
     def __init__(self, k, coeffs):
         self.k, self.coeffs = k, coeffs
         if self.k < 1 or len(self.coeffs) != self.k:
-            raise ValueError("need coefficients a_1..a_k")
+            raise JetError("need coefficients a_1..a_k")
         if self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
+            raise JetError("polynomial must be monic")
 
     def coefficient(self, l):
         if 1 <= l <= self.k:
@@ -74,7 +74,7 @@ class FitResult(Record):
     def __init__(self, k, polynomial=None, witness=None):
         self.k, self.polynomial, self.witness = k, polynomial, witness
         if (self.polynomial is None) == (self.witness is None):
-            raise ValueError("exactly one of polynomial/witness must be set")
+            raise JetError("exactly one of polynomial/witness must be set")
 
     @property
     def fitted(self):
@@ -144,7 +144,7 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     table gives.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise JetError("k must be >= 1")
     _require_depth(m, k, f"the order-{k} fit")
     nums = _laplacian_functional(m, k)
     pk = m.potential.pk
@@ -191,7 +191,7 @@ def fit_pk(m: MetricJet, k) -> FitResult:
 def check_delta_property(m: MetricJet, k_max):
     """FitResults for k = 1..k_max, stopping after the first violation."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise JetError("k_max must be >= 1")
     _require_depth(m, k_max, f"k_max={k_max}")
     results = []
     for k in range(1, k_max + 1):

@@ -160,6 +160,15 @@ def _add_into(acc, parts):
     return acc
 
 
+def _mul_into(acc, x, y):
+    """Add x y into acc, in place; all three map packed key -> integer."""
+    get = acc.get
+    for Kx, cx in x.items():
+        for Ky, cy in y.items():
+            K = Kx + Ky
+            acc[K] = get(K, 0) + cx * cy
+
+
 def _mul_parts(a, b):
     """The product of graded parts a and b on one packing, cut at the degree
     of a: the parts are paired by degree, so nothing past it is computed."""
@@ -172,12 +181,7 @@ def _mul_parts(a, b):
         for db, pb in bs:
             if da + db > D:
                 break
-            acc = out[da + db]
-            get = acc.get
-            for Ka, ca in pa.items():
-                for Kb, cb in pb.items():
-                    K = Ka + Kb
-                    acc[K] = get(K, 0) + ca * cb
+            _mul_into(out[da + db], pa, pb)
     return [{K: c for K, c in acc.items() if c} for acc in out]
 
 
@@ -457,7 +461,7 @@ def substitute_radial(f, n, valid_degree) -> Jet:
         )
     top = max((m for m in range(valid_degree // 2 + 1) if f[m]), default=-1)
     if n < 1 and top >= 0:
-        raise ValueError(f"need n >= 1 variables, got {n}")
+        raise DimensionMismatch(f"need n >= 1 variables, got {n}")
     jet = Jet.zero(n, valid_degree)
     jet.den = L = lcm(*(f[m].denominator for m in range(top + 1)))
     for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
@@ -599,7 +603,7 @@ def _graded_inverse(pk, parts, den):
     h0 = [[c.numerator * (L // c.denominator) for c in row] for row in a0_inv]
     # cols[l]: the nonzero entries (i, H[i][l]) of column l of H
     cols = [[(i, row[l]) for i, row in enumerate(h0) if row[l]] for l in range(m)]
-    # bs[e][i][k]: the terms of L^e B_e[i][k], as (packed key, integer)
+    # bs[e][i][k]: L^e B_e[i][k], as packed key -> integer
     bs = [None]
     for e in range(1, D + 1):
         b = [[{} for _ in range(m)] for _ in range(m)]
@@ -614,7 +618,7 @@ def _graded_inverse(pk, parts, den):
                     w = scale * h
                     for K, a in part.items():
                         acc[K] = get(K, 0) + w * a
-        bs.append([[[t for t in acc.items() if t[1]] for acc in row] for row in b])
+        bs.append([[{K: c for K, c in acc.items() if c} for acc in row] for row in b])
     # xs[d][k][j]: X'_d[k][j], as packed key -> integer
     xs = [[[{0: c} if c else {} for c in row] for row in h0]]
     for d in range(1, D + 1):
@@ -626,13 +630,9 @@ def _graded_inverse(pk, parts, den):
                     terms = bs[e][i][k]
                     if not terms:
                         continue
-                    for j in range(m):
-                        acc = xd[i][j]
-                        get = acc.get
-                        for K2, b in x[k][j].items():
-                            for K, a in terms:
-                                key = K + K2
-                                acc[key] = get(key, 0) + a * b
+                    for acc, xkj in zip(xd[i], x[k]):
+                        if xkj:
+                            _mul_into(acc, xkj, terms)
         xs.append(
             [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
         )

@@ -43,9 +43,8 @@ from __future__ import annotations
 
 from math import factorial, lcm, prod
 
-from .jets import (
-    Jet, JetError, ValidityError, _graded_inverse, _jet_matrix, _reduced, _sum,
-)
+from .jets import DimensionMismatch, Jet, JetError, ValidityError
+from .jets import _graded_inverse, _jet_matrix, _reduced, _sum
 from .rationals import Q, ZERO, Record
 
 
@@ -94,7 +93,7 @@ class MetricJet(Record):
 def metric_from_potential(potential: Jet) -> MetricJet:
     """Build MetricJet from a potential jet valid to degree >= 2.
 
-    Fails with GaugeError unless g(0) is diagonal with positive entries.
+    Fails, before g is built, with GaugeError unless g(0) is positive diagonal.
 
     g is never formed as a matrix of jets.  Only the terms with both a z
     and a zb factor reach g; they are read from the potential's parts, on
@@ -109,25 +108,29 @@ def metric_from_potential(potential: Jet) -> MetricJet:
     """
     n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
     bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
-    # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
-    parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
-    for rows, part in zip(parts, potential.parts[2:]):
-        for K, c in part.items():
-            if not (K & units[n] - 1 and K >> half):
-                continue
-            bars = [
-                (j, b, units[n + j])
-                for j in range(n)
-                if (b := K >> bits * (n + j) & mask)
-            ]
-            for i in range(n):
-                a = K >> bits * i & mask
-                if a:
-                    row, ca, ki = rows[i], c * a, K - units[i]
-                    for j, b, u in bars:
-                        row[j][ki - u] = ca * b
-    lp, parts = _reduced(potential.den, parts)
-    return metric_with_inverse(potential, lambda: _graded_inverse(pk, parts, lp), D + 2)
+
+    def inverse():
+        # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
+        parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
+        for rows, part in zip(parts, potential.parts[2:]):
+            for K, c in part.items():
+                if not (K & units[n] - 1 and K >> half):
+                    continue
+                bars = [
+                    (j, b, units[n + j])
+                    for j in range(n)
+                    if (b := K >> bits * (n + j) & mask)
+                ]
+                for i in range(n):
+                    a = K >> bits * i & mask
+                    if a:
+                        row, ca, ki = rows[i], c * a, K - units[i]
+                        for j, b, u in bars:
+                            row[j][ki - u] = ca * b
+        lp, parts = _reduced(potential.den, parts)
+        return _graded_inverse(pk, parts, lp)
+
+    return metric_with_inverse(potential, inverse, D + 2)
 
 
 def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
@@ -139,7 +142,8 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     denominators of g_inv, and kept as the jets of g_inv, over Lg.
 
     The gauge is checked first, from the potential's degree-2 terms: its
-    term c z_i zb_j is g[i][j](0) = c.  Then inverse runs, and the pullback
+    term c z_i zb_j is g[i][j](0) = c, and the first entry refused in
+    row-major order is reported.  Then inverse runs, and the pullback
     index maps the packed holomorphic half U of each g_inv monomial (U, V)
     to a dict from V, packed as a holomorphic half, to the positions
     carrying the monomial, as (its integer, shift of slot j, shift of slot
@@ -154,22 +158,19 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     n, pk = potential.n, potential.pk
     bits, units = pk.bits, pk.units
     origin, den = potential.parts[2], potential.den
-    diag = []
-    for i in range(n):
-        for j in range(n):
-            c = origin.get(units[i] + units[n + j], 0)
-            if i == j:
-                if c <= 0:
-                    raise GaugeError(
-                        f"g({i},{i})(0) = {Q(c, den)} is not positive"
-                    )
-                diag.append(Q(c, den))
-            elif c != 0:
-                raise GaugeError(
-                    f"g(0) is not diagonal: entry ({i},{j}) = {Q(c, den)}"
-                )
-    lg, ginv = _reduced(*inverse())
     low = units[n] - 1
+    diag = [Q(origin.get(units[i] + units[n + i], 0), den) for i in range(n)]
+    # g(0)'s refused entries: diagonal ones not positive, and off-diagonal ones
+    bad = {(i, i): d for i, d in enumerate(diag) if d <= 0}
+    for K, c in origin.items():
+        p, q = K & low, K >> pk.half
+        if p and q and p != q:  # the term c z_i zb_j, i != j: p = e_i, q = e_j
+            bad[(p.bit_length() - 1) // bits, (q.bit_length() - 1) // bits] = Q(c, den)
+    if bad:
+        (i, j), c = min(bad.items())
+        raise GaugeError(f"g({i},{i})(0) = {c} is not positive" if i == j
+                         else f"g(0) is not diagonal: entry ({i},{j}) = {c}")
+    lg, ginv = _reduced(*inverse())
     index = {}
     for i, row in enumerate(ginv):
         for j, entry in enumerate(row):
@@ -262,7 +263,7 @@ def laplacian_apply(m: MetricJet, phi: Jet) -> Jet:
     if phi.valid_degree < 2:
         raise ValidityError("phi must be valid at least to degree 2")
     if phi.n != m.n:
-        raise ValueError("phi lives in a different variable space")
+        raise DimensionMismatch("phi lives in a different variable space")
     # phi joins g_inv's packing once, through the degree the result reads
     pk = m.potential.pk
     D = min(m.g_inv.valid_degree, phi.valid_degree - 2)
@@ -386,10 +387,10 @@ def delta_power_at0(m: MetricJet, phi: Jet, k: int):
     to 2k, since the value reads phi's coefficients through total degree 2k.
     """
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise JetError("k must be a positive integer")
     _require(m, 2 * k, f"potential valid_degree {m.valid_degree} < {2 * k} needed for k={k}")
     if phi.n != m.n:
-        raise ValueError("phi lives in a different variable space")
+        raise DimensionMismatch("phi lives in a different variable space")
     if phi.valid_degree < 2 * k:
         raise ValidityError(
             f"phi valid_degree {phi.valid_degree} < {2 * k} needed for k={k}"

@@ -96,7 +96,7 @@ def mi_factorial(exponents):
 def multiindices(n, total):
     """All exponent vectors of length n with entries summing to total."""
     if n < 1:
-        raise ValueError(f"need n >= 1 variables, got {n}")
+        raise DimensionMismatch(f"need n >= 1 variables, got {n}")
     if n == 1:
         yield (total,)
         return

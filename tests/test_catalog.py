@@ -470,10 +470,63 @@ class TestDslCrossPath:
         monkeypatch.setattr(JetMatrix, "det", refuse)
         catalog.build_space(catalog.parse_space(label), 6)
 
-    @pytest.mark.parametrize("label", ["cp:n=2", "product(cp:n=1;cp:n=1)"])
+    @pytest.mark.parametrize(
+        "label", ["cp:n=2", "product(cp:n=1;cp:n=1)", *MATRIX_LABELS]
+    )
     def test_no_surface_text_for_built_families(self, label):
         with pytest.raises(catalog.CatalogError):
-            catalog.dsl_text(catalog.parse_space(label), 6)
+            catalog.dsl_text(catalog.parse_space(label))
+
+
+# every matrix family at its smallest parameters and at larger ones
+TRACE_LABELS = MATRIX_LABELS + [
+    "grassmannian:k=1,N=2",
+    "grassmannian:k=3,N=6",
+    "sp:N=1",
+    "sp:N=3",
+    "so2n:N=2",
+    "so2n:N=3",
+    "so2n:N=5",
+]
+
+
+class TestTraceSeries:
+    """The matrix families' potentials, built as the trace series of
+    log det(I + W^dagger W), against the hand-built log det jets."""
+
+    @pytest.mark.parametrize("D", range(2, 9))
+    @pytest.mark.parametrize("label", TRACE_LABELS)
+    def test_matches_direct_jets(self, label, D):
+        desc = catalog.parse_space(label)
+        assert catalog.potential_jet(desc, D) == direct_potential_jet(desc, D)
+
+    @pytest.mark.parametrize("D", [6, 8])
+    @pytest.mark.parametrize("label", ["dual(sp:N=2)", "product(cp:n=1;so2n:N=3)"])
+    def test_duals_and_products_wrap_it(self, label, D):
+        desc = catalog.parse_space(label)
+        assert catalog.potential_jet(desc, D) == direct_potential_jet(desc, D)
+
+    @pytest.mark.parametrize("label", TRACE_LABELS)
+    def test_odd_parts_are_empty(self, label):
+        desc = catalog.parse_space(label)
+        for D in range(10):
+            phi = catalog.potential_jet(desc, D)
+            assert phi.valid_degree == D
+            assert not any(phi.parts[1::2])
+
+    def test_bergman_builds_never_parse_or_elaborate(self, monkeypatch):
+        calls = []
+        for name in ("parse", "elaborate"):
+            build = getattr(dsl, name)
+            monkeypatch.setattr(
+                dsl, name, lambda *args, name=name, build=build: calls.append(name) or build(*args)
+            )
+        for label in BERGMAN_LABELS + ["dual(grassmannian:k=2,N=4)"]:
+            catalog.build_space(catalog.parse_space(label), 6)
+        assert calls == []
+        # the recorder sees the quadrics, which are still surface text
+        catalog.build_space(catalog.parse_space("quadric-even:N=4"), 6)
+        assert calls == ["parse", "elaborate"]
 
 
 class TestTruncationStability:

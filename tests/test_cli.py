@@ -252,6 +252,15 @@ class TestJsonErrorObject:
         assert json.loads(r.stdout) == error_object("PotentialSyntaxError", message, 2)
         assert r.stderr == f"error: {message}\n"
 
+    def test_nesting_past_the_cap_is_a_syntax_error(self, tmp_path):
+        pot = tmp_path / "deep.pot"
+        pot.write_text("dim 1\n" + "(" * 3000 + "modsq(z(1))" + ")" * 3000 + "\n")
+        message = "over 100 nested brackets (line 2, column 102)"
+        r = run_cli("check", str(pot), "--json")
+        assert r.returncode == 2
+        assert json.loads(r.stdout) == error_object("PotentialSyntaxError", message, 2)
+        assert r.stderr == f"error: {message}\n"
+
     def test_error_object_goes_to_stdout_under_out(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert cli.main(["check", "cp:n=0", "--json", "--out", str(report)]) == 2

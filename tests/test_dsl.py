@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kahlerlap.dsl import (
+    MAX_NESTING,
     Add,
     Conj,
     Coord,
@@ -97,6 +98,24 @@ class TestParse:
 
     def test_comment_and_whitespace(self):
         assert parse("1 +  # comment\n modsq(z(1))") == parse("1 + modsq(z(1))")
+
+    def test_nesting_past_the_cap_is_a_syntax_error(self):
+        # far deeper than the interpreter's recursion limit
+        with pytest.raises(PotentialSyntaxError) as exc:
+            parse("(" * 3000 + "modsq(z(1))" + ")" * 3000)
+        # the expression inside the (MAX_NESTING + 1)-th bracket
+        assert (exc.value.line, exc.value.col) == (1, MAX_NESTING + 2)
+
+    @pytest.mark.parametrize(
+        "wrap", ["({})", "conj({})", "modsq({})", "det([{}])", "1 - ({})"]
+    )
+    def test_nesting_up_to_the_cap_parses_and_elaborates(self, wrap):
+        text = "z(1)"
+        for _ in range(MAX_NESTING):
+            text = wrap.format(text)
+        elaborate(parse(text), 1, 2)
+        with pytest.raises(PotentialSyntaxError, match=f"over {MAX_NESTING} nested brackets"):
+            parse(wrap.format(text))
 
 
 class TestPretty:

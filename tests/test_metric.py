@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from kahlerlap import catalog
-from kahlerlap.dsl import elaborate, parse_potential_file
+from kahlerlap.dsl import elaborate, parse, parse_potential_file
 from kahlerlap.jets import Jet, ValidityError, substitute_radial
 from kahlerlap.metric import (
     GaugeError,
@@ -120,6 +121,37 @@ class TestMetricFromPotential:
         phi = Jet.monomial(1, (1,), (1,), -1, 4)
         with pytest.raises(GaugeError):
             metric_from_potential(phi)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("modsq(z(1)) + z(1)*conj(z(3)) + z(3)*conj(z(1)) - modsq(z(2)) + modsq(z(3))",
+             "g(0) is not diagonal: entry (0,2) = 1"),
+            ("modsq(z(1)) - modsq(z(2)) + z(2)*conj(z(1)) + modsq(z(3))",
+             "g(0) is not diagonal: entry (1,0) = 1"),
+            ("modsq(z(1)) + 0*modsq(z(2)) + 2*z(3)*conj(z(2)) + z(3)*z(2)",
+             "g(1,1)(0) = 0 is not positive"),
+            ("modsq(z(1)) + modsq(z(2)) + 1/2*z(3)*conj(z(2)) + modsq(z(3))",
+             "g(0) is not diagonal: entry (2,1) = 1/2"),
+        ],
+    )
+    def test_refuses_the_first_bad_entry_in_row_major_order(self, text, message):
+        phi = elaborate(parse(text), 3, 4)
+        with pytest.raises(GaugeError) as exc:
+            metric_from_potential(phi)
+        assert str(exc.value) == message
+
+    def test_gauge_is_refused_before_g_is_built(self):
+        # g's integer parts are n^2 (D - 1) dicts: about 55 MB at this n
+        phi = elaborate(parse("modsq(z(1))"), 400, 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GaugeError, match=r"^g\(1,1\)\(0\) = 0 is not positive$"):
+                metric_from_potential(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_requires_degree_two(self):
         with pytest.raises(TruncationError):
