@@ -11,7 +11,8 @@ a .pot file is; product and dual are built from their factors.
 
 Every family but the quadrics, and its dual, is in Harish-Chandra
 coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
-matrix W that the potential is written from (_matrix_slots).  The
+matrix W that the potential is written from (_matrix_slots), multiplied out
+on its upper triangle, the lower one being its conjugate.  The
 quadrics and products take the graded inverse of g, as .pot files do.
 With g_inv closed, the checks read the potential at degrees 2, 3 and 5
 only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
@@ -405,7 +406,8 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
         g_inv[a][b] = sum_{(i, j, sign) in S_a} sign B[k][i] A[j][l] / (scale |S_a|).
 
     Its degree-d terms have |Q| = d/2, so a dual (c -> (-1)^|Q| c) negates
-    the degree-2 part; ch is dual(cp).
+    the degree-2 part; ch is dual(cp).  g_inv is Hermitian: only a <= b is
+    multiplied out, and g_inv[b][a] is g_inv[a][b] with its key halves swapped.
     """
     flip = False
     while desc.family == "dual":
@@ -416,12 +418,11 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     # row a is over scale |S_a|; all rows over their lcm
     den = lcm(*(scale.numerator * len(s) for s in slots))
-    entries = []
+    entries = [[None] * n for _ in range(n)]
     for a in range(n):
         mul = scale.denominator * den // (scale.numerator * len(slots[a]))
         ws = [mul * (-1) ** (flip * d // 2) for d in range(D + 1)]
-        row = []
-        for b in range(n):
+        for b in range(a, n):
             k, l, _ = slots[b][0]
             parts = [{} for _ in range(D + 1)]
             for i, j, sign in slots[a]:
@@ -429,9 +430,10 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
                     for (d2, key2), c2 in A[j][l].items():
                         if d1 + d2 <= D:
                             part, key = parts[d1 + d2], key1 + key2
-                            part[key] = part.get(key, 0) + sign * c1 * c2
-            row.append([{K: c * w for K, c in p.items() if c} for p, w in zip(parts, ws)])
-        entries.append(row)
+                            part[key] = part.get(key, 0) + sign * c1 * c2 * ws[d1 + d2]
+            entries[a][b] = [{K: c for K, c in p.items() if c} for p in parts]
+            if b > a:
+                entries[b][a] = _conj_parts(pk, entries[a][b])
     return den, entries
 
 

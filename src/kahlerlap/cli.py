@@ -8,10 +8,11 @@ Reports are deterministic: rationals serialize as strings like "3/4",
 multi-indices as integer lists, and two runs with identical flags produce
 byte-identical output.  Exit codes: 0 all requested checks pass, 1 a check
 found a violation, 2 usage error, 3 internal engine fault (a JetError:
-exhausted validity, dimension mismatch or a singular inverse).  On exit 2 or
-3 the error goes to stderr as one line and, under --json, also to stdout as
-{"error": {"kind", "message", "exit"}}; an argv that does not parse is a
-usage error like any other.
+exhausted validity, dimension mismatch or a singular inverse; or any other
+exception, of kind "internal" with its class name in the message).  On exit
+2 or 3 the error goes to stderr as one line and, under --json, also to
+stdout as {"error": {"kind", "message", "exit"}}; an argv that does not
+parse is a usage error like any other.
 
 One table, COMMANDS, gives each command's handler and arguments; parse_args
 reads argv by it and usage writes the -h text from it.
@@ -395,11 +396,14 @@ def main(argv=None):
     except (UsageError, ValueError, OSError) as exc:
         # ValueError covers CatalogError, GaugeError and the .pot file errors
         error, code, text = exc, 2, str(exc)
+    except Exception as exc:  # any other exception is an engine fault too
+        error, code, text = None, 3, f"internal: {type(exc).__name__}: {exc}"
     finally:
         sys.set_int_max_str_digits(limit)
     print(f"error: {text}", file=sys.stderr)
     if args.json:
-        kind, message = type(error).__name__, str(error)
+        kind, message = (("internal", text.removeprefix("internal: ")) if error is None
+                         else (type(error).__name__, str(error)))
         print(json.dumps({"error": {"kind": kind, "message": message, "exit": code}}, indent=2))
     return code
 

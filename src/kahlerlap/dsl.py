@@ -291,7 +291,14 @@ def _evaluate(node, pk, D):
             terms.append(term if isinstance(op, Add) else -term)
         return _sum(terms)
     if isinstance(node, Mul):
-        return _evaluate(node.left, pk, D) * _evaluate(node.right, pk, D)
+        spine = []  # so is a long product
+        while isinstance(node, Mul):
+            spine.append(node.right)
+            node = node.left
+        value = _evaluate(node, pk, D)
+        for right in reversed(spine):
+            value = value * _evaluate(right, pk, D)
+        return value
     if isinstance(node, Log):
         x = _evaluate(node.arg, pk, D)
         c = x.parts[0].get(0, 0)

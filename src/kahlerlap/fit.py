@@ -18,6 +18,7 @@ the discrepancy, which makes every failure reproducible.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 from .jets import JetError, diagonal_keys
@@ -101,9 +102,11 @@ def _before(A, B, pk):
     return A >> shift & pk.mask < B >> shift & pk.mask
 
 
-def _sorted_diagonal(pk, top):
-    """diagonal_keys restricted to P non-decreasing, the representatives of
-    the diagonal's S_n-orbits, generated in the same order."""
+@cache
+def _sorted_diagonal(pk, p):
+    """diagonal_keys(pk, p)[p] restricted to P non-decreasing, the
+    representatives of the diagonal's S_n-orbits, in the same order; walked
+    once per packing and degree."""
     n, units = pk.n, pk.units
 
     def walk(s, floor, left):  # slots s..n-1, each >= floor, summing to left
@@ -115,7 +118,7 @@ def _sorted_diagonal(pk, top):
             for K, f in walk(s + 1, e, left - e)
         ]
 
-    return [[(K + (K << pk.half), f) for K, f in walk(0, 0, p)] for p in range(top + 1)]
+    return [(K + (K << pk.half), f) for K, f in walk(0, 0, p)]
 
 
 def fit_pk(m: MetricJet, k) -> FitResult:
@@ -165,7 +168,8 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     # (shift, numerator, denominator) of the slots whose d_i is not 1
     slots = [(pk.bits * i, c.numerator, c.denominator)
              for i, c in enumerate(m.origin_diag) if c != 1]
-    diagonal = _sorted_diagonal(pk, k) if m._orbits else diagonal_keys(pk, k)
+    diagonal = ([_sorted_diagonal(pk, p) for p in range(k + 1)] if m._orbits
+                else diagonal_keys(pk, k))
     candidates = []
     for p, K, f in ((p, K, f) for p in range(1, k + 1) for K, f in diagonal[p]):
         if first is not None and _before(first, K, pk):

@@ -288,12 +288,22 @@ class Jet:
 
     def _parts_on(self, pk, D):
         """The parts of degree <= D on packing pk, repacked if self has
-        another; pk must hold D."""
+        another; pk must hold D.  Only a key's nonzero slots move, each
+        found by the key's lowest set bit."""
         parts = self.parts[: D + 1]
         if self.pk is pk:
             return parts
-        unpack, pack = self.pk.unpack, pk.pack
-        return [{pack(*unpack(K)): c for K, c in part.items()} for part in parts]
+        bits, mask, to = self.pk.bits, self.pk.mask, pk.bits
+        out = [{} for _ in parts]
+        for moved, part in zip(out, parts):
+            for K, c in part.items():
+                key = 0
+                while K:
+                    s = ((K & -K).bit_length() - 1) // bits
+                    key |= (K >> bits * s & mask) << to * s
+                    K &= ~(mask << bits * s)
+                moved[key] = c
+        return out
 
     def __eq__(self, other):  # den is not canonical: the difference cross-multiplies
         return (isinstance(other, Jet) and self.n == other.n
@@ -418,7 +428,7 @@ def _log1p_ints(ls, parts):
         N_d = d! ls^(d-1) s'_d
               - sum_{e=1..d-1} (d-e) (d-1)!/(d-e)! ls^(e-1) s'_e N_{d-e},
 
-    and den = D! ls^D.
+    and den = D! ls^D, reduced (_reduced): a nested log takes it as its ls.
     """
     D = len(parts) - 1
     # terms[e]: the terms of s'_e, as (packed key, integer)
@@ -441,7 +451,9 @@ def _log1p_ints(ls, parts):
         nums.append({K: c for K, c in acc.items() if c})
     den = factorial(D) * ls**D
     ws = [den // (factorial(d) * ls**d) for d in range(D + 1)]
-    return den, [{K: c * w for K, c in part.items()} for part, w in zip(nums, ws)]
+    parts = [{K: c * w for K, c in part.items()} for part, w in zip(nums, ws)]
+    den, [[parts]] = _reduced(den, [[parts]])  # as a 1 x 1 matrix
+    return den, parts
 
 
 def substitute_radial(f, n, valid_degree) -> Jet:

@@ -25,10 +25,10 @@ Bergman family's is built only to min(D, 5) (catalog.build_space).
 
 Each lap^k table is stored once, as integer numerators on packed keys.
 When every permutation of the coordinates, applied to z and zb alike, fixes
-g_inv (metric_with_inverse proves it on g_inv's integer parts), a table
-holds one key per S_n-orbit, the orbit's least member in the fit's order;
-_laplacian_functional says why its entries are exact, and fit.fit_pk why
-the witness is unchanged.
+g_inv (metric_with_inverse proves it on the upper triangle of g_inv's integer
+parts, with g_inv Hermitian), a table holds one key per S_n-orbit, the
+orbit's least member in the fit's order; _laplacian_functional says why its
+entries are exact, and fit.fit_pk why the witness is unchanged.
 
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
@@ -149,7 +149,8 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     carrying the monomial, as (its integer, shift of slot j, shift of slot
     n + i, packed e_j + e_i - V).  Last, when n > 1 and the d_i are all
     equal, it tests whether every permutation of the coordinates fixes
-    g_inv, which decides how the lap^k tables are stored.
+    g_inv and g_inv is Hermitian (_fixed_by_permutations), which decides how
+    the lap^k tables are stored.
     """
     if D < 2:
         raise TruncationError(
@@ -196,24 +197,35 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
 
 def _fixed_by_permutations(pk, ginv):
     """Whether every permutation sigma of the coordinates fixes the integer
-    parts ginv[i][j]: entry (sigma i, sigma j) at sigma K is entry (i, j)
-    at K.  The swap of slots 0 and 1 and the cyclic shift of all n slots
-    generate S_n, and the permutations that fix g_inv form a group, so it
-    tests those two on each term, both halves of its key at once; sigma
-    maps terms one to one, so an image with the same integer for every term
-    is the whole entry.  The first mismatch ends the test."""
+    parts ginv[i][j] (entry (sigma i, sigma j) at sigma K is entry (i, j) at
+    K) and ginv is Hermitian off its diagonal.  The swap of slots 0 and 1
+    and the cyclic shift of all n slots generate S_n, and the permutations
+    that fix ginv form a group, so it tests those two on the upper triangle
+    i <= j, both halves of a key at once; a term that the swap fixes by
+    itself (slots 0 and 1 equal in both halves, i, j >= 2) needs no lookup.
+    For i < j, each term of (i, j) is looked up, halves swapped, in (j, i),
+    whose parts have the same sizes: the lower triangle is the conjugate of
+    the upper.  sigma acts on both halves alike, so it maps a lower term
+    conj t to conj sigma t, where sigma t is an upper or lower term off the
+    diagonal: a term too.  So sigma maps the terms into themselves, one to
+    one with the same integers, which is onto.  The first mismatch ends it."""
     n, bits, units = pk.n, pk.bits, pk.units
+    half, low = pk.half, (1 << pk.half) - 1
     first = pk.mask * (units[0] + units[n])  # slots 0 and n
-    rest = (1 << 2 * pk.half) - 1 - first
+    rest = (1 << 2 * half) - 1 - first
     top = bits * (n - 1)
     swap, shift = [1, 0, *range(2, n)], [*range(1, n), 0]
     for i, row in enumerate(ginv):
-        for j, entry in enumerate(row):
-            for part, a, b in zip(entry, ginv[swap[i]][swap[j]], ginv[shift[i]][shift[j]]):
+        for j in range(i, n):
+            mates = ginv[swap[i]][swap[j]], ginv[shift[i]][shift[j]], ginv[j][i]
+            for part, a, b, h in zip(row[j], *mates):
+                if i < j and len(h) != len(part):
+                    return False
                 for K, c in part.items():
                     x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
-                    if (a.get(K ^ x ^ x << bits) != c
-                            or b.get(K << bits & rest | K >> top & first) != c):
+                    if ((x or i < 2) and a.get(K ^ x ^ x << bits) != c
+                            or b.get(K << bits & rest | K >> top & first) != c
+                            or i < j and h.get(K >> half | (K & low) << half) != c):
                         return False
     return True
 
@@ -434,8 +446,8 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
     # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
     # S_ij = sum_h q_h (P/p_h) c, c the numerator at z_h zb_h of Lg g_inv[i][j]
     big_p, big_q = lcm(*p), lcm(*q)
-    weight = [(units[h] + units[n + h], q[h] * (big_p // p[h])) for h in range(n)]
-    s = [[sum(w * e.parts[2].get(K, 0) for K, w in weight) for e in row]
+    weight = {units[h] + units[n + h]: q[h] * (big_p // p[h]) for h in range(n)}
+    s = [[sum(weight.get(K, 0) * c for K, c in e.parts[2].items()) for e in row]
          for row in m.g_inv.entries]
     # d_i S_ij / (P Lg) - lam delta_ij (lam = d_0 S_00 / (P Lg)) over q_0 lcm(q_h) P Lg
     residual = max(abs(p[i] * s[i][j] * q[0] - (p[0] * s[0][0] * q[i] if i == j else 0))

@@ -47,14 +47,16 @@ applying laplacian_apply k times for n <= 4, so it does not trust the table.
 ref_einstein_constant sums the Einstein test's weighted second derivatives
 of g_inv in rationals, entry by entry, where the library decides it on
 integers and builds a rational only for lam and a nonzero residual.
+ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
+where catalog.bergman_inverse multiplies out the upper one and conjugates it.
 """
 
 import copy
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from kahlerlap.catalog import SpaceDescriptor, _upper_index
+from kahlerlap.catalog import SpaceDescriptor, _bergman_blocks, _upper_index
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, ElaborationError, Lit, Log, ModSq, Mul, PotentialSyntaxError,
     Radial, Sub,
@@ -1138,3 +1140,33 @@ def ref_elaborate(node, n, valid_degree) -> Jet:
         pad = (ZERO,) * ((valid_degree + 1) // 2 + 1 - len(node.coeffs))
         return substitute_radial(node.coeffs + pad, n, valid_degree)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def ref_bergman_inverse(desc, potential, D):
+    """catalog.bergman_inverse with every entry (a, b) multiplied out, both
+    triangles, and each row's weight applied after the product."""
+    flip = False
+    while desc.family == "dual":
+        desc, flip = desc.inner[0], not flip
+    flip ^= desc.family == "ch"
+    n, pk, D = potential.n, potential.pk, D - 2
+    W, scale, A, B = _bergman_blocks(desc, pk)
+    slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
+    den = lcm(*(scale.numerator * len(s) for s in slots))
+    entries = []
+    for a in range(n):
+        mul = scale.denominator * den // (scale.numerator * len(slots[a]))
+        ws = [mul * (-1) ** (flip * d // 2) for d in range(D + 1)]
+        row = []
+        for b in range(n):
+            k, l, _ = slots[b][0]
+            parts = [{} for _ in range(D + 1)]
+            for i, j, sign in slots[a]:
+                for (d1, key1), c1 in B[k][i].items():
+                    for (d2, key2), c2 in A[j][l].items():
+                        if d1 + d2 <= D:
+                            part, key = parts[d1 + d2], key1 + key2
+                            part[key] = part.get(key, 0) + sign * c1 * c2
+            row.append([{K: c * w for K, c in p.items() if c} for p, w in zip(parts, ws)])
+        entries.append(row)
+    return den, entries

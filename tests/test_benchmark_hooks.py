@@ -5,9 +5,11 @@ setattr, and perfbench/child.py calls the radial recursion directly, so a
 rename or deletion in src/kahlerlap breaks traced benchmark runs.  The name
 tests read the harness's tables without installing the tracer.  The smoke
 test runs the harness for real in a child process: it installs the tracer,
-runs a catalog check, a seeded .pot case and the seed-0 radial recursion case
-the way perfbench/child.py does, and judges them with perfbench/checks.py
-(the radial one against golden.json and the direct fit), so the values the
+runs a catalog check, the sp-inverse and cp-fit cases (the Bergman closed
+form, the symmetry proof and the orbit tables), a seeded .pot case and the
+seed-0 radial recursion case the way perfbench/child.py does, and judges
+them with perfbench/checks.py (the fixed ones against golden.json, the
+radial one also against the direct fit), so the values the
 harness reads (g_inv entries, .coeffs, Jet.monomial on lists,
 laplacian_apply) are guarded as well as the names, and that the tracer's
 wrapper of delta_power_at0 replaced catalog's module-level import of it.  It also bounds the
@@ -72,6 +74,8 @@ root = Path.cwd()
 pot = next(c for c in workloads.cases("catalog-sweep", 1, root, root) if "pot" in c)
 cases = [
     workloads.cli_case(["check", "cp:n=2", "--degree", "6", "--json"]),
+    workloads.cli_case(workloads.SP_INVERSE),
+    workloads.cli_case(workloads.CP_FIT),
     pot,
     workloads.radial_case(workloads.radial_coeffs(0)),
 ]

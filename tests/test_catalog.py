@@ -7,6 +7,7 @@ from dense_oracles import (
     mat_identity,
     mat_sub,
     metric_matrix,
+    ref_bergman_inverse,
     ref_dual_potential,
     ref_truncated,
 )
@@ -210,6 +211,15 @@ class TestBergmanInverse:
         m = spaces(label, degree).metric
         assert m.g_inv.valid_degree == degree - 2
         assert ginv_top_degree(m) == 4
+
+    @pytest.mark.parametrize("D", [6, 8, 10])
+    @pytest.mark.parametrize("label", BERGMAN_LABELS)
+    def test_upper_triangle_gives_both(self, label, D):
+        # the lower triangle is the conjugate of the upper one; the oracle
+        # multiplies out every entry
+        for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
+            on = Jet.zero(desc.complex_dim, D)  # only its packing is read
+            assert catalog.bergman_inverse(desc, on, D) == ref_bergman_inverse(desc, on, D)
 
     def test_quadric_coordinates_are_not_bergman(self, spaces):
         # the catalog's quadric chart is not Harish-Chandra: g_inv has terms

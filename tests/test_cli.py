@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from kahlerlap import catalog, cli
+from kahlerlap import catalog, cli, metric
 from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.jets import NonInvertibleError
 
@@ -242,6 +242,28 @@ class TestJsonErrorObject:
         assert cli.main(argv) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", err)
+
+    def test_any_other_exception_is_an_internal_fault(self, capsys, monkeypatch):
+        def fault(*args):
+            raise KeyError("slot")
+
+        # the first call inside metric_with_inverse after the gauge check
+        monkeypatch.setattr(metric, "_reduced", fault)
+        assert cli.main(["check", "cp:n=2", "--json"]) == 3
+        out = capsys.readouterr()
+        assert json.loads(out.out) == error_object("internal", "KeyError: 'slot'", 3)
+        assert out.err == "error: internal: KeyError: 'slot'\n"
+        assert cli.main(["check", "cp:n=2"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_a_long_product_is_read_without_a_traceback(self, tmp_path):
+        # one Mul node per factor: far more than the interpreter's recursion limit
+        pot = tmp_path / "long.pot"
+        pot.write_text("dim 1\nmodsq(z(1)) + " + "*".join(["z(1)"] * 3000) + "\n")
+        r = run_cli("check", str(pot), "--json")
+        assert (r.returncode, r.stderr) == (0, "")
+        flat = run_cli("check", "flat:n=1", "--json")
+        assert json.loads(r.stdout)["delta"] == json.loads(flat.stdout)["delta"]
 
     def test_pot_syntax_error(self, tmp_path):
         pot = tmp_path / "broken.pot"

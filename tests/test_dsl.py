@@ -20,10 +20,11 @@ from kahlerlap.dsl import (
     parse,
     parse_potential_file,
 )
+from kahlerlap import jets
 from kahlerlap.jets import Jet
 from kahlerlap.rationals import Q
 
-from dense_oracles import ref_truncated
+from dense_oracles import ref_elaborate, ref_truncated
 
 
 def pretty(node) -> str:
@@ -203,6 +204,31 @@ class TestElaborate:
         text = " + ".join(["modsq(z(1))"] * 3000) + " - modsq(z(1)) - 1"
         jet = elaborate(parse(text), 1, 2)
         assert jet == Jet.monomial(1, (1,), (1,), 2999, 2) - 1
+
+    @pytest.mark.parametrize("text", [
+        "z(1) * conj(z(2)) * 1/3 * (1 + z(2)) * modsq(z(1))",
+        "2 * z(1) * z(1) * conj(z(1)) * log(1 + modsq(z(2)))",
+    ])
+    def test_short_product_multiplies_left_to_right(self, text):
+        factors = [elaborate(parse(f), 2, 6) for f in text.split(" * ")]
+        expected = factors[0]
+        for factor in factors[1:]:
+            expected = expected * factor
+        assert elaborate(parse(text), 2, 6) == expected == ref_elaborate(parse(text), 2, 6)
+
+    def test_nested_log_keeps_its_denominator_small(self):
+        # each level's den is the next level's ls: unreduced, its bit length
+        # doubles per level
+        text = "log(1 + " * 30 + "z(1) + 1/3*modsq(z(1))" + ")" * 30
+        assert elaborate(parse(text), 1, 6).den.bit_length() < 10_000
+
+    def test_nested_log_reduced_equals_unreduced(self, monkeypatch):
+        text = "log(1 + " * 6 + "z(1) + 1/3*modsq(z(1)) + 2*z(2)*conj(z(1))" + ")" * 6
+        reduced = elaborate(parse(text), 2, 6)
+        monkeypatch.setattr(jets, "_reduced", lambda den, entries: (den, entries))
+        unreduced = elaborate(parse(text), 2, 6)
+        assert reduced.den < unreduced.den
+        assert reduced.coeffs == unreduced.coeffs
 
     def test_degree_monotone(self):
         text = "log(1 + modsq(z(1)) + 4 * modsq(z(1) * z(2)))"

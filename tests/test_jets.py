@@ -443,6 +443,35 @@ def test_packing_round_trip(case):
         )
 
 
+@st.composite
+def repack_cases(draw):
+    """A jet of n <= 4 variables on the packing of a validity top >= D, cut
+    at D, its terms drawn with every slot up to D, and a target validity
+    from 0 to 40 that holds the cut: wider slots than the source's, or
+    narrower ones."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    D = draw(st.integers(min_value=0, max_value=12))
+    top = draw(st.integers(min_value=D, max_value=40))
+    exps = st.lists(st.integers(0, D), min_size=2 * n, max_size=2 * n)
+    coeffs = {}
+    for e in draw(st.lists(exps, max_size=12)):
+        if sum(e) <= D:
+            coeffs[tuple(e[:n]), tuple(e[n:])] = draw(small_q)
+    deep = Jet(n, coeffs, top)
+    cut = draw(st.integers(min_value=0, max_value=D))
+    to = draw(st.integers(min_value=cut, max_value=40))
+    return Jet._of(n, deep.pk, deep.den, deep.parts[: D + 1]), cut, packing(n, to)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repack_cases())
+def test_repack_moves_each_slot_as_unpack_and_pack_do(case):
+    jet, cut, pk = case
+    expected = [{pk.pack(*jet.pk.unpack(K)): c for K, c in part.items()}
+                for part in jet.parts[: cut + 1]]
+    assert jet._parts_on(pk, cut) == expected
+
+
 def test_rationals_are_stdlib_fractions():
     assert rationals.Q is Fraction
 

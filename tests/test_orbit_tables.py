@@ -6,7 +6,10 @@ The verdict is compared with a direct test of every transposition on the
 rational coefficients of g_inv, on random symmetric and asymmetric .pot
 bodies and on symmetric ones plus an asymmetric pluriharmonic term (which
 leaves g alone), and check reports with the orbit tables forced off must
-be the shipped ones.
+be the shipped ones.  The verdict also needs g_inv Hermitian: symmetrized
+bodies that are not real keep the full tables, and their reports are the
+same with the orbit tables forced off or on.  The orbit representatives of
+the diagonal are walked once per packing and degree.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
 not divide raises JetError.  The tables are written back onto every key
@@ -30,8 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerlap import catalog, metric
 from kahlerlap.dsl import elaborate, parse_potential_file
-from kahlerlap.fit import check_delta_property, fit_pk
-from kahlerlap.jets import JetError, packing
+from kahlerlap.fit import _sorted_diagonal, check_delta_property, fit_pk
+from kahlerlap.jets import JetError, diagonal_keys, packing
 from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
 from kahlerlap.metric import metric_from_potential
 from kahlerlap.rationals import Q
@@ -343,3 +346,68 @@ def test_a_pluriharmonic_term_keeps_the_orbit_tables(tmp_path, text):
         all(pot.get((transposed(t, P), transposed(t, Q_))) == c for (P, Q_), c in pot.items())
         for t in transpositions(m.n)
     )
+
+
+def non_real(n, factors):
+    """.pot text of sum |z_i|^2 plus the sum, over ordered pairs i != j, of
+    the monomial that factors builds from (i, j); it has no conjugate term."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    units = " + ".join(f"modsq(z({i}))" for i in range(1, n + 1))
+    return f"dim {n}\n{units} + " + " + ".join(
+        "1/3*" + factors.format(i=i, j=j) for i, j in pairs) + "\n"
+
+
+# S_n fixes these potentials, g and g_inv, but g_inv is not Hermitian; the
+# bidegrees are (2, 2) and (3, 3), so check reads them (Bochner form)
+NON_REAL = [
+    non_real(n, factors) for n in (2, 3) for factors in (
+        "z({i})*z({i})*conj(z({i}))*conj(z({j}))",
+        "z({i})*z({i})*z({i})*conj(z({i})*z({j})*z({j}))",
+    )
+]
+
+
+@pytest.mark.parametrize("text", NON_REAL)
+def test_a_non_hermitian_g_inv_keeps_the_full_tables(tmp_path, text):
+    # the symmetry proof also proves g_inv Hermitian, so it declines here;
+    # check prints the same with the orbit tables forced off or on, since
+    # every permutation fixes g_inv all the same
+    m = pot_metric(text)
+    entries = [[e.coeffs for e in row] for row in m.g_inv.entries]
+    assert len(set(m.origin_diag)) == 1 and fixes_every_transposition(entries)
+    assert any(entries[i][j] != {(Q_, P): c for (P, Q_), c in entries[j][i].items()}
+               for i in range(m.n) for j in range(m.n))
+    assert not m._orbits
+    pot = tmp_path / "case.pot"
+    pot.write_text(text)
+    argv = ["check", str(pot), "--json"]
+    shipped = run(argv)
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: forced)
+            assert run(argv) == shipped
+
+
+def test_a_lower_term_without_an_upper_partner_is_refused():
+    # the proof reads the upper triangle and finds each term's conjugate in
+    # the lower one; equal part sizes leave no room for a lower term of its own
+    pk = packing(2, 4)
+    one, none = [{0: 1}, {}, {}], [{}, {}, {}]
+    lower = [{}, {}, {pk.pack((1, 0), (0, 1)): 1}]
+    assert not metric._fixed_by_permutations(pk, [[one, none], [lower, one]])
+    upper = [{}, {}, {pk.pack((0, 1), (1, 0)): 1}]
+    assert metric._fixed_by_permutations(pk, [[one, upper], [lower, one]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_sorted_diagonal_is_walked_once_per_degree(n):
+    # each degree through 8, asked twice: the same list, equal to a fresh
+    # walk and to diagonal_keys with P non-decreasing
+    pk = packing(n, 16)
+    diagonal = diagonal_keys(pk, 8)
+    for p in (3, 1, 8, 5, 0, 8, 2, 4, 6, 7):
+        cached = _sorted_diagonal(pk, p)
+        assert _sorted_diagonal(pk, p) is cached
+        assert cached == _sorted_diagonal.__wrapped__(pk, p) == [
+            (K, f) for K, f in diagonal[p] if list(pk.unpack(K)[0]) == sorted(pk.unpack(K)[0])
+        ]
