@@ -62,14 +62,14 @@ from __future__ import annotations
 from math import lcm
 
 from . import dsl
-from .jets import Jet, _conj_parts, _mul_into, packing, substitute_radial
+from .jets import InputError, Jet, _conj_parts, _mul_into, packing, substitute_radial
 from .metric import MetricJet, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import _table_value, metric_with_inverse
 from .radial import named_profile
 from .rationals import MAX_DIGITS, Q, ZERO, Record
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError):
     pass
 
 

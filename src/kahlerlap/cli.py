@@ -7,12 +7,13 @@ radial (recursion vs direct fit), dual (compact/noncompact order-3 table).
 Reports are deterministic: rationals serialize as strings like "3/4",
 multi-indices as integer lists, and two runs with identical flags produce
 byte-identical output.  Exit codes: 0 all requested checks pass, 1 a check
-found a violation, 2 usage error, 3 internal engine fault (a JetError:
-exhausted validity, dimension mismatch or a singular inverse; or any other
-exception, of kind "internal" with its class name in the message).  On exit
-2 or 3 the error goes to stderr as one line and, under --json, also to
-stdout as {"error": {"kind", "message", "exit"}}; an argv that does not
-parse is a usage error like any other.
+found a violation, 2 refused input (an InputError: usage, catalog, gauge,
+truncation, .pot syntax or series; or an OSError), 3 internal engine fault
+(a JetError: exhausted validity, dimension mismatch or a singular inverse;
+or any other exception, a bare ValueError too, of kind "internal" with its
+class name in the message).  On exit 2 or 3 the error goes to stderr as one
+line and, under --json, also to stdout as {"error": {"kind", "message",
+"exit"}}; an argv that does not parse is a usage error like any other.
 
 One table, COMMANDS, gives each command's handler and arguments; parse_args
 reads argv by it and usage writes the -h text from it.
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 from . import __version__, catalog
 from .dsl import elaborate, parse_potential_file
 from .fit import check_delta_property
-from .jets import JetError
+from .jets import InputError, JetError
 from .metric import (
     GaugeError,
     TruncationError,
@@ -49,7 +50,7 @@ from .rationals import MAX_DIGITS, Q
 _COEFF = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -393,8 +394,7 @@ def main(argv=None):
         error, code, text = exc, 3, f"internal: {exc}"
     except TruncationError as exc:
         error, code, text = exc, 2, f"{exc} (rerun with --degree {exc.required})"
-    except (UsageError, ValueError, OSError) as exc:
-        # ValueError covers CatalogError, GaugeError and the .pot file errors
+    except (InputError, OSError) as exc:
         error, code, text = exc, 2, str(exc)
     except Exception as exc:  # any other exception is an engine fault too
         error, code, text = None, 3, f"internal: {type(exc).__name__}: {exc}"

@@ -35,18 +35,18 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .jets import Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
+from .jets import InputError, Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
 from .rationals import MAX_DIGITS, Q, ZERO, Record
 
 
-class PotentialSyntaxError(ValueError):
+class PotentialSyntaxError(InputError):
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 
 
-class ElaborationError(ValueError):
+class ElaborationError(InputError):
     pass
 
 

@@ -41,6 +41,10 @@ from types import MappingProxyType
 from .rationals import Q, ZERO, as_q
 
 
+class InputError(ValueError):
+    """Input that the engine refuses: the command line exits 2 on it."""
+
+
 class JetError(ValueError):
     pass
 
@@ -139,7 +143,8 @@ def _scaled(parts, w):
 def _reduced(den, entries):
     """(den, entries) divided through by the gcd of den and every numerator
     of the integer graded parts entries[i][j]."""
-    g = gcd(den, *(c for row in entries for e in row for part in e for c in part.values()))
+    g = 1 if den == 1 else gcd(
+        den, *(c for row in entries for e in row for part in e for c in part.values()))
     if g == 1:
         return den, entries
     return den // g, [[[{K: c // g for K, c in part.items()} for part in e] for e in row]

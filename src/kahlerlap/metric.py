@@ -28,7 +28,8 @@ When every permutation of the coordinates, applied to z and zb alike, fixes
 g_inv (metric_with_inverse proves it on the upper triangle of g_inv's integer
 parts, with g_inv Hermitian), a table holds one key per S_n-orbit, the
 orbit's least member in the fit's order; _laplacian_functional says why its
-entries are exact, and fit.fit_pk why the witness is unchanged.
+entries are exact and its index needs only the last D // 2 - 1 slots, and
+fit.fit_pk why the witness is unchanged.
 
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
 matrix d_1..d_n (checked at construction).  Identities that the literature
@@ -43,16 +44,16 @@ from __future__ import annotations
 
 from math import factorial, lcm, prod
 
-from .jets import DimensionMismatch, Jet, JetError, ValidityError
+from .jets import DimensionMismatch, InputError, Jet, JetError, ValidityError
 from .jets import _graded_inverse, _jet_matrix, _reduced, _sum
 from .rationals import Q, ZERO, Record
 
 
-class GaugeError(ValueError):
+class GaugeError(InputError):
     """Coordinates outside the supported gauge (see module docstring)."""
 
 
-class TruncationError(ValueError):
+class TruncationError(InputError):
     """The potential jet is not deep enough for the requested computation."""
 
     def __init__(self, message, required):
@@ -65,17 +66,17 @@ class MetricJet(Record):
 
     There is no g field (see metric_from_potential).  valid_degree is the
     truncation D, which the potential may fall short of past degree 5 (see
-    the module docstring).  origin_diag holds
-    d_i = g[i][i](0).  cubic_free means the potential has no monomial of
-    total degree 3 (it makes all first derivatives of g vanish at the
-    origin).  g_inv is a JetMatrix on the potential's packing, valid
-    to D - 2, whose entries are integer parts over one
-    denominator Lg; _pullback is (Lg, index), the index built from those
-    same parts (see _laplacian_functional).  _functionals maps k to the
+    the module docstring).  origin_diag holds d_i = g[i][i](0).  cubic_free
+    means the potential has no monomial of total degree 3 (it makes all
+    first derivatives of g vanish at the origin).  g_inv is a JetMatrix on
+    the potential's packing, valid to D - 2, whose entries are integer
+    parts over one denominator Lg; _pullback is (Lg, index, lo), the index
+    of those same parts in the slots from lo on.  _functionals maps k to the
     numerators N_k of the lap^k table, the one stored form of it, with N_0
-    there from the start and the rest filled on first use; _orbits says
-    that they hold one key per S_n-orbit (see _laplacian_functional).
-    _einstein caches the Einstein report.  A MetricJet equals only itself.
+    there from the start and the rest filled on first use; _orbits says that
+    they hold one key per S_n-orbit, and lets lo be above 0 (see
+    _laplacian_functional).  _einstein caches the Einstein report.  A
+    MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "valid_degree", "origin_diag", "cubic_free", "g_inv",
@@ -143,14 +144,11 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
 
     The gauge is checked first, from the potential's degree-2 terms: its
     term c z_i zb_j is g[i][j](0) = c, and the first entry refused in
-    row-major order is reported.  Then inverse runs, and the pullback
-    index maps the packed holomorphic half U of each g_inv monomial (U, V)
-    to a dict from V, packed as a holomorphic half, to the positions
-    carrying the monomial, as (its integer, shift of slot j, shift of slot
-    n + i, packed e_j + e_i - V).  Last, when n > 1 and the d_i are all
-    equal, it tests whether every permutation of the coordinates fixes
-    g_inv and g_inv is Hermitian (_fixed_by_permutations), which decides how
-    the lap^k tables are stored.
+    row-major order is reported.  Then inverse runs, and when n > 1 and the
+    d_i are all equal, it tests whether every permutation of the coordinates
+    fixes g_inv and g_inv is Hermitian (_fixed_by_permutations): that
+    decides how the lap^k tables are stored, and so which slots
+    _pullback_index indexes, every slot or the last D // 2 - 1.
     """
     if D < 2:
         raise TruncationError(
@@ -172,27 +170,32 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
         raise GaugeError(f"g({i},{i})(0) = {c} is not positive" if i == j
                          else f"g(0) is not diagonal: entry ({i},{j}) = {c}")
     lg, ginv = _reduced(*inverse())
+    orbits = n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv)
+    lo = max(n - D // 2 + 1, 0) if orbits else 0
+    return MetricJet(
+        n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
+        cubic_free=potential.valid_degree < 3 or not potential.parts[3],
+        g_inv=_jet_matrix(pk, lg, ginv), _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
+        _functionals={0: {0: 1}}, _orbits=orbits)
+
+
+def _pullback_index(pk, ginv, lo):
+    """The pullback index of the integer parts ginv[i][j], over the terms
+    (U, V) with no exponent of U below slot lo: packed U -> {V, packed as a
+    holomorphic half -> [(integer, shift of slot j, shift of slot n + i,
+    packed e_j + e_i - V) for each position (i, j) carrying the term]}."""
+    n, bits, units = pk.n, pk.bits, pk.units
+    low, below = units[n] - 1, units[lo] - 1
     index = {}
     for i, row in enumerate(ginv):
         for j, entry in enumerate(row):
-            shift_j, shift_i = bits * j, bits * (n + i)
-            step = units[j] + units[n + i]
+            shift_j, shift_i, step = bits * j, bits * (n + i), units[j] + units[n + i]
             for part in entry:
                 for K, c in part.items():
-                    index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
-                        (c, shift_j, shift_i, step - (K & ~low))
-                    )
-    return MetricJet(
-        n=n,
-        potential=potential,
-        valid_degree=D,
-        origin_diag=tuple(diag),
-        cubic_free=potential.valid_degree < 3 or not potential.parts[3],
-        g_inv=_jet_matrix(pk, lg, ginv),
-        _pullback=(lg, index),
-        _functionals={0: {0: 1}},
-        _orbits=n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv),
-    )
+                    if not K & below:
+                        index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
+                            (c, shift_j, shift_i, step - (K & ~low)))
+    return index
 
 
 def _fixed_by_permutations(pk, ginv):
@@ -293,8 +296,8 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     (A, B) and g_inv[i][j] coefficient g at a divisor (U, V) <= (A, B) add
     c * g * S_j * T_i at (S, T) = (A - U + e_j, B - V + e_i).
 
-    The pullback runs on integers, with the index that metric_from_potential
-    fixed (m._pullback), on the potential's packing.  With Lg the lcm of the
+    The pullback runs on integers, with the index that metric_with_inverse
+    built (m._pullback), on the potential's packing.  With Lg the lcm of the
     denominators of g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k
     with N_0 = 1 at the origin and N_k built from N_{k-1} by the step above
     with g' for g.  The index is keyed on the holomorphic half, so each
@@ -319,14 +322,17 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     commutes with sigma, a whole orbit of inputs puts the same total on O
     as |O_in| times its representative does, and that total is
     |O| N_k(rep O): the division by |O| is exact, and a remainder raises
-    JetError.  Reading a key canonicalizes it first.  Any other metric takes
-    the loop above on every key, with no per-key branch.
+    JetError.  Reading a key canonicalizes it first.  Pairs with P_i = 0 sort
+    first, so the holomorphic half of a table-(k - 1) representative
+    (|P| <= k - 1), and each divisor U of it, lie in the last k - 1 slots:
+    the index starts at the last D // 2 - 1 (every k with 2k <= D), and a
+    larger k widens it in one pass over g_inv.  Any other metric takes the
+    loop above on every key and slot, with no per-key branch.
     """
     done = m._functionals.get(k)
     if done is not None:
         return done
     pk = m.potential.pk
-    lg, index = m._pullback
     mask = pk.mask
     if k > mask:
         raise ValidityError(
@@ -335,6 +341,10 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
         )
     low = pk.units[m.n] - 1
     prev = _laplacian_functional(m, k - 1).items()
+    lg, index, lo = m._pullback
+    if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
+        index = _pullback_index(pk, [[e.parts for e in row] for row in m.g_inv.entries], need)
+        m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
     out = {}

@@ -55,11 +55,11 @@ from __future__ import annotations
 from math import comb, factorial, gcd, lcm
 
 from .fit import LaplacePolynomial
-from .jets import Jet, JetError, ValidityError, substitute_radial
+from .jets import InputError, Jet, JetError, ValidityError, substitute_radial
 from .rationals import Q, ZERO, as_q
 
 
-class SeriesError(ValueError):
+class SeriesError(InputError):
     pass
 
 

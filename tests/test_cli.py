@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -11,9 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from kahlerlap import catalog, cli, metric
+from kahlerlap import catalog, cli, dsl, metric, radial
 from kahlerlap.dsl import elaborate, parse_potential_file
-from kahlerlap.jets import NonInvertibleError
+from kahlerlap.jets import InputError, JetError, NonInvertibleError
 
 # the directory the tests import kahlerlap from, so the child runs the same code
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
@@ -255,6 +256,24 @@ class TestJsonErrorObject:
         assert out.err == "error: internal: KeyError: 'slot'\n"
         assert cli.main(["check", "cp:n=2"]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_a_bare_value_error_is_an_internal_fault(self, capsys, monkeypatch):
+        # an engine bug, not a refused input: it must not be blamed on the user
+        def fault(*args):
+            raise ValueError("slot")
+
+        monkeypatch.setattr(metric, "_reduced", fault)
+        assert cli.main(["check", "cp:n=2", "--json"]) == 3
+        out = capsys.readouterr()
+        assert json.loads(out.out) == error_object("internal", "ValueError: slot", 3)
+        assert out.err == "error: internal: ValueError: slot\n"
+
+    def test_every_refusal_is_an_input_error(self):
+        refusals = (cli.UsageError, catalog.CatalogError, metric.GaugeError,
+                    metric.TruncationError, dsl.PotentialSyntaxError, dsl.ElaborationError,
+                    radial.SeriesError)
+        assert all(issubclass(cls, InputError) for cls in refusals)
+        assert not issubclass(JetError, InputError)
 
     def test_a_long_product_is_read_without_a_traceback(self, tmp_path):
         # one Mul node per factor: far more than the interpreter's recursion limit
@@ -680,3 +699,17 @@ class TestDualCommand:
         r = run_cli("dual", "flat:n=2", "--json")
         rows = json.loads(r.stdout)["dual"]
         assert all(row["compact"] == "0" for row in rows)
+
+
+def test_the_engine_raises_no_bare_value_error():
+    # a bare ValueError would reach cli.main as an internal fault (exit 3):
+    # a refused input raises an InputError, an engine fault a JetError
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    bare = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert len(sources) > 5 and bare == []

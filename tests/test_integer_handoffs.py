@@ -209,8 +209,8 @@ def test_the_view_is_the_integer_parts_over_lg():
     m = metric.metric_from_potential(
         elaborate(parse("log(1 + 2/3*modsq(z(1)) + modsq(z(2)) + 1/5*modsq(z(1)*z(2)))"), 2, 6)
     )
-    lg, index = m._pullback
-    assert lg > 1
+    lg, index, lo = m._pullback
+    assert lg > 1 and lo == 0  # no permutation symmetry: every term is indexed
     pk = m.potential.pk
     # what the pullback index holds, as (i, j, packed key) -> integer
     indexed = {

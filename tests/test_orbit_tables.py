@@ -19,11 +19,14 @@ every key (dense_oracles.full_tables): on random symmetric .pot bodies with
 n = 2 and 3, and on potentials whose symmetry one extra term breaks, which
 keep the full tables.  The structural guard pins how many representatives
 cp:n=10 stores and that sp:N=3 keeps its full tables; no timing is
-asserted.  The genus test reads lambda and the x coefficient of the fitted
-p_2 of every irreducible family, which both equal the genus (Loos 1977),
-from orbit tables for cp and ch and from full tables for the matrix
-families; the quadrics fail it until their metric is mended (ROADMAP
-item 1).
+asserted.  The pullback index of an orbit metric holds only the terms in
+its last D // 2 - 1 slots (157 of the 1,200 of cp:n=10 at D = 8, all of
+them once the full tables widen it), and a table past that window widens it
+and still equals the full tables, the dual command at D = 4 included.  The
+genus test reads lambda and the x coefficient of the fitted p_2 of every
+irreducible family, which both equal the genus (Loos 1977), from orbit
+tables for cp and ch and from full tables for the matrix families; the
+quadrics fail it until their metric is mended (ROADMAP item 1).
 """
 
 from itertools import combinations, permutations
@@ -202,6 +205,51 @@ def test_cp10_stores_one_key_per_orbit(spaces):
     # table k: the diagonal z^P zb^P with 1 <= |P| <= k, one per partition of |P|
     assert [len(_laplacian_functional(m, k)) for k in range(1, 7)] == [1, 3, 6, 11, 18, 29]
     assert [len(expand_orbits(m, k)) for k in range(1, 7)] == [10, 65, 285, 1000, 3002, 8007]
+
+
+def index_hits(m):
+    """How many g_inv terms the pullback index holds."""
+    return sum(len(hits) for halves in m._pullback[1].values() for hits in halves.values())
+
+
+def test_cp10_indexes_only_the_slots_its_representatives_reach():
+    # D = 8 allows k <= 4, and table 3's representatives put their
+    # holomorphic halves, and every divisor of them, in the last 3 slots
+    m = catalog.build_space(catalog.parse_space("cp:n=10"), 8).metric
+    below = m.potential.pk.units[7] - 1
+    assert m._orbits and m._pullback[2] == 7
+    assert index_hits(m) == 157 and not any(KU & below for KU in m._pullback[1])
+    for k in range(1, 5):
+        _laplacian_functional(m, k)
+    assert index_hits(m) == 157
+    full = full_tables(m)
+    _laplacian_functional(full, 1)
+    assert full._pullback[2] == 0 and index_hits(full) == 1200
+    assert sum(len(part) for row in m.g_inv.entries for e in row for part in e.parts) == 1200
+    assert index_hits(m) == 157
+
+
+@pytest.mark.parametrize("label,degree", [("cp:n=3", 4), ("ch:n=3", 5), ("cp:n=4", 6),
+                                          ("ch:n=5", 8)])
+def test_a_table_past_the_window_widens_it(label, degree):
+    m = catalog.build_space(catalog.parse_space(label), degree).metric
+    n, w = m.n, degree // 2 - 1
+    assert m._orbits and m._pullback[2] == n - w
+    full = full_tables(m)
+    for k in range(1, w + 3):
+        assert expand_orbits(m, k) == _laplacian_functional(full, k)
+        assert m._pullback[2] == n - max(w, k - 1)
+
+
+@pytest.mark.parametrize("label", ["cp:n=3", "ch:n=2"])
+def test_dual_at_degree_4_reads_what_the_full_tables_read(label):
+    # table 3 at D = 4 needs 2 slots of the index, where D // 2 - 1 = 1
+    argv = ["dual", label, "--degree", "4", "--json"]
+    shipped = run(argv)
+    assert shipped[0] == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: False)
+        assert run(argv) == shipped
 
 
 def test_sp3_keeps_its_full_tables(spaces):
