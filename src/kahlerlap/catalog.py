@@ -12,7 +12,7 @@ a .pot file is; product and dual are built from their factors.
 Every family but the quadrics, and its dual, is in Harish-Chandra
 coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
 matrix W that the potential is written from (_matrix_slots), multiplied out
-on its upper triangle, the lower one being its conjugate.  The
+and stored on its upper triangle, the lower one being its conjugate.  The
 quadrics and products take the graded inverse of g, as .pot files do.
 With g_inv closed, the checks read the potential at degrees 2, 3 and 5
 only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
@@ -356,12 +356,10 @@ def _frame(desc: SpaceDescriptor):
             FrameDirection(((1, 1), (nv + 2, 1)), Q(2)),
         )
     if fam == "product":
-        out = []
-        offset = 0
-        for f in desc.inner:
-            for fd in _frame(f):
-                form = tuple((offset + var, c) for var, c in fd.form)
-                out.append(FrameDirection(form, fd.nu))
+        out, offset = [], 0
+        for f in desc.inner:  # each factor's forms, on its variables
+            out += [FrameDirection(tuple((offset + var, c) for var, c in fd.form), fd.nu)
+                    for fd in _frame(f)]
             offset += f.complex_dim
         return tuple(out)
     return _frame(desc.inner[0])  # dual
@@ -371,12 +369,7 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     """Construct the metric jet and embedding metadata at truncation D."""
     if D < 2:
         raise CatalogError("truncation must be >= 2")
-    return CatalogSpace(
-        descriptor=desc,
-        metric=_metric(desc, D),
-        frame=_frame(desc),
-        truncation=D,
-    )
+    return CatalogSpace(descriptor=desc, metric=_metric(desc, D), frame=_frame(desc), truncation=D)
 
 
 def _metric(desc: SpaceDescriptor, D, phi=None) -> MetricJet:
@@ -407,7 +400,8 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
 
     Its degree-d terms have |Q| = d/2, so a dual (c -> (-1)^|Q| c) negates
     the degree-2 part; ch is dual(cp).  g_inv is Hermitian: only a <= b is
-    multiplied out, and g_inv[b][a] is g_inv[a][b] with its key halves swapped.
+    multiplied out, and each entry (b, a) below the diagonal is None, read
+    as g_inv[a][b] with its key halves swapped (metric.metric_with_inverse).
     """
     flip = False
     while desc.family == "dual":
@@ -432,42 +426,38 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
                             part, key = parts[d1 + d2], key1 + key2
                             part[key] = part.get(key, 0) + sign * c1 * c2 * ws[d1 + d2]
             entries[a][b] = [{K: c for K, c in p.items() if c} for p in parts]
-            if b > a:
-                entries[b][a] = _conj_parts(pk, entries[a][b])
     return den, entries
 
 
-def _modsq_of_form(form, n, D) -> Jet:
-    u = Jet.zero(n, D)
-    for var, c in form:
-        u = u + Jet.variable(n, var, D).scale(c)
-    return u * u.conj()
-
-
 def embedded_test_polys(space: CatalogSpace) -> TestFunctionPair:
-    """Pullbacks of |z1|^4 and |z1 z2|^2 under the embedded-line frame."""
+    """Pullbacks of |z1|^4 and |z1 z2|^2 under the embedded-line frame, to the
+    truncation on the metric's packing: |u1|^4 / nu1^2 and |u1 u2|^2 / (nu1 nu2),
+    one product each of the |u|^2 = sum c_v c_w z_v zb_w, u = sum c_v z_v."""
     if len(space.frame) < 2:
         raise CatalogError(
             f"{space.descriptor.label()} has rank < 2: no embedded "
             "projective-plane test functions"
         )
-    n = space.metric.n
-    D = space.truncation
-    u1, u2 = space.frame[0], space.frame[1]
-    m1 = _modsq_of_form(u1.form, n, D)
-    m2 = _modsq_of_form(u2.form, n, D)
-    f1 = (m1 * m1) / (u1.nu * u1.nu)
-    f2 = (m1 * m2) / (u1.nu * u2.nu)
-    return TestFunctionPair(f1=f1, f2=f2)
+    pk, D = space.metric.potential.pk, space.truncation
+    n, units = pk.n, pk.units
+    u1, u2 = space.frame[:2]
+    m1, m2 = ({units[v] + units[n + w]: a * b for v, a in u.form for w, b in u.form}
+              for u in (u1, u2))
+
+    def quartic(x, y, nu):
+        acc, parts = {}, [{} for _ in range(D + 1)]
+        if D >= 4:
+            _mul_into(acc, x, y)
+            parts[4] = {K: c * nu.denominator for K, c in acc.items() if c}
+        return Jet._of(n, pk, nu.numerator, parts)
+
+    return TestFunctionPair(quartic(m1, m1, u1.nu * u1.nu), quartic(m1, m2, u1.nu * u2.nu))
 
 
 def _frame_mu(space: CatalogSpace, fd: FrameDirection):
     """mu = u^dagger g(0) u / nu: the origin metric norm of the unit frame vector."""
     d = space.metric.origin_diag
-    acc = ZERO
-    for var, c in fd.form:
-        acc += Q(c * c) * d[var]
-    return acc / fd.nu
+    return sum((Q(c * c) * d[var] for var, c in fd.form), ZERO) / fd.nu
 
 
 class ObstructionReport(Record):
@@ -490,19 +480,12 @@ def obstruction_report(space: CatalogSpace) -> ObstructionReport:
             f"(residual {rep.residual})"
         )
     pair = embedded_test_polys(space)
-    mu1 = _frame_mu(space, space.frame[0])
-    mu2 = _frame_mu(space, space.frame[1])
+    mu1, mu2 = (_frame_mu(space, fd) for fd in space.frame[:2])
     val1 = delta_power_at0(space.metric, pair.f1, 3) * mu1 * mu1
     val2 = delta_power_at0(space.metric, pair.f2, 3) * mu1 * mu2
     return ObstructionReport(
-        lam=rep.lam,
-        mu=(mu1, mu2),
-        val1=val1,
-        val2=val2,
-        delta_requirement=val1 - 2 * val2,
-        val1_expected=12 * rep.lam + 16,
-        val2_expected=6 * rep.lam,
-    )
+        lam=rep.lam, mu=(mu1, mu2), val1=val1, val2=val2, delta_requirement=val1 - 2 * val2,
+        val1_expected=12 * rep.lam + 16, val2_expected=6 * rep.lam)
 
 
 def dual_compare(desc: SpaceDescriptor, D=6):

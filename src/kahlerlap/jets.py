@@ -75,10 +75,7 @@ class _Packing:
     __slots__ = ("n", "bits", "mask", "half", "units", "diagonal")
 
     def __init__(self, n, bits):
-        self.n = n
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        self.half = n * bits
+        self.n, self.bits, self.mask, self.half = n, bits, (1 << bits) - 1, n * bits
         self.units = tuple(1 << bits * s for s in range(2 * n))
         self.diagonal = []  # diagonal_keys, grown on demand
 
@@ -142,12 +139,12 @@ def _scaled(parts, w):
 
 def _reduced(den, entries):
     """(den, entries) divided through by the gcd of den and every numerator
-    of the integer graded parts entries[i][j]."""
+    of the integer graded parts entries[i][j]; an entry None stays None."""
     g = 1 if den == 1 else gcd(
-        den, *(c for row in entries for e in row for part in e for c in part.values()))
+        den, *(c for row in entries for e in row if e for part in e for c in part.values()))
     if g == 1:
         return den, entries
-    return den // g, [[[{K: c // g for K, c in part.items()} for part in e] for e in row]
+    return den // g, [[e and [{K: c // g for K, c in part.items()} for part in e] for e in row]
                       for row in entries]
 
 
@@ -524,11 +521,7 @@ class JetMatrix:
             )
             for row in entries
         )
-        self.rows = rows
-        self.cols = cols
-        self.n = n
-        self.valid_degree = D
-        self.entries = entries
+        self.rows, self.cols, self.n, self.valid_degree, self.entries = rows, cols, n, D, entries
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -579,8 +572,9 @@ class JetMatrix:
 
 def _jet_matrix(pk, den, entries):
     """The JetMatrix of the integer graded parts entries[i][j] over den, on
-    packing pk."""
-    return JetMatrix([[Jet._of(pk.n, pk, den, e) for e in row] for row in entries])
+    packing pk; an entry None is entries[j][i] with its key halves swapped."""
+    return JetMatrix([[Jet._of(pk.n, pk, den, _conj_parts(pk, entries[j][i]) if e is None else e)
+                       for j, e in enumerate(row)] for i, row in enumerate(entries)])
 
 
 def _graded_inverse(pk, parts, den):

@@ -10,9 +10,11 @@ parts straight from the potential's packed parts and inverts them, and the
 one reading of g's derivatives (third_deriv_obstruction) takes them from
 the potential's coefficients.  The Bergman catalog families take g_inv in
 closed form instead (catalog.bergman_inverse); both builders hand g_inv to
-metric_with_inverse as integer parts over one denominator, which keeps them
-as the jets of MetricJet.g_inv and indexes the same parts for the lap^k
-pullback.
+metric_with_inverse as integer parts over one denominator, which stores them
+(MetricJet._ginv) and indexes them for the lap^k pullback.  The closed form
+gives only its upper triangle: an entry None below the diagonal is its mate
+above with the two halves of each key swapped, and every reader of the
+parts reads it so.  The JetMatrix MetricJet.g_inv is built on first read.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
@@ -68,27 +70,35 @@ class MetricJet(Record):
     truncation D, which the potential may fall short of past degree 5 (see
     the module docstring).  origin_diag holds d_i = g[i][i](0).  cubic_free
     means the potential has no monomial of total degree 3 (it makes all
-    first derivatives of g vanish at the origin).  g_inv is a JetMatrix on
-    the potential's packing, valid to D - 2, whose entries are integer
-    parts over one denominator Lg; _pullback is (Lg, index, lo), the index
-    of those same parts in the slots from lo on.  _functionals maps k to the
-    numerators N_k of the lap^k table, the one stored form of it, with N_0
-    there from the start and the rest filled on first use; _orbits says that
-    they hold one key per S_n-orbit, and lets lo be above 0 (see
-    _laplacian_functional).  _einstein caches the Einstein report.  A
-    MetricJet equals only itself.
+    first derivatives of g vanish at the origin).  _ginv holds the integer
+    parts of Lg g_inv on the potential's packing, valid to D - 2 (see the
+    module docstring), and g_inv, if given None, is built from them on first
+    read; _pullback is (Lg, index, lo), the index of those parts in the
+    slots from lo on.  _functionals maps k to the numerators N_k of the
+    lap^k table, the one stored form of it, with N_0 there from the start
+    and the rest filled on first use; _orbits says that they hold one key
+    per S_n-orbit, and lets lo be above 0 (see _laplacian_functional).
+    _einstein caches the Einstein report.  A MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "valid_degree", "origin_diag", "cubic_free", "g_inv",
-                 "_pullback", "_functionals", "_einstein", "_orbits")
+                 "_pullback", "_functionals", "_einstein", "_orbits", "_ginv")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, n, potential, valid_degree, origin_diag, cubic_free, g_inv,
-                 _pullback, _functionals, _einstein=None, _orbits=False):
+                 _pullback, _functionals, _einstein=None, _orbits=False, _ginv=None):
         self.n, self.potential, self.valid_degree = n, potential, valid_degree
-        self.origin_diag, self.cubic_free, self.g_inv = origin_diag, cubic_free, g_inv
+        self.origin_diag, self.cubic_free = origin_diag, cubic_free
+        if g_inv is not None:
+            self.g_inv = g_inv
         self._pullback, self._functionals = _pullback, _functionals
-        self._einstein, self._orbits = _einstein, _orbits
+        self._einstein, self._orbits, self._ginv = _einstein, _orbits, _ginv
+
+    def __getattr__(self, name):  # reached only while the g_inv slot is unset
+        if name != "g_inv":
+            raise AttributeError(name)
+        self.g_inv = _jet_matrix(self.potential.pk, self._pullback[0], self._ginv)
+        return self.g_inv
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
@@ -138,9 +148,9 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     """MetricJet valid to degree D >= 2, of a potential valid to degree
     min(D, 5) at least, on a packing that holds D, whose g_inv is
     inverse() = (L, entries): entries[i][j] the integer graded parts of
-    L g_inv[i][j] on the potential's packing, valid to D - 2.
-    They are reduced (jets._reduced) to Lg, the lcm of the reduced
-    denominators of g_inv, and kept as the jets of g_inv, over Lg.
+    L g_inv[i][j] on the potential's packing, valid to D - 2 (None below
+    the diagonal: the conjugate of the mate above).  They are reduced
+    (jets._reduced) to Lg, the lcm of the reduced denominators of g_inv.
 
     The gauge is checked first, from the potential's degree-2 terms: its
     term c z_i zb_j is g[i][j](0) = c, and the first entry refused in
@@ -175,26 +185,31 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
         cubic_free=potential.valid_degree < 3 or not potential.parts[3],
-        g_inv=_jet_matrix(pk, lg, ginv), _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
-        _functionals={0: {0: 1}}, _orbits=orbits)
+        g_inv=None, _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
+        _functionals={0: {0: 1}}, _orbits=orbits, _ginv=ginv)
 
 
 def _pullback_index(pk, ginv, lo):
     """The pullback index of the integer parts ginv[i][j], over the terms
     (U, V) with no exponent of U below slot lo: packed U -> {V, packed as a
     holomorphic half -> [(integer, shift of slot j, shift of slot n + i,
-    packed e_j + e_i - V) for each position (i, j) carrying the term]}."""
-    n, bits, units = pk.n, pk.bits, pk.units
+    packed e_j + e_i - V) for each position (i, j) carrying the term]}, in the
+    order (i, j), i <= j, then (j, i), stored or None: one index for both forms."""
+    n, bits, units, half = pk.n, pk.bits, pk.units, pk.half
     low, below = units[n] - 1, units[lo] - 1
     index = {}
-    for i, row in enumerate(ginv):
-        for j, entry in enumerate(row):
-            shift_j, shift_i, step = bits * j, bits * (n + i), units[j] + units[n + i]
-            for part in entry:
-                for K, c in part.items():
-                    if not K & below:
-                        index.setdefault(K & low, {}).setdefault(K >> pk.half, []).append(
-                            (c, shift_j, shift_i, step - (K & ~low)))
+    for i, j in [p for a in range(n) for b in range(a, n)
+                 for p in dict.fromkeys([(a, b), (b, a)])]:
+        entry, swapped = (ginv[j][i], True) if ginv[i][j] is None else (ginv[i][j], False)
+        shift_j, shift_i, step = bits * j, bits * (n + i), units[j] + units[n + i]
+        for part in entry:
+            for K, c in part.items():
+                U, V = K & low, K >> half
+                if swapped:
+                    U, V = V, U
+                if not U & below:
+                    index.setdefault(U, {}).setdefault(V, []).append(
+                        (c, shift_j, shift_i, step - (V << half)))
     return index
 
 
@@ -208,27 +223,35 @@ def _fixed_by_permutations(pk, ginv):
     itself (slots 0 and 1 equal in both halves, i, j >= 2) needs no lookup.
     For i < j, each term of (i, j) is looked up, halves swapped, in (j, i),
     whose parts have the same sizes: the lower triangle is the conjugate of
-    the upper.  sigma acts on both halves alike, so it maps a lower term
-    conj t to conj sigma t, where sigma t is an upper or lower term off the
-    diagonal: a term too.  So sigma maps the terms into themselves, one to
-    one with the same integers, which is onto.  The first mismatch ends it."""
+    the upper.  An entry None there is that conjugate by definition: no
+    test, and a lookup in it is one in its mate, halves swapped.  sigma acts
+    on both halves alike, so it maps a lower term conj t to conj sigma t,
+    where sigma t is an upper or lower term off the diagonal: a term too.
+    So sigma maps the terms into themselves, one to one with the same
+    integers, which is onto.  The first mismatch ends it."""
     n, bits, units = pk.n, pk.bits, pk.units
     half, low = pk.half, (1 << pk.half) - 1
     first = pk.mask * (units[0] + units[n])  # slots 0 and n
     rest = (1 << 2 * half) - 1 - first
     top = bits * (n - 1)
     swap, shift = [1, 0, *range(2, n)], [*range(1, n), 0]
+
+    def entry(a, b):  # (parts, s): entry (a, b) at K is parts at K >> s | (K & low) << s
+        return (ginv[b][a], half) if ginv[a][b] is None else (ginv[a][b], 0)
+
     for i, row in enumerate(ginv):
         for j in range(i, n):
-            mates = ginv[swap[i]][swap[j]], ginv[shift[i]][shift[j]], ginv[j][i]
-            for part, a, b, h in zip(row[j], *mates):
-                if i < j and len(h) != len(part):
+            (a, sa), (b, sb) = entry(swap[i], swap[j]), entry(shift[i], shift[j])
+            h = ginv[j][i] if i < j else None  # an explicit lower entry, to test
+            for part, pa, pb, ph in zip(row[j], a, b, h or row[j]):
+                if h and len(ph) != len(part):
                     return False
                 for K, c in part.items():
                     x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
-                    if ((x or i < 2) and a.get(K ^ x ^ x << bits) != c
-                            or b.get(K << bits & rest | K >> top & first) != c
-                            or i < j and h.get(K >> half | (K & low) << half) != c):
+                    ka, kb = K ^ x ^ x << bits, K << bits & rest | K >> top & first
+                    if ((x or i < 2) and pa.get(ka >> sa | (ka & low) << sa) != c
+                            or pb.get(kb >> sb | (kb & low) << sb) != c
+                            or h and ph.get(K >> half | (K & low) << half) != c):
                         return False
     return True
 
@@ -343,7 +366,7 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     prev = _laplacian_functional(m, k - 1).items()
     lg, index, lo = m._pullback
     if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
-        index = _pullback_index(pk, [[e.parts for e in row] for row in m.g_inv.entries], need)
+        index = _pullback_index(pk, m._ginv, need)
         m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
@@ -451,14 +474,15 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
             "not vanish at the origin"
         )
     _require(m, 4, "inverse metric valid below degree 2")
-    n, units, lg = m.n, m.potential.pk.units, m._pullback[0]
+    n, units, lg, ginv = m.n, m.potential.pk.units, m._pullback[0], m._ginv
     p, q = [x.numerator for x in m.origin_diag], [x.denominator for x in m.origin_diag]
     # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
     # S_ij = sum_h q_h (P/p_h) c, c the numerator at z_h zb_h of Lg g_inv[i][j]
     big_p, big_q = lcm(*p), lcm(*q)
     weight = {units[h] + units[n + h]: q[h] * (big_p // p[h]) for h in range(n)}
-    s = [[sum(weight.get(K, 0) * c for K, c in e.parts[2].items()) for e in row]
-         for row in m.g_inv.entries]
+    # an entry None is (j, i) halves swapped, and each weighted key is its own swap
+    s = [[sum(weight.get(K, 0) * c for K, c in (ginv[i][j] or ginv[j][i])[2].items())
+          for j in range(n)] for i in range(n)]
     # d_i S_ij / (P Lg) - lam delta_ij (lam = d_0 S_00 / (P Lg)) over q_0 lcm(q_h) P Lg
     residual = max(abs(p[i] * s[i][j] * q[0] - (p[0] * s[0][0] * q[i] if i == j else 0))
                    * (big_q // q[i]) for i in range(n) for j in range(n))
@@ -503,16 +527,15 @@ def fifth_order_check(m: MetricJet):
     n = m.n
     # dg3[a][b] maps (g, d, e) with g <= e to Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
     dg3 = [[{} for _ in range(n)] for _ in range(n)]
-    unpack = m.potential.pk.unpack
+    ginv, unpack = m._ginv, m.potential.pk.unpack
     for a in range(n):
         for b in range(n):
-            for key, c in m.g_inv[a][b].parts[3].items():
-                P, Q_ = unpack(key)
+            e = ginv[a][b]  # None: (b, a) with the halves of each key swapped
+            for key, c in (e or ginv[b][a])[3].items():
+                P, Q_ = unpack(key) if e else unpack(key)[::-1]
                 if sum(P) == 2:
-                    hol = [idx for idx, e in enumerate(P) for _ in range(e)]
-                    dd = Q_.index(1)
-                    val = c * (2 if hol[0] == hol[1] else 1)
-                    dg3[a][b][(hol[0], dd, hol[1])] = val
+                    g, h = [idx for idx, x in enumerate(P) for _ in range(x)]
+                    dg3[a][b][(g, Q_.index(1), h)] = c * (2 if g == h else 1)
 
     def term(g, d, e, a, b):
         lo, hi = (g, e) if g <= e else (e, g)

@@ -48,7 +48,10 @@ ref_einstein_constant sums the Einstein test's weighted second derivatives
 of g_inv in rationals, entry by entry, where the library decides it on
 integers and builds a rational only for lam and a nonzero residual.
 ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
-where catalog.bergman_inverse multiplies out the upper one and conjugates it.
+where catalog.bergman_inverse multiplies out and returns the upper one.
+ref_embedded_test_polys builds the test functions in the jet ring, from
+each frame form's variables, where catalog.embedded_test_polys writes
+|u|^2 on packed keys and forms each quartic with one product of dicts.
 """
 
 import copy
@@ -56,7 +59,7 @@ import itertools
 from functools import lru_cache
 from math import factorial, lcm
 
-from kahlerlap.catalog import SpaceDescriptor, _bergman_blocks, _upper_index
+from kahlerlap.catalog import SpaceDescriptor, TestFunctionPair, _bergman_blocks, _upper_index
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, ElaborationError, Lit, Log, ModSq, Mul, PotentialSyntaxError,
     Radial, Sub,
@@ -1170,3 +1173,20 @@ def ref_bergman_inverse(desc, potential, D):
             row.append([{K: c * w for K, c in p.items() if c} for p, w in zip(parts, ws)])
         entries.append(row)
     return den, entries
+
+
+def ref_modsq_of_form(form, n, D):
+    """|u|^2 of the integer linear form u = sum c z_var, in the jet ring."""
+    u = Jet.zero(n, D)
+    for var, c in form:
+        u = u + Jet.variable(n, var, D).scale(c)
+    return u * u.conj()
+
+
+def ref_embedded_test_polys(space):
+    """catalog.embedded_test_polys as jet products of the |u|^2 of the first
+    two frame forms, divided by their squared norms."""
+    n, D = space.metric.n, space.truncation
+    u1, u2 = space.frame[:2]
+    m1, m2 = ref_modsq_of_form(u1.form, n, D), ref_modsq_of_form(u2.form, n, D)
+    return TestFunctionPair(f1=(m1 * m1) / (u1.nu * u1.nu), f2=(m1 * m2) / (u1.nu * u2.nu))

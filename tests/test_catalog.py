@@ -9,12 +9,13 @@ from dense_oracles import (
     metric_matrix,
     ref_bergman_inverse,
     ref_dual_potential,
+    ref_embedded_test_polys,
     ref_truncated,
 )
 
 from kahlerlap import catalog, dsl
 from kahlerlap.fit import check_delta_property
-from kahlerlap.jets import Jet, JetMatrix, log1p
+from kahlerlap.jets import Jet, JetMatrix, _conj_parts, log1p
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
@@ -215,11 +216,17 @@ class TestBergmanInverse:
     @pytest.mark.parametrize("D", [6, 8, 10])
     @pytest.mark.parametrize("label", BERGMAN_LABELS)
     def test_upper_triangle_gives_both(self, label, D):
-        # the lower triangle is the conjugate of the upper one; the oracle
-        # multiplies out every entry
+        # only the upper triangle is returned, None below it; the lower
+        # triangle is the conjugate of the upper one, and the oracle
+        # multiplies out every entry of both
         for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
             on = Jet.zero(desc.complex_dim, D)  # only its packing is read
-            assert catalog.bergman_inverse(desc, on, D) == ref_bergman_inverse(desc, on, D)
+            den, upper = catalog.bergman_inverse(desc, on, D)
+            n = desc.complex_dim
+            assert all(upper[a][b] is None for a in range(n) for b in range(a))
+            both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
+                     for b in range(n)] for a in range(n)]
+            assert (den, both) == ref_bergman_inverse(desc, on, D)
 
     def test_quadric_coordinates_are_not_bergman(self, spaces):
         # the catalog's quadric chart is not Harish-Chandra: g_inv has terms
@@ -330,6 +337,19 @@ class TestEmbeddedPolys:
             Jet.variable(6, 0, 6) + Jet.variable(6, 4, 6)
         ) * (Jet.variable(6, 0, 6) + Jet.variable(6, 4, 6)).conj()
         assert pair.f1 == (m1 * m1) / 4
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize(
+        "label",
+        [label for label in GOLDEN_LABELS if catalog.parse_space(label).rank >= 2],
+    )
+    def test_packed_keys_match_the_jet_ring(self, spaces, label, D):
+        # the quadrics' paired frame has nu = 2; products and duals take
+        # their factors' frames
+        space = spaces(label, D)
+        pair = catalog.embedded_test_polys(space)
+        assert pair == ref_embedded_test_polys(space)
+        assert pair.f1.pk is pair.f2.pk is space.metric.potential.pk
 
     def test_rank1_rejected(self, spaces):
         with pytest.raises(catalog.CatalogError):

@@ -5,7 +5,11 @@ of the dual of each as the Bergman operator of the Jordan triple
 (catalog.bergman_inverse), a polynomial of degree 4; the quadrics, products,
 .pot files and the radial command keep the graded inverse of g.  The closed
 form must equal the graded inverse term for term, and the guard below shows
-which path each entry point takes by making the graded inverse fail.
+which path each entry point takes by making the graded inverse fail.  The
+closed form is stored as its upper triangle, None below, and MetricJet.g_inv
+is built only when read: a second guard refuses JetMatrix construction on
+the check path, and a Hermitian graded inverse handed over as its upper
+triangle must read as the whole of it.
 """
 
 import contextlib
@@ -18,7 +22,14 @@ import pytest
 
 from kahlerlap import catalog, cli, jets
 from kahlerlap.jets import NonInvertibleError
-from kahlerlap.metric import metric_from_potential
+from kahlerlap.dsl import elaborate, parse
+from kahlerlap.metric import (
+    _laplacian_functional, einstein_constant, fifth_order_check, metric_from_potential,
+    metric_with_inverse,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+from dense_oracles import ref_bergman_inverse  # noqa: E402
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8")
@@ -112,6 +123,79 @@ def test_dual_command_skips_the_graded_inverse(graded_inverse_fails):
     argv = ["dual", "grassmannian:k=2,N=4", "--json"]
     code, out, _ = run(argv)
     assert {"exit": code, "stdout": out} == BENCH_GOLDEN[" ".join(argv)]
+
+
+BERGMAN = [label for label in sorted(GOLDEN) if not label.startswith(("quadric", "product"))]
+
+
+def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
+    """check on each Bergman family and its dual, the dual command and the
+    sp:N=3 check print their reports with JetMatrix construction refused:
+    the closed form is stored and read as its upper triangle of integer
+    parts, and MetricJet.g_inv is built only when read, as the oracle."""
+    argvs = [["check", label, "--degree", "6", "--json"] for label in BERGMAN]
+    argvs += [["check", f"dual({label})", "--degree", "6", "--json"] for label in BERGMAN]
+    argvs += [["dual", "grassmannian:k=2,N=4", "--json"],
+              ["check", "sp:N=3", "--degree", "8", "--kmax", "3", "--json"]]
+    shipped = [run(argv) for argv in argvs]
+    goldens = {**{f"check {label} --degree 6 --json": GOLDEN[label] for label in GOLDEN},
+               **BENCH_GOLDEN}
+    for argv, (code, out, _) in zip(argvs, shipped):  # a dual without one: as shipped
+        if " ".join(argv) in goldens:
+            assert {"exit": code, "stdout": out} == goldens[" ".join(argv)]
+
+    def refuse(*args):
+        raise AssertionError("JetMatrix built")
+
+    orig = jets._jet_matrix
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kahlerlap") and getattr(mod, "_jet_matrix", None) is orig:
+            monkeypatch.setattr(mod, "_jet_matrix", refuse)
+    monkeypatch.setattr(jets.JetMatrix, "__init__", refuse)
+    assert [run(argv) for argv in argvs] == shipped
+    metrics = {}
+    for label in BERGMAN + [f"dual({label})" for label in BERGMAN]:
+        desc = catalog.parse_space(label)
+        m = metrics[desc] = catalog.build_space(desc, 6).metric
+        _, upper = catalog.bergman_inverse(desc, m.potential, 6)
+        assert all(upper[a][b] is None for a in range(m.n) for b in range(a))
+    monkeypatch.undo()
+    for desc, m in metrics.items():
+        assert m.g_inv == jets._jet_matrix(
+            m.potential.pk, *ref_bergman_inverse(desc, m.potential, 6))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [  # no permutation symmetry, then symmetric under z(1) <-> z(2); both with odd-degree g_inv
+        "modsq(z(1)) + modsq(z(2)) + 1/2*modsq(z(1)*z(2))"
+        " + z(1)*z(1)*z(2)*conj(z(1)*z(1)) + z(1)*z(1)*conj(z(1)*z(1)*z(2))"
+        " + 2*z(2)*z(2)*z(2)*conj(z(1)*z(2)) + 2*z(1)*z(2)*conj(z(2)*z(2)*z(2))",
+        "log(1 + modsq(z(1)) + modsq(z(2)) + 1/3*modsq(z(1)*z(2)))"
+        " + z(1)*z(1)*z(2)*conj(z(1)*z(2)) + z(1)*z(2)*conj(z(1)*z(1)*z(2))"
+        " + z(2)*z(2)*z(1)*conj(z(2)*z(1)) + z(2)*z(1)*conj(z(2)*z(2)*z(1))",
+    ],
+)
+def test_the_upper_triangle_reads_as_both(text):
+    """A Hermitian g_inv given as its upper triangle, None below, as the
+    closed form gives it, reads as the same g_inv given whole: the same
+    symmetry verdict, pullback index, Einstein report, fifth-order value,
+    tables and JetMatrix."""
+    phi = elaborate(parse(text), 2, 5)
+    full = metric_from_potential(phi)
+
+    def upper():
+        return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
+                                   for a, row in enumerate(full._ginv)]
+
+    m = metric_with_inverse(phi, upper, phi.valid_degree)
+    assert m._orbits == full._orbits and m._pullback == full._pullback
+    assert einstein_constant(m) == einstein_constant(full)
+    assert fifth_order_check(m) == fifth_order_check(full) != 0
+    for k in range(1, 4):  # at D = 5, k = 3 widens an orbit metric's index to every slot
+        assert _laplacian_functional(m, k) == _laplacian_functional(full, k)
+    assert m._pullback == full._pullback and m._pullback[2] == 0
+    assert m.g_inv == full.g_inv
 
 
 def test_radial_command_and_pot_files_keep_the_graded_inverse(graded_inverse_fails, tmp_path):
