@@ -4,15 +4,18 @@ A classical family is one row of the table _FAMILIES, which labels are
 validated against and the catalog command lists; product and dual have no
 row, and their dimension and rank are sums over their factors.
 
-The radial families flat, cp and ch are built by substituting their profile
-series in t = |z|^2 (radial.named_profile), the matrix families as a trace
-series (_trace_series), the quadrics as surface text (dsl_text) elaborated as
-a .pot file is; product and dual are built from their factors.
+Every Bergman family has one curvature sign s (_bergman): flat 0, cp 1,
+ch -1, each matrix family 1, negated by each dual(...); in the Jordan-pair
+picture (Loos 1977) s alone tells flat, cp, ch and the duals apart.  flat,
+cp and ch substitute log(1 + s t)/s = sum (-s)^(m-1) t^m / m at t = |z|^2,
+the matrix families are a trace series (_trace_series), the quadrics
+log(1 + q) with q on packed keys (_quadric), and product and dual are built
+from their factors; kahlerlap.dsl serves .pot files only.
 
-Every family but the quadrics, and its dual, is in Harish-Chandra
-coordinates, where g_inv is the Bergman operator (bergman_inverse) of the
-matrix W that the potential is written from (_matrix_slots), multiplied out
-and stored on its upper triangle, the lower one being its conjugate.  The
+Every Bergman family, and its dual, is in Harish-Chandra coordinates, where
+g_inv is the Bergman operator (bergman_inverse) of the matrix W that the
+potential is written from (_matrix_slots), weighted by s, multiplied out and
+stored on its upper triangle, the lower one being its conjugate.  The
 quadrics and products take the graded inverse of g, as .pot files do.
 With g_inv closed, the checks read the potential at degrees 2, 3 and 5
 only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
@@ -59,14 +62,13 @@ norm nu (so only |u|^2 enters test functions and everything stays rational).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 
-from . import dsl
-from .jets import InputError, Jet, _conj_parts, _mul_into, packing, substitute_radial
-from .metric import MetricJet, delta_power_at0, einstein_constant, metric_from_potential
-from .metric import _table_value, metric_with_inverse
-from .radial import named_profile
-from .rationals import MAX_DIGITS, Q, ZERO, Record
+from .jets import InputError, Jet, _conj_parts, _mul_into, log1p, packing, substitute_radial
+from .metric import _table_value, delta_power_at0, einstein_constant, metric_from_potential
+from .metric import metric_with_inverse
+from .rationals import MAX_DIGITS, MAX_NESTING, Q, ZERO, Record
 
 
 class CatalogError(InputError):
@@ -164,13 +166,20 @@ def dual(inner):
 
 
 def parse_space(text) -> SpaceDescriptor:
-    """Parse labels like grassmannian:k=2,N=4, dual(cp:n=1), product(a;b)."""
+    """Parse labels like grassmannian:k=2,N=4, dual(cp:n=1), product(a;b),
+    refusing one nested deeper than MAX_NESTING before reading it."""
+    if max(accumulate((ch == "(") - (ch == ")") for ch in text), default=0) > MAX_NESTING:
+        raise CatalogError(f"label nested over {MAX_NESTING} brackets deep")
+    return _parse_label(text)
+
+
+def _parse_label(text):
     text = text.strip()
     if text.startswith("dual(") and text.endswith(")"):
-        return dual(parse_space(text[5:-1]))
+        return dual(_parse_label(text[5:-1]))
     if text.startswith("product(") and text.endswith(")"):
         inner = _split_top(text[8:-1], ";")
-        return product(*(parse_space(part) for part in inner))
+        return product(*(_parse_label(part) for part in inner))
     name, _, rest = text.partition(":")
     if name not in _FAMILIES:
         raise CatalogError(f"unknown space {text!r}")
@@ -231,7 +240,7 @@ def _matrix_slots(desc):
     scale * log det(I + W^dagger W).  flat, cp and ch take the column W = z
     of the k = 1 Grassmannian."""
     fam = desc.family
-    if fam in _RADIAL_PROFILES:
+    if fam in ("flat", "cp", "ch"):
         n = desc.param("n")
         return n, 1, {(r, 0): (r, 1) for r in range(n)}, 1
     if fam == "grassmannian":
@@ -249,12 +258,12 @@ def _matrix_slots(desc):
 
 def _bergman_blocks(desc, pk):
     """(W, scale, A, B): _matrix_slots's W and scale, and A = I + W^dagger W
-    and B = I + W W^dagger (both I for flat), (degree, packed key) -> integer."""
+    and B = I + W W^dagger, (degree, packed key) -> integer."""
     rows, cols, W, scale = _matrix_slots(desc)
     n, units = pk.n, pk.units
     A = [[{(0, 0): 1} if a == b else {} for b in range(cols)] for a in range(cols)]
     B = [[{(0, 0): 1} if a == b else {} for b in range(rows)] for a in range(rows)]
-    for (r, a), (u, su) in ({} if desc.family == "flat" else W).items():
+    for (r, a), (u, su) in W.items():
         for (r2, b), (v, sv) in W.items():
             if r2 == r:  # conj(W[r][a]) W[r][b] in A[a][b]
                 key = (2, units[v] + units[n + u])
@@ -265,15 +274,24 @@ def _bergman_blocks(desc, pk):
     return W, scale, A, B
 
 
-_RADIAL_PROFILES = {"flat": "flat", "cp": "fubini-study", "ch": "hyperbolic"}
-_BERGMAN = {"flat", "cp", "ch", "grassmannian", "sp", "so2n"}
+_SIGN = {"flat": 0, "cp": 1, "ch": -1, "grassmannian": 1, "sp": 1, "so2n": 1}
+
+
+def _bergman(desc):
+    """(family, s): the Bergman family under desc's duals and its curvature
+    sign, which each dual negates; None if there is none (g_inv not closed)."""
+    s = 1
+    while desc.family == "dual":
+        desc, s = desc.inner[0], -s
+    return (desc, s * _SIGN[desc.family]) if desc.family in _SIGN else None
 
 
 def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     """The potential of the space, truncated at total degree D."""
     fam = desc.family
-    if fam in _RADIAL_PROFILES:
-        profile = named_profile(_RADIAL_PROFILES[fam], max(1, (D + 1) // 2))
+    if fam in ("flat", "cp", "ch"):  # log(1 + s t)/s
+        s = _SIGN[fam]
+        profile = (ZERO, *(Q((-s) ** (m - 1), m) for m in range(1, (D + 1) // 2 + 1)))
         return substitute_radial(profile, desc.param("n"), D)
     if fam == "product":
         jets = [potential_jet(f, D) for f in desc.inner]
@@ -289,9 +307,26 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
         return total
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
-    if fam in _BERGMAN:  # grassmannian, sp and so2n
+    if fam in _SIGN:  # grassmannian, sp and so2n
         return _trace_series(desc, D)
-    return dsl.elaborate(dsl.parse(dsl_text(desc)), desc.complex_dim, D)
+    return _quadric(desc, D)
+
+
+def _quadric(desc: SpaceDescriptor, D) -> Jet:
+    """The potential log(1 + q) to degree D, q = sum |z_i|^2 + |f|^2 with
+    f = 2 sum v_j v'_j (- u^2 on quadric-odd), written on packed keys."""
+    n, nv = desc.complex_dim, desc.param("N") - 1
+    pk = packing(n, D)
+    units = pk.units
+    f = {units[j] + units[nv + j]: 2 for j in range(nv)}
+    if desc.family == "quadric-odd":
+        f[2 * units[2 * nv]] = -1
+    q = [{} for _ in range(D + 1)]
+    if D >= 2:
+        q[2] = {units[i] + units[n + i]: 1 for i in range(n)}
+    if D >= 4:
+        _mul_into(q[4], f, _conj_parts(pk, [f])[0])
+    return log1p(Jet._of(n, pk, 1, q))
 
 
 def _trace_series(desc: SpaceDescriptor, D) -> Jet:
@@ -342,7 +377,7 @@ def _frame(desc: SpaceDescriptor):
     fam = desc.family
     if fam == "flat":
         return ()
-    if fam in _BERGMAN:
+    if fam in _SIGN:
         # unit axes at diagonal slots of W (so2n: the 2 x 2 blocks)
         W = _matrix_slots(desc)[2]
         cells = [(2 * m, 2 * m + 1) if fam == "so2n" else (m, m) for m in range(desc.rank)]
@@ -369,23 +404,14 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     """Construct the metric jet and embedding metadata at truncation D."""
     if D < 2:
         raise CatalogError("truncation must be >= 2")
-    return CatalogSpace(descriptor=desc, metric=_metric(desc, D), frame=_frame(desc), truncation=D)
-
-
-def _metric(desc: SpaceDescriptor, D, phi=None) -> MetricJet:
-    """The metric of desc at truncation D from phi, its potential, built
-    here if None: g_inv in closed form if any, and phi built only to
-    min(D, 5), on the packing of D; else phi to D and the graded inverse."""
-    inner = desc
-    while inner.family == "dual":
-        inner = inner.inner[0]
-    if inner.family not in _BERGMAN:
-        return metric_from_potential(potential_jet(desc, D) if phi is None else phi)
-    if phi is None:
+    if _bergman(desc) is None:
+        metric = metric_from_potential(potential_jet(desc, D))
+    else:  # g_inv closed: the potential only to min(D, 5), on the packing of D
         phi = potential_jet(desc, min(D, 5))
         pk = packing(phi.n, D)
         phi = Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
-    return metric_with_inverse(phi, lambda: bergman_inverse(desc, phi, D), D)
+        metric = metric_with_inverse(phi, lambda: bergman_inverse(desc, phi, D), D)
+    return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc), truncation=D)
 
 
 def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
@@ -393,20 +419,17 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     valid to D - 2, as metric.metric_with_inverse takes it:
     (L, the integer graded parts of L g_inv[a][b]).  It is the Bergman
     operator X -> B X A of the Jordan triple (Loos 1977), A = I + W^dagger W,
-    B = I + W W^dagger (both I for flat).  With S_a the slots (i, j, sign)
-    of coordinate a and (k, l) the first slot of b,
+    B = I + W W^dagger.  With S_a the slots (i, j, sign) of coordinate a,
+    (k, l) the first slot of b and s the curvature sign (_bergman),
 
-        g_inv[a][b] = sum_{(i, j, sign) in S_a} sign B[k][i] A[j][l] / (scale |S_a|).
+        g_inv[a][b] = sum_{(i, j, sign) in S_a} sign (B[k][i] A[j][l])_s / (scale |S_a|),
 
-    Its degree-d terms have |Q| = d/2, so a dual (c -> (-1)^|Q| c) negates
-    the degree-2 part; ch is dual(cp).  g_inv is Hermitian: only a <= b is
-    multiplied out, and each entry (b, a) below the diagonal is None, read
-    as g_inv[a][b] with its key halves swapped (metric.metric_with_inverse).
+    (.)_s weighting the degree-d part by s^(d/2): its terms have |Q| = d/2,
+    so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  g_inv
+    is Hermitian: only a <= b is multiplied out, and each entry (b, a) below
+    the diagonal is None, read as g_inv[a][b] with its key halves swapped.
     """
-    flip = False
-    while desc.family == "dual":
-        desc, flip = desc.inner[0], not flip
-    flip ^= desc.family == "ch"
+    desc, s = _bergman(desc)
     n, pk, D = potential.n, potential.pk, D - 2
     W, scale, A, B = _bergman_blocks(desc, pk)
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
@@ -415,7 +438,7 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     entries = [[None] * n for _ in range(n)]
     for a in range(n):
         mul = scale.denominator * den // (scale.numerator * len(slots[a]))
-        ws = [mul * (-1) ** (flip * d // 2) for d in range(D + 1)]
+        ws = [mul * s ** (d // 2) for d in range(D + 1)]
         for b in range(a, n):
             k, l, _ = slots[b][0]
             parts = [{} for _ in range(D + 1)]
@@ -491,9 +514,7 @@ def obstruction_report(space: CatalogSpace) -> ObstructionReport:
 def dual_compare(desc: SpaceDescriptor, D=6):
     """Rows (P, compact value, noncompact value) of lap^3(z^P zb^P)(0) for
     f = |z_i z_j|^2, on the space and on its noncompact dual."""
-    space = build_space(desc, D)
-    m_compact = space.metric
-    m_dual = _metric(dual(desc), D, dual_potential(m_compact.potential))
+    m_compact, m_dual = (build_space(d, D).metric for d in (desc, dual(desc)))
     for m in (m_compact, m_dual):
         rep = einstein_constant(m)
         if rep.lam is None:
@@ -518,17 +539,3 @@ def family_summary(name):
     """Parameter range, dimension and rank texts of a family, for the listing."""
     return tuple(text for text, _ in _FAMILIES[name][1:])
 
-
-def dsl_text(desc: SpaceDescriptor) -> str:
-    """The potential of a quadric in the surface language."""
-    fam = desc.family
-    if fam not in ("quadric-even", "quadric-odd"):
-        raise CatalogError(f"no closed surface form for family {fam!r}")
-    nv = desc.param("N") - 1
-    parts = [f"modsq(z({i + 1}))" for i in range(2 * nv)]
-    cross = " + ".join(f"z({i + 1})*z({nv + i + 1})" for i in range(nv))
-    if fam == "quadric-odd":
-        u = 2 * nv
-        parts.append(f"modsq(z({u + 1}))")
-        cross = f"{cross} - 1/2*z({u + 1})*z({u + 1})"
-    return f"log(1 + {' + '.join(parts)} + 4*modsq({cross}))"

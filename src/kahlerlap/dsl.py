@@ -36,7 +36,7 @@ import re
 from itertools import accumulate
 
 from .jets import InputError, Jet, JetMatrix, ValidityError, _sum, log1p, substitute_radial
-from .rationals import MAX_DIGITS, Q, ZERO, Record
+from .rationals import MAX_DIGITS, MAX_NESTING, Q, ZERO, Record
 
 
 class PotentialSyntaxError(InputError):
@@ -105,10 +105,6 @@ _KINDS = {
     **{str(i): "int" for i in range(10)},
     **{w: "ident" for w in ("z", "conj", "modsq", "log", "det", "radial")},
 }
-# The most levels of brackets that parse accepts around an expression: parsing
-# and elaboration recurse once per level, and must not exhaust the stack.
-MAX_NESTING = 100
-
 
 def _kind(piece, line, col):
     if "0" <= piece[0] <= "9":

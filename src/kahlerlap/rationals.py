@@ -13,6 +13,9 @@ ZERO = Q(0)
 # the most digits an integer in the input may have: int()'s default limit,
 # tested first so that each reader refuses a longer one with its own error
 MAX_DIGITS = 4300
+# the most levels of brackets in a .pot expression or a catalog label: reading
+# and building recurse once per level, and must not exhaust the stack
+MAX_NESTING = 100
 
 
 def as_q(value) -> "Q":

@@ -48,7 +48,9 @@ ref_einstein_constant sums the Einstein test's weighted second derivatives
 of g_inv in rationals, entry by entry, where the library decides it on
 integers and builds a rational only for lam and a nonzero residual.
 ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
-where catalog.bergman_inverse multiplies out and returns the upper one.
+where catalog.bergman_inverse multiplies out and returns the upper one; it
+finds the dual's sign by its own walk, flipping ch as dual(cp), and takes
+flat's g_inv as I, where the catalog weights by one curvature sign.
 ref_embedded_test_polys builds the test functions in the jet ring, from
 each frame form's variables, where catalog.embedded_test_polys writes
 |u|^2 on packed keys and forms each quartic with one product of dicts.
@@ -736,20 +738,21 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
         N = desc.param("N")
         nv = N - 1
         n = 2 * nv + (1 if fam == "quadric-odd" else 0)
-        v = [Jet.variable(n, i, D) for i in range(nv)]
-        vp = [Jet.variable(n, nv + i, D) for i in range(nv)]
-        inner = Jet.zero(n, D)
+        E = max(D, 1)  # a coordinate jet is valid at least to degree 1
+        v = [Jet.variable(n, i, E) for i in range(nv)]
+        vp = [Jet.variable(n, nv + i, E) for i in range(nv)]
+        inner = Jet.zero(n, E)
         for jet in v + vp:
             inner = inner + jet * jet.conj()
-        cross = Jet.zero(n, D)
+        cross = Jet.zero(n, E)
         for a, b in zip(v, vp):
             cross = cross + a * b
         if fam == "quadric-odd":
-            u = Jet.variable(n, 2 * nv, D)
+            u = Jet.variable(n, 2 * nv, E)
             inner = inner + u * u.conj()
             cross = cross - (u * u).scale(Q(1, 2))
         inner = inner + (cross * cross.conj()).scale(4)
-        return series_log1p(inner)
+        return ref_truncated(series_log1p(inner), D)
     if fam == "product":
         jets = [direct_potential_jet(f, D) for f in desc.inner]
         n = sum(j.n for j in jets)
@@ -1153,6 +1156,9 @@ def ref_bergman_inverse(desc, potential, D):
         desc, flip = desc.inner[0], not flip
     flip ^= desc.family == "ch"
     n, pk, D = potential.n, potential.pk, D - 2
+    if desc.family == "flat":  # g = I, so g_inv = I, whatever the duals
+        return 1, [[[{0: 1} if a == b else {}] + [{} for _ in range(D)] for b in range(n)]
+                   for a in range(n)]
     W, scale, A, B = _bergman_blocks(desc, pk)
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     den = lcm(*(scale.numerator * len(s) for s in slots))

@@ -13,7 +13,7 @@ from dense_oracles import (
     ref_truncated,
 )
 
-from kahlerlap import catalog, dsl
+from kahlerlap import catalog, cli, dsl
 from kahlerlap.fit import check_delta_property
 from kahlerlap.jets import Jet, JetMatrix, _conj_parts, log1p
 from kahlerlap.metric import (
@@ -22,8 +22,11 @@ from kahlerlap.metric import (
     _laplacian_functional,
     laplacian_apply,
     metric_from_potential,
+    metric_with_inverse,
     third_deriv_obstruction,
 )
+from kahlerlap.radial import named_profile, radial_pk
+from kahlerlap.rationals import Q
 ALL_LABELS = [
     "flat:n=2",
     "cp:n=1",
@@ -122,7 +125,7 @@ class TestDescriptors:
     def test_dimension_counts_the_modsq_terms_of_the_potential(self, label):
         """The table's dimension formula against a second path: the |z_i|^2
         terms of the potential, which is written from _matrix_slots, the
-        quadric text or the radial profile, not from the formula."""
+        quadric's q or the radial profile, not from the formula."""
         desc = catalog.parse_space(label)
         phi = catalog.potential_jet(desc, 2)
         modsq = [P for P, Q_ in map(phi.pk.unpack, phi.parts[2]) if P == Q_]
@@ -442,11 +445,19 @@ SURFACE_TEXT = {
 }
 
 
+# the quadrics, and the labels that build them as a dual or a factor
+QUADRICS = ["quadric-even:N=4", "quadric-even:N=5", "quadric-even:N=6", "quadric-odd:N=4",
+            "quadric-odd:N=5"]
+QUADRIC_BUILDS = QUADRICS + [f"dual({label})" for label in QUADRICS] + [
+    "product(cp:n=1;quadric-even:N=4)"
+]
+
+
 class TestDslCrossPath:
     """Each catalog potential equals a jet built on a path that shares no
     code with the catalog's: the elaborated surface expression above for
-    radial families and products, and the hand-built log det jets of
-    direct_potential_jet for the families the catalog elaborates."""
+    radial families and products, and the hand-built jets of
+    direct_potential_jet for the matrix families and the quadrics."""
 
     @pytest.mark.parametrize(
         "label",
@@ -484,7 +495,10 @@ class TestDslCrossPath:
             ("so2n:N=5", 6),
         ]
         # low degrees, where the minors and Pfaffians past D are cut
-        + [(label, degree) for label in MATRIX_LABELS for degree in range(2, 6)],
+        + [(label, degree) for label in MATRIX_LABELS for degree in range(2, 6)]
+        # the quadrics' log(1 + q), q on packed keys, at every degree to 10
+        + [(label, degree) for label in QUADRIC_BUILDS for degree in range(11)
+           if not (label in ALL_LABELS and degree == 6)],
     )
     def test_potential_matches_direct_jets(self, label, degree):
         desc = catalog.parse_space(label)
@@ -499,13 +513,6 @@ class TestDslCrossPath:
 
         monkeypatch.setattr(JetMatrix, "det", refuse)
         catalog.build_space(catalog.parse_space(label), 6)
-
-    @pytest.mark.parametrize(
-        "label", ["cp:n=2", "product(cp:n=1;cp:n=1)", *MATRIX_LABELS]
-    )
-    def test_no_surface_text_for_built_families(self, label):
-        with pytest.raises(catalog.CatalogError):
-            catalog.dsl_text(catalog.parse_space(label))
 
 
 # every matrix family at its smallest parameters and at larger ones
@@ -544,19 +551,48 @@ class TestTraceSeries:
             assert phi.valid_degree == D
             assert not any(phi.parts[1::2])
 
-    def test_bergman_builds_never_parse_or_elaborate(self, monkeypatch):
+    def test_no_catalog_build_parses_or_elaborates(self, monkeypatch):
         calls = []
         for name in ("parse", "elaborate"):
             build = getattr(dsl, name)
             monkeypatch.setattr(
                 dsl, name, lambda *args, name=name, build=build: calls.append(name) or build(*args)
             )
-        for label in BERGMAN_LABELS + ["dual(grassmannian:k=2,N=4)"]:
+        labels = ALL_LABELS + [f"dual({label})" for label in ALL_LABELS]
+        for label in labels + ["product(cp:n=1;quadric-even:N=4)"]:
             catalog.build_space(catalog.parse_space(label), 6)
         assert calls == []
-        # the recorder sees the quadrics, which are still surface text
-        catalog.build_space(catalog.parse_space("quadric-even:N=4"), 6)
+        # the recorder does see a .pot file's elaboration
+        dsl.elaborate(dsl.parse("log(1 + modsq(z(1)))"), 1, 4)
         assert calls == ["parse", "elaborate"]
+
+
+# triples of isomorphic spaces, each built on other catalog paths (the
+# radial profile, the trace series, a dual), and the radial profile whose
+# recursion gives their p_k
+ISOMORPHIC = [
+    (("cp:n=3", "so2n:N=3", "grassmannian:k=1,N=4"), "fubini-study"),
+    (("ch:n=3", "dual(so2n:N=3)", "dual(cp:n=3)"), "hyperbolic"),
+    (("cp:n=1", "so2n:N=2", "sp:N=1"), "fubini-study"),
+]
+
+
+@pytest.mark.parametrize("labels, profile", ISOMORPHIC)
+def test_isomorphic_spaces_print_one_report(capsys, labels, profile):
+    # lambda, the verdicts, the parallel values and p_1..p_4 are one report
+    # but for the label, and each p_k is the radial recursion's at that n
+    reports = []
+    for label in labels:
+        code = cli.main(["check", label, "--degree", "8", "--kmax", "4", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("space") == label
+        reports.append((code, report))
+    assert reports == reports[:1] * len(labels)
+    code, report = reports[0]
+    assert code == 0 and report["parallel"] == {"third": "0", "fifth": "0"}
+    fitted = [{int(l): Q(c) for l, c in r["pk"].items()} for r in report["delta"]]
+    recursion = radial_pk(named_profile(profile, 8), report["dim"], 4)
+    assert fitted == [{l: p.coefficient(l) for l in range(1, p.k + 1)} for p in recursion]
 
 
 class TestTruncationStability:
@@ -584,7 +620,8 @@ class TestTruncationStability:
         # read the whole catalog.potential_jet(desc, D), on the same packing
         desc = catalog.parse_space(label)
         m = catalog.build_space(desc, D).metric
-        full = catalog._metric(desc, D, catalog.potential_jet(desc, D))
+        phi = catalog.potential_jet(desc, D)
+        full = metric_with_inverse(phi, lambda: catalog.bergman_inverse(desc, phi, D), D)
         assert (m.potential.valid_degree, full.potential.valid_degree) == (5, D)
         assert m.potential.pk is full.potential.pk
         assert m.valid_degree == full.valid_degree == D

@@ -15,6 +15,7 @@ import pytest
 from kahlerlap import catalog, cli, dsl, metric, radial
 from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.jets import InputError, JetError, NonInvertibleError
+from kahlerlap.rationals import MAX_NESTING
 
 # the directory the tests import kahlerlap from, so the child runs the same code
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
@@ -301,6 +302,42 @@ class TestJsonErrorObject:
         assert r.returncode == 2
         assert json.loads(r.stdout) == error_object("PotentialSyntaxError", message, 2)
         assert r.stderr == f"error: {message}\n"
+
+    # a label nested by dual and one by product, each with an unnested label
+    # of the same report at the cap, and the flags they run with there:
+    # product(...;flat:n=1) 100 times around cp:n=1 is C x C^100, n = 101
+    NESTED = [
+        ("dual({})", "cp:n=1", ["--json"]),
+        ("product({};flat:n=1)", "product(cp:n=1;flat:n=100)",
+         ["--degree", "4", "--kmax", "1", "--json"]),
+    ]
+
+    @staticmethod
+    def nested(wrap, depth):
+        label = "cp:n=1"
+        for _ in range(depth):
+            label = wrap.format(label)
+        return label
+
+    @pytest.mark.parametrize("wrap, same, argv", NESTED)
+    def test_a_label_nested_to_the_cap_runs(self, capsys, wrap, same, argv):
+        reports = []
+        for label in (self.nested(wrap, MAX_NESTING), same):
+            assert cli.main(["check", label, *argv]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("space") == label
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+    @pytest.mark.parametrize("wrap", [wrap for wrap, _, _ in NESTED])
+    def test_a_label_nested_past_the_cap_is_a_catalog_error(self, capsys, wrap, depth):
+        # refused before it is read: 1200 levels would exhaust the stack
+        message = f"label nested over {MAX_NESTING} brackets deep"
+        assert cli.main(["check", self.nested(wrap, depth), "--json"]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out) == error_object("CatalogError", message, 2)
+        assert out.err == f"error: {message}\n"
 
     def test_error_object_goes_to_stdout_under_out(self, tmp_path, capsys):
         report = tmp_path / "report.json"

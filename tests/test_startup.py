@@ -80,3 +80,17 @@ def test_every_import_is_at_module_level():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert id(node) in top, f"{path.name}:{node.lineno} imports inside a block"
+
+
+def test_the_catalog_imports_only_jets_metric_and_rationals():
+    # every catalog space is built from closed forms, none from surface text:
+    # the catalog reads neither dsl nor radial
+    used = set()
+    for node in ast.walk(ast.parse((PACKAGE / "catalog.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kahlerlap")):
+            module = (node.module or "").removeprefix("kahlerlap").lstrip(".")
+            used |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            used |= {alias.name.removeprefix("kahlerlap.") for alias in node.names
+                     if alias.name.startswith("kahlerlap")}
+    assert used == {"jets", "metric", "rationals"}
