@@ -38,6 +38,7 @@ from .metric import (
     fifth_order_check,
     metric_from_potential,
     require_bochner_form,
+    require_diagonal_gauge,
     third_deriv_obstruction,
 )
 from .radial import named_profile, potential_jet, profile_from_coeffs, radial_pk
@@ -127,7 +128,9 @@ def cmd_catalog(args):
 
 
 def _load_check_target(target, degree):
-    """Returns (label, dim, metric, catalog space or None)."""
+    """Returns (label, dim, metric, catalog space or None).  Below degree 4 a
+    cubic-free potential (every catalog one is) is refused before any build."""
+    phi = None
     if target.endswith(".pot"):
         path = Path(target)
         if not path.exists():
@@ -135,8 +138,13 @@ def _load_check_target(target, degree):
         n, expr = parse_potential_file(path.read_text(encoding="utf-8"))
         phi = elaborate(expr, n, degree)
         require_bochner_form(phi)
+        require_diagonal_gauge(phi)
+    else:
+        desc = catalog.parse_space(target)
+    if degree < 4 and (phi is None or degree < 3 or not phi.parts[3]):
+        raise TruncationError("inverse metric valid below degree 2", required=4)
+    if phi is not None:
         return target, n, metric_from_potential(phi), None
-    desc = catalog.parse_space(target)
     space = catalog.build_space(desc, degree)
     return desc.label(), desc.complex_dim, space.metric, space
 

@@ -24,7 +24,7 @@ When operands sit on different packings (a jet's slots may be wider than
 its validity needs), the operation repacks them onto the narrowest, once.
 
 Tuple keys and rationals appear only at the boundary: the constructor
-Jet(n, {(P, Q): c}, D) and Jet.monomial/constant/variable/zero validate,
+Jet(n, {(P, Q): c}, D) and Jet.monomial/constant/zero validate,
 pack and put the rationals over their lcm; the read-only view .coeffs gives
 the tuple-keyed map of rationals back, and eval0 the constant term.
 substitute_radial writes each t^m of a radial profile straight into its
@@ -35,10 +35,11 @@ per packing).
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import factorial, gcd, lcm
 from types import MappingProxyType
 
-from .rationals import Q, ZERO, as_q
+from .rationals import Q, as_q
 
 
 class InputError(ValueError):
@@ -272,12 +273,6 @@ class Jet:
     def monomial(cls, n, P, Q_, c, valid_degree):
         return cls(n, {(tuple(P), tuple(Q_)): c}, valid_degree)
 
-    @classmethod
-    def variable(cls, n, i, valid_degree):
-        """The coordinate z_i (0-based)."""
-        P = tuple(1 if a == i else 0 for a in range(n))
-        return cls.monomial(n, P, (0,) * n, 1, valid_degree)
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -369,9 +364,6 @@ class Jet:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __truediv__(self, c):
-        return self.scale(Q(1) / as_q(c))
 
     # -- calculus ----------------------------------------------------------
 
@@ -559,15 +551,22 @@ class JetMatrix:
         return minor(0, (1 << m) - 1)
 
     def inverse(self):
-        """Matrix inverse over the jet ring, G X = X G = I: _graded_inverse
-        (the kernel metric_from_potential calls) of the entries over their lcm."""
+        """Matrix inverse over the jet ring, G X = X G = I: every entry solved
+        by _graded_inverse, with A the entries over their lcm and A_0^{-1}
+        exact over the rationals (_invert_rational: any invertible A_0)."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
+        m, D, pk = self.rows, self.valid_degree, self.entries[0][0].pk
         den = lcm(*(e.den for row in self.entries for e in row))
         ints = [[_scaled(e.parts, den // e.den) for e in row] for row in self.entries]
-        parts = [[[e[d] for e in row] for row in ints] for d in range(self.valid_degree + 1)]
-        pk = self.entries[0][0].pk
-        return _jet_matrix(pk, *_graded_inverse(pk, parts, den))
+        a0_inv = _invert_rational([[e[0].get(0, 0) for e in row] for row in ints])
+        L = lcm(*(c.denominator for row in a0_inv for c in row))
+        h = [[c.numerator * (L // c.denominator) for c in row] for row in a0_inv]
+        bs = [None] + [[[{} for _ in range(m)] for _ in range(m)] for _ in range(D)]
+        for e, i, k, l in product(range(1, D + 1), range(m), range(m), range(m)):
+            if h[i][l]:  # a zero that the sum leaves is dropped in the solve
+                _mul_into(bs[e][i][k], {0: -(L ** (e - 1)) * h[i][l]}, ints[l][k][e])
+        return _jet_matrix(pk, *_graded_inverse(pk, L, h, bs, den))
 
 
 def _jet_matrix(pk, den, entries):
@@ -577,100 +576,74 @@ def _jet_matrix(pk, den, entries):
                        for j, e in enumerate(row)] for i, row in enumerate(entries)])
 
 
-def _graded_inverse(pk, parts, den):
+def _graded_inverse(pk, L, h, bs, den, solve="full"):
     """The inverse over the jet ring of G = A / den, valid to degree D, as
-    (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk.
+    (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk,
+    whose slots hold every exponent up to D.  solve names the entries solved:
+    "full" all; "upper" i <= j (G Hermitian), None below; "column" j = 0 (G
+    Hermitian and fixed by every permutation sigma of the coordinates), and
+    entry (sigma b, 0), sigma = (0 a), with slots 0 and a swapped in both
+    halves of each key, is entry (b, a) of the upper triangle, None below.
 
-    parts[d][l][k] maps the packed keys (pk) of the degree-d part of the
-    integer matrix A, entry (l, k), to their integers, for d = 0..D; the
-    slots of pk must hold every exponent up to D.
-
-    A graded solve, the multivariate form of Brent & Kung, "Fast algorithms
-    for manipulating formal power series" (JACM 1978).  G^{-1} = den A^{-1},
-    and with A = A_0 + A_1 + ... split into homogeneous parts, X = A^{-1}
-    has X_0 = A_0^{-1} (exact over the rationals) and, degree by degree,
-
-        X_d = -A_0^{-1} sum_{e=1..d} A_e X_{d-e}
-            = sum_{e=1..d} B_e X_{d-e},   B_e = -A_0^{-1} A_e,
-
-    for d = 1..D.  Each product pairs homogeneous pieces whose degrees sum
-    to d, so nothing past the validity is computed.
-
-    The solve runs on integers, fraction-free as in Bareiss (Math. Comp.
-    1968).  With L the lcm of the denominators of A_0^{-1}, H = L A_0^{-1}
-    and L B_e = -H A_e are integer matrices.  Substituting
-    X_{d-e} = X'_{d-e} / L^(1+d-e) into the recursion gives
-
-        X'_0 = H,   X'_d = sum_{e=1..d} L^(e-1) (L B_e) X'_{d-e},
-        X_d = X'_d / L^(1+d),
-
-    all integral; the kernel stores L^(e-1) (L B_e) = L^e B_e once per e,
-    built from the nonzero entries of each column of H only.  G^{-1} is
-    den X'_d L^(D-d) over L^(1+D).
+    A graded solve (Brent & Kung, JACM 1978): with A = A_0 + A_1 + ... in
+    homogeneous parts, X = A^{-1} has X_0 = A_0^{-1} and
+    X_d = sum_{e=1..d} B_e X_{d-e}, B_e = -A_0^{-1} A_e.  Column j of X_d
+    reads only column j of the X_{d-e}: a column solve is closed, and an
+    upper one reads each entry below the diagonal as its mate's conjugate.
+    It runs on integers, fraction-free as in Bareiss (Math. Comp. 1968): the
+    caller gives L, H = L A_0^{-1} and bs[e] = L^e B_e = -L^(e-1) H A_e, all
+    integral, and X'_d = L^(1+d) X_d has X'_0 = H and X'_d = sum_e bs[e]
+    X'_{d-e}, so G^{-1} is den X'_d L^(D-d) over L' = L^(1+D).
     """
-    m, D = len(parts[0]), len(parts) - 1
-    a0_inv = _invert_rational([[part.get(0, 0) for part in row] for row in parts[0]])
-    L = lcm(*(c.denominator for row in a0_inv for c in row))
-    h0 = [[c.numerator * (L // c.denominator) for c in row] for row in a0_inv]
-    # cols[l]: the nonzero entries (i, H[i][l]) of column l of H
-    cols = [[(i, row[l]) for i, row in enumerate(h0) if row[l]] for l in range(m)]
-    # bs[e][i][k]: L^e B_e[i][k], as packed key -> integer
-    bs = [None]
-    for e in range(1, D + 1):
-        b = [[{} for _ in range(m)] for _ in range(m)]
-        scale = -(L ** (e - 1))
-        for l, row in enumerate(parts[e]):
-            for k, part in enumerate(row):
-                if not part:
-                    continue
-                for i, h in cols[l]:
-                    acc = b[i][k]
-                    get = acc.get
-                    w = scale * h
-                    for K, a in part.items():
-                        acc[K] = get(K, 0) + w * a
-        bs.append([[{K: c for K, c in acc.items() if c} for acc in row] for row in b])
-    # xs[d][k][j]: X'_d[k][j], as packed key -> integer
-    xs = [[[{0: c} if c else {} for c in row] for row in h0]]
+    m, D = len(h), len(bs) - 1
+    js = [range(i, m) if solve == "upper" else range(1 if solve == "column" else m)
+          for i in range(m)]  # js[i]: the columns solved in row i
+    xs = [[[{0: c} if c else {} for c in row] for row in h]]  # xs[d][k][j]: X'_d[k][j]
     for d in range(1, D + 1):
         xd = [[{} for _ in range(m)] for _ in range(m)]
         for e in range(1, d + 1):
             x = xs[d - e]
+            for i, row in enumerate(bs[e]):
+                for k, terms in enumerate(row):
+                    if terms:
+                        for j in js[i]:
+                            if x[k][j]:
+                                _mul_into(xd[i][j], x[k][j], terms)
+        xd = [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
+        if solve == "upper":  # below the diagonal: the conjugate of the mate
             for i in range(m):
-                for k in range(m):
-                    terms = bs[e][i][k]
-                    if not terms:
-                        continue
-                    for acc, xkj in zip(xd[i], x[k]):
-                        if xkj:
-                            _mul_into(acc, xkj, terms)
-        xs.append(
-            [[{K: c for K, c in part.items() if c} for part in row] for row in xd]
-        )
+                xd[i][:i] = _conj_parts(pk, [row[i] for row in xd[:i]])
+        xs.append(xd)
     top = L ** (1 + D)
     ws = [den * top // L ** (1 + d) for d in range(D + 1)]
-    xs = [x if w == 1 else [[{K: c * w for K, c in part.items()} for part in row] for row in x]
-          for x, w in zip(xs, ws)]
-    return top, [[[x[i][j] for x in xs] for j in range(m)] for i in range(m)]
+    out = [[None] * m for _ in range(m)]
+    for i, cols in enumerate(js):
+        for j in cols:
+            out[i][j] = [x[i][j] if w == 1 else {K: c * w for K, c in x[i][j].items()}
+                         for x, w in zip(xs, ws)]
+    if solve == "column":
+        first, col = pk.mask * (pk.units[0] + pk.units[m]), [row[0] for row in out]
+        for a in range(1, m):
+            s = pk.bits * a
+            for b in range(a + 1):
+                out[b][a] = [{K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
+                             for part in col[a if b == 0 else 0 if b == a else b]]
+            out[a][0] = None
+    return top, out
 
 
 def _invert_rational(mat):
-    """Exact inverse of a square rational matrix (Gaussian elimination)."""
+    """Exact inverse of a square rational matrix (Gauss-Jordan on [A | I])."""
     m = len(mat)
-    a = [[as_q(mat[i][j]) for j in range(m)] for i in range(m)]
-    inv = [[Q(1) if i == j else ZERO for j in range(m)] for i in range(m)]
+    a = [[as_q(x) for x in row] + [Q(int(i == j)) for j in range(m)] for i, row in enumerate(mat)]
     for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, m) if a[r][col]), None)
         if pivot is None:
             raise NonInvertibleError("singular constant term")
         a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
         p = a[col][col]
         a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
         for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
+            if r != col and (f := a[r][col]):
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    return [row[m:] for row in a]

@@ -5,16 +5,21 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
 
     lap(phi) = sum_{i,j} g_inv[i][j] * d^2 phi / dz_j dzb_i.
 
-g itself is never held as jets: metric_from_potential builds its integer
-parts straight from the potential's packed parts and inverts them, and the
-one reading of g's derivatives (third_deriv_obstruction) takes them from
-the potential's coefficients.  The Bergman catalog families take g_inv in
-closed form instead (catalog.bergman_inverse); both builders hand g_inv to
-metric_with_inverse as integer parts over one denominator, which stores them
-(MetricJet._ginv) and indexes them for the lap^k pullback.  The closed form
-gives only its upper triangle: an entry None below the diagonal is its mate
-above with the two halves of each key swapped, and every reader of the
-parts reads it so.  The JetMatrix MetricJet.g_inv is built on first read.
+g itself is never held as jets.  metric_from_potential solves g_inv from
+the potential's terms (_hessian_inverse: the gauge check proves g(0)
+diagonal, so no rational matrix is inverted), and only the entries that the
+potential's symmetry leaves independent: the upper triangle of a real
+potential, whose g_inv is Hermitian, and column 0 when every permutation
+sigma of the coordinates also fixes its terms, since g_inv[sigma i][sigma j]
+at sigma K is then g_inv[i][j] at K.  third_deriv_obstruction reads g's
+derivatives from the potential's coefficients.  The Bergman catalog families
+take g_inv in closed form instead (catalog.bergman_inverse); both builders
+hand g_inv to metric_with_inverse as integer parts over one denominator,
+which stores them (MetricJet._ginv) and indexes them for the lap^k pullback.
+A Hermitian g_inv is given as its upper triangle: an entry None below the
+diagonal is its mate above with the two halves of each key swapped, and
+every reader of the parts reads it so.  MetricJet.g_inv, a JetMatrix, is
+built on first read.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
@@ -27,8 +32,8 @@ Bergman family's is built only to min(D, 5) (catalog.build_space).
 
 Each lap^k table is stored once, as integer numerators on packed keys.
 When every permutation of the coordinates, applied to z and zb alike, fixes
-g_inv (metric_with_inverse proves it on the upper triangle of g_inv's integer
-parts, with g_inv Hermitian), a table holds one key per S_n-orbit, the
+g_inv and g_inv is Hermitian (proved on the potential's terms, or on the
+upper triangle of a closed form), a table holds one key per S_n-orbit, the
 orbit's least member in the fit's order; _laplacian_functional says why its
 entries are exact and its index needs only the last D // 2 - 1 slots, and
 fit.fit_pk why the witness is unchanged.
@@ -102,68 +107,75 @@ class MetricJet(Record):
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
-    """Build MetricJet from a potential jet valid to degree >= 2.
+    """Build MetricJet from a potential jet valid to degree >= 2; GaugeError,
+    before g_inv is built, unless g(0) is positive diagonal.  g_inv is solved
+    from the potential's terms (_hessian_inverse): the upper triangle
+    when they are real (_potential_symmetry), column 0 when every permutation
+    of the coordinates fixes them too, which also sets MetricJet._orbits,
+    and every entry otherwise (see the module docstring)."""
+    real, fixed = _potential_symmetry(potential)
+    solve = "column" if real and fixed else "upper" if real else "full"
+    return metric_with_inverse(potential, lambda: _hessian_inverse(potential, solve),
+                               potential.valid_degree, fixed)
 
-    Fails, before g is built, with GaugeError unless g(0) is positive diagonal.
 
-    g is never formed as a matrix of jets.  Only the terms with both a z
-    and a zb factor reach g; they are read from the potential's parts, on
-    its packing.  With Lp the potential's denominator, a degree-d term with
-    numerator c at z^P zb^Q gives c P_i Q_j at the packed key
-    K - e_i - e_{n+j} of Lp g[i][j], in its degree d - 2 part; no two terms
-    meet there, since the shift is the same for every term of one entry.
-    The integer parts and Lp, divided through by their gcd (jets._reduced:
-    the potential's den is not canonical, and a smaller Lp keeps the
-    inverse's integers small), go to the inverse kernel as g = parts / Lp,
-    and g_inv comes back as integer parts on the same packing.
-    """
-    n, D, pk = potential.n, potential.valid_degree - 2, potential.pk
+def _hessian_inverse(potential, solve):
+    """g_inv of a potential valid to D, valid to D - 2, with the entries
+    that solve names solved by jets._graded_inverse, and g never formed: a
+    degree-(e + 2) term c z^P zb^Q with P, Q nonzero gives c P_i Q_j at the
+    key K - e_i - e_{n+j} of A_e[i][j], A = Lp g with Lp the potential's den
+    (no two terms meet there).  The gauge check has proved A_0 = diag(a_i),
+    a_i > 0, so with L = lcm(a_i) and H = diag(L / a_i), L^e B_e =
+    -L^(e-1) H A_e is written term by term: no rational matrix is inverted."""
+    n, pk = potential.n, potential.pk
     bits, mask, half, units = pk.bits, pk.mask, pk.half, pk.units
-
-    def inverse():
-        # parts[d][i][j]: the degree-d part of Lp g[i][j], packed key -> integer
-        parts = [[[{} for _ in range(n)] for _ in range(n)] for _ in range(D + 1)]
-        for rows, part in zip(parts, potential.parts[2:]):
-            for K, c in part.items():
-                if not (K & units[n] - 1 and K >> half):
-                    continue
-                bars = [
-                    (j, b, units[n + j])
-                    for j in range(n)
-                    if (b := K >> bits * (n + j) & mask)
-                ]
+    a = [potential.parts[2][units[i] + units[n + i]] for i in range(n)]
+    L = lcm(*a)
+    h = [L // x for x in a]
+    bs = [None]  # bs[e][i][j]: L^e B_e[i][j], packed key -> integer
+    for e, part in enumerate(potential.parts[3:], 1):
+        bs.append(b := [[{} for _ in range(n)] for _ in range(n)])
+        scale = -(L ** (e - 1))
+        for K, c in part.items():
+            if K & units[n] - 1 and K >> half:
+                qs = [(j - n, q, units[j]) for j in range(n, 2 * n) if (q := K >> bits * j & mask)]
                 for i in range(n):
-                    a = K >> bits * i & mask
-                    if a:
-                        row, ca, ki = rows[i], c * a, K - units[i]
-                        for j, b, u in bars:
-                            row[j][ki - u] = ca * b
-        lp, parts = _reduced(potential.den, parts)
-        return _graded_inverse(pk, parts, lp)
-
-    return metric_with_inverse(potential, inverse, D + 2)
+                    if p := K >> bits * i & mask:
+                        row, w, ki = b[i], scale * h[i] * c * p, K - units[i]
+                        for j, q, u in qs:
+                            row[j][ki - u] = w * q
+    h = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(h)]
+    return _graded_inverse(pk, L, h, bs, potential.den, solve)
 
 
-def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
-    """MetricJet valid to degree D >= 2, of a potential valid to degree
-    min(D, 5) at least, on a packing that holds D, whose g_inv is
-    inverse() = (L, entries): entries[i][j] the integer graded parts of
-    L g_inv[i][j] on the potential's packing, valid to D - 2 (None below
-    the diagonal: the conjugate of the mate above).  They are reduced
-    (jets._reduced) to Lg, the lcm of the reduced denominators of g_inv.
+def _potential_symmetry(potential):
+    """(real, fixed) of the potential's terms with both halves nonzero, those
+    that reach g.  real: each equals its mate with the halves swapped.  fixed:
+    n > 1, the terms are real, and the swap of slots 0 and 1 and the cyclic
+    shift of all n slots (both halves alike), which generate S_n, map each
+    term to one with the same integer: one to one into the terms, so onto."""
+    pk = potential.pk
+    n, bits, half = pk.n, pk.bits, pk.half
+    low, first = (1 << half) - 1, pk.mask * (pk.units[0] + pk.units[n])  # slots 0 and n
+    rest, top = (1 << 2 * half) - 1 - first, bits * (n - 1)
+    fixed = n > 1
+    for part in potential.parts[2:]:
+        get = part.get
+        for K, c in part.items():
+            if K & low and K >> half:
+                if get(K >> half | (K & low) << half) != c:
+                    return False, False
+                if fixed:
+                    x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
+                    fixed = get(K ^ x ^ x << bits) == c == get(K << bits & rest | K >> top & first)
+    return True, fixed
 
-    The gauge is checked first, from the potential's degree-2 terms: its
-    term c z_i zb_j is g[i][j](0) = c, and the first entry refused in
-    row-major order is reported.  Then inverse runs, and when n > 1 and the
-    d_i are all equal, it tests whether every permutation of the coordinates
-    fixes g_inv and g_inv is Hermitian (_fixed_by_permutations): that
-    decides how the lap^k tables are stored, and so which slots
-    _pullback_index indexes, every slot or the last D // 2 - 1.
-    """
-    if D < 2:
-        raise TruncationError(
-            "potential must be valid at least to degree 2", required=2
-        )
+
+def require_diagonal_gauge(potential: Jet):
+    """The d_i = g[i][i](0) of a potential valid to degree 2 or more, or
+    GaugeError unless g(0) is positive diagonal: the term c z_i zb_j is
+    g[i][j](0) = c, and the first entry refused in row-major order is
+    reported."""
     n, pk = potential.n, potential.pk
     bits, units = pk.bits, pk.units
     origin, den = potential.parts[2], potential.den
@@ -179,8 +191,33 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
         (i, j), c = min(bad.items())
         raise GaugeError(f"g({i},{i})(0) = {c} is not positive" if i == j
                          else f"g(0) is not diagonal: entry ({i},{j}) = {c}")
+    return diag
+
+
+def metric_with_inverse(potential: Jet, inverse, D, orbits=None) -> MetricJet:
+    """MetricJet valid to degree D >= 2, of a potential valid to degree
+    min(D, 5) at least, on a packing that holds D, whose g_inv is
+    inverse() = (L, entries): entries[i][j] the integer graded parts of
+    L g_inv[i][j] on the potential's packing, valid to D - 2 (None below
+    the diagonal: the conjugate of the mate above).  They are reduced
+    (jets._reduced) to Lg, the lcm of the reduced denominators of g_inv.
+
+    The gauge check comes first (require_diagonal_gauge), then inverse
+    runs.  orbits says whether every permutation of the coordinates fixes
+    g_inv and g_inv is Hermitian; None (the closed form) has it tested on
+    g_inv when n > 1 and the d_i are all equal (_fixed_by_permutations).
+    It decides how the lap^k tables are stored, and so which slots
+    _pullback_index indexes, every slot or the last D // 2 - 1.
+    """
+    if D < 2:
+        raise TruncationError(
+            "potential must be valid at least to degree 2", required=2
+        )
+    n, pk = potential.n, potential.pk
+    diag = require_diagonal_gauge(potential)
     lg, ginv = _reduced(*inverse())
-    orbits = n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv)
+    if orbits is None:
+        orbits = n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv)
     lo = max(n - D // 2 + 1, 0) if orbits else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),

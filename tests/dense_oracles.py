@@ -92,6 +92,11 @@ from kahlerlap.radial import SeriesError, _slope, c_constant, named_profile, nor
 from kahlerlap.rationals import MAX_DIGITS, Q, ZERO
 
 
+def variable(n, i, valid_degree):
+    """The coordinate z_i (0-based), as a jet."""
+    return Jet.monomial(n, [int(a == i) for a in range(n)], (0,) * n, 1, valid_degree)
+
+
 def mi_factorial(exponents):
     """P! = P_1! ... P_n!."""
     out = 1
@@ -407,7 +412,7 @@ def reciprocal(j):
     c0 = j.eval0()
     if c0 == 0:
         raise NonInvertibleError("reciprocal of a jet with zero constant term")
-    u = Jet.constant(j.n, 1, j.valid_degree) - j / c0
+    u = Jet.constant(j.n, 1, j.valid_degree) - j.scale(Q(1) / c0)
     acc = Jet.constant(j.n, 1, j.valid_degree)
     power = Jet.constant(j.n, 1, j.valid_degree)
     for _ in range(j.valid_degree):
@@ -415,7 +420,7 @@ def reciprocal(j):
         if power.is_zero():
             break
         acc = acc + power
-    return acc / c0
+    return acc.scale(Q(1) / c0)
 
 
 def c_constant_at(psi, P, l, n):
@@ -709,7 +714,7 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
         k, N = desc.param("k"), desc.param("N")
         n = k * (N - k)
         w = [
-            [Jet.variable(n, r * k + c, D) for c in range(k)]
+            [variable(n, r * k + c, D) for c in range(k)]
             for r in range(N - k)
         ]
         return _matrix_potential(w, N - k, k, n, D)
@@ -721,16 +726,16 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
         for i in range(N):
             for j in range(N):
                 if i < j:
-                    w[i][j] = Jet.variable(n, idx[(i, j)], D)
+                    w[i][j] = variable(n, idx[(i, j)], D)
                 elif i > j:
-                    w[i][j] = -Jet.variable(n, idx[(j, i)], D)
+                    w[i][j] = -variable(n, idx[(j, i)], D)
         return _matrix_potential(w, N, N, n, D).scale(Q(1, 2))
     if fam == "sp":
         N = desc.param("N")
         n = N * (N + 1) // 2
         idx = _upper_index(N, strict=False)
         w = [
-            [Jet.variable(n, idx[(min(i, j), max(i, j))], D) for j in range(N)]
+            [variable(n, idx[(min(i, j), max(i, j))], D) for j in range(N)]
             for i in range(N)
         ]
         return _matrix_potential(w, N, N, n, D)
@@ -739,8 +744,8 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
         nv = N - 1
         n = 2 * nv + (1 if fam == "quadric-odd" else 0)
         E = max(D, 1)  # a coordinate jet is valid at least to degree 1
-        v = [Jet.variable(n, i, E) for i in range(nv)]
-        vp = [Jet.variable(n, nv + i, E) for i in range(nv)]
+        v = [variable(n, i, E) for i in range(nv)]
+        vp = [variable(n, nv + i, E) for i in range(nv)]
         inner = Jet.zero(n, E)
         for jet in v + vp:
             inner = inner + jet * jet.conj()
@@ -748,7 +753,7 @@ def direct_potential_jet(desc: SpaceDescriptor, D):
         for a, b in zip(v, vp):
             cross = cross + a * b
         if fam == "quadric-odd":
-            u = Jet.variable(n, 2 * nv, E)
+            u = variable(n, 2 * nv, E)
             inner = inner + u * u.conj()
             cross = cross - (u * u).scale(Q(1, 2))
         inner = inner + (cross * cross.conj()).scale(4)
@@ -1105,7 +1110,7 @@ def ref_elaborate(node, n, valid_degree) -> Jet:
             raise ElaborationError(
                 f"coordinate z({node.index}) out of range for dimension {n}"
             )
-        return Jet.variable(n, node.index - 1, valid_degree)
+        return variable(n, node.index - 1, valid_degree)
     if isinstance(node, Conj):
         return ref_elaborate(node.arg, n, valid_degree).conj()
     if isinstance(node, ModSq):
@@ -1134,7 +1139,7 @@ def ref_elaborate(node, n, valid_degree) -> Jet:
             )
         # log(c + s) = log c + log(1 + s/c); the additive constant is dropped
         s = inner - Jet.constant(n, c, valid_degree)
-        return log1p(s if c == 1 else s / c)
+        return log1p(s if c == 1 else s.scale(Q(1) / c))
     if isinstance(node, Det):
         rows = [
             [ref_elaborate(e, n, valid_degree) for e in row] for row in node.rows
@@ -1185,7 +1190,7 @@ def ref_modsq_of_form(form, n, D):
     """|u|^2 of the integer linear form u = sum c z_var, in the jet ring."""
     u = Jet.zero(n, D)
     for var, c in form:
-        u = u + Jet.variable(n, var, D).scale(c)
+        u = u + variable(n, var, D).scale(c)
     return u * u.conj()
 
 
@@ -1195,4 +1200,5 @@ def ref_embedded_test_polys(space):
     n, D = space.metric.n, space.truncation
     u1, u2 = space.frame[:2]
     m1, m2 = ref_modsq_of_form(u1.form, n, D), ref_modsq_of_form(u2.form, n, D)
-    return TestFunctionPair(f1=(m1 * m1) / (u1.nu * u1.nu), f2=(m1 * m2) / (u1.nu * u2.nu))
+    return TestFunctionPair(f1=(m1 * m1).scale(Q(1) / (u1.nu * u1.nu)),
+                            f2=(m1 * m2).scale(Q(1) / (u1.nu * u2.nu)))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from dense_oracles import (
+    variable,
     direct_potential_jet,
     mat_identity,
     mat_sub,
@@ -285,7 +286,7 @@ class TestDualPotential:
         # dual of log det(I + S) must equal -log det(I - S) coefficientwise
         D = 6
         n = 4
-        w = [[Jet.variable(n, r * 2 + c, D) for c in range(2)] for r in range(2)]
+        w = [[variable(n, r * 2 + c, D) for c in range(2)] for r in range(2)]
         s = [
             [
                 sum(
@@ -337,9 +338,9 @@ class TestEmbeddedPolys:
         pair = catalog.embedded_test_polys(spaces("quadric-even:N=4"))
         # ((v2 + v'3)(vb2 + vb'3) / 2)^2 expanded
         m1 = (
-            Jet.variable(6, 0, 6) + Jet.variable(6, 4, 6)
-        ) * (Jet.variable(6, 0, 6) + Jet.variable(6, 4, 6)).conj()
-        assert pair.f1 == (m1 * m1) / 4
+            variable(6, 0, 6) + variable(6, 4, 6)
+        ) * (variable(6, 0, 6) + variable(6, 4, 6)).conj()
+        assert pair.f1 == (m1 * m1).scale(Q(1, 4))
 
     @pytest.mark.parametrize("D", [2, 3, 4, 6, 8])
     @pytest.mark.parametrize(

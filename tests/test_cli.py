@@ -705,6 +705,71 @@ def test_nonpositive_kmax_refused_before_any_build(monkeypatch, capsys, argv):
     assert out.err == "error: k_max must be >= 1\n"
 
 
+BELOW_EINSTEIN = "inverse metric valid below degree 2"
+CUBIC_POT = "dim 1\nmodsq(z(1)) + z(1)*z(1)*z(1) + conj(z(1)*z(1)*z(1))\n"
+
+
+@pytest.mark.parametrize(
+    "target,degree",
+    [(label, degree) for label in ("cp:n=1", "quadric-odd:N=4", "product(cp:n=1;ch:n=1)",
+                                   "dual(sp:N=2)") for degree in (2, 3)]
+    + [("cubic-free.pot", 2), ("cubic-free.pot", 3), ("cubic.pot", 2)],
+)
+def test_a_degree_below_the_einstein_test_is_refused_before_any_build(
+        monkeypatch, capsys, tmp_path, target, degree):
+    # einstein_constant needs degree 4 of a cubic-free potential, which
+    # every catalog one is; a .pot is elaborated first to see its cubic terms
+    (tmp_path / "cubic-free.pot").write_text("dim 2\nlog(1 + modsq(z(1)) + 2*modsq(z(2)))\n")
+    (tmp_path / "cubic.pot").write_text(CUBIC_POT)
+    target = str(tmp_path / target) if target.endswith(".pot") else target
+    argv = ["check", target, "--degree", str(degree), "--kmax", "1"]
+    err = f"error: {BELOW_EINSTEIN} (rerun with --degree 4)\n"
+    shipped = [cli.main(argv + flag) for flag in ([], ["--json"])]
+    out = capsys.readouterr()
+    assert shipped == [2, 2] and out.err == err * 2
+    assert json.loads(out.out) == error_object("TruncationError", BELOW_EINSTEIN, 2)
+
+    def build(*args):
+        raise AssertionError("built a metric")
+
+    monkeypatch.setattr(catalog, "build_space", build)
+    for mod in (cli, catalog):
+        monkeypatch.setattr(mod, "metric_from_potential", build)
+    assert [cli.main(argv + flag) for flag in ([], ["--json"])] == shipped
+    assert capsys.readouterr() == out
+
+
+def test_a_gauge_refusal_still_comes_first_below_degree_4(monkeypatch, capsys, tmp_path):
+    # CP^2 in a chart whose g(0) is not diagonal: refused by the gauge, as
+    # when the metric build raised it, and still before any build
+    pot = tmp_path / "chart.pot"
+    pot.write_text("dim 2\nlog(1 + modsq(z(1)) + modsq(z(1) + z(2)))\n")
+
+    def build(*args):
+        raise AssertionError("built a metric")
+
+    monkeypatch.setattr(cli, "metric_from_potential", build)
+    for degree in (2, 3):
+        assert cli.main(["check", str(pot), "--degree", str(degree), "--kmax", "1"]) == 2
+        assert capsys.readouterr().err == "error: g(0) is not diagonal: entry (0,1) = 1\n"
+
+
+def test_a_pluriharmonic_cubic_runs_at_degree_3(tmp_path, capsys):
+    # the cubic terms make einstein_constant a gauge skip, not a refusal
+    pot = tmp_path / "cubic.pot"
+    pot.write_text(CUBIC_POT)
+    assert cli.main(["check", str(pot), "--degree", "3", "--kmax", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["einstein"] == {"lambda": None, "residual": None}
+    assert report["delta"] == [{"k": 1, "status": "fitted", "pk": {"1": "1"}}]
+    # the same error object as einstein_constant's own refusal
+    m = metric.metric_from_potential(elaborate(parse_potential_file(
+        "dim 1\nmodsq(z(1))\n")[1], 1, 3))
+    with pytest.raises(metric.TruncationError, match=f"^{BELOW_EINSTEIN}$") as exc:
+        metric.einstein_constant(m)
+    assert exc.value.required == 4
+
+
 class TestDualCommand:
     def test_cp1(self):
         r = run_cli("dual", "cp:n=1")

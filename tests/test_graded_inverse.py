@@ -2,13 +2,19 @@
 tests/dense_oracles.py, coefficient for coefficient and in valid_degree:
 the g_inv that metric_from_potential builds from the packed potential
 against the series of g differentiated entry by entry (metric_matrix), and
-JetMatrix.inverse on random matrices."""
+JetMatrix.inverse on random matrices.  metric_from_potential solves column 0
+of an S_n-fixed real potential's g_inv, the upper triangle of a real one and
+every entry otherwise: on random potentials of each kind, every solve that a
+potential admits stores the same g_inv, and it is the series of g."""
+
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kahlerlap import catalog
-from kahlerlap.jets import Jet, JetMatrix
+from kahlerlap.jets import Jet, JetMatrix, _conj_parts, _jet_matrix, _reduced
+from kahlerlap.metric import _hessian_inverse, _potential_symmetry, metric_from_potential
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
@@ -82,3 +88,77 @@ def test_random_matrices_match_neumann_series(g):
     ident = mat_identity(g.n, g.rows, g.valid_degree)
     assert mat_mul(g, inv) == ident
     assert mat_mul(inv, g) == ident
+
+
+def stored(phi, solve):
+    """(lg, _ginv) of the given solve, reduced, in the stored form: a full
+    solve of a real potential has each entry below the diagonal equal to
+    its mate's conjugate, and keeps None there."""
+    lg, ginv = _reduced(*_hessian_inverse(phi, solve))
+    if _potential_symmetry(phi)[0]:
+        for i, row in enumerate(ginv):
+            for j in range(i):
+                assert row[j] is None or row[j] == _conj_parts(phi.pk, ginv[j][i])
+                row[j] = None
+    return lg, ginv
+
+
+@st.composite
+def potentials(draw):
+    """(kind, jet) of a potential with g(0) = diag(d_i), n <= 3 and D <= 8:
+    a sum over S_n of real terms (kind "symmetric"), maybe plus one real term
+    that breaks the symmetry ("breaker"), or with unequal d_i ("unequal"),
+    or plus a term that reaches g without its conjugate ("non-real"), or a
+    holomorphic one, which does not reach g ("pluriharmonic")."""
+    n = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    D = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["symmetric", "breaker", "unequal", "non-real", "pluriharmonic"]))
+    zero_mi = (0,) * n
+    pairs = [(P, Q_) for P in multiindices_upto(n, D) for Q_ in multiindices_upto(n, D)
+             if sum(P) and sum(Q_) and 3 <= sum(P) + sum(Q_) <= D]
+    d = [draw(st.sampled_from([Q(1), Q(1, 2), Q(3)]))] * n
+    if kind == "unequal" and n > 1:
+        d[-1] += draw(st.sampled_from([Q(1), Q(2, 3)]))
+    coeffs = {}
+
+    def add(P, Q_, c):  # c z^P zb^Q and its conjugate
+        for key in {(P, Q_), (Q_, P)}:
+            coeffs[key] = coeffs.get(key, 0) + c
+
+    for i in range(n):
+        add(tuple(int(a == i) for a in range(n)), tuple(int(a == i) for a in range(n)), d[i])
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if pairs else 0):
+        (P, Q_), c = draw(st.sampled_from(pairs)), draw(nonzero_q)
+        for sigma in set(permutations(range(n))):
+            add(tuple(P[s] for s in sigma), tuple(Q_[s] for s in sigma), c)
+    if kind == "breaker" and pairs:
+        add(*draw(st.sampled_from(pairs)), draw(nonzero_q))
+    if kind == "non-real" and pairs:
+        P, Q_ = draw(st.sampled_from([pq for pq in pairs if pq[0] != pq[1]] or pairs))
+        coeffs[P, Q_] = coeffs.get((P, Q_), 0) + draw(nonzero_q)
+    if kind == "pluriharmonic":
+        P = draw(st.sampled_from([P for P in multiindices_upto(n, D) if sum(P) >= 2]))
+        coeffs[P, zero_mi] = draw(nonzero_q)
+    return kind, Jet(n, coeffs, D)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(potentials())
+def test_every_solve_gives_the_same_inverse(case):
+    """The column, upper-triangle and full solves of every potential that
+    admits them store the same (lg, _ginv), which metric_from_potential
+    stores, and it is the Neumann series of g."""
+    kind, phi = case
+    real, fixed = _potential_symmetry(phi)
+    reach = {(P, Q_): c for (P, Q_), c in phi.coeffs.items() if sum(P) and sum(Q_)}
+    assert real == all(reach.get((Q_, P)) == c for (P, Q_), c in reach.items())
+    assert fixed == (real and phi.n > 1 and all(
+        reach.get((tuple(P[s] for s in t), tuple(Q_[s] for s in t))) == c
+        for t in permutations(range(phi.n)) for (P, Q_), c in reach.items()))
+    solves = ["full"] + ["upper"] * real + ["column"] * (real and fixed)
+    m = metric_from_potential(phi)
+    assert m._orbits == fixed
+    ref = stored(phi, "full")
+    assert all(stored(phi, solve) == ref for solve in solves)
+    assert (m._pullback[0], m._ginv) == ref
+    assert _jet_matrix(phi.pk, *ref) == neumann_inverse(metric_matrix(phi))

@@ -9,7 +9,11 @@ leaves g alone), and check reports with the orbit tables forced off must
 be the shipped ones.  The verdict also needs g_inv Hermitian: symmetrized
 bodies that are not real keep the full tables, and their reports are the
 same with the orbit tables forced off or on.  The orbit representatives of
-the diagonal are walked once per packing and degree.
+the diagonal are walked once per packing and degree.  metric_from_potential
+proves the verdict on the potential's terms, never on g_inv: it must be the
+verdict of _fixed_by_permutations on the Neumann series of g, for every
+label of the acceptance set and its dual, products, radial profiles and the
+.pot bodies of the tests.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
 not divide raises JetError.  The tables are written back onto every key
@@ -29,7 +33,9 @@ tables for cp and ch and from full tables for the matrix families; the
 quadrics fail it until their metric is mended (ROADMAP item 1).
 """
 
+import contextlib
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,18 +46,39 @@ from kahlerlap.fit import _sorted_diagonal, check_delta_property, fit_pk
 from kahlerlap.jets import JetError, diagonal_keys, packing
 from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
 from kahlerlap.metric import metric_from_potential
+from kahlerlap.radial import named_profile, profile_from_coeffs
+from kahlerlap.radial import potential_jet as radial_potential
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
     expand_orbits,
     fraction_laplacian_functional,
     full_tables,
+    metric_matrix,
     multiindices,
+    neumann_inverse,
 )
-from test_radial_inverse import run
+from test_acceptance import ALL_LABELS
+from test_integer_handoffs import POLYNOMIAL_BODIES
+from test_packed_kernels import SCALED_POTS
+from test_radial import CORPUS
+from test_radial_inverse import HERMITIAN_TEXTS, run
 
 DEGREE = 6
 KMAX = 3
+
+
+@contextlib.contextmanager
+def orbits_forced(verdict):
+    """Both symmetry proofs give verdict: _fixed_by_permutations on a
+    closed-form g_inv, and _potential_symmetry on a potential, which keeps
+    its own reality verdict (so a potential that is not real is still
+    solved whole)."""
+    proof = metric._potential_symmetry
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: verdict)
+        patch.setattr(metric, "_potential_symmetry", lambda phi: (proof(phi)[0], verdict))
+        yield
 
 
 def pot_metric(text, degree=DEGREE):
@@ -247,8 +274,7 @@ def test_dual_at_degree_4_reads_what_the_full_tables_read(label):
     argv = ["dual", label, "--degree", "4", "--json"]
     shipped = run(argv)
     assert shipped[0] == 0
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: False)
+    with orbits_forced(False):
         assert run(argv) == shipped
 
 
@@ -335,8 +361,7 @@ def assert_verdict_is_the_symmetry_of_g_inv(text, tmp):
     pot.write_text(text)
     argv = ["check", str(pot), "--json"]
     shipped = run(argv)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: False)
+    with orbits_forced(False):
         assert run(argv) == shipped
     return m
 
@@ -431,8 +456,7 @@ def test_a_non_hermitian_g_inv_keeps_the_full_tables(tmp_path, text):
     argv = ["check", str(pot), "--json"]
     shipped = run(argv)
     for forced in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: forced)
+        with orbits_forced(forced):
             assert run(argv) == shipped
 
 
@@ -459,3 +483,56 @@ def test_the_sorted_diagonal_is_walked_once_per_degree(n):
         assert cached == _sorted_diagonal.__wrapped__(pk, p) == [
             (K, f) for K, f in diagonal[p] if list(pk.unpack(K)[0]) == sorted(pk.unpack(K)[0])
         ]
+
+
+def verdict_on_the_whole_inverse(phi):
+    """_orbits as the proof on g_inv decides it: n > 1, the d_i equal and
+    _fixed_by_permutations on the Neumann series of g, both triangles."""
+    pk, n, D = phi.pk, phi.n, phi.valid_degree - 2
+    g = neumann_inverse(metric_matrix(phi))
+    den = lcm(*(e.den for row in g.entries for e in row))
+    ginv = [[[{K: c * (den // e.den) for K, c in part.items()} for part in e._parts_on(pk, D)]
+             for e in row] for row in g.entries]
+    diag = {phi.parts[2].get(pk.units[i] + pk.units[n + i]) for i in range(n)}
+    return n > 1 and len(diag) == 1 and metric._fixed_by_permutations(pk, ginv)
+
+
+def decision_inputs():
+    """Every catalog label of the acceptance set and its dual, products,
+    the radial profiles and the .pot bodies of the tests, as potentials."""
+    labels = ALL_LABELS + [f"dual({label})" for label in ALL_LABELS] + [
+        "product(cp:n=1;cp:n=1)", "product(cp:n=1;quadric-even:N=4)",
+        "product(cp:n=2;cp:n=2)", "product(cp:n=1;ch:n=1)"]
+    for label in labels:
+        for D in (4, 6):
+            yield label, D, catalog.potential_jet(catalog.parse_space(label), D)
+    for name, coeffs in CORPUS:
+        profile = named_profile(name, 5) if name else profile_from_coeffs(coeffs, order=5)
+        for n in (1, 2, 3):
+            for D in (4, 8):
+                yield f"radial({name or coeffs}, n={n})", D, radial_potential(profile, n, D)
+    bodies = (NON_REAL + PLURIHARMONIC + SCALED_POTS
+              + [f"dim 2\n{text}\n" for text in HERMITIAN_TEXTS]
+              + [f"dim 3\n{text}\n" for text in POLYNOMIAL_BODIES])
+    for text in bodies:
+        n, node = parse_potential_file(text)
+        for D in (4, 6):
+            yield text, D, elaborate(node, n, D)
+
+
+def test_the_potential_decides_the_orbits_as_g_inv_does():
+    def refuse(pk, ginv):
+        raise AssertionError("the proof on g_inv ran on a potential's metric")
+
+    decided = 0
+    for name, D, phi in decision_inputs():
+        with pytest.MonkeyPatch.context() as patch:  # it runs on a closed form only
+            patch.setattr(metric, "_fixed_by_permutations", refuse)
+            try:
+                m = metric_from_potential(phi)
+            except metric.GaugeError:
+                continue
+        verdict = verdict_on_the_whole_inverse(phi)
+        assert m._orbits == metric._potential_symmetry(phi)[1] == verdict, (name, D)
+        decided += verdict
+    assert decided >= 20

@@ -8,8 +8,10 @@ form must equal the graded inverse term for term, and the guard below shows
 which path each entry point takes by making the graded inverse fail.  The
 closed form is stored as its upper triangle, None below, and MetricJet.g_inv
 is built only when read: a second guard refuses JetMatrix construction on
-the check path, and a Hermitian graded inverse handed over as its upper
-triangle must read as the whole of it.
+the check path, and a Hermitian graded inverse stored as its upper triangle
+must read as the whole of it.  A third guard keeps every command off the
+rational Gaussian elimination: the graded inverse of a potential reads
+g(0)^{-1} off its degree-2 terms.
 """
 
 import contextlib
@@ -24,8 +26,8 @@ from kahlerlap import catalog, cli, jets
 from kahlerlap.jets import NonInvertibleError
 from kahlerlap.dsl import elaborate, parse
 from kahlerlap.metric import (
-    _laplacian_functional, einstein_constant, fifth_order_check, metric_from_potential,
-    metric_with_inverse,
+    _hessian_inverse, _laplacian_functional, einstein_constant, fifth_order_check,
+    metric_from_potential, metric_with_inverse,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -165,37 +167,79 @@ def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
             m.potential.pk, *ref_bergman_inverse(desc, m.potential, 6))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [  # no permutation symmetry, then symmetric under z(1) <-> z(2); both with odd-degree g_inv
-        "modsq(z(1)) + modsq(z(2)) + 1/2*modsq(z(1)*z(2))"
-        " + z(1)*z(1)*z(2)*conj(z(1)*z(1)) + z(1)*z(1)*conj(z(1)*z(1)*z(2))"
-        " + 2*z(2)*z(2)*z(2)*conj(z(1)*z(2)) + 2*z(1)*z(2)*conj(z(2)*z(2)*z(2))",
-        "log(1 + modsq(z(1)) + modsq(z(2)) + 1/3*modsq(z(1)*z(2)))"
-        " + z(1)*z(1)*z(2)*conj(z(1)*z(2)) + z(1)*z(2)*conj(z(1)*z(1)*z(2))"
-        " + z(2)*z(2)*z(1)*conj(z(2)*z(1)) + z(2)*z(1)*conj(z(2)*z(2)*z(1))",
-    ],
-)
+def test_no_command_inverts_a_rational_matrix(monkeypatch, tmp_path):
+    """check, dual and radial print their reports with jets._invert_rational
+    refused wherever a kahlerlap module holds it: the potential's A_0 is
+    diagonal, read off its degree-2 terms.  JetMatrix.inverse keeps it."""
+    bodies = ["radial(0, 1, 1/2)", HERMITIAN_TEXTS[0],
+              "2*modsq(z(1)) + 1/3*modsq(z(2)) + modsq(z(1)*z(2))",  # unequal d_i
+              "modsq(z(1)) + modsq(z(2)) + 1/3*z(1)*z(1)*conj(z(1)*z(2))"]  # not real
+    pots = [tmp_path / f"case{i}.pot" for i in range(len(bodies))]
+    for pot, body in zip(pots, bodies):
+        pot.write_text(f"dim 2\n{body}\n")
+    argvs = [["check", label, "--json"] for label in (
+        "quadric-even:N=4", "quadric-odd:N=5", "product(cp:n=1;cp:n=1)",
+        "product(cp:n=1;quadric-even:N=4)", "cp:n=3", "sp:N=2", "dual(quadric-odd:N=4)")]
+    argvs += [["check", str(pot), "--json"] for pot in pots]
+    argvs += [["dual", "quadric-even:N=4", "--json"], ["dual", "cp:n=2", "--json"],
+              ["radial", "--name", "fubini-study", "--n", "3", "--json"],
+              ["radial", "--coeffs", "0,2,3,-5/7,1/9", "--n", "2", "--kmax", "4", "--json"]]
+    shipped = [run(argv) for argv in argvs]
+    assert all(code in (0, 1) for code, _, _ in shipped)
+
+    def refuse(*args):
+        raise AssertionError("a rational matrix inverted")
+
+    orig = jets._invert_rational
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kahlerlap") and getattr(mod, "_invert_rational", None) is orig:
+            monkeypatch.setattr(mod, "_invert_rational", refuse)
+    assert [run(argv) for argv in argvs] == shipped
+    one = jets.Jet.constant(1, 1, 2)
+    with pytest.raises(AssertionError, match="a rational matrix inverted"):
+        jets.JetMatrix([[one]]).inverse()
+
+
+# no permutation symmetry, then symmetric under z(1) <-> z(2); both with odd-degree g_inv
+HERMITIAN_TEXTS = [
+    "modsq(z(1)) + modsq(z(2)) + 1/2*modsq(z(1)*z(2))"
+    " + z(1)*z(1)*z(2)*conj(z(1)*z(1)) + z(1)*z(1)*conj(z(1)*z(1)*z(2))"
+    " + 2*z(2)*z(2)*z(2)*conj(z(1)*z(2)) + 2*z(1)*z(2)*conj(z(2)*z(2)*z(2))",
+    "log(1 + modsq(z(1)) + modsq(z(2)) + 1/3*modsq(z(1)*z(2)))"
+    " + z(1)*z(1)*z(2)*conj(z(1)*z(2)) + z(1)*z(2)*conj(z(1)*z(1)*z(2))"
+    " + z(2)*z(2)*z(1)*conj(z(2)*z(1)) + z(2)*z(1)*conj(z(2)*z(2)*z(1))",
+]
+
+
+@pytest.mark.parametrize("text", HERMITIAN_TEXTS)
 def test_the_upper_triangle_reads_as_both(text):
-    """A Hermitian g_inv given as its upper triangle, None below, as the
-    closed form gives it, reads as the same g_inv given whole: the same
-    symmetry verdict, pullback index, Einstein report, fifth-order value,
-    tables and JetMatrix."""
+    """A Hermitian g_inv given as its upper triangle, None below, reads as
+    the same g_inv given whole (the full solve): the same symmetry verdict,
+    pullback index, Einstein report, fifth-order value, tables and
+    JetMatrix, whether the triangle comes from metric_from_potential, whose
+    verdict is proved on the potential, or is handed to metric_with_inverse
+    as the closed form is, whose verdict is proved on g_inv."""
     phi = elaborate(parse(text), 2, 5)
-    full = metric_from_potential(phi)
+
+    def whole():
+        return metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"), 5)
 
     def upper():
+        full = whole()
         return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
                                    for a, row in enumerate(full._ginv)]
 
-    m = metric_with_inverse(phi, upper, phi.valid_degree)
-    assert m._orbits == full._orbits and m._pullback == full._pullback
-    assert einstein_constant(m) == einstein_constant(full)
-    assert fifth_order_check(m) == fifth_order_check(full) != 0
-    for k in range(1, 4):  # at D = 5, k = 3 widens an orbit metric's index to every slot
-        assert _laplacian_functional(m, k) == _laplacian_functional(full, k)
-    assert m._pullback == full._pullback and m._pullback[2] == 0
-    assert m.g_inv == full.g_inv
+    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5)):
+        full = whole()  # its tables widen its index: one per comparison
+        assert all(e is not None for row in full._ginv for e in row)
+        assert all(m._ginv[a][b] is None for a in range(2) for b in range(a))
+        assert m._orbits == full._orbits and m._pullback == full._pullback
+        assert einstein_constant(m) == einstein_constant(full)
+        assert fifth_order_check(m) == fifth_order_check(full) != 0
+        for k in range(1, 4):  # at D = 5, k = 3 widens an orbit metric's index to every slot
+            assert _laplacian_functional(m, k) == _laplacian_functional(full, k)
+        assert m._pullback == full._pullback and m._pullback[2] == 0
+        assert m.g_inv == full.g_inv
 
 
 def test_radial_command_and_pot_files_keep_the_graded_inverse(graded_inverse_fails, tmp_path):
