@@ -135,7 +135,8 @@ def _load_check_target(target, degree):
         path = Path(target)
         if not path.exists():
             raise UsageError(f"no such potential file: {target}")
-        n, expr = parse_potential_file(path.read_text(encoding="utf-8"))
+        # a byte that is not UTF-8 reads as U+FFFD, which only a comment takes
+        n, expr = parse_potential_file(path.read_text(encoding="utf-8", errors="replace"))
         phi = elaborate(expr, n, degree)
         require_bochner_form(phi)
         require_diagonal_gauge(phi)

@@ -579,11 +579,10 @@ def _jet_matrix(pk, den, entries):
 def _graded_inverse(pk, L, h, bs, den, solve="full"):
     """The inverse over the jet ring of G = A / den, valid to degree D, as
     (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk,
-    whose slots hold every exponent up to D.  solve names the entries solved:
-    "full" all; "upper" i <= j (G Hermitian), None below; "column" j = 0 (G
-    Hermitian and fixed by every permutation sigma of the coordinates), and
-    entry (sigma b, 0), sigma = (0 a), with slots 0 and a swapped in both
-    halves of each key, is entry (b, a) of the upper triangle, None below.
+    whose slots hold every exponent up to D, reduced (_reduced).  solve
+    names the entries solved: "full" all; "upper" i <= j (G Hermitian), None
+    below; "column" j = 0 (G Hermitian and fixed by every permutation of the
+    coordinates), filled into the upper triangle by _column_filled.
 
     A graded solve (Brent & Kung, JACM 1978): with A = A_0 + A_1 + ... in
     homogeneous parts, X = A^{-1} has X_0 = A_0^{-1} and
@@ -593,7 +592,7 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
     It runs on integers, fraction-free as in Bareiss (Math. Comp. 1968): the
     caller gives L, H = L A_0^{-1} and bs[e] = L^e B_e = -L^(e-1) H A_e, all
     integral, and X'_d = L^(1+d) X_d has X'_0 = H and X'_d = sum_e bs[e]
-    X'_{d-e}, so G^{-1} is den X'_d L^(D-d) over L' = L^(1+D).
+    X'_{d-e}, so G^{-1} is den X'_d L^(D-d) over L^(1+D), before reduction.
     """
     m, D = len(h), len(bs) - 1
     js = [range(i, m) if solve == "upper" else range(1 if solve == "column" else m)
@@ -622,14 +621,26 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
             out[i][j] = [x[i][j] if w == 1 else {K: c * w for K, c in x[i][j].items()}
                          for x, w in zip(xs, ws)]
     if solve == "column":
-        first, col = pk.mask * (pk.units[0] + pk.units[m]), [row[0] for row in out]
-        for a in range(1, m):
-            s = pk.bits * a
-            for b in range(a + 1):
-                out[b][a] = [{K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
-                             for part in col[a if b == 0 else 0 if b == a else b]]
-            out[a][0] = None
-    return top, out
+        return _column_filled(pk, top, [row[0] for row in out])
+    return _reduced(top, out)
+
+
+def _column_filled(pk, den, col):
+    """(den, upper triangle) of a Hermitian matrix of integer graded parts
+    that every permutation sigma of the coordinates fixes, from its column 0,
+    col, reduced (_reduced) before the fill, which only moves keys: entry
+    (b, a), b <= a, is entry (sigma b, 0), sigma = (0 a), with slots 0 and a
+    swapped in both halves of each key."""
+    den, [col] = _reduced(den, [col])
+    m, first = len(col), pk.mask * (pk.units[0] + pk.units[pk.n])
+    out = [[None] * m for _ in range(m)]
+    out[0][0] = col[0]
+    for a in range(1, m):
+        s = pk.bits * a
+        for b in range(a + 1):
+            out[b][a] = [{K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
+                         for part in col[a if b == 0 else 0 if b == a else b]]
+    return den, out
 
 
 def _invert_rational(mat):

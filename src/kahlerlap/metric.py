@@ -13,9 +13,11 @@ potential, whose g_inv is Hermitian, and column 0 when every permutation
 sigma of the coordinates also fixes its terms, since g_inv[sigma i][sigma j]
 at sigma K is then g_inv[i][j] at K.  third_deriv_obstruction reads g's
 derivatives from the potential's coefficients.  The Bergman catalog families
-take g_inv in closed form instead (catalog.bergman_inverse); both builders
-hand g_inv to metric_with_inverse as integer parts over one denominator,
-which stores them (MetricJet._ginv) and indexes them for the lap^k pullback.
+take g_inv in closed form instead (catalog.bergman_inverse), multiplying out
+column 0 alone when their slot map shows every permutation fixing it; both
+builders hand g_inv to metric_with_inverse as reduced integer parts over one
+denominator, with their verdict on that symmetry, and it stores the parts
+(MetricJet._ginv) and indexes them for the lap^k pullback.
 A Hermitian g_inv is given as its upper triangle: an entry None below the
 diagonal is its mate above with the two halves of each key swapped, and
 every reader of the parts reads it so.  MetricJet.g_inv, a JetMatrix, is
@@ -32,8 +34,8 @@ Bergman family's is built only to min(D, 5) (catalog.build_space).
 
 Each lap^k table is stored once, as integer numerators on packed keys.
 When every permutation of the coordinates, applied to z and zb alike, fixes
-g_inv and g_inv is Hermitian (proved on the potential's terms, or on the
-upper triangle of a closed form), a table holds one key per S_n-orbit, the
+g_inv and g_inv is Hermitian (proved on the potential's terms, or read off
+the slot map of a closed form), a table holds one key per S_n-orbit, the
 orbit's least member in the fit's order; _laplacian_functional says why its
 entries are exact and its index needs only the last D // 2 - 1 slots, and
 fit.fit_pk why the witness is unchanged.
@@ -52,7 +54,7 @@ from __future__ import annotations
 from math import factorial, lcm, prod
 
 from .jets import DimensionMismatch, InputError, Jet, JetError, ValidityError
-from .jets import _graded_inverse, _jet_matrix, _reduced, _sum
+from .jets import _graded_inverse, _jet_matrix, _sum
 from .rationals import Q, ZERO, Record
 
 
@@ -194,20 +196,21 @@ def require_diagonal_gauge(potential: Jet):
     return diag
 
 
-def metric_with_inverse(potential: Jet, inverse, D, orbits=None) -> MetricJet:
+def metric_with_inverse(potential: Jet, inverse, D, orbits) -> MetricJet:
     """MetricJet valid to degree D >= 2, of a potential valid to degree
     min(D, 5) at least, on a packing that holds D, whose g_inv is
-    inverse() = (L, entries): entries[i][j] the integer graded parts of
-    L g_inv[i][j] on the potential's packing, valid to D - 2 (None below
-    the diagonal: the conjugate of the mate above).  They are reduced
-    (jets._reduced) to Lg, the lcm of the reduced denominators of g_inv.
+    inverse() = (Lg, entries): entries[i][j] the integer graded parts of
+    Lg g_inv[i][j] on the potential's packing, valid to D - 2 (None below
+    the diagonal: the conjugate of the mate above), reduced (jets._reduced),
+    so that Lg is the lcm of the reduced denominators of g_inv.
 
     The gauge check comes first (require_diagonal_gauge), then inverse
-    runs.  orbits says whether every permutation of the coordinates fixes
-    g_inv and g_inv is Hermitian; None (the closed form) has it tested on
-    g_inv when n > 1 and the d_i are all equal (_fixed_by_permutations).
-    It decides how the lap^k tables are stored, and so which slots
-    _pullback_index indexes, every slot or the last D // 2 - 1.
+    runs.  orbits is the builder's verdict that every permutation of the
+    coordinates fixes g_inv and g_inv is Hermitian, read off the potential
+    (_potential_symmetry) or off the slot map of a closed form
+    (catalog._permuted_slots).  It decides how the lap^k tables are stored,
+    and so which slots _pullback_index indexes, every slot or the last
+    D // 2 - 1.
     """
     if D < 2:
         raise TruncationError(
@@ -215,9 +218,7 @@ def metric_with_inverse(potential: Jet, inverse, D, orbits=None) -> MetricJet:
         )
     n, pk = potential.n, potential.pk
     diag = require_diagonal_gauge(potential)
-    lg, ginv = _reduced(*inverse())
-    if orbits is None:
-        orbits = n > 1 and diag.count(diag[0]) == n and _fixed_by_permutations(pk, ginv)
+    lg, ginv = inverse()
     lo = max(n - D // 2 + 1, 0) if orbits else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
@@ -248,49 +249,6 @@ def _pullback_index(pk, ginv, lo):
                     index.setdefault(U, {}).setdefault(V, []).append(
                         (c, shift_j, shift_i, step - (V << half)))
     return index
-
-
-def _fixed_by_permutations(pk, ginv):
-    """Whether every permutation sigma of the coordinates fixes the integer
-    parts ginv[i][j] (entry (sigma i, sigma j) at sigma K is entry (i, j) at
-    K) and ginv is Hermitian off its diagonal.  The swap of slots 0 and 1
-    and the cyclic shift of all n slots generate S_n, and the permutations
-    that fix ginv form a group, so it tests those two on the upper triangle
-    i <= j, both halves of a key at once; a term that the swap fixes by
-    itself (slots 0 and 1 equal in both halves, i, j >= 2) needs no lookup.
-    For i < j, each term of (i, j) is looked up, halves swapped, in (j, i),
-    whose parts have the same sizes: the lower triangle is the conjugate of
-    the upper.  An entry None there is that conjugate by definition: no
-    test, and a lookup in it is one in its mate, halves swapped.  sigma acts
-    on both halves alike, so it maps a lower term conj t to conj sigma t,
-    where sigma t is an upper or lower term off the diagonal: a term too.
-    So sigma maps the terms into themselves, one to one with the same
-    integers, which is onto.  The first mismatch ends it."""
-    n, bits, units = pk.n, pk.bits, pk.units
-    half, low = pk.half, (1 << pk.half) - 1
-    first = pk.mask * (units[0] + units[n])  # slots 0 and n
-    rest = (1 << 2 * half) - 1 - first
-    top = bits * (n - 1)
-    swap, shift = [1, 0, *range(2, n)], [*range(1, n), 0]
-
-    def entry(a, b):  # (parts, s): entry (a, b) at K is parts at K >> s | (K & low) << s
-        return (ginv[b][a], half) if ginv[a][b] is None else (ginv[a][b], 0)
-
-    for i, row in enumerate(ginv):
-        for j in range(i, n):
-            (a, sa), (b, sb) = entry(swap[i], swap[j]), entry(shift[i], shift[j])
-            h = ginv[j][i] if i < j else None  # an explicit lower entry, to test
-            for part, pa, pb, ph in zip(row[j], a, b, h or row[j]):
-                if h and len(ph) != len(part):
-                    return False
-                for K, c in part.items():
-                    x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
-                    ka, kb = K ^ x ^ x << bits, K << bits & rest | K >> top & first
-                    if ((x or i < 2) and pa.get(ka >> sa | (ka & low) << sa) != c
-                            or pb.get(kb >> sb | (kb & low) << sb) != c
-                            or h and ph.get(K >> half | (K & low) << half) != c):
-                        return False
-    return True
 
 
 def _orbit(pk, key):
@@ -361,8 +319,10 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     denominators of g_inv and g' = Lg g_inv integral, table k is N_k / Lg^k
     with N_0 = 1 at the origin and N_k built from N_{k-1} by the step above
     with g' for g.  The index is keyed on the holomorphic half, so each
-    (A, B) looks up the divisors U of A alone and keeps, of the halves V
-    found under U, those in the divisor set of B: the lookups follow
+    (A, B) looks up the divisors U of A alone and joins the halves V found
+    under U with the divisors of B from the smaller side: it walks index[U]
+    and keeps the V in B's divisor set, or walks B's divisors and looks each
+    up in index[U] (A's list serves for B when A = B).  The lookups follow
     g_inv's support instead of every divisor of (A, B).  Keys are packed,
     so (S, T) is the int sum of A - U and the index's e_j + e_i - V.
     Table k has |P| <= k and |Q| <= k, since each step adds one to |P| and
@@ -410,19 +370,23 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     out = {}
     get = out.get
     for KA, c in prev:
-        b_divisors = set(pk.divisors(KA >> pk.half))
-        for KU in pk.divisors(KA & low):
+        KB, a_divisors = KA >> pk.half, pk.divisors(KA & low)
+        b_divisors = a_divisors if KB == KA & low else pk.divisors(KB)
+        b_set = set(b_divisors)
+        for KU in a_divisors:
             vs = index.get(KU)
             if vs is None:
                 continue
             base = KA - KU
-            for KV, hits in vs.items():
-                if KV in b_divisors:
-                    for g, shift_j, shift_i, step in hits:
-                        key = base + step
-                        out[key] = get(key, 0) + c * g * (
-                            ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
-                        )
+            found = ([hits for KV in b_divisors if (hits := vs.get(KV))]
+                     if len(vs) > len(b_divisors)
+                     else [hits for KV, hits in vs.items() if KV in b_set])
+            for hits in found:
+                for g, shift_j, shift_i, step in hits:
+                    key = base + step
+                    out[key] = get(key, 0) + c * g * (
+                        ((key >> shift_j) & mask) * ((key >> shift_i) & mask)
+                    )
     if m._orbits:
         out = _orbit_sums(pk, out)
     nums = m._functionals[k] = {key: c for key, c in out.items() if c}

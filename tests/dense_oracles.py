@@ -47,8 +47,13 @@ applying laplacian_apply k times for n <= 4, so it does not trust the table.
 ref_einstein_constant sums the Einstein test's weighted second derivatives
 of g_inv in rationals, entry by entry, where the library decides it on
 integers and builds a rational only for lam and a nonzero residual.
+fixed_by_permutations proves an S_n-symmetry of g_inv by reading every term
+of its integer parts (scanned_orbits, the verdict of a built metric), where
+the builders read it off the potential's terms or the closed form's slot
+map.
 ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
-where catalog.bergman_inverse multiplies out and returns the upper one; it
+unreduced, where catalog.bergman_inverse multiplies out the upper one, or
+column 0 of a permutation-symmetric one, and returns it reduced; it
 finds the dual's sign by its own walk, flipping ch as dual(cp), and takes
 flat's g_inv as I, where the catalog weights by one curvature sign.
 ref_embedded_test_polys builds the test functions in the jet ring, from
@@ -854,6 +859,57 @@ def full_tables(m):
     full = copy.copy(m)
     full._functionals, full._einstein, full._orbits = {0: m._functionals[0]}, None, False
     return full
+
+
+def fixed_by_permutations(pk, ginv):
+    """Whether every permutation sigma of the coordinates fixes the integer
+    parts ginv[i][j] (entry (sigma i, sigma j) at sigma K is entry (i, j) at
+    K) and ginv is Hermitian off its diagonal.  The swap of slots 0 and 1
+    and the cyclic shift of all n slots generate S_n, and the permutations
+    that fix ginv form a group, so it tests those two on the upper triangle
+    i <= j, both halves of a key at once; a term that the swap fixes by
+    itself (slots 0 and 1 equal in both halves, i, j >= 2) needs no lookup.
+    For i < j, each term of (i, j) is looked up, halves swapped, in (j, i),
+    whose parts have the same sizes: the lower triangle is the conjugate of
+    the upper.  An entry None there is that conjugate by definition: no
+    test, and a lookup in it is one in its mate, halves swapped.  sigma acts
+    on both halves alike, so it maps a lower term conj t to conj sigma t,
+    where sigma t is an upper or lower term off the diagonal: a term too.
+    So sigma maps the terms into themselves, one to one with the same
+    integers, which is onto.  The first mismatch ends it.  The builders
+    read this verdict off the potential or the slot map instead."""
+    n, bits, units = pk.n, pk.bits, pk.units
+    half, low = pk.half, (1 << pk.half) - 1
+    first = pk.mask * (units[0] + units[n])  # slots 0 and n
+    rest = (1 << 2 * half) - 1 - first
+    top = bits * (n - 1)
+    swap, shift = [1, 0, *range(2, n)], [*range(1, n), 0]
+
+    def entry(a, b):  # (parts, s): entry (a, b) at K is parts at K >> s | (K & low) << s
+        return (ginv[b][a], half) if ginv[a][b] is None else (ginv[a][b], 0)
+
+    for i, row in enumerate(ginv):
+        for j in range(i, n):
+            (a, sa), (b, sb) = entry(swap[i], swap[j]), entry(shift[i], shift[j])
+            h = ginv[j][i] if i < j else None  # an explicit lower entry, to test
+            for part, pa, pb, ph in zip(row[j], a, b, h or row[j]):
+                if h and len(ph) != len(part):
+                    return False
+                for K, c in part.items():
+                    x = (K ^ K >> bits) & first  # slot 0 ^ slot 1, in both halves
+                    ka, kb = K ^ x ^ x << bits, K << bits & rest | K >> top & first
+                    if ((x or i < 2) and pa.get(ka >> sa | (ka & low) << sa) != c
+                            or pb.get(kb >> sb | (kb & low) << sb) != c
+                            or h and ph.get(K >> half | (K & low) << half) != c):
+                        return False
+    return True
+
+
+def scanned_orbits(m):
+    """The S_n verdict of a built metric, by the scan of its g_inv parts:
+    n > 1, the d_i all equal and fixed_by_permutations."""
+    d = m.origin_diag
+    return m.n > 1 and d.count(d[0]) == m.n and fixed_by_permutations(m.potential.pk, m._ginv)
 
 
 def verify_witness(m, k, w: ViolationWitness) -> bool:

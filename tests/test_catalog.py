@@ -16,7 +16,7 @@ from dense_oracles import (
 
 from kahlerlap import catalog, cli, dsl
 from kahlerlap.fit import check_delta_property
-from kahlerlap.jets import Jet, JetMatrix, _conj_parts, log1p
+from kahlerlap.jets import Jet, JetMatrix, _conj_parts, _reduced, log1p
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
@@ -220,9 +220,9 @@ class TestBergmanInverse:
     @pytest.mark.parametrize("D", [6, 8, 10])
     @pytest.mark.parametrize("label", BERGMAN_LABELS)
     def test_upper_triangle_gives_both(self, label, D):
-        # only the upper triangle is returned, None below it; the lower
-        # triangle is the conjugate of the upper one, and the oracle
-        # multiplies out every entry of both
+        # only the upper triangle is returned, None below it, and reduced;
+        # the lower triangle is the conjugate of the upper one, and the
+        # oracle multiplies out every entry of both, unreduced
         for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
             on = Jet.zero(desc.complex_dim, D)  # only its packing is read
             den, upper = catalog.bergman_inverse(desc, on, D)
@@ -230,7 +230,28 @@ class TestBergmanInverse:
             assert all(upper[a][b] is None for a in range(n) for b in range(a))
             both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
                      for b in range(n)] for a in range(n)]
-            assert (den, both) == ref_bergman_inverse(desc, on, D)
+            assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_a_rank_1_column_fills_both_triangles(self, monkeypatch, n):
+        # W one column or one row: only column 0 is multiplied out, and the
+        # fill by coordinate transpositions gives the oracle's whole g_inv
+        filled = []
+        fill = catalog._column_filled
+        monkeypatch.setattr(catalog, "_column_filled",
+                            lambda *args: filled.append(args[2]) or fill(*args))
+        labels = [f"{family}:n={n}" for family in ("flat", "cp", "ch")] + [
+            f"grassmannian:k={k},N={n + 1}" for k in (1, n)]
+        for desc in map(catalog.parse_space, labels + [f"dual({label})" for label in labels]):
+            for D in range(2, 11):
+                on = Jet.zero(n, D)
+                den, upper = catalog.bergman_inverse(desc, on, D)
+                assert len(filled) == (n > 1) and all(upper[a][b] is None
+                                                      for a in range(n) for b in range(a))
+                both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
+                         for b in range(n)] for a in range(n)]
+                assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
+                filled.clear()
 
     def test_quadric_coordinates_are_not_bergman(self, spaces):
         # the catalog's quadric chart is not Harish-Chandra: g_inv has terms
@@ -622,7 +643,8 @@ class TestTruncationStability:
         desc = catalog.parse_space(label)
         m = catalog.build_space(desc, D).metric
         phi = catalog.potential_jet(desc, D)
-        full = metric_with_inverse(phi, lambda: catalog.bergman_inverse(desc, phi, D), D)
+        full = metric_with_inverse(phi, lambda: catalog.bergman_inverse(desc, phi, D), D,
+                                   catalog._permuted_slots(catalog._bergman(desc)[0], D))
         assert (m.potential.valid_degree, full.potential.valid_degree) == (5, D)
         assert m.potential.pk is full.potential.pk
         assert m.valid_degree == full.valid_degree == D

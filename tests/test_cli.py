@@ -202,6 +202,17 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
 
+    def test_a_byte_that_is_not_utf8_is_a_syntax_error(self, tmp_path, capsys):
+        # it reads as U+FFFD: refused where the parser reads it, not in a comment
+        pot = tmp_path / "latin1.pot"
+        pot.write_bytes("dim 1\nmodsq(z(1)) \xe9\n".encode("latin-1"))
+        assert cli.main(["check", str(pot), "--json"]) == 2
+        out = capsys.readouterr()
+        message = "unexpected character '\ufffd' (line 2, column 13)"
+        assert json.loads(out.out) == error_object("PotentialSyntaxError", message, 2)
+        assert out.err == f"error: {message}\n"
+        pot.write_bytes("dim 1\nmodsq(z(1)) # \xe9\n".encode("latin-1"))
+        assert cli.main(["check", str(pot), "--json"]) == 0
 
     def test_pot_file_outside_bochner_form_is_refused(self, monkeypatch, tmp_path, capsys):
         # CP^1 in a shifted chart: its (2, 1) and (1, 2) terms once read as
@@ -249,8 +260,8 @@ class TestJsonErrorObject:
         def fault(*args):
             raise KeyError("slot")
 
-        # the first call inside metric_with_inverse after the gauge check
-        monkeypatch.setattr(metric, "_reduced", fault)
+        # a call inside metric_with_inverse after the gauge check and the inverse
+        monkeypatch.setattr(metric, "_pullback_index", fault)
         assert cli.main(["check", "cp:n=2", "--json"]) == 3
         out = capsys.readouterr()
         assert json.loads(out.out) == error_object("internal", "KeyError: 'slot'", 3)
@@ -263,7 +274,7 @@ class TestJsonErrorObject:
         def fault(*args):
             raise ValueError("slot")
 
-        monkeypatch.setattr(metric, "_reduced", fault)
+        monkeypatch.setattr(metric, "_pullback_index", fault)
         assert cli.main(["check", "cp:n=2", "--json"]) == 3
         out = capsys.readouterr()
         assert json.loads(out.out) == error_object("internal", "ValueError: slot", 3)

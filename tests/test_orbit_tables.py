@@ -11,9 +11,14 @@ bodies that are not real keep the full tables, and their reports are the
 same with the orbit tables forced off or on.  The orbit representatives of
 the diagonal are walked once per packing and degree.  metric_from_potential
 proves the verdict on the potential's terms, never on g_inv: it must be the
-verdict of _fixed_by_permutations on the Neumann series of g, for every
-label of the acceptance set and its dual, products, radial profiles and the
-.pot bodies of the tests.
+verdict of dense_oracles.fixed_by_permutations on the Neumann series of g,
+for every label of the acceptance set and its dual, products, radial
+profiles and the .pot bodies of the tests.  A closed form reads its verdict off the slot
+map (catalog._permuted_slots): that verdict is the scan's on the oracle's
+g_inv for every label of the acceptance set, the rank-1 Grassmannians,
+so2n and sp and their duals, but for so2n:N=3 and its dual, which the
+scan finds S_3-fixed and the slot map leaves with full tables and the same
+reports.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
 not divide raises JetError.  The tables are written back onto every key
@@ -52,17 +57,19 @@ from kahlerlap.rationals import Q
 
 from dense_oracles import (
     expand_orbits,
+    fixed_by_permutations,
     fraction_laplacian_functional,
     full_tables,
     metric_matrix,
     multiindices,
     neumann_inverse,
+    ref_bergman_inverse,
 )
 from test_acceptance import ALL_LABELS
 from test_integer_handoffs import POLYNOMIAL_BODIES
 from test_packed_kernels import SCALED_POTS
 from test_radial import CORPUS
-from test_radial_inverse import HERMITIAN_TEXTS, run
+from test_radial_inverse import HERMITIAN_TEXTS, SLOT_MAP_MISSES, run
 
 DEGREE = 6
 KMAX = 3
@@ -70,13 +77,14 @@ KMAX = 3
 
 @contextlib.contextmanager
 def orbits_forced(verdict):
-    """Both symmetry proofs give verdict: _fixed_by_permutations on a
-    closed-form g_inv, and _potential_symmetry on a potential, which keeps
+    """Both builders' verdicts are verdict: catalog._permuted_slots on a
+    closed form, which also picks its column build (so verdict True is for
+    .pot files only), and _potential_symmetry on a potential, which keeps
     its own reality verdict (so a potential that is not real is still
     solved whole)."""
     proof = metric._potential_symmetry
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metric, "_fixed_by_permutations", lambda pk, ginv: verdict)
+        patch.setattr(catalog, "_permuted_slots", lambda desc, D: verdict)
         patch.setattr(metric, "_potential_symmetry", lambda phi: (proof(phi)[0], verdict))
         yield
 
@@ -466,9 +474,9 @@ def test_a_lower_term_without_an_upper_partner_is_refused():
     pk = packing(2, 4)
     one, none = [{0: 1}, {}, {}], [{}, {}, {}]
     lower = [{}, {}, {pk.pack((1, 0), (0, 1)): 1}]
-    assert not metric._fixed_by_permutations(pk, [[one, none], [lower, one]])
+    assert not fixed_by_permutations(pk, [[one, none], [lower, one]])
     upper = [{}, {}, {pk.pack((0, 1), (1, 0)): 1}]
-    assert metric._fixed_by_permutations(pk, [[one, upper], [lower, one]])
+    assert fixed_by_permutations(pk, [[one, upper], [lower, one]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -487,14 +495,14 @@ def test_the_sorted_diagonal_is_walked_once_per_degree(n):
 
 def verdict_on_the_whole_inverse(phi):
     """_orbits as the proof on g_inv decides it: n > 1, the d_i equal and
-    _fixed_by_permutations on the Neumann series of g, both triangles."""
+    fixed_by_permutations on the Neumann series of g, both triangles."""
     pk, n, D = phi.pk, phi.n, phi.valid_degree - 2
     g = neumann_inverse(metric_matrix(phi))
     den = lcm(*(e.den for row in g.entries for e in row))
     ginv = [[[{K: c * (den // e.den) for K, c in part.items()} for part in e._parts_on(pk, D)]
              for e in row] for row in g.entries]
     diag = {phi.parts[2].get(pk.units[i] + pk.units[n + i]) for i in range(n)}
-    return n > 1 and len(diag) == 1 and metric._fixed_by_permutations(pk, ginv)
+    return n > 1 and len(diag) == 1 and fixed_by_permutations(pk, ginv)
 
 
 def decision_inputs():
@@ -521,18 +529,48 @@ def decision_inputs():
 
 
 def test_the_potential_decides_the_orbits_as_g_inv_does():
-    def refuse(pk, ginv):
-        raise AssertionError("the proof on g_inv ran on a potential's metric")
-
     decided = 0
     for name, D, phi in decision_inputs():
-        with pytest.MonkeyPatch.context() as patch:  # it runs on a closed form only
-            patch.setattr(metric, "_fixed_by_permutations", refuse)
-            try:
-                m = metric_from_potential(phi)
-            except metric.GaugeError:
-                continue
+        try:
+            m = metric_from_potential(phi)
+        except metric.GaugeError:
+            continue
         verdict = verdict_on_the_whole_inverse(phi)
         assert m._orbits == metric._potential_symmetry(phi)[1] == verdict, (name, D)
         decided += verdict
     assert decided >= 20
+
+
+def test_the_slot_map_decides_the_orbits_as_g_inv_does():
+    """The closed form's verdict is the scan's on the oracle's g_inv (both
+    triangles multiplied out), with the d_i equal, on every Bergman label of
+    the acceptance set (the quadrics have no slot map), but on SLOT_MAP_MISSES:
+    so2n:N=3 is cp:n=3 in a skew 3 x 3 chart, whose transpositions are no
+    row or column permutation of W.  There the orbit tables, forced on with
+    the column build, give the same g_inv and print the same."""
+    labels = [label for label in ALL_LABELS if not label.startswith("quadric")] + [
+        "grassmannian:k=1,N=4", "grassmannian:k=3,N=4"] + [
+        f"{family}:N={N}" for family, Ns in (("so2n", (3, 4, 5)), ("sp", (1, 2, 3)))
+        for N in Ns]
+    misses, decided = set(), 0
+    for label in labels + [f"dual({label})" for label in labels]:
+        desc = catalog.parse_space(label)
+        for D in (2, 3, 4, 6):
+            m = catalog.build_space(desc, D).metric
+            pk, d = m.potential.pk, m.origin_diag
+            _, ginv = ref_bergman_inverse(desc, m.potential, D)
+            scanned = m.n > 1 and d.count(d[0]) == m.n and fixed_by_permutations(pk, ginv)
+            assert m._orbits == catalog._permuted_slots(catalog._bergman(desc)[0], D)
+            if m._orbits != scanned:
+                assert scanned and not m._orbits
+                misses.add(label)
+            decided += m._orbits
+    assert misses == SLOT_MAP_MISSES and decided >= 10
+    for label in SLOT_MAP_MISSES:  # forced on: the column build and the orbit tables
+        desc, argv = catalog.parse_space(label), ["check", label, "--degree", "8", "--json"]
+        full, shipped = catalog.build_space(desc, 8).metric, run(argv)
+        with orbits_forced(True):
+            m = catalog.build_space(desc, 8).metric
+            assert run(argv) == shipped
+        assert m._orbits and not full._orbits
+        assert (m._pullback[0], m._ginv) == (full._pullback[0], full._ginv)

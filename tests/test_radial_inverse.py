@@ -31,7 +31,7 @@ from kahlerlap.metric import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from dense_oracles import ref_bergman_inverse  # noqa: E402
+from dense_oracles import ref_bergman_inverse, scanned_orbits  # noqa: E402
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8")
@@ -41,6 +41,11 @@ BENCH_GOLDEN = json.loads(
         encoding="utf-8"
     )
 )
+
+
+# the only labels whose S_n-symmetry the closed form's slot map does not
+# show (test_orbit_tables.test_the_slot_map_decides_the_orbits_as_g_inv_does)
+SLOT_MAP_MISSES = {"so2n:N=3", "dual(so2n:N=3)"}
 
 
 def assert_closed_form_is_the_graded_inverse(label, D):
@@ -56,7 +61,11 @@ def assert_closed_form_is_the_graded_inverse(label, D):
             # each term sits in the part of its degree, read from its exponents
             for d, part in enumerate(e.parts):
                 assert all(sum(map(sum, pk.unpack(K))) == d for K in part)
-    assert m._pullback == ref._pullback
+    if label in SLOT_MAP_MISSES and D >= 4:  # full tables, where the potential shows S_3
+        assert (m._orbits, ref._orbits) == (False, True)
+        assert (m._pullback[0], m._ginv) == (ref._pullback[0], ref._ginv)
+    else:
+        assert m._pullback == ref._pullback
     assert (m.origin_diag, m.cubic_free) == (ref.origin_diag, ref.cubic_free)
 
 
@@ -218,18 +227,21 @@ def test_the_upper_triangle_reads_as_both(text):
     pullback index, Einstein report, fifth-order value, tables and
     JetMatrix, whether the triangle comes from metric_from_potential, whose
     verdict is proved on the potential, or is handed to metric_with_inverse
-    as the closed form is, whose verdict is proved on g_inv."""
+    as the closed form is, with a verdict of its own: here the scan of the
+    whole g_inv (dense_oracles.scanned_orbits)."""
     phi = elaborate(parse(text), 2, 5)
+    verdict = scanned_orbits(metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"),
+                                                 5, False))
 
     def whole():
-        return metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"), 5)
+        return metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"), 5, verdict)
 
     def upper():
         full = whole()
         return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
                                    for a, row in enumerate(full._ginv)]
 
-    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5)):
+    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5, verdict)):
         full = whole()  # its tables widen its index: one per comparison
         assert all(e is not None for row in full._ginv for e in row)
         assert all(m._ginv[a][b] is None for a in range(2) for b in range(a))
