@@ -16,11 +16,13 @@ Every Bergman family, and its dual, is in Harish-Chandra coordinates, where
 g_inv is the Bergman operator (bergman_inverse) of the matrix W that the
 potential is written from (_matrix_slots), weighted by s, and stored on its
 upper triangle, the lower one being its conjugate: multiplied out, or only
-in column 0 when W is one row or one column (_permuted_slots).  The
+in column 0 when every permutation of the coordinates fixes the potential
+(the S_n verdict of metric.metric_with_inverse, which the quartic part
+decides; it holds for so2n:N=3 too, cp:n=3 in a skew chart).  The
 quadrics and products take the graded inverse of g, as .pot files do.
-With g_inv closed, the checks read the potential at degrees 2, 3 and 5
-only (gauge, cubic_free, third_deriv_obstruction), so build_space builds
-it to min(D, 5), on the packing of D; potential_jet always builds to D.
+With g_inv closed, the potential is read only to degree 5 (gauge, S_n
+verdict, cubic_free, third_deriv_obstruction), so build_space builds it to
+min(D, 5), on the packing of D; potential_jet always builds to D.
 
 Families and their potentials in construction coordinates:
 
@@ -406,33 +408,17 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     """Construct the metric jet and embedding metadata at truncation D."""
     if D < 2:
         raise CatalogError("truncation must be >= 2")
-    if (bergman := _bergman(desc)) is None:
+    if _bergman(desc) is None:
         metric = metric_from_potential(potential_jet(desc, D))
     else:  # g_inv closed: the potential only to min(D, 5), on the packing of D
         phi = potential_jet(desc, min(D, 5))
         pk = packing(phi.n, D)
         phi = Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
-        metric = metric_with_inverse(phi, lambda: bergman_inverse(desc, phi, D), D,
-                                     _permuted_slots(bergman[0], D))
+        metric = metric_with_inverse(phi, lambda phi, s: bergman_inverse(desc, phi, D, s), D)
     return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc), truncation=D)
 
 
-def _permuted_slots(desc, D):
-    """Whether every permutation of the n > 1 coordinates fixes g_inv of the
-    Bergman family desc to degree D - 2, read off its slot map W: W is one
-    row or one column, one slot per coordinate, of sign 1 (a permutation is
-    then one of W's rows or columns, an automorphism of the Jordan triple,
-    Loos 1977); or D < 4 and each coordinate has as many slots (g_inv is
-    g(0)^-1 then).  A false verdict costs only the orbit tables (so2n:N=3)."""
-    rows, cols, W, _ = _matrix_slots(desc)
-    vs = sorted(v for v, _ in W.values())
-    n, m = vs[-1] + 1, len(vs)
-    if D < 4:
-        return n > 1 and vs == [v for v in range(n) for _ in range(m // n)]
-    return n > 1 and 1 in (rows, cols) and m == n and all(s == 1 for _, s in W.values())
-
-
-def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
+def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
     """g_inv of a Bergman family or its dual on the potential's packing,
     valid to D - 2, as metric.metric_with_inverse takes it:
     (Lg, the integer graded parts of Lg g_inv[a][b]), reduced.  It is the
@@ -446,12 +432,12 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
     (.)_s weighting the degree-d part by s^(d/2): its terms have |Q| = d/2,
     so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  g_inv
     is Hermitian: each entry (b, a) below the diagonal is None, read as
-    g_inv[a][b] with its key halves swapped.  Only column 0 is multiplied
-    out when every permutation of the coordinates fixes g_inv
-    (_permuted_slots; jets._column_filled fills the rest), else every a <= b.
+    g_inv[a][b] with its key halves swapped.  solve "column" multiplies out
+    column 0 alone (jets._column_filled fills the rest), for a g_inv that
+    every permutation of the coordinates fixes; any other, every a <= b.
     """
     desc, s = _bergman(desc)
-    n, pk, column, D = potential.n, potential.pk, _permuted_slots(desc, D), D - 2
+    n, pk, D = potential.n, potential.pk, D - 2
     W, scale, A, B = _bergman_blocks(desc, pk)
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     # row a is over scale |S_a|; all rows over their lcm
@@ -470,7 +456,7 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D):
                         part[key] = part.get(key, 0) + sign * c1 * c2 * ws[d1 + d2]
         return [{K: c for K, c in p.items() if c} for p in parts]
 
-    if column:
+    if solve == "column":
         return _column_filled(pk, den, [entry(a, 0) for a in range(n)])
     return _reduced(den, [[entry(a, b) if a <= b else None for b in range(n)] for a in range(n)])
 

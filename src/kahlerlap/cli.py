@@ -36,6 +36,7 @@ from .metric import (
     TruncationError,
     einstein_constant,
     fifth_order_check,
+    is_cubic_free,
     metric_from_potential,
     require_bochner_form,
     require_diagonal_gauge,
@@ -129,7 +130,7 @@ def cmd_catalog(args):
 
 def _load_check_target(target, degree):
     """Returns (label, dim, metric, catalog space or None).  Below degree 4 a
-    cubic-free potential (every catalog one is) is refused before any build."""
+    potential that is_cubic_free (every catalog one) is refused before any build."""
     phi = None
     if target.endswith(".pot"):
         path = Path(target)
@@ -142,7 +143,7 @@ def _load_check_target(target, degree):
         require_diagonal_gauge(phi)
     else:
         desc = catalog.parse_space(target)
-    if degree < 4 and (phi is None or degree < 3 or not phi.parts[3]):
+    if degree < 4 and (phi is None or is_cubic_free(phi)):
         raise TruncationError("inverse metric valid below degree 2", required=4)
     if phi is not None:
         return target, n, metric_from_potential(phi), None

@@ -5,19 +5,15 @@ is its matrix inverse over the jet ring, so the Laplacian of phi is
 
     lap(phi) = sum_{i,j} g_inv[i][j] * d^2 phi / dz_j dzb_i.
 
-g itself is never held as jets.  metric_from_potential solves g_inv from
-the potential's terms (_hessian_inverse: the gauge check proves g(0)
-diagonal, so no rational matrix is inverted), and only the entries that the
-potential's symmetry leaves independent: the upper triangle of a real
-potential, whose g_inv is Hermitian, and column 0 when every permutation
-sigma of the coordinates also fixes its terms, since g_inv[sigma i][sigma j]
-at sigma K is then g_inv[i][j] at K.  third_deriv_obstruction reads g's
-derivatives from the potential's coefficients.  The Bergman catalog families
-take g_inv in closed form instead (catalog.bergman_inverse), multiplying out
-column 0 alone when their slot map shows every permutation fixing it; both
-builders hand g_inv to metric_with_inverse as reduced integer parts over one
-denominator, with their verdict on that symmetry, and it stores the parts
-(MetricJet._ginv) and indexes them for the lap^k pullback.
+g itself is never held as jets.  g_inv has two builders under one contract
+(metric_with_inverse), which gives both the one S_n verdict that picks the
+entries they build: the graded solve from the potential's terms
+(_hessian_inverse, for metric_from_potential; the gauge check proves g(0)
+diagonal, so no rational matrix is inverted) and the closed form of the
+Bergman catalog families (catalog.bergman_inverse), whose potential's
+quartic part decides that verdict.  metric_with_inverse stores the reduced
+integer parts (MetricJet._ginv) and indexes them for the lap^k pullback;
+third_deriv_obstruction reads g's derivatives from the potential.
 A Hermitian g_inv is given as its upper triangle: an entry None below the
 diagonal is its mate above with the two halves of each key swapped, and
 every reader of the parts reads it so.  MetricJet.g_inv, a JetMatrix, is
@@ -32,12 +28,11 @@ exponents are at most D - 2, table k's at most k, and every caller needs
 required D >= 4).  metric_from_potential takes D from the potential; a
 Bergman family's is built only to min(D, 5) (catalog.build_space).
 
-Each lap^k table is stored once, as integer numerators on packed keys.
-When every permutation of the coordinates, applied to z and zb alike, fixes
-g_inv and g_inv is Hermitian (proved on the potential's terms, or read off
-the slot map of a closed form), a table holds one key per S_n-orbit, the
-orbit's least member in the fit's order; _laplacian_functional says why its
-entries are exact and its index needs only the last D // 2 - 1 slots, and
+Each lap^k table is stored once, as integer numerators on packed keys, and
+when the verdict finds every permutation of the coordinates (on z and zb
+alike) fixing a Hermitian g_inv, on one key per S_n-orbit, the orbit's
+least member in the fit's order: _laplacian_functional says why its entries
+are exact and its index needs only the last D // 2 - 1 slots, and
 fit.fit_pk why the witness is unchanged.
 
 Only the diagonal gauge is supported: g(0) must be a positive diagonal
@@ -73,19 +68,19 @@ class TruncationError(InputError):
 class MetricJet(Record):
     """Potential and inverse-metric jets, plus origin normalization.
 
-    There is no g field (see metric_from_potential).  valid_degree is the
-    truncation D, which the potential may fall short of past degree 5 (see
-    the module docstring).  origin_diag holds d_i = g[i][i](0).  cubic_free
-    means the potential has no monomial of total degree 3 (it makes all
-    first derivatives of g vanish at the origin).  _ginv holds the integer
-    parts of Lg g_inv on the potential's packing, valid to D - 2 (see the
-    module docstring), and g_inv, if given None, is built from them on first
-    read; _pullback is (Lg, index, lo), the index of those parts in the
-    slots from lo on.  _functionals maps k to the numerators N_k of the
-    lap^k table, the one stored form of it, with N_0 there from the start
-    and the rest filled on first use; _orbits says that they hold one key
-    per S_n-orbit, and lets lo be above 0 (see _laplacian_functional).
-    _einstein caches the Einstein report.  A MetricJet equals only itself.
+    There is no g field (see the module docstring).  valid_degree is the
+    truncation D, which the potential may fall short of past degree 5.
+    origin_diag holds d_i = g[i][i](0).  cubic_free: no degree-3 term of
+    the potential reaches g (is_cubic_free), so all first derivatives of g
+    vanish at the origin.  _ginv holds the integer parts of Lg g_inv on the
+    potential's packing, valid to D - 2, and g_inv, if given None, is built
+    from them on first read; _pullback is (Lg, index, lo), the index of
+    those parts in the slots from lo on.  _functionals maps k to the
+    numerators N_k of the lap^k table, the one stored form of it, with N_0
+    there from the start and the rest filled on first use; _orbits says that
+    they hold one key per S_n-orbit, and lets lo be above 0 (see
+    _laplacian_functional).  _einstein caches the Einstein report.  A
+    MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "valid_degree", "origin_diag", "cubic_free", "g_inv",
@@ -109,16 +104,8 @@ class MetricJet(Record):
 
 
 def metric_from_potential(potential: Jet) -> MetricJet:
-    """Build MetricJet from a potential jet valid to degree >= 2; GaugeError,
-    before g_inv is built, unless g(0) is positive diagonal.  g_inv is solved
-    from the potential's terms (_hessian_inverse): the upper triangle
-    when they are real (_potential_symmetry), column 0 when every permutation
-    of the coordinates fixes them too, which also sets MetricJet._orbits,
-    and every entry otherwise (see the module docstring)."""
-    real, fixed = _potential_symmetry(potential)
-    solve = "column" if real and fixed else "upper" if real else "full"
-    return metric_with_inverse(potential, lambda: _hessian_inverse(potential, solve),
-                               potential.valid_degree, fixed)
+    """MetricJet of a potential valid to degree >= 2, g_inv solved from its terms."""
+    return metric_with_inverse(potential, _hessian_inverse, potential.valid_degree)
 
 
 def _hessian_inverse(potential, solve):
@@ -196,35 +183,46 @@ def require_diagonal_gauge(potential: Jet):
     return diag
 
 
-def metric_with_inverse(potential: Jet, inverse, D, orbits) -> MetricJet:
+def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     """MetricJet valid to degree D >= 2, of a potential valid to degree
     min(D, 5) at least, on a packing that holds D, whose g_inv is
-    inverse() = (Lg, entries): entries[i][j] the integer graded parts of
-    Lg g_inv[i][j] on the potential's packing, valid to D - 2 (None below
-    the diagonal: the conjugate of the mate above), reduced (jets._reduced),
-    so that Lg is the lcm of the reduced denominators of g_inv.
+    inverse(potential, solve) = (Lg, entries): entries[i][j] the integer
+    graded parts of Lg g_inv[i][j] on the potential's packing, valid to
+    D - 2 (None below the diagonal: the conjugate of the mate above),
+    reduced (jets._reduced), so that Lg is the lcm of the reduced
+    denominators of g_inv.
 
-    The gauge check comes first (require_diagonal_gauge), then inverse
-    runs.  orbits is the builder's verdict that every permutation of the
-    coordinates fixes g_inv and g_inv is Hermitian, read off the potential
-    (_potential_symmetry) or off the slot map of a closed form
-    (catalog._permuted_slots).  It decides how the lap^k tables are stored,
-    and so which slots _pullback_index indexes, every slot or the last
-    D // 2 - 1.
+    After the gauge check (require_diagonal_gauge), the one S_n verdict is
+    read off the potential's terms (_potential_symmetry): solve is "upper"
+    when they are real (g_inv is Hermitian), "column" when every permutation
+    of the coordinates fixes them too, which sets _orbits, so that the lap^k
+    tables hold one key per orbit and _pullback_index indexes only the last
+    D // 2 - 1 slots, and "full" otherwise.  Such a permutation fixes
+    g = d dbar Phi, so g_inv.  A closed form reads the potential only to
+    min(D, 5), but a Bergman potential's quartic part polarizes to the
+    Jordan triple product: a permutation that fixes its parts of degree 2
+    and 4 is a triple automorphism and fixes g_inv at every degree (Loos
+    1977), as the scan of g_inv confirms on 546 Bergman cases.
     """
     if D < 2:
-        raise TruncationError(
-            "potential must be valid at least to degree 2", required=2
-        )
-    n, pk = potential.n, potential.pk
-    diag = require_diagonal_gauge(potential)
-    lg, ginv = inverse()
-    lo = max(n - D // 2 + 1, 0) if orbits else 0
+        raise TruncationError("potential must be valid at least to degree 2", required=2)
+    n, pk, diag = potential.n, potential.pk, require_diagonal_gauge(potential)
+    real, fixed = _potential_symmetry(potential)
+    lg, ginv = inverse(potential, "column" if real and fixed else "upper" if real else "full")
+    lo = max(n - D // 2 + 1, 0) if fixed else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
-        cubic_free=potential.valid_degree < 3 or not potential.parts[3],
-        g_inv=None, _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
-        _functionals={0: {0: 1}}, _orbits=orbits, _ginv=ginv)
+        cubic_free=is_cubic_free(potential), g_inv=None,
+        _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
+        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv)
+
+
+def is_cubic_free(potential: Jet):
+    """Whether no degree-3 term reaches g (has both halves nonzero): a
+    pluriharmonic h + conj(h) does not, and changes no check."""
+    low, half = potential.pk.units[potential.n] - 1, potential.pk.half
+    return potential.valid_degree < 3 or not any(K & low and K >> half
+                                                 for K in potential.parts[3])
 
 
 def _pullback_index(pk, ginv, lo):

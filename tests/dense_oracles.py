@@ -49,8 +49,7 @@ of g_inv in rationals, entry by entry, where the library decides it on
 integers and builds a rational only for lam and a nonzero residual.
 fixed_by_permutations proves an S_n-symmetry of g_inv by reading every term
 of its integer parts (scanned_orbits, the verdict of a built metric), where
-the builders read it off the potential's terms or the closed form's slot
-map.
+metric_with_inverse reads it off the potential's terms for both builders.
 ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
 unreduced, where catalog.bergman_inverse multiplies out the upper one, or
 column 0 of a permutation-symmetric one, and returns it reduced; it
@@ -876,8 +875,8 @@ def fixed_by_permutations(pk, ginv):
     on both halves alike, so it maps a lower term conj t to conj sigma t,
     where sigma t is an upper or lower term off the diagonal: a term too.
     So sigma maps the terms into themselves, one to one with the same
-    integers, which is onto.  The first mismatch ends it.  The builders
-    read this verdict off the potential or the slot map instead."""
+    integers, which is onto.  The first mismatch ends it.  The library
+    reads this verdict off the potential instead."""
     n, bits, units = pk.n, pk.bits, pk.units
     half, low = pk.half, (1 << pk.half) - 1
     first = pk.mask * (units[0] + units[n])  # slots 0 and n

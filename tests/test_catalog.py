@@ -225,7 +225,7 @@ class TestBergmanInverse:
         # oracle multiplies out every entry of both, unreduced
         for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
             on = Jet.zero(desc.complex_dim, D)  # only its packing is read
-            den, upper = catalog.bergman_inverse(desc, on, D)
+            den, upper = catalog.bergman_inverse(desc, on, D, "upper")
             n = desc.complex_dim
             assert all(upper[a][b] is None for a in range(n) for b in range(a))
             both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
@@ -245,7 +245,8 @@ class TestBergmanInverse:
         for desc in map(catalog.parse_space, labels + [f"dual({label})" for label in labels]):
             for D in range(2, 11):
                 on = Jet.zero(n, D)
-                den, upper = catalog.bergman_inverse(desc, on, D)
+                den, upper = catalog.bergman_inverse(desc, on, D,
+                                                     "column" if n > 1 else "upper")
                 assert len(filled) == (n > 1) and all(upper[a][b] is None
                                                       for a in range(n) for b in range(a))
                 both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
@@ -643,8 +644,8 @@ class TestTruncationStability:
         desc = catalog.parse_space(label)
         m = catalog.build_space(desc, D).metric
         phi = catalog.potential_jet(desc, D)
-        full = metric_with_inverse(phi, lambda: catalog.bergman_inverse(desc, phi, D), D,
-                                   catalog._permuted_slots(catalog._bergman(desc)[0], D))
+        full = metric_with_inverse(
+            phi, lambda phi, solve: catalog.bergman_inverse(desc, phi, D, solve), D)
         assert (m.potential.valid_degree, full.potential.valid_degree) == (5, D)
         assert m.potential.pk is full.potential.pk
         assert m.valid_degree == full.valid_degree == D

@@ -161,7 +161,7 @@ class TestCheckCommand:
         assert out.err == "error: internal: singular constant term\n"
 
     def test_engine_fault_in_the_closed_form_exit_code(self, monkeypatch, capsys):
-        def singular(desc, potential, D):
+        def singular(desc, potential, D, solve):
             raise NonInvertibleError("singular constant term")
 
         monkeypatch.setattr(catalog, "bergman_inverse", singular)
@@ -724,12 +724,13 @@ CUBIC_POT = "dim 1\nmodsq(z(1)) + z(1)*z(1)*z(1) + conj(z(1)*z(1)*z(1))\n"
     "target,degree",
     [(label, degree) for label in ("cp:n=1", "quadric-odd:N=4", "product(cp:n=1;ch:n=1)",
                                    "dual(sp:N=2)") for degree in (2, 3)]
-    + [("cubic-free.pot", 2), ("cubic-free.pot", 3), ("cubic.pot", 2)],
+    + [("cubic-free.pot", 2), ("cubic-free.pot", 3), ("cubic.pot", 2), ("cubic.pot", 3)],
 )
 def test_a_degree_below_the_einstein_test_is_refused_before_any_build(
         monkeypatch, capsys, tmp_path, target, degree):
     # einstein_constant needs degree 4 of a cubic-free potential, which
-    # every catalog one is; a .pot is elaborated first to see its cubic terms
+    # every catalog one is; a .pot is elaborated first to see its cubic
+    # terms, and a pluriharmonic cubic (cubic.pot) does not reach g
     (tmp_path / "cubic-free.pot").write_text("dim 2\nlog(1 + modsq(z(1)) + 2*modsq(z(2)))\n")
     (tmp_path / "cubic.pot").write_text(CUBIC_POT)
     target = str(tmp_path / target) if target.endswith(".pot") else target
@@ -765,14 +766,19 @@ def test_a_gauge_refusal_still_comes_first_below_degree_4(monkeypatch, capsys, t
         assert capsys.readouterr().err == "error: g(0) is not diagonal: entry (0,1) = 1\n"
 
 
-def test_a_pluriharmonic_cubic_runs_at_degree_3(tmp_path, capsys):
-    # the cubic terms make einstein_constant a gauge skip, not a refusal
-    pot = tmp_path / "cubic.pot"
-    pot.write_text(CUBIC_POT)
-    assert cli.main(["check", str(pot), "--degree", "3", "--kmax", "1", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["einstein"] == {"lambda": None, "residual": None}
-    assert report["delta"] == [{"k": 1, "status": "fitted", "pk": {"1": "1"}}]
+def test_a_pluriharmonic_cubic_leaves_the_report_alone(tmp_path, capsys):
+    # h + conj(h), h a holomorphic cubic, leaves g alone, so the Einstein
+    # and parallel checks run and the report is that of CP^2
+    reports = []
+    for extra in ("", " + z(1)*z(1)*z(2) + conj(z(1)*z(1)*z(2))"):
+        pot = tmp_path / f"case{len(reports)}.pot"
+        pot.write_text(f"dim 2\nlog(1 + modsq(z(1)) + modsq(z(2))){extra}\n")
+        assert cli.main(["check", str(pot), "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        del reports[-1]["space"]
+    assert reports[1] == reports[0]
+    assert reports[1]["einstein"] == {"lambda": "3", "residual": "0"}
+    assert reports[1]["parallel"] == {"third": "0", "fifth": "0"}
     # the same error object as einstein_constant's own refusal
     m = metric.metric_from_potential(elaborate(parse_potential_file(
         "dim 1\nmodsq(z(1))\n")[1], 1, 3))

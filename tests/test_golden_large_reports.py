@@ -5,7 +5,12 @@ and the k=5 pullback; `check sp:N=4 --degree 8` stresses the inverse and
 `log1p` on a 10-variable potential and stops at its k=3 witness.
 `check so2n:N=8` (28 variables) and `check sp:N=5 --degree 8` are the
 largest potential builds, where the catalog once took a determinant of
-jets; their entries were written by that determinant path.  The expected
+jets; their entries were written by that determinant path.
+`check so2n:N=3` and its dual at `--degree 12 --kmax 6` pin the reports of
+the one Bergman chart whose S_3 symmetry only the potential shows (it is
+cp:n=3 in a skew 3 x 3 chart); their entries were written while it still
+kept the full tables, before the potential's verdict gave it the orbit
+tables and the column build.  The expected
 stdout and exit code are stored in golden_large_reports.json.
 Regenerate them (only when a report is meant to change) with
 
@@ -25,6 +30,8 @@ LARGE_ARGV = [
     ["check", "sp:N=4", "--degree", "8", "--json"],
     ["check", "so2n:N=8", "--json"],
     ["check", "sp:N=5", "--degree", "8", "--json"],
+    ["check", "so2n:N=3", "--degree", "12", "--kmax", "6", "--json"],
+    ["check", "dual(so2n:N=3)", "--degree", "12", "--kmax", "6", "--json"],
 ]
 
 

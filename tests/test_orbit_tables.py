@@ -9,16 +9,20 @@ leaves g alone), and check reports with the orbit tables forced off must
 be the shipped ones.  The verdict also needs g_inv Hermitian: symmetrized
 bodies that are not real keep the full tables, and their reports are the
 same with the orbit tables forced off or on.  The orbit representatives of
-the diagonal are walked once per packing and degree.  metric_from_potential
-proves the verdict on the potential's terms, never on g_inv: it must be the
-verdict of dense_oracles.fixed_by_permutations on the Neumann series of g,
+the diagonal are walked once per packing and degree.  metric_with_inverse
+proves the verdict on the potential's terms, never on g_inv: for
+metric_from_potential it must be the verdict of
+dense_oracles.fixed_by_permutations on the Neumann series of g,
 for every label of the acceptance set and its dual, products, radial
-profiles and the .pot bodies of the tests.  A closed form reads its verdict off the slot
-map (catalog._permuted_slots): that verdict is the scan's on the oracle's
-g_inv for every label of the acceptance set, the rank-1 Grassmannians,
-so2n and sp and their duals, but for so2n:N=3 and its dual, which the
-scan finds S_3-fixed and the slot map leaves with full tables and the same
-reports.
+profiles and the .pot bodies of the tests.  The same verdict serves the
+Bergman closed forms, read off the potential to min(D, 5) alone (a
+permutation that fixes its parts of degree 2 and 4 is a Jordan triple
+automorphism, Loos 1977): it must be the scan's on the oracle's g_inv
+(dense_oracles.ref_bergman_inverse, both triangles) for every Bergman label
+of the acceptance set, the rank-1 Grassmannians, so2n and sp, and their
+duals, at D = 2, 3, 4 and 6.  so2n:N=3 and its dual, cp:n=3 in a skew chart,
+take the orbit tables and the column build with the g_inv and the reports
+of the full build.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
 not divide raises JetError.  The tables are written back onto every key
@@ -69,7 +73,7 @@ from test_acceptance import ALL_LABELS
 from test_integer_handoffs import POLYNOMIAL_BODIES
 from test_packed_kernels import SCALED_POTS
 from test_radial import CORPUS
-from test_radial_inverse import HERMITIAN_TEXTS, SLOT_MAP_MISSES, run
+from test_radial_inverse import HERMITIAN_TEXTS, run
 
 DEGREE = 6
 KMAX = 3
@@ -77,14 +81,12 @@ KMAX = 3
 
 @contextlib.contextmanager
 def orbits_forced(verdict):
-    """Both builders' verdicts are verdict: catalog._permuted_slots on a
-    closed form, which also picks its column build (so verdict True is for
-    .pot files only), and _potential_symmetry on a potential, which keeps
-    its own reality verdict (so a potential that is not real is still
-    solved whole)."""
+    """The S_n verdict of metric_with_inverse, which both builders take, is
+    verdict: _potential_symmetry keeps its own reality verdict (so a
+    potential that is not real is still solved whole), and a true verdict
+    on a real one also picks the column build."""
     proof = metric._potential_symmetry
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(catalog, "_permuted_slots", lambda desc, D: verdict)
         patch.setattr(metric, "_potential_symmetry", lambda phi: (proof(phi)[0], verdict))
         yield
 
@@ -506,71 +508,64 @@ def verdict_on_the_whole_inverse(phi):
 
 
 def decision_inputs():
-    """Every catalog label of the acceptance set and its dual, products,
-    the radial profiles and the .pot bodies of the tests, as potentials."""
+    """(name, D, metric, the scan's verdict on the oracle's g_inv) of every
+    catalog label of the acceptance set and its dual, products, the radial
+    profiles and the .pot bodies of the tests, whose metrics
+    metric_from_potential builds, and of the Bergman closed forms: every
+    Bergman label of the acceptance set, the rank-1 Grassmannians, so2n and
+    sp, and their duals, built by catalog.build_space at D = 2, 3, 4 and 6
+    from the potential to min(D, 5)."""
     labels = ALL_LABELS + [f"dual({label})" for label in ALL_LABELS] + [
         "product(cp:n=1;cp:n=1)", "product(cp:n=1;quadric-even:N=4)",
         "product(cp:n=2;cp:n=2)", "product(cp:n=1;ch:n=1)"]
-    for label in labels:
-        for D in (4, 6):
-            yield label, D, catalog.potential_jet(catalog.parse_space(label), D)
+    potentials = [(label, D, catalog.potential_jet(catalog.parse_space(label), D))
+                  for label in labels for D in (4, 6)]
     for name, coeffs in CORPUS:
         profile = named_profile(name, 5) if name else profile_from_coeffs(coeffs, order=5)
-        for n in (1, 2, 3):
-            for D in (4, 8):
-                yield f"radial({name or coeffs}, n={n})", D, radial_potential(profile, n, D)
+        potentials += [(f"radial({name or coeffs}, n={n})", D, radial_potential(profile, n, D))
+                       for n in (1, 2, 3) for D in (4, 8)]
     bodies = (NON_REAL + PLURIHARMONIC + SCALED_POTS
               + [f"dim 2\n{text}\n" for text in HERMITIAN_TEXTS]
               + [f"dim 3\n{text}\n" for text in POLYNOMIAL_BODIES])
     for text in bodies:
         n, node = parse_potential_file(text)
-        for D in (4, 6):
-            yield text, D, elaborate(node, n, D)
-
-
-def test_the_potential_decides_the_orbits_as_g_inv_does():
-    decided = 0
-    for name, D, phi in decision_inputs():
+        potentials += [(text, D, elaborate(node, n, D)) for D in (4, 6)]
+    for name, D, phi in potentials:
         try:
             m = metric_from_potential(phi)
         except metric.GaugeError:
             continue
-        verdict = verdict_on_the_whole_inverse(phi)
-        assert m._orbits == metric._potential_symmetry(phi)[1] == verdict, (name, D)
-        decided += verdict
-    assert decided >= 20
-
-
-def test_the_slot_map_decides_the_orbits_as_g_inv_does():
-    """The closed form's verdict is the scan's on the oracle's g_inv (both
-    triangles multiplied out), with the d_i equal, on every Bergman label of
-    the acceptance set (the quadrics have no slot map), but on SLOT_MAP_MISSES:
-    so2n:N=3 is cp:n=3 in a skew 3 x 3 chart, whose transpositions are no
-    row or column permutation of W.  There the orbit tables, forced on with
-    the column build, give the same g_inv and print the same."""
-    labels = [label for label in ALL_LABELS if not label.startswith("quadric")] + [
+        yield name, D, m, verdict_on_the_whole_inverse(phi)
+    bergman = [label for label in ALL_LABELS if not label.startswith("quadric")] + [
         "grassmannian:k=1,N=4", "grassmannian:k=3,N=4"] + [
         f"{family}:N={N}" for family, Ns in (("so2n", (3, 4, 5)), ("sp", (1, 2, 3)))
         for N in Ns]
-    misses, decided = set(), 0
-    for label in labels + [f"dual({label})" for label in labels]:
+    for label in bergman + [f"dual({label})" for label in bergman]:
         desc = catalog.parse_space(label)
         for D in (2, 3, 4, 6):
             m = catalog.build_space(desc, D).metric
-            pk, d = m.potential.pk, m.origin_diag
-            _, ginv = ref_bergman_inverse(desc, m.potential, D)
-            scanned = m.n > 1 and d.count(d[0]) == m.n and fixed_by_permutations(pk, ginv)
-            assert m._orbits == catalog._permuted_slots(catalog._bergman(desc)[0], D)
-            if m._orbits != scanned:
-                assert scanned and not m._orbits
-                misses.add(label)
-            decided += m._orbits
-    assert misses == SLOT_MAP_MISSES and decided >= 10
-    for label in SLOT_MAP_MISSES:  # forced on: the column build and the orbit tables
-        desc, argv = catalog.parse_space(label), ["check", label, "--degree", "8", "--json"]
-        full, shipped = catalog.build_space(desc, 8).metric, run(argv)
-        with orbits_forced(True):
-            m = catalog.build_space(desc, 8).metric
-            assert run(argv) == shipped
-        assert m._orbits and not full._orbits
-        assert (m._pullback[0], m._ginv) == (full._pullback[0], full._ginv)
+            d, (_, ginv) = m.origin_diag, ref_bergman_inverse(desc, m.potential, D)
+            yield label, D, m, (m.n > 1 and d.count(d[0]) == m.n
+                                and fixed_by_permutations(m.potential.pk, ginv))
+
+
+def test_the_potential_decides_the_orbits_as_g_inv_does():
+    decided = 0
+    for name, D, m, verdict in decision_inputs():
+        assert m._orbits == metric._potential_symmetry(m.potential)[1] == verdict, (name, D)
+        decided += verdict
+    assert decided >= 120
+
+
+@pytest.mark.parametrize("label", ["so2n:N=3", "dual(so2n:N=3)"])
+def test_so2n_3_takes_the_orbit_tables_and_the_column_build(label):
+    """so2n:N=3 is cp:n=3 in a skew 3 x 3 chart: its potential shows S_3,
+    so it builds g_inv from column 0 and stores orbit tables, with the
+    g_inv and the report of the build with the verdict forced off."""
+    desc, argv = catalog.parse_space(label), ["check", label, "--degree", "8", "--json"]
+    m, shipped = catalog.build_space(desc, 8).metric, run(argv)
+    with orbits_forced(False):
+        full = catalog.build_space(desc, 8).metric
+        assert run(argv) == shipped
+    assert m._orbits and not full._orbits
+    assert (m._pullback[0], m._ginv) == (full._pullback[0], full._ginv)

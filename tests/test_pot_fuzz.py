@@ -7,13 +7,18 @@ at most 4 levels of nesting, over log, det (1 x 1 or 2 x 2), radial, conj,
 modsq and rationals; most start from sum |z_i|^2, so that they pass the
 gauge and reach the engine.  check runs at --degree 2, 4, 5 or 6, with
 --kmax 1, 2 or 3 cut to the depth the degree allows.
+
+A draw that gets a report must get the same one, but for its "space", with
+h + conj(h) added, h a holomorphic monomial of degree 3, 4, 5 or 6 in its
+variables: a pluriharmonic term leaves g, and every check, alone.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from kahlerlap import cli
 
@@ -83,3 +88,38 @@ def test_every_outcome_is_a_report_or_a_typed_error(tmp_path, text, degree, kmax
         assert code in (2, 3)
         assert printed["error"]["exit"] == code
         assert printed["error"]["kind"] not in ("internal", "ValueError")
+
+
+def check_report(tmp_path, text):
+    """(exit code, report without its "space") of check --json on text."""
+    pot = tmp_path / "fuzz.pot"
+    pot.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["check", str(pot), "--json"])
+    report = json.loads(out.getvalue())
+    report.pop("space", None)
+    return code, report
+
+
+@st.composite
+def holomorphic_monomials(draw, dim, degree):
+    """c z^E as text, E of total degree degree in z(1)..z(dim), c > 0."""
+    coords = draw(st.lists(st.integers(1, dim), min_size=degree, max_size=degree))
+    c = draw(st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+                       st.integers(1, 9), st.sampled_from([1, 2, 3, 7])))
+    return "*".join([c, *(f"z({i})" for i in sorted(coords))])
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_a_pluriharmonic_term_leaves_the_report_alone(tmp_path, degree, data):
+    # h + conj(h), h holomorphic, adds nothing to g = d dbar Phi
+    text = data.draw(pot_files())
+    code, report = check_report(tmp_path, text)
+    assume(code in (0, 1))
+    h = data.draw(holomorphic_monomials(int(text.split()[1]), degree))
+    assert check_report(tmp_path, f"{text.rstrip()} + {h} + conj({h})\n") == (code, report)

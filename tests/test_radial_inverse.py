@@ -43,11 +43,6 @@ BENCH_GOLDEN = json.loads(
 )
 
 
-# the only labels whose S_n-symmetry the closed form's slot map does not
-# show (test_orbit_tables.test_the_slot_map_decides_the_orbits_as_g_inv_does)
-SLOT_MAP_MISSES = {"so2n:N=3", "dual(so2n:N=3)"}
-
-
 def assert_closed_form_is_the_graded_inverse(label, D):
     desc = catalog.parse_space(label)
     m = catalog.build_space(desc, D).metric
@@ -61,11 +56,7 @@ def assert_closed_form_is_the_graded_inverse(label, D):
             # each term sits in the part of its degree, read from its exponents
             for d, part in enumerate(e.parts):
                 assert all(sum(map(sum, pk.unpack(K))) == d for K in part)
-    if label in SLOT_MAP_MISSES and D >= 4:  # full tables, where the potential shows S_3
-        assert (m._orbits, ref._orbits) == (False, True)
-        assert (m._pullback[0], m._ginv) == (ref._pullback[0], ref._ginv)
-    else:
-        assert m._pullback == ref._pullback
+    assert m._pullback == ref._pullback
     assert (m.origin_diag, m.cubic_free) == (ref.origin_diag, ref.cubic_free)
 
 
@@ -168,7 +159,8 @@ def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
     for label in BERGMAN + [f"dual({label})" for label in BERGMAN]:
         desc = catalog.parse_space(label)
         m = metrics[desc] = catalog.build_space(desc, 6).metric
-        _, upper = catalog.bergman_inverse(desc, m.potential, 6)
+        _, upper = catalog.bergman_inverse(desc, m.potential, 6,
+                                           "column" if m._orbits else "upper")
         assert all(upper[a][b] is None for a in range(m.n) for b in range(a))
     monkeypatch.undo()
     for desc, m in metrics.items():
@@ -225,23 +217,22 @@ def test_the_upper_triangle_reads_as_both(text):
     """A Hermitian g_inv given as its upper triangle, None below, reads as
     the same g_inv given whole (the full solve): the same symmetry verdict,
     pullback index, Einstein report, fifth-order value, tables and
-    JetMatrix, whether the triangle comes from metric_from_potential, whose
-    verdict is proved on the potential, or is handed to metric_with_inverse
-    as the closed form is, with a verdict of its own: here the scan of the
-    whole g_inv (dense_oracles.scanned_orbits)."""
+    JetMatrix, whether the triangle comes from metric_from_potential or is
+    handed to metric_with_inverse as the closed form is.  The verdict, read
+    off the potential, is the scan of the whole g_inv
+    (dense_oracles.scanned_orbits)."""
     phi = elaborate(parse(text), 2, 5)
-    verdict = scanned_orbits(metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"),
-                                                 5, False))
 
     def whole():
-        return metric_with_inverse(phi, lambda: _hessian_inverse(phi, "full"), 5, verdict)
+        return metric_with_inverse(phi, lambda phi, solve: _hessian_inverse(phi, "full"), 5)
 
-    def upper():
+    def upper(phi, solve):
         full = whole()
         return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
                                    for a, row in enumerate(full._ginv)]
 
-    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5, verdict)):
+    assert whole()._orbits == scanned_orbits(whole())
+    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5)):
         full = whole()  # its tables widen its index: one per comparison
         assert all(e is not None for row in full._ginv for e in row)
         assert all(m._ginv[a][b] is None for a in range(2) for b in range(a))
@@ -272,7 +263,7 @@ def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, arg
     assert run(argv) == (3, "", "error: internal: graded inverse called\n")
 
 
-def _graded(desc, potential, D):
+def _graded(desc, potential, D, solve):
     m = metric_from_potential(catalog.potential_jet(desc, D))
     return m._pullback[0], [[e.parts for e in row] for row in m.g_inv.entries]
 
