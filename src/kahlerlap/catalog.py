@@ -14,11 +14,12 @@ from their factors; kahlerlap.dsl serves .pot files only.
 
 Every Bergman family, and its dual, is in Harish-Chandra coordinates, where
 g_inv is the Bergman operator (bergman_inverse) of the matrix W that the
-potential is written from (_matrix_slots), weighted by s, and stored on its
-upper triangle, the lower one being its conjugate: multiplied out, or only
-in column 0 when every permutation of the coordinates fixes the potential
-(the S_n verdict of metric.metric_with_inverse, which the quartic part
-decides; it holds for so2n:N=3 too, cp:n=3 in a skew chart).  The
+potential is written from (_matrix_slots), weighted by s, and multiplied
+out on its upper triangle, the lower one being its conjugate, or in column
+0 alone, all that the metric stores, when every permutation of the
+coordinates fixes the potential (the S_n verdict of
+metric.metric_with_inverse, which the quartic part decides; it holds for
+so2n:N=3 too, cp:n=3 in a skew chart).  The
 quadrics and products take the graded inverse of g, as .pot files do.
 With g_inv closed, the potential is read only to degree 5 (gauge, S_n
 verdict, cubic_free, third_deriv_obstruction), so build_space builds it to
@@ -68,7 +69,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import lcm
 
-from .jets import InputError, Jet, _column_filled, _conj_parts, _mul_into, _reduced, log1p
+from .jets import InputError, Jet, _conj_parts, _mul_into, _reduced, log1p
 from .jets import packing, substitute_radial
 from .metric import _table_value, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import metric_with_inverse
@@ -433,8 +434,9 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
     so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  g_inv
     is Hermitian: each entry (b, a) below the diagonal is None, read as
     g_inv[a][b] with its key halves swapped.  solve "column" multiplies out
-    column 0 alone (jets._column_filled fills the rest), for a g_inv that
-    every permutation of the coordinates fixes; any other, every a <= b.
+    and returns column 0 alone, an n x 1 matrix, for a g_inv that every
+    permutation of the coordinates fixes (MetricJet stores it so); any
+    other, every a <= b.
     """
     desc, s = _bergman(desc)
     n, pk, D = potential.n, potential.pk, D - 2
@@ -457,7 +459,7 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
         return [{K: c for K, c in p.items() if c} for p in parts]
 
     if solve == "column":
-        return _column_filled(pk, den, [entry(a, 0) for a in range(n)])
+        return _reduced(den, [[entry(a, 0)] for a in range(n)])
     return _reduced(den, [[entry(a, b) if a <= b else None for b in range(n)] for a in range(n)])
 
 

@@ -581,8 +581,8 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
     (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk,
     whose slots hold every exponent up to D, reduced (_reduced).  solve
     names the entries solved: "full" all; "upper" i <= j (G Hermitian), None
-    below; "column" j = 0 (G Hermitian and fixed by every permutation of the
-    coordinates), filled into the upper triangle by _column_filled.
+    below; "column" j = 0 alone (G fixed by every permutation of the
+    coordinates), returned as an n x 1 matrix, which _column_filled fills.
 
     A graded solve (Brent & Kung, JACM 1978): with A = A_0 + A_1 + ... in
     homogeneous parts, X = A^{-1} has X_0 = A_0^{-1} and
@@ -615,32 +615,26 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
         xs.append(xd)
     top = L ** (1 + D)
     ws = [den * top // L ** (1 + d) for d in range(D + 1)]
-    out = [[None] * m for _ in range(m)]
-    for i, cols in enumerate(js):
-        for j in cols:
-            out[i][j] = [x[i][j] if w == 1 else {K: c * w for K, c in x[i][j].items()}
-                         for x, w in zip(xs, ws)]
-    if solve == "column":
-        return _column_filled(pk, top, [row[0] for row in out])
+    out = [[None] * cols.start + [[x[i][j] if w == 1 else {K: c * w for K, c in x[i][j].items()}
+                                   for x, w in zip(xs, ws)] for j in cols]
+           for i, cols in enumerate(js)]  # an upper row has None before its columns
     return _reduced(top, out)
 
 
-def _column_filled(pk, den, col):
-    """(den, upper triangle) of a Hermitian matrix of integer graded parts
-    that every permutation sigma of the coordinates fixes, from its column 0,
-    col, reduced (_reduced) before the fill, which only moves keys: entry
-    (b, a), b <= a, is entry (sigma b, 0), sigma = (0 a), with slots 0 and a
-    swapped in both halves of each key."""
-    den, [col] = _reduced(den, [col])
-    m, first = len(col), pk.mask * (pk.units[0] + pk.units[pk.n])
-    out = [[None] * m for _ in range(m)]
-    out[0][0] = col[0]
-    for a in range(1, m):
-        s = pk.bits * a
-        for b in range(a + 1):
-            out[b][a] = [{K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
-                         for part in col[a if b == 0 else 0 if b == a else b]]
-    return den, out
+def _transposed(pk, part, a):
+    """A graded part with slots 0 and a swapped in both halves of each key."""
+    s, first = pk.bits * a, pk.mask * (pk.units[0] + pk.units[pk.n])
+    return {K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
+
+
+def _column_filled(pk, col):
+    """The matrix of integer graded parts that every permutation sigma of
+    the coordinates fixes, from its column 0, the n x 1 matrix col: entry
+    (i, j) is entry (sigma i, 0), sigma = (0 j), with slots 0 and j swapped
+    in both halves of each key (_transposed)."""
+    return [[col[i][0] if j == 0 else
+             [_transposed(pk, part, j) for part in col[j if i == 0 else 0 if i == j else i][0]]
+             for j in range(len(col))] for i in range(len(col))]
 
 
 def _invert_rational(mat):

@@ -15,9 +15,12 @@ quartic part decides that verdict.  metric_with_inverse stores the reduced
 integer parts (MetricJet._ginv) and indexes them for the lap^k pullback;
 third_deriv_obstruction reads g's derivatives from the potential.
 A Hermitian g_inv is given as its upper triangle: an entry None below the
-diagonal is its mate above with the two halves of each key swapped, and
-every reader of the parts reads it so.  MetricJet.g_inv, a JetMatrix, is
-built on first read.
+diagonal is its mate above, the two halves of each key swapped.  One that
+every permutation of the coordinates fixes is given as its column 0, an
+n x 1 matrix: entry (i, j) is entry (sigma i, 0), sigma = (0 j), slots 0
+and j swapped in both halves of each key.  Every reader reads them so
+(_ginv_part, _pullback_index), and MetricJet.g_inv, a JetMatrix, is built
+on first read.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
@@ -49,7 +52,7 @@ from __future__ import annotations
 from math import factorial, lcm, prod
 
 from .jets import DimensionMismatch, InputError, Jet, JetError, ValidityError
-from .jets import _graded_inverse, _jet_matrix, _sum
+from .jets import _column_filled, _conj_parts, _graded_inverse, _jet_matrix, _sum, _transposed
 from .rationals import Q, ZERO, Record
 
 
@@ -73,14 +76,14 @@ class MetricJet(Record):
     origin_diag holds d_i = g[i][i](0).  cubic_free: no degree-3 term of
     the potential reaches g (is_cubic_free), so all first derivatives of g
     vanish at the origin.  _ginv holds the integer parts of Lg g_inv on the
-    potential's packing, valid to D - 2, and g_inv, if given None, is built
-    from them on first read; _pullback is (Lg, index, lo), the index of
-    those parts in the slots from lo on.  _functionals maps k to the
-    numerators N_k of the lap^k table, the one stored form of it, with N_0
-    there from the start and the rest filled on first use; _orbits says that
-    they hold one key per S_n-orbit, and lets lo be above 0 (see
-    _laplacian_functional).  _einstein caches the Einstein report.  A
-    MetricJet equals only itself.
+    potential's packing, valid to D - 2 (column 0 alone with _orbits), and
+    g_inv, if given None, is built from them on first read; _pullback is
+    (Lg, index, lo), the index of those parts in the slots from lo on.
+    _functionals maps k to the numerators N_k of the lap^k table, the one
+    stored form of it, with N_0 there from the start and the rest filled on
+    first use; _orbits says that they hold one key per S_n-orbit, and lets
+    lo be above 0 (see _laplacian_functional).  _einstein caches the
+    Einstein report.  A MetricJet equals only itself.
     """
 
     __slots__ = ("n", "potential", "valid_degree", "origin_diag", "cubic_free", "g_inv",
@@ -99,7 +102,9 @@ class MetricJet(Record):
     def __getattr__(self, name):  # reached only while the g_inv slot is unset
         if name != "g_inv":
             raise AttributeError(name)
-        self.g_inv = _jet_matrix(self.potential.pk, self._pullback[0], self._ginv)
+        pk, ginv = self.potential.pk, self._ginv
+        ginv = _column_filled(pk, ginv) if self._orbits else ginv
+        self.g_inv = _jet_matrix(pk, self._pullback[0], ginv)
         return self.g_inv
 
 
@@ -188,32 +193,33 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     min(D, 5) at least, on a packing that holds D, whose g_inv is
     inverse(potential, solve) = (Lg, entries): entries[i][j] the integer
     graded parts of Lg g_inv[i][j] on the potential's packing, valid to
-    D - 2 (None below the diagonal: the conjugate of the mate above),
-    reduced (jets._reduced), so that Lg is the lcm of the reduced
-    denominators of g_inv.
+    D - 2 (None below the diagonal: the conjugate of the mate above; j = 0
+    alone for solve "column"), reduced (jets._reduced), so that Lg is the
+    lcm of the reduced denominators of g_inv.
 
     After the gauge check (require_diagonal_gauge), the one S_n verdict is
-    read off the potential's terms (_potential_symmetry): solve is "upper"
-    when they are real (g_inv is Hermitian), "column" when every permutation
-    of the coordinates fixes them too, which sets _orbits, so that the lap^k
-    tables hold one key per orbit and _pullback_index indexes only the last
-    D // 2 - 1 slots, and "full" otherwise.  Such a permutation fixes
-    g = d dbar Phi, so g_inv.  A closed form reads the potential only to
-    min(D, 5), but a Bergman potential's quartic part polarizes to the
-    Jordan triple product: a permutation that fixes its parts of degree 2
-    and 4 is a triple automorphism and fixes g_inv at every degree (Loos
-    1977), as the scan of g_inv confirms on 546 Bergman cases.
+    read off the potential's terms (_potential_symmetry): solve is "column"
+    when every permutation of the coordinates fixes them (and they are
+    real), which sets _orbits, so that the lap^k tables hold one key per
+    orbit and _pullback_index indexes only the last D // 2 - 1 slots;
+    "upper" when they are real (g_inv is Hermitian); "full" otherwise.  Such
+    a permutation fixes g = d dbar Phi, so g_inv.  A closed form reads the
+    potential only to min(D, 5), but a Bergman potential's quartic part
+    polarizes to the Jordan triple product: a permutation that fixes its
+    parts of degree 2 and 4 is a triple automorphism and fixes g_inv at
+    every degree (Loos 1977), as the scan of g_inv confirms on 546 Bergman
+    cases.
     """
     if D < 2:
         raise TruncationError("potential must be valid at least to degree 2", required=2)
     n, pk, diag = potential.n, potential.pk, require_diagonal_gauge(potential)
     real, fixed = _potential_symmetry(potential)
-    lg, ginv = inverse(potential, "column" if real and fixed else "upper" if real else "full")
+    lg, ginv = inverse(potential, "column" if fixed else "upper" if real else "full")
     lo = max(n - D // 2 + 1, 0) if fixed else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
         cubic_free=is_cubic_free(potential), g_inv=None,
-        _pullback=(lg, _pullback_index(pk, ginv, lo), lo),
+        _pullback=(lg, _pullback_index(pk, ginv, lo, fixed), lo),
         _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv)
 
 
@@ -225,15 +231,49 @@ def is_cubic_free(potential: Jet):
                                                  for K in potential.parts[3])
 
 
-def _pullback_index(pk, ginv, lo):
-    """The pullback index of the integer parts ginv[i][j], over the terms
-    (U, V) with no exponent of U below slot lo: packed U -> {V, packed as a
-    holomorphic half -> [(integer, shift of slot j, shift of slot n + i,
-    packed e_j + e_i - V) for each position (i, j) carrying the term]}, in the
-    order (i, j), i <= j, then (j, i), stored or None: one index for both forms."""
-    n, bits, units, half = pk.n, pk.bits, pk.units, pk.half
+def _ginv_part(m: MetricJet, i, j, d, moved=True):
+    """Part d of the integer parts of Lg g_inv[i][j] by the rule of the
+    module docstring, or, if not moved, the stored part it is read from."""
+    g, pk = m._ginv, m.potential.pk
+    if m._orbits:
+        part = g[j if i == 0 else 0 if i == j else i][0][d]
+        return _transposed(pk, part, j) if moved and part and j else part
+    if g[i][j] is None:
+        return _conj_parts(pk, [g[j][i][d]])[0] if moved else g[j][i][d]
+    return g[i][j][d]
+
+
+def _pullback_index(pk, ginv, lo, orbits):
+    """The pullback index of the integer parts of g_inv stored as ginv (column
+    0 alone if orbits; see the module docstring), over the terms (U, V) of
+    each entry (i, j) with no exponent of U below slot lo: packed U -> {V,
+    packed as a holomorphic half -> [(integer, shift of slot j, shift of
+    slot n + i, packed e_j + e_i - V) for each (i, j) carrying the term]},
+    an entry None read as its mate, halves swapped.  A column term is
+    dropped first if U has an exponent in slots 1..lo-1, which every
+    transposition leaves below lo; (0 j) then moves it out of the window
+    iff U_j > 0, or U_0 > 0 and j < lo."""
+    n, bits, units, half, mask = pk.n, pk.bits, pk.units, pk.half, pk.mask
     low, below = units[n] - 1, units[lo] - 1
     index = {}
+    if orbits:
+        first, inner = mask * (units[0] + units[n]), below & ~mask
+        for c, (entry,) in enumerate(ginv):
+            at = ([(j, j) for j in range(n)] if c == 0  # the positions (i, j) reading entry c
+                  else [(c, 0), (0, c)] + [(c, j) for j in range(1, n) if j != c])
+            at = [(bits * j, bits * (n + i), units[j] + units[n + i],
+                   lo and mask * units[j if j >= lo else 0]) for i, j in at]
+            for part in entry:
+                for K, v in part.items():
+                    if K & inner:
+                        continue
+                    for shift_j, shift_i, step, out in at:
+                        if not K & out:
+                            KT = K ^ (y := (K ^ K >> shift_j) & first) ^ y << shift_j
+                            V = KT >> half
+                            index.setdefault(KT & low, {}).setdefault(V, []).append(
+                                (v, shift_j, shift_i, step - (V << half)))
+        return index
     for i, j in [p for a in range(n) for b in range(a, n)
                  for p in dict.fromkeys([(a, b), (b, a)])]:
         entry, swapped = (ginv[j][i], True) if ginv[i][j] is None else (ginv[i][j], False)
@@ -253,16 +293,17 @@ def _orbit(pk, key):
     """(representative, size) of a packed key's S_n-orbit.  The
     representative has the pairs (P_i, Q_i) sorted ascending: the orbit's
     least member in graded lexicographic order (P before Q, slot 0 first).
-    Zero pairs sort first, so only the m nonzero ones are read and placed,
-    in the last m slots; the size is n! / prod r!, r running over the
-    multiplicities of the pairs, n - m that of the zero pair."""
+    Zero pairs sort first, so only the m nonzero ones are read, each found
+    by the lowest set bit of P | Q (as Jet._parts_on finds slots), and
+    placed in the last m slots; the size is n! / prod r!, r running over
+    the multiplicities of the pairs, n - m that of the zero pair."""
     bits, mask, half = pk.bits, pk.mask, pk.half
     p, q = key & (1 << half) - 1, key >> half
-    pairs = []  # each pair as the int P_i << bits | Q_i
-    while p | q:
-        if p & mask or q & mask:
-            pairs.append((p & mask) << bits | q & mask)
-        p, q = p >> bits, q >> bits
+    pairs, x = [], p | q  # each pair as the int P_i << bits | Q_i
+    while x:
+        s = ((x & -x).bit_length() - 1) // bits * bits
+        pairs.append((p >> s & mask) << bits | q >> s & mask)
+        x &= ~(mask << s)
     pairs.sort()
     s = half - bits * len(pairs)
     rep, size, run, last = 0, factorial(pk.n) // factorial(pk.n - len(pairs)), 1, None
@@ -361,7 +402,7 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     prev = _laplacian_functional(m, k - 1).items()
     lg, index, lo = m._pullback
     if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
-        index = _pullback_index(pk, m._ginv, need)
+        index = _pullback_index(pk, m._ginv, need, m._orbits)
         m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
@@ -473,14 +514,16 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
             "not vanish at the origin"
         )
     _require(m, 4, "inverse metric valid below degree 2")
-    n, units, lg, ginv = m.n, m.potential.pk.units, m._pullback[0], m._ginv
+    n, units, lg = m.n, m.potential.pk.units, m._pullback[0]
     p, q = [x.numerator for x in m.origin_diag], [x.denominator for x in m.origin_diag]
     # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
     # S_ij = sum_h q_h (P/p_h) c, c the numerator at z_h zb_h of Lg g_inv[i][j]
     big_p, big_q = lcm(*p), lcm(*q)
     weight = {units[h] + units[n + h]: q[h] * (big_p // p[h]) for h in range(n)}
-    # an entry None is (j, i) halves swapped, and each weighted key is its own swap
-    s = [[sum(weight.get(K, 0) * c for K, c in (ginv[i][j] or ginv[j][i])[2].items())
+    # a stored entry read with its keys moved has the same sum: each weighted
+    # key is its own swap of halves, and a transposition moves it to one of
+    # the same weight (an orbit metric has all d_h equal)
+    s = [[sum(weight.get(K, 0) * c for K, c in _ginv_part(m, i, j, 2, False).items())
           for j in range(n)] for i in range(n)]
     # d_i S_ij / (P Lg) - lam delta_ij (lam = d_0 S_00 / (P Lg)) over q_0 lcm(q_h) P Lg
     residual = max(abs(p[i] * s[i][j] * q[0] - (p[0] * s[0][0] * q[i] if i == j else 0))
@@ -523,34 +566,24 @@ def fifth_order_check(m: MetricJet):
       + d_{h jb l} ginv[i][k] + d_{i jb l} ginv[h][k] + d_{i jb h} ginv[l][k]
     """
     _require(m, 5, "potential valid_degree must be >= 5")
-    n = m.n
-    # dg3[a][b] maps (g, d, e) with g <= e to Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0)
-    dg3 = [[{} for _ in range(n)] for _ in range(n)]
-    ginv, unpack = m._ginv, m.potential.pk.unpack
-    for a in range(n):
-        for b in range(n):
-            e = ginv[a][b]  # None: (b, a) with the halves of each key swapped
-            for key, c in (e or ginv[b][a])[3].items():
-                P, Q_ = unpack(key) if e else unpack(key)[::-1]
+    dg3 = {}  # (a, b, g, d, e) -> Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0), under (g, e) and (e, g)
+    for a in range(m.n):
+        for b in range(m.n):
+            for key, c in _ginv_part(m, a, b, 3).items():
+                P, Q_ = m.potential.pk.unpack(key)
                 if sum(P) == 2:
-                    g, h = [idx for idx, x in enumerate(P) for _ in range(x)]
-                    dg3[a][b][(g, Q_.index(1), h)] = c * (2 if g == h else 1)
+                    g, e = [idx for idx, x in enumerate(P) for _ in range(x)]
+                    q = Q_.index(1)
+                    dg3[a, b, g, q, e] = dg3[a, b, e, q, g] = c * (1 + (g == e))
 
-    def term(g, d, e, a, b):
-        lo, hi = (g, e) if g <= e else (e, g)
-        return dg3[a][b].get((lo, d, hi), 0)
+    def d(*key):
+        return dg3.get(key, 0)
 
     # The six-term sum is symmetric in (i, h, l) and in (j, k), so any tuple
     # with a nonzero term can be reordered to make that term the first one,
-    # term(h, k, l, i, j) = dg3[i][j][(h, k, l)]; a tuple without one sums to
-    # zero.  Evaluating the sum once per stored entry therefore gives the max
-    # over all n^5 tuples.
-    best = max(
-        (
-            abs(term(h, k, l, i, j) + term(i, k, l, h, j) + term(i, k, h, l, j)
-                + term(h, j, l, i, k) + term(i, j, l, h, k) + term(i, j, h, l, k))
-            for i in range(n) for j in range(n) for h, k, l in dg3[i][j]
-        ),
-        default=0,
-    )
+    # d(i, j, h, k, l); a tuple without one sums to zero.  Evaluating the sum
+    # once per stored entry therefore gives the max over all n^5 tuples.
+    best = max((abs(d(i, j, h, k, l) + d(h, j, i, k, l) + d(l, j, i, k, h)
+                    + d(i, k, h, j, l) + d(h, k, i, j, l) + d(l, k, i, j, h))
+                for i, j, h, k, l in dg3), default=0)
     return Q(best, m._pullback[0])

@@ -78,6 +78,8 @@ from kahlerlap.jets import (
     JetMatrix,
     NonInvertibleError,
     ValidityError,
+    _column_filled,
+    _conj_parts,
     _invert_rational,
     log1p,
     substitute_radial,
@@ -87,6 +89,7 @@ from kahlerlap.metric import (
     GaugeError,
     TruncationError,
     _laplacian_functional,
+    _pullback_index,
     _table_value,
     delta_power_at0,
     einstein_constant,
@@ -851,12 +854,35 @@ def expand_orbits(m, k):
     return full
 
 
+def whole_matrix(pk, ginv, column=False):
+    """The integer parts of g_inv, stored as MetricJet._ginv stores them (a
+    column if column), as the whole matrix: the column filled
+    (jets._column_filled), and an entry None its mate's conjugate."""
+    ginv = _column_filled(pk, ginv) if column else ginv
+    return [[_conj_parts(pk, ginv[j][i]) if e is None else e for j, e in enumerate(row)]
+            for i, row in enumerate(ginv)]
+
+
+def whole_ginv(m):
+    """The integer parts of m's g_inv as the whole matrix (whole_matrix)."""
+    return whole_matrix(m.potential.pk, m._ginv, m._orbits)
+
+
+def sorted_hits(index):
+    """A pullback index with the hits of each (U, V) sorted: the index up
+    to the order of its hits, which no table depends on."""
+    return {U: {V: sorted(hits) for V, hits in halves.items()} for U, halves in index.items()}
+
+
 def full_tables(m):
     """The same metric with no table cached beyond table 0 and every table
     built on every key of its support, by the pullback loop that a metric
-    without the permutation symmetry takes."""
+    without the permutation symmetry takes, on g_inv stored as the whole
+    matrix (whole_ginv) and indexed in every slot."""
     full = copy.copy(m)
     full._functionals, full._einstein, full._orbits = {0: m._functionals[0]}, None, False
+    full._ginv = whole_ginv(m)
+    full._pullback = m._pullback[0], _pullback_index(m.potential.pk, full._ginv, 0, False), 0
     return full
 
 
@@ -908,7 +934,8 @@ def scanned_orbits(m):
     """The S_n verdict of a built metric, by the scan of its g_inv parts:
     n > 1, the d_i all equal and fixed_by_permutations."""
     d = m.origin_diag
-    return m.n > 1 and d.count(d[0]) == m.n and fixed_by_permutations(m.potential.pk, m._ginv)
+    return m.n > 1 and d.count(d[0]) == m.n and fixed_by_permutations(m.potential.pk,
+                                                                        whole_ginv(m))
 
 
 def verify_witness(m, k, w: ViolationWitness) -> bool:

@@ -12,6 +12,7 @@ from dense_oracles import (
     ref_dual_potential,
     ref_embedded_test_polys,
     ref_truncated,
+    whole_matrix,
 )
 
 from kahlerlap import catalog, cli, dsl
@@ -233,26 +234,23 @@ class TestBergmanInverse:
             assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_a_rank_1_column_fills_both_triangles(self, monkeypatch, n):
-        # W one column or one row: only column 0 is multiplied out, and the
-        # fill by coordinate transpositions gives the oracle's whole g_inv
-        filled = []
-        fill = catalog._column_filled
-        monkeypatch.setattr(catalog, "_column_filled",
-                            lambda *args: filled.append(args[2]) or fill(*args))
+    def test_a_rank_1_column_fills_both_triangles(self, n):
+        # W one column or one row: only column 0 is multiplied out and
+        # returned, and the fill by coordinate transpositions gives the
+        # oracle's whole g_inv
         labels = [f"{family}:n={n}" for family in ("flat", "cp", "ch")] + [
             f"grassmannian:k={k},N={n + 1}" for k in (1, n)]
         for desc in map(catalog.parse_space, labels + [f"dual({label})" for label in labels]):
             for D in range(2, 11):
                 on = Jet.zero(n, D)
-                den, upper = catalog.bergman_inverse(desc, on, D,
-                                                     "column" if n > 1 else "upper")
-                assert len(filled) == (n > 1) and all(upper[a][b] is None
-                                                      for a in range(n) for b in range(a))
-                both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
-                         for b in range(n)] for a in range(n)]
+                if n > 1:
+                    den, col = catalog.bergman_inverse(desc, on, D, "column")
+                    assert len(col) == n and all(len(row) == 1 for row in col)
+                    both = whole_matrix(on.pk, col, column=True)
+                else:
+                    den, upper = catalog.bergman_inverse(desc, on, D, "upper")
+                    both = whole_matrix(on.pk, upper)
                 assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
-                filled.clear()
 
     def test_quadric_coordinates_are_not_bergman(self, spaces):
         # the catalog's quadric chart is not Harish-Chandra: g_inv has terms

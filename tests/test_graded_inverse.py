@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kahlerlap import catalog
-from kahlerlap.jets import Jet, JetMatrix, _conj_parts, _jet_matrix, _reduced
+from kahlerlap.jets import Jet, JetMatrix, _jet_matrix, _reduced
 from kahlerlap.metric import _hessian_inverse, _potential_symmetry, metric_from_potential
 from kahlerlap.rationals import Q
 
@@ -23,6 +23,8 @@ from dense_oracles import (
     metric_matrix,
     multiindices_upto,
     neumann_inverse,
+    whole_ginv,
+    whole_matrix,
 )
 from test_acceptance import ALL_LABELS
 
@@ -91,16 +93,11 @@ def test_random_matrices_match_neumann_series(g):
 
 
 def stored(phi, solve):
-    """(lg, _ginv) of the given solve, reduced, in the stored form: a full
-    solve of a real potential has each entry below the diagonal equal to
-    its mate's conjugate, and keeps None there."""
+    """(lg, g_inv) of the given solve, reduced, as the whole matrix of
+    integer parts (dense_oracles.whole_matrix): a column filled, and an
+    entry None below the diagonal its mate's conjugate."""
     lg, ginv = _reduced(*_hessian_inverse(phi, solve))
-    if _potential_symmetry(phi)[0]:
-        for i, row in enumerate(ginv):
-            for j in range(i):
-                assert row[j] is None or row[j] == _conj_parts(phi.pk, ginv[j][i])
-                row[j] = None
-    return lg, ginv
+    return lg, whole_matrix(phi.pk, ginv, column=solve == "column")
 
 
 @st.composite
@@ -146,8 +143,8 @@ def potentials(draw):
 @given(potentials())
 def test_every_solve_gives_the_same_inverse(case):
     """The column, upper-triangle and full solves of every potential that
-    admits them store the same (lg, _ginv), which metric_from_potential
-    stores, and it is the Neumann series of g."""
+    admits them give the same lg and whole matrix of integer parts, which
+    metric_from_potential stores, and it is the Neumann series of g."""
     kind, phi = case
     real, fixed = _potential_symmetry(phi)
     reach = {(P, Q_): c for (P, Q_), c in phi.coeffs.items() if sum(P) and sum(Q_)}
@@ -160,5 +157,5 @@ def test_every_solve_gives_the_same_inverse(case):
     assert m._orbits == fixed
     ref = stored(phi, "full")
     assert all(stored(phi, solve) == ref for solve in solves)
-    assert (m._pullback[0], m._ginv) == ref
+    assert (m._pullback[0], whole_ginv(m)) == ref
     assert _jet_matrix(phi.pk, *ref) == neumann_inverse(metric_matrix(phi))

@@ -35,7 +35,12 @@ cp:n=10 stores and that sp:N=3 keeps its full tables; no timing is
 asserted.  The pullback index of an orbit metric holds only the terms in
 its last D // 2 - 1 slots (157 of the 1,200 of cp:n=10 at D = 8, all of
 them once the full tables widen it), and a table past that window widens it
-and still equals the full tables, the dual command at D = 4 included.  The
+and still equals the full tables, the dual command at D = 4 included.  Such
+a g_inv is stored as its column 0, and the index built from the column must
+hold the hits of the filled upper triangle in every window, on flat, cp,
+ch, so2n:N=3 and the rank-1 Grassmannians, their duals and the symmetric
+.pot bodies of the benchmark; iterated laplacian_apply, which reads the
+filled g_inv, must give the orbit tables' values.  The
 genus test reads lambda and the x coefficient of the fitted p_2 of every
 irreducible family, which both equal the genus (Loos 1977), from orbit
 tables for cp and ch and from full tables for the matrix families; the
@@ -50,10 +55,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlap import catalog, metric
-from kahlerlap.dsl import elaborate, parse_potential_file
+from kahlerlap.dsl import elaborate, parse, parse_potential_file
 from kahlerlap.fit import _sorted_diagonal, check_delta_property, fit_pk
-from kahlerlap.jets import JetError, diagonal_keys, packing
+from kahlerlap.jets import Jet, JetError, _column_filled, diagonal_keys, packing
 from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
+from kahlerlap.metric import _pullback_index, delta_power_at0, laplacian_apply
 from kahlerlap.metric import metric_from_potential
 from kahlerlap.radial import named_profile, profile_from_coeffs
 from kahlerlap.radial import potential_jet as radial_potential
@@ -68,6 +74,9 @@ from dense_oracles import (
     multiindices,
     neumann_inverse,
     ref_bergman_inverse,
+    sorted_hits,
+    verify_witness,
+    whole_ginv,
 )
 from test_acceptance import ALL_LABELS
 from test_integer_handoffs import POLYNOMIAL_BODIES
@@ -264,6 +273,58 @@ def test_cp10_indexes_only_the_slots_its_representatives_reach():
     assert full._pullback[2] == 0 and index_hits(full) == 1200
     assert sum(len(part) for row in m.g_inv.entries for e in row for part in e.parts) == 1200
     assert index_hits(m) == 157
+
+
+# the symmetric templates of perfbench/workloads.py, at a = 2/3 and b = 3/5
+SYMMETRIC_POTS = [
+    "log(1 + modsq(z(1)) + modsq(z(2)) + 2/3 * modsq(z(1) * z(2)))",
+    "log(det([1 + modsq(z(1)), 2/3 * z(1) * conj(z(2));"
+    " 2/3 * z(2) * conj(z(1)), 1 + modsq(z(2))]))",
+    "radial(0, 1, 2/3, 3/5) + 3/5 * modsq(z(1) * z(2))",
+]
+SPACE_FORMS = [f"{family}:n={n}" for family in ("flat", "cp", "ch") for n in range(2, 11)]
+COLUMN_LABELS = (SPACE_FORMS + ["so2n:N=3"]
+                 + [f"dual({label})" for label in SPACE_FORMS + ["so2n:N=3"]]
+                 + [f"grassmannian:k={k},N={n + 1}" for n in range(2, 11) for k in (1, n)])
+
+
+@pytest.mark.parametrize("source", COLUMN_LABELS + SYMMETRIC_POTS)
+def test_the_column_index_is_that_of_the_filled_triangle(source):
+    """An S_n-fixed g_inv is stored as its column 0, and the pullback index
+    is built from the column: at D = 2..10 and in every window that a table
+    can widen it to, it holds the hits of the upper triangle filled from the
+    column (jets._column_filled), the hits of each (U, V) as a multiset.
+    The closed forms take the Bergman column, the .pot bodies the graded
+    column solve."""
+    for D in range(2, 11):
+        m = (metric_from_potential(elaborate(parse(source), 2, D)) if source in SYMMETRIC_POTS
+             else catalog.build_space(catalog.parse_space(source), D).metric)
+        n, pk, (_, index, top) = m.n, m.potential.pk, m._pullback
+        assert m._orbits and [len(row) for row in m._ginv] == [1] * n
+        assert top == max(n - D // 2 + 1, 0)
+        upper = [[e if i <= j else None for j, e in enumerate(row)]
+                 for i, row in enumerate(_column_filled(pk, m._ginv))]
+        for lo in range(top, -1, -1):
+            built = index if lo == top else _pullback_index(pk, m._ginv, lo, True)
+            oracle = _pullback_index(pk, upper, lo, False)
+            assert sorted_hits(built) == sorted_hits(oracle), (D, lo)
+
+
+@pytest.mark.parametrize("text", SYMMETRIC_POTS)
+def test_iterated_laplacian_apply_is_the_table_on_a_column_metric(text):
+    """laplacian_apply reads MetricJet.g_inv, which an orbit metric fills
+    from its column on first read: iterated k times on the k = 3 witness of
+    a symmetric .pot body and on monomials that S_2 moves, it gives what
+    delta_power_at0 reads off the orbit tables."""
+    m = metric_from_potential(elaborate(parse(text), 2, 6))
+    w = check_delta_property(m, 3)[-1].witness
+    assert m._orbits and w is not None and verify_witness(m, 3, w)
+    for P, Q_ in [(w.P, w.Q), ((2, 1), (1, 2)), ((3, 0), (1, 2)), ((2, 0), (1, 1))]:
+        phi = Jet.monomial(2, P, Q_, 1, 6)
+        applied = phi
+        for k in range(1, 4):
+            applied = laplacian_apply(m, applied)
+            assert applied.eval0() == delta_power_at0(m, phi, k), (P, Q_, k)
 
 
 @pytest.mark.parametrize("label,degree", [("cp:n=3", 4), ("ch:n=3", 5), ("cp:n=4", 6),
@@ -568,4 +629,4 @@ def test_so2n_3_takes_the_orbit_tables_and_the_column_build(label):
         full = catalog.build_space(desc, 8).metric
         assert run(argv) == shipped
     assert m._orbits and not full._orbits
-    assert (m._pullback[0], m._ginv) == (full._pullback[0], full._ginv)
+    assert (m._pullback[0], whole_ginv(m)) == (full._pullback[0], whole_ginv(full))

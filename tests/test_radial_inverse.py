@@ -8,10 +8,12 @@ form must equal the graded inverse term for term, and the guard below shows
 which path each entry point takes by making the graded inverse fail.  The
 closed form is stored as its upper triangle, None below, and MetricJet.g_inv
 is built only when read: a second guard refuses JetMatrix construction on
-the check path, and a Hermitian graded inverse stored as its upper triangle
-must read as the whole of it.  A third guard keeps every command off the
-rational Gaussian elimination: the graded inverse of a potential reads
-g(0)^{-1} off its degree-2 terms.
+the check path, and a Hermitian graded inverse stored as its upper triangle,
+or as its column 0 when every permutation fixes it, must read as the whole
+of it.  A third guard keeps every command off the rational Gaussian
+elimination: the graded inverse of a potential reads g(0)^{-1} off its
+degree-2 terms.  A fourth refuses jets._column_filled on the check path of
+cp:n=10 and cp:n=3, whose g_inv is stored and read as its column 0.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlerlap import catalog, cli, jets
+from kahlerlap import catalog, cli, jets, metric
 from kahlerlap.jets import NonInvertibleError
 from kahlerlap.dsl import elaborate, parse
 from kahlerlap.metric import (
@@ -31,7 +33,9 @@ from kahlerlap.metric import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from dense_oracles import ref_bergman_inverse, scanned_orbits  # noqa: E402
+from dense_oracles import (  # noqa: E402
+    expand_orbits, ref_bergman_inverse, scanned_orbits, sorted_hits, whole_ginv,
+)
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8")
@@ -56,8 +60,14 @@ def assert_closed_form_is_the_graded_inverse(label, D):
             # each term sits in the part of its degree, read from its exponents
             for d, part in enumerate(e.parts):
                 assert all(sum(map(sum, pk.unpack(K))) == d for K in part)
-    assert m._pullback == ref._pullback
+    assert pullback(m) == pullback(ref)
     assert (m.origin_diag, m.cubic_free) == (ref.origin_diag, ref.cubic_free)
+
+
+def pullback(m):
+    """m._pullback up to the order of the hits of each (U, V)."""
+    lg, index, lo = m._pullback
+    return lg, sorted_hits(index), lo
 
 
 @pytest.mark.parametrize("family", ["flat", "cp", "ch"])
@@ -159,13 +169,52 @@ def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
     for label in BERGMAN + [f"dual({label})" for label in BERGMAN]:
         desc = catalog.parse_space(label)
         m = metrics[desc] = catalog.build_space(desc, 6).metric
-        _, upper = catalog.bergman_inverse(desc, m.potential, 6,
-                                           "column" if m._orbits else "upper")
-        assert all(upper[a][b] is None for a in range(m.n) for b in range(a))
+        _, stored = catalog.bergman_inverse(desc, m.potential, 6,
+                                            "column" if m._orbits else "upper")
+        assert (len(stored) == m.n and all(len(row) == 1 for row in stored) if m._orbits
+                else all(stored[a][b] is None for a in range(m.n) for b in range(a)))
     monkeypatch.undo()
     for desc, m in metrics.items():
         assert m.g_inv == jets._jet_matrix(
             m.potential.pk, *ref_bergman_inverse(desc, m.potential, 6))
+
+
+def test_the_check_path_never_fills_the_column(monkeypatch):
+    """check on cp:n=10 at D = 8 (the cp-fit rung) and on cp:n=3 at D = 6
+    prints its golden report with jets._column_filled refused wherever a
+    kahlerlap module holds it: the S_n-fixed g_inv is stored as its column
+    0, an n x 1 matrix, and read through it, and only MetricJet.g_inv fills
+    it, on first read, to the oracle's whole g_inv."""
+    cases = [(["check", "cp:n=10", "--degree", "8", "--kmax", "4", "--json"], 8),
+             (["check", "cp:n=3", "--degree", "6", "--json"], 6)]
+    goldens = {**{f"check {label} --degree 6 --json": GOLDEN[label] for label in GOLDEN},
+               **BENCH_GOLDEN}
+    metrics = {}
+    for argv, D in cases:
+        desc = catalog.parse_space(argv[1])
+        m = metrics[desc] = catalog.build_space(desc, D).metric
+        assert m._orbits and len(m._ginv) == m.n and all(len(row) == 1 for row in m._ginv)
+
+    def refuse(*args):
+        raise AssertionError("column filled")
+
+    orig = jets._column_filled
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kahlerlap") and getattr(mod, "_column_filled", None) is orig:
+            monkeypatch.setattr(mod, "_column_filled", refuse)
+    for argv, _ in cases:
+        code, out, _ = run(argv)
+        assert {"exit": code, "stdout": out} == goldens[" ".join(argv)]
+    for m in metrics.values():  # the readers of a built metric take the column too
+        einstein_constant(m)
+        fifth_order_check(m)
+        _laplacian_functional(m, 4)
+    with pytest.raises(AssertionError, match="column filled"):
+        metrics[catalog.parse_space("cp:n=3")].g_inv
+    monkeypatch.undo()
+    for desc, m in metrics.items():
+        ref = ref_bergman_inverse(desc, m.potential, m.valid_degree)
+        assert m.g_inv == jets._jet_matrix(m.potential.pk, *ref)
 
 
 def test_no_command_inverts_a_rational_matrix(monkeypatch, tmp_path):
@@ -214,34 +263,41 @@ HERMITIAN_TEXTS = [
 
 @pytest.mark.parametrize("text", HERMITIAN_TEXTS)
 def test_the_upper_triangle_reads_as_both(text):
-    """A Hermitian g_inv given as its upper triangle, None below, reads as
-    the same g_inv given whole (the full solve): the same symmetry verdict,
-    pullback index, Einstein report, fifth-order value, tables and
-    JetMatrix, whether the triangle comes from metric_from_potential or is
-    handed to metric_with_inverse as the closed form is.  The verdict, read
-    off the potential, is the scan of the whole g_inv
-    (dense_oracles.scanned_orbits)."""
+    """A Hermitian g_inv given as its upper triangle, None below, or, when
+    every permutation of the coordinates fixes it, as its column 0, reads
+    as the same g_inv given whole (the full solve, with the S_n verdict
+    off): the same pullback index up to the order of its hits, Einstein
+    report, fifth-order value, tables (written back onto every key) and
+    JetMatrix, whether the triangle or column comes from
+    metric_from_potential or is handed to metric_with_inverse as the closed
+    form is.  The verdict, read off the potential, is the scan of the whole
+    g_inv (dense_oracles.scanned_orbits)."""
     phi = elaborate(parse(text), 2, 5)
 
     def whole():
-        return metric_with_inverse(phi, lambda phi, solve: _hessian_inverse(phi, "full"), 5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_potential_symmetry", lambda phi: (True, False))
+            return metric_with_inverse(phi, lambda phi, solve: _hessian_inverse(phi, "full"), 5)
 
-    def upper(phi, solve):
+    def handed(phi, solve):
         full = whole()
+        if solve == "column":
+            return full._pullback[0], [row[:1] for row in full._ginv]
         return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
                                    for a, row in enumerate(full._ginv)]
 
-    assert whole()._orbits == scanned_orbits(whole())
-    for m in (metric_from_potential(phi), metric_with_inverse(phi, upper, 5)):
-        full = whole()  # its tables widen its index: one per comparison
-        assert all(e is not None for row in full._ginv for e in row)
-        assert all(m._ginv[a][b] is None for a in range(2) for b in range(a))
-        assert m._orbits == full._orbits and m._pullback == full._pullback
+    assert metric_from_potential(phi)._orbits == scanned_orbits(whole())
+    for m in (metric_from_potential(phi), metric_with_inverse(phi, handed, 5)):
+        full = whole()
+        assert all(e is not None for row in full._ginv for e in row) and not full._orbits
+        assert (len(m._ginv) == 2 and all(len(row) == 1 for row in m._ginv) if m._orbits
+                else all(m._ginv[a][b] is None for a in range(2) for b in range(a)))
+        assert m._pullback[0] == full._pullback[0]
         assert einstein_constant(m) == einstein_constant(full)
         assert fifth_order_check(m) == fifth_order_check(full) != 0
         for k in range(1, 4):  # at D = 5, k = 3 widens an orbit metric's index to every slot
-            assert _laplacian_functional(m, k) == _laplacian_functional(full, k)
-        assert m._pullback == full._pullback and m._pullback[2] == 0
+            assert expand_orbits(m, k) == _laplacian_functional(full, k)
+        assert pullback(m) == pullback(full) and m._pullback[2] == 0
         assert m.g_inv == full.g_inv
 
 
@@ -265,7 +321,8 @@ def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, arg
 
 def _graded(desc, potential, D, solve):
     m = metric_from_potential(catalog.potential_jet(desc, D))
-    return m._pullback[0], [[e.parts for e in row] for row in m.g_inv.entries]
+    ginv = whole_ginv(m)
+    return m._pullback[0], [row[:1] for row in ginv] if solve == "column" else ginv
 
 
 @pytest.mark.parametrize(
