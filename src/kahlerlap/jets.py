@@ -621,20 +621,16 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
     return _reduced(top, out)
 
 
-def _transposed(pk, part, a):
-    """A graded part with slots 0 and a swapped in both halves of each key."""
-    s, first = pk.bits * a, pk.mask * (pk.units[0] + pk.units[pk.n])
-    return {K ^ (y := (K ^ K >> s) & first) ^ y << s: c for K, c in part.items()}
-
-
 def _column_filled(pk, col):
     """The matrix of integer graded parts that every permutation sigma of
     the coordinates fixes, from its column 0, the n x 1 matrix col: entry
     (i, j) is entry (sigma i, 0), sigma = (0 j), with slots 0 and j swapped
-    in both halves of each key (_transposed)."""
+    in both halves of each key."""
+    n, bits, first = len(col), pk.bits, pk.mask * (pk.units[0] + pk.units[pk.n])
     return [[col[i][0] if j == 0 else
-             [_transposed(pk, part, j) for part in col[j if i == 0 else 0 if i == j else i][0]]
-             for j in range(len(col))] for i in range(len(col))]
+             [{K ^ (y := (K ^ K >> bits * j) & first) ^ y << bits * j: c for K, c in part.items()}
+              for part in col[j if i == 0 else 0 if i == j else i][0]]
+             for j in range(n)] for i in range(n)]
 
 
 def _invert_rational(mat):

@@ -12,15 +12,16 @@ entries they build: the graded solve from the potential's terms
 diagonal, so no rational matrix is inverted) and the closed form of the
 Bergman catalog families (catalog.bergman_inverse), whose potential's
 quartic part decides that verdict.  metric_with_inverse stores the reduced
-integer parts (MetricJet._ginv) and indexes them for the lap^k pullback;
-third_deriv_obstruction reads g's derivatives from the potential.
+integer parts (MetricJet._ginv) and indexes them for the lap^k pullback.
 A Hermitian g_inv is given as its upper triangle: an entry None below the
 diagonal is its mate above, the two halves of each key swapped.  One that
 every permutation of the coordinates fixes is given as its column 0, an
 n x 1 matrix: entry (i, j) is entry (sigma i, 0), sigma = (0 j), slots 0
-and j swapped in both halves of each key.  Every reader reads them so
-(_ginv_part, _pullback_index), and MetricJet.g_inv, a JetMatrix, is built
-on first read.
+and j swapped in both halves of each key.  Only the pullback index
+(_pullback_index) reads them so, and MetricJet.g_inv, a JetMatrix, is
+built from them on first read.  The origin checks read closed forms
+instead: einstein_constant reads table 2, and third_deriv_obstruction and
+fifth_order_check read the potential's terms of bidegree (3, 2).
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
@@ -52,7 +53,7 @@ from __future__ import annotations
 from math import factorial, lcm, prod
 
 from .jets import DimensionMismatch, InputError, Jet, JetError, ValidityError
-from .jets import _column_filled, _conj_parts, _graded_inverse, _jet_matrix, _sum, _transposed
+from .jets import _column_filled, _graded_inverse, _jet_matrix, _sum
 from .rationals import Q, ZERO, Record
 
 
@@ -229,18 +230,6 @@ def is_cubic_free(potential: Jet):
     low, half = potential.pk.units[potential.n] - 1, potential.pk.half
     return potential.valid_degree < 3 or not any(K & low and K >> half
                                                  for K in potential.parts[3])
-
-
-def _ginv_part(m: MetricJet, i, j, d, moved=True):
-    """Part d of the integer parts of Lg g_inv[i][j] by the rule of the
-    module docstring, or, if not moved, the stored part it is read from."""
-    g, pk = m._ginv, m.potential.pk
-    if m._orbits:
-        part = g[j if i == 0 else 0 if i == j else i][0][d]
-        return _transposed(pk, part, j) if moved and part and j else part
-    if g[i][j] is None:
-        return _conj_parts(pk, [g[j][i][d]])[0] if moved else g[j][i][d]
-    return g[i][j][d]
 
 
 def _pullback_index(pk, ginv, lo, orbits):
@@ -504,7 +493,9 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
     In unit gauge this is the classical origin identity equivalent to
     Ric(0) = lam g(0); the 1/d weights extend it to rescaled-normal
     coordinates.  Requires a cubic-free potential so first derivatives of g
-    vanish at the origin.
+    vanish at the origin.  Since lap(z_j zb_i) = g_inv[i][j] and g_inv(0) =
+    diag(1/d_h), the left side is lap^2(z_j zb_i)(0), the entry of table 2
+    at (e_j, e_i).
     """
     if m._einstein is not None:
         return m._einstein
@@ -514,48 +505,45 @@ def einstein_constant(m: MetricJet) -> EinsteinReport:
             "not vanish at the origin"
         )
     _require(m, 4, "inverse metric valid below degree 2")
-    n, units, lg = m.n, m.potential.pk.units, m._pullback[0]
+    nums, pk, lg = _laplacian_functional(m, 2), m.potential.pk, m._pullback[0]
+    n, units = m.n, pk.units
     p, q = [x.numerator for x in m.origin_diag], [x.denominator for x in m.origin_diag]
-    # with d_h = p_h/q_h and P = lcm(p_h), the left side at (i, j) is S_ij / (P Lg):
-    # S_ij = sum_h q_h (P/p_h) c, c the numerator at z_h zb_h of Lg g_inv[i][j]
-    big_p, big_q = lcm(*p), lcm(*q)
-    weight = {units[h] + units[n + h]: q[h] * (big_p // p[h]) for h in range(n)}
-    # a stored entry read with its keys moved has the same sum: each weighted
-    # key is its own swap of halves, and a transposition moves it to one of
-    # the same weight (an orbit metric has all d_h equal)
-    s = [[sum(weight.get(K, 0) * c for K, c in _ginv_part(m, i, j, 2, False).items())
-          for j in range(n)] for i in range(n)]
-    # d_i S_ij / (P Lg) - lam delta_ij (lam = d_0 S_00 / (P Lg)) over q_0 lcm(q_h) P Lg
-    residual = max(abs(p[i] * s[i][j] * q[0] - (p[0] * s[0][0] * q[i] if i == j else 0))
-                   * (big_q // q[i]) for i in range(n) for j in range(n))
-    den = q[0] * big_p * lg
-    report = (EinsteinReport(lam=None, residual=Q(residual, den * big_q)) if residual
-              else EinsteinReport(lam=Q(p[0] * s[0][0], den), residual=ZERO))
+    big_q = lcm(*q)
+    # d_i times the left side at (i, j), N_2 at z_j zb_i over Lg^2, is t_ij / (lcm(q) Lg^2);
+    # on an orbit metric S_n moves every (i, j) to (0, 0) or (1, 0), so those suffice
+    r = range(min(n, 2) if m._orbits else n)
+    t = [[p[i] * (big_q // q[i]) * nums.get(_orbit(pk, K)[0] if m._orbits else K, 0)
+          for K in [units[j] + units[n + i] for j in r]] for i in r]
+    residual = max(abs(t[i][j] - (t[0][0] if i == j else 0)) for i in r for j in r)
+    den = big_q * lg * lg
+    report = (EinsteinReport(lam=None, residual=Q(residual, den)) if residual
+              else EinsteinReport(lam=Q(t[0][0], den), residual=ZERO))
     m._einstein = report
     return report
+
+
+def _fifth_derivatives(m: MetricJet):
+    """(P, Q, |c| P! Q!) for each term c z^P zb^Q of bidegree (3, 2) of a
+    cubic-free potential valid to degree 5: c P! Q! is its fifth derivative,
+    d^3 g[a][b] / dz_g dzb_d dz_e (0) for every split P = e_a + e_g + e_e,
+    Q = e_b + e_d, and no other term reaches those derivatives."""
+    if not m.cubic_free:
+        raise GaugeError("potential has degree-3 monomials")
+    _require(m, 5, "potential valid_degree must be >= 5")
+    unpack = m.potential.pk.unpack
+    terms = [(*unpack(key), c) for key, c in m.potential.parts[5].items()]
+    return [(P, Q_, abs(c) * prod(map(factorial, P + Q_))) for P, Q_, c in terms if sum(P) == 3]
 
 
 def third_deriv_obstruction(m: MetricJet):
     """max |d^3 g[a][b] / dz_g dzb_d dz_e (0)| over all index tuples.
 
     Zero exactly when the curvature-derivative proxy vanishes at the origin.
-    The derivative is the fifth derivative of the potential along
-    z^P zb^Q with P = e_a + e_g + e_e and Q = e_b + e_d, which is c P! Q!
-    for its term c z^P zb^Q, the same for every split of the indices; so the
-    max runs over the potential's terms of bidegree (3, 2).
+    The derivative is the same for every split of the indices of a term
+    (_fifth_derivatives), so the max runs over the potential's terms of
+    bidegree (3, 2).
     """
-    if not m.cubic_free:
-        raise GaugeError("potential has degree-3 monomials")
-    _require(m, 5, "potential valid_degree must be >= 5")
-    best = 0
-    unpack = m.potential.pk.unpack
-    for key, c in m.potential.parts[5].items():
-        P, Q_ = unpack(key)
-        if sum(P) == 3:
-            v = abs(c) * prod(map(factorial, P + Q_))
-            if v > best:
-                best = v
-    return Q(best, m.potential.den)
+    return Q(max((v for _, _, v in _fifth_derivatives(m)), default=0), m.potential.den)
 
 
 def fifth_order_check(m: MetricJet):
@@ -564,26 +552,17 @@ def fifth_order_check(m: MetricJet):
 
         d_{h kb l} ginv[i][j] + d_{i kb l} ginv[h][j] + d_{i kb h} ginv[l][j]
       + d_{h jb l} ginv[i][k] + d_{i jb l} ginv[h][k] + d_{i jb h} ginv[l][k]
+
+    On a cubic-free potential g_inv's degree-3 part is -g(0)^-1 A_3 g(0)^-1,
+    A_3 g's degree-3 part, so d_{h kb l} ginv[i][j] = -F / (d_i d_j) with F
+    the fifth derivative along P = e_i + e_h + e_l, Q = e_j + e_k, and the
+    sum is -F (sum_a P_a / d_a)(sum_b Q_b / d_b): the max, over the
+    potential's terms of bidegree (3, 2), of the gauge-weighted third
+    derivative (_fifth_derivatives), 6 third_deriv_obstruction in unit
+    gauge.  GaugeError on a potential that is not cubic-free.
     """
-    _require(m, 5, "potential valid_degree must be >= 5")
-    dg3 = {}  # (a, b, g, d, e) -> Lg d^3 ginv[a][b]/dz_g dzb_d dz_e (0), under (g, e) and (e, g)
-    for a in range(m.n):
-        for b in range(m.n):
-            for key, c in _ginv_part(m, a, b, 3).items():
-                P, Q_ = m.potential.pk.unpack(key)
-                if sum(P) == 2:
-                    g, e = [idx for idx, x in enumerate(P) for _ in range(x)]
-                    q = Q_.index(1)
-                    dg3[a, b, g, q, e] = dg3[a, b, e, q, g] = c * (1 + (g == e))
+    def weighted(E):  # sum_a E_a / d_a
+        return sum(x / d for x, d in zip(E, m.origin_diag))
 
-    def d(*key):
-        return dg3.get(key, 0)
-
-    # The six-term sum is symmetric in (i, h, l) and in (j, k), so any tuple
-    # with a nonzero term can be reordered to make that term the first one,
-    # d(i, j, h, k, l); a tuple without one sums to zero.  Evaluating the sum
-    # once per stored entry therefore gives the max over all n^5 tuples.
-    best = max((abs(d(i, j, h, k, l) + d(h, j, i, k, l) + d(l, j, i, k, h)
-                    + d(i, k, h, j, l) + d(h, k, i, j, l) + d(l, k, i, j, h))
-                for i, j, h, k, l in dg3), default=0)
-    return Q(best, m._pullback[0])
+    return max((v * weighted(P) * weighted(Q_) for P, Q_, v in _fifth_derivatives(m)),
+               default=ZERO) / m.potential.den

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -6,12 +7,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from kahlerlap import catalog
+from kahlerlap import catalog, cli
 from kahlerlap.dsl import elaborate, parse, parse_potential_file
 from kahlerlap.jets import Jet, ValidityError, substitute_radial
 from kahlerlap.metric import (
     GaugeError,
     TruncationError,
+    _laplacian_functional,
     delta_power_at0,
     einstein_constant,
     fifth_order_check,
@@ -25,6 +27,7 @@ from kahlerlap.rationals import Q
 from dense_oracles import (
     variable,
     check_k2_identity,
+    dense_fifth_order_check,
     euclidean_power_at0,
     laplcube_expansion,
     mat_identity,
@@ -35,6 +38,7 @@ from dense_oracles import (
     ref_einstein_constant,
     ref_truncated,
 )
+from test_acceptance import ALL_LABELS
 
 
 def fs_metric(n, D):
@@ -298,21 +302,48 @@ class TestEinstein:
         assert rep.lam is None and rep.residual == 8
 
 
-# the golden labels (with non-unit origin_diag: sp, so2n; with negative lam:
-# the duals) and the larger spaces the benchmark checks
+# every golden label and its dual (with non-unit origin_diag: sp, so2n; with
+# negative lam: the duals), and sp and so2n at more sizes, along the
+# truncation ladder; a product, and the larger spaces the benchmark checks
 EINSTEIN_SPACES = [
-    (label, 6) for label in (
-        "flat:n=2", "cp:n=1", "cp:n=3", "ch:n=2", "grassmannian:k=2,N=4",
-        "grassmannian:k=2,N=5", "sp:N=2", "so2n:N=4", "quadric-even:N=4",
-        "quadric-odd:N=4", "product(cp:n=1;cp:n=2)", "dual(grassmannian:k=2,N=4)",
-        "dual(sp:N=2)", "dual(so2n:N=4)",
-    )
-] + [("cp:n=10", 8), ("sp:N=3", 8), ("so2n:N=4", 8)]
+    (label, D) for label in dict.fromkeys(
+        [x for base in ALL_LABELS for x in (base, f"dual({base})")]
+        + [f"so2n:N={N}" for N in (3, 4, 5)] + [f"sp:N={N}" for N in (1, 2, 3)])
+    for D in range(4, 9)
+] + [("product(cp:n=1;cp:n=2)", 6), ("cp:n=10", 8)]
 
 
 @pytest.mark.parametrize("label,degree", EINSTEIN_SPACES)
 def test_einstein_matches_the_rational_sums_on_the_catalog(spaces, label, degree):
     m = spaces(label, degree).metric
+    assert einstein_constant(m) == ref_einstein_constant(m)
+
+
+# the .pot templates of perfbench/workloads.py, written out at two draws of
+# (a, b); two potentials whose g_inv is not Hermitian, so that the test at
+# (i, j) must read z_j zb_i and not z_i zb_j; and an S_3-fixed one whose
+# residual is off the diagonal
+EINSTEIN_POTS = [
+    (2, template.format(a=a, b=b)) for template in (
+        "log(1 + modsq(z(1)) + modsq(z(2)) + {a} * modsq(z(1) * z(2)))",
+        "modsq(z(1)) + modsq(z(2)) + {a} * modsq(z(1) * z(1)) + {b} * modsq(z(1)) * modsq(z(2))",
+        "log(det([1 + modsq(z(1)), {a} * z(1) * conj(z(2));"
+        " {a} * z(2) * conj(z(1)), 1 + modsq(z(2))]))",
+        "radial(0, 1, {a}, {b}) + {b} * modsq(z(1) * z(2))",
+    ) for a, b in (("2/3", "3/5"), ("5", "1/7"))
+] + [
+    (2, "3*modsq(z(1)) + modsq(z(2)) + z(1)*z(2)*conj(z(2)*z(2))"),
+    (3, "2*modsq(z(1)) + 1/3*modsq(z(2)) + modsq(z(3)) + z(1)*z(3)*conj(z(2)*z(3))"
+        " - 2*z(2)*z(2)*conj(z(1)*z(2))"),
+    (3, "log(1 + modsq(z(1)) + modsq(z(2)) + modsq(z(3))"
+        " + 2/3 * modsq(z(1)*z(2) + z(2)*z(3) + z(1)*z(3)))"),
+]
+
+
+@pytest.mark.parametrize("n,text", EINSTEIN_POTS)
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_einstein_matches_the_rational_sums_on_pot_texts(n, text, degree):
+    m = metric_from_potential(elaborate(parse(text), n, degree))
     assert einstein_constant(m) == ref_einstein_constant(m)
 
 
@@ -332,14 +363,14 @@ positive_q = st.builds(Q, st.integers(1, 9), st.integers(1, 9))
 
 
 @st.composite
-def diagonal_gauge_potentials(draw):
-    """g(0) a positive diagonal, plus one to four real terms of bidegree
-    (2, 2) or (3, 2): cubic-free, and Einstein only by accident."""
+def diagonal_gauge_potentials(draw, diag=positive_q):
+    """g(0) a diagonal drawn from diag, plus one to four real terms of
+    bidegree (2, 2) or (3, 2): cubic-free, and Einstein only by accident."""
     n = draw(st.integers(min_value=2, max_value=3))
     coeffs = {}
     for i in range(n):
         e = tuple(1 if a == i else 0 for a in range(n))
-        coeffs[(e, e)] = draw(positive_q)
+        coeffs[(e, e)] = draw(diag)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         # bidegree (2, 2) reaches the degree-2 part of g_inv; (3, 2) does not
         P = draw(st.sampled_from(list(multiindices(n, draw(st.integers(2, 3))))))
@@ -397,6 +428,87 @@ class TestParallelCurvature:
     def test_validity_requirement(self):
         with pytest.raises(TruncationError):
             third_deriv_obstruction(flat_metric(1, 4))
+
+    def test_non_unit_gauge_weights(self):
+        # d = (3, 1/2, 1) and one real (3, 2) pair, at z1 z2 z3 zb1 zb3: its
+        # fifth derivative 1 is weighted by (1/3 + 2 + 1)(1/3 + 1) = 40/9
+        n, expr = parse_potential_file(WEIGHTED_POT)
+        m = metric_from_potential(elaborate(expr, n, 6))
+        assert m.origin_diag == (3, Q(1, 2), 1)
+        assert third_deriv_obstruction(m) == 1
+        assert fifth_order_check(m) == Q(40, 9) == dense_fifth_order_check(m)
+
+    def test_a_cubic_term_is_refused(self):
+        phi = (Jet.monomial(1, (1,), (1,), 1, 6) + Jet.monomial(1, (2,), (1,), 1, 6)
+               + Jet.monomial(1, (1,), (2,), 1, 6))
+        m = metric_from_potential(phi)
+        for check in (third_deriv_obstruction, fifth_order_check):
+            with pytest.raises(GaugeError):
+                check(m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagonal_gauge_potentials(st.just(Q(1))))
+def test_fifth_is_six_thirds_in_unit_gauge(phi):
+    # each of the six terms is the fifth derivative; a (3, 2) term with a
+    # repeated index, or with none, weighs the same
+    m = metric_from_potential(phi)
+    assert fifth_order_check(m) == 6 * third_deriv_obstruction(m)
+
+
+# d = (3, 1/2, 1), one real pair of bidegree (3, 2) and (2, 3), and a (2, 2) term
+WEIGHTED_POT = (
+    "dim 3\n3*modsq(z(1)) + 1/2*modsq(z(2)) + modsq(z(3))"
+    " + z(1)*z(2)*z(3)*conj(z(1)*z(3)) + conj(z(1)*z(2)*z(3))*z(1)*z(3)"
+    " + 2*modsq(z(1)*z(2))\n"
+)
+BENCH_GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)
+
+
+class _Refused:
+    """A g_inv store that refuses every read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("g_inv store read")
+
+    __getitem__ = __iter__ = __len__ = __bool__ = __getattr__ = _refuse
+
+
+def test_the_origin_checks_never_read_the_ginv_store(tmp_path):
+    """Once table 2 is built, the Einstein test (which reads it), the
+    parallel checks (which read the potential) and the obstruction report
+    give their golden values with MetricJet._ginv refused: on the metrics
+    of check cp:n=10 (an orbit metric) and sp:N=3 at D = 8, and of a .pot
+    file with g(0) not unit and a (3, 2) term."""
+    pot = tmp_path / "weighted.pot"
+    pot.write_text(WEIGHTED_POT, encoding="utf-8")
+    cases = [
+        ("cp:n=10", 8, BENCH_GOLDEN["check cp:n=10 --degree 8 --kmax 4 --json"]["stdout"]),
+        ("sp:N=3", 8, BENCH_GOLDEN["check sp:N=3 --degree 8 --kmax 3 --json"]["stdout"]),
+        (str(pot), 6, json.dumps({"einstein": {"lambda": None, "residual": "4/3"},
+                                  "parallel": {"third": "1", "fifth": "40/9"}})),
+    ]
+    obstructions = []
+    for target, D, golden in cases:
+        want = json.loads(golden)
+        _, _, m, space = cli._load_check_target(target, D)
+        _laplacian_functional(m, 2)
+        m._ginv = _Refused()
+        rep = einstein_constant(m)
+        lam = None if rep.lam is None else str(rep.lam)
+        got = {"einstein": {"lambda": lam, "residual": str(rep.residual)},
+               "parallel": {"third": str(third_deriv_obstruction(m)),
+                            "fifth": str(fifth_order_check(m))}}
+        if "obstruction" in want:
+            ob = catalog.obstruction_report(space)
+            got["obstruction"] = {"lambda": str(ob.lam), "mu": [str(x) for x in ob.mu],
+                                  "val1": str(ob.val1), "val2": str(ob.val2),
+                                  "requirement": str(ob.delta_requirement)}
+            obstructions.append(target)
+        assert got == {key: want[key] for key in got}
+    assert obstructions == ["sp:N=3"]
 
 
 class TestLaplcube:

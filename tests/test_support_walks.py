@@ -1,13 +1,15 @@
-"""The support-only walks of fit_pk and fifth_order_check agree with the
-dense walks over the whole index space (tests/dense_oracles.py), and the
-monomials the fit skips read zero."""
+"""The support-only walk of fit_pk and the closed form of fifth_order_check
+agree with the dense walks over the whole index space
+(tests/dense_oracles.py), and the monomials the fit skips read zero."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlap.fit import fit_pk
 from kahlerlap.jets import Jet
-from kahlerlap.metric import fifth_order_check, metric_from_potential
+from kahlerlap.metric import (
+    GaugeError, fifth_order_check, metric_from_potential, third_deriv_obstruction,
+)
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
@@ -72,13 +74,28 @@ def diagonal_gauge_potentials(draw):
     return Jet(n, {key: c for key, c in coeffs.items() if c != 0}, D)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(diagonal_gauge_potentials())
-def test_random_potentials_match_dense_walks(phi):
-    m = metric_from_potential(phi)
-    for k in (1, 2, 3):
-        assert fit_pk(m, k) == dense_fit_pk(m, k)
-    assert fifth_order_check(m) == dense_fifth_order_check(m)
+def test_random_potentials_match_dense_walks():
+    """On a cubic-free draw the fifth-order check, read off the potential's
+    terms, is the O(n^5) loop over g_inv's degree-3 parts; on any other
+    draw both origin checks refuse the chart.  Most draws are cubic-free."""
+    cubic_free = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(diagonal_gauge_potentials())
+    def draw(phi):
+        m = metric_from_potential(phi)
+        for k in (1, 2, 3):
+            assert fit_pk(m, k) == dense_fit_pk(m, k)
+        if m.cubic_free:
+            assert fifth_order_check(m) == dense_fifth_order_check(m)
+        else:
+            for check in (third_deriv_obstruction, fifth_order_check):
+                with pytest.raises(GaugeError):
+                    check(m)
+        cubic_free.append(m.cubic_free)
+
+    draw()
+    assert len(cubic_free) == 30 and sum(cubic_free) >= 15
 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
