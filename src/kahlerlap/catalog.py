@@ -15,12 +15,11 @@ from their factors; kahlerlap.dsl serves .pot files only.
 Every Bergman family, and its dual, is in Harish-Chandra coordinates, where
 g_inv is the Bergman operator (bergman_inverse) of the matrix W that the
 potential is written from (_matrix_slots), weighted by s, and multiplied
-out on its upper triangle, the lower one being its conjugate, or in column
-0 alone, all that the metric stores, when every permutation of the
-coordinates fixes the potential (the S_n verdict of
-metric.metric_with_inverse, which the quartic part decides; it holds for
-so2n:N=3 too, cp:n=3 in a skew chart).  The
-quadrics and products take the graded inverse of g, as .pot files do.
+out on its upper triangle (the lower one is its conjugate), or in column 0
+alone when every permutation of the coordinates fixes the potential (the
+S_n verdict of metric.metric_with_inverse, which the quartic part decides;
+it holds for so2n:N=3 too, cp:n=3 in a skew chart).  The quadrics and
+products take the graded inverse of g, as .pot files do.
 With g_inv closed, the potential is read only to degree 5 (gauge, S_n
 verdict, cubic_free, third_deriv_obstruction), so build_space builds it to
 min(D, 5), on the packing of D; potential_jet always builds to D.
@@ -69,8 +68,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import lcm
 
-from .jets import InputError, Jet, _conj_parts, _mul_into, _reduced, log1p
-from .jets import packing, substitute_radial
+from .jets import InputError, Jet, _conj_parts, _mul_into, log1p, packing, substitute_radial
 from .metric import _table_value, delta_power_at0, einstein_constant, metric_from_potential
 from .metric import metric_with_inverse
 from .rationals import MAX_DIGITS, MAX_NESTING, Q, ZERO, Record
@@ -421,9 +419,9 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
 
 def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
     """g_inv of a Bergman family or its dual on the potential's packing,
-    valid to D - 2, as metric.metric_with_inverse takes it:
-    (Lg, the integer graded parts of Lg g_inv[a][b]), reduced.  It is the
-    Bergman operator X -> B X A of the Jordan triple (Loos 1977),
+    valid to D - 2, as metric.metric_with_inverse takes it: (den, the
+    integer parts of den g_inv[a][b]).  It is the Bergman operator
+    X -> B X A of the Jordan triple (Loos 1977),
     A = I + W^dagger W, B = I + W W^dagger.  With S_a the slots
     (i, j, sign) of coordinate a, (k, l) the first slot of b and s the
     curvature sign (_bergman),
@@ -432,11 +430,10 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
 
     (.)_s weighting the degree-d part by s^(d/2): its terms have |Q| = d/2,
     so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  g_inv
-    is Hermitian: each entry (b, a) below the diagonal is None, read as
-    g_inv[a][b] with its key halves swapped.  solve "column" multiplies out
-    and returns column 0 alone, an n x 1 matrix, for a g_inv that every
-    permutation of the coordinates fixes (MetricJet stores it so); any
-    other, every a <= b.
+    is Hermitian: each entry a <= b is one dict, packed key -> integer
+    (zeros kept), None below the diagonal.  solve "column" gives column 0
+    alone, n x 1, for a g_inv that every permutation of the coordinates
+    fixes (MetricJet keeps it so).
     """
     desc, s = _bergman(desc)
     n, pk, D = potential.n, potential.pk, D - 2
@@ -444,23 +441,27 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     # row a is over scale |S_a|; all rows over their lcm
     den = lcm(*(scale.numerator * len(s) for s in slots))
+    # each block entry as (degree, key, integer weighted by s^(d/2)), s = 0 dropping d > 0
+    A, B = ([[[(d, K, c * s ** (d // 2)) for (d, K), c in e.items() if s or not d] for e in row]
+             for row in X] for X in (A, B))
 
-    def entry(a, b):
+    def entry(a, b):  # one dict, packed key -> integer, zeros kept
         mul = scale.denominator * den // (scale.numerator * len(slots[a]))
-        ws = [mul * s ** (d // 2) for d in range(D + 1)]
         k, l, _ = slots[b][0]
-        parts = [{} for _ in range(D + 1)]
+        terms = {}
+        get = terms.get
         for i, j, sign in slots[a]:
-            for (d1, key1), c1 in B[k][i].items():
-                for (d2, key2), c2 in A[j][l].items():
+            for d1, key1, c1 in B[k][i]:
+                c1 *= sign * mul
+                for d2, key2, c2 in A[j][l]:
                     if d1 + d2 <= D:
-                        part, key = parts[d1 + d2], key1 + key2
-                        part[key] = part.get(key, 0) + sign * c1 * c2 * ws[d1 + d2]
-        return [{K: c for K, c in p.items() if c} for p in parts]
+                        key = key1 + key2
+                        terms[key] = get(key, 0) + c1 * c2
+        return terms
 
     if solve == "column":
-        return _reduced(den, [[entry(a, 0)] for a in range(n)])
-    return _reduced(den, [[entry(a, b) if a <= b else None for b in range(n)] for a in range(n)])
+        return den, [[[entry(a, 0)]] for a in range(n)]
+    return den, [[[entry(a, b)] if a <= b else None for b in range(n)] for a in range(n)]
 
 
 def embedded_test_polys(space: CatalogSpace) -> TestFunctionPair:

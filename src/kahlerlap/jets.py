@@ -140,12 +140,12 @@ def _scaled(parts, w):
 
 def _reduced(den, entries):
     """(den, entries) divided through by the gcd of den and every numerator
-    of the integer graded parts entries[i][j]; an entry None stays None."""
+    of the integer parts entries[i][j], each a list of dicts."""
     g = 1 if den == 1 else gcd(
-        den, *(c for row in entries for e in row if e for part in e for c in part.values()))
+        den, *(c for row in entries for e in row for part in e for c in part.values()))
     if g == 1:
         return den, entries
-    return den // g, [[e and [{K: c // g for K, c in part.items()} for part in e] for e in row]
+    return den // g, [[[{K: c // g for K, c in part.items()} for part in e] for e in row]
                       for row in entries]
 
 
@@ -566,23 +566,17 @@ class JetMatrix:
         for e, i, k, l in product(range(1, D + 1), range(m), range(m), range(m)):
             if h[i][l]:  # a zero that the sum leaves is dropped in the solve
                 _mul_into(bs[e][i][k], {0: -(L ** (e - 1)) * h[i][l]}, ints[l][k][e])
-        return _jet_matrix(pk, *_graded_inverse(pk, L, h, bs, den))
-
-
-def _jet_matrix(pk, den, entries):
-    """The JetMatrix of the integer graded parts entries[i][j] over den, on
-    packing pk; an entry None is entries[j][i] with its key halves swapped."""
-    return JetMatrix([[Jet._of(pk.n, pk, den, _conj_parts(pk, entries[j][i]) if e is None else e)
-                       for j, e in enumerate(row)] for i, row in enumerate(entries)])
+        den, xs = _reduced(*_graded_inverse(pk, L, h, bs, den))
+        return JetMatrix([[Jet._of(self.n, pk, den, x) for x in row] for row in xs])
 
 
 def _graded_inverse(pk, L, h, bs, den, solve="full"):
     """The inverse over the jet ring of G = A / den, valid to degree D, as
     (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk,
-    whose slots hold every exponent up to D, reduced (_reduced).  solve
-    names the entries solved: "full" all; "upper" i <= j (G Hermitian), None
-    below; "column" j = 0 alone (G fixed by every permutation of the
-    coordinates), returned as an n x 1 matrix, which _column_filled fills.
+    whose slots hold every exponent up to D, not reduced (_reduced, or
+    metric._pullback_index as it writes them).  solve names the entries
+    solved: "full" all; "upper" i <= j (G Hermitian), None below; "column"
+    j = 0 alone (G fixed by every permutation of the coordinates), n x 1.
 
     A graded solve (Brent & Kung, JACM 1978): with A = A_0 + A_1 + ... in
     homogeneous parts, X = A^{-1} has X_0 = A_0^{-1} and
@@ -618,19 +612,7 @@ def _graded_inverse(pk, L, h, bs, den, solve="full"):
     out = [[None] * cols.start + [[x[i][j] if w == 1 else {K: c * w for K, c in x[i][j].items()}
                                    for x, w in zip(xs, ws)] for j in cols]
            for i, cols in enumerate(js)]  # an upper row has None before its columns
-    return _reduced(top, out)
-
-
-def _column_filled(pk, col):
-    """The matrix of integer graded parts that every permutation sigma of
-    the coordinates fixes, from its column 0, the n x 1 matrix col: entry
-    (i, j) is entry (sigma i, 0), sigma = (0 j), with slots 0 and j swapped
-    in both halves of each key."""
-    n, bits, first = len(col), pk.bits, pk.mask * (pk.units[0] + pk.units[pk.n])
-    return [[col[i][0] if j == 0 else
-             [{K ^ (y := (K ^ K >> bits * j) & first) ^ y << bits * j: c for K, c in part.items()}
-              for part in col[j if i == 0 else 0 if i == j else i][0]]
-             for j in range(n)] for i in range(n)]
+    return top, out
 
 
 def _invert_rational(mat):

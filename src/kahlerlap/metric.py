@@ -11,17 +11,16 @@ entries they build: the graded solve from the potential's terms
 (_hessian_inverse, for metric_from_potential; the gauge check proves g(0)
 diagonal, so no rational matrix is inverted) and the closed form of the
 Bergman catalog families (catalog.bergman_inverse), whose potential's
-quartic part decides that verdict.  metric_with_inverse stores the reduced
-integer parts (MetricJet._ginv) and indexes them for the lap^k pullback.
-A Hermitian g_inv is given as its upper triangle: an entry None below the
-diagonal is its mate above, the two halves of each key swapped.  One that
-every permutation of the coordinates fixes is given as its column 0, an
-n x 1 matrix: entry (i, j) is entry (sigma i, 0), sigma = (0 j), slots 0
-and j swapped in both halves of each key.  Only the pullback index
-(_pullback_index) reads them so, and MetricJet.g_inv, a JetMatrix, is
-built from them on first read.  The origin checks read closed forms
-instead: einstein_constant reads table 2, and third_deriv_obstruction and
-fifth_order_check read the potential's terms of bidegree (3, 2).
+quartic part decides that verdict.  metric_with_inverse writes their
+integer parts into the lap^k pullback index (_pullback_index), reduced as
+they go, its one store of g_inv: a Hermitian g_inv is given as its upper
+triangle, each term written for its entry and, halves swapped, its mate.
+One that every permutation of the coordinates fixes is given and kept as
+its column 0 (entry (i, j) is entry (sigma i, 0), sigma = (0 j), slots 0
+and j swapped in both halves of each key), which a wider window re-indexes,
+as MetricJet.g_inv, a JetMatrix, does in every slot on first read.  The
+origin checks read closed forms: einstein_constant reads table 2, and
+third_deriv_obstruction and fifth_order_check the potential's (3, 2) terms.
 
 One packing (jets._Packing) serves each metric: the potential's own.  g_inv
 is built on it, and the lap^k pullback reads g_inv's keys as they are.  A
@@ -50,10 +49,10 @@ square roots.
 
 from __future__ import annotations
 
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
-from .jets import DimensionMismatch, InputError, Jet, JetError, ValidityError
-from .jets import _column_filled, _graded_inverse, _jet_matrix, _sum
+from .jets import DimensionMismatch, InputError, Jet, JetError, JetMatrix, ValidityError
+from .jets import _graded_inverse, _reduced, _sum
 from .rationals import Q, ZERO, Record
 
 
@@ -76,10 +75,10 @@ class MetricJet(Record):
     truncation D, which the potential may fall short of past degree 5.
     origin_diag holds d_i = g[i][i](0).  cubic_free: no degree-3 term of
     the potential reaches g (is_cubic_free), so all first derivatives of g
-    vanish at the origin.  _ginv holds the integer parts of Lg g_inv on the
-    potential's packing, valid to D - 2 (column 0 alone with _orbits), and
-    g_inv, if given None, is built from them on first read; _pullback is
-    (Lg, index, lo), the index of those parts in the slots from lo on.
+    vanish at the origin.  _pullback is (Lg, index, lo): Lg g_inv is
+    integral, and indexed in the slots from lo on (_pullback_index); g_inv,
+    if given None, is built from the index in every slot on first read.
+    _ginv is None but with _orbits: then it keeps column 0 of Lg g_inv.
     _functionals maps k to the numerators N_k of the lap^k table, the one
     stored form of it, with N_0 there from the start and the rest filled on
     first use; _orbits says that they hold one key per S_n-orbit, and lets
@@ -103,9 +102,15 @@ class MetricJet(Record):
     def __getattr__(self, name):  # reached only while the g_inv slot is unset
         if name != "g_inv":
             raise AttributeError(name)
-        pk, ginv = self.potential.pk, self._ginv
-        ginv = _column_filled(pk, ginv) if self._orbits else ginv
-        self.g_inv = _jet_matrix(pk, self._pullback[0], ginv)
+        pk, (lg, index, lo), n = self.potential.pk, self._pullback, self.n
+        index = _pullback_index(pk, lg, self._ginv, 0)[1] if lo else index  # every slot
+        ginv = [[[{} for _ in range(self.valid_degree - 1)] for _ in range(n)] for _ in range(n)]
+        for U, halves in index.items():  # each hit one term, of degree K % mask as D - 2 < mask
+            for V, hits in halves.items():
+                it, K = iter(hits), U | V << pk.half
+                for g, shift_j, shift_i, _ in zip(it, it, it, it):
+                    ginv[shift_i // pk.bits - n][shift_j // pk.bits][K % pk.mask][K] = g
+        self.g_inv = JetMatrix([[Jet._of(n, pk, lg, e) for e in row] for row in ginv])
         return self.g_inv
 
 
@@ -192,11 +197,11 @@ def require_diagonal_gauge(potential: Jet):
 def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     """MetricJet valid to degree D >= 2, of a potential valid to degree
     min(D, 5) at least, on a packing that holds D, whose g_inv is
-    inverse(potential, solve) = (Lg, entries): entries[i][j] the integer
-    graded parts of Lg g_inv[i][j] on the potential's packing, valid to
-    D - 2 (None below the diagonal: the conjugate of the mate above; j = 0
-    alone for solve "column"), reduced (jets._reduced), so that Lg is the
-    lcm of the reduced denominators of g_inv.
+    inverse(potential, solve) = (den, entries): entries[i][j] the integer
+    parts of den g_inv[i][j] on the potential's packing, valid to D - 2, as
+    dicts packed key -> integer (None below the diagonal for "upper": the
+    conjugate of the mate above; j = 0 alone for "column"), written into the
+    pullback index over Lg, the lcm of the reduced denominators of g_inv.
 
     After the gauge check (require_diagonal_gauge), the one S_n verdict is
     read off the potential's terms (_potential_symmetry): solve is "column"
@@ -215,13 +220,14 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
         raise TruncationError("potential must be valid at least to degree 2", required=2)
     n, pk, diag = potential.n, potential.pk, require_diagonal_gauge(potential)
     real, fixed = _potential_symmetry(potential)
-    lg, ginv = inverse(potential, "column" if fixed else "upper" if real else "full")
+    den, stored = inverse(potential, "column" if fixed else "upper" if real else "full")
+    den, stored = _reduced(den, stored) if fixed else (den, stored)  # a kept column over Lg
     lo = max(n - D // 2 + 1, 0) if fixed else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
         cubic_free=is_cubic_free(potential), g_inv=None,
-        _pullback=(lg, _pullback_index(pk, ginv, lo, fixed), lo),
-        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv)
+        _pullback=(*_pullback_index(pk, den, stored, lo), lo),
+        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=stored if fixed else None)
 
 
 def is_cubic_free(potential: Jet):
@@ -232,50 +238,56 @@ def is_cubic_free(potential: Jet):
                                                  for K in potential.parts[3])
 
 
-def _pullback_index(pk, ginv, lo, orbits):
-    """The pullback index of the integer parts of g_inv stored as ginv (column
-    0 alone if orbits; see the module docstring), over the terms (U, V) of
-    each entry (i, j) with no exponent of U below slot lo: packed U -> {V,
-    packed as a holomorphic half -> [(integer, shift of slot j, shift of
-    slot n + i, packed e_j + e_i - V) for each (i, j) carrying the term]},
-    an entry None read as its mate, halves swapped.  A column term is
-    dropped first if U has an exponent in slots 1..lo-1, which every
-    transposition leaves below lo; (0 j) then moves it out of the window
-    iff U_j > 0, or U_0 > 0 and j < lo."""
+def _pullback_index(pk, den, stored, lo):
+    """(Lg, index) of the integer parts of den g_inv, stored as
+    metric_with_inverse takes them: divided by g, the gcd of den and every
+    numerator (read part by part until it is 1), so Lg = den / g, and
+    indexed on the nonzero terms (U, V) with no exponent of U below slot lo
+    as packed U -> {V, packed as a holomorphic half -> the hits, four ints
+    for each entry (i, j) carrying the term: its integer, the shifts of
+    slots j and n + i, and packed e_j + e_i}.  A column term is dropped
+    first if U has an exponent in slots 1..lo-1, which every transposition
+    leaves below lo; (0 j) then moves it out of the window iff U_j > 0, or
+    U_0 > 0 and j < lo.  A kept column is reduced: g = 1."""
     n, bits, units, half, mask = pk.n, pk.bits, pk.units, pk.half, pk.mask
-    low, below = units[n] - 1, units[lo] - 1
-    index = {}
-    if orbits:
-        first, inner = mask * (units[0] + units[n]), below & ~mask
-        for c, (entry,) in enumerate(ginv):
-            at = ([(j, j) for j in range(n)] if c == 0  # the positions (i, j) reading entry c
-                  else [(c, 0), (0, c)] + [(c, j) for j in range(1, n) if j != c])
-            at = [(bits * j, bits * (n + i), units[j] + units[n + i],
-                   lo and mask * units[j if j >= lo else 0]) for i, j in at]
-            for part in entry:
+    low, first, inner = units[n] - 1, mask * (units[0] + units[n]), (units[lo] - 1) & ~mask
+    g, index = den, {}
+    for part in (part for row in stored for e in row if e for part in e):
+        if (g := gcd(g, *part.values())) == 1:
+            break
+    ts = [[(bits * j, bits * (n + i), units[j] + units[n + i]) for j in range(n)]
+          for i in range(n)]  # t of each position (i, j), shared by its hits
+    for a, row in enumerate(stored):
+        for b, entry in enumerate(row):
+            if len(row) < n:  # column entry a, read at (sigma a, j) with sigma = (0 j)
+                at = [(bits * j, ts[0 if a == j else a or j][j],
+                       lo and mask * units[j if j >= lo else 0]) for j in range(n)]
+                for part in entry:
+                    for K, v in part.items():
+                        if v and not K & inner:
+                            for s, t, out in at:
+                                if not K & out:
+                                    KT = K ^ (y := (K ^ K >> s) & first) ^ y << s
+                                    U, V = KT & low, KT >> half
+                                    if (halves := index.get(U)) is None:
+                                        index[U] = {V: [v, *t]}
+                                    elif (hits := halves.get(V)) is None:
+                                        halves[V] = [v, *t]
+                                    else:
+                                        hits += (v, *t)
+                continue
+            t, (entry, swap) = ts[a][b], (stored[b][a], True) if entry is None else (entry, False)
+            for part in entry:  # entry (a, b), or its mate's with the halves swapped
                 for K, v in part.items():
-                    if K & inner:
-                        continue
-                    for shift_j, shift_i, step, out in at:
-                        if not K & out:
-                            KT = K ^ (y := (K ^ K >> shift_j) & first) ^ y << shift_j
-                            V = KT >> half
-                            index.setdefault(KT & low, {}).setdefault(V, []).append(
-                                (v, shift_j, shift_i, step - (V << half)))
-        return index
-    for i, j in [p for a in range(n) for b in range(a, n)
-                 for p in dict.fromkeys([(a, b), (b, a)])]:
-        entry, swapped = (ginv[j][i], True) if ginv[i][j] is None else (ginv[i][j], False)
-        shift_j, shift_i, step = bits * j, bits * (n + i), units[j] + units[n + i]
-        for part in entry:
-            for K, c in part.items():
-                U, V = K & low, K >> half
-                if swapped:
-                    U, V = V, U
-                if not U & below:
-                    index.setdefault(U, {}).setdefault(V, []).append(
-                        (c, shift_j, shift_i, step - (V << half)))
-    return index
+                    if v:
+                        U, V = (K >> half, K & low) if swap else (K & low, K >> half)
+                        if (halves := index.get(U)) is None:
+                            index[U] = {V: [v // g, *t]}
+                        elif (hits := halves.get(V)) is None:
+                            halves[V] = [v // g, *t]
+                        else:
+                            hits += (v // g, *t)
+    return den // g, index
 
 
 def _orbit(pk, key):
@@ -351,8 +363,8 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     under U with the divisors of B from the smaller side: it walks index[U]
     and keeps the V in B's divisor set, or walks B's divisors and looks each
     up in index[U] (A's list serves for B when A = B).  The lookups follow
-    g_inv's support instead of every divisor of (A, B).  Keys are packed,
-    so (S, T) is the int sum of A - U and the index's e_j + e_i - V.
+    g_inv's support instead of every divisor of (A, B).  Keys are packed:
+    (S, T) is the int sum of (A - U, B - V), once per V, and a hit's e_j + e_i.
     Table k has |P| <= k and |Q| <= k, since each step adds one to |P| and
     one to |Q| and removes a divisor; so every k up to the slot mask is
     exact, and a larger k raises ValidityError.  N_k is what is stored and returned,
@@ -391,26 +403,27 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     prev = _laplacian_functional(m, k - 1).items()
     lg, index, lo = m._pullback
     if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
-        index = _pullback_index(pk, m._ginv, need, m._orbits)
+        index = _pullback_index(pk, lg, m._ginv, need)[1]
         m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
-    out = {}
+    out, half = {}, pk.half
     get = out.get
     for KA, c in prev:
-        KB, a_divisors = KA >> pk.half, pk.divisors(KA & low)
+        KB, a_divisors = KA >> half, pk.divisors(KA & low)
         b_divisors = a_divisors if KB == KA & low else pk.divisors(KB)
         b_set = set(b_divisors)
         for KU in a_divisors:
             vs = index.get(KU)
             if vs is None:
                 continue
-            base = KA - KU
-            found = ([hits for KV in b_divisors if (hits := vs.get(KV))]
+            found = ([(KV, hits) for KV in b_divisors if (hits := vs.get(KV))]
                      if len(vs) > len(b_divisors)
-                     else [hits for KV, hits in vs.items() if KV in b_set])
-            for hits in found:
-                for g, shift_j, shift_i, step in hits:
+                     else [(KV, hits) for KV, hits in vs.items() if KV in b_set])
+            for KV, hits in found:
+                base = KA - KU - (KV << half)
+                it = iter(hits)
+                for g, shift_j, shift_i, step in zip(it, it, it, it):
                     key = base + step
                     out[key] = get(key, 0) + c * g * (
                         ((key >> shift_j) & mask) * ((key >> shift_i) & mask)

@@ -33,7 +33,11 @@ the packed substitute_radial and catalog.dual_potential.  The
 lap^k pullback is the tuple-key, rational form of the library's packed
 integer kernel, from every key of the support; expand_orbits writes a table
 stored one key per S_n-orbit back onto every key, and full_tables gives a
-metric whose tables are built that way by the library's own loop.
+metric whose tables are built that way by the library's own loop, on
+naive_index: the pullback index of a whole g_inv, walked entry by entry on
+tuple keys, where the library writes it from the closed form's or the
+graded solve's upper triangle with each term's mate, dividing by the gcd as
+it goes, or from an S_n-fixed column by transpositions.
 metric_matrix builds g by differentiating the potential
 jet entry by entry, where the library packs the potential and never forms
 g, and third_deriv_obstruction_from_g reads the obstruction from that g,
@@ -78,8 +82,6 @@ from kahlerlap.jets import (
     JetMatrix,
     NonInvertibleError,
     ValidityError,
-    _column_filled,
-    _conj_parts,
     _invert_rational,
     log1p,
     substitute_radial,
@@ -89,7 +91,6 @@ from kahlerlap.metric import (
     GaugeError,
     TruncationError,
     _laplacian_functional,
-    _pullback_index,
     _table_value,
     delta_power_at0,
     einstein_constant,
@@ -854,35 +855,72 @@ def expand_orbits(m, k):
     return full
 
 
-def whole_matrix(pk, ginv, column=False):
-    """The integer parts of g_inv, stored as MetricJet._ginv stores them (a
-    column if column), as the whole matrix: the column filled
-    (jets._column_filled), and an entry None its mate's conjugate."""
-    ginv = _column_filled(pk, ginv) if column else ginv
-    return [[_conj_parts(pk, ginv[j][i]) if e is None else e for j, e in enumerate(row)]
-            for i, row in enumerate(ginv)]
+def jet_matrix(pk, den, entries):
+    """The JetMatrix of the integer graded parts entries[i][j] over den."""
+    return JetMatrix([[Jet._of(pk.n, pk, den, e) for e in row] for row in entries])
+
+
+def column_filled(pk, col):
+    """The whole matrix of integer graded parts that every permutation of
+    the coordinates fixes, from its column 0, the n x 1 matrix col: entry
+    (i, j) is entry (sigma i, 0) with sigma = (0 j) moving the exponents of
+    both halves of each key, on tuple keys."""
+    n = len(col)
+
+    def moved(K, j):
+        return pk.pack(*([E[j if s == 0 else 0 if s == j else s] for s in range(n)]
+                         for E in pk.unpack(K)))
+
+    return [[[{moved(K, j): c for K, c in part.items()} for part in
+              col[j if i == 0 else 0 if i == j else i][0]] for j in range(n)] for i in range(n)]
 
 
 def whole_ginv(m):
-    """The integer parts of m's g_inv as the whole matrix (whole_matrix)."""
-    return whole_matrix(m.potential.pk, m._ginv, m._orbits)
+    """The integer parts of m's g_inv as the whole matrix, each entry over
+    Lg = m._pullback[0]: the JetMatrix that MetricJet.g_inv builds from the
+    pullback index, in every slot."""
+    lg = m._pullback[0]
+    assert all(e.den == lg for row in m.g_inv.entries for e in row)
+    return [[e.parts for e in row] for row in m.g_inv.entries]
+
+
+def naive_index(pk, ginv, lo=0):
+    """The pullback index of the whole matrix ginv of integer graded parts,
+    in the layout of metric._pullback_index, walking every entry (i, j) and
+    every nonzero term (U, V) with no exponent of U below slot lo: no
+    mates, no column, no gcd."""
+    n, bits, units, half = pk.n, pk.bits, pk.units, pk.half
+    index = {}
+    for i, row in enumerate(ginv):
+        for j, entry in enumerate(row):
+            t = (bits * j, bits * (n + i), units[j] + units[n + i])
+            for part in entry:
+                for K, c in part.items():
+                    P, Q_ = pk.unpack(K)
+                    if c and not any(P[:lo]):
+                        U, V = pk.pack(P, (0,) * n), pk.pack(Q_, (0,) * n)
+                        index.setdefault(U, {}).setdefault(V, []).extend((c, *t))
+    return index
 
 
 def sorted_hits(index):
-    """A pullback index with the hits of each (U, V) sorted: the index up
-    to the order of its hits, which no table depends on."""
-    return {U: {V: sorted(hits) for V, hits in halves.items()} for U, halves in index.items()}
+    """A pullback index with the hits of each (U, V), four ints each, as a
+    sorted list of tuples: the index up to the order of its hits, which no
+    table depends on."""
+    assert all(len(hits) % 4 == 0 for halves in index.values() for hits in halves.values())
+    return {U: {V: sorted(zip(*[iter(hits)] * 4)) for V, hits in halves.items()}
+            for U, halves in index.items()}
 
 
 def full_tables(m):
     """The same metric with no table cached beyond table 0 and every table
     built on every key of its support, by the pullback loop that a metric
-    without the permutation symmetry takes, on g_inv stored as the whole
-    matrix (whole_ginv) and indexed in every slot."""
+    without the permutation symmetry takes, on the index of the whole
+    g_inv (whole_ginv, naive_index) in every slot."""
     full = copy.copy(m)
     full._functionals, full._einstein, full._orbits = {0: m._functionals[0]}, None, False
-    full._ginv = whole_ginv(m)
-    full._pullback = m._pullback[0], _pullback_index(m.potential.pk, full._ginv, 0, False), 0
+    full._ginv = None
+    full._pullback = m._pullback[0], naive_index(m.potential.pk, whole_ginv(m)), 0
     return full
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from dense_oracles import (
+    column_filled,
     variable,
     direct_potential_jet,
     mat_identity,
@@ -12,16 +13,18 @@ from dense_oracles import (
     ref_dual_potential,
     ref_embedded_test_polys,
     ref_truncated,
-    whole_matrix,
+    naive_index,
+    sorted_hits,
 )
 
 from kahlerlap import catalog, cli, dsl
 from kahlerlap.fit import check_delta_property
-from kahlerlap.jets import Jet, JetMatrix, _conj_parts, _reduced, log1p
+from kahlerlap.jets import Jet, JetMatrix, _reduced, log1p
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
     _laplacian_functional,
+    _pullback_index,
     laplacian_apply,
     metric_from_potential,
     metric_with_inverse,
@@ -196,6 +199,11 @@ def ginv_top_degree(m):
     )
 
 
+def merged(entries):
+    """Each entry's parts merged into one dict of its nonzero terms."""
+    return [[{K: c for part in e for K, c in part.items() if c} for e in row] for row in entries]
+
+
 class TestBergmanInverse:
     """For the Hermitian symmetric families in Harish-Chandra coordinates,
     g_inv is the Bergman operator of the Jordan triple: a polynomial of
@@ -221,17 +229,18 @@ class TestBergmanInverse:
     @pytest.mark.parametrize("D", [6, 8, 10])
     @pytest.mark.parametrize("label", BERGMAN_LABELS)
     def test_upper_triangle_gives_both(self, label, D):
-        # only the upper triangle is returned, None below it, and reduced;
-        # the lower triangle is the conjugate of the upper one, and the
-        # oracle multiplies out every entry of both, unreduced
+        # only the upper triangle is multiplied out, and each term is
+        # written into the pullback index for its entry and for its mate,
+        # halves swapped, reduced; the oracle multiplies out every entry of
+        # both triangles, unreduced, and indexes each entry on its own
         for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
             on = Jet.zero(desc.complex_dim, D)  # only its packing is read
-            den, upper = catalog.bergman_inverse(desc, on, D, "upper")
-            n = desc.complex_dim
-            assert all(upper[a][b] is None for a in range(n) for b in range(a))
-            both = [[upper[a][b] if a <= b else _conj_parts(on.pk, upper[b][a])
-                     for b in range(n)] for a in range(n)]
-            assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
+            n, (ref_den, ref) = on.n, _reduced(*ref_bergman_inverse(desc, on, D))
+            for solve in ("upper", "full"):
+                den, stored = catalog.bergman_inverse(desc, on, D, solve)
+                assert all(stored[a][b] is None for a in range(n) for b in range(a))
+                lg, index = _pullback_index(on.pk, den, stored, 0)
+                assert (lg, sorted_hits(index)) == (ref_den, sorted_hits(naive_index(on.pk, ref)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_a_rank_1_column_fills_both_triangles(self, n):
@@ -243,14 +252,17 @@ class TestBergmanInverse:
         for desc in map(catalog.parse_space, labels + [f"dual({label})" for label in labels]):
             for D in range(2, 11):
                 on = Jet.zero(n, D)
+                ref = _reduced(*ref_bergman_inverse(desc, on, D))
                 if n > 1:
                     den, col = catalog.bergman_inverse(desc, on, D, "column")
                     assert len(col) == n and all(len(row) == 1 for row in col)
-                    both = whole_matrix(on.pk, col, column=True)
-                else:
-                    den, upper = catalog.bergman_inverse(desc, on, D, "upper")
-                    both = whole_matrix(on.pk, upper)
-                assert (den, both) == _reduced(*ref_bergman_inverse(desc, on, D))
+                    lg, whole = _reduced(den, column_filled(on.pk, col))
+                    assert (lg, merged(whole)) == (ref[0], merged(ref[1]))
+                else:  # the 1 x 1 upper triangle, written into its index
+                    lg, index = _pullback_index(
+                        on.pk, *catalog.bergman_inverse(desc, on, D, "upper"), 0)
+                    assert (lg, sorted_hits(index)) == (
+                        ref[0], sorted_hits(naive_index(on.pk, ref[1])))
 
     def test_quadric_coordinates_are_not_bergman(self, spaces):
         # the catalog's quadric chart is not Harish-Chandra: g_inv has terms

@@ -1,0 +1,164 @@
+"""One store for a g_inv that no permutation of the coordinates fixes.
+
+The terms of the closed form (catalog.bergman_inverse) and of the upper
+and full graded solves (metric._hessian_inverse) are written straight
+into the lap^k pullback index (metric._pullback_index), which the metric
+keeps as the only store: MetricJet._ginv is None, and MetricJet.g_inv is
+read back from the index on first use.  An S_n-fixed g_inv keeps its
+column 0, which the window widening reads.
+
+The guard runs commands that build such metrics and checks each one: no
+per-degree parts kept, and g_inv, read back from the index, equal to a
+second path (dense_oracles.ref_bergman_inverse for a closed form,
+JetMatrix.inverse of g differentiated from the potential for a graded
+solve).  The oracle test compares the index that the kernels write with
+dense_oracles.naive_index of the g_inv of that second path, the hits of
+each (U, V) as a multiset, at D = 2..10.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from math import lcm
+from pathlib import Path
+
+import pytest
+
+from kahlerlap import catalog, cli, metric
+from kahlerlap.dsl import elaborate, parse_potential_file
+from kahlerlap.jets import _reduced
+from kahlerlap.metric import _pullback_index, metric_from_potential
+
+sys.path.insert(0, str(Path(__file__).parent))
+from dense_oracles import (  # noqa: E402
+    metric_matrix, naive_index, ref_bergman_inverse, sorted_hits,
+)
+from test_acceptance import ALL_LABELS  # noqa: E402
+
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8"))
+BENCH_GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+
+# g_inv with no permutation symmetry: not Hermitian (the full solve), and
+# Hermitian with unequal d_i and mixed denominators (the upper solve)
+ASYMMETRIC_POTS = [
+    "dim 2\nmodsq(z(1)) + modsq(z(2)) + 1/3*z(1)*z(1)*conj(z(1)*z(2))"
+    " + 1/2*modsq(z(1)*z(2))\n",
+    "dim 3\n2*modsq(z(1)) + modsq(z(2)) + 1/2*modsq(z(3))"
+    " + log(1 + 1/3*modsq(z(1)*z(2)) + modsq(z(2)*z(3)*z(3)))\n",
+]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def integer_parts(jm, lg, pk):
+    """The entries of the rational JetMatrix jm times lg, as integer graded
+    parts on packing pk; each product must be an integer."""
+    out = []
+    for row in jm.entries:
+        out.append([])
+        for e in row:
+            parts = []
+            for part in e._parts_on(pk, jm.valid_degree):
+                parts.append({})
+                for K, c in part.items():
+                    parts[-1][K], rest = divmod(c * lg, e.den)
+                    assert not rest
+            out[-1].append(parts)
+    return out
+
+
+def second_path(m, desc):
+    """(Lg, whole integer g_inv) by a path that writes no index: the closed
+    form with both triangles multiplied out, then reduced, or the rational
+    inverse of g over the lcm of its denominators."""
+    if desc is not None and catalog._bergman(desc) is not None:
+        return _reduced(*ref_bergman_inverse(desc, m.potential, m.valid_degree))
+    inv = metric_matrix(m.potential).inverse()
+    lg = lcm(*(c.denominator for row in inv.entries for e in row for c in e.coeffs.values()))
+    return lg, integer_parts(inv, lg, m.potential.pk)
+
+
+def test_no_metric_without_the_symmetry_keeps_per_degree_parts(monkeypatch, tmp_path):
+    """Each command prints its golden report (or, for the .pot files, the
+    report of the unpatched run), and every metric it builds is one that no
+    permutation fixes, keeps no per-degree parts, and reads back from its
+    index the g_inv of the second path: closed forms, a quadric, the dual
+    command's pair and two asymmetric .pot files, on both graded solves."""
+    pots = []
+    for i, text in enumerate(ASYMMETRIC_POTS):
+        pots.append(tmp_path / f"asymmetric{i}.pot")
+        pots[-1].write_text(text, encoding="utf-8")
+    argvs = [["check", "sp:N=3", "--degree", "8", "--kmax", "3", "--json"],
+             ["check", "so2n:N=4", "--json"], ["check", "quadric-odd:N=4", "--json"],
+             ["dual", "grassmannian:k=2,N=4", "--json"]]
+    argvs += [["check", str(pot), "--json"] for pot in pots]
+    shipped = [run(argv) for argv in argvs]
+    goldens = {**{f"check {label} --json": GOLDEN[label] for label in GOLDEN}, **BENCH_GOLDEN}
+    built = []  # (descriptor or None, metric) of every metric a command builds
+    build_space, generic = catalog.build_space, metric.metric_from_potential
+
+    def recorded_build(desc, D=6):
+        space = build_space(desc, D)
+        built.append((desc, space.metric))
+        return space
+
+    def recorded_generic(potential):
+        m = generic(potential)
+        built.append((None, m))
+        return m
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kahlerlap"):
+            for attr, orig, new in (("build_space", build_space, recorded_build),
+                                    ("metric_from_potential", generic, recorded_generic)):
+                if getattr(mod, attr, None) is orig:
+                    monkeypatch.setattr(mod, attr, new)
+    for argv, before in zip(argvs, shipped):
+        assert run(argv) == goldens.get(" ".join(argv), before)
+    monkeypatch.undo()
+    descs = {id(m): desc for desc, m in built if desc is not None}
+    metrics = {id(m): m for _, m in built}
+    assert len(metrics) == 7  # sp, so2n, the quadric, the dual pair and two .pot files
+    for key, m in metrics.items():
+        assert not m._orbits and m._ginv is None and m._pullback[2] == 0
+        lg, whole = second_path(m, descs.get(key))
+        assert m._pullback[0] == lg
+        assert [[e.parts for e in row] for row in m.g_inv.entries] == whole
+        assert all(e.den == lg for row in m.g_inv.entries for e in row)
+
+
+BERGMAN = [label for label in ALL_LABELS if catalog._bergman(catalog.parse_space(label))]
+INDEXED = (BERGMAN + [f"dual({label})" for label in BERGMAN]
+           + [f"so2n:N={N}" for N in range(3, 7)] + [f"sp:N={N}" for N in range(1, 5)]
+           + ["grassmannian:k=2,N=4", "grassmannian:k=2,N=5", "grassmannian:k=3,N=5",
+              "grassmannian:k=3,N=6", "quadric-even:N=4", "quadric-odd:N=4",
+              "product(sp:N=2;cp:n=1)"])
+
+
+@pytest.mark.parametrize("source", list(dict.fromkeys(INDEXED)) + ASYMMETRIC_POTS)
+def test_the_written_index_is_the_naive_index_of_the_second_path(source):
+    """At D = 2..10 the metric's pullback index (for an S_n-fixed g_inv,
+    the one built from its column in every slot) holds the hits of the
+    second path's whole g_inv indexed entry by entry, over the same Lg."""
+    for D in range(2, 11):
+        if source in ASYMMETRIC_POTS:
+            n, node = parse_potential_file(source)
+            desc, m = None, metric_from_potential(elaborate(node, n, D))
+        else:
+            desc = catalog.parse_space(source)
+            m = catalog.build_space(desc, D).metric
+        pk, (lg, index, lo) = m.potential.pk, m._pullback
+        if m._orbits:
+            index = _pullback_index(pk, lg, m._ginv, 0)[1]
+        else:
+            assert m._ginv is None and lo == 0
+        ref_lg, whole = second_path(m, desc)
+        assert (lg, sorted_hits(index)) == (ref_lg, sorted_hits(naive_index(pk, whole))), D

@@ -10,7 +10,11 @@ jets; their entries were written by that determinant path.
 the one Bergman chart whose S_3 symmetry only the potential shows (it is
 cp:n=3 in a skew 3 x 3 chart); their entries were written while it still
 kept the full tables, before the potential's verdict gave it the orbit
-tables and the column build.  The expected
+tables and the column build.  grassmannian:k=3,N=6, dual(sp:N=4) and
+so2n:N=5 at --degree 8, and product(sp:N=2;cp:n=1) at --degree 6 --kmax 3,
+pin matrix families, a dual and a product whose g_inv is not S_n-fixed;
+their entries were written while g_inv was still stored as per-degree
+parts beside its pullback index.  The expected
 stdout and exit code are stored in golden_large_reports.json.
 Regenerate them (only when a report is meant to change) with
 
@@ -32,6 +36,10 @@ LARGE_ARGV = [
     ["check", "sp:N=5", "--degree", "8", "--json"],
     ["check", "so2n:N=3", "--degree", "12", "--kmax", "6", "--json"],
     ["check", "dual(so2n:N=3)", "--degree", "12", "--kmax", "6", "--json"],
+    ["check", "grassmannian:k=3,N=6", "--degree", "8", "--json"],
+    ["check", "dual(sp:N=4)", "--degree", "8", "--json"],
+    ["check", "so2n:N=5", "--degree", "8", "--json"],
+    ["check", "product(sp:N=2;cp:n=1)", "--degree", "6", "--kmax", "3", "--json"],
 ]
 
 

@@ -13,18 +13,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kahlerlap import catalog
-from kahlerlap.jets import Jet, JetMatrix, _jet_matrix, _reduced
-from kahlerlap.metric import _hessian_inverse, _potential_symmetry, metric_from_potential
+from kahlerlap.jets import Jet, JetMatrix, _reduced
+from kahlerlap.metric import (
+    _hessian_inverse, _potential_symmetry, _pullback_index, metric_from_potential,
+)
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
+    column_filled,
     mat_identity,
     mat_mul,
     metric_matrix,
     multiindices_upto,
+    naive_index,
     neumann_inverse,
+    sorted_hits,
     whole_ginv,
-    whole_matrix,
 )
 from test_acceptance import ALL_LABELS
 
@@ -93,11 +97,15 @@ def test_random_matrices_match_neumann_series(g):
 
 
 def stored(phi, solve):
-    """(lg, g_inv) of the given solve, reduced, as the whole matrix of
-    integer parts (dense_oracles.whole_matrix): a column filled, and an
-    entry None below the diagonal its mate's conjugate."""
-    lg, ginv = _reduced(*_hessian_inverse(phi, solve))
-    return lg, whole_matrix(phi.pk, ginv, column=solve == "column")
+    """(lg, pullback index) of the given solve, the hits of each (U, V)
+    sorted: the index that the upper and full solves write, and for the
+    column the oracle's index of the whole matrix that it fills."""
+    den, stored = _hessian_inverse(phi, solve)
+    if solve == "column":
+        lg, whole = _reduced(den, column_filled(phi.pk, stored))
+        return lg, sorted_hits(naive_index(phi.pk, whole))
+    lg, index = _pullback_index(phi.pk, den, stored, 0)
+    return lg, sorted_hits(index)
 
 
 @st.composite
@@ -143,8 +151,10 @@ def potentials(draw):
 @given(potentials())
 def test_every_solve_gives_the_same_inverse(case):
     """The column, upper-triangle and full solves of every potential that
-    admits them give the same lg and whole matrix of integer parts, which
-    metric_from_potential stores, and it is the Neumann series of g."""
+    admits them give the same lg and pullback index, which
+    metric_from_potential stores (the index itself, or the column), and the
+    whole g_inv read back from it is the Neumann series of g, whose index
+    (dense_oracles.naive_index) is that index."""
     kind, phi = case
     real, fixed = _potential_symmetry(phi)
     reach = {(P, Q_): c for (P, Q_), c in phi.coeffs.items() if sum(P) and sum(Q_)}
@@ -154,8 +164,10 @@ def test_every_solve_gives_the_same_inverse(case):
         for t in permutations(range(phi.n)) for (P, Q_), c in reach.items()))
     solves = ["full"] + ["upper"] * real + ["column"] * (real and fixed)
     m = metric_from_potential(phi)
-    assert m._orbits == fixed
+    assert m._orbits == fixed and (m._ginv is None) == (not fixed)
     ref = stored(phi, "full")
     assert all(stored(phi, solve) == ref for solve in solves)
-    assert (m._pullback[0], whole_ginv(m)) == ref
-    assert _jet_matrix(phi.pk, *ref) == neumann_inverse(metric_matrix(phi))
+    if not fixed:
+        assert (m._pullback[0], sorted_hits(m._pullback[1])) == ref
+    assert (m._pullback[0], sorted_hits(naive_index(phi.pk, whole_ginv(m)))) == ref
+    assert m.g_inv == neumann_inverse(metric_matrix(phi))

@@ -217,7 +217,7 @@ def test_the_view_is_the_integer_parts_over_lg():
         (shift_i // pk.bits - m.n, shift_j // pk.bits, KU + (KV << pk.half)): c
         for KU, halves in index.items()
         for KV, hits in halves.items()
-        for c, shift_j, shift_i, _ in hits
+        for c, shift_j, shift_i, _ in zip(*[iter(hits)] * 4)
     }
     entries = {}
     for i, row in enumerate(m.g_inv.entries):

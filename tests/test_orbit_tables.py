@@ -57,7 +57,7 @@ from hypothesis import given, settings, strategies as st
 from kahlerlap import catalog, metric
 from kahlerlap.dsl import elaborate, parse, parse_potential_file
 from kahlerlap.fit import _sorted_diagonal, check_delta_property, fit_pk
-from kahlerlap.jets import Jet, JetError, _column_filled, diagonal_keys, packing
+from kahlerlap.jets import Jet, JetError, diagonal_keys, packing
 from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
 from kahlerlap.metric import _pullback_index, delta_power_at0, laplacian_apply
 from kahlerlap.metric import metric_from_potential
@@ -66,12 +66,14 @@ from kahlerlap.radial import potential_jet as radial_potential
 from kahlerlap.rationals import Q
 
 from dense_oracles import (
+    column_filled,
     expand_orbits,
     fixed_by_permutations,
     fraction_laplacian_functional,
     full_tables,
     metric_matrix,
     multiindices,
+    naive_index,
     neumann_inverse,
     ref_bergman_inverse,
     sorted_hits,
@@ -255,7 +257,7 @@ def test_cp10_stores_one_key_per_orbit(spaces):
 
 def index_hits(m):
     """How many g_inv terms the pullback index holds."""
-    return sum(len(hits) for halves in m._pullback[1].values() for hits in halves.values())
+    return sum(len(hits) // 4 for halves in m._pullback[1].values() for hits in halves.values())
 
 
 def test_cp10_indexes_only_the_slots_its_representatives_reach():
@@ -292,22 +294,21 @@ COLUMN_LABELS = (SPACE_FORMS + ["so2n:N=3"]
 def test_the_column_index_is_that_of_the_filled_triangle(source):
     """An S_n-fixed g_inv is stored as its column 0, and the pullback index
     is built from the column: at D = 2..10 and in every window that a table
-    can widen it to, it holds the hits of the upper triangle filled from the
-    column (jets._column_filled), the hits of each (U, V) as a multiset.
+    can widen it to, it holds the hits of the whole matrix filled from the
+    column (dense_oracles.column_filled), indexed entry by entry in that window
+    (dense_oracles.naive_index), the hits of each (U, V) as a multiset.
     The closed forms take the Bergman column, the .pot bodies the graded
     column solve."""
     for D in range(2, 11):
         m = (metric_from_potential(elaborate(parse(source), 2, D)) if source in SYMMETRIC_POTS
              else catalog.build_space(catalog.parse_space(source), D).metric)
-        n, pk, (_, index, top) = m.n, m.potential.pk, m._pullback
+        n, pk, (lg, index, top) = m.n, m.potential.pk, m._pullback
         assert m._orbits and [len(row) for row in m._ginv] == [1] * n
         assert top == max(n - D // 2 + 1, 0)
-        upper = [[e if i <= j else None for j, e in enumerate(row)]
-                 for i, row in enumerate(_column_filled(pk, m._ginv))]
+        whole = column_filled(pk, m._ginv)
         for lo in range(top, -1, -1):
-            built = index if lo == top else _pullback_index(pk, m._ginv, lo, True)
-            oracle = _pullback_index(pk, upper, lo, False)
-            assert sorted_hits(built) == sorted_hits(oracle), (D, lo)
+            built = index if lo == top else _pullback_index(pk, lg, m._ginv, lo)[1]
+            assert sorted_hits(built) == sorted_hits(naive_index(pk, whole, lo)), (D, lo)
 
 
 @pytest.mark.parametrize("text", SYMMETRIC_POTS)

@@ -6,14 +6,15 @@ of the dual of each as the Bergman operator of the Jordan triple
 .pot files and the radial command keep the graded inverse of g.  The closed
 form must equal the graded inverse term for term, and the guard below shows
 which path each entry point takes by making the graded inverse fail.  The
-closed form is stored as its upper triangle, None below, and MetricJet.g_inv
-is built only when read: a second guard refuses JetMatrix construction on
-the check path, and a Hermitian graded inverse stored as its upper triangle,
-or as its column 0 when every permutation fixes it, must read as the whole
-of it.  A third guard keeps every command off the rational Gaussian
-elimination: the graded inverse of a potential reads g(0)^{-1} off its
-degree-2 terms.  A fourth refuses jets._column_filled on the check path of
-cp:n=10 and cp:n=3, whose g_inv is stored and read as its column 0.
+closed form is stored as its pullback index, written from its upper
+triangle, and MetricJet.g_inv is built only when read: a second guard
+refuses JetMatrix construction on the check path, and a Hermitian graded
+inverse written from its upper triangle, or stored as its column 0 when
+every permutation fixes it, must read as the whole of it.  A third guard
+keeps every command off the rational Gaussian elimination: the graded
+inverse of a potential reads g(0)^{-1} off its degree-2 terms.  A fourth
+refuses to index the column in every slot on the check path of cp:n=10
+and cp:n=3, whose g_inv is stored and read as its column 0.
 """
 
 import contextlib
@@ -28,13 +29,13 @@ from kahlerlap import catalog, cli, jets, metric
 from kahlerlap.jets import NonInvertibleError
 from kahlerlap.dsl import elaborate, parse
 from kahlerlap.metric import (
-    _hessian_inverse, _laplacian_functional, einstein_constant, fifth_order_check,
-    metric_from_potential, metric_with_inverse,
+    _hessian_inverse, _laplacian_functional, _pullback_index, einstein_constant,
+    fifth_order_check, metric_from_potential, metric_with_inverse,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
 from dense_oracles import (  # noqa: E402
-    expand_orbits, ref_bergman_inverse, scanned_orbits, sorted_hits, whole_ginv,
+    expand_orbits, jet_matrix, ref_bergman_inverse, scanned_orbits, sorted_hits, whole_ginv,
 )
 
 GOLDEN = json.loads(
@@ -143,8 +144,9 @@ BERGMAN = [label for label in sorted(GOLDEN) if not label.startswith(("quadric",
 def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
     """check on each Bergman family and its dual, the dual command and the
     sp:N=3 check print their reports with JetMatrix construction refused:
-    the closed form is stored and read as its upper triangle of integer
-    parts, and MetricJet.g_inv is built only when read, as the oracle."""
+    the closed form is stored as its pullback index (as its column 0 when
+    every permutation fixes it), and MetricJet.g_inv is built only when
+    read, from that store, as the oracle."""
     argvs = [["check", label, "--degree", "6", "--json"] for label in BERGMAN]
     argvs += [["check", f"dual({label})", "--degree", "6", "--json"] for label in BERGMAN]
     argvs += [["dual", "grassmannian:k=2,N=4", "--json"],
@@ -159,32 +161,35 @@ def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("JetMatrix built")
 
-    orig = jets._jet_matrix
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("kahlerlap") and getattr(mod, "_jet_matrix", None) is orig:
-            monkeypatch.setattr(mod, "_jet_matrix", refuse)
     monkeypatch.setattr(jets.JetMatrix, "__init__", refuse)
     assert [run(argv) for argv in argvs] == shipped
     metrics = {}
     for label in BERGMAN + [f"dual({label})" for label in BERGMAN]:
         desc = catalog.parse_space(label)
         m = metrics[desc] = catalog.build_space(desc, 6).metric
-        _, stored = catalog.bergman_inverse(desc, m.potential, 6,
-                                            "column" if m._orbits else "upper")
-        assert (len(stored) == m.n and all(len(row) == 1 for row in stored) if m._orbits
-                else all(stored[a][b] is None for a in range(m.n) for b in range(a)))
+        den, stored = catalog.bergman_inverse(desc, m.potential, 6,
+                                              "column" if m._orbits else "upper")
+        if m._orbits:
+            assert len(stored) == m.n and all(len(row) == 1 for row in stored)
+        else:
+            assert m._ginv is None and all(stored[a][b] is None
+                                           for a in range(m.n) for b in range(a))
+            lg, index = _pullback_index(m.potential.pk, den, stored, 0)
+            assert (lg, sorted_hits(index)) == pullback(m)[:2]
     monkeypatch.undo()
     for desc, m in metrics.items():
-        assert m.g_inv == jets._jet_matrix(
+        assert m.g_inv == jet_matrix(
             m.potential.pk, *ref_bergman_inverse(desc, m.potential, 6))
 
 
 def test_the_check_path_never_fills_the_column(monkeypatch):
     """check on cp:n=10 at D = 8 (the cp-fit rung) and on cp:n=3 at D = 6
-    prints its golden report with jets._column_filled refused wherever a
-    kahlerlap module holds it: the S_n-fixed g_inv is stored as its column
-    0, an n x 1 matrix, and read through it, and only MetricJet.g_inv fills
-    it, on first read, to the oracle's whole g_inv."""
+    prints its golden report with the column indexed in every slot refused
+    (metric._pullback_index at lo = 0 on an n x 1 store): the S_n-fixed
+    g_inv is stored as its column 0, an n x 1 matrix, and read through its
+    window, as are the readers of a built metric up to table D // 2.  Only
+    a deeper table and MetricJet.g_inv index it in every slot, the latter
+    on first read, giving the oracle's whole g_inv."""
     cases = [(["check", "cp:n=10", "--degree", "8", "--kmax", "4", "--json"], 8),
              (["check", "cp:n=3", "--degree", "6", "--json"], 6)]
     goldens = {**{f"check {label} --degree 6 --json": GOLDEN[label] for label in GOLDEN},
@@ -195,26 +200,31 @@ def test_the_check_path_never_fills_the_column(monkeypatch):
         m = metrics[desc] = catalog.build_space(desc, D).metric
         assert m._orbits and len(m._ginv) == m.n and all(len(row) == 1 for row in m._ginv)
 
-    def refuse(*args):
-        raise AssertionError("column filled")
+    orig = metric._pullback_index
 
-    orig = jets._column_filled
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("kahlerlap") and getattr(mod, "_column_filled", None) is orig:
-            monkeypatch.setattr(mod, "_column_filled", refuse)
+    def windowed(pk, den, stored, lo):
+        if lo == 0 and len(stored[0]) == 1 < len(stored):
+            raise AssertionError("column filled")
+        return orig(pk, den, stored, lo)
+
+    monkeypatch.setattr(metric, "_pullback_index", windowed)
     for argv, _ in cases:
         code, out, _ = run(argv)
         assert {"exit": code, "stdout": out} == goldens[" ".join(argv)]
     for m in metrics.values():  # the readers of a built metric take the column too
         einstein_constant(m)
         fifth_order_check(m)
-        _laplacian_functional(m, 4)
+        _laplacian_functional(m, m.valid_degree // 2)
+        with pytest.raises(AssertionError, match="column filled"):
+            m.g_inv
+    cp3 = metrics[catalog.parse_space("cp:n=3")]
     with pytest.raises(AssertionError, match="column filled"):
-        metrics[catalog.parse_space("cp:n=3")].g_inv
+        _laplacian_functional(cp3, 4)  # every slot, as k = 4 >= n + 1
     monkeypatch.undo()
+    assert _laplacian_functional(cp3, 4) and cp3._pullback[2] == 0
     for desc, m in metrics.items():
         ref = ref_bergman_inverse(desc, m.potential, m.valid_degree)
-        assert m.g_inv == jets._jet_matrix(m.potential.pk, *ref)
+        assert m.g_inv == jet_matrix(m.potential.pk, *ref)
 
 
 def test_no_command_inverts_a_rational_matrix(monkeypatch, tmp_path):
@@ -263,12 +273,13 @@ HERMITIAN_TEXTS = [
 
 @pytest.mark.parametrize("text", HERMITIAN_TEXTS)
 def test_the_upper_triangle_reads_as_both(text):
-    """A Hermitian g_inv given as its upper triangle, None below, or, when
-    every permutation of the coordinates fixes it, as its column 0, reads
-    as the same g_inv given whole (the full solve, with the S_n verdict
-    off): the same pullback index up to the order of its hits, Einstein
-    report, fifth-order value, tables (written back onto every key) and
-    JetMatrix, whether the triangle or column comes from
+    """A Hermitian g_inv written into the pullback index from its upper
+    triangle, each term with its mate (metric._pullback_index), or, when
+    every permutation of the coordinates fixes it, stored as its column 0,
+    reads as the same g_inv solved whole (the full solve, with the S_n
+    verdict off): the same pullback index up to the order of its hits,
+    Einstein report, fifth-order value, tables (written back onto every
+    key) and JetMatrix, whether the triangle or column comes from
     metric_from_potential or is handed to metric_with_inverse as the closed
     form is.  The verdict, read off the potential, is the scan of the whole
     g_inv (dense_oracles.scanned_orbits)."""
@@ -282,16 +293,16 @@ def test_the_upper_triangle_reads_as_both(text):
     def handed(phi, solve):
         full = whole()
         if solve == "column":
-            return full._pullback[0], [row[:1] for row in full._ginv]
+            return full._pullback[0], [row[:1] for row in whole_ginv(full)]
         return full._pullback[0], [[e if a <= b else None for b, e in enumerate(row)]
-                                   for a, row in enumerate(full._ginv)]
+                                   for a, row in enumerate(whole_ginv(full))]
 
     assert metric_from_potential(phi)._orbits == scanned_orbits(whole())
     for m in (metric_from_potential(phi), metric_with_inverse(phi, handed, 5)):
         full = whole()
-        assert all(e is not None for row in full._ginv for e in row) and not full._orbits
+        assert full._ginv is None and not full._orbits
         assert (len(m._ginv) == 2 and all(len(row) == 1 for row in m._ginv) if m._orbits
-                else all(m._ginv[a][b] is None for a in range(2) for b in range(a)))
+                else m._ginv is None)
         assert m._pullback[0] == full._pullback[0]
         assert einstein_constant(m) == einstein_constant(full)
         assert fifth_order_check(m) == fifth_order_check(full) != 0
