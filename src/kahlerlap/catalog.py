@@ -6,19 +6,21 @@ row, and their dimension and rank are sums over their factors.
 
 Every Bergman family has one curvature sign s (_bergman): flat 0, cp 1,
 ch -1, each matrix family 1, negated by each dual(...); in the Jordan-pair
-picture (Loos 1977) s alone tells flat, cp, ch and the duals apart.  flat,
-cp and ch substitute log(1 + s t)/s = sum (-s)^(m-1) t^m / m at t = |z|^2,
-the matrix families are a trace series (_trace_series), the quadrics
-log(1 + q) with q on packed keys (_quadric), and product and dual are built
-from their factors; kahlerlap.dsl serves .pot files only.
+picture (Loos 1977) s alone tells flat, cp, ch and the duals apart, and a
+dual is built as its family at -s.  flat, cp and ch substitute
+log(1 + s t)/s = sum (-s)^(m-1) t^m / m at t = |z|^2, the matrix families
+are a trace series weighted by s (_trace_series), the quadrics log(1 + q)
+with q on packed keys (_quadric), and product, and the dual of a product or
+a quadric, are built from their factors; kahlerlap.dsl serves .pot files.
 
 Every Bergman family, and its dual, is in Harish-Chandra coordinates, where
 g_inv is the Bergman operator (bergman_inverse) of the matrix W that the
-potential is written from (_matrix_slots), weighted by s, and multiplied
-out on its upper triangle (the lower one is its conjugate), or in column 0
-alone when every permutation of the coordinates fixes the potential (the
-S_n verdict of metric.metric_with_inverse, which the quartic part decides;
-it holds for so2n:N=3 too, cp:n=3 in a skew chart).  The quadrics and
+potential is written from (_matrix_slots), at the (family, s) that
+build_space resolves once, multiplied out on its upper triangle (the
+lower one is its conjugate), or in column 0 alone when every permutation
+of the coordinates fixes the potential (the S_n verdict of
+metric.metric_with_inverse, which the quartic part decides; it holds for
+so2n:N=3 too, cp:n=3 in a skew chart).  The quadrics and
 products take the graded inverse of g, as .pot files do.
 With g_inv closed, the potential is read only to degree 5 (gauge, S_n
 verdict, cubic_free, third_deriv_obstruction), so build_space builds it to
@@ -45,6 +47,7 @@ Families and their potentials in construction coordinates:
                     directions for |a sum v v' + b u^2|, so b = a/2.
   product(a;b;...)  sum of the factor potentials on disjoint variables
   dual(space)       coefficientwise c_{P,Q} -> -(-1)^{|Q|} c_{P,Q}
+                    (dual_potential), which s -> -s gives a Bergman family
 
 No det is taken.  With M = W^dagger W, whose entries are quadratic,
 scale log det(I + M) = scale sum_{k>=1} (-1)^(k+1) tr(M^k) / k, and tr(M^k)
@@ -153,8 +156,6 @@ class SpaceDescriptor(Record):
             return "product(" + ";".join(d.label() for d in self.inner) + ")"
         if self.family == "dual":
             return f"dual({self.inner[0].label()})"
-        if not self.params:
-            return self.family
         return self.family + ":" + ",".join(f"{k}={v}" for k, v in self.params)
 
 
@@ -291,11 +292,13 @@ def _bergman(desc):
 
 def potential_jet(desc: SpaceDescriptor, D) -> Jet:
     """The potential of the space, truncated at total degree D."""
+    if (bergman := _bergman(desc)) is not None:
+        desc, s = bergman
+        if desc.family in ("flat", "cp", "ch"):  # log(1 + s t)/s
+            profile = (ZERO, *(Q((-s) ** (m - 1), m) for m in range(1, (D + 1) // 2 + 1)))
+            return substitute_radial(profile, desc.param("n"), D)
+        return _trace_series(desc, s, D)
     fam = desc.family
-    if fam in ("flat", "cp", "ch"):  # log(1 + s t)/s
-        s = _SIGN[fam]
-        profile = (ZERO, *(Q((-s) ** (m - 1), m) for m in range(1, (D + 1) // 2 + 1)))
-        return substitute_radial(profile, desc.param("n"), D)
     if fam == "product":
         jets = [potential_jet(f, D) for f in desc.inner]
         n = sum(j.n for j in jets)
@@ -310,8 +313,6 @@ def potential_jet(desc: SpaceDescriptor, D) -> Jet:
         return total
     if fam == "dual":
         return dual_potential(potential_jet(desc.inner[0], D))
-    if fam in _SIGN:  # grassmannian, sp and so2n
-        return _trace_series(desc, D)
     return _quadric(desc, D)
 
 
@@ -332,9 +333,11 @@ def _quadric(desc: SpaceDescriptor, D) -> Jet:
     return log1p(Jet._of(n, pk, 1, q))
 
 
-def _trace_series(desc: SpaceDescriptor, D) -> Jet:
-    """The potential to degree D as its trace series (module docstring), over
-    scale.denominator lcm(1..K), K = floor(D/2).  (M^j)_ba is (M^j)_ab with its
+def _trace_series(desc: SpaceDescriptor, s, D) -> Jet:
+    """The potential to degree D of the matrix family desc at curvature sign
+    s = +-1, as its trace series (module docstring) with tr(M^k) weighted by
+    (-1)^(k+1) s^(k-1), over scale.denominator lcm(1..K), K = floor(D/2): a
+    dual (c -> -(-1)^|Q| c, |Q| = k) is s -> -s.  (M^j)_ba is (M^j)_ab with its
     key halves swapped: only the upper triangle of M^j, j <= ceil(K/2), is
     multiplied out, and tr(M^k) is sum_a X_aa Y_aa + h + conj(h) with
     h = sum_{a<b} X_ab Y_ba, X = M^ceil(k/2) and Y = M^floor(k/2)."""
@@ -362,7 +365,7 @@ def _trace_series(desc: SpaceDescriptor, D) -> Jet:
                 _mul_into(h, X[a][b], Y[b][a])
         for key, c in (*h.items(), *_conj_parts(pk, [h])[0].items()):
             trace[key] = trace.get(key, 0) + c
-        w = (-1) ** (k + 1) * scale.numerator * (L // k)
+        w = (-1) ** (k + 1) * s ** (k - 1) * scale.numerator * (L // k)
         parts[2 * k] = {key: c * w for key, c in trace.items() if c}
     return Jet._of(pk.n, pk, scale.denominator * L, parts)
 
@@ -407,24 +410,24 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     """Construct the metric jet and embedding metadata at truncation D."""
     if D < 2:
         raise CatalogError("truncation must be >= 2")
-    if _bergman(desc) is None:
+    if (bergman := _bergman(desc)) is None:
         metric = metric_from_potential(potential_jet(desc, D))
     else:  # g_inv closed: the potential only to min(D, 5), on the packing of D
         phi = potential_jet(desc, min(D, 5))
         pk = packing(phi.n, D)
         phi = Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
-        metric = metric_with_inverse(phi, lambda phi, s: bergman_inverse(desc, phi, D, s), D)
+        metric = metric_with_inverse(
+            phi, lambda phi, solve: bergman_inverse(*bergman, phi, D, solve), D)
     return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc), truncation=D)
 
 
-def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
-    """g_inv of a Bergman family or its dual on the potential's packing,
-    valid to D - 2, as metric.metric_with_inverse takes it: (den, the
-    integer parts of den g_inv[a][b]).  It is the Bergman operator
-    X -> B X A of the Jordan triple (Loos 1977),
-    A = I + W^dagger W, B = I + W W^dagger.  With S_a the slots
-    (i, j, sign) of coordinate a, (k, l) the first slot of b and s the
-    curvature sign (_bergman),
+def bergman_inverse(desc: SpaceDescriptor, s, potential: Jet, D, solve):
+    """g_inv of the Bergman family desc at curvature sign s (_bergman: a
+    dual is its family at -s) on the potential's packing, valid to D - 2,
+    as metric.metric_with_inverse takes it: (den, the integer parts of
+    den g_inv[a][b]).  It is the Bergman operator X -> B X A of the Jordan
+    triple (Loos 1977), A = I + W^dagger W, B = I + W W^dagger.  With S_a
+    the slots (i, j, sign) of coordinate a and (k, l) the first slot of b,
 
         g_inv[a][b] = sum_{(i, j, sign) in S_a} sign (B[k][i] A[j][l])_s / (scale |S_a|),
 
@@ -435,12 +438,11 @@ def bergman_inverse(desc: SpaceDescriptor, potential: Jet, D, solve):
     alone, n x 1, for a g_inv that every permutation of the coordinates
     fixes (MetricJet keeps it so).
     """
-    desc, s = _bergman(desc)
     n, pk, D = potential.n, potential.pk, D - 2
     W, scale, A, B = _bergman_blocks(desc, pk)
-    slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
+    slots = [[(r, c, sign) for (r, c), (v, sign) in W.items() if v == var] for var in range(n)]
     # row a is over scale |S_a|; all rows over their lcm
-    den = lcm(*(scale.numerator * len(s) for s in slots))
+    den = lcm(*(scale.numerator * len(slot) for slot in slots))
     # each block entry as (degree, key, integer weighted by s^(d/2)), s = 0 dropping d > 0
     A, B = ([[[(d, K, c * s ** (d // 2)) for (d, K), c in e.items() if s or not d] for e in row]
              for row in X] for X in (A, B))

@@ -36,7 +36,6 @@ from .metric import (
     TruncationError,
     einstein_constant,
     fifth_order_check,
-    is_cubic_free,
     metric_from_potential,
     require_bochner_form,
     require_diagonal_gauge,
@@ -129,8 +128,10 @@ def cmd_catalog(args):
 
 
 def _load_check_target(target, degree):
-    """Returns (label, dim, metric, catalog space or None).  Below degree 4 a
-    potential that is_cubic_free (every catalog one) is refused before any build."""
+    """Returns (label, dim, metric, catalog space or None).  Below degree 4
+    every target is refused before any build: a catalog potential is
+    cubic-free, and so is a .pot one that require_bochner_form passed (it
+    refuses bidegrees (2, 1) and (1, 2), the cubic terms that reach g)."""
     phi = None
     if target.endswith(".pot"):
         path = Path(target)
@@ -143,7 +144,7 @@ def _load_check_target(target, degree):
         require_diagonal_gauge(phi)
     else:
         desc = catalog.parse_space(target)
-    if degree < 4 and (phi is None or is_cubic_free(phi)):
+    if degree < 4:
         raise TruncationError("inverse metric valid below degree 2", required=4)
     if phi is not None:
         return target, n, metric_from_potential(phi), None

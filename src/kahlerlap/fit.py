@@ -53,8 +53,6 @@ class LaplacePolynomial(Record):
             xs = "x" if l == 1 else f"x^{l}"
             body = xs if mag == 1 else f"{mag}*{xs}"
             parts.append(("-" if a < 0 else "+", body))
-        if not parts:
-            return "0"
         sign0, body0 = parts[0]
         text = body0 if sign0 == "+" else f"-{body0}"
         for sign, body in parts[1:]:

@@ -480,13 +480,8 @@ def substitute_radial(f, n, valid_degree) -> Jet:
 
 
 class JetMatrix:
-    """Rectangular matrix of jets sharing n, a common valid_degree and one
-    packing.
-
-    Construction truncates all entries to the minimum validity present and,
-    unless they already share one, puts them on the packing of that
-    validity, so the invariant holds by normalization.
-    """
+    """Rectangular matrix of jets sharing n, one valid_degree and one
+    packing; construction refuses entries that do not (JetError)."""
 
     __slots__ = ("rows", "cols", "n", "valid_degree", "entries")
 
@@ -498,21 +493,11 @@ class JetMatrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise DimensionMismatch("ragged rows")
-        n = entries[0][0].n
+        n, D, pk = entries[0][0].n, entries[0][0].valid_degree, entries[0][0].pk
         if any(e.n != n for row in entries for e in row):
             raise DimensionMismatch("entries live in different variable spaces")
-        D = min(e.valid_degree for row in entries for e in row)
-        pk = entries[0][0].pk
-        if any(e.pk is not pk for row in entries for e in row):
-            pk = packing(n, D)
-        entries = tuple(
-            tuple(
-                e if e.valid_degree == D and e.pk is pk
-                else Jet._of(n, pk, e.den, e._parts_on(pk, D))
-                for e in row
-            )
-            for row in entries
-        )
+        if any(e.valid_degree != D or e.pk is not pk for row in entries for e in row):
+            raise JetError("entries differ in validity or packing")
         self.rows, self.cols, self.n, self.valid_degree, self.entries = rows, cols, n, D, entries
 
     def __getitem__(self, i):

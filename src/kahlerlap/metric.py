@@ -12,13 +12,14 @@ entries they build: the graded solve from the potential's terms
 diagonal, so no rational matrix is inverted) and the closed form of the
 Bergman catalog families (catalog.bergman_inverse), whose potential's
 quartic part decides that verdict.  metric_with_inverse writes their
-integer parts into the lap^k pullback index (_pullback_index), reduced as
-they go, its one store of g_inv: a Hermitian g_inv is given as its upper
-triangle, each term written for its entry and, halves swapped, its mate.
-One that every permutation of the coordinates fixes is given and kept as
-its column 0 (entry (i, j) is entry (sigma i, 0), sigma = (0 j), slots 0
-and j swapped in both halves of each key), which a wider window re-indexes,
-as MetricJet.g_inv, a JetMatrix, does in every slot on first read.  The
+integer parts into the lap^k pullback index (_pullback_index), its one
+store of g_inv, which divides every store by its one gcd as it writes it:
+a Hermitian g_inv is given as its upper triangle, each term written for
+its entry and, halves swapped, its mate.  One that every permutation of
+the coordinates fixes is given as its column 0 (entry (i, j) is entry
+(sigma i, 0), sigma = (0 j), slots 0 and j swapped in both halves of each
+key) and kept as given, (den, column), which a wider window re-indexes, as
+MetricJet.g_inv, a JetMatrix, does in every slot on first read.  The
 origin checks read closed forms: einstein_constant reads table 2, and
 third_deriv_obstruction and fifth_order_check the potential's (3, 2) terms.
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 from math import factorial, gcd, lcm, prod
 
 from .jets import DimensionMismatch, InputError, Jet, JetError, JetMatrix, ValidityError
-from .jets import _graded_inverse, _reduced, _sum
+from .jets import _graded_inverse, _sum
 from .rationals import Q, ZERO, Record
 
 
@@ -78,7 +79,8 @@ class MetricJet(Record):
     vanish at the origin.  _pullback is (Lg, index, lo): Lg g_inv is
     integral, and indexed in the slots from lo on (_pullback_index); g_inv,
     if given None, is built from the index in every slot on first read.
-    _ginv is None but with _orbits: then it keeps column 0 of Lg g_inv.
+    _ginv is None but with _orbits: then it keeps (den, column 0) as the
+    inverse gave it, unreduced, for _pullback_index to re-index.
     _functionals maps k to the numerators N_k of the lap^k table, the one
     stored form of it, with N_0 there from the start and the rest filled on
     first use; _orbits says that they hold one key per S_n-orbit, and lets
@@ -103,7 +105,7 @@ class MetricJet(Record):
         if name != "g_inv":
             raise AttributeError(name)
         pk, (lg, index, lo), n = self.potential.pk, self._pullback, self.n
-        index = _pullback_index(pk, lg, self._ginv, 0)[1] if lo else index  # every slot
+        index = _pullback_index(pk, *self._ginv, 0)[1] if lo else index  # every slot
         ginv = [[[{} for _ in range(self.valid_degree - 1)] for _ in range(n)] for _ in range(n)]
         for U, halves in index.items():  # each hit one term, of degree K % mask as D - 2 < mask
             for V, hits in halves.items():
@@ -200,8 +202,9 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     inverse(potential, solve) = (den, entries): entries[i][j] the integer
     parts of den g_inv[i][j] on the potential's packing, valid to D - 2, as
     dicts packed key -> integer (None below the diagonal for "upper": the
-    conjugate of the mate above; j = 0 alone for "column"), written into the
-    pullback index over Lg, the lcm of the reduced denominators of g_inv.
+    conjugate of the mate above; j = 0 alone for "column", which _ginv
+    keeps as given), written into the pullback index over Lg, the lcm of
+    the reduced denominators of g_inv.
 
     After the gauge check (require_diagonal_gauge), the one S_n verdict is
     read off the potential's terms (_potential_symmetry): solve is "column"
@@ -220,14 +223,13 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
         raise TruncationError("potential must be valid at least to degree 2", required=2)
     n, pk, diag = potential.n, potential.pk, require_diagonal_gauge(potential)
     real, fixed = _potential_symmetry(potential)
-    den, stored = inverse(potential, "column" if fixed else "upper" if real else "full")
-    den, stored = _reduced(den, stored) if fixed else (den, stored)  # a kept column over Lg
+    ginv = inverse(potential, "column" if fixed else "upper" if real else "full")
     lo = max(n - D // 2 + 1, 0) if fixed else 0
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
         cubic_free=is_cubic_free(potential), g_inv=None,
-        _pullback=(*_pullback_index(pk, den, stored, lo), lo),
-        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=stored if fixed else None)
+        _pullback=(*_pullback_index(pk, *ginv, lo), lo),
+        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv if fixed else None)
 
 
 def is_cubic_free(potential: Jet):
@@ -248,7 +250,7 @@ def _pullback_index(pk, den, stored, lo):
     slots j and n + i, and packed e_j + e_i}.  A column term is dropped
     first if U has an exponent in slots 1..lo-1, which every transposition
     leaves below lo; (0 j) then moves it out of the window iff U_j > 0, or
-    U_0 > 0 and j < lo.  A kept column is reduced: g = 1."""
+    U_0 > 0 and j < lo."""
     n, bits, units, half, mask = pk.n, pk.bits, pk.units, pk.half, pk.mask
     low, first, inner = units[n] - 1, mask * (units[0] + units[n]), (units[lo] - 1) & ~mask
     g, index = den, {}
@@ -270,11 +272,11 @@ def _pullback_index(pk, den, stored, lo):
                                     KT = K ^ (y := (K ^ K >> s) & first) ^ y << s
                                     U, V = KT & low, KT >> half
                                     if (halves := index.get(U)) is None:
-                                        index[U] = {V: [v, *t]}
+                                        index[U] = {V: [v // g, *t]}
                                     elif (hits := halves.get(V)) is None:
-                                        halves[V] = [v, *t]
+                                        halves[V] = [v // g, *t]
                                     else:
-                                        hits += (v, *t)
+                                        hits += (v // g, *t)
                 continue
             t, (entry, swap) = ts[a][b], (stored[b][a], True) if entry is None else (entry, False)
             for part in entry:  # entry (a, b), or its mate's with the halves swapped
@@ -365,11 +367,16 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     up in index[U] (A's list serves for B when A = B).  The lookups follow
     g_inv's support instead of every divisor of (A, B).  Keys are packed:
     (S, T) is the int sum of (A - U, B - V), once per V, and a hit's e_j + e_i.
-    Table k has |P| <= k and |Q| <= k, since each step adds one to |P| and
-    one to |Q| and removes a divisor; so every k up to the slot mask is
-    exact, and a larger k raises ValidityError.  N_k is what is stored and returned,
-    packed key -> integer; _table_value and delta_power_at0 divide by Lg^k
-    as they read it.
+    Table k has 1 <= |P| <= k and 1 <= |Q| <= k, since each step adds one
+    to |P| and one to |Q| and removes a divisor.  A step to degree d from
+    degree d + e - 2 reads g_inv at degree e, so the degrees read on the way
+    to an entry of table k at total degree d sum to 2k - d: it is exact when
+    2k - d <= D - 2 (g_inv is valid to D - 2), and every entry is when
+    2k <= D, as every command asks (step j reads a divisor of a table-(j - 1)
+    key, so e <= 2j - 2).  _table_value refuses an entry past that bound,
+    and a k above the slot mask raises ValidityError.  N_k is what is stored
+    and returned, packed key -> integer; _table_value and delta_power_at0
+    divide by Lg^k as they read it.
 
     Orbits.  When every permutation sigma of the coordinates fixes g_inv,
     that is g_inv[sigma i][sigma j] at sigma (U, V) is g_inv[i][j] at
@@ -403,7 +410,7 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     prev = _laplacian_functional(m, k - 1).items()
     lg, index, lo = m._pullback
     if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
-        index = _pullback_index(pk, lg, m._ginv, need)[1]
+        index = _pullback_index(pk, *m._ginv, need)[1]
         m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
@@ -451,10 +458,14 @@ def _orbit_sums(pk, out):
 
 
 def _table_value(m: MetricJet, k, P, Q_):
-    """lap^k(z^P zb^Q)(0), the entry of table k at (P, Q)."""
+    """lap^k(z^P zb^Q)(0), the entry of table k at (P, Q); TruncationError
+    if it is not exact at the metric's validity (_laplacian_functional)."""
     nums = _laplacian_functional(m, k)
-    if sum(P) > k or sum(Q_) > k:
+    p, q = sum(P), sum(Q_)
+    if p > k or q > k or k and not (p and q):
         return ZERO  # beyond the table's support, and maybe beyond the slots
+    _require(m, 2 * k - p - q + 2, f"lap^{k} at degree {p + q} needs the potential valid "
+             f"to degree {2 * k - p - q + 2}, not {m.valid_degree}")
     pk = m.potential.pk
     key = pk.pack(P, Q_)
     c = nums.get(_orbit(pk, key)[0] if m._orbits else key)

@@ -56,9 +56,12 @@ of its integer parts (scanned_orbits, the verdict of a built metric), where
 metric_with_inverse reads it off the potential's terms for both builders.
 ref_bergman_inverse multiplies out both triangles of the Bergman closed form,
 unreduced, where catalog.bergman_inverse multiplies out the upper one, or
-column 0 of a permutation-symmetric one, and returns it reduced; it
-finds the dual's sign by its own walk, flipping ch as dual(cp), and takes
-flat's g_inv as I, where the catalog weights by one curvature sign.
+column 0 of a permutation-symmetric one, on packed integer blocks; it
+builds A = I + W^dagger W and B = I + W W^dagger itself, as jet products
+of the coordinates in catalog._matrix_slots's W (catalog._bergman_blocks
+is not read), finds the dual's sign by its own walk, flipping ch as
+dual(cp), and takes flat's g_inv as I, where the catalog weights by one
+curvature sign.
 ref_embedded_test_polys builds the test functions in the jet ring, from
 each frame form's variables, where catalog.embedded_test_polys writes
 |u|^2 on packed keys and forms each quartic with one product of dicts.
@@ -69,7 +72,7 @@ import itertools
 from functools import lru_cache
 from math import factorial, lcm
 
-from kahlerlap.catalog import SpaceDescriptor, TestFunctionPair, _bergman_blocks, _upper_index
+from kahlerlap.catalog import SpaceDescriptor, TestFunctionPair, _matrix_slots, _upper_index
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, ElaborationError, Lit, Log, ModSq, Mul, PotentialSyntaxError,
     Radial, Sub,
@@ -1275,7 +1278,9 @@ def ref_elaborate(node, n, valid_degree) -> Jet:
 
 def ref_bergman_inverse(desc, potential, D):
     """catalog.bergman_inverse with every entry (a, b) multiplied out, both
-    triangles, and each row's weight applied after the product."""
+    triangles, from A = I + W^dagger W and B = I + W W^dagger built here in
+    the jet ring from catalog._matrix_slots's W, and each row's weight
+    applied after the product."""
     flip = False
     while desc.family == "dual":
         desc, flip = desc.inner[0], not flip
@@ -1284,7 +1289,15 @@ def ref_bergman_inverse(desc, potential, D):
     if desc.family == "flat":  # g = I, so g_inv = I, whatever the duals
         return 1, [[[{0: 1} if a == b else {}] + [{} for _ in range(D)] for b in range(n)]
                    for a in range(n)]
-    W, scale, A, B = _bergman_blocks(desc, pk)
+    rows, cols, W, scale = _matrix_slots(desc)
+    top = max(D, 2)  # A and B are quadratic: built to degree 2 at least, then cut to D
+    zero, one = Jet.zero(n, top), Jet.constant(n, 1, top)
+    w = [[variable(n, W[r, c][0], top).scale(W[r, c][1]) if (r, c) in W else zero
+          for c in range(cols)] for r in range(rows)]
+    A = [[sum((w[r][a].conj() * w[r][b] for r in range(rows)), one if a == b else zero)
+          for b in range(cols)] for a in range(cols)]
+    B = [[sum((w[r][a] * w[r2][a].conj() for a in range(cols)), one if r == r2 else zero)
+          for r2 in range(rows)] for r in range(rows)]
     slots = [[(r, c, s) for (r, c), (v, s) in W.items() if v == var] for var in range(n)]
     den = lcm(*(scale.numerator * len(s) for s in slots))
     entries = []
@@ -1294,14 +1307,9 @@ def ref_bergman_inverse(desc, potential, D):
         row = []
         for b in range(n):
             k, l, _ = slots[b][0]
-            parts = [{} for _ in range(D + 1)]
-            for i, j, sign in slots[a]:
-                for (d1, key1), c1 in B[k][i].items():
-                    for (d2, key2), c2 in A[j][l].items():
-                        if d1 + d2 <= D:
-                            part, key = parts[d1 + d2], key1 + key2
-                            part[key] = part.get(key, 0) + sign * c1 * c2
-            row.append([{K: c * w for K, c in p.items() if c} for p, w in zip(parts, ws)])
+            e = sum((B[k][i] * A[j][l] * sign for i, j, sign in slots[a]), zero)
+            assert e.den == 1
+            row.append([{K: c * w for K, c in p.items()} for p, w in zip(e._parts_on(pk, D), ws)])
         entries.append(row)
     return den, entries
 

@@ -237,7 +237,7 @@ class TestBergmanInverse:
             on = Jet.zero(desc.complex_dim, D)  # only its packing is read
             n, (ref_den, ref) = on.n, _reduced(*ref_bergman_inverse(desc, on, D))
             for solve in ("upper", "full"):
-                den, stored = catalog.bergman_inverse(desc, on, D, solve)
+                den, stored = catalog.bergman_inverse(*catalog._bergman(desc), on, D, solve)
                 assert all(stored[a][b] is None for a in range(n) for b in range(a))
                 lg, index = _pullback_index(on.pk, den, stored, 0)
                 assert (lg, sorted_hits(index)) == (ref_den, sorted_hits(naive_index(on.pk, ref)))
@@ -254,13 +254,13 @@ class TestBergmanInverse:
                 on = Jet.zero(n, D)
                 ref = _reduced(*ref_bergman_inverse(desc, on, D))
                 if n > 1:
-                    den, col = catalog.bergman_inverse(desc, on, D, "column")
+                    den, col = catalog.bergman_inverse(*catalog._bergman(desc), on, D, "column")
                     assert len(col) == n and all(len(row) == 1 for row in col)
                     lg, whole = _reduced(den, column_filled(on.pk, col))
                     assert (lg, merged(whole)) == (ref[0], merged(ref[1]))
                 else:  # the 1 x 1 upper triangle, written into its index
                     lg, index = _pullback_index(
-                        on.pk, *catalog.bergman_inverse(desc, on, D, "upper"), 0)
+                        on.pk, *catalog.bergman_inverse(*catalog._bergman(desc), on, D, "upper"), 0)
                     assert (lg, sorted_hits(index)) == (
                         ref[0], sorted_hits(naive_index(on.pk, ref[1])))
 
@@ -334,6 +334,24 @@ class TestDualPotential:
         direct = -log1p(det - Jet.constant(n, 1, D))
         pot = catalog.potential_jet(catalog.parse_space("grassmannian:k=2,N=4"), D)
         assert catalog.dual_potential(pot) == direct
+
+    @pytest.mark.parametrize(
+        "label", [label for label in ALL_LABELS if catalog._bergman(catalog.parse_space(label))])
+    def test_a_bergman_dual_is_its_family_at_minus_s(self, monkeypatch, label):
+        # potential_jet and build_space build a Bergman family and its dual
+        # from (family, s) alone; dual_potential, the coefficientwise pass,
+        # is the second path and is refused while they run
+        desc = catalog.parse_space(label)
+        ref = {D: catalog.dual_potential(catalog.potential_jet(desc, D)) for D in range(2, 11)}
+
+        def refuse(phi):
+            raise AssertionError("dual_potential called")
+
+        monkeypatch.setattr(catalog, "dual_potential", refuse)
+        for D in range(2, 11):
+            for space in (desc, catalog.dual(desc), catalog.dual(catalog.dual(desc))):
+                catalog.build_space(space, D)
+            assert catalog.potential_jet(catalog.dual(desc), D) == ref[D]
 
 
 class TestProducts:
@@ -654,8 +672,9 @@ class TestTruncationStability:
         desc = catalog.parse_space(label)
         m = catalog.build_space(desc, D).metric
         phi = catalog.potential_jet(desc, D)
+        bergman = catalog._bergman(desc)
         full = metric_with_inverse(
-            phi, lambda phi, solve: catalog.bergman_inverse(desc, phi, D, solve), D)
+            phi, lambda phi, solve: catalog.bergman_inverse(*bergman, phi, D, solve), D)
         assert (m.potential.valid_degree, full.potential.valid_degree) == (5, D)
         assert m.potential.pk is full.potential.pk
         assert m.valid_degree == full.valid_degree == D

@@ -5,7 +5,10 @@ and full graded solves (metric._hessian_inverse) are written straight
 into the lap^k pullback index (metric._pullback_index), which the metric
 keeps as the only store: MetricJet._ginv is None, and MetricJet.g_inv is
 read back from the index on first use.  An S_n-fixed g_inv keeps its
-column 0, which the window widening reads.
+column 0 as the kernel gave it, (den, column), which the window widening
+reads: the index writer is the one reducer of every store, and a guard
+refuses jets._reduced to metric while check and dual run on the orbit
+spaces.
 
 The guard runs commands that build such metrics and checks each one: no
 per-degree parts kept, and g_inv, read back from the index, equal to a
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlerlap import catalog, cli, metric
+from kahlerlap import catalog, cli, jets, metric
 from kahlerlap.dsl import elaborate, parse_potential_file
 from kahlerlap.jets import _reduced
 from kahlerlap.metric import _pullback_index, metric_from_potential
@@ -157,8 +160,29 @@ def test_the_written_index_is_the_naive_index_of_the_second_path(source):
             m = catalog.build_space(desc, D).metric
         pk, (lg, index, lo) = m.potential.pk, m._pullback
         if m._orbits:
-            index = _pullback_index(pk, lg, m._ginv, 0)[1]
+            index = _pullback_index(pk, *m._ginv, 0)[1]
         else:
             assert m._ginv is None and lo == 0
         ref_lg, whole = second_path(m, desc)
         assert (lg, sorted_hits(index)) == (ref_lg, sorted_hits(naive_index(pk, whole))), D
+
+
+def test_an_orbit_column_is_reduced_only_by_the_index_writer(monkeypatch):
+    """check and dual print the same on every orbit space of INDEXED with
+    jets._reduced refused to metric: the column reaches _pullback_index
+    unreduced, and the writer divides its terms by the one gcd."""
+    labels = [label for label in INDEXED
+              if catalog.build_space(catalog.parse_space(label), 6).metric._orbits]
+    assert {"cp:n=3", "dual(cp:n=3)", "so2n:N=3"} <= set(labels)
+    argvs = [[command, label, "--json"] for label in labels for command in ("check", "dual")]
+    shipped = [run(argv) for argv in argvs]
+    reduced = jets._reduced
+
+    def refused_to_metric(*args):
+        if sys._getframe(1).f_globals["__name__"] == metric.__name__:
+            raise AssertionError("metric reduced g_inv")
+        return reduced(*args)
+
+    for mod in (jets, metric):
+        monkeypatch.setattr(mod, "_reduced", refused_to_metric, raising=False)
+    assert [run(argv) for argv in argvs] == shipped

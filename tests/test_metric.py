@@ -14,6 +14,7 @@ from kahlerlap.metric import (
     GaugeError,
     TruncationError,
     _laplacian_functional,
+    _table_value,
     delta_power_at0,
     einstein_constant,
     fifth_order_check,
@@ -575,3 +576,37 @@ class TestTruncationStability:
         assert einstein_constant(m6) == einstein_constant(m8)
         assert third_deriv_obstruction(m6) == third_deriv_obstruction(m8)
         assert fifth_order_check(m6) == fifth_order_check(m8)
+
+    @pytest.mark.parametrize("label,D,inexact", [
+        ("cp:n=2", 4, {(3, 2), (4, 2), (4, 4)}),
+        ("sp:N=2", 4, {(3, 2), (4, 2), (4, 4)}),
+        ("quadric-even:N=4", 6, {(4, 2)}),
+    ])
+    def test_a_table_entry_is_exact_within_its_bound(self, label, D, inexact):
+        # an entry of table k at total degree d reads g_inv to degree 2k - d,
+        # so it is exact when 2k - d <= D - 2: built at D and at 12, tables
+        # 1..4 agree within the bound, and differ past it at (k, d) in inexact
+        shallow, deep = (catalog.build_space(catalog.parse_space(label), x).metric
+                         for x in (D, 12))
+        differ = set()
+        for k in range(1, 5):
+            a, b = ({m.potential.pk.unpack(K): Q(c, m._pullback[0] ** k)
+                     for K, c in _laplacian_functional(m, k).items()} for m in (shallow, deep))
+            for P, Q_ in a.keys() | b.keys():
+                if a.get((P, Q_), 0) != b.get((P, Q_), 0):
+                    assert 2 * k - sum(P) - sum(Q_) > D - 2
+                    differ.add((k, sum(P) + sum(Q_)))
+        assert differ == inexact
+
+    def test_table_value_refuses_an_entry_past_its_bound(self):
+        m = catalog.build_space(catalog.parse_space("cp:n=2"), 4).metric
+        with pytest.raises(TruncationError) as info:
+            _table_value(m, 3, (1, 0), (1, 0))
+        assert info.value.required == 6
+        assert str(info.value) == "lap^3 at degree 2 needs the potential valid to degree 6, not 4"
+        # degree 4 of table 3, which the dual table reads, is exact at D >= 4
+        deep = catalog.build_space(catalog.parse_space("cp:n=2"), 12).metric
+        for P in [(2, 0), (1, 1), (0, 2)]:
+            assert _table_value(m, 3, P, P) == _table_value(deep, 3, P, P) != 0
+        # outside the support 1 <= |P|, |Q| <= k the entry is zero at any depth
+        assert _table_value(m, 3, (0, 0), (1, 0)) == _table_value(m, 3, (4, 0), (4, 0)) == 0

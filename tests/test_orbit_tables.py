@@ -57,7 +57,7 @@ from hypothesis import given, settings, strategies as st
 from kahlerlap import catalog, metric
 from kahlerlap.dsl import elaborate, parse, parse_potential_file
 from kahlerlap.fit import _sorted_diagonal, check_delta_property, fit_pk
-from kahlerlap.jets import Jet, JetError, diagonal_keys, packing
+from kahlerlap.jets import Jet, JetError, _reduced, diagonal_keys, packing
 from kahlerlap.metric import _laplacian_functional, _orbit, _orbit_sums, einstein_constant
 from kahlerlap.metric import _pullback_index, delta_power_at0, laplacian_apply
 from kahlerlap.metric import metric_from_potential
@@ -303,11 +303,13 @@ def test_the_column_index_is_that_of_the_filled_triangle(source):
         m = (metric_from_potential(elaborate(parse(source), 2, D)) if source in SYMMETRIC_POTS
              else catalog.build_space(catalog.parse_space(source), D).metric)
         n, pk, (lg, index, top) = m.n, m.potential.pk, m._pullback
-        assert m._orbits and [len(row) for row in m._ginv] == [1] * n
+        den, column = m._ginv  # as the kernel gave it, unreduced
+        assert m._orbits and [len(row) for row in column] == [1] * n
         assert top == max(n - D // 2 + 1, 0)
-        whole = column_filled(pk, m._ginv)
+        ref_lg, whole = _reduced(den, column_filled(pk, column))
+        assert lg == ref_lg
         for lo in range(top, -1, -1):
-            built = index if lo == top else _pullback_index(pk, lg, m._ginv, lo)[1]
+            built = index if lo == top else _pullback_index(pk, *m._ginv, lo)[1]
             assert sorted_hits(built) == sorted_hits(naive_index(pk, whole, lo)), (D, lo)
 
 
