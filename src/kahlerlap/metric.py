@@ -267,16 +267,17 @@ def _pullback_index(pk, den, stored, lo):
                 for part in entry:
                     for K, v in part.items():
                         if v and not K & inner:
+                            v //= g
                             for s, t, out in at:
                                 if not K & out:
                                     KT = K ^ (y := (K ^ K >> s) & first) ^ y << s
                                     U, V = KT & low, KT >> half
                                     if (halves := index.get(U)) is None:
-                                        index[U] = {V: [v // g, *t]}
+                                        index[U] = {V: [v, *t]}
                                     elif (hits := halves.get(V)) is None:
-                                        halves[V] = [v // g, *t]
+                                        halves[V] = [v, *t]
                                     else:
-                                        hits += (v // g, *t)
+                                        hits += (v, *t)
                 continue
             t, (entry, swap) = ts[a][b], (stored[b][a], True) if entry is None else (entry, False)
             for part in entry:  # entry (a, b), or its mate's with the halves swapped
@@ -460,12 +461,12 @@ def _orbit_sums(pk, out):
 def _table_value(m: MetricJet, k, P, Q_):
     """lap^k(z^P zb^Q)(0), the entry of table k at (P, Q); TruncationError
     if it is not exact at the metric's validity (_laplacian_functional)."""
-    nums = _laplacian_functional(m, k)
     p, q = sum(P), sum(Q_)
     if p > k or q > k or k and not (p and q):
         return ZERO  # beyond the table's support, and maybe beyond the slots
     _require(m, 2 * k - p - q + 2, f"lap^{k} at degree {p + q} needs the potential valid "
              f"to degree {2 * k - p - q + 2}, not {m.valid_degree}")
+    nums = _laplacian_functional(m, k)
     pk = m.potential.pk
     key = pk.pack(P, Q_)
     c = nums.get(_orbit(pk, key)[0] if m._orbits else key)

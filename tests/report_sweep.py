@@ -2,10 +2,11 @@
 
 Run it from anywhere, not under pytest (the name does not match test_*.py):
 
-    python tests/report_sweep.py [--root CHECKOUT] [--jobs N]
+    python tests/report_sweep.py [--root CHECKOUT]
 
 Each run is `python -m kahlerlap.cli ARGV` in a new process with
-PYTHONPATH=CHECKOUT/src (the checkout this file is in, by default):
+PYTHONPATH=CHECKOUT/src (the checkout this file is in, by default), JOBS
+of them at a time:
 
   - `check TARGET --degree D --kmax k --json` for D = 2..10 and
     k in {1, D // 2}, on every target;
@@ -65,6 +66,7 @@ POT_FILES = {
 }
 
 DEGREES = range(2, 11)
+JOBS = 2
 
 
 def sweep_argvs():
@@ -84,7 +86,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE.parent,
                         help="checkout whose src/ is run (default: this one)")
-    parser.add_argument("--jobs", type=int, default=2, help="processes at a time")
     args = parser.parse_args()
     env = {**os.environ, "PYTHONPATH": str(args.root.resolve() / "src")}
     argvs = sweep_argvs()
@@ -97,7 +98,7 @@ def main():
                                   env=env, capture_output=True, text=True)
             return done.returncode, done.stdout, done.stderr
 
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             results = list(pool.map(run, argvs))
     digest, codes = hashlib.sha1(), Counter()
     for argv, (code, out, err) in zip(argvs, results):

@@ -349,8 +349,9 @@ class TestDualPotential:
 
         monkeypatch.setattr(catalog, "dual_potential", refuse)
         for D in range(2, 11):
-            for space in (desc, catalog.dual(desc), catalog.dual(catalog.dual(desc))):
-                catalog.build_space(space, D)
+            if D <= 5:  # build_space reads the potential to min(D, 5)
+                for space in (desc, catalog.dual(desc)):
+                    catalog.build_space(space, D)
             assert catalog.potential_jet(catalog.dual(desc), D) == ref[D]
 
 
