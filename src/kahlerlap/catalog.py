@@ -24,7 +24,7 @@ so2n:N=3 too, cp:n=3 in a skew chart).  The quadrics and
 products take the graded inverse of g, as .pot files do.
 With g_inv closed, the potential is read only to degree 5 (gauge, S_n
 verdict, cubic_free, third_deriv_obstruction), so build_space builds it to
-min(D, 5), on the packing of D; potential_jet always builds to D.
+min(D, 5), straight onto the packing of D; potential_jet always builds to D.
 
 Families and their potentials in construction coordinates:
 
@@ -290,37 +290,35 @@ def _bergman(desc):
     return (desc, s * _SIGN[desc.family]) if desc.family in _SIGN else None
 
 
-def potential_jet(desc: SpaceDescriptor, D) -> Jet:
-    """The potential of the space, truncated at total degree D."""
+def potential_jet(desc: SpaceDescriptor, D, slots=0) -> Jet:
+    """The potential to total degree D, built on the packing of max(D, slots)."""
     if (bergman := _bergman(desc)) is not None:
         desc, s = bergman
         if desc.family in ("flat", "cp", "ch"):  # log(1 + s t)/s
             profile = (ZERO, *(Q((-s) ** (m - 1), m) for m in range(1, (D + 1) // 2 + 1)))
-            return substitute_radial(profile, desc.param("n"), D)
-        return _trace_series(desc, s, D)
+            return substitute_radial(profile, desc.param("n"), D, slots)
+        return _trace_series(desc, s, D, slots)
     fam = desc.family
     if fam == "product":
-        jets = [potential_jet(f, D) for f in desc.inner]
+        jets = [potential_jet(f, D, slots) for f in desc.inner]
         n = sum(j.n for j in jets)
-        total, offset = Jet.zero(n, D), 0
+        total, offset = Jet._of(n, packing(n, max(D, slots)), 1, [{} for _ in range(D + 1)]), 0
         for jet in jets:  # its P slots move to offset.., its Q slots to n + offset..
             low, high, half = total.pk.bits * offset, total.pk.bits * (n + offset), jet.pk.half
-            parts = [
-                {(K & (1 << half) - 1) << low | K >> half << high: c for K, c in part.items()}
-                for part in jet._parts_on(packing(jet.n, D), D)
-            ]
+            parts = [{(K & (1 << half) - 1) << low | K >> half << high: c for K, c in part.items()}
+                     for part in jet.parts]
             total, offset = total + Jet._of(n, total.pk, jet.den, parts), offset + jet.n
         return total
     if fam == "dual":
-        return dual_potential(potential_jet(desc.inner[0], D))
-    return _quadric(desc, D)
+        return dual_potential(potential_jet(desc.inner[0], D, slots))
+    return _quadric(desc, D, slots)
 
 
-def _quadric(desc: SpaceDescriptor, D) -> Jet:
+def _quadric(desc: SpaceDescriptor, D, slots) -> Jet:
     """The potential log(1 + q) to degree D, q = sum |z_i|^2 + |f|^2 with
-    f = 2 sum v_j v'_j (- u^2 on quadric-odd), written on packed keys."""
+    f = 2 sum v_j v'_j (- u^2 on quadric-odd), on the packing of max(D, slots)."""
     n, nv = desc.complex_dim, desc.param("N") - 1
-    pk = packing(n, D)
+    pk = packing(n, max(D, slots))
     units = pk.units
     f = {units[j] + units[nv + j]: 2 for j in range(nv)}
     if desc.family == "quadric-odd":
@@ -333,15 +331,16 @@ def _quadric(desc: SpaceDescriptor, D) -> Jet:
     return log1p(Jet._of(n, pk, 1, q))
 
 
-def _trace_series(desc: SpaceDescriptor, s, D) -> Jet:
-    """The potential to degree D of the matrix family desc at curvature sign
-    s = +-1, as its trace series (module docstring) with tr(M^k) weighted by
-    (-1)^(k+1) s^(k-1), over scale.denominator lcm(1..K), K = floor(D/2): a
-    dual (c -> -(-1)^|Q| c, |Q| = k) is s -> -s.  (M^j)_ba is (M^j)_ab with its
-    key halves swapped: only the upper triangle of M^j, j <= ceil(K/2), is
-    multiplied out, and tr(M^k) is sum_a X_aa Y_aa + h + conj(h) with
-    h = sum_{a<b} X_ab Y_ba, X = M^ceil(k/2) and Y = M^floor(k/2)."""
-    pk = packing(desc.complex_dim, D)
+def _trace_series(desc: SpaceDescriptor, s, D, slots) -> Jet:
+    """The potential to degree D (on the packing of max(D, slots)) of the
+    matrix family desc at curvature sign s = +-1, as its trace series (module
+    docstring) with tr(M^k) weighted by (-1)^(k+1) s^(k-1), over
+    scale.denominator lcm(1..K), K = floor(D/2): a dual (c -> -(-1)^|Q| c,
+    |Q| = k) is s -> -s.  (M^j)_ba is (M^j)_ab with its key halves swapped:
+    only the upper triangle of M^j, j <= ceil(K/2), is multiplied out, and
+    tr(M^k) is sum_a X_aa Y_aa + h + conj(h) with h = sum_{a<b} X_ab Y_ba,
+    X = M^ceil(k/2) and Y = M^floor(k/2)."""
+    pk = packing(desc.complex_dim, max(D, slots))
     _, scale, A, _ = _bergman_blocks(desc, pk)
     M = [[{K: c for (d, K), c in e.items() if d} for e in row] for row in A]
     K, m = D // 2, len(M)
@@ -412,12 +411,9 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
         raise CatalogError("truncation must be >= 2")
     if (bergman := _bergman(desc)) is None:
         metric = metric_from_potential(potential_jet(desc, D))
-    else:  # g_inv closed: the potential only to min(D, 5), on the packing of D
-        phi = potential_jet(desc, min(D, 5))
-        pk = packing(phi.n, D)
-        phi = Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
-        metric = metric_with_inverse(
-            phi, lambda phi, solve: bergman_inverse(*bergman, phi, D, solve), D)
+    else:  # g_inv closed: the potential only to min(D, 5), built on the packing of D
+        metric = metric_with_inverse(potential_jet(desc, min(D, 5), D),
+                                     lambda phi, solve: bergman_inverse(*bergman, phi, D, solve), D)
     return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc), truncation=D)
 
 
@@ -443,6 +439,8 @@ def bergman_inverse(desc: SpaceDescriptor, s, potential: Jet, D, solve):
     slots = [[(r, c, sign) for (r, c), (v, sign) in W.items() if v == var] for var in range(n)]
     # row a is over scale |S_a|; all rows over their lcm
     den = lcm(*(scale.numerator * len(slot) for slot in slots))
+    if solve == "column":  # entry reads B in row k of column 0's first slot alone
+        B = [row if r == slots[0][0][0] else [] for r, row in enumerate(B)]
     # each block entry as (degree, key, integer weighted by s^(d/2)), s = 0 dropping d > 0
     A, B = ([[[(d, K, c * s ** (d // 2)) for (d, K), c in e.items() if s or not d] for e in row]
              for row in X] for X in (A, B))
@@ -502,7 +500,8 @@ class ObstructionReport(Record):
 
     For an Einstein metric the identity val1 = 2 val2 is necessary for the
     order-3 polynomial identity; val1 - 2 val2 != 0 certifies failure.  The
-    expected values for the embedded-line frame are (12 lam + 16, 6 lam).
+    expected values for the embedded-line frame are (12 lam + 16 s, 6 lam), s
+    the sign of lam.
     """
 
     __slots__ = ("lam", "mu", "val1", "val2", "delta_requirement", "val1_expected",
@@ -522,7 +521,8 @@ def obstruction_report(space: CatalogSpace) -> ObstructionReport:
     val2 = delta_power_at0(space.metric, pair.f2, 3) * mu1 * mu2
     return ObstructionReport(
         lam=rep.lam, mu=(mu1, mu2), val1=val1, val2=val2, delta_requirement=val1 - 2 * val2,
-        val1_expected=12 * rep.lam + 16, val2_expected=6 * rep.lam)
+        val1_expected=12 * rep.lam + 16 * ((rep.lam > 0) - (rep.lam < 0)),
+        val2_expected=6 * rep.lam)
 
 
 def dual_compare(desc: SpaceDescriptor, D=6):

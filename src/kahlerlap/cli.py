@@ -313,11 +313,16 @@ COMMANDS = {
     "dual": (cmd_dual, "order-3 values on a space and its dual",
              {"space": (str, _REQUIRED), "--degree": (int, 6)}),
 }
+_COMMON = {"--json": (bool, False), "--out": (str, None), "--help": (bool, False)}
 for _, _, _spec in COMMANDS.values():
-    _spec.update({"--json": (bool, False), "--out": (str, None), "--help": (bool, False)})
+    _spec.update(_COMMON)
 # an int flag's value: ASCII digits, as in a .pot file (int() would also take
 # blanks, underscores and other scripts' digits)
 _INT = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
+
+
+def _flags(name, spec):  # the flags of spec that name gives, in full or as a prefix
+    return [name] if name in spec else [f for f in spec if len(name) > 2 and f.startswith(name)]
 
 
 def parse_args(argv):
@@ -347,10 +352,7 @@ def parse_args(argv):
         else:
             name, eq, value = token.partition("=")
             name = "--help" if name == "-h" else name
-            hits = [name] if name in spec else [
-                f for f in spec if len(name) > 2 and f.startswith(name)
-            ]
-            if len(hits) != 1:
+            if len(hits := _flags(name, spec)) != 1:
                 raise UsageError(f"unknown or ambiguous flag {name!r}")
             name = hits[0]
         kind = spec[name][0]
@@ -390,7 +392,8 @@ def usage(commands):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = SimpleNamespace(json="--json" in argv)  # until argv is read
+    spec = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else _COMMON
+    args = SimpleNamespace(json=any(_flags(t, spec) == ["--json"] for t in argv))  # until read
     # every integer read from input has at most MAX_DIGITS digits, but an
     # exact result built from them may print longer than int's default limit
     limit = sys.get_int_max_str_digits()

@@ -73,12 +73,13 @@ class _Packing:
     stays at most mask: no carry or borrow crosses a slot.
     """
 
-    __slots__ = ("n", "bits", "mask", "half", "units", "diagonal")
+    __slots__ = ("n", "bits", "mask", "half", "units", "diagonal", "orbits")
 
     def __init__(self, n, bits):
         self.n, self.bits, self.mask, self.half = n, bits, (1 << bits) - 1, n * bits
         self.units = tuple(1 << bits * s for s in range(2 * n))
         self.diagonal = []  # diagonal_keys, grown on demand
+        self.orbits = {}  # key -> (representative, size) of its S_n-orbit (metric._orbit)
 
     def pack(self, P, Q_):
         key = 0
@@ -450,8 +451,9 @@ def _log1p_ints(ls, parts):
     return den, parts
 
 
-def substitute_radial(f, n, valid_degree) -> Jet:
-    """The jet f(|z_1|^2 + ... + |z_n|^2) truncated at the given degree.
+def substitute_radial(f, n, valid_degree, slots=0) -> Jet:
+    """The jet f(|z_1|^2 + ... + |z_n|^2) to valid_degree, on the packing
+    of max(valid_degree, slots).
 
     f is the coefficient tuple (a_0, ..., a_order) of a t-series, trusted
     through t^order, which must reach t^ceil(D/2).  A packed kernel: the
@@ -469,6 +471,7 @@ def substitute_radial(f, n, valid_degree) -> Jet:
     if n < 1 and top >= 0:
         raise DimensionMismatch(f"need n >= 1 variables, got {n}")
     jet = Jet.zero(n, valid_degree)
+    jet.pk = packing(n, max(valid_degree, slots))
     jet.den = L = lcm(*(f[m].denominator for m in range(top + 1)))
     for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
         a, fm = f[m], factorial(m)

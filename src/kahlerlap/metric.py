@@ -30,7 +30,7 @@ exponent up to D, so up to the slot mask, which is at least that: g_inv's
 exponents are at most D - 2, table k's at most k, and every caller needs
 2k <= D (the duality table asks for k = 3 only once einstein_constant has
 required D >= 4).  metric_from_potential takes D from the potential; a
-Bergman family's is built only to min(D, 5) (catalog.build_space).
+Bergman family's is built only to min(D, 5), on it (catalog.build_space).
 
 Each lap^k table is stored once, as integer numerators on packed keys, and
 when the verdict finds every permutation of the coordinates (on z and zb
@@ -294,13 +294,18 @@ def _pullback_index(pk, den, stored, lo):
 
 
 def _orbit(pk, key):
-    """(representative, size) of a packed key's S_n-orbit.  The
-    representative has the pairs (P_i, Q_i) sorted ascending: the orbit's
-    least member in graded lexicographic order (P before Q, slot 0 first).
-    Zero pairs sort first, so only the m nonzero ones are read, each found
-    by the lowest set bit of P | Q (as Jet._parts_on finds slots), and
-    placed in the last m slots; the size is n! / prod r!, r running over
-    the multiplicities of the pairs, n - m that of the zero pair."""
+    """(representative, size) of a packed key's S_n-orbit, memoized on the
+    packing (pk.orbits): found once per key, the size once per
+    representative.  The representative has the pairs (P_i, Q_i) sorted
+    ascending: the orbit's least member in graded lexicographic order (P
+    before Q, slot 0 first).  Zero pairs sort first, so only the m nonzero
+    ones are read, each found by the lowest set bit of P | Q (as
+    Jet._parts_on finds slots), and placed in the last m slots; the size is
+    n! / prod r!, r running over the multiplicities of the pairs, n - m
+    that of the zero pair."""
+    orbits = pk.orbits
+    if (orbit := orbits.get(key)) is not None:
+        return orbit
     bits, mask, half = pk.bits, pk.mask, pk.half
     p, q = key & (1 << half) - 1, key >> half
     pairs, x = [], p | q  # each pair as the int P_i << bits | Q_i
@@ -309,15 +314,14 @@ def _orbit(pk, key):
         pairs.append((p >> s & mask) << bits | q >> s & mask)
         x &= ~(mask << s)
     pairs.sort()
-    s = half - bits * len(pairs)
-    rep, size, run, last = 0, factorial(pk.n) // factorial(pk.n - len(pairs)), 1, None
+    rep, s = 0, half - bits * len(pairs)
     for v in pairs:
         rep |= (v >> bits) << s | (v & mask) << half + s
         s += bits
-        run = run + 1 if v == last else 1
-        size //= run
-        last = v
-    return rep, size
+    if rep not in orbits:
+        runs = prod(factorial(pairs.count(v)) for v in set(pairs))
+        orbits[rep] = rep, factorial(pk.n) // factorial(pk.n - len(pairs)) // runs
+    return orbits.setdefault(key, orbits[rep])
 
 
 def require_bochner_form(potential: Jet):
@@ -386,9 +390,9 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     S_n-orbit, its representative (_orbit): the pairs (P_i, Q_i) sorted
     ascending.  The step runs from the representatives of N_{k-1} alone,
     each weighed by its orbit's size n!/prod m!, and sums what it writes
-    over each output orbit O onto O's representative.  Since the step
-    commutes with sigma, a whole orbit of inputs puts the same total on O
-    as |O_in| times its representative does, and that total is
+    over each output orbit O onto O's representative (_orbit_sums).  Since
+    the step commutes with sigma, a whole orbit of inputs puts the same
+    total on O as |O_in| times its representative does, and that total is
     |O| N_k(rep O): the division by |O| is exact, and a remainder raises
     JetError.  Reading a key canonicalizes it first.  Pairs with P_i = 0 sort
     first, so the holomorphic half of a table-(k - 1) representative
@@ -443,8 +447,8 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
 
 
 def _orbit_sums(pk, out):
-    """out summed over each S_n-orbit onto its representative, and divided
-    by the orbit's size (see _laplacian_functional)."""
+    """out summed over each S_n-orbit onto its representative, and each sum
+    divided once by the orbit's size (see _laplacian_functional)."""
     sums = {}
     for key, c in out.items():
         if c:

@@ -62,6 +62,9 @@ of the coordinates in catalog._matrix_slots's W (catalog._bergman_blocks
 is not read), finds the dual's sign by its own walk, flipping ch as
 dual(cp), and takes flat's g_inv as I, where the catalog weights by one
 curvature sign.
+repacked_potential builds a Bergman family's potential at its own degree's
+packing and repacks it, where catalog.build_space writes it on the packing
+of D from the start.
 ref_embedded_test_polys builds the test functions in the jet ring, from
 each frame form's variables, where catalog.embedded_test_polys writes
 |u|^2 on packed keys and forms each quartic with one product of dicts.
@@ -73,6 +76,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from kahlerlap.catalog import SpaceDescriptor, TestFunctionPair, _matrix_slots, _upper_index
+from kahlerlap.catalog import potential_jet
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, ElaborationError, Lit, Log, ModSq, Mul, PotentialSyntaxError,
     Radial, Sub,
@@ -87,6 +91,7 @@ from kahlerlap.jets import (
     ValidityError,
     _invert_rational,
     log1p,
+    packing,
     substitute_radial,
 )
 from kahlerlap.metric import (
@@ -709,6 +714,16 @@ def ref_dual_potential(phi):
         {(P, Q_): c if sum(Q_) % 2 else -c for (P, Q_), c in phi.coeffs.items()},
         phi.valid_degree,
     )
+
+
+def repacked_potential(desc: SpaceDescriptor, D):
+    """The potential that catalog.build_space reads for a Bergman family at
+    truncation D, by a second path: catalog.potential_jet to min(D, 5), on
+    that degree's own packing, then moved key by key onto the packing of D
+    (Jet._parts_on), where build_space writes it from the start."""
+    phi = potential_jet(desc, min(D, 5))
+    pk = packing(phi.n, D)
+    return Jet._of(phi.n, pk, phi.den, phi._parts_on(pk, phi.valid_degree))
 
 
 def direct_potential_jet(desc: SpaceDescriptor, D):

@@ -13,7 +13,8 @@ of them at a time:
   - `dual LABEL --degree D --json` for D = 2..10, on every label.
 
 The labels are those of tests/test_catalog.py's ALL_LABELS and the dual of
-each, three wider spaces and two products.  The .pot targets are the
+each, six wider spaces (three of them S_n-fixed: cp:n=10, ch:n=6 and
+flat:n=5, which take the orbit tables) and two products.  The .pot targets are the
 fixed bodies of POT_FILES, written to a temporary directory that is each
 run's working directory, so that argv and reports name them by a relative
 path.  The script prints the count of each exit code and one SHA-1 over
@@ -47,7 +48,7 @@ def _all_labels():
 
 ALL_LABELS = _all_labels()
 LABELS = (ALL_LABELS + [f"dual({label})" for label in ALL_LABELS]
-          + ["so2n:N=3", "sp:N=3", "grassmannian:k=3,N=6",
+          + ["so2n:N=3", "sp:N=3", "grassmannian:k=3,N=6", "cp:n=10", "ch:n=6", "flat:n=5",
              "product(cp:n=1;ch:n=1)", "product(sp:N=2;quadric-even:N=4)"])
 
 # name -> body: fits, a non-unit gauge, a pluriharmonic cubic, det and

@@ -14,12 +14,13 @@ from dense_oracles import (
     ref_embedded_test_polys,
     ref_truncated,
     naive_index,
+    repacked_potential,
     sorted_hits,
 )
 
 from kahlerlap import catalog, cli, dsl
 from kahlerlap.fit import check_delta_property
-from kahlerlap.jets import Jet, JetMatrix, _reduced, log1p
+from kahlerlap.jets import Jet, JetMatrix, _reduced, log1p, packing
 from kahlerlap.metric import (
     einstein_constant,
     fifth_order_check,
@@ -414,12 +415,14 @@ class TestEmbeddedPolys:
 
 
 class TestObstruction:
-    @pytest.mark.parametrize("label", RANK2_LABELS)
+    @pytest.mark.parametrize("label", RANK2_LABELS + [f"dual({label})" for label in RANK2_LABELS])
     def test_values_match_embedded_line_prediction(self, spaces, label):
-        ob = catalog.obstruction_report(spaces(label))
-        assert ob.val1 == ob.val1_expected == 12 * ob.lam + 16
+        """(12 lam + 16 s, 6 lam), s = 1 on a compact space and -1 on its dual."""
+        ob, s = catalog.obstruction_report(spaces(label)), -1 if label.startswith("dual") else 1
+        assert ob.lam * s > 0
+        assert ob.val1 == ob.val1_expected == 12 * ob.lam + 16 * s
         assert ob.val2 == ob.val2_expected == 6 * ob.lam
-        assert ob.delta_requirement == 16
+        assert ob.delta_requirement == 16 * s
 
     @pytest.mark.parametrize(
         "label",
@@ -647,7 +650,30 @@ def test_isomorphic_spaces_print_one_report(capsys, labels, profile):
     assert fitted == [{l: p.coefficient(l) for l in range(1, p.k + 1)} for p in recursion]
 
 
+# every closed-form label of ALL_LABELS and its dual, and wider so2n and sp
+CLOSED_FORM_LABELS = [label for label in ALL_LABELS if catalog._bergman(catalog.parse_space(label))]
+CLOSED_FORM_LABELS += [f"dual({label})" for label in CLOSED_FORM_LABELS] + [
+    "so2n:N=3", "so2n:N=5", "sp:N=1", "sp:N=3"]
+
+
 class TestTruncationStability:
+    @pytest.mark.parametrize("label", CLOSED_FORM_LABELS)
+    def test_a_closed_form_potential_is_built_on_the_packing_of_D(self, monkeypatch, label):
+        """build_space writes a closed form's potential on the packing of D,
+        so it repacks nothing, and it is the potential to min(D, 5) repacked."""
+        desc = catalog.parse_space(label)
+        expected = [repacked_potential(desc, D) for D in range(2, 11)]
+
+        def refuse(*args):
+            raise AssertionError("build_space repacked a jet")
+
+        monkeypatch.setattr(Jet, "_parts_on", refuse)
+        for D, want in zip(range(2, 11), expected):
+            phi = catalog.build_space(desc, D).metric.potential
+            assert phi.pk is want.pk is packing(desc.complex_dim, D)
+            assert (phi.valid_degree, phi.den, phi.parts) == (want.valid_degree, want.den,
+                                                              want.parts)
+
     @pytest.mark.parametrize(
         "label", ["cp:n=2", "grassmannian:k=2,N=4", "sp:N=2"]
     )
@@ -692,9 +718,9 @@ class TestTruncationStability:
         asked = []
         build = catalog.potential_jet
 
-        def record(desc, D):
+        def record(desc, D, *slots):
             asked.append(D)
-            return build(desc, D)
+            return build(desc, D, *slots)
 
         monkeypatch.setattr(catalog, "potential_jet", record)
         for label in BERGMAN_LABELS:

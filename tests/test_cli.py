@@ -256,6 +256,17 @@ class TestJsonErrorObject:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", err)
 
+    @pytest.mark.parametrize("flag", ["--js", "--jso"])
+    @pytest.mark.parametrize("argv", [["check"], ["nosuch"], ["check", "cp:n=1", "--bogus"]])
+    def test_a_prefix_of_json_on_an_argv_that_does_not_parse(self, capsys, argv, flag):
+        """--json is named as parse_args names it, by a unique prefix too,
+        before argv is read: the refusal is one error object."""
+        assert cli.main(argv + [flag]) == 2
+        out = capsys.readouterr()
+        message = out.err.removeprefix("error: ").removesuffix("\n")
+        assert out.err.count("\n") == 1
+        assert json.loads(out.out) == error_object("UsageError", message, 2)
+
     def test_any_other_exception_is_an_internal_fault(self, capsys, monkeypatch):
         def fault(*args):
             raise KeyError("slot")

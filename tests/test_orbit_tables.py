@@ -25,10 +25,13 @@ take the orbit tables and the column build with the g_inv and the reports
 of the full build.
 metric._orbit is compared with every permutation of random keys (the least
 member and the orbit's size), and an orbit sum that the orbit's size does
-not divide raises JetError.  The tables are written back onto every key
-(dense_oracles.expand_orbits) and compared with the rational tuple-key
-pullback, and the fits and witnesses with those of the same metric built on
-every key (dense_oracles.full_tables): on random symmetric .pot bodies with
+not divide raises JetError.  Its memo lives on the shared packing
+(_Packing.orbits): flat, cp and ch at n <= 6 and the symmetric .pot bodies,
+built in random orders, must fill it with least members and orbit sizes,
+and build the same tables after it is cleared.  The tables are written
+back onto every key (dense_oracles.expand_orbits) and compared with the
+rational tuple-key pullback, and the fits and witnesses with those of the
+same metric built on every key (dense_oracles.full_tables): on random symmetric .pot bodies with
 n = 2 and 3, and on potentials whose symmetry one extra term breaks, which
 keep the full tables.  The structural guard pins how many representatives
 cp:n=10 stores and that sp:N=3 keeps its full tables; no timing is
@@ -67,6 +70,7 @@ from kahlerlap.rationals import Q
 
 from dense_oracles import (
     column_filled,
+    distinct_orderings,
     expand_orbits,
     fixed_by_permutations,
     fraction_laplacian_functional,
@@ -311,6 +315,53 @@ def test_the_column_index_is_that_of_the_filled_triangle(source):
         for lo in range(top, -1, -1):
             built = index if lo == top else _pullback_index(pk, *m._ginv, lo)[1]
             assert sorted_hits(built) == sorted_hits(naive_index(pk, whole, lo)), (D, lo)
+
+
+# flat, cp and ch at n <= 6 and the symmetric .pot bodies, each at D = 6
+# and 7: the metrics of one n share one packing, so one orbit memo
+MEMO_SOURCES = [(source, D) for source in [f"{family}:n={n}" for family in ("flat", "cp", "ch")
+                                           for n in range(2, 7)] + SYMMETRIC_POTS + [SYMMETRIC]
+                for D in (6, 7)]
+
+
+def memo_metric(source, D):
+    if source in SYMMETRIC_POTS:
+        return metric_from_potential(elaborate(parse(source), 2, D))
+    if source == SYMMETRIC:
+        return pot_metric(source, D)
+    return catalog.build_space(catalog.parse_space(source), D).metric
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.permutations(MEMO_SOURCES))
+def test_the_orbit_memo_of_a_shared_packing(order):
+    """The metrics of one packing share its orbit memo (pk.orbits), here
+    filled by tables 1..3 of each, built in a random order: every table
+    equals the one built after the memo is cleared, every memoized key's
+    representative is the least member of its orbit and its size the
+    orbit's (every distinct ordering of its pairs), and the sizes over a
+    table's representatives, read from the memo, sum to the count of its
+    expanded keys."""
+    memos = {n: packing(n, 6).orbits for n in range(2, 7)}  # D = 6 and 7 alike
+    for memo in memos.values():
+        memo.clear()
+    metrics = [memo_metric(source, D) for source, D in order]
+    tables = [[_laplacian_functional(m, k) for k in range(1, KMAX + 1)] for m in metrics]
+    for n, memo in memos.items():
+        pk = packing(n, 6)
+        assert memo
+        for key, (rep, size) in memo.items():
+            members = [tuple(zip(*o)) for o in distinct_orderings(zip(*pk.unpack(key)))]
+            assert (pk.unpack(rep), size) == (min(members), len(members))
+    for m, built in zip(metrics, tables):
+        memo = m.potential.pk.orbits
+        assert m._orbits and memo is memos[m.n]
+        for k, table in enumerate(built, 1):
+            assert sum(memo[rep][1] for rep in table) == len(expand_orbits(m, k))
+    for m, (source, D), built in zip(metrics, order, tables):
+        memos[m.n].clear()
+        fresh = memo_metric(source, D)
+        assert [_laplacian_functional(fresh, k) for k in range(1, KMAX + 1)] == built
 
 
 @pytest.mark.parametrize("text", SYMMETRIC_POTS)
