@@ -53,7 +53,8 @@ No det is taken.  With M = W^dagger W, whose entries are quadratic,
 scale log det(I + M) = scale sum_{k>=1} (-1)^(k+1) tr(M^k) / k, and tr(M^k)
 is the part of degree 2k: the series stops at k = floor(D/2), and the odd
 parts are empty.  M is Hermitian, and it is the A - I of bergman_inverse
-(_bergman_blocks): the potential and g_inv are read from one matrix.
+(_bergman_blocks): the potential and g_inv are read from one matrix, which
+build_space builds once and hands to both, and W to the frame.
 
 Constrained matrix coordinates (sp, so2n) repeat a free variable in two
 matrix slots, which makes g(0) a non-unit diagonal; that is recorded in
@@ -290,14 +291,16 @@ def _bergman(desc):
     return (desc, s * _SIGN[desc.family]) if desc.family in _SIGN else None
 
 
-def potential_jet(desc: SpaceDescriptor, D, slots=0) -> Jet:
-    """The potential to total degree D, built on the packing of max(D, slots)."""
+def potential_jet(desc: SpaceDescriptor, D, slots=0, blocks=None) -> Jet:
+    """The potential to total degree D, built on the packing of max(D, slots);
+    a matrix family's reads blocks, if given: _bergman_blocks of its family
+    on that packing."""
     if (bergman := _bergman(desc)) is not None:
         desc, s = bergman
         if desc.family in ("flat", "cp", "ch"):  # log(1 + s t)/s
             profile = (ZERO, *(Q((-s) ** (m - 1), m) for m in range(1, (D + 1) // 2 + 1)))
             return substitute_radial(profile, desc.param("n"), D, slots)
-        return _trace_series(desc, s, D, slots)
+        return _trace_series(desc, s, D, slots, blocks)
     fam = desc.family
     if fam == "product":
         jets = [potential_jet(f, D, slots) for f in desc.inner]
@@ -331,9 +334,10 @@ def _quadric(desc: SpaceDescriptor, D, slots) -> Jet:
     return log1p(Jet._of(n, pk, 1, q))
 
 
-def _trace_series(desc: SpaceDescriptor, s, D, slots) -> Jet:
+def _trace_series(desc: SpaceDescriptor, s, D, slots, blocks) -> Jet:
     """The potential to degree D (on the packing of max(D, slots)) of the
-    matrix family desc at curvature sign s = +-1, as its trace series (module
+    matrix family desc at curvature sign s = +-1, read from blocks
+    (_bergman_blocks, built here if None), as its trace series (module
     docstring) with tr(M^k) weighted by (-1)^(k+1) s^(k-1), over
     scale.denominator lcm(1..K), K = floor(D/2): a dual (c -> -(-1)^|Q| c,
     |Q| = k) is s -> -s.  (M^j)_ba is (M^j)_ab with its key halves swapped:
@@ -341,7 +345,7 @@ def _trace_series(desc: SpaceDescriptor, s, D, slots) -> Jet:
     tr(M^k) is sum_a X_aa Y_aa + h + conj(h) with h = sum_{a<b} X_ab Y_ba,
     X = M^ceil(k/2) and Y = M^floor(k/2)."""
     pk = packing(desc.complex_dim, max(D, slots))
-    _, scale, A, _ = _bergman_blocks(desc, pk)
+    _, scale, A, _ = blocks or _bergman_blocks(desc, pk)
     M = [[{K: c for (d, K), c in e.items() if d} for e in row] for row in A]
     K, m = D // 2, len(M)
     powers = [[[{0: 1} if a == b else {} for b in range(m)] for a in range(m)], M]
@@ -378,13 +382,14 @@ def dual_potential(phi: Jet) -> Jet:
     ])
 
 
-def _frame(desc: SpaceDescriptor):
+def _frame(desc: SpaceDescriptor, W=None):
+    """The embedded-line frame; a Bergman family's reads _matrix_slots's W, if not given."""
     fam = desc.family
     if fam == "flat":
         return ()
     if fam in _SIGN:
         # unit axes at diagonal slots of W (so2n: the 2 x 2 blocks)
-        W = _matrix_slots(desc)[2]
+        W = W or _matrix_slots(desc)[2]
         cells = [(2 * m, 2 * m + 1) if fam == "so2n" else (m, m) for m in range(desc.rank)]
         return tuple(FrameDirection(((W[r, c][0], 1),), Q(1)) for r, c in cells)
     if fam in ("quadric-even", "quadric-odd"):
@@ -402,7 +407,7 @@ def _frame(desc: SpaceDescriptor):
                     for fd in _frame(f)]
             offset += f.complex_dim
         return tuple(out)
-    return _frame(desc.inner[0])  # dual
+    return _frame(desc.inner[0], W)  # dual
 
 
 def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
@@ -410,58 +415,65 @@ def build_space(desc: SpaceDescriptor, D=6) -> CatalogSpace:
     if D < 2:
         raise CatalogError("truncation must be >= 2")
     if (bergman := _bergman(desc)) is None:
-        metric = metric_from_potential(potential_jet(desc, D))
+        metric, W = metric_from_potential(potential_jet(desc, D)), None
     else:  # g_inv closed: the potential only to min(D, 5), built on the packing of D
-        metric = metric_with_inverse(potential_jet(desc, min(D, 5), D),
-                                     lambda phi, solve: bergman_inverse(*bergman, phi, D, solve), D)
-    return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc), truncation=D)
+        family, s = bergman  # whose blocks the potential, g_inv and frame share
+        blocks = _bergman_blocks(family, packing(desc.complex_dim, D))
+        metric, W = metric_with_inverse(
+            potential_jet(desc, min(D, 5), D, blocks),
+            lambda phi, solve: bergman_inverse(family, s, phi, D, solve, blocks), D), blocks[0]
+    return CatalogSpace(descriptor=desc, metric=metric, frame=_frame(desc, W), truncation=D)
 
 
-def bergman_inverse(desc: SpaceDescriptor, s, potential: Jet, D, solve):
+def bergman_inverse(desc: SpaceDescriptor, s, potential: Jet, D, solve, blocks=None):
     """g_inv of the Bergman family desc at curvature sign s (_bergman: a
     dual is its family at -s) on the potential's packing, valid to D - 2,
     as metric.metric_with_inverse takes it: (den, the integer parts of
     den g_inv[a][b]).  It is the Bergman operator X -> B X A of the Jordan
-    triple (Loos 1977), A = I + W^dagger W, B = I + W W^dagger.  With S_a
-    the slots (i, j, sign) of coordinate a and (k, l) the first slot of b,
+    triple (Loos 1977), A = I + W^dagger W, B = I + W W^dagger (blocks,
+    _bergman_blocks built here if None).  With S_a the slots (i, j, sign)
+    of coordinate a and (k, l) the first slot of b,
 
         g_inv[a][b] = sum_{(i, j, sign) in S_a} sign (B[k][i] A[j][l])_s / (scale |S_a|),
 
     (.)_s weighting the degree-d part by s^(d/2): its terms have |Q| = d/2,
-    so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  g_inv
-    is Hermitian: each entry a <= b is one dict, packed key -> integer
-    (zeros kept), None below the diagonal.  solve "column" gives column 0
-    alone, n x 1, for a g_inv that every permutation of the coordinates
+    so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  Row
+    a has the weight 1 / (scale |S_a|), reduced, and den is the lcm of
+    their denominators (so2n's weights are 1: den 1).  g_inv is Hermitian:
+    each entry a <= b is one dict per degree 0..D - 2, packed key ->
+    integer (zeros kept), and None below the diagonal, so that the
+    pullback index and its pairing (metric._laplacian_functional) take one
+    degree at a time.  solve "column" gives column 0 alone, n x 1, each
+    entry one dict, for a g_inv that every permutation of the coordinates
     fixes (MetricJet keeps it so).
     """
     n, pk, D = potential.n, potential.pk, D - 2
-    W, scale, A, B = _bergman_blocks(desc, pk)
+    W, scale, A, B = blocks or _bergman_blocks(desc, pk)
     slots = [[(r, c, sign) for (r, c), (v, sign) in W.items() if v == var] for var in range(n)]
-    # row a is over scale |S_a|; all rows over their lcm
-    den = lcm(*(scale.numerator * len(slot) for slot in slots))
+    weights = [Q(scale.denominator, scale.numerator * len(slot)) for slot in slots]
+    den = lcm(*(w.denominator for w in weights))
     if solve == "column":  # entry reads B in row k of column 0's first slot alone
         B = [row if r == slots[0][0][0] else [] for r, row in enumerate(B)]
     # each block entry as (degree, key, integer weighted by s^(d/2)), s = 0 dropping d > 0
     A, B = ([[[(d, K, c * s ** (d // 2)) for (d, K), c in e.items() if s or not d] for e in row]
              for row in X] for X in (A, B))
 
-    def entry(a, b):  # one dict, packed key -> integer, zeros kept
-        mul = scale.denominator * den // (scale.numerator * len(slots[a]))
+    def entry(a, b, graded):  # a dict per degree, or one, packed key -> integer, zeros kept
+        mul = weights[a].numerator * (den // weights[a].denominator)
         k, l, _ = slots[b][0]
-        terms = {}
-        get = terms.get
+        parts = [{} for _ in range(D + 1 if graded else 1)]
         for i, j, sign in slots[a]:
             for d1, key1, c1 in B[k][i]:
                 c1 *= sign * mul
                 for d2, key2, c2 in A[j][l]:
                     if d1 + d2 <= D:
-                        key = key1 + key2
-                        terms[key] = get(key, 0) + c1 * c2
-        return terms
+                        terms, key = parts[(d1 + d2) * graded], key1 + key2
+                        terms[key] = terms.get(key, 0) + c1 * c2
+        return parts
 
     if solve == "column":
-        return den, [[[entry(a, 0)]] for a in range(n)]
-    return den, [[[entry(a, b)] if a <= b else None for b in range(n)] for a in range(n)]
+        return den, [[entry(a, 0, False)] for a in range(n)]
+    return den, [[entry(a, b, True) if a <= b else None for b in range(n)] for a in range(n)]
 
 
 def embedded_test_polys(space: CatalogSpace) -> TestFunctionPair:

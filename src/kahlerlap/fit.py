@@ -102,7 +102,7 @@ def _before(A, B, pk):
 
 @cache
 def _sorted_diagonal(pk, p):
-    """diagonal_keys(pk, p)[p] restricted to P non-decreasing, the
+    """diagonal_keys(pk, p) restricted to P non-decreasing, the
     representatives of the diagonal's S_n-orbits, in the same order; walked
     once per packing and degree."""
     n, units = pk.n, pk.units
@@ -130,8 +130,8 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     the first of them in graded lexicographic order can be the witness.  The
     diagonal z^P zb^P has the rescaled value v = N_k prod d_i^{P_i} / Lg^k
     and the ratio v / (p! P!), kept as a Fraction once per degree p and
-    compared with it in integers; diagonal_keys lists them in graded
-    lexicographic order.
+    compared with it in integers; diagonal_keys lists those of degree p in
+    lexicographic order, asked for only when the walk reaches p.
 
     A table stored one key per S_n-orbit (metric._laplacian_functional)
     holds only the orbit representatives, so the scan reads only the
@@ -166,10 +166,9 @@ def fit_pk(m: MetricJet, k) -> FitResult:
     # (shift, numerator, denominator) of the slots whose d_i is not 1
     slots = [(pk.bits * i, c.numerator, c.denominator)
              for i, c in enumerate(m.origin_diag) if c != 1]
-    diagonal = ([_sorted_diagonal(pk, p) for p in range(k + 1)] if m._orbits
-                else diagonal_keys(pk, k))
+    walk = _sorted_diagonal if m._orbits else diagonal_keys
     candidates = []
-    for p, K, f in ((p, K, f) for p in range(1, k + 1) for K, f in diagonal[p]):
+    for p, K, f in ((p, K, f) for p in range(1, k + 1) for K, f in walk(pk, p)):
         if first is not None and _before(first, K, pk):
             break
         norm, dn, dd = factorial(p) * f, 1, 1

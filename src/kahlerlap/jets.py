@@ -29,7 +29,7 @@ pack and put the rationals over their lcm; the read-only view .coeffs gives
 the tuple-keyed map of rationals back, and eval0 the constant term.
 substitute_radial writes each t^m of a radial profile straight into its
 degree-2m part on the diagonal keys z^P zb^P (diagonal_keys, walked once
-per packing).
+per packing and degree).
 """
 
 from __future__ import annotations
@@ -73,12 +73,11 @@ class _Packing:
     stays at most mask: no carry or borrow crosses a slot.
     """
 
-    __slots__ = ("n", "bits", "mask", "half", "units", "diagonal", "orbits")
+    __slots__ = ("n", "bits", "mask", "half", "units", "orbits")
 
     def __init__(self, n, bits):
         self.n, self.bits, self.mask, self.half = n, bits, (1 << bits) - 1, n * bits
         self.units = tuple(1 << bits * s for s in range(2 * n))
-        self.diagonal = []  # diagonal_keys, grown on demand
         self.orbits = {}  # key -> (representative, size) of its S_n-orbit (metric._orbit)
 
     def pack(self, P, Q_):
@@ -117,21 +116,26 @@ def _shared_packing(n, bits):
     return _Packing(n, bits)
 
 
-def diagonal_keys(pk, top):
-    """The diagonal monomials z^P zb^P with |P| <= top on packing pk: one
-    list per p = |P| of (packed key, P!), in graded lexicographic order
-    (first slot ascending, then the next).  One walk per packing, grown
-    when a larger top is asked for and sliced for a smaller one."""
-    if len(pk.diagonal) <= top:
-        # tails[t]: (key, factorial) of the exponents of slots s..n-1 with sum t
-        tails = [[(0, 1)]] + [[] for _ in range(top)]
-        for u in reversed(pk.units[: pk.n]):
-            tails = [
-                [(e * u + K, factorial(e) * f) for e in range(t + 1) for K, f in tails[t - e]]
-                for t in range(top + 1)
-            ]
-        pk.diagonal = [[(K + (K << pk.half), f) for K, f in tail] for tail in tails]
-    return pk.diagonal[: top + 1]
+@cache
+def diagonal_keys(pk, p):
+    """The diagonal monomials z^P zb^P with |P| = p on packing pk, as
+    (packed key, P!) in lexicographic order of P (first slot ascending,
+    then the next), walked once per packing and degree.  The successor of
+    P, with j its last nonzero slot and e = P_j, adds 1 to P_{j-1} and
+    moves the other e - 1 to the last slot: P! gains P_{j-1} + 1 and
+    loses e, and the last nonzero slot is then n - 1, or j - 1 if e = 1."""
+    n, units = pk.n, pk.units
+    P, j = [0] * (n - 1) + [p], n - 1 if p else 0
+    key, f = p * units[n - 1], factorial(p)
+    out = [(key + (key << pk.half), f)]
+    while j:
+        e, a = P[j], P[j - 1]
+        P[j], P[j - 1] = 0, a + 1
+        P[-1] += e - 1
+        key += units[j - 1] - e * units[j] + (e - 1) * units[n - 1]
+        f, j = f * (a + 1) // e, n - 1 if e > 1 else j - 1
+        out.append((key + (key << pk.half), f))
+    return out
 
 
 def _scaled(parts, w):
@@ -458,8 +462,8 @@ def substitute_radial(f, n, valid_degree, slots=0) -> Jet:
     f is the coefficient tuple (a_0, ..., a_order) of a t-series, trusted
     through t^order, which must reach t^ceil(D/2).  A packed kernel: the
     term a_m t^m of f is the sum of a_m m!/P! z^P zb^P over |P| = m, written
-    straight into the degree-2m part (diagonal_keys), over L, the lcm of the
-    denominators of the a_m: one integer a_m L m!/P! per value of P!.
+    straight into the degree-2m part (diagonal_keys(pk, m)), over L, the lcm
+    of the denominators of the a_m: one integer a_m L m!/P! per value of P!.
     """
     need = (valid_degree + 1) // 2
     if len(f) <= need:
@@ -473,9 +477,10 @@ def substitute_radial(f, n, valid_degree, slots=0) -> Jet:
     jet = Jet.zero(n, valid_degree)
     jet.pk = packing(n, max(valid_degree, slots))
     jet.den = L = lcm(*(f[m].denominator for m in range(top + 1)))
-    for m, diagonal in enumerate(diagonal_keys(jet.pk, top)):
+    for m in range(top + 1):
         a, fm = f[m], factorial(m)
         if a:
+            diagonal = diagonal_keys(jet.pk, m)
             num = a.numerator * (L // a.denominator)
             weight = {p: num * (fm // p) for p in {p for _, p in diagonal}}
             jet.parts[2 * m] = {K: weight[p] for K, p in diagonal}
@@ -561,10 +566,11 @@ class JetMatrix:
 def _graded_inverse(pk, L, h, bs, den, solve="full"):
     """The inverse over the jet ring of G = A / den, valid to degree D, as
     (L', entries[i][j]), the integer parts of L' G^{-1}[i][j] on packing pk,
-    whose slots hold every exponent up to D, not reduced (_reduced, or
-    metric._pullback_index as it writes them).  solve names the entries
-    solved: "full" all; "upper" i <= j (G Hermitian), None below; "column"
-    j = 0 alone (G fixed by every permutation of the coordinates), n x 1.
+    whose slots hold every exponent up to D, one dict per degree, not
+    reduced (_reduced, or the metric's pullback index as it writes them).
+    solve names the entries solved: "full" all; "upper" i <= j (G
+    Hermitian), None below; "column" j = 0 alone (G fixed by every
+    permutation of the coordinates), n x 1.
 
     A graded solve (Brent & Kung, JACM 1978): with A = A_0 + A_1 + ... in
     homogeneous parts, X = A^{-1} has X_0 = A_0^{-1} and

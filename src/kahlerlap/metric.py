@@ -11,14 +11,19 @@ entries they build: the graded solve from the potential's terms
 (_hessian_inverse, for metric_from_potential; the gauge check proves g(0)
 diagonal, so no rational matrix is inverted) and the closed form of the
 Bergman catalog families (catalog.bergman_inverse), whose potential's
-quartic part decides that verdict.  metric_with_inverse writes their
-integer parts into the lap^k pullback index (_pullback_index), its one
-store of g_inv, which divides every store by its one gcd as it writes it:
-a Hermitian g_inv is given as its upper triangle, each term written for
-its entry and, halves swapped, its mate.  One that every permutation of
-the coordinates fixes is given as its column 0 (entry (i, j) is entry
-(sigma i, 0), sigma = (0 j), slots 0 and j swapped in both halves of each
-key) and kept as given, (den, column), which a wider window re-indexes, as
+quartic part decides that verdict.  metric_with_inverse keeps their
+integer parts as given, (den, store), and reads the store's one gcd before
+any table is built; the lap^k pullback index (_indexed) divides each term
+by it as it writes it.  A Hermitian g_inv is given as its upper triangle,
+each term written for its entry and, halves swapped, its mate, and any
+other whole, one dict per degree, indexed as the tables read it: before
+step k the index holds the degrees up to 2k - 3, and step k pairs degree
+2k - 2 with table k - 1, whose keys are the only ones such a term divides
+(_laplacian_functional).  MetricJet.g_inv completes the index and drops
+the store.  One that every permutation of the coordinates fixes is
+given as its column 0 (entry (i, j) is entry (sigma i, 0), sigma = (0 j),
+slots 0 and j swapped in both halves of each key) and kept, indexed at
+build in a window of slots that a later table may widen, as
 MetricJet.g_inv, a JetMatrix, does in every slot on first read.  The
 origin checks read closed forms: einstein_constant reads table 2, and
 third_deriv_obstruction and fifth_order_check the potential's (3, 2) terms.
@@ -50,7 +55,9 @@ square roots.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from .jets import DimensionMismatch, InputError, Jet, JetError, JetMatrix, ValidityError
 from .jets import _graded_inverse, _sum
@@ -79,8 +86,11 @@ class MetricJet(Record):
     vanish at the origin.  _pullback is (Lg, index, lo): Lg g_inv is
     integral, and indexed in the slots from lo on (_pullback_index); g_inv,
     if given None, is built from the index in every slot on first read.
-    _ginv is None but with _orbits: then it keeps (den, column 0) as the
-    inverse gave it, unreduced, for _pullback_index to re-index.
+    _ginv keeps (den, store) as the inverse gave it, unreduced: with
+    _orbits, column 0, for _pullback_index to re-index; otherwise the upper
+    or full store, one dict per degree, whose degrees up to 2K - 3 the
+    index holds once table K is built (_laplacian_functional), and None
+    once it holds them all (_complete_index, on first read of g_inv).
     _functionals maps k to the numerators N_k of the lap^k table, the one
     stored form of it, with N_0 there from the start and the rest filled on
     first use; _orbits says that they hold one key per S_n-orbit, and lets
@@ -104,6 +114,7 @@ class MetricJet(Record):
     def __getattr__(self, name):  # reached only while the g_inv slot is unset
         if name != "g_inv":
             raise AttributeError(name)
+        _complete_index(self)
         pk, (lg, index, lo), n = self.potential.pk, self._pullback, self.n
         index = _pullback_index(pk, *self._ginv, 0)[1] if lo else index  # every slot
         ginv = [[[{} for _ in range(self.valid_degree - 1)] for _ in range(n)] for _ in range(n)]
@@ -201,10 +212,11 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     min(D, 5) at least, on a packing that holds D, whose g_inv is
     inverse(potential, solve) = (den, entries): entries[i][j] the integer
     parts of den g_inv[i][j] on the potential's packing, valid to D - 2, as
-    dicts packed key -> integer (None below the diagonal for "upper": the
-    conjugate of the mate above; j = 0 alone for "column", which _ginv
-    keeps as given), written into the pullback index over Lg, the lcm of
-    the reduced denominators of g_inv.
+    dicts packed key -> integer (one per degree, or for "column" maybe one
+    in all; None below the diagonal for "upper": the conjugate of the mate
+    above; j = 0 alone for "column"), which _ginv keeps as given, and which
+    the pullback index takes over Lg, the lcm of the reduced denominators
+    of g_inv: a column at build, any other store as the tables read it.
 
     After the gauge check (require_diagonal_gauge), the one S_n verdict is
     read off the potential's terms (_potential_symmetry): solve is "column"
@@ -225,11 +237,12 @@ def metric_with_inverse(potential: Jet, inverse, D) -> MetricJet:
     real, fixed = _potential_symmetry(potential)
     ginv = inverse(potential, "column" if fixed else "upper" if real else "full")
     lo = max(n - D // 2 + 1, 0) if fixed else 0
+    # a column is indexed in its window; any other store as the tables read it
+    lg, index = _pullback_index(pk, *ginv, lo) if fixed else (ginv[0] // _store_gcd(*ginv), {})
     return MetricJet(
         n=n, potential=potential, valid_degree=D, origin_diag=tuple(diag),
-        cubic_free=is_cubic_free(potential), g_inv=None,
-        _pullback=(*_pullback_index(pk, *ginv, lo), lo),
-        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv if fixed else None)
+        cubic_free=is_cubic_free(potential), g_inv=None, _pullback=(lg, index, lo),
+        _functionals={0: {0: 1}}, _orbits=fixed, _ginv=ginv)
 
 
 def is_cubic_free(potential: Jet):
@@ -242,21 +255,45 @@ def is_cubic_free(potential: Jet):
 
 def _pullback_index(pk, den, stored, lo):
     """(Lg, index) of the integer parts of den g_inv, stored as
-    metric_with_inverse takes them: divided by g, the gcd of den and every
-    numerator (read part by part until it is 1), so Lg = den / g, and
-    indexed on the nonzero terms (U, V) with no exponent of U below slot lo
-    as packed U -> {V, packed as a holomorphic half -> the hits, four ints
-    for each entry (i, j) carrying the term: its integer, the shifts of
-    slots j and n + i, and packed e_j + e_i}.  A column term is dropped
-    first if U has an exponent in slots 1..lo-1, which every transposition
-    leaves below lo; (0 j) then moves it out of the window iff U_j > 0, or
-    U_0 > 0 and j < lo."""
+    metric_with_inverse takes them: Lg = den / g, g = _store_gcd(den,
+    stored), and the index that _indexed writes of every term over g, in
+    the slots from lo."""
+    g = _store_gcd(den, stored)
+    return den // g, _indexed({}, pk, g, stored, lo, slice(None))
+
+
+def _store_gcd(den, stored):
+    """The gcd of den and every numerator of stored, read part by part
+    until it is 1."""
+    for part in (part for row in stored for e in row if e for part in e):
+        if (den := gcd(den, *part.values())) == 1:
+            break
+    return den
+
+
+def _complete_index(m: MetricJet):
+    """Write into m's index the degrees of its upper or full store that no
+    table has read yet, and drop the store: after table K the index holds
+    the degrees up to 2K - 3 (_laplacian_functional)."""
+    if not m._orbits and m._ginv is not None:
+        (den, stored), (lg, index, _) = m._ginv, m._pullback
+        top = max(2 * len(m._functionals) - 4, 0)
+        _indexed(index, m.potential.pk, den // lg, stored, 0, slice(top, None))
+        m._ginv = None
+
+
+def _indexed(index, pk, g, stored, lo, degrees):
+    """index, with the nonzero terms (U, V) of stored divided by g written
+    in: those with no exponent of U below slot lo and, of an upper or full
+    store (one dict per degree), of a degree in the slice degrees; packed
+    U -> {V, packed as a holomorphic half -> the hits, four ints for each
+    entry (i, j) carrying the term: its integer, the shifts of slots j and
+    n + i, and packed e_j + e_i}.  A column term is dropped first if U has
+    an exponent in slots 1..lo-1, which every transposition leaves below
+    lo; (0 j) then moves it out of the window iff U_j > 0, or U_0 > 0 and
+    j < lo."""
     n, bits, units, half, mask = pk.n, pk.bits, pk.units, pk.half, pk.mask
     low, first, inner = units[n] - 1, mask * (units[0] + units[n]), (units[lo] - 1) & ~mask
-    g, index = den, {}
-    for part in (part for row in stored for e in row if e for part in e):
-        if (g := gcd(g, *part.values())) == 1:
-            break
     ts = [[(bits * j, bits * (n + i), units[j] + units[n + i]) for j in range(n)]
           for i in range(n)]  # t of each position (i, j), shared by its hits
     for a, row in enumerate(stored):
@@ -280,7 +317,7 @@ def _pullback_index(pk, den, stored, lo):
                                         hits += (v, *t)
                 continue
             t, (entry, swap) = ts[a][b], (stored[b][a], True) if entry is None else (entry, False)
-            for part in entry:  # entry (a, b), or its mate's with the halves swapped
+            for part in entry[degrees]:  # entry (a, b), or its mate's with the halves swapped
                 for K, v in part.items():
                     if v:
                         U, V = (K >> half, K & low) if swap else (K & low, K >> half)
@@ -290,7 +327,7 @@ def _pullback_index(pk, den, stored, lo):
                             halves[V] = [v // g, *t]
                         else:
                             hits += (v // g, *t)
-    return den // g, index
+    return index
 
 
 def _orbit(pk, key):
@@ -383,6 +420,16 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     and returned, packed key -> integer; _table_value and delta_power_at0
     divide by Lg^k as they read it.
 
+    Pairing.  A key (A, B) of table k - 1 has degree at most 2k - 2, so a
+    divisor (U, V) of degree 2k - 2 is (A, B) itself, where (S, T) =
+    (e_j, e_i) and S_j T_i = 1: step k reads a term (K, g) of g_inv[i][j]
+    in degree 2k - 2 only as N_{k-1}(K) g at e_j + e_i, and nothing past
+    that degree.  For a store without the S_n symmetry (m._ginv kept), step
+    k first writes degrees 2k - 4 and 2k - 3 into the index, which then
+    holds every degree below 2k - 2, and adds degree 2k - 2 as one sum per
+    entry (_pair) instead of indexing it: the same terms give the same
+    table, and a degree that no table reaches is never indexed.
+
     Orbits.  When every permutation sigma of the coordinates fixes g_inv,
     that is g_inv[sigma i][sigma j] at sigma (U, V) is g_inv[i][j] at
     (U, V) (m._orbits, proved once at build), lap commutes with sigma and
@@ -414,13 +461,19 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     low = pk.units[m.n] - 1
     prev = _laplacian_functional(m, k - 1).items()
     lg, index, lo = m._pullback
-    if (need := max(m.n - k + 1, 0) if m._orbits else 0) < lo:  # widen the window
+    if paired := not m._orbits and m._ginv is not None:
+        den, stored = m._ginv
+        if k > 1:  # degrees 2k - 4 and 2k - 3 join the index, and 2k - 2 is paired below
+            _indexed(index, pk, den // lg, stored, 0, slice(2 * k - 4, 2 * k - 2))
+    elif m._orbits and (need := max(m.n - k + 1, 0)) < lo:  # widen the window
         index = _pullback_index(pk, *m._ginv, need)[1]
         m._pullback = lg, index, need
     if m._orbits:  # one key per orbit: weigh each by the orbit's size
         prev = [(KA, c * _orbit(pk, KA)[1]) for KA, c in prev]
     out, half = {}, pk.half
     get = out.get
+    if paired:
+        _pair(m, k, den // lg, stored, out)
     for KA, c in prev:
         KB, a_divisors = KA >> half, pk.divisors(KA & low)
         b_divisors = a_divisors if KB == KA & low else pk.divisors(KB)
@@ -444,6 +497,29 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
         out = _orbit_sums(pk, out)
     nums = m._functionals[k] = {key: c for key, c in out.items() if c}
     return nums
+
+
+def _pair(m, k, g, stored, out):
+    """Add into out what step k reads of g_inv in degree e = 2k - 2, from
+    an upper or full store divided by g: a key of table k - 1 has degree
+    at most e, so a term (K, v) of entry (i, j) in that degree divides only
+    the key K itself and adds N_{k-1}(K) v / g at e_j + e_i.  An upper
+    store's term does so for its mate (j, i) too, K's halves swapped."""
+    pk, e, prev = m.potential.pk, 2 * k - 2, m._functionals[k - 1]
+    units, n, half = pk.units, m.n, pk.half
+    low, zeros, get = units[n] - 1, repeat(0), prev.get
+    if stored[-1][0] is None:  # an upper store: N_{k-1} with its keys' halves swapped
+        mate = {K >> half | (K & low) << half: c for K, c in prev.items()}.get
+    for a, row in enumerate(stored):
+        for b, entry in enumerate(row):
+            if entry is not None and e < len(entry) and entry[e]:
+                keys, values = entry[e].keys(), entry[e].values()
+                key = units[b] + units[n + a]
+                out[key] = out.get(key, 0) + sum(map(mul, map(get, keys, zeros), values)) // g
+                if stored[b][a] is None:  # the mate (b, a)
+                    key = units[a] + units[n + b]
+                    out[key] = out.get(key, 0) + sum(
+                        map(mul, map(mate, keys, zeros), values)) // g
 
 
 def _orbit_sums(pk, out):

@@ -37,7 +37,13 @@ metric whose tables are built that way by the library's own loop, on
 naive_index: the pullback index of a whole g_inv, walked entry by entry on
 tuple keys, where the library writes it from the closed form's or the
 graded solve's upper triangle with each term's mate, dividing by the gcd as
-it goes, or from an S_n-fixed column by transpositions.
+it goes, or from an S_n-fixed column by transpositions.  eager_index
+writes an upper or full store whole at build, every degree at once, where
+the library indexes it one degree at a time and pairs the top degree that
+each lap^k step reads (eager_copy gives a metric whose tables are built on
+it), and ref_diagonal_keys walks the diagonal keys of every degree up to a
+bound at once, by tails of the exponent vector, where the library walks
+one degree at a time by successors.
 metric_matrix builds g by differentiating the potential
 jet entry by entry, where the library packs the potential and never forms
 g, and third_deriv_obstruction_from_g reads the obstruction from that g,
@@ -73,7 +79,7 @@ each frame form's variables, where catalog.embedded_test_polys writes
 import copy
 import itertools
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from kahlerlap.catalog import SpaceDescriptor, TestFunctionPair, _matrix_slots, _upper_index
 from kahlerlap.catalog import potential_jet
@@ -97,6 +103,7 @@ from kahlerlap.jets import (
 from kahlerlap.metric import (
     EinsteinReport,
     GaugeError,
+    MetricJet,
     TruncationError,
     _laplacian_functional,
     _table_value,
@@ -919,6 +926,49 @@ def naive_index(pk, ginv, lo=0):
                         U, V = pk.pack(P, (0,) * n), pk.pack(Q_, (0,) * n)
                         index.setdefault(U, {}).setdefault(V, []).extend((c, *t))
     return index
+
+
+def eager_index(pk, den, stored):
+    """(Lg, index) of an upper or full store (None below the diagonal of
+    an upper one), written whole: every nonzero term of every entry, and
+    of its mate with the halves swapped, over g, the gcd of den and every
+    numerator, in the layout of metric._pullback_index."""
+    n, bits, units, half = pk.n, pk.bits, pk.units, pk.half
+    low, g, index = units[n] - 1, den, {}
+    for part in (part for row in stored for e in row if e for part in e):
+        g = gcd(g, *part.values())
+    for a, row in enumerate(stored):
+        for b, entry in enumerate(row):
+            t, swap = (bits * b, bits * (n + a), units[b] + units[n + a]), entry is None
+            for part in stored[b][a] if swap else entry:
+                for K, v in part.items():
+                    if v:
+                        U, V = (K >> half, K & low) if swap else (K & low, K >> half)
+                        index.setdefault(U, {}).setdefault(V, []).extend((v // g, *t))
+    return den // g, index
+
+
+def eager_copy(m):
+    """A copy of m, a metric that no permutation of the coordinates fixes,
+    with its store not yet read, with no table but table 0 and its index
+    written whole at build (eager_index): the library's own loop then
+    builds every table on it, no degree paired.  It is constructed, not
+    copied: copy.copy reads every slot, g_inv too, which completes m's
+    index."""
+    return MetricJet(m.n, m.potential, m.valid_degree, m.origin_diag, m.cubic_free, None,
+                     (*eager_index(m.potential.pk, *m._ginv), 0), {0: {0: 1}})
+
+
+def ref_diagonal_keys(pk, top):
+    """The diagonal monomials z^P zb^P with |P| <= top on packing pk, one
+    list per p = |P| of (packed key, P!), in lexicographic order of P
+    (first slot ascending, then the next): tails[t] lists the exponents of
+    slots s..n-1 with sum t, grown one slot at a time from the last."""
+    tails = [[(0, 1)]] + [[] for _ in range(top)]
+    for u in reversed(pk.units[: pk.n]):
+        tails = [[(e * u + K, factorial(e) * f) for e in range(t + 1) for K, f in tails[t - e]]
+                 for t in range(top + 1)]
+    return [[(K + (K << pk.half), f) for K, f in tail] for tail in tails]
 
 
 def sorted_hits(index):

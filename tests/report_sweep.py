@@ -13,8 +13,9 @@ of them at a time:
   - `dual LABEL --degree D --json` for D = 2..10, on every label.
 
 The labels are those of tests/test_catalog.py's ALL_LABELS and the dual of
-each, six wider spaces (three of them S_n-fixed: cp:n=10, ch:n=6 and
-flat:n=5, which take the orbit tables) and two products.  The .pot targets are the
+each, seven wider spaces (three of them S_n-fixed: cp:n=10, ch:n=6 and
+flat:n=5, which take the orbit tables; so2n:N=5 a wide upper store) and two
+products.  The .pot targets are the
 fixed bodies of POT_FILES, written to a temporary directory that is each
 run's working directory, so that argv and reports name them by a relative
 path.  The script prints the count of each exit code and one SHA-1 over
@@ -48,11 +49,13 @@ def _all_labels():
 
 ALL_LABELS = _all_labels()
 LABELS = (ALL_LABELS + [f"dual({label})" for label in ALL_LABELS]
-          + ["so2n:N=3", "sp:N=3", "grassmannian:k=3,N=6", "cp:n=10", "ch:n=6", "flat:n=5",
+          + ["so2n:N=3", "so2n:N=5", "sp:N=3", "grassmannian:k=3,N=6", "cp:n=10", "ch:n=6",
+             "flat:n=5",
              "product(cp:n=1;ch:n=1)", "product(sp:N=2;quadric-even:N=4)"])
 
 # name -> body: fits, a non-unit gauge, a pluriharmonic cubic, det and
-# radial builtins, and the refusals of the gauge, Bochner and syntax checks
+# radial builtins, a potential that is not real (the full solve of g_inv), and
+# the refusals of the gauge, Bochner and syntax checks
 POT_FILES = {
     "line.pot": "# Fubini-Study line\ndim 1\nlog(1 + modsq(z(1)))\n",
     "gauge.pot": "dim 2\nlog(1 + modsq(z(1)) + 2*modsq(z(2)))\n",
@@ -61,6 +64,7 @@ POT_FILES = {
                "z(2)*conj(z(1)), 1 + modsq(z(2))]))\n",
     "radial.pot": "dim 2\nradial(0, 1, 1/2, 1/3, 1/4, 1/5)\n",
     "chart.pot": "dim 2\nlog(1 + modsq(z(1)) + modsq(z(1) + z(2)))\n",
+    "full.pot": "dim 2\nlog(1 + modsq(z(1)) + modsq(z(2))) + z(1)*z(1)*conj(z(1)*z(2))\n",
     "bochner.pot": "dim 1\nmodsq(z(1)) + z(1)*z(1)*conj(z(1)) + z(1)*conj(z(1)*z(1))\n",
     "index.pot": "dim 1\nlog(1 + modsq(z(0)))\n",
     "header.pot": "# a comment and no 'dim n' header\n",

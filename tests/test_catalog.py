@@ -1,4 +1,5 @@
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,41 @@ class TestBergmanInverse:
         # up to its validity
         m = spaces("quadric-even:N=4", 8).metric
         assert ginv_top_degree(m) > 4
+
+    def test_a_build_makes_the_blocks_once(self, monkeypatch):
+        # the potential, g_inv and frame of one Bergman build share one
+        # _bergman_blocks, and so one _matrix_slots, at every degree
+        calls = []
+        for name in ("_bergman_blocks", "_matrix_slots"):
+            def counted(*args, name=name, orig=getattr(catalog, name)):
+                calls.append(name)
+                return orig(*args)
+
+            monkeypatch.setattr(catalog, name, counted)
+        labels = [label for label in ALL_LABELS if catalog._bergman(catalog.parse_space(label))]
+        for label in labels + [f"dual({label})" for label in labels]:
+            desc = catalog.parse_space(label)
+            for D in (2, 5, 6, 8):
+                calls.clear()
+                space = catalog.build_space(desc, D)
+                assert sorted(calls) == ["_bergman_blocks", "_matrix_slots"], (label, D)
+                assert space.frame == catalog._frame(desc)
+
+    @pytest.mark.parametrize("label", [label for label in ALL_LABELS
+                                       if catalog._bergman(catalog.parse_space(label))])
+    def test_a_closed_form_arrives_reduced(self, label):
+        # row a weighs 1 / (scale |S_a|), reduced, and den is the lcm of
+        # their denominators: 1 on so2n (scale 1/2, |S_a| = 2) and on every
+        # family but sp, whose diagonal coordinates weigh 1 and the others
+        # 1/2; the gcd of den and every numerator is 1
+        for desc in (catalog.parse_space(label), catalog.dual(catalog.parse_space(label))):
+            for D in range(2, 11):
+                solve = "column" if catalog.build_space(desc, D).metric._orbits else "upper"
+                den, stored = catalog.bergman_inverse(
+                    *catalog._bergman(desc), Jet.zero(desc.complex_dim, D), D, solve)
+                parts = [part for row in stored for e in row if e for part in e if part]
+                assert den == (2 if label.startswith("sp") and desc.complex_dim > 1 else 1)
+                assert gcd(den, *(c for part in parts for c in part.values())) == 1
 
 
 class TestEinsteinGoldens:

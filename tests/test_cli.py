@@ -161,7 +161,7 @@ class TestCheckCommand:
         assert out.err == "error: internal: singular constant term\n"
 
     def test_engine_fault_in_the_closed_form_exit_code(self, monkeypatch, capsys):
-        def singular(desc, s, potential, D, solve):
+        def singular(desc, s, potential, D, solve, blocks=None):
             raise NonInvertibleError("singular constant term")
 
         monkeypatch.setattr(catalog, "bergman_inverse", singular)

@@ -1,22 +1,26 @@
 """One store for a g_inv that no permutation of the coordinates fixes.
 
-The terms of the closed form (catalog.bergman_inverse) and of the upper
-and full graded solves (metric._hessian_inverse) are written straight
-into the lap^k pullback index (metric._pullback_index), which the metric
-keeps as the only store: MetricJet._ginv is None, and MetricJet.g_inv is
-read back from the index on first use.  An S_n-fixed g_inv keeps its
-column 0 as the kernel gave it, (den, column), which the window widening
-reads: the index writer is the one reducer of every store, and a guard
-refuses jets._reduced to metric while check and dual run on the orbit
-spaces.
+The terms of the closed form (catalog.bergman_inverse, its upper triangle
+one dict per degree) and of the upper and full graded solves
+(metric._hessian_inverse) are kept as given, MetricJet._ginv, and written
+into the lap^k pullback index (metric._indexed) one degree at a time, as
+the tables read them: before step k the index holds the degrees up to
+2k - 3, and step k pairs degree 2k - 2 with table k - 1 (metric._pair).
+MetricJet.g_inv completes the index, drops the store and reads g_inv back
+from the index.  An S_n-fixed g_inv keeps its column 0 as the kernel gave
+it, (den, column), which the window widening reads: the index writer is
+the one reducer of every store, and a guard refuses jets._reduced to
+metric while check and dual run on the orbit spaces.
 
-The guard runs commands that build such metrics and checks each one: no
-per-degree parts kept, and g_inv, read back from the index, equal to a
-second path (dense_oracles.ref_bergman_inverse for a closed form,
-JetMatrix.inverse of g differentiated from the potential for a graded
-solve).  The oracle test compares the index that the kernels write with
+The guard runs commands that build such metrics and checks each one: the
+store kept until the index is complete, and g_inv, read back from the
+index, equal to a second path (dense_oracles.ref_bergman_inverse for a
+closed form, JetMatrix.inverse of g differentiated from the potential for
+a graded solve).  The oracle test compares the completed index with
 dense_oracles.naive_index of the g_inv of that second path, the hits of
-each (U, V) as a multiset, at D = 2..10.
+each (U, V) as a multiset, at D = 2..10.  The tables of the paired index
+equal those of a copy indexed whole at build (dense_oracles.eager_index)
+on every store kind, and check so2n:N=6 never indexes degree 4.
 """
 
 import contextlib
@@ -27,17 +31,23 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kahlerlap import catalog, cli, jets, metric
 from kahlerlap.dsl import elaborate, parse_potential_file
-from kahlerlap.jets import _reduced
-from kahlerlap.metric import _pullback_index, metric_from_potential
+from kahlerlap.jets import InputError, _reduced
+from kahlerlap.metric import (
+    _complete_index, _laplacian_functional, _pullback_index, metric_from_potential,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from dense_oracles import (  # noqa: E402
-    metric_matrix, naive_index, ref_bergman_inverse, sorted_hits,
+    eager_copy, metric_matrix, naive_index, ref_bergman_inverse, sorted_hits,
 )
+from report_sweep import POT_FILES  # noqa: E402
 from test_acceptance import ALL_LABELS  # noqa: E402
+from test_graded_inverse import potentials  # noqa: E402
+from test_orbit_tables import BREAKERS, NON_REAL, SYMMETRIC, asymmetric_bodies  # noqa: E402
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8"))
@@ -89,11 +99,12 @@ def second_path(m, desc):
     return lg, integer_parts(inv, lg, m.potential.pk)
 
 
-def test_no_metric_without_the_symmetry_keeps_per_degree_parts(monkeypatch, tmp_path):
+def test_no_metric_without_the_symmetry_keeps_its_store_once_indexed(monkeypatch, tmp_path):
     """Each command prints its golden report (or, for the .pot files, the
     report of the unpatched run), and every metric it builds is one that no
-    permutation fixes, keeps no per-degree parts, and reads back from its
-    index the g_inv of the second path: closed forms, a quadric, the dual
+    permutation fixes, keeps its store (den, per-degree parts) only until
+    MetricJet.g_inv completes the index, and reads back from that index
+    the g_inv of the second path: closed forms, a quadric, the dual
     command's pair and two asymmetric .pot files, on both graded solves."""
     pots = []
     for i, text in enumerate(ASYMMETRIC_POTS):
@@ -131,10 +142,11 @@ def test_no_metric_without_the_symmetry_keeps_per_degree_parts(monkeypatch, tmp_
     metrics = {id(m): m for _, m in built}
     assert len(metrics) == 7  # sp, so2n, the quadric, the dual pair and two .pot files
     for key, m in metrics.items():
-        assert not m._orbits and m._ginv is None and m._pullback[2] == 0
+        assert not m._orbits and m._ginv is not None and m._pullback[2] == 0
         lg, whole = second_path(m, descs.get(key))
         assert m._pullback[0] == lg
         assert [[e.parts for e in row] for row in m.g_inv.entries] == whole
+        assert m._ginv is None
         assert all(e.den == lg for row in m.g_inv.entries for e in row)
 
 
@@ -149,8 +161,9 @@ INDEXED = (BERGMAN + [f"dual({label})" for label in BERGMAN]
 @pytest.mark.parametrize("source", list(dict.fromkeys(INDEXED)) + ASYMMETRIC_POTS)
 def test_the_written_index_is_the_naive_index_of_the_second_path(source):
     """At D = 2..10 the metric's pullback index (for an S_n-fixed g_inv,
-    the one built from its column in every slot) holds the hits of the
-    second path's whole g_inv indexed entry by entry, over the same Lg."""
+    the one built from its column in every slot; for any other, the index,
+    empty at build, completed) holds the hits of the second path's whole
+    g_inv indexed entry by entry, over the same Lg."""
     for D in range(2, 11):
         if source in ASYMMETRIC_POTS:
             n, node = parse_potential_file(source)
@@ -158,11 +171,14 @@ def test_the_written_index_is_the_naive_index_of_the_second_path(source):
         else:
             desc = catalog.parse_space(source)
             m = catalog.build_space(desc, D).metric
-        pk, (lg, index, lo) = m.potential.pk, m._pullback
         if m._orbits:
-            index = _pullback_index(pk, *m._ginv, 0)[1]
-        else:
-            assert m._ginv is None and lo == 0
+            index = _pullback_index(m.potential.pk, *m._ginv, 0)[1]
+        else:  # the index, completed (no table has read it yet)
+            assert m._ginv is not None and not m._pullback[1]
+            _complete_index(m)
+            assert m._ginv is None and m._pullback[2] == 0
+            index = m._pullback[1]
+        pk, lg = m.potential.pk, m._pullback[0]
         ref_lg, whole = second_path(m, desc)
         assert (lg, sorted_hits(index)) == (ref_lg, sorted_hits(naive_index(pk, whole))), D
 
@@ -186,3 +202,99 @@ def test_an_orbit_column_is_reduced_only_by_the_index_writer(monkeypatch):
     for mod in (jets, metric):
         monkeypatch.setattr(mod, "_reduced", refused_to_metric, raising=False)
     assert [run(argv) for argv in argvs] == shipped
+
+
+# the non-Hermitian body, which takes the full store, and a Hermitian one
+# whose g_inv[0][1] has a term on the diagonal key z1 zb1, which table 1
+# reaches, so that step 2 pairs it for the entry and for its mate
+NOT_REAL = "dim 2\nlog(1 + modsq(z(1)) + modsq(z(2))) + z(1)*z(1)*conj(z(1)*z(2))\n"
+TILTED = ("dim 2\nlog(1 + modsq(z(1)) + modsq(z(2))) + z(1)*z(1)*conj(z(1)*z(2))"
+          " + z(1)*z(2)*conj(z(1)*z(1))\n")
+PAIRED_LABELS = list(dict.fromkeys(
+    ALL_LABELS + [f"dual({label})" for label in ALL_LABELS]
+    + [f"so2n:N={N}" for N in range(3, 7)] + [f"sp:N={N}" for N in range(1, 5)]
+    + [label for label in INDEXED if label.startswith("grassmannian")]))
+PAIRED_POTS = list(dict.fromkeys(
+    ASYMMETRIC_POTS + [NOT_REAL, TILTED] + [f"{SYMMETRIC} + {extra}\n" for extra in BREAKERS] + NON_REAL
+    + list(POT_FILES.values())))
+
+
+def paired_metric(source, D):
+    """The metric of a label or .pot body at truncation D, None if the
+    body is refused or every permutation of the coordinates fixes g_inv."""
+    if source in PAIRED_POTS:
+        try:
+            m = metric_from_potential(body_jet(source, D))
+        except InputError:
+            return None
+    else:
+        m = catalog.build_space(catalog.parse_space(source), D).metric
+    return None if m._orbits else m
+
+
+def assert_paired_tables_are_eager(m, kmax):
+    """Tables 1..kmax of m, whose store no table has read, equal those of
+    its copy indexed whole at build (dense_oracles.eager_copy), and its
+    index, completed afterwards, is the copy's."""
+    eager = eager_copy(m)
+    for k in range(1, kmax + 1):
+        assert _laplacian_functional(m, k) == _laplacian_functional(eager, k), k
+    assert m._ginv is not None
+    _complete_index(m)
+    assert m._pullback[0] == eager._pullback[0]
+    assert sorted_hits(m._pullback[1]) == sorted_hits(eager._pullback[1])
+
+
+@pytest.mark.parametrize("source", PAIRED_LABELS + PAIRED_POTS)
+def test_the_paired_index_gives_the_eager_tables(source):
+    """At D = 2..10, tables k = 1..D // 2 + 1 (dual --degree 4 builds table
+    3) of every metric without the S_n symmetry: the closed forms' upper
+    stores, the upper and full graded solves of the quadrics and .pot
+    bodies."""
+    built = 0
+    for D in range(2, 11):
+        if (m := paired_metric(source, D)) is not None:
+            assert_paired_tables_are_eager(m, D // 2 + 1)
+            built += 1
+    assert built or source in POT_FILES.values() or catalog.build_space(
+        catalog.parse_space(source), 10).metric._orbits
+
+
+def body_jet(text, D=6):
+    n, node = parse_potential_file(text)
+    return elaborate(node, n, D)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(potentials().map(lambda case: case[1]), asymmetric_bodies().map(body_jet)))
+def test_paired_tables_on_random_potentials(phi):
+    """The same on random potentials of every kind (test_graded_inverse)
+    and random asymmetric .pot bodies (test_orbit_tables) that no
+    permutation fixes."""
+    m = metric_from_potential(phi)
+    assume(not m._orbits)
+    assert_paired_tables_are_eager(m, m.valid_degree // 2 + 1)
+
+
+def test_check_so2n_6_never_indexes_degree_4(monkeypatch):
+    """check so2n:N=6 --json (D = 6, k = 3) leaves no term of g_inv's
+    degree 4 in the index: step 3 pairs it.  Completed, the index is the
+    naive index of the whole closed form."""
+    built = []
+    build_space = catalog.build_space
+
+    def recorded(desc, D=6):
+        built.append(space := build_space(desc, D))
+        return space
+
+    monkeypatch.setattr(catalog, "build_space", recorded)
+    shipped = run(["check", "so2n:N=6", "--json"])
+    assert shipped["exit"] in (0, 1) and [s.descriptor.label() for s in built] == ["so2n:N=6"]
+    m = built[0].metric
+    pk, index = m.potential.pk, m._pullback[1]
+    assert 3 in m._functionals and m._ginv is not None
+    degrees = {(U | V << pk.half) % pk.mask for U, halves in index.items() for V in halves}
+    assert degrees == {0, 2}  # g_inv has even degrees alone, and 3 is below 4
+    _complete_index(m)
+    lg, whole = second_path(m, catalog.parse_space("so2n:N=6"))
+    assert (m._pullback[0], sorted_hits(m._pullback[1])) == (lg, sorted_hits(naive_index(pk, whole)))

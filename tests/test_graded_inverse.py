@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from kahlerlap import catalog
 from kahlerlap.jets import Jet, JetMatrix, _reduced
 from kahlerlap.metric import (
-    _hessian_inverse, _potential_symmetry, _pullback_index, metric_from_potential,
+    _complete_index, _hessian_inverse, _potential_symmetry, _pullback_index,
+    metric_from_potential,
 )
 from kahlerlap.rationals import Q
 
@@ -152,9 +153,10 @@ def potentials(draw):
 def test_every_solve_gives_the_same_inverse(case):
     """The column, upper-triangle and full solves of every potential that
     admits them give the same lg and pullback index, which
-    metric_from_potential stores (the index itself, or the column), and the
-    whole g_inv read back from it is the Neumann series of g, whose index
-    (dense_oracles.naive_index) is that index."""
+    metric_from_potential stores (the index, completed from the store it
+    keeps, or the column), and the whole g_inv read back from it is the
+    Neumann series of g, whose index (dense_oracles.naive_index) is that
+    index."""
     kind, phi = case
     real, fixed = _potential_symmetry(phi)
     reach = {(P, Q_): c for (P, Q_), c in phi.coeffs.items() if sum(P) and sum(Q_)}
@@ -164,10 +166,11 @@ def test_every_solve_gives_the_same_inverse(case):
         for t in permutations(range(phi.n)) for (P, Q_), c in reach.items()))
     solves = ["full"] + ["upper"] * real + ["column"] * (real and fixed)
     m = metric_from_potential(phi)
-    assert m._orbits == fixed and (m._ginv is None) == (not fixed)
+    assert m._orbits == fixed and m._ginv is not None
     ref = stored(phi, "full")
     assert all(stored(phi, solve) == ref for solve in solves)
     if not fixed:
+        _complete_index(m)
         assert (m._pullback[0], sorted_hits(m._pullback[1])) == ref
     assert (m._pullback[0], sorted_hits(naive_index(phi.pk, whole_ginv(m)))) == ref
     assert m.g_inv == neumann_inverse(metric_matrix(phi))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerlap import cli, jets, metric
+from kahlerlap import cli, fit, jets, metric
 from kahlerlap.dsl import (
     Add, Conj, Coord, Det, Lit, Log, ModSq, Mul, PotentialSyntaxError, Radial, Sub,
     _tokenize, elaborate, parse,
@@ -31,12 +31,13 @@ from kahlerlap.jets import _Packing, diagonal_keys, packing
 from kahlerlap.rationals import Q
 
 sys.path.insert(0, str(Path(__file__).parent))
-from dense_oracles import ref_elaborate, ref_tokenize  # noqa: E402
+from dense_oracles import ref_diagonal_keys, ref_elaborate, ref_tokenize  # noqa: E402
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_check_reports.json").read_text(encoding="utf-8")
 )
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+BENCH_GOLDEN = json.loads(WORKLOADS.with_name("golden.json").read_text(encoding="utf-8"))
 
 
 def _outcome(fn, *args):
@@ -209,8 +210,9 @@ def test_the_view_is_the_integer_parts_over_lg():
     m = metric.metric_from_potential(
         elaborate(parse("log(1 + 2/3*modsq(z(1)) + modsq(z(2)) + 1/5*modsq(z(1)*z(2)))"), 2, 6)
     )
+    metric._complete_index(m)  # no permutation symmetry: every term is indexed
     lg, index, lo = m._pullback
-    assert lg > 1 and lo == 0  # no permutation symmetry: every term is indexed
+    assert lg > 1 and lo == 0 and m._ginv is None
     pk = m.potential.pk
     # what the pullback index holds, as (i, j, packed key) -> integer
     indexed = {
@@ -233,9 +235,34 @@ def test_the_view_is_the_integer_parts_over_lg():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_diagonal_walk_grows_once_and_slices(n):
-    fresh = _Packing(n, packing(n, 12).bits)  # not the shared one: an empty walk
-    walks = {top: diagonal_keys(_Packing(n, fresh.bits), top) for top in range(-1, 7)}
-    for top in (2, 5, 1, 6, -1, 3):
-        assert diagonal_keys(fresh, top) == walks[top]
-    assert len(fresh.diagonal) == 7
+def test_diagonal_walk_is_built_once_per_degree(n):
+    fresh = _Packing(n, packing(n, 12).bits)  # not the shared one: no walk cached
+    walks = {p: diagonal_keys(_Packing(n, fresh.bits), p) for p in range(7)}
+    for p in (2, 5, 1, 6, 0, 3, 5):
+        assert diagonal_keys(fresh, p) == walks[p]
+        assert diagonal_keys(fresh, p) is diagonal_keys(fresh, p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_diagonal_walk_is_the_walk_by_tails(n):
+    """Each degree p <= 6 of the successor walk is degree p of the walk of
+    every degree at once, in the same order, with the same P!."""
+    pk = packing(n, 12)
+    assert [diagonal_keys(pk, p) for p in range(7)] == ref_diagonal_keys(pk, 6)
+
+
+def test_a_fit_that_stops_in_degree_2_never_walks_degree_3(monkeypatch):
+    """check sp:N=3 --degree 8 --kmax 3 prints its golden report and its
+    fits ask the diagonal walk for degrees 1 and 2 alone: the k = 3
+    witness comes first in degree 2."""
+    argv = ["check", "sp:N=3", "--degree", "8", "--kmax", "3", "--json"]
+    asked = []
+
+    def recorded(pk, p):
+        asked.append(p)
+        return diagonal_keys(pk, p)
+
+    monkeypatch.setattr(fit, "diagonal_keys", recorded)
+    code, out, _ = _run(argv)
+    assert {"exit": code, "stdout": out} == BENCH_GOLDEN[" ".join(argv)]
+    assert sorted(set(asked)) == [1, 2]

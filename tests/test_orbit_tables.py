@@ -226,17 +226,18 @@ def test_symmetric_potential_with_an_off_diagonal_witness():
     assert kinds == {"off_diagonal_nonzero"}
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        "1/5*modsq(z(1))",  # changes d_1 alone
-        "1/5*modsq(z(1)*z(1))",  # one coordinate
-        "1/5*modsq(z(1)*z(2))",  # fixed by the swap of z1 and z2, not by the cycle
-        "1/5*modsq(z(2)*z(3))",  # fixed by the swap of z2 and z3 alone
-        # fixed by the cycle z1 -> z2 -> z3 -> z1, not by the swap of z1 and z2
-        "1/5*modsq(z(1)*z(2)*z(2)) + 1/5*modsq(z(2)*z(3)*z(3)) + 1/5*modsq(z(3)*z(1)*z(1))",
-    ],
-)
+# terms that break the symmetry of SYMMETRIC
+BREAKERS = [
+    "1/5*modsq(z(1))",  # changes d_1 alone
+    "1/5*modsq(z(1)*z(1))",  # one coordinate
+    "1/5*modsq(z(1)*z(2))",  # fixed by the swap of z1 and z2, not by the cycle
+    "1/5*modsq(z(2)*z(3))",  # fixed by the swap of z2 and z3 alone
+    # fixed by the cycle z1 -> z2 -> z3 -> z1, not by the swap of z1 and z2
+    "1/5*modsq(z(1)*z(2)*z(2)) + 1/5*modsq(z(2)*z(3)*z(3)) + 1/5*modsq(z(3)*z(1)*z(1))",
+]
+
+
+@pytest.mark.parametrize("extra", BREAKERS)
 def test_a_broken_symmetry_keeps_the_full_tables(extra):
     m = pot_metric(f"{SYMMETRIC} + {extra}\n")
     assert not m._orbits
@@ -599,14 +600,14 @@ def test_a_lower_term_without_an_upper_partner_is_refused():
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_the_sorted_diagonal_is_walked_once_per_degree(n):
     # each degree through 8, asked twice: the same list, equal to a fresh
-    # walk and to diagonal_keys with P non-decreasing
+    # walk and to diagonal_keys of degree p with P non-decreasing
     pk = packing(n, 16)
-    diagonal = diagonal_keys(pk, 8)
     for p in (3, 1, 8, 5, 0, 8, 2, 4, 6, 7):
         cached = _sorted_diagonal(pk, p)
         assert _sorted_diagonal(pk, p) is cached
         assert cached == _sorted_diagonal.__wrapped__(pk, p) == [
-            (K, f) for K, f in diagonal[p] if list(pk.unpack(K)[0]) == sorted(pk.unpack(K)[0])
+            (K, f) for K, f in diagonal_keys(pk, p)
+            if list(pk.unpack(K)[0]) == sorted(pk.unpack(K)[0])
         ]
 
 

@@ -29,7 +29,7 @@ from kahlerlap import catalog, cli, jets, metric
 from kahlerlap.jets import NonInvertibleError
 from kahlerlap.dsl import elaborate, parse
 from kahlerlap.metric import (
-    _hessian_inverse, _laplacian_functional, _pullback_index, einstein_constant,
+    _complete_index, _hessian_inverse, _laplacian_functional, _pullback_index, einstein_constant,
     fifth_order_check, metric_from_potential, metric_with_inverse,
 )
 
@@ -144,9 +144,11 @@ BERGMAN = [label for label in sorted(GOLDEN) if not label.startswith(("quadric",
 def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
     """check on each Bergman family and its dual, the dual command and the
     sp:N=3 check print their reports with JetMatrix construction refused:
-    the closed form is stored as its pullback index (as its column 0 when
-    every permutation fixes it), and MetricJet.g_inv is built only when
-    read, from that store, as the oracle."""
+    the closed form is kept as given, its upper triangle one dict per
+    degree (its column 0 when every permutation fixes it), and indexed as
+    the tables read it; completed, the index is the one the whole triangle
+    writes, and MetricJet.g_inv is built only when read, from that store,
+    as the oracle."""
     argvs = [["check", label, "--degree", "6", "--json"] for label in BERGMAN]
     argvs += [["check", f"dual({label})", "--degree", "6", "--json"] for label in BERGMAN]
     argvs += [["dual", "grassmannian:k=2,N=4", "--json"],
@@ -172,10 +174,12 @@ def test_the_check_path_never_builds_the_jet_matrix(monkeypatch):
         if m._orbits:
             assert len(stored) == m.n and all(len(row) == 1 for row in stored)
         else:
-            assert m._ginv is None and all(stored[a][b] is None
-                                           for a in range(m.n) for b in range(a))
+            assert m._ginv == (den, stored) and all(stored[a][b] is None
+                                                    for a in range(m.n) for b in range(a))
+            assert all(len(e) == 5 for row in stored for e in row if e)  # degrees 0..4
             lg, index = _pullback_index(m.potential.pk, den, stored, 0)
-            assert (lg, sorted_hits(index)) == pullback(m)[:2]
+            _complete_index(m)
+            assert m._ginv is None and (lg, sorted_hits(index)) == pullback(m)[:2]
     monkeypatch.undo()
     for desc, m in metrics.items():
         assert m.g_inv == jet_matrix(
@@ -300,16 +304,15 @@ def test_the_upper_triangle_reads_as_both(text):
     assert metric_from_potential(phi)._orbits == scanned_orbits(whole())
     for m in (metric_from_potential(phi), metric_with_inverse(phi, handed, 5)):
         full = whole()
-        assert full._ginv is None and not full._orbits
-        assert (len(m._ginv[1]) == 2 and all(len(row) == 1 for row in m._ginv[1]) if m._orbits
-                else m._ginv is None)
+        assert not full._orbits and [len(row) for row in full._ginv[1]] == [2, 2]
+        assert [len(row) for row in m._ginv[1]] == ([1, 1] if m._orbits else [2, 2])
         assert m._pullback[0] == full._pullback[0]
         assert einstein_constant(m) == einstein_constant(full)
         assert fifth_order_check(m) == fifth_order_check(full) != 0
         for k in range(1, 4):  # at D = 5, k = 3 widens an orbit metric's index to every slot
             assert expand_orbits(m, k) == _laplacian_functional(full, k)
+        assert m.g_inv == full.g_inv  # each index completed first
         assert pullback(m) == pullback(full) and m._pullback[2] == 0
-        assert m.g_inv == full.g_inv
 
 
 def test_radial_command_and_pot_files_keep_the_graded_inverse(graded_inverse_fails, tmp_path):
@@ -330,7 +333,7 @@ def test_quadrics_and_products_keep_the_graded_inverse(graded_inverse_fails, arg
     assert run(argv) == (3, "", "error: internal: graded inverse called\n")
 
 
-def _graded(desc, s, potential, D, solve):  # desc at curvature sign s, a dual at -s
+def _graded(desc, s, potential, D, solve, blocks=None):  # desc at sign s, a dual at -s
     desc = desc if catalog._bergman(desc)[1] == s else catalog.dual(desc)
     m = metric_from_potential(catalog.potential_jet(desc, D))
     ginv = whole_ginv(m)
