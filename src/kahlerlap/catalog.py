@@ -292,9 +292,8 @@ def _bergman(desc):
 
 
 def potential_jet(desc: SpaceDescriptor, D, slots=0, blocks=None) -> Jet:
-    """The potential to total degree D, built on the packing of max(D, slots);
-    a matrix family's reads blocks, if given: _bergman_blocks of its family
-    on that packing."""
+    """The potential to total degree D, built on the packing of max(D, slots)
+    (a matrix family's from blocks, its _bergman_blocks there, if given)."""
     if (bergman := _bergman(desc)) is not None:
         desc, s = bergman
         if desc.family in ("flat", "cp", "ch"):  # log(1 + s t)/s
@@ -437,15 +436,13 @@ def bergman_inverse(desc: SpaceDescriptor, s, potential: Jet, D, solve, blocks=N
         g_inv[a][b] = sum_{(i, j, sign) in S_a} sign (B[k][i] A[j][l])_s / (scale |S_a|),
 
     (.)_s weighting the degree-d part by s^(d/2): its terms have |Q| = d/2,
-    so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  Row
-    a has the weight 1 / (scale |S_a|), reduced, and den is the lcm of
-    their denominators (so2n's weights are 1: den 1).  g_inv is Hermitian:
-    each entry a <= b is one dict per degree 0..D - 2, packed key ->
-    integer (zeros kept), and None below the diagonal, so that the
-    pullback index and its pairing (metric._laplacian_functional) take one
-    degree at a time.  solve "column" gives column 0 alone, n x 1, each
-    entry one dict, for a g_inv that every permutation of the coordinates
-    fixes (MetricJet keeps it so).
+    so a dual (c -> (-1)^|Q| c) is s -> -s, and flat (s = 0) keeps I.  den
+    is the lcm of the denominators of the reduced 1 / (scale |S_a|) (1 on
+    so2n).  g_inv is Hermitian: each entry a <= b is one dict per degree
+    0..D - 2, packed key -> integer (zeros kept), which the pullback index
+    takes one degree at a time, and None below the diagonal.  solve
+    "column" gives column 0 alone, n x 1, each entry one dict, for a g_inv
+    that every permutation of the coordinates fixes (MetricJet keeps it so).
     """
     n, pk, D = potential.n, potential.pk, D - 2
     W, scale, A, B = blocks or _bergman_blocks(desc, pk)

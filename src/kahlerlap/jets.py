@@ -119,11 +119,9 @@ def _shared_packing(n, bits):
 @cache
 def diagonal_keys(pk, p):
     """The diagonal monomials z^P zb^P with |P| = p on packing pk, as
-    (packed key, P!) in lexicographic order of P (first slot ascending,
-    then the next), walked once per packing and degree.  The successor of
-    P, with j its last nonzero slot and e = P_j, adds 1 to P_{j-1} and
-    moves the other e - 1 to the last slot: P! gains P_{j-1} + 1 and
-    loses e, and the last nonzero slot is then n - 1, or j - 1 if e = 1."""
+    (packed key, P!) in lexicographic order of P (slot 0 first), walked
+    once per packing and degree: P's successor, with e = P_j in its last
+    nonzero slot j, adds 1 to P_{j-1} and moves e - 1 to slot n - 1."""
     n, units = pk.n, pk.units
     P, j = [0] * (n - 1) + [p], n - 1 if p else 0
     key, f = p * units[n - 1], factorial(p)

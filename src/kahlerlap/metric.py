@@ -12,18 +12,15 @@ entries they build: the graded solve from the potential's terms
 diagonal, so no rational matrix is inverted) and the closed form of the
 Bergman catalog families (catalog.bergman_inverse), whose potential's
 quartic part decides that verdict.  metric_with_inverse keeps their
-integer parts as given, (den, store), and reads the store's one gcd before
-any table is built; the lap^k pullback index (_indexed) divides each term
-by it as it writes it.  A Hermitian g_inv is given as its upper triangle,
-each term written for its entry and, halves swapped, its mate, and any
-other whole, one dict per degree, indexed as the tables read it: before
-step k the index holds the degrees up to 2k - 3, and step k pairs degree
-2k - 2 with table k - 1, whose keys are the only ones such a term divides
-(_laplacian_functional).  MetricJet.g_inv completes the index and drops
-the store.  One that every permutation of the coordinates fixes is
-given as its column 0 (entry (i, j) is entry (sigma i, 0), sigma = (0 j),
-slots 0 and j swapped in both halves of each key) and kept, indexed at
-build in a window of slots that a later table may widen, as
+integer parts as given, (den, store), and takes their one gcd before any
+table is built, which the lap^k pullback index (_indexed) divides out as
+it writes: a Hermitian g_inv is given as its upper triangle, each term
+written for its entry and, halves swapped, its mate, any other whole, and
+either is indexed as the tables read it, step k pairing the degree 2k - 2
+that it first reads (_laplacian_functional).  One that every permutation
+of the coordinates fixes is given as its column 0 (entry (i, j) is entry
+(sigma i, 0), sigma = (0 j), slots 0 and j swapped in both halves of each
+key), indexed in a window that a later table may widen, as
 MetricJet.g_inv, a JetMatrix, does in every slot on first read.  The
 origin checks read closed forms: einstein_constant reads table 2, and
 third_deriv_obstruction and fifth_order_check the potential's (3, 2) terms.
@@ -421,14 +418,12 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
     divide by Lg^k as they read it.
 
     Pairing.  A key (A, B) of table k - 1 has degree at most 2k - 2, so a
-    divisor (U, V) of degree 2k - 2 is (A, B) itself, where (S, T) =
-    (e_j, e_i) and S_j T_i = 1: step k reads a term (K, g) of g_inv[i][j]
-    in degree 2k - 2 only as N_{k-1}(K) g at e_j + e_i, and nothing past
-    that degree.  For a store without the S_n symmetry (m._ginv kept), step
-    k first writes degrees 2k - 4 and 2k - 3 into the index, which then
-    holds every degree below 2k - 2, and adds degree 2k - 2 as one sum per
-    entry (_pair) instead of indexing it: the same terms give the same
-    table, and a degree that no table reaches is never indexed.
+    divisor of degree 2k - 2 is (A, B) itself, with (S, T) = (e_j, e_i):
+    step k reads a term (K, g) of g_inv[i][j] in that degree only as
+    N_{k-1}(K) g at e_j + e_i, and nothing past it.  An upper or full store
+    (m._ginv kept) has degrees 2k - 4 and 2k - 3 written into the index at
+    step k, and degree 2k - 2 added as one such sum per entry (_pair): the
+    same terms, so the same table, and no degree indexed before it is read.
 
     Orbits.  When every permutation sigma of the coordinates fixes g_inv,
     that is g_inv[sigma i][sigma j] at sigma (U, V) is g_inv[i][j] at
@@ -500,11 +495,9 @@ def _laplacian_functional(m: MetricJet, k: int) -> dict:
 
 
 def _pair(m, k, g, stored, out):
-    """Add into out what step k reads of g_inv in degree e = 2k - 2, from
-    an upper or full store divided by g: a key of table k - 1 has degree
-    at most e, so a term (K, v) of entry (i, j) in that degree divides only
-    the key K itself and adds N_{k-1}(K) v / g at e_j + e_i.  An upper
-    store's term does so for its mate (j, i) too, K's halves swapped."""
+    """Add into out step k's reads of degree 2k - 2 of an upper or full
+    store over g (_laplacian_functional): N_{k-1}(K) v / g at e_j + e_i for
+    each term (K, v) of entry (i, j), and of its mate, K's halves swapped."""
     pk, e, prev = m.potential.pk, 2 * k - 2, m._functionals[k - 1]
     units, n, half = pk.units, m.n, pk.half
     low, zeros, get = units[n] - 1, repeat(0), prev.get
